@@ -25,7 +25,6 @@ from .instances import (
     load_instance,
     save_instance,
 )
-from .kernel import KERNEL
 from .knapsack import KnapsackAdapter, dantzig_solve
 from .oracle import exact_opt, optimality_gap
 from .profiles import solve_identical, solve_uniform
@@ -49,7 +48,6 @@ __all__ = [
     "generate",
     "load_instance",
     "save_instance",
-    "KERNEL",
     "KnapsackAdapter",
     "dantzig_solve",
     "exact_opt",

@@ -91,16 +91,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.algorithm == "knapsack":
         if not isinstance(inst, KnapsackInstance):
             raise InstanceError("knapsack solver needs a knapsack instance")
-        alpha = parse_rat(args.alpha)
+        criterion = Criterion("ratio-alpha", parse_rat(args.alpha))
         strategy = Strategy(selection, args.branching, "Surrogate", "Dantzig")
         validate_strategy(KNAPSACK, strategy)
         adapter = KnapsackAdapter(inst, branching=args.branching)
-        result = run(adapter, selection, Criterion("ratio-alpha", alpha), node_limit=args.node_limit)
+        result = run(adapter, selection, criterion, node_limit=args.node_limit)
         _emit(_result_payload(result, "knapsack"), args.out)
         return EXIT_OK
     if not isinstance(inst, SchedulingInstance):
         raise InstanceError(f"{args.algorithm} solver needs a scheduling instance")
     eps = parse_rat(args.eps)
+    criterion = Criterion("ratio-eps", eps)
     if args.algorithm == "unrelated":
         strategy = Strategy(selection, "MMP", args.bounding, args.rounding)
         validate_strategy(inst.kind, strategy)
@@ -108,7 +109,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         adapter = UnrelatedAdapter(
             inst, bounding=args.bounding, rounding=args.rounding, depth_cap=depth_cap
         )
-        result = run(adapter, selection, Criterion("ratio-eps", eps), node_limit=args.node_limit)
+        result = run(adapter, selection, criterion, node_limit=args.node_limit)
         _emit(_result_payload(result, "unrelated"), args.out)
         return EXIT_OK
     if args.algorithm == "uniform":

@@ -138,6 +138,10 @@ class Criterion:
     def __post_init__(self):
         if self.kind not in ("ratio-alpha", "ratio-eps"):
             raise ValueError(f"unknown criterion {self.kind!r}")
+        if self.kind == "ratio-alpha" and not 0 < self.value < 1:
+            raise ValueError("alpha must lie in (0, 1)")
+        if self.kind == "ratio-eps" and self.value <= 0:
+            raise ValueError("epsilon must be positive")
 
 
 def should_stop(best_value: Rat, global_bound: Rat, criterion: Criterion, sense: Sense) -> bool:

@@ -7,10 +7,19 @@ expressed by the callers (binary search over the makespan guess, Dantzig's
 greedy for the knapsack bound).
 
 Method: phase-1 simplex with Bland's rule on a fraction-free integer
-tableau. Every row is scaled to integers once; pivoting keeps entries
-integral (they are minors of the input matrix), so the hot loop does no
-gcd work at all. Bland's rule plus lowest-basic-index tie-breaking in the
-ratio test makes runs deterministic and cycle-free.
+tableau. Every row is scaled to integers once, from the numerators and
+denominators of its nonzero entries; pivoting keeps entries integral
+(they are minors of the input matrix), so the hot loop does no gcd work
+at all.
+
+Each equality row, and each inequality row with a negative right-hand
+side, starts with an artificial basic variable. The tableau stores only
+the structural columns, the slack columns and the right-hand side: an
+artificial never re-enters the basis and a pivot never mixes columns, so
+the artificial columns would be dead weight. Artificials keep their
+labels (num_vars + len(inequalities) + k, in row order) in the basis,
+because the ratio test breaks ties by the lowest basic label. Bland's
+rule plus that tie-break makes runs deterministic and cycle-free.
 
 Thread-safety: solves are pure functions of their input.
 """
@@ -20,7 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .kernel import pivot
 from .rational import Rat, rat
 
 __all__ = [
@@ -70,12 +78,49 @@ class Vertex:
 
 
 def _scaled_int_row(coeffs: Sequence[Rat], rhs: Rat) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, as plain integers."""
     scale = 1
     for v in coeffs:
-        scale = math.lcm(scale, rat(v).denominator)
-    scale = math.lcm(scale, rat(rhs).denominator)
-    row = [int(v * scale) for v in coeffs]
-    return row, int(rhs * scale)
+        if v:
+            d = v.denominator
+            if d != 1:
+                scale = math.lcm(scale, d)
+    d = rhs.denominator
+    if d != 1:
+        scale = math.lcm(scale, d)
+    if scale == 1:
+        return [v.numerator for v in coeffs], rhs.numerator
+    row = [v.numerator * (scale // v.denominator) if v else 0 for v in coeffs]
+    return row, rhs.numerator * (scale // d)
+
+
+def pivot(tableau: list[list[int]], r: int, c: int, den: int) -> int:
+    """Integer-preserving Gaussian pivot on (r, c); returns the new denominator.
+
+    The tableau stores den * (real tableau); after the update it stores
+    piv * (real tableau) with piv = tableau[r][c]. The divisions are exact
+    (entries stay minors of the original integer matrix). Rows are updated
+    in place, skipping entries that stay zero; the pivot row itself is left
+    untouched by construction.
+    """
+    prow = tableau[r]
+    piv = prow[c]
+    for i, row in enumerate(tableau):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            for j, b in enumerate(prow):
+                a = row[j]
+                if b:
+                    row[j] = (piv * a - f * b) // den
+                elif a:
+                    row[j] = piv * a // den
+        elif piv != den:
+            for j, a in enumerate(row):
+                if a:
+                    row[j] = piv * a // den
+    return piv
 
 
 def solve_vertex(lp: LinearProgram) -> Vertex | None:
@@ -84,70 +129,46 @@ def solve_vertex(lp: LinearProgram) -> Vertex | None:
     n_ineq = len(lp.inequalities)
     n_slack_cols = nv + n_ineq
 
-    rows: list[list[int]] = []
-    rhss: list[int] = []
-    needs_artificial: list[bool] = []
-    for coeffs, b in lp.equalities:
-        row, bi = _scaled_int_row(coeffs, b)
-        row.extend([0] * n_ineq)
-        if bi < 0:
-            row = [-v for v in row]
-            bi = -bi
-        rows.append(row)
-        rhss.append(bi)
-        needs_artificial.append(True)
-    for k, (coeffs, b) in enumerate(lp.inequalities):
-        row, bi = _scaled_int_row(coeffs, b)
-        row.extend([0] * n_ineq)
-        row[nv + k] = 1
-        if bi < 0:
-            row = [-v for v in row]
-            bi = -bi
-            rows.append(row)
-            rhss.append(bi)
-            needs_artificial.append(True)
-        else:
-            rows.append(row)
-            rhss.append(bi)
-            needs_artificial.append(False)
-
-    nrows = len(rows)
-    n_art = sum(needs_artificial)
-    ncols = n_slack_cols + n_art
-
-    basis: list[int] = []
-    art_col = n_slack_cols
+    # Rows span the structural and slack columns plus the rhs; an artificial
+    # basic variable appears only as its label n_slack_cols + k in `basis`.
     tableau: list[list[int]] = []
+    basis: list[int] = []
     art_rows: list[int] = []
-    for i, row in enumerate(rows):
-        full = row + [0] * n_art
-        if needs_artificial[i]:
-            full[art_col] = 1
-            basis.append(art_col)
+    for i, (coeffs, b) in enumerate(lp.equalities + lp.inequalities):
+        row, bi = _scaled_int_row(coeffs, b)
+        row.extend([0] * n_ineq)
+        k = i - len(lp.equalities)
+        if k >= 0:
+            row[nv + k] = 1
+        row.append(bi)
+        if bi < 0:
+            row = [-v for v in row]
+        if k < 0 or bi < 0:
+            basis.append(n_slack_cols + len(art_rows))
             art_rows.append(i)
-            art_col += 1
         else:
-            basis.append(nv + _slack_of_row(lp, i))
-        full.append(rhss[i])
-        tableau.append(full)
+            basis.append(nv + k)
+        tableau.append(row)
+    nrows = len(tableau)
+    in_basis = set(basis)
 
-    # Phase-1 objective: minimize the artificial sum. Reduced-cost row is
-    # c_j - sum of artificial-basic rows; rhs cell holds -objective.
-    obj = [0] * (ncols + 1)
-    for j in range(ncols):
-        cj = 1 if j >= n_slack_cols else 0
-        obj[j] = cj - sum(tableau[i][j] for i in art_rows)
-    obj[ncols] = -sum(tableau[i][ncols] for i in art_rows)
+    # Phase-1 objective: minimize the artificial sum. Its reduced costs on
+    # the stored columns are minus the column sums over the artificial rows;
+    # the rhs cell holds -objective. (Summing row by row, not via zip(*rows),
+    # avoids a k-tuple per column, which the tuple free lists would keep.)
+    obj = [0] * (n_slack_cols + 1)
+    for i in art_rows:
+        obj = [o - v for o, v in zip(obj, tableau[i])]
     tableau.append(obj)
     obj_idx = nrows
 
     den = 1
-    rhs_col = ncols
+    rhs_col = n_slack_cols
     while True:
         enter = -1
         objrow = tableau[obj_idx]
-        for j in range(n_slack_cols):  # artificials never (re)enter
-            if objrow[j] < 0 and j not in basis:
+        for j in range(n_slack_cols):
+            if objrow[j] < 0 and j not in in_basis:
                 enter = j
                 break
         if enter < 0:
@@ -155,9 +176,10 @@ def solve_vertex(lp: LinearProgram) -> Vertex | None:
         leave = -1
         best_num = best_den = 0
         for i in range(nrows):
-            a = tableau[i][enter]
+            row = tableau[i]
+            a = row[enter]
             if a > 0:
-                bi = tableau[i][rhs_col]
+                bi = row[rhs_col]
                 if leave < 0 or bi * best_den < best_num * a or (
                     bi * best_den == best_num * a and basis[i] < basis[leave]
                 ):
@@ -165,6 +187,8 @@ def solve_vertex(lp: LinearProgram) -> Vertex | None:
         if leave < 0:  # phase-1 objective is bounded below; cannot happen
             raise LpError("unbounded phase-1 ray")
         den = pivot(tableau, leave, enter, den)
+        in_basis.discard(basis[leave])
+        in_basis.add(enter)
         basis[leave] = enter
 
     if tableau[obj_idx][rhs_col] != 0:
@@ -178,19 +202,22 @@ def solve_vertex(lp: LinearProgram) -> Vertex | None:
         i = live[pos]
         if basis[i] < n_slack_cols:
             continue
+        row = tableau[pos]
         enter = -1
         for j in range(n_slack_cols):
-            if tableau[pos][j] != 0 and j not in basis:
+            if row[j] != 0 and j not in in_basis:
                 enter = j
                 break
         if enter < 0:
             del tableau[pos]
             del live[pos]
             continue
-        if tableau[pos][enter] < 0:
+        if row[enter] < 0:
             # Row negation is safe: the artificial's value is zero here.
-            tableau[pos] = [-v for v in tableau[pos]]
+            tableau[pos] = [-v for v in row]
         den = pivot(tableau, pos, enter, den)
+        in_basis.discard(basis[i])
+        in_basis.add(enter)
         basis[i] = enter
 
     values = [rat(0)] * nv
@@ -201,10 +228,6 @@ def solve_vertex(lp: LinearProgram) -> Vertex | None:
         if b < nv:
             values[b] = Rat(tableau[pos][rhs_col], den)
     return Vertex(tuple(values), tuple(sorted(out_basis)))
-
-
-def _slack_of_row(lp: LinearProgram, row_index: int) -> int:
-    return row_index - len(lp.equalities)
 
 
 def satisfies(lp: LinearProgram, values: Sequence[Rat]) -> bool:

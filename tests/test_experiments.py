@@ -240,3 +240,22 @@ def test_cli_exit_codes(tmp_path):
     assert main(["oracle", "--instance", str(inst_path), "--budget", "10"]) == 3
     # wrong algorithm for the instance kind -> validation error
     assert main(["solve", "--instance", str(inst_path), "--algorithm", "knapsack"]) == 2
+
+
+def test_cli_rejects_eps_out_of_range(tmp_path):
+    inst_path = tmp_path / "sched.json"
+    assert main(["generate", "--kind", "scheduling-unrelated", "--n", "5", "--m", "2",
+                 "--seed", "3", "--out", str(inst_path)]) == 0
+    for eps in ("-1", "0"):
+        for extra in ([], ["--selection", "BFS", "--bfs-depth-cap"]):
+            assert main(["solve", "--instance", str(inst_path), "--algorithm", "unrelated",
+                         f"--eps={eps}", *extra]) == 2
+
+
+def test_cli_rejects_alpha_out_of_range(tmp_path):
+    inst_path = tmp_path / "knap.json"
+    assert main(["generate", "--kind", "knapsack", "--n", "6", "--m", "2",
+                 "--seed", "3", "--out", str(inst_path)]) == 0
+    for alpha in ("3/2", "1", "0", "-1/2"):
+        assert main(["solve", "--instance", str(inst_path), "--algorithm", "knapsack",
+                     f"--alpha={alpha}"]) == 2
