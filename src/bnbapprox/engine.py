@@ -219,12 +219,16 @@ class BaseAdapter:
         return {}
 
 
+def _bound_key(node: Node, sense: Sense):
+    if sense is Sense.MAX:
+        return (-node.ub, node.id)
+    return (node.lb, node.id)
+
+
 def _selection_key(node: Node, selection: Selection, sense: Sense):
     if selection is Selection.BEST_FIRST:
         # HUB: highest upper bound; LLB: lowest lower bound. Ties: lowest id.
-        if sense is Sense.MAX:
-            return (-node.ub, node.id)
-        return (node.lb, node.id)
+        return _bound_key(node, sense)
     if selection is Selection.DFS:
         # Deepest, most recently inserted first.
         return (-node.depth, -node.id)
@@ -238,12 +242,6 @@ def select_next(frontier: Iterable[Node], selection: Selection, sense: Sense) ->
     if not nodes:
         raise ValueError("empty frontier")
     return min(nodes, key=lambda n: _selection_key(n, selection, sense))
-
-
-def _bound_key(node: Node, sense: Sense):
-    if sense is Sense.MAX:
-        return (-node.ub, node.id)
-    return (node.lb, node.id)
 
 
 @dataclass
@@ -312,30 +310,28 @@ def run(
     left_turn_max = 0
     next_id = 1
 
+    # Node keys never change once a node is inserted, so every selection
+    # heap entry is live. Best-first selects by its bound key and needs one
+    # heap; DFS and BFS keep a bound heap and drop the entries of nodes that
+    # selection has already taken when they reach its top.
     frontier: dict[int, Node] = {0: root}
-    select_heap: list[tuple] = []
-    bound_heap: list[tuple] = []
-    heapq.heappush(select_heap, (_selection_key(root, selection, sense), 0))
-    heapq.heappush(bound_heap, (_bound_key(root, sense), 0))
+    select_heap: list[tuple] = [(_selection_key(root, selection, sense), 0)]
+    if selection is Selection.BEST_FIRST:
+        bound_heap = select_heap
+    else:
+        bound_heap = [(_bound_key(root, sense), 0)]
     adapter.on_insert(root)
 
     def frontier_bound() -> Rat | None:
-        while bound_heap:
-            key, nid = bound_heap[0]
-            node = frontier.get(nid)
-            if node is None or _bound_key(node, sense) != key:
-                heapq.heappop(bound_heap)
-                continue
-            return node.ub if sense is Sense.MAX else node.lb
-        return None
+        while bound_heap and bound_heap[0][1] not in frontier:
+            heapq.heappop(bound_heap)
+        if not bound_heap:
+            return None
+        node = frontier[bound_heap[0][1]]
+        return node.ub if sense is Sense.MAX else node.lb
 
     def pop_selected() -> Node:
-        while True:
-            key, nid = heapq.heappop(select_heap)
-            node = frontier.get(nid)
-            if node is not None and _selection_key(node, selection, sense) == key:
-                del frontier[nid]
-                return node
+        return frontier.pop(heapq.heappop(select_heap)[1])
 
     def improves(candidate: Rat, reference: Rat) -> bool:
         return candidate > reference if sense is Sense.MAX else candidate < reference
@@ -404,7 +400,8 @@ def run(
             if not pruned and adapter.admit(child):
                 frontier[child.id] = child
                 heapq.heappush(select_heap, (_selection_key(child, selection, sense), child.id))
-                heapq.heappush(bound_heap, (_bound_key(child, sense), child.id))
+                if bound_heap is not select_heap:
+                    heapq.heappush(bound_heap, (_bound_key(child, sense), child.id))
                 adapter.on_insert(child)
         for candidate, solution in updates:
             if improves(candidate, incumbent_value):

@@ -20,18 +20,32 @@ Branching fixes a pivot item into each knapsack it fits (left turns) or
 excludes it from all (the rightmost child, a right turn). Pivot rules:
 CE (most profitable critical item), PPW (largest unit profit among
 fractionally assigned items), K (largest unit profit among unfixed items).
+
+The greedy and the node state run on two integer grids per instance
+(`KnapsackGrid`): weights and capacities are scaled by Dw, the lcm of their
+denominators, and profits by Dp, the lcm of theirs (both are 1 on generated
+data). Residual capacities are differences of grid values, so they stay on
+the grid; every comparison of weights, capacities and profits, every fit
+test and every candidate value is an integer operation. `Rat` is rebuilt
+only where a `DantzigSolution` or `BoundInfo` leaves the kernel: a split
+piece's coordinate ov/w, `sub_value` (the integer profit of the items
+inside the capacity line plus the one item crossing its end, over Dp),
+`int_value` (over Dp) and the node's fixed profit added to both bounds.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from fractions import Fraction
+from typing import Iterable, Mapping, Sequence
 
-from .engine import BaseAdapter, BoundInfo, ChildSpec, Node, Sense
+from .engine import AdapterContractError, BaseAdapter, BoundInfo, ChildSpec, Node, Sense
 from .instances import KnapsackInstance
 from .rational import Rat, rat
 
 __all__ = [
     "DantzigSolution",
+    "KnapsackGrid",
     "dantzig_solve",
     "unit_profit_order",
     "branch_children",
@@ -62,6 +76,55 @@ def unit_profit_order(weights: Sequence[Rat], profits: Sequence[Rat]) -> tuple[i
     return tuple(sorted(range(len(weights)), key=key))
 
 
+def _scale(values: Iterable[Rat]) -> int:
+    """lcm of the denominators: the smallest scale putting values on integers."""
+    return math.lcm(*[v.denominator for v in values])
+
+
+def _on_grid(values: Iterable[Rat], scale: int) -> tuple[int, ...]:
+    return tuple([v.numerator * (scale // v.denominator) for v in values])
+
+
+def _unscale(value: int, scale: int) -> Rat:
+    return Fraction(value) if scale == 1 else Fraction(value, scale)
+
+
+def _plus_unscaled(value: Rat, extra: int, scale: int) -> Rat:
+    """value + extra/scale, built as one Fraction."""
+    b = value.denominator
+    return Fraction(value.numerator * scale + extra * b, b * scale)
+
+
+_ONE = Fraction(1)
+
+
+@dataclass(frozen=True)
+class KnapsackGrid:
+    """An instance on integers: w*Dw, c*Dw and p*Dp for the lcm scales Dw, Dp."""
+
+    w_scale: int
+    p_scale: int
+    weights: tuple[int, ...]
+    profits: tuple[int, ...]
+    capacities: tuple[int, ...]
+
+    @classmethod
+    def build(cls, inst: KnapsackInstance, caps: Sequence[Rat] = ()) -> "KnapsackGrid":
+        """Grid of `inst`; `caps` are extra capacities that must lie on it too."""
+        dw = _scale((*inst.weights, *inst.capacities, *caps))
+        dp = _scale(inst.profits)
+        return cls(
+            dw,
+            dp,
+            _on_grid(inst.weights, dw),
+            _on_grid(inst.profits, dp),
+            _on_grid(inst.capacities, dw),
+        )
+
+    def scale_caps(self, caps: Sequence[Rat]) -> tuple[int, ...]:
+        return _on_grid(caps, self.w_scale)
+
+
 @dataclass(frozen=True)
 class DantzigSolution:
     """Fractional optimum of the relaxation plus its integer rounding.
@@ -70,7 +133,8 @@ class DantzigSolution:
     (keyed by (item, knapsack)); sub_value is its profit. critical_items
     are the distinct critical items in boundary order; best_critical is the
     most profitable of them (ties to the lowest item id). int_assignment /
-    int_value describe the rounded integer solution x'.
+    int_value describe the rounded integer solution x'. fractional tells
+    whether some coordinate lies strictly between 0 and 1.
     """
 
     order: tuple[int, ...]
@@ -80,10 +144,7 @@ class DantzigSolution:
     best_critical: int | None
     int_assignment: Mapping[int, int]
     int_value: Rat
-
-    @property
-    def fractional(self) -> bool:
-        return any(0 < v < 1 for v in self.x_frac.values())
+    fractional: bool
 
 
 def dantzig_solve(
@@ -91,95 +152,128 @@ def dantzig_solve(
     items: Sequence[int] | None = None,
     order: Sequence[int] | None = None,
     caps: Sequence[Rat] | None = None,
+    *,
+    grid: KnapsackGrid | None = None,
 ) -> DantzigSolution:
     """Solve the fractional relaxation of (a subset of) an instance.
 
     `items` restricts to a sub-instance (default: all items) and `caps`
     overrides the capacities (for node sub-problems with reduced
     capacities); `order` may carry a precomputed unit-profit order of the
-    full instance, of which the live items form a subsequence.
+    full instance, of which the live items form a subsequence. `grid` is a
+    precomputed `KnapsackGrid` of `inst`; with it, `caps` are integers on
+    its weight scale. Without it the grid is built from `inst` and `caps`.
     """
-    weights, profits = inst.weights, inst.profits
-    if caps is None:
-        caps = inst.capacities
+    if grid is None:
+        caps = inst.capacities if caps is None else tuple(caps)
+        if any(c < 0 for c in caps):
+            raise ValueError("capacities must be non-negative")
+        grid = KnapsackGrid.build(inst, caps)
+        caps = grid.scale_caps(caps)
+    elif caps is None:
+        caps = grid.capacities
+    W, P = grid.weights, grid.profits
     if items is None:
         items = range(inst.n)
     live = set(items)
     if order is None:
-        order = unit_profit_order(weights, profits)
-    seq = tuple(j for j in order if j in live)
+        order = unit_profit_order(inst.weights, inst.profits)
+    # Tuples here are built from lists: tuple() of a generator allocates ten
+    # slots and shrinks in place, and the short tuples a search frees then
+    # pile up, each in its ten-slot block, on CPython's per-length free lists.
+    seq = tuple([j for j in order if j in live])
 
+    # Segment k of the merged capacity line is [lows[k], highs[k]).
     m = len(caps)
-    boundaries = []
-    acc = rat(0)
+    lows: list[int] = []
+    highs: list[int] = []
+    total = 0
     for c in caps:
-        acc += c
-        boundaries.append(acc)
-    total = acc
+        lows.append(total)
+        total += c
+        highs.append(total)
 
     x_frac: dict[tuple[int, int], Rat] = {}
     free_assign: dict[int, int] = {}
-    cursor = rat(0)
-    cumulative: list[Rat] = []
-    weighted: list[int] = []
+    whole: list[tuple[int, int]] = []  # items lying inside one segment
+    criticals: list[int] = []
+    free_profit = whole_profit = line_profit = 0
+    crossing = None  # (item, start) of the item across the end of the line
+    fractional = False
+    cursor = seg = crossed = 0  # crossed: boundaries the cursor has passed
     for j in seq:
-        w = weights[j]
+        w = W[j]
         if w == 0:
             # Zero-weight items carry free profit: pre-assigned, never critical.
-            x_frac[(j, 0)] = rat(1)
+            x_frac[(j, 0)] = _ONE
             free_assign[j] = 0
+            free_profit += P[j]
             continue
-        start, end = cursor, cursor + w
-        if start < total:
-            for k in range(m):
-                lo = boundaries[k] - caps[k]
-                hi = boundaries[k]
-                overlap = min(end, hi) - max(start, lo)
-                if overlap > 0:
-                    x_frac[(j, k)] = overlap / w
-        cursor = end
-        cumulative.append(cursor)
-        weighted.append(j)
+        if crossed == m:
+            continue  # beyond the end of the line: no coordinate, not critical
+        start = cursor
+        end = cursor = start + w
+        k = seg
+        while k < m:
+            lo = lows[k]
+            if lo >= end:
+                break
+            hi = highs[k]
+            overlap = (end if end < hi else hi) - (start if start > lo else lo)
+            if overlap == w:
+                x_frac[(j, k)] = _ONE
+                whole.append((j, k))
+                whole_profit += P[j]
+            elif overlap > 0:
+                x_frac[(j, k)] = Fraction(overlap, w)
+                fractional = True
+            if hi > end:
+                break
+            k += 1
+        seg = k
+        if end <= total:
+            line_profit += P[j]
+        elif start < total:
+            crossing = (j, start)
+        while crossed < m and highs[crossed] < end:
+            # The critical item of knapsack k is the first item ending past
+            # its boundary.
+            if not criticals or criticals[-1] != j:
+                criticals.append(j)
+            crossed += 1
 
-    criticals: list[int] = []
-    for k in range(m):
-        s_k = next(
-            (j for j, cum in zip(weighted, cumulative) if cum > boundaries[k]), None
+    dp = grid.p_scale
+    if crossing is None:
+        sub_value = _unscale(free_profit + line_profit, dp)
+    else:
+        j, start = crossing
+        w = W[j]
+        sub_value = Fraction(
+            (free_profit + line_profit) * w + P[j] * (total - start), w * dp
         )
-        if s_k is not None and s_k not in criticals:
-            criticals.append(s_k)
-
-    sub_value = sum(
-        (profits[j] * v for (j, _), v in x_frac.items()), start=rat(0)
-    )
 
     best_critical = None
     for s in criticals:
-        if best_critical is None or profits[s] > profits[best_critical] or (
-            profits[s] == profits[best_critical] and s < best_critical
+        if best_critical is None or P[s] > P[best_critical] or (
+            P[s] == P[best_critical] and s < best_critical
         ):
             best_critical = s
 
-    floor_assign = dict(free_assign)
-    for (j, k), v in x_frac.items():
-        if v == 1:
-            floor_assign[j] = k
-    free_value = sum((profits[j] for j in free_assign), start=rat(0))
-    floor_value = sum((profits[j] for j in floor_assign), start=rat(0))
-
-    candidates: list[tuple[Rat, dict[int, int]]] = []
+    # Candidates: each critical item alone in the first knapsack that fits
+    # it, then the floor; the first of the most profitable wins.
+    chosen = None
     for s in criticals:
-        fit = next((k for k in range(m) if weights[s] <= caps[k]), None)
-        if fit is not None:
-            assign = dict(free_assign)
-            assign[s] = fit
-            candidates.append((free_value + profits[s], assign))
-    candidates.append((floor_value, floor_assign))
-
-    int_value, int_assignment = candidates[0]
-    for value, assign in candidates[1:]:
-        if value > int_value:
-            int_value, int_assignment = value, assign
+        w = W[s]
+        fit = next((k for k in range(m) if w <= caps[k]), None)
+        if fit is not None and (chosen is None or P[s] > P[chosen[0]]):
+            chosen = (s, fit)
+    int_assignment = dict(free_assign)
+    if chosen is None or whole_profit > P[chosen[0]]:
+        int_assignment.update(whole)
+        int_profit = free_profit + whole_profit
+    else:
+        int_assignment[chosen[0]] = chosen[1]
+        int_profit = free_profit + P[chosen[0]]
 
     return DantzigSolution(
         order=seq,
@@ -188,7 +282,8 @@ def dantzig_solve(
         critical_items=tuple(criticals),
         best_critical=best_critical,
         int_assignment=int_assignment,
-        int_value=int_value,
+        int_value=_unscale(int_profit, dp),
+        fractional=fractional,
     )
 
 
@@ -210,37 +305,52 @@ def branch_children(
     caps: Sequence[Rat],
     sol: DantzigSolution,
     rule: str,
+    *,
+    grid: KnapsackGrid | None = None,
+    fixed_profit: int = 0,
+    fixed_assign: Mapping[int, int] | None = None,
 ) -> list[ChildSpec]:
     """Children for the chosen pivot: one per knapsack it fits, plus exclusion.
 
     Inclusion children that would overfill their knapsack are dropped here;
-    the exclusion child (the rightmost one) always survives.
+    the exclusion child (the rightmost one) always survives. Each payload is
+    the child's node state. `grid`, `caps` and `fixed_profit` follow
+    `dantzig_solve`: with the adapter's grid, caps and fixed profit are
+    integers on it; without, the grid is built from `inst` and `caps`.
+    `fixed_assign` is the parent's fixed part, which no child mutates.
     """
+    if grid is None:
+        grid = KnapsackGrid.build(inst, caps)
+        caps = grid.scale_caps(caps)
+    if fixed_assign is None:
+        fixed_assign = {}
     pivot = pick_pivot(sol, rule)
     if pivot is None:
         raise ValueError("no eligible pivot: node is integral, caller should have stopped")
-    w = inst.weights[pivot]
-    rest = tuple(j for j in alive if j != pivot)
+    w = grid.weights[pivot]
+    included_profit = fixed_profit + grid.profits[pivot]
+    rest = tuple([j for j in alive if j != pivot])
+    caps = tuple(caps)
     children: list[ChildSpec] = []
-    m = len(caps)
-    for k in range(m):
-        if w <= caps[k]:
-            new_caps = tuple(c - w if i == k else c for i, c in enumerate(caps))
-            children.append(
-                ChildSpec(decision=(pivot, k), right_turn=False, payload=(rest, new_caps, pivot, k))
-            )
-    children.append(
-        ChildSpec(decision=(pivot, m), right_turn=True, payload=(rest, tuple(caps), pivot, m))
-    )
+    for k, c in enumerate(caps):
+        if w <= c:
+            assign = dict(fixed_assign)
+            assign[pivot] = k
+            child = _NodeState(rest, caps[:k] + (c - w,) + caps[k + 1:], included_profit, assign)
+            children.append(ChildSpec(decision=(pivot, k), right_turn=False, payload=child))
+    child = _NodeState(rest, caps, fixed_profit, fixed_assign)
+    children.append(ChildSpec(decision=(pivot, len(caps)), right_turn=True, payload=child))
     return children
 
 
 @dataclass
 class _NodeState:
+    """A node's sub-problem; caps and fixed_profit are on the adapter's grid."""
+
     alive: tuple[int, ...]
-    caps: tuple[Rat, ...]
-    fixed_profit: Rat
-    fixed_assign: dict[int, int]
+    caps: tuple[int, ...]
+    fixed_profit: int
+    fixed_assign: Mapping[int, int]
     sol: DantzigSolution | None = None
     usable: tuple[int, ...] = ()
 
@@ -262,42 +372,59 @@ class KnapsackAdapter(BaseAdapter):
         self.inst = inst
         self.branching = branching
         self.order = unit_profit_order(inst.weights, inst.profits)
+        self.grid = KnapsackGrid.build(inst)
         self.audit = audit
         self.audit_records: list[AuditRecord] = []
 
     def root_payload(self) -> _NodeState:
-        free = {j for j in range(self.inst.n) if self.inst.weights[j] == 0}
-        fixed_assign = {j: 0 for j in sorted(free)}
-        fixed_profit = sum((self.inst.profits[j] for j in free), start=rat(0))
-        alive = tuple(j for j in range(self.inst.n) if j not in free)
-        return _NodeState(alive, self.inst.capacities, fixed_profit, fixed_assign)
+        W, P = self.grid.weights, self.grid.profits
+        free = [j for j in range(self.inst.n) if W[j] == 0]
+        alive = tuple([j for j in range(self.inst.n) if W[j] != 0])
+        return _NodeState(
+            alive, self.grid.capacities, sum(P[j] for j in free), {j: 0 for j in free}
+        )
 
     def bound(self, state: _NodeState) -> BoundInfo:
+        W = self.grid.weights
         cap_max = max(state.caps)
-        usable = tuple(j for j in state.alive if self.inst.weights[j] <= cap_max)
-        sol = dantzig_solve(self.inst, items=usable, order=self.order, caps=state.caps)
+        usable = tuple([j for j in state.alive if W[j] <= cap_max])
+        sol = dantzig_solve(
+            self.inst, items=usable, order=self.order, caps=state.caps, grid=self.grid
+        )
         state.sol = sol
         state.usable = usable
         self._check_rounding_guarantees(sol)
         solution = dict(state.fixed_assign)
         solution.update(sol.int_assignment)
+        fixed, dp = state.fixed_profit, self.grid.p_scale
         return BoundInfo(
-            lb=state.fixed_profit + sol.int_value,
-            ub=state.fixed_profit + sol.sub_value,
+            lb=_plus_unscaled(sol.int_value, fixed, dp),
+            ub=_plus_unscaled(sol.sub_value, fixed, dp),
             solution=solution,
             leaf=not sol.fractional,
         )
 
     def _check_rounding_guarantees(self, sol: DantzigSolution) -> None:
         # Every usable item fits somewhere, which makes both inequalities
-        # guaranteed; a violation is a solver bug.
+        # guaranteed; a violation is a solver bug. Cross-multiplied, so the
+        # checks are integer comparisons: sub = s/t, int = a/b, p* = p/q.
         m = self.inst.m
-        assert (m + 1) * sol.int_value >= sol.sub_value, "(m+1)-approximation violated"
-        if sol.best_critical is not None and sol.sub_value > 0:
+        s, t = sol.sub_value.numerator, sol.sub_value.denominator
+        a, b = sol.int_value.numerator, sol.int_value.denominator
+        if (m + 1) * a * t < s * b:
+            raise AdapterContractError(
+                f"(m+1)-approximation violated: {m + 1} * {sol.int_value} < {sol.sub_value}"
+            )
+        if sol.best_critical is not None and s > 0:
             p_star = self.inst.profits[sol.best_critical]
-            gap_ok = p_star * (m + 1) >= sol.sub_value
-            slack_ok = p_star * m >= sol.sub_value - sol.int_value
-            assert gap_ok or slack_ok, "critical-item profit bound violated"
+            p, q = p_star.numerator, p_star.denominator
+            gap_ok = (m + 1) * p * t >= s * q  # (m+1) p* >= sub
+            slack_ok = m * p * t * b + a * q * t >= s * q * b  # m p* + int >= sub
+            if not (gap_ok or slack_ok):
+                raise AdapterContractError(
+                    f"critical-item profit bound violated: p* = {p_star}, "
+                    f"sub = {sol.sub_value}, int = {sol.int_value}"
+                )
         if self.audit:
             self.audit_records.append(
                 AuditRecord(
@@ -312,18 +439,16 @@ class KnapsackAdapter(BaseAdapter):
     def branch(self, node: Node) -> list[ChildSpec]:
         state: _NodeState = node.payload
         assert state.sol is not None
-        specs = branch_children(self.inst, state.usable, state.caps, state.sol, self.branching)
-        out = []
-        for spec in specs:
-            rest, caps, pivot, target = spec.payload
-            assign = dict(state.fixed_assign)
-            profit = state.fixed_profit
-            if target < self.inst.m:
-                assign[pivot] = target
-                profit = profit + self.inst.profits[pivot]
-            child = _NodeState(rest, caps, profit, assign)
-            out.append(ChildSpec(spec.decision, spec.right_turn, child))
-        return out
+        return branch_children(
+            self.inst,
+            state.usable,
+            state.caps,
+            state.sol,
+            self.branching,
+            grid=self.grid,
+            fixed_profit=state.fixed_profit,
+            fixed_assign=state.fixed_assign,
+        )
 
 
 def assignment_value(inst: KnapsackInstance, assignment: Mapping[int, int]) -> Rat:

@@ -1,8 +1,13 @@
+import dataclasses
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from bnbapprox.engine import Criterion, Selection, run
+from bnbapprox import knapsack
+from bnbapprox.engine import AdapterContractError, Criterion, Selection, run
 from bnbapprox.instances import KnapsackInstance, generate
 from bnbapprox.knapsack import (
     KnapsackAdapter,
@@ -234,3 +239,56 @@ def test_adapter_terminates_at_root_on_worked_instance():
     assert result.nodes_explored == 1
     assert result.best_value == 60
     assert result.best_solution == {1: 0, 2: 1}
+
+
+BROKEN = KnapsackInstance(
+    weights=(rat(4), rat(6), rat(5), rat(1)),
+    profits=(rat(40), rat(42), rat(30), rat(1)),
+    capacities=(rat(7), rat(6)),
+)
+BROKEN_CRITICAL = 3  # profit 1, far below sub_value / (m+1)
+
+
+def _break_int_value(sol, m):
+    # the rounding loses everything: (m+1) * 0 < sub_value
+    return dataclasses.replace(sol, int_value=rat(0), int_assignment={})
+
+
+def _break_best_critical(sol, m):
+    # the rounding meets (m+1) exactly, but the claimed best critical item
+    # is too light for the critical-item bound
+    return dataclasses.replace(
+        sol, int_value=sol.sub_value / (m + 1), best_critical=BROKEN_CRITICAL
+    )
+
+
+@pytest.mark.parametrize(
+    "breaker, message",
+    [(_break_int_value, "approximation"), (_break_best_critical, "critical-item")],
+)
+def test_broken_rounding_raises(breaker, message, monkeypatch):
+    kernel = knapsack.dantzig_solve
+
+    def broken(*args, **kwargs):
+        return breaker(kernel(*args, **kwargs), BROKEN.m)
+
+    adapter = KnapsackAdapter(BROKEN)
+    adapter.bound(adapter.root_payload())  # the unbroken kernel passes
+    monkeypatch.setattr(knapsack, "dantzig_solve", broken)
+    with pytest.raises(AdapterContractError, match=message):
+        adapter.bound(adapter.root_payload())
+
+
+def test_broken_rounding_raises_under_optimize_flag():
+    # `python -O` strips assert statements; the rounding checks must not be
+    # asserts, so the test above has to pass there too
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{os.path.abspath(__file__)}::test_broken_rounding_raises"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "2 passed" in proc.stdout

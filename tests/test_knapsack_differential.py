@@ -1,0 +1,323 @@
+"""The integer Dantzig kernel against the Fraction greedy it replaced.
+
+`reference_dantzig_solve` is the previous implementation, kept here as the
+reference: it walks the merged capacity line in exact Fractions, scans every
+knapsack for every item and finds each critical item by a scan over the
+cumulative weights. The integer kernel must return the same
+`DantzigSolution`, field by field, with the same insertion order in
+`x_frac` and `int_assignment`, on hand-picked edge cases, on seeded rational
+instances and on every sub-problem the adapter bounds during real searches.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+
+from bnbapprox import knapsack
+from bnbapprox.engine import Criterion, Selection, run
+from bnbapprox.instances import KnapsackInstance, generate
+from bnbapprox.knapsack import (
+    DantzigSolution,
+    KnapsackAdapter,
+    KnapsackGrid,
+    dantzig_solve,
+    unit_profit_order,
+)
+from bnbapprox.rational import rat
+
+
+def reference_dantzig_solve(inst, items=None, order=None, caps=None):
+    weights, profits = inst.weights, inst.profits
+    if caps is None:
+        caps = inst.capacities
+    if items is None:
+        items = range(inst.n)
+    live = set(items)
+    if order is None:
+        order = unit_profit_order(weights, profits)
+    seq = tuple(j for j in order if j in live)
+
+    m = len(caps)
+    boundaries = []
+    acc = rat(0)
+    for c in caps:
+        acc += c
+        boundaries.append(acc)
+    total = acc
+
+    x_frac = {}
+    free_assign = {}
+    cursor = rat(0)
+    cumulative = []
+    weighted = []
+    for j in seq:
+        w = weights[j]
+        if w == 0:
+            x_frac[(j, 0)] = rat(1)
+            free_assign[j] = 0
+            continue
+        start, end = cursor, cursor + w
+        if start < total:
+            for k in range(m):
+                lo = boundaries[k] - caps[k]
+                hi = boundaries[k]
+                overlap = min(end, hi) - max(start, lo)
+                if overlap > 0:
+                    x_frac[(j, k)] = overlap / w
+        cursor = end
+        cumulative.append(cursor)
+        weighted.append(j)
+
+    criticals = []
+    for k in range(m):
+        s_k = next(
+            (j for j, cum in zip(weighted, cumulative) if cum > boundaries[k]), None
+        )
+        if s_k is not None and s_k not in criticals:
+            criticals.append(s_k)
+
+    sub_value = sum((profits[j] * v for (j, _), v in x_frac.items()), start=rat(0))
+
+    best_critical = None
+    for s in criticals:
+        if best_critical is None or profits[s] > profits[best_critical] or (
+            profits[s] == profits[best_critical] and s < best_critical
+        ):
+            best_critical = s
+
+    floor_assign = dict(free_assign)
+    for (j, k), v in x_frac.items():
+        if v == 1:
+            floor_assign[j] = k
+    free_value = sum((profits[j] for j in free_assign), start=rat(0))
+    floor_value = sum((profits[j] for j in floor_assign), start=rat(0))
+
+    candidates = []
+    for s in criticals:
+        fit = next((k for k in range(m) if weights[s] <= caps[k]), None)
+        if fit is not None:
+            assign = dict(free_assign)
+            assign[s] = fit
+            candidates.append((free_value + profits[s], assign))
+    candidates.append((floor_value, floor_assign))
+
+    int_value, int_assignment = candidates[0]
+    for value, assign in candidates[1:]:
+        if value > int_value:
+            int_value, int_assignment = value, assign
+
+    return DantzigSolution(
+        order=seq,
+        x_frac=x_frac,
+        sub_value=sub_value,
+        critical_items=tuple(criticals),
+        best_critical=best_critical,
+        int_assignment=int_assignment,
+        int_value=int_value,
+        fractional=any(0 < v < 1 for v in x_frac.values()),
+    )
+
+
+def assert_same(got: DantzigSolution, want: DantzigSolution) -> None:
+    assert got.order == want.order
+    assert list(got.x_frac.items()) == list(want.x_frac.items())
+    assert all(type(v) is Fraction for v in got.x_frac.values())
+    assert got.sub_value == want.sub_value and type(got.sub_value) is Fraction
+    assert got.critical_items == want.critical_items
+    assert got.best_critical == want.best_critical
+    assert list(got.int_assignment.items()) == list(want.int_assignment.items())
+    assert got.int_value == want.int_value and type(got.int_value) is Fraction
+    assert got.fractional is want.fractional
+    assert got == want
+
+
+def _value(rnd, den_choices, lo, hi):
+    return Fraction(rnd.randint(lo, hi), rnd.choice(den_choices))
+
+
+def _random_case(rnd):
+    """A small instance plus an (items, order, caps) call on it."""
+    n = rnd.choice((0, 1, 1, 2, 3, 5, 7, 9))
+    m = rnd.choice((1, 1, 2, 3, 4))
+    integral = rnd.random() < 0.3
+    w_dens = (1,) if integral else (1, 2, 3, 4, 6)
+    p_dens = (1,) if integral else (1, 5, 7)
+    c_dens = (1,) if integral else (1, 2, 5, 9)
+    weights = []
+    profits = []
+    for _ in range(n):
+        if rnd.random() < 0.15:
+            weights.append(Fraction(0))
+        else:
+            weights.append(_value(rnd, w_dens, 1, 30))
+        profits.append(_value(rnd, p_dens, 1, 40))
+    if n >= 2 and rnd.random() < 0.4:
+        # a profit/weight tie between two items
+        i, j = rnd.sample(range(n), 2)
+        factor = rnd.choice((Fraction(1), Fraction(2), Fraction(1, 3)))
+        weights[j] = weights[i] * factor
+        profits[j] = profits[i] * factor
+    caps = []
+    for _ in range(m):
+        if rnd.random() < 0.15:
+            caps.append(Fraction(0))
+        else:
+            caps.append(_value(rnd, c_dens, 1, 45))
+    if n and rnd.random() < 0.2:
+        # an item that fits in no knapsack
+        weights[rnd.randrange(n)] = max(caps) + rnd.randint(1, 5)
+    inst = KnapsackInstance(tuple(weights), tuple(profits), tuple(caps))
+    items = None
+    if rnd.random() < 0.5:
+        items = tuple(j for j in range(n) if rnd.random() < 0.7)
+    order = unit_profit_order(inst.weights, inst.profits) if rnd.random() < 0.5 else None
+    call_caps = None
+    if rnd.random() < 0.5:
+        # capacities on a grid of their own, as a caller may pass them
+        call_caps = tuple(
+            Fraction(0) if rnd.random() < 0.2 else _value(rnd, (1, 7, 11), 0, 40)
+            for _ in range(m)
+        )
+    return inst, items, order, call_caps
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_rational_instances(seed):
+    rnd = random.Random(4_040_000 + seed)
+    for _ in range(300):
+        inst, items, order, caps = _random_case(rnd)
+        assert_same(
+            dantzig_solve(inst, items, order, caps),
+            reference_dantzig_solve(inst, items, order, caps),
+        )
+
+
+EDGE_CASES = [
+    # empty item set, on an instance with items and on one without
+    (KnapsackInstance((rat(3),), (rat(5),), (rat(4),)), (), None),
+    (KnapsackInstance((), (), (rat(4), rat(2))), None, None),
+    # n = 1, m = 1: fits, splits, fits nowhere, zero weight
+    (KnapsackInstance((rat(3),), (rat(10),), (rat(5),)), None, None),
+    (KnapsackInstance((rat(7),), (rat(10),), (rat(5),)), None, None),
+    (KnapsackInstance((rat(12),), (rat(36),), (rat(5), rat(5))), None, None),
+    (KnapsackInstance((rat(0),), (rat(7),), (rat(0),)), None, None),
+    # zero capacities first, between and last: boundaries that coincide
+    (KnapsackInstance((rat(2), rat(3), rat(4)), (rat(8), rat(9), rat(4)),
+                      (rat(0), rat(5), rat(0), rat(3), rat(0))), None, None),
+    (KnapsackInstance((rat(5), rat(3)), (rat(10), rat(3)), (rat(5), rat(0))), None, None),
+    # an item ending exactly at the end of the capacity line, then one past it
+    (KnapsackInstance((rat(4), rat(6), rat(3)), (rat(8), rat(6), rat(2)),
+                      (rat(4), rat(6))), None, None),
+    # all capacities zero
+    (KnapsackInstance((rat(1), rat(0)), (rat(2), rat(3)), (rat(0), rat(0))), None, None),
+    # ties in profit/weight, broken by id; equal critical profits
+    (KnapsackInstance((rat(2), rat(4), rat(2), rat(6)), (rat(6), rat(12), rat(6), rat(18)),
+                      (rat(3), rat(5))), None, None),
+    # rational data on three different denominators, capacities overridden
+    (KnapsackInstance((rat(3, 2), rat(5, 2), rat(7, 3)), (rat(9, 2), rat(5), rat(14, 3)),
+                      (rat(4), rat(3, 2))), (0, 2), (rat(11, 5), rat(2, 7))),
+    # the worked example of the module tests
+    (KnapsackInstance((rat(6), rat(5), rat(4)), (rat(60), rat(40), rat(20)),
+                      (rat(5), rat(5))), None, None),
+]
+
+
+@pytest.mark.parametrize("case", range(len(EDGE_CASES)))
+def test_edge_cases(case):
+    inst, items, caps = EDGE_CASES[case]
+    assert_same(
+        dantzig_solve(inst, items, None, caps),
+        reference_dantzig_solve(inst, items, None, caps),
+    )
+
+
+def test_zero_weight_items_out_of_unit_profit_order():
+    # a caller-supplied order may put a zero-weight item after the others,
+    # and after the end of the capacity line
+    inst = KnapsackInstance(
+        (rat(4), rat(0), rat(9), rat(0)), (rat(4), rat(1), rat(9), rat(2)), (rat(5),)
+    )
+    order = (0, 2, 1, 3)
+    assert_same(
+        dantzig_solve(inst, order=order), reference_dantzig_solve(inst, order=order)
+    )
+
+
+def test_negative_capacities_rejected():
+    inst = KnapsackInstance((rat(1),), (rat(1),), (rat(1),))
+    with pytest.raises(ValueError):
+        dantzig_solve(inst, caps=(rat(-1),))
+
+
+def _rational_instance(rnd, n, m):
+    return KnapsackInstance(
+        tuple(Fraction(rnd.randint(1, 40), rnd.choice((1, 2, 3))) for _ in range(n)),
+        tuple(Fraction(rnd.randint(1, 60), rnd.choice((1, 4, 5))) for _ in range(n)),
+        tuple(Fraction(rnd.randint(20, 60), rnd.choice((1, 3))) for _ in range(m)),
+    )
+
+
+def _adapter_instances():
+    rnd = random.Random(4_041_000)
+    out = [generate("knapsack", n, m, 4_042_000 + k)
+           for k, (n, m) in enumerate(((9, 2), (12, 2), (10, 3), (14, 3)))]
+    out += [_rational_instance(rnd, n, m) for n, m in ((8, 2), (10, 3))]
+    return out
+
+
+@pytest.mark.parametrize("rule", ["CE", "PPW", "K"])
+def test_every_subproblem_the_adapter_bounds(rule, monkeypatch):
+    recorded = []
+    kernel = knapsack.dantzig_solve
+
+    def recording(inst, items=None, order=None, caps=None, *, grid=None):
+        sol = kernel(inst, items, order, caps, grid=grid)
+        recorded.append((inst, items, order, caps, grid, sol))
+        return sol
+
+    bound = KnapsackAdapter.bound
+    states = []
+
+    def recording_bound(adapter, state):
+        info = bound(adapter, state)
+        states.append((adapter, state, info))
+        return info
+
+    monkeypatch.setattr(knapsack, "dantzig_solve", recording)
+    monkeypatch.setattr(KnapsackAdapter, "bound", recording_bound)
+    for inst in _adapter_instances():
+        for selection in Selection:
+            run(KnapsackAdapter(inst, branching=rule), selection,
+                Criterion("ratio-alpha", rat(99, 100)), node_limit=400)
+    assert len(recorded) == len(states) > 100
+    # the integer node state against the same state kept in Fractions
+    for adapter, state, info in states:
+        inst, grid = adapter.inst, adapter.grid
+        fixed = sum((inst.profits[j] for j in state.fixed_assign), start=rat(0))
+        assert Fraction(state.fixed_profit, grid.p_scale) == fixed
+        for k, cap in enumerate(state.caps):
+            used = sum((inst.weights[j] for j, kk in state.fixed_assign.items() if kk == k),
+                       start=rat(0))
+            assert Fraction(cap, grid.w_scale) == inst.capacities[k] - used
+        assert info.lb == fixed + state.sol.int_value and type(info.lb) is Fraction
+        assert info.ub == fixed + state.sol.sub_value and type(info.ub) is Fraction
+    scaled = 0
+    for inst, items, order, caps, grid, sol in recorded:
+        assert grid is not None
+        rat_caps = tuple(Fraction(c, grid.w_scale) for c in caps)
+        assert_same(sol, reference_dantzig_solve(inst, items, order, rat_caps))
+        assert_same(dantzig_solve(inst, items, order, rat_caps), sol)
+        scaled += grid.w_scale != 1 or grid.p_scale != 1
+    assert scaled > 0
+
+
+def test_grid_scales():
+    inst = KnapsackInstance(
+        (rat(3, 2), rat(5, 4), rat(2)), (rat(9, 2), rat(5, 3), rat(1)), (rat(4, 3),)
+    )
+    grid = KnapsackGrid.build(inst)
+    assert grid.w_scale == 12 and grid.p_scale == 6
+    assert grid.weights == (18, 15, 24)
+    assert grid.profits == (27, 10, 6)
+    assert grid.capacities == (16,)
+    assert KnapsackGrid.build(inst, (rat(1, 5),)).w_scale == 60
