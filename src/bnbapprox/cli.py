@@ -47,7 +47,7 @@ from .knapsack import KnapsackAdapter
 from .oracle import OracleBudgetExceeded, exact_opt
 from .profiles import solve_identical, solve_uniform
 from .rational import format_rat, parse_rat
-from .scheduling import UnrelatedAdapter, scheme_depth_cap
+from .scheduling import scheme_depth_cap, solve_unrelated
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -101,16 +101,20 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if not isinstance(inst, SchedulingInstance):
         raise InstanceError(f"{args.algorithm} solver needs a scheduling instance")
     eps = parse_rat(args.eps)
-    criterion = Criterion("ratio-eps", eps)
     if args.algorithm == "unrelated":
         strategy = Strategy(selection, "MMP", args.bounding, args.rounding)
         validate_strategy(inst.kind, strategy)
         depth_cap = scheme_depth_cap(inst.m, eps) if args.bfs_depth_cap else None
-        adapter = UnrelatedAdapter(
-            inst, bounding=args.bounding, rounding=args.rounding, depth_cap=depth_cap
+        outcome = solve_unrelated(
+            inst,
+            eps,
+            selection=selection,
+            bounding=args.bounding,
+            rounding=args.rounding,
+            node_limit=args.node_limit,
+            depth_cap=depth_cap,
         )
-        result = run(adapter, selection, criterion, node_limit=args.node_limit)
-        _emit(_result_payload(result, "unrelated"), args.out)
+        _emit(_result_payload(outcome.result, "unrelated"), args.out)
         return EXIT_OK
     if args.algorithm == "uniform":
         if inst.kind not in (UNIFORM, IDENTICAL):

@@ -50,6 +50,7 @@ from .rational import Rat, floor_div, rat
 from .scheduling import (
     ROUNDING_LST,
     LpPoint,
+    child_hi_hint,
     min_feasible_T,
     round_vertex,
 )
@@ -295,6 +296,7 @@ class _ProfileState:
     fixed: dict[int, int]
     rounded_loads: tuple[Rat, ...] | None = None
     lo_hint: Rat | None = None
+    hi_hint: Rat | None = None
     point: LpPoint | None = None
 
 
@@ -342,7 +344,9 @@ class ProfileAdapter(BaseAdapter):
 
     def bound(self, state: _ProfileState) -> BoundInfo:
         jobs = tuple(range(state.depth, self.n))
-        res = min_feasible_T(self.P, state.t, jobs, lo_hint=state.lo_hint)
+        res = min_feasible_T(
+            self.P, state.t, jobs, lo_hint=state.lo_hint, hi_hint=state.hi_hint
+        )
         point = res.point
         if point.fractional_jobs and state.depth < self.n:
             longest = state.depth
@@ -375,6 +379,11 @@ class ProfileAdapter(BaseAdapter):
             # node's own rounding is at most eps above its bound already
             return []
         pivot = d  # jobs are sorted: the longest unfixed job at depth d
+        # the children's upper brackets come from the node's point, which the
+        # mass swap rewrote: rely on it only while every pair it uses is
+        # eligible at its guess, since otherwise it is no point of the load LP
+        point = state.point
+        feasible = all(self.P[j][i] <= point.T for j, i in point.x)
         out = []
         for i in range(self.m):
             t_new = tuple(
@@ -382,7 +391,13 @@ class ProfileAdapter(BaseAdapter):
             )
             fixed = dict(state.fixed)
             fixed[pivot] = i
-            child = _ProfileState(d + 1, t_new, fixed, lo_hint=node.lb)
+            child = _ProfileState(
+                d + 1,
+                t_new,
+                fixed,
+                lo_hint=node.lb,
+                hi_hint=child_hi_hint(point, self.P, pivot, i) if feasible else None,
+            )
             if self.mode == "equivalence":
                 assert state.rounded_loads is not None
                 rounded = round_geometric(self.base[pivot], self.eps)

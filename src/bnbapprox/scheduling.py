@@ -2,17 +2,30 @@
 
 A node fixes some jobs onto machines; the residual problem is the same
 problem class again with per-machine overheads t_i (the earliest time a
-machine can start). BS bounds a node by binary search for the smallest
-grid value T such that the parametric load LP is feasible, where only
-pairs with p_{j,i} <= T are eligible and machine i may carry load at most
+machine can start). BS bounds a node by searching for the smallest grid
+value T such that the parametric load LP is feasible, where only pairs
+with p_{j,i} <= T are eligible and machine i may carry load at most
 T - t_i. The LR baseline bound drops the eligibility filter (the plain
-makespan LP relaxation) and bisects the same grid, so BS dominates LR by
+makespan LP relaxation) and searches the same grid, so BS dominates LR by
 construction.
 
 The search grid is the integer multiples of 1/D, D the least common
-denominator of the node's processing times and overheads; for integer
-data this is the plain integer search. Vertices of the parametric LP have
-at most m fractional jobs; rounding modes:
+denominator of the node's processing times and overheads. min_feasible_T
+scales P and t by D once per node and probes integers k = T*D, so every
+load row it builds is an integer row with right-hand side k - t_i*D (a
+positive multiple of the rational row, which changes neither the pivots
+nor the vertex). Feasibility is monotone in T, and the search:
+
+    brackets   k_lo from the overheads, the processing times and the
+               parent's bound, k_hi from the list schedule or, tighter,
+               from the parent's LP point: keeping it for every other job
+               and putting the branched job wholly on its machine is
+               feasible for the child at that machine's raised load;
+    probes     k_lo first (often the parent's bound is the child's
+               answer, one LP solve), then bisects the rest of the bracket.
+
+Vertices of the parametric LP have at most m fractional jobs; rounding
+modes:
 
     AS        each fractional job to its fastest machine;
     LST-match each fractional job to a distinct supporting machine along
@@ -20,7 +33,10 @@ at most m fractional jobs; rounding modes:
     BM        exhaustive best placement of the fractional jobs.
 
 Branching fixes the fractional job with maximal shortest processing time
-(MMP) onto each machine in turn.
+(MMP) onto each machine in turn. The guarantees the scheme rests on (the
+2T rounding bound, an integral vertex at its minimal guess, the
+pivot-controlled upper bound and the best-first depth cap) are checked on
+every call and raise AdapterContractError, also under python -O.
 """
 from __future__ import annotations
 
@@ -30,6 +46,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .engine import (
+    AdapterContractError,
     BaseAdapter,
     BoundInfo,
     ChildSpec,
@@ -65,6 +82,7 @@ __all__ = [
     "scheme_depth_cap",
     "schedule_makespan",
     "grid_denominator",
+    "child_hi_hint",
 ]
 
 ROUNDING_AS = "AS"
@@ -108,42 +126,42 @@ def build_load_lp(
 ) -> tuple[LinearProgram, tuple[tuple[int, int], ...]] | None:
     """The load LP at guess T plus its variable order, or None when it is
     trivially infeasible (an overfull machine or a job with no eligible
-    pair). Machines without residual capacity take no variables."""
-    m = len(t)
+    pair). Machines without residual capacity take no variables.
+
+    Variables are the eligible pairs, grouped by job in `jobs` order. The
+    assignment rows and the zero coefficients are plain integers; the load
+    rows carry P's entries and T - t_i, so integer data and an integer
+    guess (the search grid of min_feasible_T) give an all-integer program.
+    """
     if any(T < ti for ti in t):
         return None
-    open_machines = [i for i in range(m) if T - t[i] > 0]
+    open_machines = [i for i in range(len(t)) if T - t[i] > 0]
     pairs: list[tuple[int, int]] = []
+    spans: list[tuple[int, int]] = []
+    columns: dict[int, list[int]] = {i: [] for i in open_machines}
     for j in jobs:
-        row = [
-            (j, i)
-            for i in open_machines
-            if (not restrict) or P[j][i] <= T
-        ]
-        if not row:
+        Pj = P[j]
+        start = len(pairs)
+        for i in open_machines:
+            if not restrict or Pj[i] <= T:
+                columns[i].append(len(pairs))
+                pairs.append((j, i))
+        if len(pairs) == start:
             return None
-        pairs.extend(row)
-    index = {pair: k for k, pair in enumerate(pairs)}
+        spans.append((start, len(pairs)))
     nv = len(pairs)
 
     equalities = []
-    for j in jobs:
-        coeffs = [rat(0)] * nv
-        for i in open_machines:
-            k = index.get((j, i))
-            if k is not None:
-                coeffs[k] = rat(1)
-        equalities.append((tuple(coeffs), rat(1)))
+    for start, end in spans:
+        coeffs = [0] * nv
+        coeffs[start:end] = [1] * (end - start)
+        equalities.append((tuple(coeffs), 1))
     inequalities = []
     for i in open_machines:
-        coeffs = [rat(0)] * nv
-        hit = False
-        for j in jobs:
-            k = index.get((j, i))
-            if k is not None:
-                coeffs[k] = P[j][i]
-                hit = True
-        if hit:
+        if columns[i]:
+            coeffs = [0] * nv
+            for k in columns[i]:
+                coeffs[k] = P[pairs[k][0]][i]
             inequalities.append((tuple(coeffs), T - t[i]))
     return LinearProgram(nv, tuple(equalities), tuple(inequalities)), tuple(pairs)
 
@@ -190,7 +208,7 @@ def list_schedule(
     P: Sequence[Sequence[Rat]], t: Sequence[Rat], jobs: Sequence[int]
 ) -> tuple[dict[int, int], Rat]:
     """Greedy integer schedule (jobs in given order, least resulting load)."""
-    loads = [rat(v) for v in t]
+    loads = list(t)
     assignment: dict[int, int] = {}
     for j in jobs:
         best = min(range(len(t)), key=lambda i: (loads[i] + P[j][i], i))
@@ -199,54 +217,93 @@ def list_schedule(
     return assignment, max(loads) if loads else rat(0)
 
 
+def _ceil_on_grid(v: Rat, D: int) -> int:
+    """The smallest k with k/D >= v."""
+    return -(-v.numerator * D // v.denominator)
+
+
 def min_feasible_T(
     P: Sequence[Sequence[Rat]],
     t: Sequence[Rat],
     jobs: Sequence[int],
     restrict: bool = True,
     lo_hint: Rat | None = None,
+    hi_hint: Rat | None = None,
 ) -> TSearchResult:
     """Smallest grid T with a feasible load LP, plus a vertex there.
 
-    The bracket is [max(max overhead, largest minimal processing time,
-    averaged load bound), list-schedule makespan]; lo_hint (a known valid
-    lower bound, e.g. the parent node's optimum) can tighten it.
+    The search runs on k = T*D, D = grid_denominator(P, t, jobs): processing
+    times and overheads are scaled by D once, so every probe builds an
+    integer program. The bracket is [k_lo, k_hi]:
+
+    - k_lo: max(max overhead, largest minimal processing time under
+      restrict, averaged load bound, lo_hint), rounded up onto the grid;
+      lo_hint is a known lower bound such as the parent node's optimum;
+    - k_hi: the list-schedule makespan, or hi_hint rounded up onto the
+      grid when that is smaller; hi_hint must be a guess at which the LP
+      is feasible (the parent's point gives one, see child_hi_hint).
+
+    k_lo is probed first and, when feasible, is the answer after one LP
+    solve; otherwise the rest of the bracket is bisected. Every probe is
+    one feasible_point call. Raises LpError when no grid point of the
+    bracket is feasible, i.e. when k_hi (or hi_hint) was not a feasible
+    guess; a wrong T is never returned.
     """
     m = len(t)
     D = grid_denominator(P, t, jobs)
+    PD = {j: [v.numerator * (D // v.denominator) for v in P[j]] for j in jobs}
+    tD = [v.numerator * (D // v.denominator) for v in t]
 
-    lo = max(t) if t else rat(0)
+    k_lo = max(tD, default=0)
     if jobs:
         if restrict:
-            lo = max(lo, max(min(P[j]) for j in jobs))
-        total = sum((min(P[j]) for j in jobs), start=rat(0)) + sum(t, start=rat(0))
-        lo = max(lo, total / m)
+            k_lo = max(k_lo, max([min(PD[j]) for j in jobs]))
+        total = sum([min(PD[j]) for j in jobs]) + sum(tD)
+        k_lo = max(k_lo, -(-total // m))
     if lo_hint is not None:
-        lo = max(lo, lo_hint)
-    _, upper = list_schedule(P, t, jobs)
-    upper = max(upper, lo)
+        k_lo = max(k_lo, _ceil_on_grid(lo_hint, D))
+    k_hi = max(list_schedule(PD, tD, jobs)[1], k_lo)
+    if hi_hint is not None:
+        k_hi = min(k_hi, _ceil_on_grid(hi_hint, D))
 
-    k_lo = -floor_div(-lo * D, 1)  # ceil to the grid
-    k_hi = upper * D
-    if k_hi.denominator != 1:
-        raise LpError("list-schedule makespan off the search grid")
-    k_hi = max(int(k_hi), k_lo)
-
-    cached: LpPoint | None = None
-    while k_lo < k_hi:
-        mid = (k_lo + k_hi) // 2
-        point = feasible_point(P, t, jobs, Rat(mid, D), restrict)
+    lo, hi = k_lo, k_hi
+    # the lower end first: a child's answer is often its parent's bound
+    point = feasible_point(PD, tD, jobs, lo, restrict) if lo <= hi else None
+    if point is None:
+        lo += 1
+        while lo < hi:  # point, once set, is the vertex at hi
+            mid = (lo + hi) // 2
+            probe = feasible_point(PD, tD, jobs, mid, restrict)
+            if probe is None:
+                lo = mid + 1
+            else:
+                hi, point = mid, probe
+        if point is None and lo == hi:  # hi itself was never probed
+            point = feasible_point(PD, tD, jobs, hi, restrict)
         if point is None:
-            k_lo = mid + 1
-        else:
-            k_hi = mid
-            cached = point
-    t_min = Rat(k_lo, D)
-    if cached is None or cached.T != t_min:
-        cached = feasible_point(P, t, jobs, t_min, restrict)
-        if cached is None:
             raise LpError("upper bracket infeasible; bracket construction is broken")
-    return TSearchResult(t_min, cached)
+    # back from the grid: x is scale-free, T and the loads divide by D; a
+    # machine that carries nothing keeps its overhead object, as the nodes
+    # of a search keep their points
+    t_min = Rat(point.T, D)
+    loads = tuple([t[i] if v == tD[i] else Rat(v, D) for i, v in enumerate(point.loads)])
+    return TSearchResult(
+        t_min,
+        LpPoint(t_min, point.x, loads, point.fractional_jobs, point.integral_assignment),
+    )
+
+
+def child_hi_hint(point: LpPoint, P: Sequence[Sequence[Rat]], job: int, machine: int) -> Rat:
+    """A guess at which the child fixing `job` on `machine` has a feasible LP.
+
+    Keep the parent's feasible point for every other job and put `job`
+    wholly on `machine`: that machine's completion time becomes its parent
+    load plus p * (1 - x[job, machine]), the others keep theirs (at most
+    point.T), and every pair used stays eligible at point.T. The point
+    must be feasible for the parent's load LP at point.T.
+    """
+    raised = point.loads[machine] + P[job][machine] * (1 - point.x.get((job, machine), 0))
+    return max(point.T, raised)
 
 
 def _makespan(
@@ -267,9 +324,10 @@ def round_vertex(
     """Integral schedule from a vertex: integral jobs stay, fractional move.
 
     LST-match reassigns along an injection into supporting machines and is
-    guaranteed a makespan of at most twice the vertex's T (asserted on
-    every call); AS uses each job's fastest machine; BM exhausts all
-    placements of the (at most m) fractional jobs.
+    guaranteed a makespan of at most twice the vertex's T (checked on
+    every call, AdapterContractError otherwise); AS uses each job's
+    fastest machine; BM exhausts all placements of the (at most m)
+    fractional jobs.
     """
     m = len(t)
     assignment = dict(point.integral_assignment)
@@ -287,7 +345,10 @@ def round_vertex(
             raise LpError("no fractional-job matching: vertex structure bug")
         assignment.update(matching)
         makespan = _makespan(P, t, assignment)
-        assert makespan <= 2 * point.T, "matching rounding exceeded twice the guess"
+        if makespan > 2 * point.T:
+            raise AdapterContractError(
+                f"matching rounding makespan {makespan} exceeded twice the guess {point.T}"
+            )
         return assignment, makespan
     if mode == ROUNDING_BM:
         if m ** len(frac) > 2_000_000:
@@ -316,6 +377,8 @@ def mmp_pivot(point: LpPoint, P: Sequence[Sequence[Rat]]) -> int:
 
 
 def scheme_depth_cap(m: int, eps: Rat) -> int:
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     return floor_div(m * m, eps)
 
 
@@ -325,6 +388,7 @@ class _SchedState:
     t: tuple[Rat, ...]
     fixed: dict[int, int]
     lo_hint: Rat | None = None
+    hi_hint: Rat | None = None
     point: LpPoint | None = None
 
 
@@ -354,7 +418,12 @@ class UnrelatedAdapter(BaseAdapter):
 
     def bound(self, state: _SchedState) -> BoundInfo:
         res = min_feasible_T(
-            self.P, state.t, state.jobs, restrict=self.restrict, lo_hint=state.lo_hint
+            self.P,
+            state.t,
+            state.jobs,
+            restrict=self.restrict,
+            lo_hint=state.lo_hint,
+            hi_hint=state.hi_hint,
         )
         state.point = res.point
         lb = res.t_min
@@ -362,23 +431,29 @@ class UnrelatedAdapter(BaseAdapter):
             solution = dict(state.fixed)
             solution.update(res.point.integral_assignment)
             ub = _makespan(self.P, self.inst.overheads, solution)
-            assert ub == lb, "integral vertex off its minimal guess"
+            if ub != lb:
+                raise AdapterContractError(
+                    f"integral vertex makespan {ub} off its minimal guess {lb}"
+                )
             return BoundInfo(lb, ub, solution, leaf=True)
         assignment, ub = round_vertex(res.point, self.P, state.t, self.rounding)
         solution = dict(state.fixed)
         solution.update(assignment)
         pivot = mmp_pivot(res.point, self.P)
-        assert ub <= lb + self.m * min(self.P[pivot]), (
-            "rounded makespan exceeded the pivot-controlled bound"
-        )
+        if ub > lb + self.m * min(self.P[pivot]):
+            raise AdapterContractError(
+                f"rounded makespan {ub} exceeded the pivot-controlled bound "
+                f"{lb} + {self.m} * {min(self.P[pivot])}"
+            )
         return BoundInfo(lb, ub, solution, leaf=False)
 
     def branch(self, node: Node) -> list[ChildSpec]:
         if self.depth_cap is not None and node.depth >= self.depth_cap:
             return []
         state: _SchedState = node.payload
-        assert state.point is not None
-        pivot = mmp_pivot(state.point, self.P)
+        point = state.point
+        assert point is not None
+        pivot = mmp_pivot(point, self.P)
         rest = tuple(j for j in state.jobs if j != pivot)
         out = []
         for i in range(self.m):
@@ -391,7 +466,13 @@ class UnrelatedAdapter(BaseAdapter):
                 ChildSpec(
                     decision=(pivot, i),
                     right_turn=False,
-                    payload=_SchedState(rest, t_new, fixed, lo_hint=node.lb),
+                    payload=_SchedState(
+                        rest,
+                        t_new,
+                        fixed,
+                        lo_hint=node.lb,
+                        hi_hint=child_hi_hint(point, self.P, pivot, i),
+                    ),
                 )
             )
         return out
@@ -416,8 +497,9 @@ def solve_unrelated(
     """Run the (1+eps)-scheme on an unrelated/uniform/identical instance.
 
     depth_cap limits branching depth (used by the BFS variant, which keeps
-    the guarantee under the cap floor(m^2/eps)). Best-first runs assert the
-    tree-depth bound of the scheme after the fact.
+    the guarantee under the cap floor(m^2/eps)). Uncapped best-first runs
+    check the tree-depth bound of the scheme after the fact and raise
+    AdapterContractError when it is exceeded.
     """
     eps = rat(eps)
     if eps <= 0:
@@ -427,9 +509,10 @@ def solve_unrelated(
     result = run(adapter, selection, criterion, node_limit=node_limit)
     if selection is Selection.BEST_FIRST and depth_cap is None and node_limit is None:
         cap = scheme_depth_cap(inst.m, eps)
-        assert result.max_depth <= cap, (
-            f"best-first tree reached depth {result.max_depth} > {cap}"
-        )
+        if result.max_depth > cap:
+            raise AdapterContractError(
+                f"best-first tree reached depth {result.max_depth} > {cap}"
+            )
     assignment = dict(result.best_solution)
     return SchedulingOutcome(assignment, result.best_value, result)
 

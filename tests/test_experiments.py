@@ -259,3 +259,29 @@ def test_cli_rejects_alpha_out_of_range(tmp_path):
     for alpha in ("3/2", "1", "0", "-1/2"):
         assert main(["solve", "--instance", str(inst_path), "--algorithm", "knapsack",
                      f"--alpha={alpha}"]) == 2
+
+
+@pytest.mark.parametrize("selection", ["BestFirst", "DFS", "BFS"])
+def test_cli_unrelated_solve_matches_library(tmp_path, selection):
+    from bnbapprox.instances import load_instance
+    from bnbapprox.scheduling import scheme_depth_cap, solve_unrelated
+
+    inst_path = tmp_path / "sched.json"
+    assert main(["generate", "--kind", "scheduling-unrelated", "--n", "7", "--m", "3",
+                 "--seed", "24", "--out", str(inst_path)]) == 0
+    inst = load_instance(str(inst_path))
+    for bounding, rounding, depth_cap in (("BS", "AS", False), ("LR", "BM", True)):
+        out_path = tmp_path / f"{bounding}.json"
+        args = ["solve", "--instance", str(inst_path), "--algorithm", "unrelated",
+                "--eps", "1/100", "--selection", selection, "--bounding", bounding,
+                "--rounding", rounding, "--node-limit", "300", "--out", str(out_path)]
+        assert main(args + (["--bfs-depth-cap"] if depth_cap else [])) == 0
+        result = solve_unrelated(
+            inst, rat(1, 100), Selection(selection), bounding, rounding, node_limit=300,
+            depth_cap=scheme_depth_cap(inst.m, rat(1, 100)) if depth_cap else None,
+        ).result
+        assert result.nodes_explored > 10
+        expected = result.to_json_dict()
+        expected["algorithm"] = "unrelated"
+        expected["assignment"] = {str(j): i for j, i in sorted(result.best_solution.items())}
+        assert json.loads(out_path.read_text()) == expected

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from bnbapprox.engine import Criterion, Selection, run
-from bnbapprox.instances import IDENTICAL, SchedulingInstance, generate
-from bnbapprox.lp import fractional_graph, job_machine_matching
+from bnbapprox import scheduling
+from bnbapprox.engine import AdapterContractError, Criterion, Node, Selection, run
+from bnbapprox.instances import IDENTICAL, UNRELATED, SchedulingInstance, generate
+from bnbapprox.lp import LpError, fractional_graph, job_machine_matching
 from bnbapprox.oracle import exact_opt
 from bnbapprox.rational import rat
 from bnbapprox.rng import SplitMix64
@@ -12,6 +16,7 @@ from bnbapprox.scheduling import (
     ROUNDING_AS,
     ROUNDING_BM,
     ROUNDING_LST,
+    TSearchResult,
     UnrelatedAdapter,
     grid_denominator,
     list_schedule,
@@ -195,3 +200,183 @@ def test_identical_instance_through_unrelated_adapter():
     out = solve_unrelated(inst, rat(1))
     assert out.makespan == 5  # reaches the optimum here
     assert out.result.termination == "ratio-met"
+
+
+# --- search edges --------------------------------------------------------
+
+
+def _count_lp_solves(monkeypatch):
+    calls = []
+    kernel = scheduling.solve_vertex
+
+    def counting(lp):
+        calls.append(lp)
+        return kernel(lp)
+
+    monkeypatch.setattr(scheduling, "solve_vertex", counting)
+    return calls
+
+
+def test_lower_bracket_answer_takes_one_lp_solve(monkeypatch):
+    calls = _count_lp_solves(monkeypatch)
+    # t_min is the largest minimal processing time
+    assert min_feasible_T(((rat(7),),), (rat(0),), range(1)).t_min == 7
+    assert len(calls) == 1
+    # t_min is the averaged load bound (3 + 3 + 2) / 2
+    calls.clear()
+    assert min_feasible_T(P332, T00, range(3)).t_min == 4
+    assert len(calls) == 1
+    # t_min is the averaged load bound 9 / 2 rounded up onto the grid
+    calls.clear()
+    P333 = ((rat(3), rat(3)),) * 3
+    assert min_feasible_T(P333, T00, range(3)).t_min == 5
+    assert len(calls) == 1
+    # t_min is the lower hint, with or without an upper hint
+    P = ((rat(3), rat(5)), (rat(4), rat(2)), (rat(6), rat(6)))
+    t = (rat(2), rat(0))
+    t_min = min_feasible_T(P, t, range(3)).t_min
+    assert t_min == 7
+    for hi_hint in (None, t_min, t_min + 3):
+        calls.clear()
+        res = min_feasible_T(P, t, range(3), lo_hint=t_min, hi_hint=hi_hint)
+        assert res.t_min == t_min and len(calls) == 1
+
+
+def test_lower_bracket_infeasible_bisects_the_rest(monkeypatch):
+    calls = _count_lp_solves(monkeypatch)
+    # lower bracket max(5, (5 + 5) / 2) = 5, but at 5 both jobs need machine 0
+    P = ((rat(5), rat(9)), (rat(5), rat(9)))
+    res = min_feasible_T(P, T00, range(2))
+    assert res.t_min > 5 and len(calls) > 1
+    assert calls[0].inequalities[0][1] == 5  # the lower end is probed first
+    assert res.t_min == min_feasible_T(P, T00, range(2), lo_hint=res.t_min - 1).t_min
+
+
+def test_hi_hint_below_the_minimum_raises():
+    # the LP is infeasible at 3 (total load 8 on two machines)
+    for hi_hint in (rat(3), rat(1)):
+        with pytest.raises(LpError, match="upper bracket infeasible"):
+            min_feasible_T(P332, T00, range(3), hi_hint=hi_hint)
+    # a one-point bracket just below the minimum, above the lower bracket
+    P = ((rat(5), rat(9)), (rat(5), rat(9)))
+    t_min = min_feasible_T(P, T00, range(2)).t_min
+    assert t_min > 6
+    with pytest.raises(LpError, match="upper bracket infeasible"):
+        min_feasible_T(P, T00, range(2), lo_hint=t_min - 1, hi_hint=t_min - 1)
+    # a hint is rounded up onto the grid: 7/2 -> 4, which is feasible
+    assert min_feasible_T(P332, T00, range(3), hi_hint=rat(7, 2)).t_min == 4
+    for seed in range(10):
+        inst = generate(UNRELATED, 6, 3, 9700 + seed)
+        P, t, jobs = inst.processing, inst.overheads, tuple(range(inst.n))
+        t_min = min_feasible_T(P, t, jobs).t_min
+        D = grid_denominator(P, t, jobs)
+        for below in (t_min - rat(1, D), t_min / 2):
+            with pytest.raises(LpError, match="upper bracket infeasible"):
+                min_feasible_T(P, t, jobs, hi_hint=below)
+            # a one-point bracket below the minimum
+            with pytest.raises(LpError, match="upper bracket infeasible"):
+                min_feasible_T(P, t, jobs, lo_hint=below, hi_hint=below)
+        assert min_feasible_T(P, t, jobs, hi_hint=t_min).t_min == t_min
+
+
+def test_children_get_a_feasible_upper_hint():
+    for seed in range(10):
+        inst = generate(UNRELATED, 7, 3, 9800 + seed)
+        for bounding in ("BS", "LR"):
+            adapter = UnrelatedAdapter(inst, bounding=bounding)
+            state = adapter.root_payload()
+            info = adapter.bound(state)
+            if info.leaf:
+                continue
+            node = Node(0, None, 0, (), info.lb, info.ub, False, 0, False, state)
+            for spec in adapter.branch(node):
+                child = spec.payload
+                assert child.hi_hint >= info.lb
+                assert scheduling.feasible_point(
+                    inst.processing, child.t, child.jobs, child.hi_hint, bounding == "BS"
+                ) is not None
+                # the answer is at most the hint rounded up onto the child's grid
+                D = grid_denominator(inst.processing, child.t, child.jobs)
+                assert adapter.bound(child).lb < child.hi_hint + rat(1, D)
+
+
+# --- guarantee checks ----------------------------------------------------
+
+UNRELATED332 = SchedulingInstance(UNRELATED, P332, T00)
+
+
+def _break_lst_matching(monkeypatch):
+    # every fractional job goes to a machine no vertex uses: 100 > 2 * 4
+    P = tuple(row + (rat(100),) for row in P332)
+    t = (rat(0),) * 3
+    point = min_feasible_T(P, t, range(3)).point
+    monkeypatch.setattr(
+        scheduling, "job_machine_matching", lambda graph: {j: 2 for j in graph.jobs}
+    )
+    round_vertex(point, P, t, ROUNDING_LST)
+
+
+def _break_integral_guess(monkeypatch):
+    search = scheduling.min_feasible_T
+
+    def lowered(*args, **kwargs):
+        res = search(*args, **kwargs)
+        return TSearchResult(res.t_min - 1, res.point)
+
+    monkeypatch.setattr(scheduling, "min_feasible_T", lowered)
+    inst = SchedulingInstance(UNRELATED, ((rat(7), rat(9)),), T00)
+    adapter = UnrelatedAdapter(inst)  # one job: the root vertex is integral
+    adapter.bound(adapter.root_payload())
+
+
+def _break_pivot_bound(monkeypatch):
+    monkeypatch.setattr(
+        scheduling, "round_vertex",
+        lambda point, P, t, mode: (dict(point.integral_assignment), rat(10**6)),
+    )
+    adapter = UnrelatedAdapter(UNRELATED332)
+    adapter.bound(adapter.root_payload())
+
+
+def _break_depth_cap(monkeypatch):
+    monkeypatch.setattr(scheduling, "scheme_depth_cap", lambda m, eps: 0)
+    solve_unrelated(UNRELATED332, rat(1, 100))  # the root (4, 5) must branch
+
+
+@pytest.mark.parametrize(
+    "breaker, message",
+    [
+        (_break_lst_matching, "twice the guess"),
+        (_break_integral_guess, "minimal guess"),
+        (_break_pivot_bound, "pivot-controlled bound"),
+        (_break_depth_cap, "best-first tree reached depth"),
+    ],
+)
+def test_broken_guarantee_raises(breaker, message, monkeypatch):
+    with pytest.raises(AdapterContractError, match=message):
+        breaker(monkeypatch)
+
+
+def test_unbroken_guarantees_pass():
+    P = tuple(row + (rat(100),) for row in P332)
+    t = (rat(0),) * 3
+    round_vertex(min_feasible_T(P, t, range(3)).point, P, t, ROUNDING_LST)
+    inst = SchedulingInstance(UNRELATED, ((rat(7), rat(9)),), T00)
+    UnrelatedAdapter(inst).bound(UnrelatedAdapter(inst).root_payload())
+    UnrelatedAdapter(UNRELATED332).bound(UnrelatedAdapter(UNRELATED332).root_payload())
+    assert solve_unrelated(UNRELATED332, rat(1, 100)).result.max_depth >= 1
+
+
+def test_broken_guarantee_raises_under_optimize_flag():
+    # `python -O` strips assert statements; the guarantee checks must not be
+    # asserts, so the test above has to pass there too
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{os.path.abspath(__file__)}::test_broken_guarantee_raises"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "4 passed" in proc.stdout

@@ -1,0 +1,250 @@
+"""Differential test: min_feasible_T must answer exactly like plain bisection.
+
+`reference_min_feasible_T` below is the search that the integer-grid
+`bnbapprox.scheduling.min_feasible_T` replaced: it bisects the whole
+list-schedule bracket and builds every probe's load LP from `Fraction`
+rows. The production search scales the data onto one integer grid per
+call, narrows the bracket with a caller's `hi_hint` and probes the lower
+end first. The smallest feasible grid value is unique and the LP solver
+is deterministic, so both must return the same `t_min` and the same
+vertex (`x` in the same order, `loads`, `fractional_jobs`,
+`integral_assignment`).
+"""
+import random
+
+import pytest
+
+from bnbapprox import profiles, scheduling
+from bnbapprox.engine import Selection
+from bnbapprox.instances import IDENTICAL, UNIFORM, UNRELATED, SchedulingInstance, generate
+from bnbapprox.lp import LinearProgram, solve_vertex
+from bnbapprox.profiles import solve_identical, solve_uniform
+from bnbapprox.rational import Rat, floor_div, rat
+from bnbapprox.scheduling import (
+    ROUNDING_AS,
+    ROUNDING_BM,
+    LpPoint,
+    TSearchResult,
+    feasible_point,
+    grid_denominator,
+    min_feasible_T,
+    solve_unrelated,
+)
+
+
+def _reference_build_load_lp(P, t, jobs, T, restrict=True):
+    m = len(t)
+    if any(T < ti for ti in t):
+        return None
+    open_machines = [i for i in range(m) if T - t[i] > 0]
+    pairs = []
+    for j in jobs:
+        row = [(j, i) for i in open_machines if (not restrict) or P[j][i] <= T]
+        if not row:
+            return None
+        pairs.extend(row)
+    index = {pair: k for k, pair in enumerate(pairs)}
+    nv = len(pairs)
+    equalities = []
+    for j in jobs:
+        coeffs = [rat(0)] * nv
+        for i in open_machines:
+            k = index.get((j, i))
+            if k is not None:
+                coeffs[k] = rat(1)
+        equalities.append((tuple(coeffs), rat(1)))
+    inequalities = []
+    for i in open_machines:
+        coeffs = [rat(0)] * nv
+        hit = False
+        for j in jobs:
+            k = index.get((j, i))
+            if k is not None:
+                coeffs[k] = P[j][i]
+                hit = True
+        if hit:
+            inequalities.append((tuple(coeffs), T - t[i]))
+    return LinearProgram(nv, tuple(equalities), tuple(inequalities)), tuple(pairs)
+
+
+def _reference_feasible_point(P, t, jobs, T, restrict=True):
+    built = _reference_build_load_lp(P, t, jobs, T, restrict)
+    if built is None:
+        return None
+    lp, pairs = built
+    vertex = solve_vertex(lp)
+    if vertex is None:
+        return None
+    x = {pair: v for pair, v in zip(pairs, vertex.values) if v != 0}
+    loads = list(t)
+    for (j, i), v in x.items():
+        loads[i] += P[j][i] * v
+    by_job = {}
+    for (j, i), v in x.items():
+        by_job.setdefault(j, []).append((i, v))
+    fractional = []
+    integral = {}
+    for j in jobs:
+        entries = by_job.get(j, [])
+        if len(entries) == 1 and entries[0][1] == 1:
+            integral[j] = entries[0][0]
+        else:
+            fractional.append(j)
+    return LpPoint(T, x, tuple(loads), tuple(fractional), integral)
+
+
+def _reference_list_schedule(P, t, jobs):
+    loads = [rat(v) for v in t]
+    for j in jobs:
+        best = min(range(len(t)), key=lambda i: (loads[i] + P[j][i], i))
+        loads[best] += P[j][best]
+    return max(loads) if loads else rat(0)
+
+
+def reference_min_feasible_T(P, t, jobs, restrict=True, lo_hint=None):
+    m = len(t)
+    D = grid_denominator(P, t, jobs)
+    lo = max(t) if t else rat(0)
+    if jobs:
+        if restrict:
+            lo = max(lo, max(min(P[j]) for j in jobs))
+        total = sum((min(P[j]) for j in jobs), start=rat(0)) + sum(t, start=rat(0))
+        lo = max(lo, total / m)
+    if lo_hint is not None:
+        lo = max(lo, lo_hint)
+    upper = max(_reference_list_schedule(P, t, jobs), lo)
+    k_lo = -floor_div(-lo * D, 1)
+    k_hi = max(int(upper * D), k_lo)
+    cached = None
+    while k_lo < k_hi:
+        mid = (k_lo + k_hi) // 2
+        point = _reference_feasible_point(P, t, jobs, Rat(mid, D), restrict)
+        if point is None:
+            k_lo = mid + 1
+        else:
+            k_hi = mid
+            cached = point
+    t_min = Rat(k_lo, D)
+    if cached is None or cached.T != t_min:
+        cached = _reference_feasible_point(P, t, jobs, t_min, restrict)
+        assert cached is not None
+    return TSearchResult(t_min, cached)
+
+
+def _assert_same(got: TSearchResult, want: TSearchResult) -> None:
+    assert got.t_min == want.t_min and type(got.t_min) is Rat
+    a, b = got.point, want.point
+    assert a.T == b.T == want.t_min and type(a.T) is Rat
+    assert list(a.x.items()) == list(b.x.items())
+    assert all(type(v) is Rat for v in a.x.values())
+    assert a.loads == b.loads and all(type(v) is Rat for v in a.loads)
+    assert a.fractional_jobs == b.fractional_jobs
+    assert list(a.integral_assignment.items()) == list(b.integral_assignment.items())
+
+
+def _rationalize(inst: SchedulingInstance, rnd: random.Random) -> SchedulingInstance:
+    """Unrelated instance with processing times and overheads on mixed grids."""
+    processing = tuple(
+        tuple(v / rnd.choice((1, 2, 3, 4, 6)) + rat(rnd.randint(0, 5), 7) for v in row)
+        for row in inst.processing
+    )
+    overheads = tuple(rat(rnd.randint(0, 9), rnd.choice((1, 2, 5))) for _ in range(inst.m))
+    return SchedulingInstance(UNRELATED, processing, overheads)
+
+
+def _node_states(inst: SchedulingInstance, rnd: random.Random):
+    """The root and two nodes with some jobs fixed onto machines."""
+    P, m = inst.processing, inst.m
+    yield inst.overheads, tuple(range(inst.n))
+    for fixed_count in (1, 3):
+        jobs = list(range(inst.n))
+        rnd.shuffle(jobs)
+        t = list(inst.overheads)
+        for j in jobs[:fixed_count]:
+            i = rnd.randrange(m)
+            t[i] += P[j][i]
+        yield tuple(t), tuple(sorted(jobs[fixed_count:]))
+
+
+@pytest.mark.parametrize("data", ["integer", "rational"])
+def test_seeded_instances_match_reference(data):
+    rnd = random.Random(f"tsearch/{data}")
+    compared = 0
+    for seed in range(30):
+        inst = generate(UNRELATED, 5 + seed % 4, 2 + seed % 3, 9400 + seed)
+        if data == "rational":
+            inst = _rationalize(inst, rnd)
+        elif seed % 2:
+            inst = SchedulingInstance(
+                UNRELATED, inst.processing, tuple(rat(rnd.randint(0, 12)) for _ in range(inst.m))
+            )
+        for t, jobs in _node_states(inst, rnd):
+            for restrict in (True, False):
+                want = reference_min_feasible_T(inst.processing, t, jobs, restrict)
+                got = min_feasible_T(inst.processing, t, jobs, restrict)
+                _assert_same(got, want)
+                hint = want.t_min - rat(1, 2)
+                _assert_same(
+                    min_feasible_T(inst.processing, t, jobs, restrict, lo_hint=hint),
+                    reference_min_feasible_T(inst.processing, t, jobs, restrict, lo_hint=hint),
+                )
+                compared += 1
+    assert compared == 30 * 3 * 2
+
+
+def _record_bound_searches(monkeypatch):
+    """Wrap min_feasible_T where both adapters look it up; keep every call."""
+    calls = []
+    search = scheduling.min_feasible_T
+
+    def recording(P, t, jobs, restrict=True, lo_hint=None, hi_hint=None):
+        res = search(P, t, jobs, restrict=restrict, lo_hint=lo_hint, hi_hint=hi_hint)
+        calls.append((P, tuple(t), tuple(jobs), restrict, lo_hint, hi_hint, res))
+        return res
+
+    monkeypatch.setattr(scheduling, "min_feasible_T", recording)
+    monkeypatch.setattr(profiles, "min_feasible_T", recording)
+    return calls
+
+
+def _check_recorded(calls) -> int:
+    hinted = 0
+    for P, t, jobs, restrict, lo_hint, hi_hint, res in calls:
+        _assert_same(res, reference_min_feasible_T(P, t, jobs, restrict, lo_hint))
+        if hi_hint is not None:
+            hinted += 1
+            assert res.t_min <= hi_hint
+            assert feasible_point(P, t, jobs, hi_hint, restrict) is not None
+    return hinted
+
+
+SELECTIONS = (Selection.BEST_FIRST, Selection.DFS, Selection.BFS)
+
+
+def test_unrelated_adapter_node_states_match_reference(monkeypatch):
+    calls = _record_bound_searches(monkeypatch)
+    rnd = random.Random("tsearch/unrelated-adapter")
+    for seed in range(6):
+        inst = generate(UNRELATED, 6 + seed % 2, 2 + seed % 2, 9500 + seed)
+        if seed % 2:
+            inst = _rationalize(inst, rnd)
+        for bounding in ("BS", "LR"):
+            for rounding in (ROUNDING_AS, ROUNDING_BM):
+                for selection in SELECTIONS:
+                    solve_unrelated(inst, rat(1, 100), selection, bounding, rounding,
+                                    node_limit=60)
+    hinted = _check_recorded(calls)
+    assert len(calls) > 1000
+    assert hinted > 900
+
+
+def test_profile_adapter_node_states_match_reference(monkeypatch):
+    calls = _record_bound_searches(monkeypatch)
+    for seed in range(6):
+        for kind, solver in ((UNIFORM, solve_uniform), (IDENTICAL, solve_identical)):
+            inst = generate(kind, 10, 2 + seed % 2, 9600 + seed)
+            for selection in SELECTIONS:
+                solver(inst, rat(1, 10), selection, node_limit=200)
+    hinted = _check_recorded(calls)
+    assert len(calls) > 400
+    assert hinted > 350
