@@ -9,10 +9,15 @@ Four solver families over exact rational arithmetic:
 * uniform machines with similarity-pruned profiles (``profiles``);
 * identical machines with equivalence-pruned profiles (``profiles``).
 
+``solve(inst, algorithm, ratio, strategy)`` runs any of them through the
+table ``ALGORITHMS`` (``algorithms``) and returns an ``Outcome``; the CLI,
+the sweeps and the ``solve_*`` functions all go through it.
+
 Plus instance generation and file I/O (``instances``), exact oracles
 (``oracle``), the generic search engine (``engine``), an exact LP vertex
 solver (``lp``) and the experiment harness (``experiments``/``cli``).
 """
+from .algorithms import ALGORITHMS, Outcome, solve
 from .engine import Criterion, RunResult, Selection, Strategy, run
 from .instances import (
     IDENTICAL,
@@ -34,6 +39,9 @@ from .scheduling import UnrelatedAdapter, min_feasible_T, solve_unrelated
 __version__ = "0.1.0"
 
 __all__ = [
+    "ALGORITHMS",
+    "Outcome",
+    "solve",
     "Criterion",
     "RunResult",
     "Selection",

@@ -12,15 +12,8 @@ import argparse
 import json
 import sys
 
-from .engine import (
-    Criterion,
-    RunResult,
-    Selection,
-    Strategy,
-    StrategyError,
-    run,
-    validate_strategy,
-)
+from .algorithms import ALGORITHMS, Algorithm, solve
+from .engine import Selection, Strategy, StrategyError
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -31,23 +24,10 @@ from .experiments import (
     summarize,
     write_summary,
 )
-from .instances import (
-    ALL_KINDS,
-    IDENTICAL,
-    KNAPSACK,
-    UNIFORM,
-    InstanceError,
-    KnapsackInstance,
-    SchedulingInstance,
-    generate,
-    load_instance,
-    save_instance,
-)
-from .knapsack import KnapsackAdapter
+from .instances import ALL_KINDS, InstanceError, generate, load_instance, save_instance
 from .oracle import OracleBudgetExceeded, exact_opt
-from .profiles import solve_identical, solve_uniform
 from .rational import format_rat, parse_rat
-from .scheduling import scheme_depth_cap, solve_unrelated
+from .scheduling import scheme_depth_cap
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -71,11 +51,16 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _result_payload(result: RunResult, algorithm: str) -> dict:
-    payload = result.to_json_dict()
-    payload["algorithm"] = algorithm
-    payload["assignment"] = {str(k): v for k, v in sorted(result.best_solution.items())}
-    return payload
+def _strategy(algo: Algorithm, args: argparse.Namespace) -> Strategy:
+    """The first strategy of the algorithm's row that has the selection and
+    every tag given on the command line."""
+    wanted = (_SELECTIONS[args.selection], args.branching, args.bounding, args.rounding)
+    for s in algo.strategies:
+        have = (s.selection, s.branching, s.bounding, s.rounding)
+        if all(w is None or w == h for w, h in zip(wanted, have)):
+            return s
+    given = "/".join(w for w in wanted[1:] if w is not None)
+    raise StrategyError(f"{algo.name} takes no strategy {given}")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -87,48 +72,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
-    selection = _SELECTIONS[args.selection]
-    if args.algorithm == "knapsack":
-        if not isinstance(inst, KnapsackInstance):
-            raise InstanceError("knapsack solver needs a knapsack instance")
-        criterion = Criterion("ratio-alpha", parse_rat(args.alpha))
-        strategy = Strategy(selection, args.branching, "Surrogate", "Dantzig")
-        validate_strategy(KNAPSACK, strategy)
-        adapter = KnapsackAdapter(inst, branching=args.branching)
-        result = run(adapter, selection, criterion, node_limit=args.node_limit)
-        _emit(_result_payload(result, "knapsack"), args.out)
-        return EXIT_OK
-    if not isinstance(inst, SchedulingInstance):
-        raise InstanceError(f"{args.algorithm} solver needs a scheduling instance")
-    eps = parse_rat(args.eps)
-    if args.algorithm == "unrelated":
-        strategy = Strategy(selection, "MMP", args.bounding, args.rounding)
-        validate_strategy(inst.kind, strategy)
-        depth_cap = scheme_depth_cap(inst.m, eps) if args.bfs_depth_cap else None
-        outcome = solve_unrelated(
-            inst,
-            eps,
-            selection=selection,
-            bounding=args.bounding,
-            rounding=args.rounding,
-            node_limit=args.node_limit,
-            depth_cap=depth_cap,
-        )
-        _emit(_result_payload(outcome.result, "unrelated"), args.out)
-        return EXIT_OK
-    if args.algorithm == "uniform":
-        if inst.kind not in (UNIFORM, IDENTICAL):
-            raise InstanceError("profile solver needs a uniform or identical instance")
-        outcome = solve_uniform(inst, eps, selection=selection, node_limit=args.node_limit)
-    else:
-        if inst.kind != IDENTICAL:
-            raise InstanceError("identical-machines solver needs an identical instance")
-        outcome = solve_identical(inst, eps, selection=selection, node_limit=args.node_limit)
+    algo = ALGORITHMS[args.algorithm]
+    ratio = parse_rat(args.alpha if algo.criterion == "ratio-alpha" else args.eps)
+    depth_cap = scheme_depth_cap(inst.m, ratio) if args.bfs_depth_cap else None
+    outcome = solve(inst, algo.name, ratio, _strategy(algo, args), args.node_limit, depth_cap)
     payload = outcome.result.to_json_dict()
-    payload["algorithm"] = args.algorithm
-    payload["makespan"] = format_rat(outcome.makespan)
-    payload["scale"] = format_rat(outcome.scale)
+    payload["algorithm"] = algo.name
     payload["assignment"] = {str(j): i for j, i in sorted(outcome.assignment.items())}
+    if outcome.scale is not None:
+        payload["makespan"] = format_rat(outcome.value)
+        payload["scale"] = format_rat(outcome.scale)
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -206,22 +159,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one instance")
     solve.add_argument("--instance", required=True)
-    solve.add_argument(
-        "--algorithm",
-        required=True,
-        choices=["knapsack", "unrelated", "uniform", "identical"],
-    )
+    solve.add_argument("--algorithm", required=True, choices=list(ALGORITHMS))
     solve.add_argument("--alpha", default="9/10", help="knapsack target ratio")
     solve.add_argument("--eps", default="1/10", help="scheduling tolerance")
     solve.add_argument("--selection", default="BestFirst", choices=sorted(_SELECTIONS))
-    solve.add_argument("--branching", default="CE", choices=["CE", "PPW", "K"])
-    solve.add_argument("--bounding", default="BS", choices=["BS", "LR"])
-    solve.add_argument("--rounding", default="AS", choices=["AS", "BM"])
+    solve.add_argument(
+        "--branching", default=None, choices=["CE", "PPW", "K"], help="knapsack; default CE"
+    )
+    solve.add_argument(
+        "--bounding", default=None, choices=["BS", "LR"], help="unrelated; default BS"
+    )
+    solve.add_argument(
+        "--rounding", default=None, choices=["AS", "BM"], help="unrelated; default AS"
+    )
     solve.add_argument("--node-limit", type=int, default=None)
     solve.add_argument(
         "--bfs-depth-cap",
         action="store_true",
-        help="cap branching depth at floor(m^2/eps) (BFS variant)",
+        help="unrelated: cap branching depth at floor(m^2/eps) (BFS variant)",
     )
     solve.add_argument("--out", default=None)
     solve.set_defaults(func=cmd_solve)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .rational import Rat, format_rat, rat
 
@@ -41,8 +41,7 @@ __all__ = [
     "AdapterContractError",
     "StrategyError",
     "should_stop",
-    "select_next",
-    "validate_strategy",
+    "SELECTIONS",
     "valid_strategies",
     "run",
     "RATIO_MET",
@@ -82,8 +81,8 @@ class AdapterContractError(RuntimeError):
 class Strategy:
     """Node selection + branching + bounding + rounding tags.
 
-    Only combinations valid for the problem kind are accepted, see
-    validate_strategy(). Best-first is called HUB on maximization runs and
+    Each algorithm accepts the strategies of its row in
+    algorithms.ALGORITHMS. Best-first is called HUB on maximization runs and
     LLB on minimization runs in reports.
     """
 
@@ -98,34 +97,25 @@ class Strategy:
         return self.selection.value
 
 
-_VALID = {
-    "knapsack": ({"CE", "PPW", "K"}, {"Surrogate"}, {"Dantzig"}),
-    "scheduling": ({"MMP"}, {"BS", "LR"}, {"AS", "BM"}),
+SELECTIONS = (Selection.BEST_FIRST, Selection.DFS, Selection.BFS)
+
+_TAGS = {
+    "knapsack": (("CE", "K", "PPW"), ("Surrogate",), ("Dantzig",)),
+    "scheduling": (("MMP",), ("BS", "LR"), ("AS", "BM")),
 }
 
 
-def validate_strategy(kind: str, strategy: Strategy) -> None:
-    key = "knapsack" if kind == "knapsack" else "scheduling"
-    branchings, boundings, roundings = _VALID[key]
-    if strategy.branching not in branchings:
-        raise StrategyError(f"branching {strategy.branching!r} invalid for {kind}")
-    if strategy.bounding not in boundings:
-        raise StrategyError(f"bounding {strategy.bounding!r} invalid for {kind}")
-    if strategy.rounding not in roundings:
-        raise StrategyError(f"rounding {strategy.rounding!r} invalid for {kind}")
-
-
 def valid_strategies(kind: str) -> list[Strategy]:
-    """The full strategy matrix for a problem kind, in a fixed order."""
-    key = "knapsack" if kind == "knapsack" else "scheduling"
-    branchings, boundings, roundings = _VALID[key]
-    out = []
-    for sel in (Selection.BEST_FIRST, Selection.DFS, Selection.BFS):
-        for br in sorted(branchings):
-            for bo in sorted(boundings):
-                for ro in sorted(roundings):
-                    out.append(Strategy(sel, br, bo, ro))
-    return out
+    """The strategy matrix for a problem kind, in a fixed order: the knapsack
+    matrix, or for every scheduling kind the MMP matrix."""
+    branchings, boundings, roundings = _TAGS["knapsack" if kind == "knapsack" else "scheduling"]
+    return [
+        Strategy(sel, br, bo, ro)
+        for sel in SELECTIONS
+        for br in branchings
+        for bo in boundings
+        for ro in roundings
+    ]
 
 
 @dataclass(frozen=True)
@@ -234,14 +224,6 @@ def _selection_key(node: Node, selection: Selection, sense: Sense):
         return (-node.depth, -node.id)
     # BFS: shallowest, earliest inserted first.
     return (node.depth, node.id)
-
-
-def select_next(frontier: Iterable[Node], selection: Selection, sense: Sense) -> Node:
-    """Pick the next node to process from an explicit frontier."""
-    nodes = list(frontier)
-    if not nodes:
-        raise ValueError("empty frontier")
-    return min(nodes, key=lambda n: _selection_key(n, selection, sense))
 
 
 @dataclass

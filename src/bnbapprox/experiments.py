@@ -1,9 +1,13 @@
 """Experiment harness: strategy sweeps, CSV emission, geometric-mean summaries.
 
-One CSV row per (instance, ratio, strategy) run. All non-time columns are
-deterministic for a fixed config. The optimality gap is filled when the
-instance fits the oracle budget, blank otherwise; gap geometric means add
-a documented 1e-9 offset so zero gaps do not collapse the mean.
+One CSV row per (instance, ratio, strategy) run. A sweep over instances
+of one kind runs the algorithms of SWEEPS for that kind, one after the
+other: uniform and identical instances get the unrelated-machines matrix
+and then their own profile scheme. All non-time columns are deterministic
+for a fixed config. Values, bounds and gaps are in the instance's own
+units. The optimality gap is filled when the instance fits the oracle
+budget, blank otherwise; gap geometric means add a documented 1e-9 offset
+so zero gaps do not collapse the mean.
 """
 from __future__ import annotations
 
@@ -11,31 +15,22 @@ import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import oracle as oracle_mod
-from .engine import (
-    Criterion,
-    RunResult,
-    Selection,
-    Sense,
-    Strategy,
-    StrategyError,
-    run,
-    valid_strategies,
-    validate_strategy,
-)
-from .instances import ALL_KINDS, KNAPSACK, Instance, KnapsackInstance, generate
-from .knapsack import KnapsackAdapter
-from .rational import Rat, format_rat, parse_rat, rat
-from .scheduling import UnrelatedAdapter
+from .algorithms import ALGORITHMS, Algorithm, Outcome, solve
+from .engine import Selection, Strategy
+from .instances import ALL_KINDS, IDENTICAL, KNAPSACK, UNIFORM, UNRELATED, Instance
+from .instances import KnapsackInstance, generate
+from .rational import Rat, format_rat, parse_rat
 
 __all__ = [
     "ExperimentConfig",
     "ConfigError",
     "CSV_COLUMNS",
     "GAP_OFFSET",
+    "SWEEPS",
     "run_experiment",
     "summarize",
     "write_rows",
@@ -70,6 +65,14 @@ CSV_COLUMNS = [
 
 GAP_OFFSET = 1e-9
 
+# the algorithms a sweep over instances of each kind runs, in row order
+SWEEPS = {
+    KNAPSACK: ("knapsack",),
+    UNRELATED: ("unrelated",),
+    UNIFORM: ("unrelated", "uniform"),
+    IDENTICAL: ("unrelated", "identical"),
+}
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -97,24 +100,23 @@ class ExperimentConfig:
                 raise ConfigError(f"bad pair ({n}, {m})")
         if not self.ratios:
             raise ConfigError("no alpha/epsilon values configured")
-        for r in self.ratios:
-            if self.kind == KNAPSACK and not 0 < r < 1:
-                raise ConfigError("alpha must lie in (0, 1)")
-            if self.kind != KNAPSACK and r <= 0:
-                raise ConfigError("epsilon must be positive")
         if self.instances_per_pair < 1:
             raise ConfigError("instances_per_pair must be at least 1")
         if self.node_limit < 1:
             raise ConfigError("node_limit must be at least 1")
         if self.strategies is None:
-            self.strategies = valid_strategies(self.kind)
+            self.strategies = [
+                s for name in SWEEPS[self.kind] for s in ALGORITHMS[name].strategies
+            ]
         if not self.strategies:
             raise ConfigError("empty strategy matrix")
         for strat in self.strategies:
-            try:
-                validate_strategy(self.kind, strat)
-            except StrategyError as exc:
-                raise ConfigError(str(exc)) from exc
+            algo = sweep_algorithm(self.kind, strat)
+            for r in self.ratios:
+                try:
+                    algo.check_ratio(r)
+                except ValueError as exc:
+                    raise ConfigError(f"ratio {format_rat(r)}: {exc}") from exc
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -179,20 +181,22 @@ def _oracle_value(inst: Instance, budget: int) -> Rat | None:
         return None
 
 
-def _run_one(inst: Instance, kind: str, ratio: Rat, strategy: Strategy, node_limit: int) -> tuple[RunResult, float, Sense]:
+def sweep_algorithm(kind: str, strategy: Strategy) -> Algorithm:
+    """The algorithm of a `kind` sweep whose row holds `strategy`."""
+    for name in SWEEPS[kind]:
+        if strategy in ALGORITHMS[name].strategies:
+            return ALGORITHMS[name]
+    tags = f"{strategy.branching}/{strategy.bounding}/{strategy.rounding}"
+    raise ConfigError(f"strategy {tags} invalid for {kind}")
+
+
+def _run_one(
+    inst: Instance, kind: str, ratio: Rat, strategy: Strategy, node_limit: int
+) -> tuple[Algorithm, Outcome, float]:
+    algo = sweep_algorithm(kind, strategy)
     start = time.perf_counter()
-    if kind == KNAPSACK:
-        adapter = KnapsackAdapter(inst, branching=strategy.branching)
-        criterion = Criterion("ratio-alpha", ratio)
-        sense = Sense.MAX
-    else:
-        adapter = UnrelatedAdapter(
-            inst, bounding=strategy.bounding, rounding=strategy.rounding
-        )
-        criterion = Criterion("ratio-eps", ratio)
-        sense = Sense.MIN
-    result = run(adapter, strategy.selection, criterion, node_limit=node_limit)
-    return result, time.perf_counter() - start, sense
+    outcome = solve(inst, algo.name, ratio, strategy, node_limit)
+    return algo, outcome, time.perf_counter() - start
 
 
 def _instance_rows(cfg: ExperimentConfig, pair_index: int, instance_index: int) -> list[dict[str, Any]]:
@@ -201,13 +205,13 @@ def _instance_rows(cfg: ExperimentConfig, pair_index: int, instance_index: int) 
     inst = generate(cfg.kind, n, m, seed)
     opt = _oracle_value(inst, cfg.oracle_budget)
     rows = []
-    assert cfg.strategies is not None
     for ratio in cfg.ratios:
         for strategy in cfg.strategies:
-            result, elapsed, sense = _run_one(inst, cfg.kind, ratio, strategy, cfg.node_limit)
+            algo, outcome, elapsed = _run_one(inst, cfg.kind, ratio, strategy, cfg.node_limit)
+            result = outcome.result
             gap = ""
             if opt is not None:
-                gap = format_rat(oracle_mod.optimality_gap(result.best_value, opt))
+                gap = format_rat(oracle_mod.optimality_gap(outcome.value, opt))
             rows.append(
                 {
                     "kind": cfg.kind,
@@ -216,12 +220,12 @@ def _instance_rows(cfg: ExperimentConfig, pair_index: int, instance_index: int) 
                     "seed": seed,
                     "instance_index": instance_index,
                     "ratio": format_rat(ratio),
-                    "selection": strategy.label(sense),
+                    "selection": strategy.label(algo.sense),
                     "branching": strategy.branching,
                     "bounding": strategy.bounding,
                     "rounding": strategy.rounding,
-                    "best_value": format_rat(result.best_value),
-                    "global_bound": format_rat(result.global_bound),
+                    "best_value": format_rat(outcome.value),
+                    "global_bound": format_rat(outcome.bound),
                     "nodes_explored": result.nodes_explored,
                     "nodes_processed": result.nodes_processed,
                     "max_depth": result.max_depth,

@@ -63,6 +63,10 @@ class KnapsackInstance:
                 raise InstanceError("capacities must be non-negative")
 
     @property
+    def kind(self) -> str:
+        return KNAPSACK
+
+    @property
     def n(self) -> int:
         return len(self.weights)
 

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .engine import AdapterContractError, BaseAdapter, BoundInfo, ChildSpec, Node, Sense
+from .engine import AdapterContractError, BaseAdapter, BoundInfo, ChildSpec, Criterion, Node
+from .engine import RunResult, Sense, Strategy, run
 from .instances import KnapsackInstance
 from .rational import Rat, rat
 
@@ -51,6 +52,7 @@ __all__ = [
     "branch_children",
     "pick_pivot",
     "KnapsackAdapter",
+    "run_knapsack",
     "c_alpha_m",
     "assignment_value",
     "assignment_feasible",
@@ -355,26 +357,17 @@ class _NodeState:
     usable: tuple[int, ...] = ()
 
 
-@dataclass
-class AuditRecord:
-    sub_value: Rat
-    int_value: Rat
-    best_critical_profit: Rat | None
-
-
 class KnapsackAdapter(BaseAdapter):
     """Engine adapter: surrogate/Dantzig bounds, CE/PPW/K branching."""
 
     sense = Sense.MAX
     tracks_turns = True
 
-    def __init__(self, inst: KnapsackInstance, branching: str = "CE", audit: bool = False):
+    def __init__(self, inst: KnapsackInstance, branching: str = "CE"):
         self.inst = inst
         self.branching = branching
         self.order = unit_profit_order(inst.weights, inst.profits)
         self.grid = KnapsackGrid.build(inst)
-        self.audit = audit
-        self.audit_records: list[AuditRecord] = []
 
     def root_payload(self) -> _NodeState:
         W, P = self.grid.weights, self.grid.profits
@@ -425,16 +418,6 @@ class KnapsackAdapter(BaseAdapter):
                     f"critical-item profit bound violated: p* = {p_star}, "
                     f"sub = {sol.sub_value}, int = {sol.int_value}"
                 )
-        if self.audit:
-            self.audit_records.append(
-                AuditRecord(
-                    sub_value=sol.sub_value,
-                    int_value=sol.int_value,
-                    best_critical_profit=None
-                    if sol.best_critical is None
-                    else self.inst.profits[sol.best_critical],
-                )
-            )
 
     def branch(self, node: Node) -> list[ChildSpec]:
         state: _NodeState = node.payload
@@ -449,6 +432,16 @@ class KnapsackAdapter(BaseAdapter):
             fixed_profit=state.fixed_profit,
             fixed_assign=state.fixed_assign,
         )
+
+
+def run_knapsack(
+    inst: KnapsackInstance, alpha: Rat, strategy: Strategy, node_limit: int | None
+) -> tuple[RunResult, None, dict[int, int]]:
+    """Run the alpha-scheme; returns the run, no scale and the assignment."""
+    adapter = KnapsackAdapter(inst, branching=strategy.branching)
+    criterion = Criterion("ratio-alpha", alpha)
+    result = run(adapter, strategy.selection, criterion, node_limit=node_limit)
+    return result, None, dict(result.best_solution)
 
 
 def assignment_value(inst: KnapsackInstance, assignment: Mapping[int, int]) -> Rat:

@@ -37,9 +37,9 @@ __all__ = [
     "FractionalGraph",
     "LpError",
     "solve_vertex",
-    "satisfies",
     "fractional_graph",
     "job_machine_matching",
+    "graph_components",
     "graph_is_forest",
 ]
 
@@ -230,21 +230,6 @@ def solve_vertex(lp: LinearProgram) -> Vertex | None:
     return Vertex(tuple(values), tuple(sorted(out_basis)))
 
 
-def satisfies(lp: LinearProgram, values: Sequence[Rat]) -> bool:
-    """Exact re-substitution check of every constraint (incl. x >= 0)."""
-    if len(values) != lp.num_vars:
-        return False
-    if any(v < 0 for v in values):
-        return False
-    for coeffs, b in lp.equalities:
-        if sum(c * v for c, v in zip(coeffs, values)) != b:
-            return False
-    for coeffs, b in lp.inequalities:
-        if sum(c * v for c, v in zip(coeffs, values)) > b:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class FractionalGraph:
     """Bipartite structure of fractionally assigned jobs.
@@ -266,8 +251,8 @@ def fractional_graph(
 
     For vertices of the parametric scheduling polyhedron the job side can
     hold at most num_machines nodes; under strict=True (the default for
-    solver output) a violation flags an LP-solver bug and raises
-    AssertionError. strict=False admits arbitrary feasible points.
+    solver output) a violation flags an LP-solver bug and raises LpError.
+    strict=False admits arbitrary feasible points.
     """
     jobs: list[int] = []
     edges: list[tuple[int, int]] = []
@@ -281,8 +266,8 @@ def fractional_graph(
             for i, v in sorted(entries):
                 if 0 < v < 1:
                     edges.append((j, i))
-    if strict:
-        assert len(jobs) <= num_machines, (
+    if strict and len(jobs) > num_machines:
+        raise LpError(
             f"vertex has {len(jobs)} fractional jobs for {num_machines} machines; "
             "lp-vertex bug"
         )
@@ -318,23 +303,29 @@ def job_machine_matching(graph: FractionalGraph) -> dict[int, int] | None:
     return machine_of_job
 
 
-def graph_is_forest(graph: FractionalGraph) -> bool:
-    """True iff the bipartite graph has no cycle (union-find over edges)."""
-    parent: dict[object, object] = {}
+def graph_components(graph: FractionalGraph) -> dict[tuple[str, int], tuple[str, int]] | None:
+    """Component root of every node on an edge, by union-find over the
+    edges; None when the graph has a cycle. Nodes are ("job", j) and
+    ("machine", i)."""
+    parent: dict[tuple[str, int], tuple[str, int]] = {}
 
     def find(a):
-        while parent[a] is not a:
+        while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
     for j, i in graph.edges:
         u, v = ("job", j), ("machine", i)
-        for node in (u, v):
-            if node not in parent:
-                parent[node] = node
+        parent.setdefault(u, u)
+        parent.setdefault(v, v)
         ru, rv = find(u), find(v)
-        if ru is rv:
-            return False
+        if ru == rv:
+            return None
         parent[ru] = rv
-    return True
+    return {node: find(node) for node in parent}
+
+
+def graph_is_forest(graph: FractionalGraph) -> bool:
+    """True iff the bipartite graph has no cycle."""
+    return graph_components(graph) is not None

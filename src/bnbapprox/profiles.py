@@ -31,9 +31,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .engine import (
+    AdapterContractError,
     BaseAdapter,
     BoundInfo,
     ChildSpec,
@@ -42,10 +43,11 @@ from .engine import (
     RunResult,
     Selection,
     Sense,
+    Strategy,
     run,
 )
 from .instances import IDENTICAL, UNIFORM, InstanceError, SchedulingInstance
-from .lp import LpError, fractional_graph, graph_is_forest
+from .lp import LpError, fractional_graph, graph_components
 from .rational import Rat, floor_div, rat
 from .scheduling import (
     ROUNDING_LST,
@@ -53,26 +55,29 @@ from .scheduling import (
     child_hi_hint,
     min_feasible_T,
     round_vertex,
+    split_jobs,
 )
+
+if TYPE_CHECKING:
+    from .algorithms import Outcome
 
 __all__ = [
     "normalize",
     "similarity_cell",
     "round_geometric",
-    "max_geometric_exponent",
     "f_bound",
-    "SMALL_JOB",
-    "equivalence_key",
     "uniform_vertex_check",
     "make_longest_fractional",
     "ProfileAdapter",
-    "ProfileOutcome",
+    "PROFILE_TAGS",
+    "run_profile",
     "solve_uniform",
     "solve_identical",
     "similarity_level_bound",
 ]
 
-SMALL_JOB = "small-job"
+# branching on the longest unfixed job, the BS bound, LST-match rounding
+PROFILE_TAGS = ("LJ", "BS", ROUNDING_LST)
 
 
 def normalize(inst: SchedulingInstance) -> tuple[SchedulingInstance, Rat]:
@@ -131,18 +136,6 @@ def round_geometric(x: Rat, eps: Rat) -> Rat:
     return value
 
 
-def max_geometric_exponent(eps: Rat) -> int:
-    """Largest k with eps*(1+eps)^k inside the profile cube."""
-    eps = rat(eps)
-    limit = cube_limit(eps)
-    k = 0
-    value = eps
-    while value * (1 + eps) <= limit:
-        value *= 1 + eps
-        k += 1
-    return k
-
-
 def f_bound(eps: Rat) -> float:
     """Count bound on distinct rounded completion times:
     8 * (1/eps)^(log_{1+eps}(2(1+eps)^2/eps)). Exact at eps=1 (=8)."""
@@ -151,23 +144,6 @@ def f_bound(eps: Rat) -> float:
         return 8.0
     exponent = math.log(float(cube_limit(eps) / eps)) / math.log(float(1 + eps))
     return 8.0 * float(1 / eps) ** exponent
-
-
-def equivalence_key(
-    fixed: Mapping[int, int], base_times: Sequence[Rat], eps: Rat, m: int
-):
-    """Order-free multiset of geometrically rounded completion times.
-
-    fixed maps job -> machine. A fixed job shorter than eps returns the
-    SMALL_JOB sentinel instead (the caller must stop branching there).
-    """
-    eps = rat(eps)
-    loads = [rat(0)] * m
-    for j, i in fixed.items():
-        if base_times[j] < eps:
-            return SMALL_JOB
-        loads[i] += round_geometric(base_times[j], eps)
-    return tuple(sorted(Counter(loads).items()))
 
 
 def uniform_vertex_check(point: LpPoint, T: Rat | None = None) -> bool:
@@ -179,27 +155,14 @@ def uniform_vertex_check(point: LpPoint, T: Rat | None = None) -> bool:
     graph = fractional_graph(point.x, m, strict=False)
     if len(graph.jobs) > m:
         return False
-    if not graph_is_forest(graph):
+    roots = graph_components(graph)
+    if roots is None:
         return False
-    parent: dict[object, object] = {}
-
-    def find(a):
-        while parent[a] is not a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for j, i in graph.edges:
-        for node in (("job", j), ("machine", i)):
-            parent.setdefault(node, node)
-        ru, rv = find(("job", j)), find(("machine", i))
-        if ru is not rv:
-            parent[ru] = rv
-    slack_count: Counter = Counter()
-    for i in range(m):
-        key = ("machine", i)
-        if key in parent and point.loads[i] < T:
-            slack_count[find(key)] += 1
+    slack_count = Counter(
+        roots[("machine", i)]
+        for i in range(m)
+        if ("machine", i) in roots and point.loads[i] < T
+    )
     return all(v <= 1 for v in slack_count.values())
 
 
@@ -231,62 +194,61 @@ def make_longest_fractional(
     def eligible(i: int) -> bool:
         return base_times[L] / speeds[i] <= T
 
-    choice: tuple[int, int] | None = None
+    # partners: the fractional jobs on m1 if there are any, else all of them
     on_m1 = [
         j for j in point.fractional_jobs if 0 < point.x.get((j, m1), rat(0)) < 1
     ]
-    if on_m1:
-        for j in on_m1:
-            for i in range(m):
-                if i != m1 and point.x.get((j, i), rat(0)) > 0 and eligible(i):
-                    choice = (j, i)
-                    break
-            if choice:
-                break
-    else:
-        for j in point.fractional_jobs:
-            for i in range(m):
-                if i != m1 and point.x.get((j, i), rat(0)) > 0 and eligible(i):
-                    choice = (j, i)
-                    break
-            if choice:
-                break
+    choice = next(
+        (
+            (j, i)
+            for j in on_m1 or point.fractional_jobs
+            for i in range(m)
+            if i != m1 and point.x.get((j, i), rat(0)) > 0 and eligible(i)
+        ),
+        None,
+    )
     if choice is None:
         return point, False
 
     j, m2 = choice
-    eps2 = point.x[(j, m2)]
+    x = _swap_mass(point.x, L, j, m1, m2, base_times)
+    # completion times must be untouched: on each machine the loads the
+    # changed coordinates gain and lose cancel exactly
+    for i in (m1, m2):
+        shift = sum(
+            (x.get((jj, i), 0) - point.x.get((jj, i), 0)) * base_times[jj] for jj in (L, j)
+        ) / speeds[i]
+        if shift != 0:
+            raise AdapterContractError(
+                f"mass swap moved the completion time of machine {i} by {shift}"
+            )
+
+    new_point = LpPoint(T, x, point.loads, *split_jobs(x, sorted({jj for jj, _ in x})))
+    if not uniform_vertex_check(new_point):
+        raise LpError("fractional-mass swap broke the vertex predicate")
+    return new_point, True
+
+
+def _swap_mass(
+    x: Mapping[tuple[int, int], Rat],
+    L: int,
+    j: int,
+    m1: int,
+    m2: int,
+    base_times: Sequence[Rat],
+) -> dict[tuple[int, int], Rat]:
+    """Move job j's mass x[j, m2] onto m1 and the same work of job L from
+    m1 onto m2; L sits wholly on m1."""
+    eps2 = x[(j, m2)]
     eps1 = eps2 * base_times[j] / base_times[L]
-    x = dict(point.x)
+    x = dict(x)
     x[(L, m1)] = 1 - eps1
     x[(L, m2)] = eps1
     new_j1 = x.get((j, m1), rat(0)) + eps2
     del x[(j, m2)]
     if new_j1 != 0:
         x[(j, m1)] = new_j1
-
-    loads = list(point.loads)
-    jobs = sorted({jj for jj, _ in x})
-    by_job: dict[int, list[tuple[int, Rat]]] = {}
-    for (jj, i), v in x.items():
-        by_job.setdefault(jj, []).append((i, v))
-    fractional = []
-    integral: dict[int, int] = {}
-    for jj in jobs:
-        entries = by_job[jj]
-        if len(entries) == 1 and entries[0][1] == 1:
-            integral[jj] = entries[0][0]
-        else:
-            fractional.append(jj)
-    recomputed = list(loads)
-    # completion times must be untouched: the swapped masses cancel exactly
-    delta1 = -eps1 * base_times[L] / speeds[m1] + eps2 * base_times[j] / speeds[m1]
-    delta2 = eps1 * base_times[L] / speeds[m2] - eps2 * base_times[j] / speeds[m2]
-    assert delta1 == 0 and delta2 == 0, "mass swap changed completion times"
-    new_point = LpPoint(T, x, tuple(recomputed), tuple(fractional), integral)
-    if not uniform_vertex_check(new_point):
-        raise LpError("fractional-mass swap broke the vertex predicate")
-    return new_point, True
+    return x
 
 
 @dataclass
@@ -430,9 +392,10 @@ class ProfileAdapter(BaseAdapter):
         self.seen[(state.depth, self._profile_key(state))] = node.id
         self.level_inserted[state.depth] += 1
         if self.mode == "similarity":
-            assert self.level_inserted[state.depth] <= self.level_bound, (
-                "level width exceeded the similarity-cell bound"
-            )
+            if self.level_inserted[state.depth] > self.level_bound:
+                raise AdapterContractError(
+                    f"level {state.depth} width exceeded the similarity-cell bound"
+                )
         else:
             assert state.rounded_loads is not None
             for v in state.rounded_loads:
@@ -453,14 +416,6 @@ class ProfileAdapter(BaseAdapter):
         return out
 
 
-@dataclass
-class ProfileOutcome:
-    assignment: dict[int, int]
-    makespan: Rat
-    scale: Rat
-    result: RunResult
-
-
 def _sorted_normalized(inst: SchedulingInstance) -> tuple[SchedulingInstance, Rat, list[int]]:
     normalized, scale = normalize(inst)
     assert normalized.base_times is not None
@@ -476,18 +431,31 @@ def _sorted_normalized(inst: SchedulingInstance) -> tuple[SchedulingInstance, Ra
     return arranged, scale, order
 
 
-def _profile_solve(
-    inst: SchedulingInstance,
-    eps: Rat,
-    mode: str,
-    selection: Selection,
-    node_limit: int | None,
-) -> ProfileOutcome:
+def run_profile(
+    inst: SchedulingInstance, eps: Rat, strategy: Strategy, node_limit: int | None, mode: str
+) -> tuple[RunResult, Rat, dict[int, int]]:
+    """Run the similarity (uniform) or equivalence (identical) scheme, each
+    with a (1+eps)^2 guarantee. Returns the run on the normalized instance,
+    its scale and the assignment in the instance's job labels.
+
+    For eps > 1 the equivalence scheme's root rounding alone is already a
+    2 <= (1+eps) approximation and is returned directly, at scale 1.
+    """
+    if mode == "equivalence" and eps > 1:
+        res = min_feasible_T(inst.processing, inst.overheads, range(inst.n))
+        assignment, makespan = round_vertex(
+            res.point, inst.processing, inst.overheads, ROUNDING_LST
+        )
+        result = RunResult(
+            best_value=makespan, best_solution=dict(assignment), global_bound=res.t_min,
+            nodes_explored=1, nodes_processed=0, max_depth=0, left_turn_max=None,
+            nodes_after_optimum=0, termination="ratio-met", extras={"root_rounding_only": True},
+        )
+        return result, rat(1), dict(assignment)
     arranged, scale, order = _sorted_normalized(inst)
     adapter = ProfileAdapter(arranged, eps, mode)
-    result = run(adapter, selection, Criterion("ratio-eps", rat(eps)), node_limit=node_limit)
-    assignment = {order[k]: machine for k, machine in result.best_solution.items()}
-    return ProfileOutcome(assignment, result.best_value * scale, scale, result)
+    result = run(adapter, strategy.selection, Criterion("ratio-eps", eps), node_limit=node_limit)
+    return result, scale, {order[k]: machine for k, machine in result.best_solution.items()}
 
 
 def solve_uniform(
@@ -495,9 +463,11 @@ def solve_uniform(
     eps: Rat,
     selection: Selection = Selection.BEST_FIRST,
     node_limit: int | None = None,
-) -> ProfileOutcome:
-    """Similarity-pruned scheme for uniform machines ((1+eps)^2 guarantee)."""
-    return _profile_solve(inst, rat(eps), "similarity", selection, node_limit)
+) -> Outcome:
+    """The uniform-machines scheme through algorithms.solve."""
+    from .algorithms import solve  # algorithms imports this module
+
+    return solve(inst, "uniform", eps, Strategy(selection, *PROFILE_TAGS), node_limit)
 
 
 def solve_identical(
@@ -505,31 +475,8 @@ def solve_identical(
     eps: Rat,
     selection: Selection = Selection.BEST_FIRST,
     node_limit: int | None = None,
-) -> ProfileOutcome:
-    """Equivalence-pruned scheme for identical machines ((1+eps)^2 guarantee).
+) -> Outcome:
+    """The identical-machines scheme through algorithms.solve."""
+    from .algorithms import solve  # algorithms imports this module
 
-    For eps > 1 the root rounding alone is already a 2 <= (1+eps)
-    approximation and is returned directly.
-    """
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if eps > 1:
-        res = min_feasible_T(inst.processing, inst.overheads, range(inst.n))
-        assignment, makespan = round_vertex(
-            res.point, inst.processing, inst.overheads, ROUNDING_LST
-        )
-        result = RunResult(
-            best_value=makespan,
-            best_solution=dict(assignment),
-            global_bound=res.t_min,
-            nodes_explored=1,
-            nodes_processed=0,
-            max_depth=0,
-            left_turn_max=None,
-            nodes_after_optimum=0,
-            termination="ratio-met",
-            extras={"root_rounding_only": True},
-        )
-        return ProfileOutcome(dict(assignment), makespan, rat(1), result)
-    return _profile_solve(inst, eps, "equivalence", selection, node_limit)
+    return solve(inst, "identical", eps, Strategy(selection, *PROFILE_TAGS), node_limit)

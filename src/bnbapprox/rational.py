@@ -5,25 +5,19 @@ All bounds, profits, processing times and profile coordinates are
 solvers rely on: canonical form after every operation (positive denominator,
 gcd-reduced), arbitrary-precision integers underneath, and a total order
 consistent with the reals. This module adds the small set of operations the
-rest of the package needs on top of that: exact comparison, floor division,
-integer powers, common-denominator computation and the "num/den" text form
-used in instance and result files.
+rest of the package needs on top of that: construction from text, floor
+division and the "num/den" text form used in instance and result files.
 
 Values are immutable; sharing them across threads is safe.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Rat = Fraction
 
 RatLike = Union[Rat, int, str]
-
-LESS = -1
-EQUAL = 0
-GREATER = 1
 
 
 def rat(value: RatLike, den: int | None = None) -> Rat:
@@ -57,16 +51,6 @@ def format_rat(value: Rat) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def compare(a: RatLike, b: RatLike) -> int:
-    """Exact three-way comparison: LESS, EQUAL or GREATER. Never rounds."""
-    a, b = rat(a), rat(b)
-    if a < b:
-        return LESS
-    if a == b:
-        return EQUAL
-    return GREATER
-
-
 def floor_div(a: RatLike, b: RatLike) -> int:
     """Exact floor(a / b) for rational a, b with b != 0."""
     a, b = rat(a), rat(b)
@@ -74,20 +58,3 @@ def floor_div(a: RatLike, b: RatLike) -> int:
         raise ZeroDivisionError("floor_div by zero")
     q = a / b
     return q.numerator // q.denominator
-
-
-def rat_pow(base: RatLike, exponent: int) -> Rat:
-    """Exact integer power of a rational (negative exponents allowed)."""
-    return rat(base) ** exponent
-
-
-def lcm_denominators(values: Iterable[RatLike]) -> int:
-    """Least common denominator of a collection of rationals (1 if empty)."""
-    out = 1
-    for v in values:
-        out = math.lcm(out, rat(v).denominator)
-    return out
-
-
-def is_integral(value: RatLike) -> bool:
-    return rat(value).denominator == 1

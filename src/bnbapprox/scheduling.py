@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .engine import (
     AdapterContractError,
@@ -55,6 +55,7 @@ from .engine import (
     RunResult,
     Selection,
     Sense,
+    Strategy,
     run,
 )
 from .instances import SchedulingInstance
@@ -67,17 +68,21 @@ from .lp import (
 )
 from .rational import Rat, floor_div, rat
 
+if TYPE_CHECKING:
+    from .algorithms import Outcome
+
 __all__ = [
     "LpPoint",
     "TSearchResult",
     "build_load_lp",
     "min_feasible_T",
     "feasible_point",
+    "split_jobs",
     "list_schedule",
     "round_vertex",
     "mmp_pivot",
     "UnrelatedAdapter",
-    "SchedulingOutcome",
+    "run_unrelated",
     "solve_unrelated",
     "scheme_depth_cap",
     "schedule_makespan",
@@ -190,6 +195,14 @@ def feasible_point(
     loads = list(t)
     for (j, i), v in x.items():
         loads[i] += P[j][i] * v
+    return LpPoint(T, x, tuple(loads), *split_jobs(x, jobs))
+
+
+def split_jobs(
+    x: Mapping[tuple[int, int], Rat], jobs: Iterable[int]
+) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The fractional jobs of a point x and the machine of every other job,
+    both in `jobs` order."""
     by_job: dict[int, list[tuple[int, Rat]]] = {}
     for (j, i), v in x.items():
         by_job.setdefault(j, []).append((i, v))
@@ -201,7 +214,7 @@ def feasible_point(
             integral[j] = entries[0][0]
         else:
             fractional.append(j)
-    return LpPoint(T, x, tuple(loads), tuple(fractional), integral)
+    return tuple(fractional), integral
 
 
 def list_schedule(
@@ -478,11 +491,33 @@ class UnrelatedAdapter(BaseAdapter):
         return out
 
 
-@dataclass
-class SchedulingOutcome:
-    assignment: dict[int, int]
-    makespan: Rat
-    result: RunResult
+def run_unrelated(
+    inst: SchedulingInstance,
+    eps: Rat,
+    strategy: Strategy,
+    node_limit: int | None,
+    depth_cap: int | None = None,
+) -> tuple[RunResult, None, dict[int, int]]:
+    """Run the (1+eps)-scheme on an unrelated/uniform/identical instance.
+
+    depth_cap limits branching depth (used by the BFS variant, which keeps
+    the guarantee under the cap floor(m^2/eps)). Uncapped best-first runs
+    check the tree-depth bound of the scheme after the fact and raise
+    AdapterContractError when it is exceeded. Returns the run, no scale
+    (the scheme runs on the instance as given) and the assignment.
+    """
+    adapter = UnrelatedAdapter(
+        inst, bounding=strategy.bounding, rounding=strategy.rounding, depth_cap=depth_cap
+    )
+    selection = strategy.selection
+    result = run(adapter, selection, Criterion("ratio-eps", eps), node_limit=node_limit)
+    if selection is Selection.BEST_FIRST and depth_cap is None and node_limit is None:
+        cap = scheme_depth_cap(inst.m, eps)
+        if result.max_depth > cap:
+            raise AdapterContractError(
+                f"best-first tree reached depth {result.max_depth} > {cap}"
+            )
+    return result, None, dict(result.best_solution)
 
 
 def solve_unrelated(
@@ -493,28 +528,12 @@ def solve_unrelated(
     rounding: str = ROUNDING_AS,
     node_limit: int | None = None,
     depth_cap: int | None = None,
-) -> SchedulingOutcome:
-    """Run the (1+eps)-scheme on an unrelated/uniform/identical instance.
+) -> Outcome:
+    """The unrelated-machines scheme through algorithms.solve."""
+    from .algorithms import solve  # algorithms imports this module
 
-    depth_cap limits branching depth (used by the BFS variant, which keeps
-    the guarantee under the cap floor(m^2/eps)). Uncapped best-first runs
-    check the tree-depth bound of the scheme after the fact and raise
-    AdapterContractError when it is exceeded.
-    """
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    adapter = UnrelatedAdapter(inst, bounding=bounding, rounding=rounding, depth_cap=depth_cap)
-    criterion = Criterion("ratio-eps", eps)
-    result = run(adapter, selection, criterion, node_limit=node_limit)
-    if selection is Selection.BEST_FIRST and depth_cap is None and node_limit is None:
-        cap = scheme_depth_cap(inst.m, eps)
-        if result.max_depth > cap:
-            raise AdapterContractError(
-                f"best-first tree reached depth {result.max_depth} > {cap}"
-            )
-    assignment = dict(result.best_solution)
-    return SchedulingOutcome(assignment, result.best_value, result)
+    strategy = Strategy(selection, "MMP", bounding, rounding)
+    return solve(inst, "unrelated", eps, strategy, node_limit, depth_cap)
 
 
 def schedule_makespan(inst: SchedulingInstance, assignment: Mapping[int, int]) -> Rat:

@@ -1,5 +1,6 @@
 import pytest
 
+from bnbapprox.algorithms import solve
 from bnbapprox.engine import (
     AdapterContractError,
     BaseAdapter,
@@ -12,12 +13,12 @@ from bnbapprox.engine import (
     Sense,
     Strategy,
     StrategyError,
+    _selection_key,
     run,
-    select_next,
     should_stop,
     valid_strategies,
-    validate_strategy,
 )
+from bnbapprox.instances import generate
 from bnbapprox.rational import rat
 
 
@@ -25,30 +26,33 @@ def _node(nid, depth, lb, ub):
     return Node(nid, None, depth, (), rat(lb), rat(ub), False, 0, False, None)
 
 
+def _select_next(frontier, selection, sense):
+    # the node the engine's selection heap pops first
+    return min(frontier, key=lambda n: _selection_key(n, selection, sense))
+
+
 def test_select_best_first_max_picks_highest_ub():
     frontier = [_node(1, 1, 0, 10), _node(2, 1, 0, 12)]
-    picked = select_next(frontier, Selection.BEST_FIRST, Sense.MAX)
+    picked = _select_next(frontier, Selection.BEST_FIRST, Sense.MAX)
     assert picked.id == 2
 
 
 def test_select_best_first_min_tie_lowest_id():
     frontier = [_node(5, 1, 4, 9), _node(3, 1, 4, 9)]
-    picked = select_next(frontier, Selection.BEST_FIRST, Sense.MIN)
+    picked = _select_next(frontier, Selection.BEST_FIRST, Sense.MIN)
     assert picked.id == 3
 
 
 def test_select_dfs_last_inserted_first():
     c1, c2, c3 = (_node(i, 1, 0, 5) for i in (1, 2, 3))
-    picked = select_next([c1, c2, c3], Selection.DFS, Sense.MAX)
+    picked = _select_next([c1, c2, c3], Selection.DFS, Sense.MAX)
     assert picked.id == 3
 
 
 def test_select_bfs_shallowest_earliest():
     nodes = [_node(4, 2, 0, 5), _node(6, 1, 0, 5), _node(7, 1, 0, 5)]
-    picked = select_next(nodes, Selection.BFS, Sense.MAX)
+    picked = _select_next(nodes, Selection.BFS, Sense.MAX)
     assert picked.id == 6
-    with pytest.raises(ValueError):
-        select_next([], Selection.BFS, Sense.MAX)
 
 
 def test_should_stop_boundaries():
@@ -68,11 +72,13 @@ def test_should_stop_degenerate():
 
 
 def test_strategy_validation():
-    validate_strategy("knapsack", Strategy(Selection.DFS, "CE", "Surrogate", "Dantzig"))
+    knap = generate("knapsack", 4, 2, 1)
+    sched = generate("scheduling-unrelated", 3, 2, 1)
+    solve(knap, "knapsack", rat(1, 2), Strategy(Selection.DFS, "CE", "Surrogate", "Dantzig"))
     with pytest.raises(StrategyError):
-        validate_strategy("knapsack", Strategy(Selection.DFS, "MMP", "Surrogate", "Dantzig"))
+        solve(knap, "knapsack", rat(1, 2), Strategy(Selection.DFS, "MMP", "Surrogate", "Dantzig"))
     with pytest.raises(StrategyError):
-        validate_strategy("scheduling-unrelated", Strategy(Selection.DFS, "MMP", "Surrogate", "AS"))
+        solve(sched, "unrelated", rat(1, 2), Strategy(Selection.DFS, "MMP", "Surrogate", "AS"))
     assert len(valid_strategies("knapsack")) == 9
     assert len(valid_strategies("scheduling-unrelated")) == 12
 

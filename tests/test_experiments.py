@@ -14,7 +14,7 @@ from bnbapprox.experiments import (
     run_experiment,
     summarize,
 )
-from bnbapprox.rational import rat
+from bnbapprox.rational import format_rat, rat
 
 
 def _small_knapsack_cfg(**kwargs):
@@ -261,27 +261,126 @@ def test_cli_rejects_alpha_out_of_range(tmp_path):
                      f"--alpha={alpha}"]) == 2
 
 
+def _library_payload(algorithm, result, assignment, outcome=None):
+    # the CLI's JSON keys: the run's counters, the algorithm and the
+    # assignment, plus makespan and scale for the normalizing profile schemes
+    expected = result.to_json_dict()
+    expected["algorithm"] = algorithm
+    expected["assignment"] = {str(j): i for j, i in sorted(assignment.items())}
+    if outcome is not None:
+        expected["makespan"] = format_rat(outcome.makespan)
+        expected["scale"] = format_rat(outcome.scale)
+    return expected
+
+
 @pytest.mark.parametrize("selection", ["BestFirst", "DFS", "BFS"])
 def test_cli_unrelated_solve_matches_library(tmp_path, selection):
+    # one CLI solve per algorithm equals its library entry point, key for key
+    from bnbapprox.engine import Criterion, run
     from bnbapprox.instances import load_instance
+    from bnbapprox.knapsack import KnapsackAdapter
+    from bnbapprox.profiles import solve_identical, solve_uniform
     from bnbapprox.scheduling import scheme_depth_cap, solve_unrelated
 
-    inst_path = tmp_path / "sched.json"
-    assert main(["generate", "--kind", "scheduling-unrelated", "--n", "7", "--m", "3",
-                 "--seed", "24", "--out", str(inst_path)]) == 0
-    inst = load_instance(str(inst_path))
-    for bounding, rounding, depth_cap in (("BS", "AS", False), ("LR", "BM", True)):
-        out_path = tmp_path / f"{bounding}.json"
-        args = ["solve", "--instance", str(inst_path), "--algorithm", "unrelated",
-                "--eps", "1/100", "--selection", selection, "--bounding", bounding,
-                "--rounding", rounding, "--node-limit", "300", "--out", str(out_path)]
-        assert main(args + (["--bfs-depth-cap"] if depth_cap else [])) == 0
-        result = solve_unrelated(
-            inst, rat(1, 100), Selection(selection), bounding, rounding, node_limit=300,
-            depth_cap=scheme_depth_cap(inst.m, rat(1, 100)) if depth_cap else None,
-        ).result
-        assert result.nodes_explored > 10
-        expected = result.to_json_dict()
-        expected["algorithm"] = "unrelated"
-        expected["assignment"] = {str(j): i for j, i in sorted(result.best_solution.items())}
+    sel = Selection(selection)
+    eps = rat(1, 100)
+
+    def knapsack(inst):
+        adapter = KnapsackAdapter(inst, branching="PPW")
+        result = run(adapter, sel, Criterion("ratio-alpha", rat(99, 100)), node_limit=300)
+        return _library_payload("knapsack", result, result.best_solution)
+
+    def unrelated(bounding, rounding, depth_cap):
+        def call(inst):
+            cap = scheme_depth_cap(inst.m, eps) if depth_cap else None
+            out = solve_unrelated(inst, eps, sel, bounding, rounding, node_limit=300,
+                                  depth_cap=cap)
+            assert out.makespan == out.result.best_value
+            return _library_payload("unrelated", out.result, out.assignment)
+        return call
+
+    def profile(algorithm, solver, ratio):
+        def call(inst):
+            out = solver(inst, ratio, sel, node_limit=300)
+            return _library_payload(algorithm, out.result, out.assignment, out)
+        return call
+
+    cases = [
+        ("knapsack", 14, 3, "knapsack", ["--alpha", "99/100", "--branching", "PPW"], knapsack),
+        ("scheduling-unrelated", 7, 3, "unrelated",
+         ["--eps", "1/100", "--bounding", "BS", "--rounding", "AS"], unrelated("BS", "AS", False)),
+        ("scheduling-unrelated", 7, 3, "unrelated",
+         ["--eps", "1/100", "--bounding", "LR", "--rounding", "BM", "--bfs-depth-cap"],
+         unrelated("LR", "BM", True)),
+        ("scheduling-uniform", 9, 3, "uniform", ["--eps", "1/20"],
+         profile("uniform", solve_uniform, rat(1, 20))),
+        ("scheduling-identical", 9, 3, "identical", ["--eps", "1/20"],
+         profile("identical", solve_identical, rat(1, 20))),
+        ("scheduling-identical", 9, 3, "identical", ["--eps", "3/2"],
+         profile("identical", solve_identical, rat(3, 2))),
+    ]
+    for k, (kind, n, m, algorithm, flags, library) in enumerate(cases):
+        inst_path = tmp_path / f"{kind}.json"
+        assert main(["generate", "--kind", kind, "--n", str(n), "--m", str(m),
+                     "--seed", "24", "--out", str(inst_path)]) == 0
+        out_path = tmp_path / f"{k}.json"
+        assert main(["solve", "--instance", str(inst_path), "--algorithm", algorithm,
+                     "--selection", selection, "--node-limit", "300", *flags,
+                     "--out", str(out_path)]) == 0
+        expected = library(load_instance(str(inst_path)))
+        if "3/2" not in flags:
+            assert expected["nodes_explored"] > 10, (algorithm, flags)
         assert json.loads(out_path.read_text()) == expected
+
+
+@pytest.mark.parametrize("kind", ["scheduling-uniform", "scheduling-identical"])
+def test_profile_sweep_runs_the_kinds_own_scheme(kind):
+    from bnbapprox.rational import parse_rat
+
+    eps = rat(1, 10)
+    cfg = ExperimentConfig(kind=kind, pairs=[(6, 2)], ratios=[eps], instances_per_pair=2,
+                           base_seed=9)
+    rows = run_experiment(cfg)
+    # the 12 unrelated-scheme rows of each instance, then the profile scheme
+    # under the three selections
+    assert len(rows) == 2 * (12 + 3)
+    for k in range(2):
+        block = rows[15 * k: 15 * (k + 1)]
+        assert [r["branching"] for r in block] == ["MMP"] * 12 + ["LJ"] * 3
+        assert [r["selection"] for r in block[12:]] == ["LLB", "DFS", "BFS"]
+        assert {(r["bounding"], r["rounding"]) for r in block[12:]} == {("BS", "LST-match")}
+    certified = [r for r in rows if r["termination"] in ("ratio-met", "frontier-empty")]
+    assert len([r for r in certified if r["branching"] == "LJ"]) == 6
+    # the gap is taken against the oracle's optimum in instance units, so a
+    # value left in normalized units (makespans near 1) would fail it
+    for r in certified:
+        assert r["gap"] != ""
+        assert parse_rat(str(r["gap"])) <= (1 + eps) ** 2 - 1
+
+
+def test_config_rejects_ratios_an_algorithm_cannot_take(tmp_path):
+    # similarity pruning needs eps < 1; the unrelated scheme alone takes eps = 1
+    with pytest.raises(ConfigError, match="below 1"):
+        ExperimentConfig(kind="scheduling-uniform", pairs=[(4, 2)], ratios=[rat(1)])
+    ExperimentConfig(kind="scheduling-uniform", pairs=[(4, 2)], ratios=[rat(1)],
+                     strategies=[Strategy(Selection.DFS, "MMP", "BS", "AS")])
+    ExperimentConfig(kind="scheduling-identical", pairs=[(4, 2)], ratios=[rat(1)])
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind="scheduling-unrelated", pairs=[(4, 2)], ratios=[rat(1, 2)],
+                         strategies=[Strategy(Selection.DFS, "LJ", "BS", "LST-match")])
+    assert main(["experiment", "--kind", "scheduling-uniform", "--pairs", "4x2",
+                 "--ratios", "1/2,1", "--instances-per-pair", "1",
+                 "--out", str(tmp_path / "rows.csv")]) == 2
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def test_cli_rejects_depth_cap_where_unused(tmp_path):
+    for kind, algorithm in (("knapsack", "knapsack"), ("scheduling-uniform", "uniform"),
+                            ("scheduling-identical", "identical")):
+        inst_path = tmp_path / f"{kind}.json"
+        assert main(["generate", "--kind", kind, "--n", "5", "--m", "2",
+                     "--seed", "3", "--out", str(inst_path)]) == 0
+        args = ["solve", "--instance", str(inst_path), "--algorithm", algorithm,
+                "--eps", "1/2"]
+        assert main(args) == 0
+        assert main(args + ["--bfs-depth-cap"]) == 2

@@ -172,12 +172,28 @@ def test_left_turn_constant():
         c_alpha_m(rat(1), 2)
 
 
-def test_adapter_guarantee_and_turn_bound():
+def _record_solutions(monkeypatch):
+    """Record the DantzigSolution of every bound the adapter computes."""
+    kernel = knapsack.dantzig_solve
+    solutions = []
+
+    def recording(*args, **kwargs):
+        sol = kernel(*args, **kwargs)
+        solutions.append(sol)
+        return sol
+
+    monkeypatch.setattr(knapsack, "dantzig_solve", recording)
+    return solutions
+
+
+def test_adapter_guarantee_and_turn_bound(monkeypatch):
     alpha = rat(9, 10)
+    solutions = _record_solutions(monkeypatch)
     for seed in range(25):
         inst = generate("knapsack", 9, 2, seed)
         opt = exact_opt(inst).optimum
-        adapter = KnapsackAdapter(inst, branching="CE", audit=True)
+        solutions.clear()
+        adapter = KnapsackAdapter(inst, branching="CE")
         result = run(adapter, Selection.BEST_FIRST, Criterion("ratio-alpha", alpha))
         assert assignment_feasible(inst, result.best_solution)
         assert assignment_value(inst, result.best_solution) == result.best_value
@@ -186,12 +202,13 @@ def test_adapter_guarantee_and_turn_bound():
             assert result.best_value >= alpha * opt
         assert result.left_turn_max is not None
         assert result.left_turn_max <= c_alpha_m(alpha, inst.m)
-        # rounding guarantees were audited at every bounded node
-        for record in adapter.audit_records:
-            assert (inst.m + 1) * record.int_value >= record.sub_value
-            if record.best_critical_profit is not None and record.sub_value > 0:
-                gap = 1 - record.int_value / record.sub_value
-                assert record.best_critical_profit / record.sub_value >= min(
+        # rounding guarantees at every bounded node
+        assert len(solutions) == result.nodes_explored
+        for sol in solutions:
+            assert (inst.m + 1) * sol.int_value >= sol.sub_value
+            if sol.best_critical is not None and sol.sub_value > 0:
+                gap = 1 - sol.int_value / sol.sub_value
+                assert inst.profits[sol.best_critical] / sol.sub_value >= min(
                     rat(1, inst.m + 1), gap / inst.m
                 )
 

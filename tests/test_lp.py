@@ -5,16 +5,29 @@ import pytest
 
 from bnbapprox.lp import (
     LinearProgram,
+    LpError,
     fractional_graph,
     graph_is_forest,
     job_machine_matching,
     pivot,
-    satisfies,
     solve_vertex,
 )
 from bnbapprox.oracle import enumerate_vertices
 from bnbapprox.rational import rat
 from bnbapprox.scheduling import build_load_lp, feasible_point
+
+
+def satisfies(lp, values):
+    """Exact re-substitution check of every constraint (incl. x >= 0)."""
+    if len(values) != lp.num_vars or any(v < 0 for v in values):
+        return False
+    for coeffs, b in lp.equalities:
+        if sum(c * v for c, v in zip(coeffs, values)) != b:
+            return False
+    for coeffs, b in lp.inequalities:
+        if sum(c * v for c, v in zip(coeffs, values)) > b:
+            return False
+    return True
 
 
 def test_solve_trivial_equality():
@@ -111,7 +124,7 @@ def test_fractional_graph_shapes():
 
 def test_fractional_graph_flags_too_many_jobs():
     x = {(j, i): rat(1, 2) for j in range(3) for i in range(2)}
-    with pytest.raises(AssertionError):
+    with pytest.raises(LpError, match="fractional jobs"):
         fractional_graph(x, 2)
 
 

@@ -1,18 +1,21 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
+from bnbapprox import profiles
+from bnbapprox.engine import AdapterContractError, Criterion, Node, Selection, run
 from bnbapprox.instances import IDENTICAL, SchedulingInstance, generate
 from bnbapprox.oracle import exact_opt
 from bnbapprox.profiles import (
-    SMALL_JOB,
     ProfileAdapter,
     cube_limit,
-    equivalence_key,
     f_bound,
     make_longest_fractional,
-    max_geometric_exponent,
     normalize,
     round_geometric,
     similarity_cell,
@@ -30,6 +33,21 @@ from bnbapprox.scheduling import (
     round_vertex,
     schedule_makespan,
 )
+
+SMALL_JOB = "small-job"
+
+
+def equivalence_key(fixed, base_times, eps, m):
+    """Reference key of the equivalence pruning: the order-free multiset of
+    geometrically rounded completion times of the fixed jobs (job ->
+    machine), or SMALL_JOB when a fixed job is shorter than eps."""
+    loads = [rat(0)] * m
+    for j, i in fixed.items():
+        if base_times[j] < eps:
+            return SMALL_JOB
+        loads[i] += round_geometric(base_times[j], eps)
+    return tuple(sorted(Counter(loads).items()))
+
 
 P332 = ((rat(3), rat(3)), (rat(3), rat(3)), (rat(2), rat(2)))
 IDENT332 = SchedulingInstance(
@@ -88,8 +106,6 @@ def test_round_geometric():
 
 def test_max_geometric_exponent_and_f_bound():
     assert f_bound(rat(1)) == 8.0
-    k = max_geometric_exponent(rat(1))
-    assert rat(1) * 2**k <= 8 < rat(1) * 2 ** (k + 1)
     assert f_bound(rat(1, 2)) > 100
 
 
@@ -100,6 +116,32 @@ def test_equivalence_key_symmetry_and_small_jobs():
     k2 = equivalence_key({0: 1, 1: 0}, base, eps, 2)
     assert k1 == k2  # machine order immaterial
     assert equivalence_key({2: 0}, base, eps, 2) == SMALL_JOB
+
+
+def test_adapter_key_matches_reference_equivalence_key():
+    # every node the identical-machines search admits carries the reference
+    # key of its fixed jobs, and no two nodes of one level share a key
+    checked = 0
+    eps = rat(1, 20)
+    for seed, selection in itertools.product(range(4), (Selection.BEST_FIRST, Selection.BFS)):
+        arranged, _, _ = _sorted_normalized(generate("scheduling-identical", 10, 3, 300 + seed))
+        adapter = ProfileAdapter(arranged, eps, "equivalence")
+        keys = set()
+        insert = adapter.on_insert
+
+        def on_insert(node):
+            nonlocal checked
+            state = node.payload
+            key = equivalence_key(state.fixed, arranged.base_times, eps, arranged.m)
+            assert key != SMALL_JOB and adapter._profile_key(state) == key
+            assert (state.depth, key) not in keys
+            keys.add((state.depth, key))
+            checked += 1
+            insert(node)
+
+        adapter.on_insert = on_insert
+        run(adapter, selection, Criterion("ratio-eps", eps))
+    assert checked >= 100
 
 
 def test_uniform_vertex_check_integral_and_cycle():
@@ -338,3 +380,63 @@ def test_children_hints_come_only_from_an_eligible_point():
     j, i = next(iter(point.x))
     state.point = dataclasses.replace(point, T=arranged.processing[j][i] / 2)
     assert all(spec.payload.hi_hint is None for spec in adapter.branch(node))
+
+
+# --- guarantee checks ----------------------------------------------------
+
+
+_swap_mass = profiles._swap_mass
+
+
+def _swapped_with_drift(x, L, j, m1, m2, base_times):
+    # the right swap, plus a sliver more of L on m2 than its work allows
+    x = _swap_mass(x, L, j, m1, m2, base_times)
+    x[(L, m2)] += rat(1, 1000)
+    x[(L, m1)] -= rat(1, 1000)
+    return x
+
+
+def test_broken_mass_swap_raises(monkeypatch):
+    for seed in range(200):
+        arranged, _, _ = _sorted_normalized(generate("scheduling-uniform", 5, 2, 800 + seed))
+        point = min_feasible_T(arranged.processing, arranged.overheads, range(arranged.n)).point
+        if not point.fractional_jobs or 0 in point.fractional_jobs:
+            continue
+        args = (point, arranged.base_times, arranged.speeds, 0)
+        if make_longest_fractional(*args)[1]:  # the real swap passes
+            break
+    else:
+        pytest.fail("no transformable vertex found")
+    monkeypatch.setattr(profiles, "_swap_mass", _swapped_with_drift)
+    with pytest.raises(AdapterContractError, match="mass swap moved"):
+        make_longest_fractional(*args)
+
+
+def test_broken_level_width_raises():
+    arranged, _, _ = _sorted_normalized(generate("scheduling-uniform", 6, 2, 1))
+    adapter = ProfileAdapter(arranged, rat(1, 2), "similarity")
+    adapter.level_bound = 0  # no node fits under a zero width bound
+    root = Node(0, None, 0, (), rat(1), rat(2), False, 0, False, adapter.root_payload())
+    with pytest.raises(AdapterContractError, match="similarity-cell bound"):
+        adapter.on_insert(root)
+
+
+def test_guarantee_checks_raise_under_optimize_flag():
+    # `python -O` strips assert statements; the three checks must not be
+    # asserts, so their tests have to pass there too
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(here), "src") + os.pathsep + env.get(
+        "PYTHONPATH", ""
+    )
+    tests = [
+        f"{here}/test_lp.py::test_fractional_graph_flags_too_many_jobs",
+        f"{here}/test_profiles.py::test_broken_mass_swap_raises",
+        f"{here}/test_profiles.py::test_broken_level_width_raises",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "3 passed" in proc.stdout

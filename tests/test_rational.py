@@ -4,26 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from bnbapprox.rational import (
-    EQUAL,
-    GREATER,
-    LESS,
-    compare,
-    floor_div,
-    format_rat,
-    is_integral,
-    lcm_denominators,
-    parse_rat,
-    rat,
-    rat_pow,
-)
+from bnbapprox.rational import floor_div, format_rat, parse_rat, rat
 from bnbapprox.knapsack import c_alpha_m
-
-
-def test_compare_examples():
-    assert compare(rat(1, 3), rat(2, 6)) == EQUAL
-    assert compare(rat(97, 100), 1) == LESS
-    assert compare(rat(3, 2), rat(4, 3)) == GREATER
 
 
 def test_compare_against_left_turn_constant():
@@ -36,7 +18,7 @@ def test_compare_against_left_turn_constant():
     a = Decimal(97) / Decimal(100)
     dec = 1 + max(5 * a / (1 - a) ** 2, (5 + 1) / (1 - a))
     assert abs(Decimal(c.numerator) / Decimal(c.denominator) - dec) < Decimal("1e-40")
-    assert compare(rat(5389901, 1000), c) == GREATER
+    assert rat(5389901, 1000) > c
 
 
 def test_parse_format_roundtrip():
@@ -79,13 +61,4 @@ def test_floor_and_pow_match_integer_arithmetic():
     for _ in range(2000):
         a, b = rnd.randint(-100, 100), rnd.randint(1, 40)
         assert floor_div(rat(a), rat(b)) == a // b
-        assert rat_pow(rat(a), 2) == a * a
     assert floor_div(rat(7, 2), rat(1, 3)) == 10  # 21/2
-    assert rat_pow(rat(2, 3), -2) == rat(9, 4)
-
-
-def test_lcm_denominators():
-    assert lcm_denominators([]) == 1
-    assert lcm_denominators([rat(1, 2), rat(5, 6), rat(3)]) == 6
-    assert is_integral(rat(8, 4))
-    assert not is_integral(rat(1, 3))
