@@ -160,7 +160,6 @@ class Node:
     id: int
     parent: int | None
     depth: int
-    decisions: tuple[tuple[int, int], ...]
     lb: Rat
     ub: Rat
     right_turn: bool
@@ -265,6 +264,8 @@ def run(
     selected and expanded, the quantity the tree-size guarantees speak
     about. A run returns when the stopping ratio is met, the node cap is
     reached (best solution so far is returned), or the frontier empties.
+    global_bound is the better of the incumbent and the best frontier key,
+    so it never lies on the wrong side of best_value.
     """
     sense = adapter.sense
     root_payload = adapter.root_payload()
@@ -275,7 +276,6 @@ def run(
         id=0,
         parent=None,
         depth=0,
-        decisions=(),
         lb=rootb.lb,
         ub=rootb.ub,
         right_turn=False,
@@ -312,6 +312,14 @@ def run(
         node = frontier[bound_heap[0][1]]
         return node.ub if sense is Sense.MAX else node.lb
 
+    def certified_bound(gb: Rat | None) -> Rat:
+        # a node pruned or never admitted is no better than the incumbent,
+        # and the frontier's keys date from when their nodes were bounded:
+        # the incumbent can have moved past them since
+        if gb is None:
+            return incumbent_value
+        return max(gb, incumbent_value) if sense is Sense.MAX else min(gb, incumbent_value)
+
     def pop_selected() -> Node:
         return frontier.pop(heapq.heappop(select_heap)[1])
 
@@ -322,11 +330,10 @@ def run(
     global_bound = incumbent_value
     while termination is None:
         gb = frontier_bound()
+        global_bound = certified_bound(gb)
         if gb is None:
-            global_bound = incumbent_value
             termination = FRONTIER_EMPTY
             break
-        global_bound = gb
         if should_stop(incumbent_value, global_bound, criterion, sense):
             termination = RATIO_MET
             break
@@ -350,7 +357,6 @@ def run(
                 id=next_id,
                 parent=v.id,
                 depth=v.depth + 1,
-                decisions=v.decisions + (spec.decision,),
                 lb=cb.lb,
                 ub=cb.ub,
                 right_turn=spec.right_turn,
@@ -391,8 +397,7 @@ def run(
                 incumbent_solution = solution
                 explored_at_improve = explored
         if termination == NODE_LIMIT:
-            gb = frontier_bound()
-            global_bound = incumbent_value if gb is None else gb
+            global_bound = certified_bound(frontier_bound())
 
     return RunResult(
         best_value=incumbent_value,

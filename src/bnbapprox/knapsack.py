@@ -42,7 +42,7 @@ from typing import Iterable, Mapping, Sequence
 from .engine import AdapterContractError, BaseAdapter, BoundInfo, ChildSpec, Criterion, Node
 from .engine import RunResult, Sense, Strategy, run
 from .instances import KnapsackInstance
-from .rational import Rat, rat
+from .rational import Rat
 
 __all__ = [
     "DantzigSolution",
@@ -53,19 +53,7 @@ __all__ = [
     "pick_pivot",
     "KnapsackAdapter",
     "run_knapsack",
-    "c_alpha_m",
-    "assignment_value",
-    "assignment_feasible",
 ]
-
-
-def c_alpha_m(alpha: Rat, m: int) -> Rat:
-    """Left-turn budget per root-leaf path: 1 + max{mα/(1-α)², (m+1)/(1-α)}."""
-    alpha = rat(alpha)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    one_minus = 1 - alpha
-    return 1 + max(m * alpha / one_minus**2, (m + 1) / one_minus)
 
 
 def unit_profit_order(weights: Sequence[Rat], profits: Sequence[Rat]) -> tuple[int, ...]:
@@ -421,7 +409,6 @@ class KnapsackAdapter(BaseAdapter):
 
     def branch(self, node: Node) -> list[ChildSpec]:
         state: _NodeState = node.payload
-        assert state.sol is not None
         return branch_children(
             self.inst,
             state.usable,
@@ -442,18 +429,3 @@ def run_knapsack(
     criterion = Criterion("ratio-alpha", alpha)
     result = run(adapter, strategy.selection, criterion, node_limit=node_limit)
     return result, None, dict(result.best_solution)
-
-
-def assignment_value(inst: KnapsackInstance, assignment: Mapping[int, int]) -> Rat:
-    return sum((inst.profits[j] for j in assignment), start=rat(0))
-
-
-def assignment_feasible(inst: KnapsackInstance, assignment: Mapping[int, int]) -> bool:
-    loads = [rat(0)] * inst.m
-    seen = set()
-    for j, k in assignment.items():
-        if j in seen or not 0 <= k < inst.m:
-            return False
-        seen.add(j)
-        loads[k] += inst.weights[j]
-    return all(load <= cap for load, cap in zip(loads, inst.capacities))

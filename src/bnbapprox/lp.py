@@ -40,7 +40,6 @@ __all__ = [
     "fractional_graph",
     "job_machine_matching",
     "graph_components",
-    "graph_is_forest",
 ]
 
 
@@ -324,8 +323,3 @@ def graph_components(graph: FractionalGraph) -> dict[tuple[str, int], tuple[str,
             return None
         parent[ru] = rv
     return {node: find(node) for node in parent}
-
-
-def graph_is_forest(graph: FractionalGraph) -> bool:
-    """True iff the bipartite graph has no cycle."""
-    return graph_components(graph) is not None

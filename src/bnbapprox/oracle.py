@@ -97,16 +97,15 @@ def _knapsack_dp(inst: KnapsackInstance, budget: int) -> OracleResult:
         residual = optimum - sum(profits[i] for i in witness)
         if solve(j + 1, caps) == residual:
             continue
-        placed = False
         for k in range(m):
             if caps[k] >= weights[j]:
                 nxt = caps[:k] + (caps[k] - weights[j],) + caps[k + 1 :]
                 if profits[j] + solve(j + 1, nxt) == residual:
                     witness[j] = k
                     caps = nxt
-                    placed = True
                     break
-        assert placed, "witness reconstruction diverged from DP values"
+        else:
+            raise RuntimeError("witness reconstruction diverged from DP values")
     return OracleResult(rat(optimum), witness, "dp")
 
 

@@ -7,6 +7,11 @@ nodes of a tree level share the same fixed job set. Any partial schedule
 whose completion-time vector (its *profile*, the node's overhead vector)
 leaves the cube [0, 2(1+eps)^2]^m can be discarded outright.
 
+Nodes and children are the unrelated scheme's (scheduling._SchedState,
+scheduling.fix_job); ProfileAdapter adds only the pivot (the first of the
+node's sorted unfixed jobs), the mass swap below, the stop at the last big
+job and the profile filter.
+
 Uniform machines prune by epsilon-similarity: the cube is cut into cells
 of side eps/n (coordinate-wise floor of profile * n/eps); two profiles in
 one cell differ by at most eps/n per coordinate, and a level keeps at most
@@ -28,9 +33,7 @@ pivot stays the longest unfixed job either way).
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .engine import (
@@ -52,7 +55,8 @@ from .rational import Rat, floor_div, rat
 from .scheduling import (
     ROUNDING_LST,
     LpPoint,
-    child_hi_hint,
+    _SchedState,
+    fix_job,
     min_feasible_T,
     round_vertex,
     split_jobs,
@@ -65,7 +69,6 @@ __all__ = [
     "normalize",
     "similarity_cell",
     "round_geometric",
-    "f_bound",
     "uniform_vertex_check",
     "make_longest_fractional",
     "ProfileAdapter",
@@ -136,21 +139,10 @@ def round_geometric(x: Rat, eps: Rat) -> Rat:
     return value
 
 
-def f_bound(eps: Rat) -> float:
-    """Count bound on distinct rounded completion times:
-    8 * (1/eps)^(log_{1+eps}(2(1+eps)^2/eps)). Exact at eps=1 (=8)."""
-    eps = rat(eps)
-    if eps == 1:
-        return 8.0
-    exponent = math.log(float(cube_limit(eps) / eps)) / math.log(float(1 + eps))
-    return 8.0 * float(1 / eps) ** exponent
-
-
-def uniform_vertex_check(point: LpPoint, T: Rat | None = None) -> bool:
+def uniform_vertex_check(point: LpPoint) -> bool:
     """Vertex predicate: fractional graph is a forest and every component
     holds at most one machine finishing strictly before the guess."""
-    if T is None:
-        T = point.T
+    T = point.T
     m = len(point.loads)
     graph = fractional_graph(point.x, m, strict=False)
     if len(graph.jobs) > m:
@@ -251,17 +243,6 @@ def _swap_mass(
     return x
 
 
-@dataclass
-class _ProfileState:
-    depth: int
-    t: tuple[Rat, ...]
-    fixed: dict[int, int]
-    rounded_loads: tuple[Rat, ...] | None = None
-    lo_hint: Rat | None = None
-    hi_hint: Rat | None = None
-    point: LpPoint | None = None
-
-
 class ProfileAdapter(BaseAdapter):
     """Shared skeleton; mode "similarity" (uniform) or "equivalence" (identical)."""
 
@@ -270,13 +251,14 @@ class ProfileAdapter(BaseAdapter):
     def __init__(self, inst: SchedulingInstance, eps: Rat, mode: str):
         if mode not in ("similarity", "equivalence"):
             raise ValueError(f"unknown profile mode {mode!r}")
+        if inst.kind not in (UNIFORM, IDENTICAL):
+            raise InstanceError("profile pruning applies to uniform or identical instances")
         eps = rat(eps)
         if mode == "similarity" and not 0 < eps < 1:
             raise ValueError("similarity pruning needs 0 < eps < 1")
         if mode == "equivalence" and not 0 < eps <= 1:
             raise ValueError("equivalence pruning needs 0 < eps <= 1")
         base = inst.base_times
-        assert base is not None and inst.speeds is not None
         if any(base[k] < base[k + 1] for k in range(inst.n - 1)):
             raise ValueError("jobs must be sorted by decreasing processing time")
         self.inst = inst
@@ -288,30 +270,33 @@ class ProfileAdapter(BaseAdapter):
         self.n = inst.n
         self.m = inst.m
         self.limit = cube_limit(eps)
-        self.seen: dict[tuple[int, Any], int] = {}
+        self.seen: set[tuple[int, Any]] = set()
         self.level_inserted: Counter = Counter()
         self.level_bound = similarity_level_bound(self.n, eps, self.m)
         self.big_count = sum(1 for p in base if p >= eps)
+        # the rounded time of every big job (they come first); equivalence
+        # branching stops before the first small one
+        self.rounded = (
+            [round_geometric(p, eps) for p in base[: self.big_count]]
+            if mode == "equivalence"
+            else []
+        )
         self.rounded_values: set[Rat] = set()
         self.transforms = 0
         self.transforms_skipped = 0
         self.rejected_cube = 0
         self.rejected_profile = 0
 
-    def root_payload(self) -> _ProfileState:
-        state = _ProfileState(0, self.inst.overheads, {})
-        if self.mode == "equivalence":
-            state.rounded_loads = tuple(rat(0) for _ in range(self.m))
-        return state
+    def root_payload(self) -> _SchedState:
+        return _SchedState(tuple(range(self.n)), self.inst.overheads, {})
 
-    def bound(self, state: _ProfileState) -> BoundInfo:
-        jobs = tuple(range(state.depth, self.n))
+    def bound(self, state: _SchedState) -> BoundInfo:
         res = min_feasible_T(
-            self.P, state.t, jobs, lo_hint=state.lo_hint, hi_hint=state.hi_hint
+            self.P, state.t, state.jobs, lo_hint=state.lo_hint, hi_hint=state.hi_hint
         )
         point = res.point
-        if point.fractional_jobs and state.depth < self.n:
-            longest = state.depth
+        if point.fractional_jobs:
+            longest = state.jobs[0]  # jobs stay sorted
             if longest not in point.fractional_jobs:
                 point, changed = make_longest_fractional(
                     point, self.base, self.speeds, longest
@@ -323,84 +308,54 @@ class ProfileAdapter(BaseAdapter):
         state.point = point
         lb = res.t_min
         if not point.fractional_jobs:
-            solution = dict(state.fixed)
-            solution.update(point.integral_assignment)
-            return BoundInfo(lb, lb, solution, leaf=True)
+            return BoundInfo(lb, lb, {**state.fixed, **point.integral_assignment}, leaf=True)
         assignment, ub = round_vertex(point, self.P, state.t, ROUNDING_LST)
-        solution = dict(state.fixed)
-        solution.update(assignment)
-        return BoundInfo(lb, ub, solution, leaf=False)
+        return BoundInfo(lb, ub, {**state.fixed, **assignment}, leaf=False)
 
     def branch(self, node: Node) -> list[ChildSpec]:
-        state: _ProfileState = node.payload
-        d = state.depth
-        if d >= self.n:
+        state: _SchedState = node.payload
+        if not state.jobs:
             return []
-        if self.mode == "equivalence" and d >= self.big_count:
+        if self.mode == "equivalence" and node.depth >= self.big_count:
             # the next pivot would be a small job: stop this branch; the
             # node's own rounding is at most eps above its bound already
             return []
-        pivot = d  # jobs are sorted: the longest unfixed job at depth d
         # the children's upper brackets come from the node's point, which the
         # mass swap rewrote: rely on it only while every pair it uses is
         # eligible at its guess, since otherwise it is no point of the load LP
         point = state.point
         feasible = all(self.P[j][i] <= point.T for j, i in point.x)
-        out = []
-        for i in range(self.m):
-            t_new = tuple(
-                v + self.P[pivot][i] if k == i else v for k, v in enumerate(state.t)
-            )
-            fixed = dict(state.fixed)
-            fixed[pivot] = i
-            child = _ProfileState(
-                d + 1,
-                t_new,
-                fixed,
-                lo_hint=node.lb,
-                hi_hint=child_hi_hint(point, self.P, pivot, i) if feasible else None,
-            )
-            if self.mode == "equivalence":
-                assert state.rounded_loads is not None
-                rounded = round_geometric(self.base[pivot], self.eps)
-                child.rounded_loads = tuple(
-                    v + rounded if k == i else v
-                    for k, v in enumerate(state.rounded_loads)
-                )
-            out.append(ChildSpec(decision=(pivot, i), right_turn=False, payload=child))
-        return out
+        return fix_job(node, self.P, state.jobs[0], point if feasible else None)
 
-    def _profile_key(self, state: _ProfileState):
+    def _profile_key(self, state: _SchedState):
         if self.mode == "similarity":
             return similarity_cell(state.t, self.eps, self.n)
-        assert state.rounded_loads is not None
-        return tuple(sorted(Counter(state.rounded_loads).items()))
+        loads = [rat(0)] * self.m
+        for j, i in state.fixed.items():
+            loads[i] += self.rounded[j]
+        return tuple(sorted(Counter(loads).items()))
 
     def admit(self, node: Node) -> bool:
-        state: _ProfileState = node.payload
+        state: _SchedState = node.payload
         if any(c > self.limit for c in state.t):
             self.rejected_cube += 1
             return False
-        key = (state.depth, self._profile_key(state))
-        if key in self.seen:
+        if (node.depth, self._profile_key(state)) in self.seen:
             self.rejected_profile += 1
             return False
         return True
 
     def on_insert(self, node: Node) -> None:
-        state: _ProfileState = node.payload
-        self.seen[(state.depth, self._profile_key(state))] = node.id
-        self.level_inserted[state.depth] += 1
+        key = self._profile_key(node.payload)
+        self.seen.add((node.depth, key))
+        self.level_inserted[node.depth] += 1
         if self.mode == "similarity":
-            if self.level_inserted[state.depth] > self.level_bound:
+            if self.level_inserted[node.depth] > self.level_bound:
                 raise AdapterContractError(
-                    f"level {state.depth} width exceeded the similarity-cell bound"
+                    f"level {node.depth} width exceeded the similarity-cell bound"
                 )
         else:
-            assert state.rounded_loads is not None
-            for v in state.rounded_loads:
-                if v != 0:
-                    self.rounded_values.add(v)
+            self.rounded_values.update(v for v, _ in key if v != 0)
 
     def extras(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -418,7 +373,6 @@ class ProfileAdapter(BaseAdapter):
 
 def _sorted_normalized(inst: SchedulingInstance) -> tuple[SchedulingInstance, Rat, list[int]]:
     normalized, scale = normalize(inst)
-    assert normalized.base_times is not None
     order = sorted(range(inst.n), key=lambda j: (-normalized.base_times[j], j))
     arranged = SchedulingInstance(
         kind=normalized.kind,

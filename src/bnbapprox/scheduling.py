@@ -33,10 +33,13 @@ modes:
     BM        exhaustive best placement of the fractional jobs.
 
 Branching fixes the fractional job with maximal shortest processing time
-(MMP) onto each machine in turn. The guarantees the scheme rests on (the
-2T rounding bound, an integral vertex at its minimal guess, the
-pivot-controlled upper bound and the best-first depth cap) are checked on
-every call and raise AdapterContractError, also under python -O.
+(MMP) onto each machine in turn. A node is a _SchedState and fix_job
+builds its children, one per machine; the uniform and identical schemes
+(profiles) share both and differ only in the pivot and the pruning. The
+guarantees the scheme rests on (the 2T rounding bound, an integral vertex
+at its minimal guess, the pivot-controlled upper bound and the best-first
+depth cap) are checked on every call and raise AdapterContractError, also
+under python -O.
 """
 from __future__ import annotations
 
@@ -81,11 +84,11 @@ __all__ = [
     "list_schedule",
     "round_vertex",
     "mmp_pivot",
+    "fix_job",
     "UnrelatedAdapter",
     "run_unrelated",
     "solve_unrelated",
     "scheme_depth_cap",
-    "schedule_makespan",
     "grid_denominator",
     "child_hi_hint",
 ]
@@ -377,7 +380,6 @@ def round_vertex(
             mk = _makespan(P, t, cand)
             if best_makespan is None or mk < best_makespan:
                 best_assign, best_makespan = cand, mk
-        assert best_assign is not None and best_makespan is not None
         return best_assign, best_makespan
     raise ValueError(f"unknown rounding mode {mode!r}")
 
@@ -397,12 +399,37 @@ def scheme_depth_cap(m: int, eps: Rat) -> int:
 
 @dataclass
 class _SchedState:
+    """A scheduling node, also the profile schemes': unfixed jobs, completion
+    times t, fixed jobs (job -> machine), the parent's T-search brackets and,
+    once bounded, the LP point."""
+
     jobs: tuple[int, ...]
     t: tuple[Rat, ...]
     fixed: dict[int, int]
     lo_hint: Rat | None = None
     hi_hint: Rat | None = None
     point: LpPoint | None = None
+
+
+def fix_job(
+    node: Node, P: Sequence[Sequence[Rat]], pivot: int, hint_point: LpPoint | None
+) -> list[ChildSpec]:
+    """One child per machine: `pivot` fixed there and that machine's
+    completion time raised. Each child brackets its T-search by the node's
+    bound and, when hint_point (a feasible point of the node's load LP) is
+    given, by child_hi_hint from it; else by its list schedule."""
+    state: _SchedState = node.payload
+    rest = tuple(j for j in state.jobs if j != pivot)
+    out = []
+    for i, p in enumerate(P[pivot]):
+        t = list(state.t)
+        t[i] += p
+        fixed = dict(state.fixed)
+        fixed[pivot] = i
+        hi_hint = None if hint_point is None else child_hi_hint(hint_point, P, pivot, i)
+        child = _SchedState(rest, tuple(t), fixed, lo_hint=node.lb, hi_hint=hi_hint)
+        out.append(ChildSpec(decision=(pivot, i), right_turn=False, payload=child))
+    return out
 
 
 class UnrelatedAdapter(BaseAdapter):
@@ -441,8 +468,7 @@ class UnrelatedAdapter(BaseAdapter):
         state.point = res.point
         lb = res.t_min
         if not res.point.fractional_jobs:
-            solution = dict(state.fixed)
-            solution.update(res.point.integral_assignment)
+            solution = {**state.fixed, **res.point.integral_assignment}
             ub = _makespan(self.P, self.inst.overheads, solution)
             if ub != lb:
                 raise AdapterContractError(
@@ -450,45 +476,19 @@ class UnrelatedAdapter(BaseAdapter):
                 )
             return BoundInfo(lb, ub, solution, leaf=True)
         assignment, ub = round_vertex(res.point, self.P, state.t, self.rounding)
-        solution = dict(state.fixed)
-        solution.update(assignment)
         pivot = mmp_pivot(res.point, self.P)
         if ub > lb + self.m * min(self.P[pivot]):
             raise AdapterContractError(
                 f"rounded makespan {ub} exceeded the pivot-controlled bound "
                 f"{lb} + {self.m} * {min(self.P[pivot])}"
             )
-        return BoundInfo(lb, ub, solution, leaf=False)
+        return BoundInfo(lb, ub, {**state.fixed, **assignment}, leaf=False)
 
     def branch(self, node: Node) -> list[ChildSpec]:
         if self.depth_cap is not None and node.depth >= self.depth_cap:
             return []
-        state: _SchedState = node.payload
-        point = state.point
-        assert point is not None
-        pivot = mmp_pivot(point, self.P)
-        rest = tuple(j for j in state.jobs if j != pivot)
-        out = []
-        for i in range(self.m):
-            t_new = tuple(
-                v + self.P[pivot][i] if k == i else v for k, v in enumerate(state.t)
-            )
-            fixed = dict(state.fixed)
-            fixed[pivot] = i
-            out.append(
-                ChildSpec(
-                    decision=(pivot, i),
-                    right_turn=False,
-                    payload=_SchedState(
-                        rest,
-                        t_new,
-                        fixed,
-                        lo_hint=node.lb,
-                        hi_hint=child_hi_hint(point, self.P, pivot, i),
-                    ),
-                )
-            )
-        return out
+        point = node.payload.point
+        return fix_job(node, self.P, mmp_pivot(point, self.P), point)
 
 
 def run_unrelated(
@@ -534,10 +534,3 @@ def solve_unrelated(
 
     strategy = Strategy(selection, "MMP", bounding, rounding)
     return solve(inst, "unrelated", eps, strategy, node_limit, depth_cap)
-
-
-def schedule_makespan(inst: SchedulingInstance, assignment: Mapping[int, int]) -> Rat:
-    """Makespan of a complete assignment (validates completeness)."""
-    if sorted(assignment) != list(range(inst.n)):
-        raise ValueError("assignment must place every job exactly once")
-    return _makespan(inst.processing, inst.overheads, assignment)

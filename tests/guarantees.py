@@ -1,0 +1,61 @@
+"""Quantities the tests check the solvers' guarantees against.
+
+Not a test module (pytest collects only test_*.py); the test modules import
+it from their own directory.
+"""
+import math
+from typing import Mapping
+
+from bnbapprox.instances import KnapsackInstance, SchedulingInstance
+from bnbapprox.lp import FractionalGraph, graph_components
+from bnbapprox.profiles import cube_limit
+from bnbapprox.rational import Rat, rat
+
+
+def c_alpha_m(alpha: Rat, m: int) -> Rat:
+    """Left-turn budget per root-leaf path: 1 + max{mα/(1-α)², (m+1)/(1-α)}."""
+    alpha = rat(alpha)
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    one_minus = 1 - alpha
+    return 1 + max(m * alpha / one_minus**2, (m + 1) / one_minus)
+
+
+def assignment_value(inst: KnapsackInstance, assignment: Mapping[int, int]) -> Rat:
+    return sum((inst.profits[j] for j in assignment), start=rat(0))
+
+
+def assignment_feasible(inst: KnapsackInstance, assignment: Mapping[int, int]) -> bool:
+    loads = [rat(0)] * inst.m
+    seen = set()
+    for j, k in assignment.items():
+        if j in seen or not 0 <= k < inst.m:
+            return False
+        seen.add(j)
+        loads[k] += inst.weights[j]
+    return all(load <= cap for load, cap in zip(loads, inst.capacities))
+
+
+def schedule_makespan(inst: SchedulingInstance, assignment: Mapping[int, int]) -> Rat:
+    """Makespan of a complete assignment (validates completeness)."""
+    if sorted(assignment) != list(range(inst.n)):
+        raise ValueError("assignment must place every job exactly once")
+    loads = list(inst.overheads)
+    for j, i in assignment.items():
+        loads[i] += inst.processing[j][i]
+    return max(loads)
+
+
+def f_bound(eps: Rat) -> float:
+    """Count bound on distinct rounded completion times:
+    8 * (1/eps)^(log_{1+eps}(2(1+eps)^2/eps)). Exact at eps=1 (=8)."""
+    eps = rat(eps)
+    if eps == 1:
+        return 8.0
+    exponent = math.log(float(cube_limit(eps) / eps)) / math.log(float(1 + eps))
+    return 8.0 * float(1 / eps) ** exponent
+
+
+def graph_is_forest(graph: FractionalGraph) -> bool:
+    """True iff the bipartite graph has no cycle."""
+    return graph_components(graph) is not None

@@ -22,9 +22,6 @@ from bnbapprox.experiments import (
 from bnbapprox.instances import SchedulingInstance, UNRELATED, generate
 from bnbapprox.knapsack import (
     KnapsackAdapter,
-    assignment_feasible,
-    assignment_value,
-    c_alpha_m,
     dantzig_solve,
     pick_pivot,
     unit_profit_order,
@@ -38,7 +35,6 @@ from bnbapprox.oracle import (
     merged_knapsack_lp_optimum,
 )
 from bnbapprox.profiles import (
-    f_bound,
     similarity_level_bound,
     solve_identical,
     solve_uniform,
@@ -52,9 +48,15 @@ from bnbapprox.scheduling import (
     min_feasible_T,
     mmp_pivot,
     round_vertex,
-    schedule_makespan,
     solve_unrelated,
     scheme_depth_cap,
+)
+from guarantees import (
+    assignment_feasible,
+    assignment_value,
+    c_alpha_m,
+    f_bound,
+    schedule_makespan,
 )
 
 

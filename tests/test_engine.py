@@ -18,12 +18,13 @@ from bnbapprox.engine import (
     should_stop,
     valid_strategies,
 )
+from bnbapprox.experiments import ExperimentConfig, run_experiment
 from bnbapprox.instances import generate
-from bnbapprox.rational import rat
+from bnbapprox.rational import parse_rat, rat
 
 
 def _node(nid, depth, lb, ub):
-    return Node(nid, None, depth, (), rat(lb), rat(ub), False, 0, False, None)
+    return Node(nid, None, depth, rat(lb), rat(ub), False, 0, False, None)
 
 
 def _select_next(frontier, selection, sense):
@@ -162,3 +163,34 @@ def test_run_prunes_equal_bound_children():
     result = run(_TreeAdapter(tree), Selection.BEST_FIRST, Criterion("ratio-alpha", rat(99, 100)))
     assert result.nodes_explored == 2  # root + the pruned child, grandchild never bounded
     assert result.best_value == 5
+
+
+def test_global_bound_is_certified_after_the_incumbent_passes_the_frontier():
+    # the children of an expansion are admitted against the incumbent it
+    # started with; once a sibling improves it, the frontier's best key can
+    # lie below the incumbent, and the run stops on the ratio right there
+    inst = generate("knapsack", 12, 2, 7)
+    strategy = Strategy(Selection.BEST_FIRST, "CE", "Surrogate", "Dantzig")
+    out = solve(inst, "knapsack", rat(97, 100), strategy)
+    assert out.value == 268
+    assert out.bound == 268
+    assert out.result.termination == "ratio-met"
+
+
+@pytest.mark.parametrize(
+    "kind, pairs, ratio",
+    [
+        ("knapsack", [(8, 2), (12, 2)], rat(97, 100)),
+        ("scheduling-unrelated", [(5, 2), (5, 3)], rat(1, 100)),
+    ],
+)
+def test_sweep_bounds_lie_on_the_certified_side(kind, pairs, ratio):
+    # a maximizing run's bound is at least its value, a minimizing run's at
+    # most, whatever the strategy and however the run terminated
+    cfg = ExperimentConfig(kind=kind, pairs=pairs, ratios=[ratio], instances_per_pair=4,
+                           base_seed=1)
+    rows = run_experiment(cfg)
+    assert rows
+    for row in rows:
+        value, bound = parse_rat(row["best_value"]), parse_rat(row["global_bound"])
+        assert (bound >= value if kind == "knapsack" else bound <= value), row

@@ -11,10 +11,7 @@ from bnbapprox.engine import AdapterContractError, Criterion, Selection, run
 from bnbapprox.instances import KnapsackInstance, generate
 from bnbapprox.knapsack import (
     KnapsackAdapter,
-    assignment_feasible,
-    assignment_value,
     branch_children,
-    c_alpha_m,
     dantzig_solve,
     pick_pivot,
     unit_profit_order,
@@ -26,6 +23,7 @@ from bnbapprox.oracle import (
     merged_knapsack_lp_optimum,
 )
 from bnbapprox.rational import rat
+from guarantees import assignment_feasible, assignment_value, c_alpha_m
 
 WORKED = KnapsackInstance(
     weights=(rat(6), rat(5), rat(4)),

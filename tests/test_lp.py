@@ -7,7 +7,6 @@ from bnbapprox.lp import (
     LinearProgram,
     LpError,
     fractional_graph,
-    graph_is_forest,
     job_machine_matching,
     pivot,
     solve_vertex,
@@ -15,6 +14,7 @@ from bnbapprox.lp import (
 from bnbapprox.oracle import enumerate_vertices
 from bnbapprox.rational import rat
 from bnbapprox.scheduling import build_load_lp, feasible_point
+from guarantees import graph_is_forest
 
 
 def satisfies(lp, values):

@@ -9,12 +9,11 @@ import pytest
 
 from bnbapprox import profiles
 from bnbapprox.engine import AdapterContractError, Criterion, Node, Selection, run
-from bnbapprox.instances import IDENTICAL, SchedulingInstance, generate
+from bnbapprox.instances import IDENTICAL, InstanceError, SchedulingInstance, generate
 from bnbapprox.oracle import exact_opt
 from bnbapprox.profiles import (
     ProfileAdapter,
     cube_limit,
-    f_bound,
     make_longest_fractional,
     normalize,
     round_geometric,
@@ -31,8 +30,8 @@ from bnbapprox.scheduling import (
     LpPoint,
     min_feasible_T,
     round_vertex,
-    schedule_makespan,
 )
+from guarantees import f_bound, schedule_makespan
 
 SMALL_JOB = "small-job"
 
@@ -134,8 +133,8 @@ def test_adapter_key_matches_reference_equivalence_key():
             state = node.payload
             key = equivalence_key(state.fixed, arranged.base_times, eps, arranged.m)
             assert key != SMALL_JOB and adapter._profile_key(state) == key
-            assert (state.depth, key) not in keys
-            keys.add((state.depth, key))
+            assert (node.depth, key) not in keys
+            keys.add((node.depth, key))
             checked += 1
             insert(node)
 
@@ -286,18 +285,18 @@ def test_same_profile_different_levels_never_merged():
     eps = rat(1, 2)
     adapter = ProfileAdapter(arranged, eps, "similarity")
     from bnbapprox.engine import Node
-    from bnbapprox.profiles import _ProfileState
+    from bnbapprox.scheduling import _SchedState
 
     scale = rat(arranged.meta["scale"]) if "scale" in dict(arranged.meta) else rat(1)
     profile = (rat(N) / rat(2 * N + 4) * 2, rat(N) / rat(2 * N + 4) * 2)
-    shallow = _ProfileState(2, profile, {})
-    deep = _ProfileState(3, profile, {})
-    node_a = Node(10, None, 2, (), rat(1), rat(2), False, 0, False, shallow)
-    node_b = Node(11, None, 3, (), rat(1), rat(2), False, 0, False, deep)
+    shallow = _SchedState(tuple(range(2, arranged.n)), profile, {})
+    deep = _SchedState(tuple(range(3, arranged.n)), profile, {})
+    node_a = Node(10, None, 2, rat(1), rat(2), False, 0, False, shallow)
+    node_b = Node(11, None, 3, rat(1), rat(2), False, 0, False, deep)
     assert adapter.admit(node_a)
     adapter.on_insert(node_a)
     assert adapter.admit(node_b)  # same profile, different depth: kept
-    node_c = Node(12, None, 2, (), rat(1), rat(2), False, 0, False, shallow)
+    node_c = Node(12, None, 2, rat(1), rat(2), False, 0, False, shallow)
     assert not adapter.admit(node_c)  # same profile, same depth: discarded
 
 
@@ -312,6 +311,14 @@ def test_solve_uniform_guarantee_and_level_widths():
         bound = similarity_level_bound(inst.n, eps, inst.m)
         for level, count in out.result.extras["level_inserted"].items():
             assert count <= bound, (seed, level, count)
+
+
+def test_adapter_rejects_unrelated_instances():
+    # the profile schemes read base times and speeds, which only uniform and
+    # identical instances carry
+    inst = generate("scheduling-unrelated", 4, 2, 0)
+    with pytest.raises(InstanceError):
+        ProfileAdapter(inst, rat(1, 2), "similarity")
 
 
 def test_solve_uniform_rejects_bad_eps():
@@ -368,7 +375,7 @@ def test_children_hints_come_only_from_an_eligible_point():
     state = adapter.root_payload()
     info = adapter.bound(state)
     assert not info.leaf
-    node = Node(0, None, 0, (), info.lb, info.ub, False, 0, False, state)
+    node = Node(0, None, 0, info.lb, info.ub, False, 0, False, state)
     jobs = tuple(range(1, arranged.n))
     for spec in adapter.branch(node):
         child = spec.payload
@@ -416,7 +423,7 @@ def test_broken_level_width_raises():
     arranged, _, _ = _sorted_normalized(generate("scheduling-uniform", 6, 2, 1))
     adapter = ProfileAdapter(arranged, rat(1, 2), "similarity")
     adapter.level_bound = 0  # no node fits under a zero width bound
-    root = Node(0, None, 0, (), rat(1), rat(2), False, 0, False, adapter.root_payload())
+    root = Node(0, None, 0, rat(1), rat(2), False, 0, False, adapter.root_payload())
     with pytest.raises(AdapterContractError, match="similarity-cell bound"):
         adapter.on_insert(root)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bnbapprox.rational import floor_div, format_rat, parse_rat, rat
-from bnbapprox.knapsack import c_alpha_m
+from guarantees import c_alpha_m
 
 
 def test_compare_against_left_turn_constant():

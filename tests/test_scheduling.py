@@ -23,10 +23,10 @@ from bnbapprox.scheduling import (
     min_feasible_T,
     mmp_pivot,
     round_vertex,
-    schedule_makespan,
     solve_unrelated,
     scheme_depth_cap,
 )
+from guarantees import schedule_makespan
 
 P332 = ((rat(3), rat(3)), (rat(3), rat(3)), (rat(2), rat(2)))
 T00 = (rat(0), rat(0))
@@ -288,7 +288,7 @@ def test_children_get_a_feasible_upper_hint():
             info = adapter.bound(state)
             if info.leaf:
                 continue
-            node = Node(0, None, 0, (), info.lb, info.ub, False, 0, False, state)
+            node = Node(0, None, 0, info.lb, info.ub, False, 0, False, state)
             for spec in adapter.branch(node):
                 child = spec.payload
                 assert child.hi_hint >= info.lb
