@@ -12,8 +12,14 @@ collection. Problem specifics live behind a small adapter contract:
 
 Bound conventions: for maximization `lb` is the value of the feasible
 solution carried in BoundInfo.solution and `ub` the relaxation bound; for
-minimization the roles swap. Children are bounded once, at creation, and
-the values reused when the node is later selected.
+minimization the roles swap. Both are exact numbers in units of
+1/`bound_scale`, an integer the adapter declares once per run (default 1):
+an adapter whose bounds all lie on one grid returns them as plain ints, and
+the engine keys its heaps, prunes, checks monotonicity and tests the
+stopping ratio on the values as given. `RunResult` is in instance units:
+best_value and global_bound are divided by the scale once, on return.
+Children are bounded once, at creation, and the values reused when the
+node is later selected.
 
 A single run is strictly single-threaded (selection order is semantics
 bearing); independent runs may execute concurrently.
@@ -23,9 +29,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Sequence
+from fractions import Fraction
+from typing import Any, Sequence, Union
 
-from .rational import Rat, format_rat, rat
+from .rational import Rat, format_rat
 
 __all__ = [
     "Sense",
@@ -134,25 +141,41 @@ class Criterion:
             raise ValueError("epsilon must be positive")
 
 
-def should_stop(best_value: Rat, global_bound: Rat, criterion: Criterion, sense: Sense) -> bool:
+# A bound as an adapter returns it: an int or a Fraction, in units of
+# 1/bound_scale.
+Bound = Union[int, Rat]
+
+
+def should_stop(
+    best_value: Bound, global_bound: Bound, criterion: Criterion, sense: Sense
+) -> bool:
     """Exact stopping test; boundary values stop (the ratio is inclusive).
 
     best == bound always stops (covers the degenerate all-zero instance,
     which is flagged by convention rather than raised); a zero bound with a
-    different best value raises DegenerateBoundError.
+    different best value raises DegenerateBoundError. The ratio best/bound
+    does not depend on the scale both values share, and it is compared
+    without dividing: with best = p/q, bound = r/s and the limit c = a/b,
+    best/bound >= c is p*s*b >= a*q*r when r > 0, and the reverse when r < 0.
     """
     if best_value == global_bound:
         return True
     if global_bound == 0:
         raise DegenerateBoundError("zero global bound on a degenerate instance")
-    ratio = rat(best_value) / rat(global_bound)
     if criterion.kind == "ratio-alpha":
         if sense is not Sense.MAX:
             raise ValueError("ratio-alpha applies to maximization")
-        return ratio >= criterion.value
-    if sense is not Sense.MIN:
-        raise ValueError("ratio-eps applies to minimization")
-    return ratio <= 1 + criterion.value
+        a = criterion.value.numerator
+    else:
+        if sense is not Sense.MIN:
+            raise ValueError("ratio-eps applies to minimization")
+        a = criterion.value.numerator + criterion.value.denominator  # 1 + eps
+    r = global_bound.numerator
+    lhs = best_value.numerator * global_bound.denominator * criterion.value.denominator
+    rhs = a * best_value.denominator * r
+    if r < 0:
+        lhs, rhs = rhs, lhs
+    return lhs >= rhs if sense is Sense.MAX else lhs <= rhs
 
 
 @dataclass
@@ -160,8 +183,8 @@ class Node:
     id: int
     parent: int | None
     depth: int
-    lb: Rat
-    ub: Rat
+    lb: Bound
+    ub: Bound
     right_turn: bool
     left_turns: int
     leaf: bool
@@ -170,8 +193,8 @@ class Node:
 
 @dataclass(frozen=True)
 class BoundInfo:
-    lb: Rat
-    ub: Rat
+    lb: Bound
+    ub: Bound
     solution: Any
     leaf: bool = False
 
@@ -188,6 +211,8 @@ class BaseAdapter:
 
     sense: Sense = Sense.MAX
     tracks_turns: bool = False
+    # every lb and ub the adapter returns is in units of 1/bound_scale
+    bound_scale: int = 1
 
     def root_payload(self) -> Any:
         raise NotImplementedError
@@ -268,10 +293,17 @@ def run(
     so it never lies on the wrong side of best_value.
     """
     sense = adapter.sense
+    scale = adapter.bound_scale
+
+    def unscaled(value: Bound) -> Rat:
+        return Fraction(value, scale)
+
     root_payload = adapter.root_payload()
     rootb = adapter.bound(root_payload)
     if rootb.lb > rootb.ub:
-        raise AdapterContractError("root has lb > ub")
+        raise AdapterContractError(
+            f"root has lb > ub (lb {unscaled(rootb.lb)}, ub {unscaled(rootb.ub)})"
+        )
     root = Node(
         id=0,
         parent=None,
@@ -304,7 +336,7 @@ def run(
         bound_heap = [(_bound_key(root, sense), 0)]
     adapter.on_insert(root)
 
-    def frontier_bound() -> Rat | None:
+    def frontier_bound() -> Bound | None:
         while bound_heap and bound_heap[0][1] not in frontier:
             heapq.heappop(bound_heap)
         if not bound_heap:
@@ -312,7 +344,7 @@ def run(
         node = frontier[bound_heap[0][1]]
         return node.ub if sense is Sense.MAX else node.lb
 
-    def certified_bound(gb: Rat | None) -> Rat:
+    def certified_bound(gb: Bound | None) -> Bound:
         # a node pruned or never admitted is no better than the incumbent,
         # and the frontier's keys date from when their nodes were bounded:
         # the incumbent can have moved past them since
@@ -323,7 +355,7 @@ def run(
     def pop_selected() -> Node:
         return frontier.pop(heapq.heappop(select_heap)[1])
 
-    def improves(candidate: Rat, reference: Rat) -> bool:
+    def improves(candidate: Bound, reference: Bound) -> bool:
         return candidate > reference if sense is Sense.MAX else candidate < reference
 
     termination = None
@@ -346,7 +378,7 @@ def run(
         if v.leaf:
             continue
         incumbent_start = incumbent_value
-        updates: list[tuple[Rat, Any]] = []
+        updates: list[tuple[Bound, Any]] = []
         for spec in adapter.branch(v):
             if node_limit is not None and explored >= node_limit:
                 termination = NODE_LIMIT
@@ -366,14 +398,18 @@ def run(
             )
             next_id += 1
             if child.lb > child.ub:
-                raise AdapterContractError(f"node {child.id}: lb > ub")
+                raise AdapterContractError(
+                    f"node {child.id}: lb > ub (lb {unscaled(child.lb)}, ub {unscaled(child.ub)})"
+                )
             if sense is Sense.MAX and child.ub > v.ub:
                 raise AdapterContractError(
-                    f"node {child.id}: child ub {child.ub} above parent ub {v.ub}"
+                    f"node {child.id}: child ub {unscaled(child.ub)} above parent ub "
+                    f"{unscaled(v.ub)}"
                 )
             if sense is Sense.MIN and child.lb < v.lb:
                 raise AdapterContractError(
-                    f"node {child.id}: child lb {child.lb} below parent lb {v.lb}"
+                    f"node {child.id}: child lb {unscaled(child.lb)} below parent lb "
+                    f"{unscaled(v.lb)}"
                 )
             max_depth = max(max_depth, child.depth)
             left_turn_max = max(left_turn_max, child.left_turns)
@@ -400,9 +436,9 @@ def run(
             global_bound = certified_bound(frontier_bound())
 
     return RunResult(
-        best_value=incumbent_value,
+        best_value=unscaled(incumbent_value),
         best_solution=incumbent_solution,
-        global_bound=global_bound,
+        global_bound=unscaled(global_bound),
         nodes_explored=explored,
         nodes_processed=processed,
         max_depth=max_depth,

@@ -26,16 +26,29 @@ The greedy and the node state run on two integer grids per instance
 denominators, and profits by Dp, the lcm of theirs (both are 1 on generated
 data). Residual capacities are differences of grid values, so they stay on
 the grid; every comparison of weights, capacities and profits, every fit
-test and every candidate value is an integer operation. `Rat` is rebuilt
-only where a `DantzigSolution` or `BoundInfo` leaves the kernel: a split
-piece's coordinate ov/w, `sub_value` (the integer profit of the items
-inside the capacity line plus the one item crossing its end, over Dp),
-`int_value` (over Dp) and the node's fixed profit added to both bounds.
+test and every candidate value is an integer operation. The kernel builds
+`Rat`s only for its public results: a split piece's coordinate ov/w,
+`sub_value` and `int_value`; `DantzigSolution` also carries the integer
+sums behind the last two.
+
+The adapter's bounds are integers too, in units of 1/bound_scale with
+bound_scale = Dp * Lw, where Lw is the lcm of the positive grid weights. A
+node's rounded value and fixed profit are integers over Dp. Its relaxation
+value is the integer profit P_line of the items inside the capacity line
+plus a part (C - start)/W_j of the one item j crossing its end, so over Dp
+its only other denominator is W_j, which divides Lw:
+
+    lb = (fixed + int profit) * Lw
+    ub = (fixed + P_line) * Lw + P_j * (C - start) * (Lw // W_j)
+
+The engine compares, prunes and tests its stopping ratio on these ints.
+`unit_profit_order` sorts on the same kind of key: p/w sorts as
+P_j * (Lw // W_j).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -57,13 +70,17 @@ __all__ = [
 
 
 def unit_profit_order(weights: Sequence[Rat], profits: Sequence[Rat]) -> tuple[int, ...]:
-    """Item ids by decreasing profit/weight; zero weights first, ties by id."""
-    def key(j: int):
-        if weights[j] == 0:
-            return (0, 0, j)
-        return (1, -profits[j] / weights[j], j)
+    """Item ids by decreasing profit/weight; zero weights first, ties by id.
 
-    return tuple(sorted(range(len(weights)), key=key))
+    The key is an exact integer: on the grids W = w*Dw and P = p*Dp, p/w
+    sorts as P * (Lw // W) for Lw the lcm of the positive W.
+    """
+    W = _on_grid(weights, _scale(weights))
+    P = _on_grid(profits, _scale(profits))
+    _, factors = _split_factors(W)
+    zero = [j for j in range(len(W)) if W[j] == 0]
+    rest = sorted([j for j in range(len(W)) if W[j] != 0], key=lambda j: -P[j] * factors[j])
+    return tuple(zero + rest)
 
 
 def _scale(values: Iterable[Rat]) -> int:
@@ -75,14 +92,15 @@ def _on_grid(values: Iterable[Rat], scale: int) -> tuple[int, ...]:
     return tuple([v.numerator * (scale // v.denominator) for v in values])
 
 
+def _split_factors(weights: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Lw, the lcm of the positive integer weights, and Lw // w per item (0
+    for w = 0): (p / w) * Lw is then the integer p * (Lw // w)."""
+    lw = math.lcm(*[w for w in weights if w])
+    return lw, tuple([lw // w if w else 0 for w in weights])
+
+
 def _unscale(value: int, scale: int) -> Rat:
     return Fraction(value) if scale == 1 else Fraction(value, scale)
-
-
-def _plus_unscaled(value: Rat, extra: int, scale: int) -> Rat:
-    """value + extra/scale, built as one Fraction."""
-    b = value.denominator
-    return Fraction(value.numerator * scale + extra * b, b * scale)
 
 
 _ONE = Fraction(1)
@@ -125,6 +143,14 @@ class DantzigSolution:
     most profitable of them (ties to the lowest item id). int_assignment /
     int_value describe the rounded integer solution x'. fractional tells
     whether some coordinate lies strictly between 0 and 1.
+
+    The last three fields are the same two values as integer sums on the
+    grid the kernel ran on (profits over Dp, weights over Dw): int_value is
+    int_profit / Dp, and sub_value is (line_profit + P_j * inside / W_j) / Dp.
+    line_profit is the profit of the zero-weight items and of the items
+    inside the capacity line; split = (j, inside) is the item crossing the
+    end of the line and its weight inside it (None: no item crosses it).
+    They restate the exact values, so they take no part in equality.
     """
 
     order: tuple[int, ...]
@@ -135,6 +161,9 @@ class DantzigSolution:
     int_assignment: Mapping[int, int]
     int_value: Rat
     fractional: bool
+    int_profit: int = field(default=0, compare=False)
+    line_profit: int = field(default=0, compare=False)
+    split: tuple[int, int] | None = field(default=None, compare=False)
 
 
 def dantzig_solve(
@@ -188,7 +217,7 @@ def dantzig_solve(
     whole: list[tuple[int, int]] = []  # items lying inside one segment
     criticals: list[int] = []
     free_profit = whole_profit = line_profit = 0
-    crossing = None  # (item, start) of the item across the end of the line
+    split = None  # (item, weight inside the line) of the item across its end
     fractional = False
     cursor = seg = crossed = 0  # crossed: boundaries the cursor has passed
     for j in seq:
@@ -224,7 +253,7 @@ def dantzig_solve(
         if end <= total:
             line_profit += P[j]
         elif start < total:
-            crossing = (j, start)
+            split = (j, total - start)
         while crossed < m and highs[crossed] < end:
             # The critical item of knapsack k is the first item ending past
             # its boundary.
@@ -233,14 +262,12 @@ def dantzig_solve(
             crossed += 1
 
     dp = grid.p_scale
-    if crossing is None:
-        sub_value = _unscale(free_profit + line_profit, dp)
+    line_profit += free_profit
+    if split is None:
+        sub_value = _unscale(line_profit, dp)
     else:
-        j, start = crossing
-        w = W[j]
-        sub_value = Fraction(
-            (free_profit + line_profit) * w + P[j] * (total - start), w * dp
-        )
+        j, inside = split
+        sub_value = Fraction(line_profit * W[j] + P[j] * inside, W[j] * dp)
 
     best_critical = None
     for s in criticals:
@@ -274,6 +301,9 @@ def dantzig_solve(
         int_assignment=int_assignment,
         int_value=_unscale(int_profit, dp),
         fractional=fractional,
+        int_profit=int_profit,
+        line_profit=line_profit,
+        split=split,
     )
 
 
@@ -346,7 +376,11 @@ class _NodeState:
 
 
 class KnapsackAdapter(BaseAdapter):
-    """Engine adapter: surrogate/Dantzig bounds, CE/PPW/K branching."""
+    """Engine adapter: surrogate/Dantzig bounds, CE/PPW/K branching.
+
+    Bounds are ints in units of 1/bound_scale, bound_scale = Dp * Lw (see
+    the module docstring).
+    """
 
     sense = Sense.MAX
     tracks_turns = True
@@ -356,6 +390,8 @@ class KnapsackAdapter(BaseAdapter):
         self.branching = branching
         self.order = unit_profit_order(inst.weights, inst.profits)
         self.grid = KnapsackGrid.build(inst)
+        self.lw, self.split_factors = _split_factors(self.grid.weights)
+        self.bound_scale = self.grid.p_scale * self.lw
 
     def root_payload(self) -> _NodeState:
         W, P = self.grid.weights, self.grid.profits
@@ -374,38 +410,41 @@ class KnapsackAdapter(BaseAdapter):
         )
         state.sol = sol
         state.usable = usable
-        self._check_rounding_guarantees(sol)
+        lw = self.lw
+        rounded = sol.int_profit * lw
+        sub = sol.line_profit * lw
+        if sol.split is not None:
+            j, inside = sol.split
+            sub += self.grid.profits[j] * inside * self.split_factors[j]
+        self._check_rounding_guarantees(sol, sub, rounded)
         solution = dict(state.fixed_assign)
         solution.update(sol.int_assignment)
-        fixed, dp = state.fixed_profit, self.grid.p_scale
+        fixed = state.fixed_profit * lw
         return BoundInfo(
-            lb=_plus_unscaled(sol.int_value, fixed, dp),
-            ub=_plus_unscaled(sol.sub_value, fixed, dp),
-            solution=solution,
-            leaf=not sol.fractional,
+            lb=fixed + rounded, ub=fixed + sub, solution=solution, leaf=not sol.fractional
         )
 
-    def _check_rounding_guarantees(self, sol: DantzigSolution) -> None:
+    def _check_rounding_guarantees(self, sol: DantzigSolution, sub: int, rounded: int) -> None:
         # Every usable item fits somewhere, which makes both inequalities
-        # guaranteed; a violation is a solver bug. Cross-multiplied, so the
-        # checks are integer comparisons: sub = s/t, int = a/b, p* = p/q.
+        # guaranteed; a violation is a solver bug. sub and rounded are the
+        # relaxation's and the rounding's profit on the bound scale.
         m = self.inst.m
-        s, t = sol.sub_value.numerator, sol.sub_value.denominator
-        a, b = sol.int_value.numerator, sol.int_value.denominator
-        if (m + 1) * a * t < s * b:
+        if (m + 1) * rounded < sub:
             raise AdapterContractError(
-                f"(m+1)-approximation violated: {m + 1} * {sol.int_value} < {sol.sub_value}"
+                f"(m+1)-approximation violated: {m + 1} * {self._unscaled(rounded)} "
+                f"< {self._unscaled(sub)}"
             )
-        if sol.best_critical is not None and s > 0:
-            p_star = self.inst.profits[sol.best_critical]
-            p, q = p_star.numerator, p_star.denominator
-            gap_ok = (m + 1) * p * t >= s * q  # (m+1) p* >= sub
-            slack_ok = m * p * t * b + a * q * t >= s * q * b  # m p* + int >= sub
-            if not (gap_ok or slack_ok):
+        if sol.best_critical is not None and sub > 0:
+            p_star = self.grid.profits[sol.best_critical] * self.lw
+            # neither (m+1) p* >= sub nor m p* + int >= sub
+            if (m + 1) * p_star < sub and m * p_star + rounded < sub:
                 raise AdapterContractError(
-                    f"critical-item profit bound violated: p* = {p_star}, "
-                    f"sub = {sol.sub_value}, int = {sol.int_value}"
+                    f"critical-item profit bound violated: p* = {self._unscaled(p_star)}, "
+                    f"sub = {self._unscaled(sub)}, int = {self._unscaled(rounded)}"
                 )
+
+    def _unscaled(self, value: int) -> Rat:
+        return Fraction(value, self.bound_scale)
 
     def branch(self, node: Node) -> list[ChildSpec]:
         state: _NodeState = node.payload

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import random
 import subprocess
@@ -266,14 +267,16 @@ BROKEN_CRITICAL = 3  # profit 1, far below sub_value / (m+1)
 
 def _break_int_value(sol, m):
     # the rounding loses everything: (m+1) * 0 < sub_value
-    return dataclasses.replace(sol, int_value=rat(0), int_assignment={})
+    return dataclasses.replace(sol, int_value=rat(0), int_profit=0, int_assignment={})
 
 
 def _break_best_critical(sol, m):
-    # the rounding meets (m+1) exactly, but the claimed best critical item
-    # is too light for the critical-item bound
+    # the rounding meets (m+1), with the least integer profit that does
+    # (BROKEN's profit grid is the integers), but the claimed best critical
+    # item is too light for the critical-item bound
+    rounded = math.ceil(sol.sub_value / (m + 1))
     return dataclasses.replace(
-        sol, int_value=sol.sub_value / (m + 1), best_critical=BROKEN_CRITICAL
+        sol, int_value=rat(rounded), int_profit=rounded, best_critical=BROKEN_CRITICAL
     )
 
 

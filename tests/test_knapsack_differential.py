@@ -299,8 +299,11 @@ def test_every_subproblem_the_adapter_bounds(rule, monkeypatch):
             used = sum((inst.weights[j] for j, kk in state.fixed_assign.items() if kk == k),
                        start=rat(0))
             assert Fraction(cap, grid.w_scale) == inst.capacities[k] - used
-        assert info.lb == fixed + state.sol.int_value and type(info.lb) is Fraction
-        assert info.ub == fixed + state.sol.sub_value and type(info.ub) is Fraction
+        # bounds are exact ints in units of 1/bound_scale
+        assert type(info.lb) is int
+        assert Fraction(info.lb, adapter.bound_scale) == fixed + state.sol.int_value
+        assert type(info.ub) is int
+        assert Fraction(info.ub, adapter.bound_scale) == fixed + state.sol.sub_value
     scaled = 0
     for inst, items, order, caps, grid, sol in recorded:
         assert grid is not None
