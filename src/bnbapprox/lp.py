@@ -3,8 +3,11 @@
 The solver answers one question: is the polyhedron
 {x >= 0 : A_eq x = b_eq, A_ub x <= b_ub} non-empty, and if so, return a
 vertex (basic feasible solution). There is no objective; optimization is
-expressed by the callers (binary search over the makespan guess, Dantzig's
-greedy for the knapsack bound).
+expressed by the callers (the walk up the makespan guesses, Dantzig's
+greedy for the knapsack bound). When the polyhedron is empty the solver
+can hand back its final phase-1 objective row, from which the caller
+reads a Farkas ray y over the rows: y^T A <= 0 on every column, y_r <= 0
+on every inequality row r and y^T b > 0. Only phase 1 runs.
 
 Method: phase-1 simplex with Bland's rule on a fraction-free integer
 tableau. Every row is scaled to integers once, from the numerators and
@@ -122,8 +125,17 @@ def pivot(tableau: list[list[int]], r: int, c: int, den: int) -> int:
     return piv
 
 
-def solve_vertex(lp: LinearProgram) -> Vertex | None:
-    """Return a vertex of the polyhedron, or None when it is empty."""
+def solve_vertex(lp: LinearProgram, farkas: list[int] | None = None) -> Vertex | None:
+    """Return a vertex of the polyhedron, or None when it is empty.
+
+    When the polyhedron is empty and `farkas` is a list, it receives the
+    final phase-1 objective row, integer and scaled by the tableau's
+    positive denominator: the reduced costs of the structural columns, then
+    of the slack columns (all >= 0), then the rhs cell (minus the optimal
+    artificial sum, < 0). The row is -(y^T A, y_ineq, y^T b) for a Farkas
+    ray y of the rows as scaled to integers, which for an integer program
+    are the rows as given.
+    """
     nv = lp.num_vars
     n_ineq = len(lp.inequalities)
     n_slack_cols = nv + n_ineq
@@ -191,6 +203,8 @@ def solve_vertex(lp: LinearProgram) -> Vertex | None:
         basis[leave] = enter
 
     if tableau[obj_idx][rhs_col] != 0:
+        if farkas is not None:
+            farkas.extend(tableau[obj_idx])
         return None
 
     del tableau[obj_idx]

@@ -22,7 +22,15 @@ nor the vertex). Feasibility is monotone in T, and the search:
                and putting the branched job wholly on its machine is
                feasible for the child at that machine's raised load;
     probes     k_lo first (often the parent's bound is the child's
-               answer, one LP solve), then bisects the rest of the bracket.
+               answer, one LP solve), then walks up: an infeasible probe
+               at k hands back the Farkas ray of its phase-1 optimum,
+               which also proves every guess up to the last one where it
+               breaks infeasible (its infeasibility reaches zero, or a
+               column that opens has a positive weight), so the next
+               probe is the guess after that. Rays are checked against
+               the node's data before they are used (LpError otherwise).
+               The first feasible probe is the smallest feasible guess,
+               and its vertex is the one that guess's LP always gives.
 
 Vertices of the parametric LP have at most m fractional jobs; rounding
 modes:
@@ -77,9 +85,11 @@ if TYPE_CHECKING:
 __all__ = [
     "LpPoint",
     "TSearchResult",
+    "FarkasRay",
     "build_load_lp",
     "min_feasible_T",
     "feasible_point",
+    "ray_reach",
     "split_jobs",
     "list_schedule",
     "round_vertex",
@@ -113,6 +123,17 @@ class LpPoint:
 class TSearchResult:
     t_min: Rat
     point: LpPoint
+
+
+@dataclass(frozen=True)
+class FarkasRay:
+    """Row weights proving a load LP empty: y_jobs[j] for job j's
+    assignment row and y_machines[i] for machine i's load row (0 for a
+    machine the program gives no row). See ray_reach for what they must
+    satisfy."""
+
+    y_jobs: Mapping[int, Rat]
+    y_machines: tuple[Rat, ...]
 
 
 def grid_denominator(P: Sequence[Sequence[Rat]], t: Sequence[Rat], jobs: Sequence[int]) -> int:
@@ -180,18 +201,38 @@ def feasible_point(
     jobs: Sequence[int],
     T: Rat,
     restrict: bool = True,
+    rays: list[FarkasRay] | None = None,
 ) -> LpPoint | None:
     """Vertex of the load LP at guess T, or None when infeasible.
 
     restrict=True applies the eligibility filter p_{j,i} <= T; machines
     with no residual capacity (T - t_i <= 0) take no variables either way.
+    When the simplex finds the LP empty and `rays` is a list, the Farkas
+    ray of its phase-1 optimum is appended to it (an integer program
+    gives an integer ray); a program that build_load_lp already rules
+    out appends nothing.
     """
     built = build_load_lp(P, t, jobs, T, restrict)
     if built is None:
         return None
     lp, pairs = built
-    vertex = solve_vertex(lp)
+    farkas: list[int] | None = None if rays is None else []
+    vertex = solve_vertex(lp, farkas)
     if vertex is None:
+        if rays is not None:
+            # load row r is that of the r-th machine with columns (the order
+            # of build_load_lp); its slack has reduced cost -y_i and a column
+            # (j, i) has -(y_jobs[j] + y_i * p_ji), so one column per job
+            # gives y_jobs; ray_reach checks the ray whatever its source
+            nv = len(pairs)
+            y = [0] * len(t)
+            for r, i in enumerate(sorted({i for _, i in pairs})):
+                y[i] = -farkas[nv + r]
+            y_jobs: dict[int, Rat] = {}
+            for (j, i), d in zip(pairs, farkas):
+                if j not in y_jobs:
+                    y_jobs[j] = -d - y[i] * P[j][i]
+            rays.append(FarkasRay(y_jobs, tuple(y)))
         return None
 
     x = {pair: v for pair, v in zip(pairs, vertex.values) if v != 0}
@@ -238,6 +279,57 @@ def _ceil_on_grid(v: Rat, D: int) -> int:
     return -(-v.numerator * D // v.denominator)
 
 
+def ray_reach(
+    ray: FarkasRay,
+    PD: Sequence[Sequence[int]],
+    tD: Sequence[int],
+    jobs: Sequence[int],
+    k: int,
+    k_hi: int,
+    restrict: bool = True,
+) -> int:
+    """The largest guess k2 in [k, k_hi] such that `ray` proves the load LP
+    empty at every integer guess from k to k2; k_hi when it proves them
+    all. The data, the guesses and the ray are integers on one grid (that
+    of min_feasible_T), and k is at least every overhead.
+
+    The ray proves LP(k') empty when, with y = ray.y_machines:
+    - y_i <= 0 for every machine (the slack column of its load row),
+    - y_jobs[j] + y_i * p_ji <= 0 on every column (j, i) of LP(k'),
+    - the infeasibility sum(y_jobs) + sum_i y_i * (k' - t_i) is positive.
+    A machine that LP(k') gives no load row counts too: its empty load
+    meets k' - t_i >= 0.
+    Raises LpError when the ray proves nothing at k: a positive slack or
+    column, or an infeasibility that is not positive. Above k the
+    infeasibility falls by -sum(y) per grid step, and a pair (j, i)
+    becomes a column at max(t_i + 1, p_ji if restrict): the reach ends
+    just before the first guess where either breaks the ray.
+    """
+    y = ray.y_machines
+    infeasibility = sum(ray.y_jobs.values())
+    for i, yi in enumerate(y):
+        if yi > 0:
+            raise LpError(f"Farkas ray is positive on the slack of machine {i}")
+        infeasibility += yi * (k - tD[i])
+    if infeasibility <= 0:
+        raise LpError(f"Farkas ray has infeasibility {infeasibility} <= 0 at guess {k}")
+    reach = k_hi
+    slope = -sum(y)
+    if slope > 0:
+        reach = min(reach, k + (infeasibility - 1) // slope)
+    for j in jobs:
+        yj = ray.y_jobs[j]
+        for i, p in enumerate(PD[j]):
+            if yj + y[i] * p > 0:
+                opens = tD[i] + 1
+                if restrict and p > opens:
+                    opens = p
+                if opens <= k:
+                    raise LpError(f"Farkas ray is positive on column ({j}, {i}) at guess {k}")
+                reach = min(reach, opens - 1)
+    return reach
+
+
 def min_feasible_T(
     P: Sequence[Sequence[Rat]],
     t: Sequence[Rat],
@@ -260,10 +352,15 @@ def min_feasible_T(
       is feasible (the parent's point gives one, see child_hi_hint).
 
     k_lo is probed first and, when feasible, is the answer after one LP
-    solve; otherwise the rest of the bracket is bisected. Every probe is
-    one feasible_point call. Raises LpError when no grid point of the
-    bracket is feasible, i.e. when k_hi (or hi_hint) was not a feasible
-    guess; a wrong T is never returned.
+    solve. Otherwise the search walks up: an infeasible probe at k hands
+    back its Farkas ray, ray_reach checks it and finds the last guess k2
+    it proves infeasible, and the next probe is k2 + 1 (k + 1 when
+    build_load_lp rules k out without a solve). So the first feasible
+    probe is the smallest feasible guess, and the vertex returned is the
+    one its LP always gives. Every probe is one feasible_point call.
+    Raises LpError when no grid point of the bracket is feasible, i.e.
+    when k_hi (or hi_hint) was not a feasible guess, or when a ray fails
+    its check; a wrong T is never returned.
     """
     m = len(t)
     D = grid_denominator(P, t, jobs)
@@ -282,22 +379,16 @@ def min_feasible_T(
     if hi_hint is not None:
         k_hi = min(k_hi, _ceil_on_grid(hi_hint, D))
 
-    lo, hi = k_lo, k_hi
     # the lower end first: a child's answer is often its parent's bound
-    point = feasible_point(PD, tD, jobs, lo, restrict) if lo <= hi else None
+    k, point = k_lo, None
+    while k <= k_hi:
+        rays: list[FarkasRay] = []
+        point = feasible_point(PD, tD, jobs, k, restrict, rays)
+        if point is not None:
+            break
+        k = (ray_reach(rays[0], PD, tD, jobs, k, k_hi, restrict) if rays else k) + 1
     if point is None:
-        lo += 1
-        while lo < hi:  # point, once set, is the vertex at hi
-            mid = (lo + hi) // 2
-            probe = feasible_point(PD, tD, jobs, mid, restrict)
-            if probe is None:
-                lo = mid + 1
-            else:
-                hi, point = mid, probe
-        if point is None and lo == hi:  # hi itself was never probed
-            point = feasible_point(PD, tD, jobs, hi, restrict)
-        if point is None:
-            raise LpError("upper bracket infeasible; bracket construction is broken")
+        raise LpError("upper bracket infeasible; bracket construction is broken")
     # back from the grid: x is scale-free, T and the loads divide by D; a
     # machine that carries nothing keeps its overhead object, as the nodes
     # of a search keep their points

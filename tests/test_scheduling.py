@@ -37,7 +37,7 @@ def test_min_feasible_T_332():
     assert res.t_min == 4
     assert res.point.loads == (rat(4), rat(4))
     assert len(res.point.fractional_jobs) == 1
-    # T=3 infeasible, certified by the bracket/bisection invariant
+    # T=3 infeasible, certified by the bracket/walk-up invariant
     from bnbapprox.scheduling import feasible_point
 
     assert feasible_point(P332, T00, range(3), rat(3)) is None
@@ -209,9 +209,9 @@ def _count_lp_solves(monkeypatch):
     calls = []
     kernel = scheduling.solve_vertex
 
-    def counting(lp):
+    def counting(lp, *args, **kwargs):
         calls.append(lp)
-        return kernel(lp)
+        return kernel(lp, *args, **kwargs)
 
     monkeypatch.setattr(scheduling, "solve_vertex", counting)
     return calls
@@ -242,7 +242,7 @@ def test_lower_bracket_answer_takes_one_lp_solve(monkeypatch):
         assert res.t_min == t_min and len(calls) == 1
 
 
-def test_lower_bracket_infeasible_bisects_the_rest(monkeypatch):
+def test_lower_bracket_infeasible_walks_up_past_the_ray(monkeypatch):
     calls = _count_lp_solves(monkeypatch)
     # lower bracket max(5, (5 + 5) / 2) = 5, but at 5 both jobs need machine 0
     P = ((rat(5), rat(9)), (rat(5), rat(9)))

@@ -1,16 +1,18 @@
-"""Differential test: min_feasible_T must answer exactly like plain bisection.
+"""Differential test: min_feasible_T must answer exactly like bisection.
 
-`reference_min_feasible_T` below is the search that the integer-grid
-`bnbapprox.scheduling.min_feasible_T` replaced: it bisects the whole
-list-schedule bracket and builds every probe's load LP from `Fraction`
-rows. The production search scales the data onto one integer grid per
-call, narrows the bracket with a caller's `hi_hint` and probes the lower
-end first. The smallest feasible grid value is unique and the LP solver
-is deterministic, so both must return the same `t_min` and the same
-vertex (`x` in the same order, `loads`, `fractional_jobs`,
-`integral_assignment`).
+`reference_min_feasible_T` below is the search that the Farkas walk-up of
+`bnbapprox.scheduling.min_feasible_T` replaced: it probes the lower end
+of the bracket first and bisects the rest, building every probe's load LP
+from `Fraction` rows. The production search scales the data onto one
+integer grid per call and, after an infeasible probe, skips every guess
+the probe's Farkas ray proves infeasible. The smallest feasible grid value
+is unique and the LP solver is deterministic, so both must return the
+same `t_min` and the same vertex (`x` in the same order, `loads`,
+`fractional_jobs`, `integral_assignment`), and the walk-up must need
+fewer LP solves in total.
 """
 import random
+import sys
 
 import pytest
 
@@ -101,7 +103,7 @@ def _reference_list_schedule(P, t, jobs):
     return max(loads) if loads else rat(0)
 
 
-def reference_min_feasible_T(P, t, jobs, restrict=True, lo_hint=None):
+def reference_min_feasible_T(P, t, jobs, restrict=True, lo_hint=None, hi_hint=None):
     m = len(t)
     D = grid_denominator(P, t, jobs)
     lo = max(t) if t else rat(0)
@@ -115,20 +117,40 @@ def reference_min_feasible_T(P, t, jobs, restrict=True, lo_hint=None):
     upper = max(_reference_list_schedule(P, t, jobs), lo)
     k_lo = -floor_div(-lo * D, 1)
     k_hi = max(int(upper * D), k_lo)
-    cached = None
-    while k_lo < k_hi:
-        mid = (k_lo + k_hi) // 2
-        point = _reference_feasible_point(P, t, jobs, Rat(mid, D), restrict)
-        if point is None:
-            k_lo = mid + 1
-        else:
-            k_hi = mid
-            cached = point
+    if hi_hint is not None:
+        k_hi = min(k_hi, -floor_div(-hi_hint * D, 1))
+    # the lower end first, then bisection of the rest of the bracket
+    cached = _reference_feasible_point(P, t, jobs, Rat(k_lo, D), restrict)
+    if cached is None:
+        k_lo += 1
+        while k_lo < k_hi:
+            mid = (k_lo + k_hi) // 2
+            point = _reference_feasible_point(P, t, jobs, Rat(mid, D), restrict)
+            if point is None:
+                k_lo = mid + 1
+            else:
+                k_hi = mid
+                cached = point
     t_min = Rat(k_lo, D)
     if cached is None or cached.T != t_min:
         cached = _reference_feasible_point(P, t, jobs, t_min, restrict)
         assert cached is not None
     return TSearchResult(t_min, cached)
+
+
+def _count_solves(monkeypatch):
+    """Count the LP solves of the production search ("walk-up") and of the
+    reference ("bisection") apart."""
+    counts = {"walk-up": 0, "bisection": 0}
+    for owner, side in ((scheduling, "walk-up"), (sys.modules[__name__], "bisection")):
+        kernel = owner.solve_vertex
+
+        def counting(lp, *args, _kernel=kernel, _side=side, **kwargs):
+            counts[_side] += 1
+            return _kernel(lp, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "solve_vertex", counting)
+    return counts
 
 
 def _assert_same(got: TSearchResult, want: TSearchResult) -> None:
@@ -167,7 +189,8 @@ def _node_states(inst: SchedulingInstance, rnd: random.Random):
 
 
 @pytest.mark.parametrize("data", ["integer", "rational"])
-def test_seeded_instances_match_reference(data):
+def test_seeded_instances_match_reference(data, monkeypatch):
+    solves = _count_solves(monkeypatch)
     rnd = random.Random(f"tsearch/{data}")
     compared = 0
     for seed in range(30):
@@ -190,12 +213,15 @@ def test_seeded_instances_match_reference(data):
                 )
                 compared += 1
     assert compared == 30 * 3 * 2
+    assert solves["walk-up"] < solves["bisection"]
 
 
 def _record_bound_searches(monkeypatch):
-    """Wrap min_feasible_T where both adapters look it up; keep every call."""
+    """Wrap min_feasible_T where both adapters look it up; keep every call
+    and count the LP solves of both searches."""
     calls = []
     search = scheduling.min_feasible_T
+    solves = _count_solves(monkeypatch)
 
     def recording(P, t, jobs, restrict=True, lo_hint=None, hi_hint=None):
         res = search(P, t, jobs, restrict=restrict, lo_hint=lo_hint, hi_hint=hi_hint)
@@ -204,17 +230,21 @@ def _record_bound_searches(monkeypatch):
 
     monkeypatch.setattr(scheduling, "min_feasible_T", recording)
     monkeypatch.setattr(profiles, "min_feasible_T", recording)
-    return calls
+    return calls, solves
 
 
-def _check_recorded(calls) -> int:
+def _check_recorded(calls, solves) -> int:
+    """Compare every recorded search with the reference under the same
+    hints; the walk-up made fewer LP solves than the bisection."""
+    walk_up = solves["walk-up"]
     hinted = 0
     for P, t, jobs, restrict, lo_hint, hi_hint, res in calls:
-        _assert_same(res, reference_min_feasible_T(P, t, jobs, restrict, lo_hint))
+        _assert_same(res, reference_min_feasible_T(P, t, jobs, restrict, lo_hint, hi_hint))
         if hi_hint is not None:
             hinted += 1
             assert res.t_min <= hi_hint
             assert feasible_point(P, t, jobs, hi_hint, restrict) is not None
+    assert walk_up < solves["bisection"]
     return hinted
 
 
@@ -222,7 +252,7 @@ SELECTIONS = (Selection.BEST_FIRST, Selection.DFS, Selection.BFS)
 
 
 def test_unrelated_adapter_node_states_match_reference(monkeypatch):
-    calls = _record_bound_searches(monkeypatch)
+    calls, solves = _record_bound_searches(monkeypatch)
     rnd = random.Random("tsearch/unrelated-adapter")
     for seed in range(6):
         inst = generate(UNRELATED, 6 + seed % 2, 2 + seed % 2, 9500 + seed)
@@ -233,18 +263,18 @@ def test_unrelated_adapter_node_states_match_reference(monkeypatch):
                 for selection in SELECTIONS:
                     solve_unrelated(inst, rat(1, 100), selection, bounding, rounding,
                                     node_limit=60)
-    hinted = _check_recorded(calls)
+    hinted = _check_recorded(calls, solves)
     assert len(calls) > 1000
     assert hinted > 900
 
 
 def test_profile_adapter_node_states_match_reference(monkeypatch):
-    calls = _record_bound_searches(monkeypatch)
+    calls, solves = _record_bound_searches(monkeypatch)
     for seed in range(6):
         for kind, solver in ((UNIFORM, solve_uniform), (IDENTICAL, solve_identical)):
             inst = generate(kind, 10, 2 + seed % 2, 9600 + seed)
             for selection in SELECTIONS:
                 solver(inst, rat(1, 10), selection, node_limit=200)
-    hinted = _check_recorded(calls)
+    hinted = _check_recorded(calls, solves)
     assert len(calls) > 400
     assert hinted > 350
