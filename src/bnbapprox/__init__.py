@@ -30,7 +30,7 @@ from .instances import (
     load_instance,
     save_instance,
 )
-from .knapsack import KnapsackAdapter, dantzig_solve
+from .knapsack import KnapsackAdapter
 from .oracle import exact_opt, optimality_gap
 from .profiles import solve_identical, solve_uniform
 from .rational import Rat, rat
@@ -57,7 +57,6 @@ __all__ = [
     "load_instance",
     "save_instance",
     "KnapsackAdapter",
-    "dantzig_solve",
     "exact_opt",
     "optimality_gap",
     "solve_identical",

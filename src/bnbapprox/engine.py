@@ -6,7 +6,7 @@ collection. Problem specifics live behind a small adapter contract:
 
     root_payload() -> payload
     bound(payload) -> BoundInfo(lb, ub, solution, leaf)
-    branch(node)   -> [ChildSpec(decision, right_turn, payload), ...]
+    branch(node)   -> [ChildSpec(right_turn, payload), ...]
     admit(node)    -> bool   (optional extra pruning, e.g. profile filters)
     on_insert(node)          (bookkeeping for admitted nodes)
 
@@ -201,7 +201,6 @@ class BoundInfo:
 
 @dataclass(frozen=True)
 class ChildSpec:
-    decision: tuple[int, int]
     right_turn: bool
     payload: Any
 

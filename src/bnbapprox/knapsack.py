@@ -21,34 +21,32 @@ excludes it from all (the rightmost child, a right turn). Pivot rules:
 CE (most profitable critical item), PPW (largest unit profit among
 fractionally assigned items), K (largest unit profit among unfixed items).
 
-The greedy and the node state run on two integer grids per instance
-(`KnapsackGrid`): weights and capacities are scaled by Dw, the lcm of their
-denominators, and profits by Dp, the lcm of theirs (both are 1 on generated
-data). Residual capacities are differences of grid values, so they stay on
-the grid; every comparison of weights, capacities and profits, every fit
-test and every candidate value is an integer operation. The kernel builds
-`Rat`s only for its public results: a split piece's coordinate ov/w,
-`sub_value` and `int_value`; `DantzigSolution` also carries the integer
-sums behind the last two.
+Everything runs on one integer view of the instance (`KnapsackGrid`):
+weights and capacities are scaled by Dw, the lcm of their denominators, and
+profits by Dp, the lcm of theirs (both are 1 on generated data). Residual
+capacities are differences of grid values, so they stay on the grid; every
+comparison of weights, capacities and profits, every fit test and every
+value is an integer operation. The kernel builds a `Rat` only for the
+coordinate ov/w of a split piece in `x_frac`.
 
-The adapter's bounds are integers too, in units of 1/bound_scale with
-bound_scale = Dp * Lw, where Lw is the lcm of the positive grid weights. A
-node's rounded value and fixed profit are integers over Dp. Its relaxation
-value is the integer profit P_line of the items inside the capacity line
-plus a part (C - start)/W_j of the one item j crossing its end, so over Dp
-its only other denominator is W_j, which divides Lw:
+Lw, the lcm of the positive grid weights, puts unit profits on integers:
+p/w times Dp * Lw is P_j * (Lw // W_j), the key of the grid's unit-profit
+order. The adapter's bounds are integers in units of 1/bound_scale with
+bound_scale = Dp * Lw. A node's rounded value and fixed profit are integers
+over Dp. Its relaxation value is the integer profit P_line of the items
+inside the capacity line plus a part (C - start)/W_j of the one item j
+crossing its end, so over Dp its only other denominator is W_j, which
+divides Lw:
 
     lb = (fixed + int profit) * Lw
     ub = (fixed + P_line) * Lw + P_j * (C - start) * (Lw // W_j)
 
 The engine compares, prunes and tests its stopping ratio on these ints.
-`unit_profit_order` sorts on the same kind of key: p/w sorts as
-P_j * (Lw // W_j).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -61,26 +59,11 @@ __all__ = [
     "DantzigSolution",
     "KnapsackGrid",
     "dantzig_solve",
-    "unit_profit_order",
     "branch_children",
     "pick_pivot",
     "KnapsackAdapter",
     "run_knapsack",
 ]
-
-
-def unit_profit_order(weights: Sequence[Rat], profits: Sequence[Rat]) -> tuple[int, ...]:
-    """Item ids by decreasing profit/weight; zero weights first, ties by id.
-
-    The key is an exact integer: on the grids W = w*Dw and P = p*Dp, p/w
-    sorts as P * (Lw // W) for Lw the lcm of the positive W.
-    """
-    W = _on_grid(weights, _scale(weights))
-    P = _on_grid(profits, _scale(profits))
-    _, factors = _split_factors(W)
-    zero = [j for j in range(len(W)) if W[j] == 0]
-    rest = sorted([j for j in range(len(W)) if W[j] != 0], key=lambda j: -P[j] * factors[j])
-    return tuple(zero + rest)
 
 
 def _scale(values: Iterable[Rat]) -> int:
@@ -92,115 +75,86 @@ def _on_grid(values: Iterable[Rat], scale: int) -> tuple[int, ...]:
     return tuple([v.numerator * (scale // v.denominator) for v in values])
 
 
-def _split_factors(weights: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Lw, the lcm of the positive integer weights, and Lw // w per item (0
-    for w = 0): (p / w) * Lw is then the integer p * (Lw // w)."""
-    lw = math.lcm(*[w for w in weights if w])
-    return lw, tuple([lw // w if w else 0 for w in weights])
-
-
-def _unscale(value: int, scale: int) -> Rat:
-    return Fraction(value) if scale == 1 else Fraction(value, scale)
-
-
 _ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class KnapsackGrid:
-    """An instance on integers: w*Dw, c*Dw and p*Dp for the lcm scales Dw, Dp."""
+    """An instance on integers: w*Dw, c*Dw and p*Dp for the lcm scales Dw, Dp.
+
+    lw is the lcm of the positive grid weights and factors[j] = lw // W_j (0
+    for a zero weight), so p_j/w_j times Dp * lw is P_j * factors[j]. order
+    is the unit-profit order on that key: zero weights first, then by
+    decreasing key, ties by id.
+    """
 
     w_scale: int
     p_scale: int
     weights: tuple[int, ...]
     profits: tuple[int, ...]
     capacities: tuple[int, ...]
+    lw: int
+    factors: tuple[int, ...]
+    order: tuple[int, ...]
 
     @classmethod
-    def build(cls, inst: KnapsackInstance, caps: Sequence[Rat] = ()) -> "KnapsackGrid":
-        """Grid of `inst`; `caps` are extra capacities that must lie on it too."""
-        dw = _scale((*inst.weights, *inst.capacities, *caps))
+    def build(cls, inst: KnapsackInstance) -> "KnapsackGrid":
+        dw = _scale((*inst.weights, *inst.capacities))
         dp = _scale(inst.profits)
+        W = _on_grid(inst.weights, dw)
+        P = _on_grid(inst.profits, dp)
+        lw = math.lcm(*[w for w in W if w])
+        factors = tuple([lw // w if w else 0 for w in W])
+        zero = [j for j in range(len(W)) if W[j] == 0]
+        rest = sorted([j for j in range(len(W)) if W[j] != 0], key=lambda j: -P[j] * factors[j])
         return cls(
-            dw,
-            dp,
-            _on_grid(inst.weights, dw),
-            _on_grid(inst.profits, dp),
-            _on_grid(inst.capacities, dw),
+            dw, dp, W, P, _on_grid(inst.capacities, dw), lw, factors, tuple(zero + rest)
         )
-
-    def scale_caps(self, caps: Sequence[Rat]) -> tuple[int, ...]:
-        return _on_grid(caps, self.w_scale)
 
 
 @dataclass(frozen=True)
 class DantzigSolution:
     """Fractional optimum of the relaxation plus its integer rounding.
 
-    x_frac holds the nonzero coordinates of the optimal fractional point
-    (keyed by (item, knapsack)); sub_value is its profit. critical_items
-    are the distinct critical items in boundary order; best_critical is the
-    most profitable of them (ties to the lowest item id). int_assignment /
-    int_value describe the rounded integer solution x'. fractional tells
-    whether some coordinate lies strictly between 0 and 1.
-
-    The last three fields are the same two values as integer sums on the
-    grid the kernel ran on (profits over Dp, weights over Dw): int_value is
-    int_profit / Dp, and sub_value is (line_profit + P_j * inside / W_j) / Dp.
-    line_profit is the profit of the zero-weight items and of the items
-    inside the capacity line; split = (j, inside) is the item crossing the
-    end of the line and its weight inside it (None: no item crosses it).
-    They restate the exact values, so they take no part in equality.
+    Values are integer sums on the grid the kernel ran on (profits over Dp,
+    weights over Dw). order holds the live items in unit-profit order.
+    x_frac holds the nonzero coordinates of the optimal fractional point,
+    keyed by (item, knapsack); fractional tells whether one of them lies
+    strictly between 0 and 1. The point's profit is
+    (line_profit + P_j * inside / W_j) / Dp: line_profit is the profit of
+    the zero-weight items and of the items inside the capacity line, and
+    split = (j, inside) is the item crossing the end of the line with its
+    weight inside it (None: no item crosses it). critical_items are the
+    distinct critical items in boundary order; best_critical is the most
+    profitable of them (ties to the lowest item id). int_assignment is the
+    rounded integer solution x' and int_profit its profit.
     """
 
     order: tuple[int, ...]
     x_frac: Mapping[tuple[int, int], Rat]
-    sub_value: Rat
+    line_profit: int
+    split: tuple[int, int] | None
     critical_items: tuple[int, ...]
     best_critical: int | None
     int_assignment: Mapping[int, int]
-    int_value: Rat
+    int_profit: int
     fractional: bool
-    int_profit: int = field(default=0, compare=False)
-    line_profit: int = field(default=0, compare=False)
-    split: tuple[int, int] | None = field(default=None, compare=False)
 
 
 def dantzig_solve(
-    inst: KnapsackInstance,
-    items: Sequence[int] | None = None,
-    order: Sequence[int] | None = None,
-    caps: Sequence[Rat] | None = None,
-    *,
-    grid: KnapsackGrid | None = None,
+    grid: KnapsackGrid, items: Iterable[int], caps: Sequence[int]
 ) -> DantzigSolution:
-    """Solve the fractional relaxation of (a subset of) an instance.
+    """Solve the fractional relaxation of a sub-problem on `grid`.
 
-    `items` restricts to a sub-instance (default: all items) and `caps`
-    overrides the capacities (for node sub-problems with reduced
-    capacities); `order` may carry a precomputed unit-profit order of the
-    full instance, of which the live items form a subsequence. `grid` is a
-    precomputed `KnapsackGrid` of `inst`; with it, `caps` are integers on
-    its weight scale. Without it the grid is built from `inst` and `caps`.
+    `items` are the live item ids and `caps` the capacities, integers on the
+    grid's weight scale (`grid.capacities` for the whole instance).
     """
-    if grid is None:
-        caps = inst.capacities if caps is None else tuple(caps)
-        if any(c < 0 for c in caps):
-            raise ValueError("capacities must be non-negative")
-        grid = KnapsackGrid.build(inst, caps)
-        caps = grid.scale_caps(caps)
-    elif caps is None:
-        caps = grid.capacities
     W, P = grid.weights, grid.profits
-    if items is None:
-        items = range(inst.n)
     live = set(items)
-    if order is None:
-        order = unit_profit_order(inst.weights, inst.profits)
     # Tuples here are built from lists: tuple() of a generator allocates ten
     # slots and shrinks in place, and the short tuples a search frees then
     # pile up, each in its ten-slot block, on CPython's per-length free lists.
-    seq = tuple([j for j in order if j in live])
+    seq = tuple([j for j in grid.order if j in live])
 
     # Segment k of the merged capacity line is [lows[k], highs[k]).
     m = len(caps)
@@ -261,13 +215,7 @@ def dantzig_solve(
                 criticals.append(j)
             crossed += 1
 
-    dp = grid.p_scale
     line_profit += free_profit
-    if split is None:
-        sub_value = _unscale(line_profit, dp)
-    else:
-        j, inside = split
-        sub_value = Fraction(line_profit * W[j] + P[j] * inside, W[j] * dp)
 
     best_critical = None
     for s in criticals:
@@ -295,15 +243,13 @@ def dantzig_solve(
     return DantzigSolution(
         order=seq,
         x_frac=x_frac,
-        sub_value=sub_value,
+        line_profit=line_profit,
+        split=split,
         critical_items=tuple(criticals),
         best_critical=best_critical,
         int_assignment=int_assignment,
-        int_value=_unscale(int_profit, dp),
-        fractional=fractional,
         int_profit=int_profit,
-        line_profit=line_profit,
-        split=split,
+        fractional=fractional,
     )
 
 
@@ -320,46 +266,37 @@ def pick_pivot(sol: DantzigSolution, rule: str) -> int | None:
 
 
 def branch_children(
-    inst: KnapsackInstance,
+    grid: KnapsackGrid,
     alive: Sequence[int],
-    caps: Sequence[Rat],
+    caps: tuple[int, ...],
     sol: DantzigSolution,
     rule: str,
-    *,
-    grid: KnapsackGrid | None = None,
-    fixed_profit: int = 0,
-    fixed_assign: Mapping[int, int] | None = None,
+    fixed_profit: int,
+    fixed_assign: Mapping[int, int],
 ) -> list[ChildSpec]:
     """Children for the chosen pivot: one per knapsack it fits, plus exclusion.
 
-    Inclusion children that would overfill their knapsack are dropped here;
-    the exclusion child (the rightmost one) always survives. Each payload is
-    the child's node state. `grid`, `caps` and `fixed_profit` follow
-    `dantzig_solve`: with the adapter's grid, caps and fixed profit are
-    integers on it; without, the grid is built from `inst` and `caps`.
-    `fixed_assign` is the parent's fixed part, which no child mutates.
+    Inclusion children that would overfill their knapsack are dropped here,
+    so every child's caps stay non-negative; the exclusion child (the
+    rightmost one) always survives. caps and fixed_profit are integers on
+    `grid`; fixed_assign is the parent's fixed part, which no child mutates.
+    Each payload is the child's node state.
     """
-    if grid is None:
-        grid = KnapsackGrid.build(inst, caps)
-        caps = grid.scale_caps(caps)
-    if fixed_assign is None:
-        fixed_assign = {}
     pivot = pick_pivot(sol, rule)
     if pivot is None:
         raise ValueError("no eligible pivot: node is integral, caller should have stopped")
     w = grid.weights[pivot]
     included_profit = fixed_profit + grid.profits[pivot]
     rest = tuple([j for j in alive if j != pivot])
-    caps = tuple(caps)
     children: list[ChildSpec] = []
     for k, c in enumerate(caps):
         if w <= c:
             assign = dict(fixed_assign)
             assign[pivot] = k
             child = _NodeState(rest, caps[:k] + (c - w,) + caps[k + 1:], included_profit, assign)
-            children.append(ChildSpec(decision=(pivot, k), right_turn=False, payload=child))
+            children.append(ChildSpec(right_turn=False, payload=child))
     child = _NodeState(rest, caps, fixed_profit, fixed_assign)
-    children.append(ChildSpec(decision=(pivot, len(caps)), right_turn=True, payload=child))
+    children.append(ChildSpec(right_turn=True, payload=child))
     return children
 
 
@@ -388,10 +325,8 @@ class KnapsackAdapter(BaseAdapter):
     def __init__(self, inst: KnapsackInstance, branching: str = "CE"):
         self.inst = inst
         self.branching = branching
-        self.order = unit_profit_order(inst.weights, inst.profits)
         self.grid = KnapsackGrid.build(inst)
-        self.lw, self.split_factors = _split_factors(self.grid.weights)
-        self.bound_scale = self.grid.p_scale * self.lw
+        self.bound_scale = self.grid.p_scale * self.grid.lw
 
     def root_payload(self) -> _NodeState:
         W, P = self.grid.weights, self.grid.profits
@@ -402,20 +337,19 @@ class KnapsackAdapter(BaseAdapter):
         )
 
     def bound(self, state: _NodeState) -> BoundInfo:
-        W = self.grid.weights
+        grid = self.grid
+        W = grid.weights
         cap_max = max(state.caps)
         usable = tuple([j for j in state.alive if W[j] <= cap_max])
-        sol = dantzig_solve(
-            self.inst, items=usable, order=self.order, caps=state.caps, grid=self.grid
-        )
+        sol = dantzig_solve(grid, usable, state.caps)
         state.sol = sol
         state.usable = usable
-        lw = self.lw
+        lw = grid.lw
         rounded = sol.int_profit * lw
         sub = sol.line_profit * lw
         if sol.split is not None:
             j, inside = sol.split
-            sub += self.grid.profits[j] * inside * self.split_factors[j]
+            sub += grid.profits[j] * inside * grid.factors[j]
         self._check_rounding_guarantees(sol, sub, rounded)
         solution = dict(state.fixed_assign)
         solution.update(sol.int_assignment)
@@ -431,32 +365,31 @@ class KnapsackAdapter(BaseAdapter):
         m = self.inst.m
         if (m + 1) * rounded < sub:
             raise AdapterContractError(
-                f"(m+1)-approximation violated: {m + 1} * {self._unscaled(rounded)} "
-                f"< {self._unscaled(sub)}"
+                f"(m+1)-approximation violated: {m + 1} * {self._in_units(rounded)} "
+                f"< {self._in_units(sub)}"
             )
         if sol.best_critical is not None and sub > 0:
-            p_star = self.grid.profits[sol.best_critical] * self.lw
+            p_star = self.grid.profits[sol.best_critical] * self.grid.lw
             # neither (m+1) p* >= sub nor m p* + int >= sub
             if (m + 1) * p_star < sub and m * p_star + rounded < sub:
                 raise AdapterContractError(
-                    f"critical-item profit bound violated: p* = {self._unscaled(p_star)}, "
-                    f"sub = {self._unscaled(sub)}, int = {self._unscaled(rounded)}"
+                    f"critical-item profit bound violated: p* = {self._in_units(p_star)}, "
+                    f"sub = {self._in_units(sub)}, int = {self._in_units(rounded)}"
                 )
 
-    def _unscaled(self, value: int) -> Rat:
+    def _in_units(self, value: int) -> Rat:
         return Fraction(value, self.bound_scale)
 
     def branch(self, node: Node) -> list[ChildSpec]:
         state: _NodeState = node.payload
         return branch_children(
-            self.inst,
+            self.grid,
             state.usable,
             state.caps,
             state.sol,
             self.branching,
-            grid=self.grid,
-            fixed_profit=state.fixed_profit,
-            fixed_assign=state.fixed_assign,
+            state.fixed_profit,
+            state.fixed_assign,
         )
 
 

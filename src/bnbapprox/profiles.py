@@ -91,8 +91,7 @@ def normalize(inst: SchedulingInstance) -> tuple[SchedulingInstance, Rat]:
     """
     if inst.kind not in (UNIFORM, IDENTICAL):
         raise InstanceError("normalization applies to uniform or identical instances")
-    res = min_feasible_T(inst.processing, inst.overheads, range(inst.n))
-    scale = res.t_min
+    scale = min_feasible_T(inst.processing, inst.overheads, range(inst.n)).T
     if scale <= 0:
         raise InstanceError("degenerate instance: zero root bound")
     scaled = SchedulingInstance(
@@ -291,10 +290,10 @@ class ProfileAdapter(BaseAdapter):
         return _SchedState(tuple(range(self.n)), self.inst.overheads, {})
 
     def bound(self, state: _SchedState) -> BoundInfo:
-        res = min_feasible_T(
+        point = min_feasible_T(
             self.P, state.t, state.jobs, lo_hint=state.lo_hint, hi_hint=state.hi_hint
         )
-        point = res.point
+        lb = point.T
         if point.fractional_jobs:
             longest = state.jobs[0]  # jobs stay sorted
             if longest not in point.fractional_jobs:
@@ -306,7 +305,6 @@ class ProfileAdapter(BaseAdapter):
                 else:
                     self.transforms_skipped += 1
         state.point = point
-        lb = res.t_min
         if not point.fractional_jobs:
             return BoundInfo(lb, lb, {**state.fixed, **point.integral_assignment}, leaf=True)
         assignment, ub = round_vertex(point, self.P, state.t, ROUNDING_LST)
@@ -396,12 +394,10 @@ def run_profile(
     2 <= (1+eps) approximation and is returned directly, at scale 1.
     """
     if mode == "equivalence" and eps > 1:
-        res = min_feasible_T(inst.processing, inst.overheads, range(inst.n))
-        assignment, makespan = round_vertex(
-            res.point, inst.processing, inst.overheads, ROUNDING_LST
-        )
+        point = min_feasible_T(inst.processing, inst.overheads, range(inst.n))
+        assignment, makespan = round_vertex(point, inst.processing, inst.overheads, ROUNDING_LST)
         result = RunResult(
-            best_value=makespan, best_solution=dict(assignment), global_bound=res.t_min,
+            best_value=makespan, best_solution=dict(assignment), global_bound=point.T,
             nodes_explored=1, nodes_processed=0, max_depth=0, left_turn_max=None,
             nodes_after_optimum=0, termination="ratio-met", extras={"root_rounding_only": True},
         )

@@ -2,8 +2,8 @@
 
 SplitMix64: a counter-based generator with a 64-bit state, documented here
 so runs are reproducible within this implementation (cross-implementation
-bit-exactness is not a goal). Substreams are derived by hashing a label into
-the seed, which keeps generation a pure function of (parameters, seed).
+bit-exactness is not a goal). Each instance draws from one stream seeded
+by its seed, which keeps generation a pure function of (parameters, seed).
 """
 from __future__ import annotations
 
@@ -37,7 +37,3 @@ class SplitMix64:
             draw = self.next_u64()
             if draw < limit:
                 return lo + draw % span
-
-    def split(self, label: int) -> "SplitMix64":
-        """Derive an independent substream for the given label."""
-        return SplitMix64(_mix(self._state ^ _mix(label & _MASK)))

@@ -84,7 +84,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "LpPoint",
-    "TSearchResult",
     "FarkasRay",
     "build_load_lp",
     "min_feasible_T",
@@ -117,12 +116,6 @@ class LpPoint:
     loads: tuple[Rat, ...]  # completion times t_i + assigned load
     fractional_jobs: tuple[int, ...]
     integral_assignment: Mapping[int, int]
-
-
-@dataclass(frozen=True)
-class TSearchResult:
-    t_min: Rat
-    point: LpPoint
 
 
 @dataclass(frozen=True)
@@ -337,8 +330,8 @@ def min_feasible_T(
     restrict: bool = True,
     lo_hint: Rat | None = None,
     hi_hint: Rat | None = None,
-) -> TSearchResult:
-    """Smallest grid T with a feasible load LP, plus a vertex there.
+) -> LpPoint:
+    """A vertex of the load LP at the smallest feasible grid guess T.
 
     The search runs on k = T*D, D = grid_denominator(P, t, jobs): processing
     times and overheads are scaled by D once, so every probe builds an
@@ -392,11 +385,9 @@ def min_feasible_T(
     # back from the grid: x is scale-free, T and the loads divide by D; a
     # machine that carries nothing keeps its overhead object, as the nodes
     # of a search keep their points
-    t_min = Rat(point.T, D)
     loads = tuple([t[i] if v == tD[i] else Rat(v, D) for i, v in enumerate(point.loads)])
-    return TSearchResult(
-        t_min,
-        LpPoint(t_min, point.x, loads, point.fractional_jobs, point.integral_assignment),
+    return LpPoint(
+        Rat(point.T, D), point.x, loads, point.fractional_jobs, point.integral_assignment
     )
 
 
@@ -519,7 +510,7 @@ def fix_job(
         fixed[pivot] = i
         hi_hint = None if hint_point is None else child_hi_hint(hint_point, P, pivot, i)
         child = _SchedState(rest, tuple(t), fixed, lo_hint=node.lb, hi_hint=hi_hint)
-        out.append(ChildSpec(decision=(pivot, i), right_turn=False, payload=child))
+        out.append(ChildSpec(right_turn=False, payload=child))
     return out
 
 
@@ -548,7 +539,7 @@ class UnrelatedAdapter(BaseAdapter):
         return _SchedState(tuple(range(self.inst.n)), self.inst.overheads, {})
 
     def bound(self, state: _SchedState) -> BoundInfo:
-        res = min_feasible_T(
+        point = min_feasible_T(
             self.P,
             state.t,
             state.jobs,
@@ -556,18 +547,18 @@ class UnrelatedAdapter(BaseAdapter):
             lo_hint=state.lo_hint,
             hi_hint=state.hi_hint,
         )
-        state.point = res.point
-        lb = res.t_min
-        if not res.point.fractional_jobs:
-            solution = {**state.fixed, **res.point.integral_assignment}
+        state.point = point
+        lb = point.T
+        if not point.fractional_jobs:
+            solution = {**state.fixed, **point.integral_assignment}
             ub = _makespan(self.P, self.inst.overheads, solution)
             if ub != lb:
                 raise AdapterContractError(
                     f"integral vertex makespan {ub} off its minimal guess {lb}"
                 )
             return BoundInfo(lb, ub, solution, leaf=True)
-        assignment, ub = round_vertex(res.point, self.P, state.t, self.rounding)
-        pivot = mmp_pivot(res.point, self.P)
+        assignment, ub = round_vertex(point, self.P, state.t, self.rounding)
+        pivot = mmp_pivot(point, self.P)
         if ub > lb + self.m * min(self.P[pivot]):
             raise AdapterContractError(
                 f"rounded makespan {ub} exceeded the pivot-controlled bound "

@@ -4,9 +4,11 @@ Not a test module (pytest collects only test_*.py); the test modules import
 it from their own directory.
 """
 import math
-from typing import Mapping
+from fractions import Fraction
+from typing import Mapping, Sequence
 
 from bnbapprox.instances import KnapsackInstance, SchedulingInstance
+from bnbapprox.knapsack import DantzigSolution, KnapsackGrid, dantzig_solve
 from bnbapprox.lp import FractionalGraph, graph_components
 from bnbapprox.profiles import cube_limit
 from bnbapprox.rational import Rat, rat
@@ -59,3 +61,34 @@ def f_bound(eps: Rat) -> float:
 def graph_is_forest(graph: FractionalGraph) -> bool:
     """True iff the bipartite graph has no cycle."""
     return graph_components(graph) is not None
+
+
+def reference_unit_profit_order(weights: Sequence[Rat], profits: Sequence[Rat]) -> tuple[int, ...]:
+    """Item ids by decreasing p/w on Fraction keys; zero weights first, ties by id."""
+
+    def key(j):
+        if weights[j] == 0:
+            return (0, 0, j)
+        return (1, -profits[j] / weights[j], j)
+
+    return tuple(sorted(range(len(weights)), key=key))
+
+
+def dantzig_whole(inst: KnapsackInstance) -> tuple[KnapsackGrid, DantzigSolution]:
+    """The instance's grid and the relaxation of all its items."""
+    grid = KnapsackGrid.build(inst)
+    return grid, dantzig_solve(grid, range(inst.n), grid.capacities)
+
+
+def sub_value(grid: KnapsackGrid, sol: DantzigSolution) -> Rat:
+    """The relaxation's profit in instance units, from the kernel's integer sums."""
+    value = Fraction(sol.line_profit)
+    if sol.split is not None:
+        j, inside = sol.split
+        value += Fraction(grid.profits[j] * inside, grid.weights[j])
+    return value / grid.p_scale
+
+
+def int_value(grid: KnapsackGrid, sol: DantzigSolution) -> Rat:
+    """The rounding's profit in instance units."""
+    return Fraction(sol.int_profit, grid.p_scale)

@@ -20,12 +20,7 @@ from bnbapprox.experiments import (
     summarize,
 )
 from bnbapprox.instances import SchedulingInstance, UNRELATED, generate
-from bnbapprox.knapsack import (
-    KnapsackAdapter,
-    dantzig_solve,
-    pick_pivot,
-    unit_profit_order,
-)
+from bnbapprox.knapsack import KnapsackAdapter, dantzig_solve, pick_pivot
 from bnbapprox.lp import fractional_graph, job_machine_matching
 from bnbapprox.oracle import (
     enumerate_vertices,
@@ -55,8 +50,11 @@ from guarantees import (
     assignment_feasible,
     assignment_value,
     c_alpha_m,
+    dantzig_whole,
     f_bound,
+    int_value,
     schedule_makespan,
+    sub_value,
 )
 
 
@@ -124,7 +122,7 @@ def test_criterion_03_dantzig_lp_optimality():
             n = 3 + i % 6  # 3..8
             m = 2 + i % 2
             inst = generate("knapsack", n, m, 20_000 + i)
-            sub = dantzig_solve(inst).sub_value
+            sub = sub_value(*dantzig_whole(inst))
             assert sub == merged_knapsack_lp_optimum(inst)
             if n <= 5 and m == 2:
                 lp, objective = knapsack_lp(inst)
@@ -138,9 +136,9 @@ def test_criterion_04_rounding_guarantees(monkeypatch):
         kernel = knapsack.dantzig_solve
         solutions = []
 
-        def recording(*args, **kwargs):
-            solutions.append(kernel(*args, **kwargs))
-            return solutions[-1]
+        def recording(grid, items, caps):
+            solutions.append((grid, kernel(grid, items, caps)))
+            return solutions[-1][1]
 
         monkeypatch.setattr(knapsack, "dantzig_solve", recording)
         checked = 0
@@ -155,12 +153,13 @@ def test_criterion_04_rounding_guarantees(monkeypatch):
                 node_limit=10_000,
             )
             m = inst.m
-            for sol in solutions:
+            for grid, sol in solutions:
                 checked += 1
-                assert (m + 1) * sol.int_value >= sol.sub_value
-                if sol.best_critical is not None and sol.sub_value > 0:
-                    lhs = inst.profits[sol.best_critical] / sol.sub_value
-                    gap = 1 - sol.int_value / sol.sub_value
+                sub, rounded = sub_value(grid, sol), int_value(grid, sol)
+                assert (m + 1) * rounded >= sub
+                if sol.best_critical is not None and sub > 0:
+                    lhs = inst.profits[sol.best_critical] / sub
+                    gap = 1 - rounded / sub
                     assert lhs >= min(rat(1, m + 1), gap / m)
         assert checked >= 100
 
@@ -206,12 +205,12 @@ def test_criterion_07_vertex_structure():
         for i in range(100):
             inst = generate("scheduling-uniform", 4 + i % 6, 2 + i % 2, 50_000 + i)
             res = min_feasible_T(inst.processing, inst.overheads, range(inst.n))
-            assert len(res.point.fractional_jobs) <= inst.m
-            graph = fractional_graph(res.point.x, inst.m)
+            assert len(res.fractional_jobs) <= inst.m
+            graph = fractional_graph(res.x, inst.m)
             matching = job_machine_matching(graph)
             assert matching is not None
             assert sorted(matching) == sorted(graph.jobs)
-            assert uniform_vertex_check(res.point)
+            assert uniform_vertex_check(res)
 
 
 def test_criterion_08_lst_rounding_bound():
@@ -226,8 +225,8 @@ def test_criterion_08_lst_rounding_bound():
                 k = rng.randint(0, inst.m - 1)
                 t[k] += inst.processing[j][k]
             res = min_feasible_T(inst.processing, tuple(t), jobs)
-            _, makespan = round_vertex(res.point, inst.processing, tuple(t), ROUNDING_LST)
-            assert makespan <= 2 * res.t_min  # also asserted inside round_vertex
+            _, makespan = round_vertex(res, inst.processing, tuple(t), ROUNDING_LST)
+            assert makespan <= 2 * res.T  # also asserted inside round_vertex
 
 
 def test_criterion_09_uniform_scheme_guarantee():
@@ -282,7 +281,7 @@ def test_criterion_11_bound_dominance():
                 t[k] += inst.processing[j][k]
             bs = min_feasible_T(inst.processing, tuple(t), jobs, restrict=True)
             lr = min_feasible_T(inst.processing, tuple(t), jobs, restrict=False)
-            assert bs.t_min >= lr.t_min
+            assert bs.T >= lr.T
 
 
 def test_criterion_12_protocol_reproduction(tmp_path):
@@ -338,7 +337,7 @@ def _counterexample_instance():
 def _second_iteration_node(inst):
     P, t = inst.processing, inst.overheads
     root = min_feasible_T(P, t, range(inst.n))
-    pivot = mmp_pivot(root.point, P)
+    pivot = mmp_pivot(root, P)
     children = []
     for i in range(inst.m):
         t_child = tuple(
@@ -346,7 +345,7 @@ def _second_iteration_node(inst):
         )
         rest = tuple(j for j in range(inst.n) if j != pivot)
         res = min_feasible_T(P, t_child, rest)
-        children.append((res.t_min, i, t_child, rest, res))
+        children.append((res.T, i, t_child, rest, res))
     children.sort(key=lambda c: (c[0], c[1]))
     return children[0]
 
@@ -378,7 +377,7 @@ def test_criterion_13a_documented_regression():
         inst = _counterexample_instance()
         _, _, _, rest, res = _second_iteration_node(inst)
         mmp_job = max(rest, key=lambda j: (min(inst.processing[j]), -j))
-        assert mmp_job not in res.point.fractional_jobs
+        assert mmp_job not in res.fractional_jobs
 
 
 def test_criterion_13b_single_knapsack_pivot_order():
@@ -395,18 +394,19 @@ def test_criterion_13b_single_knapsack_pivot_order():
             from bnbapprox.instances import KnapsackInstance
 
             inst = KnapsackInstance(weights, profits, (cap,))
-            sol = dantzig_solve(inst)
+            grid, sol = dantzig_whole(inst)
             if not sol.fractional:
                 continue
             pivot = pick_pivot(sol, "CE")
-            if weights[pivot] > cap:
+            (c,) = grid.capacities
+            w = grid.weights[pivot]
+            if w > c:
                 continue
             rest = tuple(j for j in range(n) if j != pivot)
-            inc = dantzig_solve(inst, items=rest, caps=(cap - weights[pivot],))
-            exc = dantzig_solve(inst, items=rest, caps=(cap,))
+            inc = dantzig_solve(grid, rest, (c - w,))
+            exc = dantzig_solve(grid, rest, (c,))
             if not inc.fractional or not exc.fractional:
                 continue
-            order = unit_profit_order(weights, profits)
-            pos = {j: q for q, j in enumerate(order)}
+            pos = {j: q for q, j in enumerate(grid.order)}
             assert pos[pick_pivot(inc, "CE")] < pos[pivot] < pos[pick_pivot(exc, "CE")]
             checked += 1

@@ -3,12 +3,13 @@
 `KnapsackAdapter` returns its bounds as ints in units of 1/bound_scale. The
 reference below is the same adapter at bound_scale 1, returning the
 `Fraction` bounds the adapter returned before (the node's fixed profit plus
-the kernel's `int_value` and `sub_value`) and ordering the items on
+the rounding's and the relaxation's values) and ordering the items on
 `Fraction` keys. Every run of the two must agree in every `RunResult`
 field, counter and solution. The stopping test and the item order are
 checked against their division definitions, and the engine's contract
 errors against a stub adapter whose bounds are scaled.
 """
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -31,19 +32,11 @@ from bnbapprox.engine import (
     valid_strategies,
 )
 from bnbapprox.instances import KnapsackInstance, generate
-from bnbapprox.knapsack import KnapsackAdapter, unit_profit_order
+from bnbapprox.knapsack import KnapsackAdapter, KnapsackGrid
 from bnbapprox.rational import rat
+from guarantees import int_value, reference_unit_profit_order, sub_value
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=400, deadline=None)
-
-
-def reference_unit_profit_order(weights, profits):
-    def key(j):
-        if weights[j] == 0:
-            return (0, 0, j)
-        return (1, -profits[j] / weights[j], j)
-
-    return tuple(sorted(range(len(weights)), key=key))
 
 
 class FractionBoundAdapter(KnapsackAdapter):
@@ -51,15 +44,16 @@ class FractionBoundAdapter(KnapsackAdapter):
 
     def __init__(self, inst, branching="CE"):
         super().__init__(inst, branching)
-        self.order = reference_unit_profit_order(inst.weights, inst.profits)
+        order = reference_unit_profit_order(inst.weights, inst.profits)
+        self.grid = dataclasses.replace(self.grid, order=order)
         self.bound_scale = 1
 
     def bound(self, state):
         info = super().bound(state)
         fixed = Fraction(state.fixed_profit, self.grid.p_scale)
         return BoundInfo(
-            lb=fixed + state.sol.int_value,
-            ub=fixed + state.sol.sub_value,
+            lb=fixed + int_value(self.grid, state.sol),
+            ub=fixed + sub_value(self.grid, state.sol),
             solution=info.solution,
             leaf=info.leaf,
         )
@@ -131,7 +125,7 @@ def test_scaled_runs_equal_fraction_runs(case, node_limit):
             criterion = Criterion("ratio-alpha", alpha)
             adapter = KnapsackAdapter(inst, branching=strategy.branching)
             reference = FractionBoundAdapter(inst, branching=strategy.branching)
-            assert adapter.order == reference.order
+            assert adapter.grid == reference.grid
             got = run(adapter, strategy.selection, criterion, node_limit=node_limit)
             want = run(reference, strategy.selection, criterion, node_limit=node_limit)
             assert got == want
@@ -226,11 +220,12 @@ def test_should_stop_zero_bound_raises_unless_best_equals_it(best, maximize):
     assert should_stop(Fraction(0), 0, criterion, sense)
 
 
-# -- unit_profit_order: integer keys against Fraction keys -------------------
+# -- the grid's unit-profit order: integer keys against Fraction keys --------
 
 _weights = st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
                             Fraction(3, 2), Fraction(2, 3), Fraction(4, 7), Fraction(6, 5)])
-_profits = st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 3),
+# profits of a KnapsackInstance are positive
+_profits = st.sampled_from([Fraction(1), Fraction(2), Fraction(3), Fraction(6), Fraction(1, 3),
                             Fraction(4, 3), Fraction(6, 7), Fraction(5, 2), Fraction(9, 5)])
 
 
@@ -239,7 +234,8 @@ _profits = st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(3), 
 def test_unit_profit_order_equals_fraction_key_sort(items):
     weights = tuple(w for w, _ in items)
     profits = tuple(p for _, p in items)
-    assert unit_profit_order(weights, profits) == reference_unit_profit_order(weights, profits)
+    grid = KnapsackGrid.build(KnapsackInstance(weights, profits, (Fraction(1),)))
+    assert grid.order == reference_unit_profit_order(weights, profits)
 
 
 # -- contract errors print bounds in instance units --------------------------
@@ -262,7 +258,7 @@ class _ScaledStub(BaseAdapter):
         return BoundInfo(lb, ub, payload, leaf=payload == "child")
 
     def branch(self, node):
-        return [ChildSpec((0, 0), False, "child")]
+        return [ChildSpec(False, "child")]
 
 
 @pytest.mark.parametrize(

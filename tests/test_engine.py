@@ -102,8 +102,8 @@ class _TreeAdapter(BaseAdapter):
 
     def branch(self, node):
         return [
-            ChildSpec((k, 0), bool(child.get("right")), child)
-            for k, child in enumerate(node.payload.get("children", []))
+            ChildSpec(bool(child.get("right")), child)
+            for child in node.payload.get("children", [])
         ]
 
 

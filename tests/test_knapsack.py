@@ -12,10 +12,10 @@ from bnbapprox.engine import AdapterContractError, Criterion, Selection, run
 from bnbapprox.instances import KnapsackInstance, generate
 from bnbapprox.knapsack import (
     KnapsackAdapter,
+    KnapsackGrid,
     branch_children,
     dantzig_solve,
     pick_pivot,
-    unit_profit_order,
 )
 from bnbapprox.oracle import (
     exact_opt,
@@ -24,7 +24,14 @@ from bnbapprox.oracle import (
     merged_knapsack_lp_optimum,
 )
 from bnbapprox.rational import rat
-from guarantees import assignment_feasible, assignment_value, c_alpha_m
+from guarantees import (
+    assignment_feasible,
+    assignment_value,
+    c_alpha_m,
+    dantzig_whole,
+    int_value,
+    sub_value,
+)
 
 WORKED = KnapsackInstance(
     weights=(rat(6), rat(5), rat(4)),
@@ -34,25 +41,25 @@ WORKED = KnapsackInstance(
 
 
 def test_dantzig_worked_example():
-    sol = dantzig_solve(WORKED)
+    grid, sol = dantzig_whole(WORKED)
     # ratios (10, 8, 5); item 0 splits 5/6 + 1/6, item 1 puts 4/5 in knapsack 2
     assert sol.x_frac == {
         (0, 0): rat(5, 6),
         (0, 1): rat(1, 6),
         (1, 1): rat(4, 5),
     }
-    assert sol.sub_value == 92
+    assert sub_value(grid, sol) == 92
     assert sol.critical_items == (0, 1)
     assert sol.best_critical == 0
     # item 0 (w=6) fits in no knapsack, so the best *feasible* candidate is
     # item 1 alone; its value still covers the (m+1)-approximation bound
     assert sol.int_assignment == {1: 0}
-    assert sol.int_value == 40
-    assert (WORKED.m + 1) * sol.int_value >= sol.sub_value
+    assert int_value(grid, sol) == 40
+    assert (WORKED.m + 1) * int_value(grid, sol) >= sub_value(grid, sol)
 
 
 def test_dantzig_matches_lp_enumeration_on_worked_instance():
-    sub = dantzig_solve(WORKED).sub_value
+    sub = sub_value(*dantzig_whole(WORKED))
     assert sub == merged_knapsack_lp_optimum(WORKED)
     lp, objective = knapsack_lp(WORKED)
     assert sub == lp_optimum_by_enumeration(lp, objective)
@@ -60,43 +67,62 @@ def test_dantzig_matches_lp_enumeration_on_worked_instance():
 
 def test_dantzig_single_item_integral():
     inst = KnapsackInstance((rat(3),), (rat(10),), (rat(5),))
-    sol = dantzig_solve(inst)
+    grid, sol = dantzig_whole(inst)
     assert not sol.fractional
     assert sol.critical_items == ()
     assert sol.int_assignment == {0: 0}
-    assert sol.int_value == sol.sub_value == 10
+    assert int_value(grid, sol) == sub_value(grid, sol) == 10
 
 
 def test_dantzig_item_wider_than_merge():
     # weight exceeds even the merged capacity: partial fractional fill,
     # floor is empty, no candidate fits anywhere -> integer value 0
     inst = KnapsackInstance((rat(12),), (rat(36),), (rat(5), (rat(5))))
-    sol = dantzig_solve(inst)
-    assert sol.sub_value == 36 * rat(10, 12)
+    grid, sol = dantzig_whole(inst)
+    assert sub_value(grid, sol) == 36 * rat(10, 12)
     assert sol.critical_items == (0,)
-    assert sol.int_assignment == {} and sol.int_value == 0
+    assert sol.int_assignment == {} and int_value(grid, sol) == 0
 
 
 def test_dantzig_zero_weight_items_preassigned():
     inst = KnapsackInstance((rat(0), rat(4)), (rat(7), rat(9)), (rat(4),))
-    sol = dantzig_solve(inst)
+    grid, sol = dantzig_whole(inst)
     assert sol.x_frac[(0, 0)] == 1
-    assert sol.int_value == 16 and sol.int_assignment == {0: 0, 1: 0}
+    assert int_value(grid, sol) == 16 and sol.int_assignment == {0: 0, 1: 0}
 
 
 def test_unit_profit_order_tie_by_index():
-    order = unit_profit_order((rat(2), rat(4), rat(2)), (rat(6), rat(12), rat(5)))
-    assert order == (0, 1, 2)  # ratios 3, 3, 5/2: tie between 0 and 1 by id
+    inst = KnapsackInstance((rat(2), rat(4), rat(2)), (rat(6), rat(12), rat(5)), (rat(3),))
+    # ratios 3, 3, 5/2: tie between 0 and 1 by id
+    assert KnapsackGrid.build(inst).order == (0, 1, 2)
 
 
 def test_branch_children_worked_example():
-    sol = dantzig_solve(WORKED)
-    children = branch_children(WORKED, (0, 1, 2), WORKED.capacities, sol, "CE")
+    grid, sol = dantzig_whole(WORKED)
+    children = branch_children(grid, (0, 1, 2), grid.capacities, sol, "CE", 0, {})
     # pivot j* = item 0 (w=6): both inclusion children infeasible, only the
     # rightmost (exclusion) child survives
     assert len(children) == 1
-    assert children[0].right_turn
-    assert children[0].decision == (0, 2)
+    (child,) = children
+    assert child.right_turn
+    assert child.payload.alive == (1, 2) and child.payload.caps == (5, 5)
+    assert child.payload.fixed_profit == 0 and child.payload.fixed_assign == {}
+
+
+def test_branch_children_fix_the_pivot_where_it_fits():
+    # pivot item 1 (w=4) fits knapsack 1 only; item 0 is already fixed in 0
+    inst = KnapsackInstance((rat(3), rat(4), rat(2)), (rat(9), rat(10), rat(1)),
+                            (rat(3), rat(5)))
+    grid = KnapsackGrid.build(inst)
+    caps = (0, 5)
+    sol = dantzig_solve(grid, (1, 2), caps)
+    assert pick_pivot(sol, "CE") == 1
+    children = branch_children(grid, (1, 2), caps, sol, "CE", 9, {0: 0})
+    assert [c.right_turn for c in children] == [False, True]
+    inc, exc = (c.payload for c in children)
+    assert inc.alive == exc.alive == (2,)
+    assert inc.caps == (0, 1) and inc.fixed_profit == 19 and inc.fixed_assign == {0: 0, 1: 1}
+    assert exc.caps == (0, 5) and exc.fixed_profit == 9 and exc.fixed_assign == {0: 0}
 
 
 def test_branch_rules_can_disagree():
@@ -106,7 +132,7 @@ def test_branch_rules_can_disagree():
         profits=(rat(20), rat(40), rat(24)),
         capacities=(rat(9),),
     )
-    sol = dantzig_solve(inst)
+    _, sol = dantzig_whole(inst)
     # ratios: 10, 5, 3; item0 packed fully, item1 critical/fractional
     assert pick_pivot(sol, "CE") == 1
     assert pick_pivot(sol, "PPW") == 1
@@ -123,7 +149,7 @@ def test_ppw_and_ce_differ_on_searched_instance():
             profits=tuple(rat(rnd.randint(1, 30)) for _ in range(n)),
             capacities=tuple(rat(rnd.randint(5, 40)) for _ in range(m)),
         )
-        sol = dantzig_solve(inst)
+        _, sol = dantzig_whole(inst)
         if not sol.fractional:
             continue
         if pick_pivot(sol, "CE") != pick_pivot(sol, "PPW"):
@@ -145,17 +171,18 @@ def test_single_knapsack_child_pivots_straddle_parent_pivot():
             continue
         cap = rat(rnd.randint(5, 60))
         inst = KnapsackInstance(weights, profits, (cap,))
-        order = unit_profit_order(weights, profits)
-        pos = {j: k for k, j in enumerate(order)}
-        sol = dantzig_solve(inst)
+        grid, sol = dantzig_whole(inst)
+        pos = {j: k for k, j in enumerate(grid.order)}
         if not sol.fractional:
             continue
         pivot = pick_pivot(sol, "CE")
-        if weights[pivot] > cap:
+        (c,) = grid.capacities
+        w = grid.weights[pivot]
+        if w > c:
             continue  # inclusion child infeasible
         rest = tuple(j for j in range(n) if j != pivot)
-        inc = dantzig_solve(inst, items=rest, caps=(cap - weights[pivot],))
-        exc = dantzig_solve(inst, items=rest, caps=(cap,))
+        inc = dantzig_solve(grid, rest, (c - w,))
+        exc = dantzig_solve(grid, rest, (c,))
         if not inc.fractional or not exc.fractional:
             continue
         j1 = pick_pivot(inc, "CE")
@@ -172,13 +199,13 @@ def test_left_turn_constant():
 
 
 def _record_solutions(monkeypatch):
-    """Record the DantzigSolution of every bound the adapter computes."""
+    """Record the grid and DantzigSolution of every bound the adapter computes."""
     kernel = knapsack.dantzig_solve
     solutions = []
 
-    def recording(*args, **kwargs):
-        sol = kernel(*args, **kwargs)
-        solutions.append(sol)
+    def recording(grid, items, caps):
+        sol = kernel(grid, items, caps)
+        solutions.append((grid, sol))
         return sol
 
     monkeypatch.setattr(knapsack, "dantzig_solve", recording)
@@ -203,11 +230,12 @@ def test_adapter_guarantee_and_turn_bound(monkeypatch):
         assert result.left_turn_max <= c_alpha_m(alpha, inst.m)
         # rounding guarantees at every bounded node
         assert len(solutions) == result.nodes_explored
-        for sol in solutions:
-            assert (inst.m + 1) * sol.int_value >= sol.sub_value
-            if sol.best_critical is not None and sol.sub_value > 0:
-                gap = 1 - sol.int_value / sol.sub_value
-                assert inst.profits[sol.best_critical] / sol.sub_value >= min(
+        for grid, sol in solutions:
+            sub, rounded = sub_value(grid, sol), int_value(grid, sol)
+            assert (inst.m + 1) * rounded >= sub
+            if sol.best_critical is not None and sub > 0:
+                gap = 1 - rounded / sub
+                assert inst.profits[sol.best_critical] / sub >= min(
                     rat(1, inst.m + 1), gap / inst.m
                 )
 
@@ -262,22 +290,20 @@ BROKEN = KnapsackInstance(
     profits=(rat(40), rat(42), rat(30), rat(1)),
     capacities=(rat(7), rat(6)),
 )
-BROKEN_CRITICAL = 3  # profit 1, far below sub_value / (m+1)
+BROKEN_CRITICAL = 3  # profit 1, far below the relaxation's value / (m+1)
 
 
-def _break_int_value(sol, m):
-    # the rounding loses everything: (m+1) * 0 < sub_value
-    return dataclasses.replace(sol, int_value=rat(0), int_profit=0, int_assignment={})
+def _break_int_value(grid, sol, m):
+    # the rounding loses everything: (m+1) * 0 < the relaxation's value
+    return dataclasses.replace(sol, int_profit=0, int_assignment={})
 
 
-def _break_best_critical(sol, m):
+def _break_best_critical(grid, sol, m):
     # the rounding meets (m+1), with the least integer profit that does
     # (BROKEN's profit grid is the integers), but the claimed best critical
     # item is too light for the critical-item bound
-    rounded = math.ceil(sol.sub_value / (m + 1))
-    return dataclasses.replace(
-        sol, int_value=rat(rounded), int_profit=rounded, best_critical=BROKEN_CRITICAL
-    )
+    rounded = math.ceil(sub_value(grid, sol) / (m + 1))
+    return dataclasses.replace(sol, int_profit=rounded, best_critical=BROKEN_CRITICAL)
 
 
 @pytest.mark.parametrize(
@@ -287,8 +313,8 @@ def _break_best_critical(sol, m):
 def test_broken_rounding_raises(breaker, message, monkeypatch):
     kernel = knapsack.dantzig_solve
 
-    def broken(*args, **kwargs):
-        return breaker(kernel(*args, **kwargs), BROKEN.m)
+    def broken(grid, items, caps):
+        return breaker(grid, kernel(grid, items, caps), BROKEN.m)
 
     adapter = KnapsackAdapter(BROKEN)
     adapter.bound(adapter.root_payload())  # the unbroken kernel passes

@@ -1,41 +1,47 @@
 """The integer Dantzig kernel against the Fraction greedy it replaced.
 
 `reference_dantzig_solve` is the previous implementation, kept here as the
-reference: it walks the merged capacity line in exact Fractions, scans every
-knapsack for every item and finds each critical item by a scan over the
-cumulative weights. The integer kernel must return the same
-`DantzigSolution`, field by field, with the same insertion order in
-`x_frac` and `int_assignment`, on hand-picked edge cases, on seeded rational
-instances and on every sub-problem the adapter bounds during real searches.
+reference: it orders the items on Fraction keys, walks the merged capacity
+line in exact Fractions, scans every knapsack for every item and finds each
+critical item by a scan over the cumulative weights. The integer kernel must
+return the same solution, field by field, with the same insertion order in
+`x_frac` and `int_assignment`; its values, rebuilt as Fractions from its
+integer sums, must equal the reference's. This holds on hand-picked edge
+cases, on seeded rational instances and on every sub-problem the adapter
+bounds during real searches.
 """
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 
 from bnbapprox import knapsack
 from bnbapprox.engine import Criterion, Selection, run
 from bnbapprox.instances import KnapsackInstance, generate
-from bnbapprox.knapsack import (
-    DantzigSolution,
-    KnapsackAdapter,
-    KnapsackGrid,
-    dantzig_solve,
-    unit_profit_order,
-)
-from bnbapprox.rational import rat
+from bnbapprox.knapsack import DantzigSolution, KnapsackAdapter, KnapsackGrid, dantzig_solve
+from bnbapprox.rational import Rat, rat
+from guarantees import int_value, reference_unit_profit_order, sub_value
 
 
-def reference_dantzig_solve(inst, items=None, order=None, caps=None):
+@dataclass(frozen=True)
+class ReferenceSolution:
+    order: tuple[int, ...]
+    x_frac: Mapping[tuple[int, int], Rat]
+    sub_value: Rat
+    split_item: int | None  # the item crossing the end of the capacity line
+    critical_items: tuple[int, ...]
+    best_critical: int | None
+    int_assignment: Mapping[int, int]
+    int_value: Rat
+    fractional: bool
+
+
+def reference_dantzig_solve(inst, items, caps):
     weights, profits = inst.weights, inst.profits
-    if caps is None:
-        caps = inst.capacities
-    if items is None:
-        items = range(inst.n)
     live = set(items)
-    if order is None:
-        order = unit_profit_order(weights, profits)
-    seq = tuple(j for j in order if j in live)
+    seq = tuple(j for j in reference_unit_profit_order(weights, profits) if j in live)
 
     m = len(caps)
     boundaries = []
@@ -50,6 +56,7 @@ def reference_dantzig_solve(inst, items=None, order=None, caps=None):
     cursor = rat(0)
     cumulative = []
     weighted = []
+    split_item = None
     for j in seq:
         w = weights[j]
         if w == 0:
@@ -57,6 +64,8 @@ def reference_dantzig_solve(inst, items=None, order=None, caps=None):
             free_assign[j] = 0
             continue
         start, end = cursor, cursor + w
+        if start < total < end:
+            split_item = j
         if start < total:
             for k in range(m):
                 lo = boundaries[k] - caps[k]
@@ -106,10 +115,11 @@ def reference_dantzig_solve(inst, items=None, order=None, caps=None):
         if value > int_value:
             int_value, int_assignment = value, assign
 
-    return DantzigSolution(
+    return ReferenceSolution(
         order=seq,
         x_frac=x_frac,
         sub_value=sub_value,
+        split_item=split_item,
         critical_items=tuple(criticals),
         best_critical=best_critical,
         int_assignment=int_assignment,
@@ -118,17 +128,32 @@ def reference_dantzig_solve(inst, items=None, order=None, caps=None):
     )
 
 
-def assert_same(got: DantzigSolution, want: DantzigSolution) -> None:
+def assert_same(grid: KnapsackGrid, got: DantzigSolution, want: ReferenceSolution) -> None:
     assert got.order == want.order
     assert list(got.x_frac.items()) == list(want.x_frac.items())
     assert all(type(v) is Fraction for v in got.x_frac.values())
-    assert got.sub_value == want.sub_value and type(got.sub_value) is Fraction
+    assert type(got.line_profit) is int and type(got.int_profit) is int
+    assert sub_value(grid, got) == want.sub_value
+    assert (None if got.split is None else got.split[0]) == want.split_item
     assert got.critical_items == want.critical_items
     assert got.best_critical == want.best_critical
     assert list(got.int_assignment.items()) == list(want.int_assignment.items())
-    assert got.int_value == want.int_value and type(got.int_value) is Fraction
+    assert int_value(grid, got) == want.int_value
     assert got.fractional is want.fractional
-    assert got == want
+
+
+def assert_kernel_matches(inst, items=None, caps=None) -> None:
+    """The kernel on the instance's grid against the reference; `caps`, in
+    instance units and on the grid, default to the instance's capacities."""
+    grid = KnapsackGrid.build(inst)
+    if items is None:
+        items = range(inst.n)
+    if caps is None:
+        caps = inst.capacities
+    scaled = [c * grid.w_scale for c in caps]
+    assert all(c.denominator == 1 for c in scaled)
+    assert_same(grid, dantzig_solve(grid, items, tuple(int(c) for c in scaled)),
+                reference_dantzig_solve(inst, items, caps))
 
 
 def _value(rnd, den_choices, lo, hi):
@@ -136,7 +161,7 @@ def _value(rnd, den_choices, lo, hi):
 
 
 def _random_case(rnd):
-    """A small instance plus an (items, order, caps) call on it."""
+    """A small instance plus an (items, caps) call on it."""
     n = rnd.choice((0, 1, 1, 2, 3, 5, 7, 9))
     m = rnd.choice((1, 1, 2, 3, 4))
     integral = rnd.random() < 0.3
@@ -170,26 +195,22 @@ def _random_case(rnd):
     items = None
     if rnd.random() < 0.5:
         items = tuple(j for j in range(n) if rnd.random() < 0.7)
-    order = unit_profit_order(inst.weights, inst.profits) if rnd.random() < 0.5 else None
     call_caps = None
     if rnd.random() < 0.5:
-        # capacities on a grid of their own, as a caller may pass them
+        # residual capacities, as a node has them: anywhere on the weight grid
+        dw = KnapsackGrid.build(inst).w_scale
         call_caps = tuple(
-            Fraction(0) if rnd.random() < 0.2 else _value(rnd, (1, 7, 11), 0, 40)
+            Fraction(0) if rnd.random() < 0.2 else Fraction(rnd.randint(0, 40 * dw), dw)
             for _ in range(m)
         )
-    return inst, items, order, call_caps
+    return inst, items, call_caps
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_seeded_rational_instances(seed):
     rnd = random.Random(4_040_000 + seed)
     for _ in range(300):
-        inst, items, order, caps = _random_case(rnd)
-        assert_same(
-            dantzig_solve(inst, items, order, caps),
-            reference_dantzig_solve(inst, items, order, caps),
-        )
+        assert_kernel_matches(*_random_case(rnd))
 
 
 EDGE_CASES = [
@@ -215,7 +236,7 @@ EDGE_CASES = [
                       (rat(3), rat(5))), None, None),
     # rational data on three different denominators, capacities overridden
     (KnapsackInstance((rat(3, 2), rat(5, 2), rat(7, 3)), (rat(9, 2), rat(5), rat(14, 3)),
-                      (rat(4), rat(3, 2))), (0, 2), (rat(11, 5), rat(2, 7))),
+                      (rat(4), rat(3, 2))), (0, 2), (rat(13, 6), rat(2, 3))),
     # the worked example of the module tests
     (KnapsackInstance((rat(6), rat(5), rat(4)), (rat(60), rat(40), rat(20)),
                       (rat(5), rat(5))), None, None),
@@ -224,29 +245,7 @@ EDGE_CASES = [
 
 @pytest.mark.parametrize("case", range(len(EDGE_CASES)))
 def test_edge_cases(case):
-    inst, items, caps = EDGE_CASES[case]
-    assert_same(
-        dantzig_solve(inst, items, None, caps),
-        reference_dantzig_solve(inst, items, None, caps),
-    )
-
-
-def test_zero_weight_items_out_of_unit_profit_order():
-    # a caller-supplied order may put a zero-weight item after the others,
-    # and after the end of the capacity line
-    inst = KnapsackInstance(
-        (rat(4), rat(0), rat(9), rat(0)), (rat(4), rat(1), rat(9), rat(2)), (rat(5),)
-    )
-    order = (0, 2, 1, 3)
-    assert_same(
-        dantzig_solve(inst, order=order), reference_dantzig_solve(inst, order=order)
-    )
-
-
-def test_negative_capacities_rejected():
-    inst = KnapsackInstance((rat(1),), (rat(1),), (rat(1),))
-    with pytest.raises(ValueError):
-        dantzig_solve(inst, caps=(rat(-1),))
+    assert_kernel_matches(*EDGE_CASES[case])
 
 
 def _rational_instance(rnd, n, m):
@@ -270,9 +269,9 @@ def test_every_subproblem_the_adapter_bounds(rule, monkeypatch):
     recorded = []
     kernel = knapsack.dantzig_solve
 
-    def recording(inst, items=None, order=None, caps=None, *, grid=None):
-        sol = kernel(inst, items, order, caps, grid=grid)
-        recorded.append((inst, items, order, caps, grid, sol))
+    def recording(grid, items, caps):
+        sol = kernel(grid, items, caps)
+        recorded.append((grid, items, caps, sol))
         return sol
 
     bound = KnapsackAdapter.bound
@@ -290,9 +289,12 @@ def test_every_subproblem_the_adapter_bounds(rule, monkeypatch):
             run(KnapsackAdapter(inst, branching=rule), selection,
                 Criterion("ratio-alpha", rat(99, 100)), node_limit=400)
     assert len(recorded) == len(states) > 100
-    # the integer node state against the same state kept in Fractions
-    for adapter, state, info in states:
-        inst, grid = adapter.inst, adapter.grid
+    scaled = 0
+    # the integer node state against the same state kept in Fractions; each
+    # bound made one kernel call
+    for (adapter, state, info), (grid, items, caps, sol) in zip(states, recorded):
+        inst = adapter.inst
+        assert grid is adapter.grid and sol is state.sol and caps == state.caps
         fixed = sum((inst.profits[j] for j in state.fixed_assign), start=rat(0))
         assert Fraction(state.fixed_profit, grid.p_scale) == fixed
         for k, cap in enumerate(state.caps):
@@ -301,15 +303,11 @@ def test_every_subproblem_the_adapter_bounds(rule, monkeypatch):
             assert Fraction(cap, grid.w_scale) == inst.capacities[k] - used
         # bounds are exact ints in units of 1/bound_scale
         assert type(info.lb) is int
-        assert Fraction(info.lb, adapter.bound_scale) == fixed + state.sol.int_value
+        assert Fraction(info.lb, adapter.bound_scale) == fixed + int_value(grid, sol)
         assert type(info.ub) is int
-        assert Fraction(info.ub, adapter.bound_scale) == fixed + state.sol.sub_value
-    scaled = 0
-    for inst, items, order, caps, grid, sol in recorded:
-        assert grid is not None
+        assert Fraction(info.ub, adapter.bound_scale) == fixed + sub_value(grid, sol)
         rat_caps = tuple(Fraction(c, grid.w_scale) for c in caps)
-        assert_same(sol, reference_dantzig_solve(inst, items, order, rat_caps))
-        assert_same(dantzig_solve(inst, items, order, rat_caps), sol)
+        assert_same(grid, sol, reference_dantzig_solve(inst, items, rat_caps))
         scaled += grid.w_scale != 1 or grid.p_scale != 1
     assert scaled > 0
 
@@ -323,4 +321,6 @@ def test_grid_scales():
     assert grid.weights == (18, 15, 24)
     assert grid.profits == (27, 10, 6)
     assert grid.capacities == (16,)
-    assert KnapsackGrid.build(inst, (rat(1, 5),)).w_scale == 60
+    # unit profits times Dp * lw: 540, 240 and 90
+    assert grid.lw == 360 and grid.factors == (20, 24, 15)
+    assert grid.order == (0, 1, 2)

@@ -250,7 +250,7 @@ def _load_lps_around_optimum(P, t, jobs):
     """build_load_lp output at guesses below, at and above the smallest
     feasible grid value, with and without the eligibility filter."""
     D = grid_denominator(P, t, jobs)
-    t_min = min_feasible_T(P, t, jobs).t_min
+    t_min = min_feasible_T(P, t, jobs).T
     guesses = [t_min + rat(k, D) for k in (-3, -1, 0, 1, 4)] + [t_min * rat(3, 2)]
     for T in guesses:
         for restrict in (True, False):

@@ -59,7 +59,7 @@ def test_normalize_worked_example():
     assert scale == 4
     assert norm.base_times == (rat(3, 4), rat(3, 4), rat(1, 2))
     res = min_feasible_T(norm.processing, norm.overheads, range(3))
-    assert res.t_min == 1  # normalized root bound
+    assert res.T == 1  # normalized root bound
 
 
 def test_normalize_identity_when_scaled():
@@ -167,15 +167,15 @@ def test_uniform_vertex_check_accepts_solver_output():
         inst = generate("scheduling-uniform", 6, 2, 400 + seed)
         arranged, _, _ = _sorted_normalized(inst)
         res = min_feasible_T(arranged.processing, arranged.overheads, range(arranged.n))
-        assert uniform_vertex_check(res.point)
+        assert uniform_vertex_check(res)
 
 
 def test_make_longest_fractional_noop_when_already_fractional():
     arranged, _, _ = _sorted_normalized(IDENT332)
     res = min_feasible_T(arranged.processing, arranged.overheads, range(3))
-    if 0 in res.point.fractional_jobs:
-        point, changed = make_longest_fractional(res.point, arranged.base_times, arranged.speeds, 0)
-        assert point is res.point and not changed
+    if 0 in res.fractional_jobs:
+        point, changed = make_longest_fractional(res, arranged.base_times, arranged.speeds, 0)
+        assert point is res and not changed
 
 
 def test_make_longest_fractional_randomized_search():
@@ -184,7 +184,7 @@ def test_make_longest_fractional_randomized_search():
         inst = generate("scheduling-uniform", 5, 2, 800 + seed)
         arranged, _, _ = _sorted_normalized(inst)
         res = min_feasible_T(arranged.processing, arranged.overheads, range(arranged.n))
-        point = res.point
+        point = res
         if not point.fractional_jobs or 0 in point.fractional_jobs:
             continue
         new_point, changed = make_longest_fractional(
@@ -229,7 +229,7 @@ def test_profile_drift_bounds_on_sibling_pairs():
                 speeds=arranged.speeds,
             )
             best = exact_opt(sub).optimum
-            nodes.append((tuple(t), res.t_min, best))
+            nodes.append((tuple(t), res.T, best))
         for (t1, lb1, ub1), (t2, lb2, ub2) in itertools.combinations(nodes, 2):
             if all(abs(a - b) <= delta for a, b in zip(t1, t2)):
                 checked += 1
@@ -260,11 +260,11 @@ def test_equivalence_key_ratio_bounds():
                 fixed[k] = i
             key = equivalence_key(fixed, base, eps, m)
             res = min_feasible_T(P, tuple(t), jobs_left)
-            if res.point.fractional_jobs:
-                _, ub = round_vertex(res.point, P, tuple(t), ROUNDING_LST)
+            if res.fractional_jobs:
+                _, ub = round_vertex(res, P, tuple(t), ROUNDING_LST)
             else:
-                ub = res.t_min
-            buckets.setdefault(key, []).append((res.t_min, ub))
+                ub = res.T
+            buckets.setdefault(key, []).append((res.T, ub))
         for vals in buckets.values():
             for (lb1, ub1), (lb2, ub2) in itertools.combinations(vals, 2):
                 checked += 1
@@ -406,7 +406,7 @@ def _swapped_with_drift(x, L, j, m1, m2, base_times):
 def test_broken_mass_swap_raises(monkeypatch):
     for seed in range(200):
         arranged, _, _ = _sorted_normalized(generate("scheduling-uniform", 5, 2, 800 + seed))
-        point = min_feasible_T(arranged.processing, arranged.overheads, range(arranged.n)).point
+        point = min_feasible_T(arranged.processing, arranged.overheads, range(arranged.n))
         if not point.fractional_jobs or 0 in point.fractional_jobs:
             continue
         args = (point, arranged.base_times, arranged.speeds, 0)

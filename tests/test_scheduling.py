@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -16,7 +17,6 @@ from bnbapprox.scheduling import (
     ROUNDING_AS,
     ROUNDING_BM,
     ROUNDING_LST,
-    TSearchResult,
     UnrelatedAdapter,
     grid_denominator,
     list_schedule,
@@ -34,9 +34,9 @@ T00 = (rat(0), rat(0))
 
 def test_min_feasible_T_332():
     res = min_feasible_T(P332, T00, range(3))
-    assert res.t_min == 4
-    assert res.point.loads == (rat(4), rat(4))
-    assert len(res.point.fractional_jobs) == 1
+    assert res.T == 4
+    assert res.loads == (rat(4), rat(4))
+    assert len(res.fractional_jobs) == 1
     # T=3 infeasible, certified by the bracket/walk-up invariant
     from bnbapprox.scheduling import feasible_point
 
@@ -45,24 +45,24 @@ def test_min_feasible_T_332():
 
 def test_min_feasible_T_single_job():
     res = min_feasible_T(((rat(7),),), (rat(0),), range(1))
-    assert res.t_min == 7
-    assert res.point.fractional_jobs == ()
+    assert res.T == 7
+    assert res.fractional_jobs == ()
 
 
 def test_min_feasible_T_with_overheads():
     res = min_feasible_T(((rat(10), rat(10)),), (rat(5), rat(0)), range(1))
-    assert res.t_min == 10
+    assert res.T == 10
 
 
 def test_grid_denominator_rational_data():
     P = ((rat(3, 2), rat(3)), (rat(2), rat(4)))
     assert grid_denominator(P, (rat(0), rat(1, 3)), range(2)) == 6
     res = min_feasible_T(P, (rat(0), rat(0)), range(2))
-    assert res.t_min.denominator in (1, 2)  # grid multiple of 1/2
+    assert res.T.denominator in (1, 2)  # grid multiple of 1/2
 
 
 def test_round_vertex_modes_on_332():
-    point = min_feasible_T(P332, T00, range(3)).point
+    point = min_feasible_T(P332, T00, range(3))
     for mode in (ROUNDING_AS, ROUNDING_BM, ROUNDING_LST):
         assignment, makespan = round_vertex(point, P332, T00, mode)
         assert sorted(assignment) == [0, 1, 2]
@@ -71,7 +71,7 @@ def test_round_vertex_modes_on_332():
 
 
 def test_round_vertex_integral_passthrough():
-    point = min_feasible_T(((rat(7),),), (rat(0),), range(1)).point
+    point = min_feasible_T(((rat(7),),), (rat(0),), range(1))
     assignment, makespan = round_vertex(point, ((rat(7),),), (rat(0),), ROUNDING_LST)
     assert assignment == {0: 0} and makespan == 7
 
@@ -87,8 +87,8 @@ def test_lst_rounding_bound_random():
             i = rng.randint(0, inst.m - 1)
             t[i] += inst.processing[j][i]
         res = min_feasible_T(inst.processing, tuple(t), jobs)
-        _, makespan = round_vertex(res.point, inst.processing, tuple(t), ROUNDING_LST)
-        assert makespan <= 2 * res.t_min
+        _, makespan = round_vertex(res, inst.processing, tuple(t), ROUNDING_LST)
+        assert makespan <= 2 * res.T
 
 
 def test_bm_rounding_guards_against_blowup():
@@ -134,7 +134,7 @@ def test_bs_dominates_lr():
             t[i] += inst.processing[j][i]
         bs = min_feasible_T(inst.processing, tuple(t), jobs, restrict=True)
         lr = min_feasible_T(inst.processing, tuple(t), jobs, restrict=False)
-        assert bs.t_min >= lr.t_min
+        assert bs.T >= lr.T
 
 
 def test_unrelated_guarantee_small():
@@ -186,8 +186,8 @@ def test_vertex_structure_on_random_instances():
     for seed in range(40):
         inst = generate("scheduling-unrelated", 8, 3, 300 + seed)
         res = min_feasible_T(inst.processing, inst.overheads, range(inst.n))
-        assert len(res.point.fractional_jobs) <= inst.m
-        graph = fractional_graph(res.point.x, inst.m)
+        assert len(res.fractional_jobs) <= inst.m
+        graph = fractional_graph(res.x, inst.m)
         matching = job_machine_matching(graph)
         assert matching is not None
         assert sorted(matching) == sorted(graph.jobs)
@@ -220,26 +220,26 @@ def _count_lp_solves(monkeypatch):
 def test_lower_bracket_answer_takes_one_lp_solve(monkeypatch):
     calls = _count_lp_solves(monkeypatch)
     # t_min is the largest minimal processing time
-    assert min_feasible_T(((rat(7),),), (rat(0),), range(1)).t_min == 7
+    assert min_feasible_T(((rat(7),),), (rat(0),), range(1)).T == 7
     assert len(calls) == 1
     # t_min is the averaged load bound (3 + 3 + 2) / 2
     calls.clear()
-    assert min_feasible_T(P332, T00, range(3)).t_min == 4
+    assert min_feasible_T(P332, T00, range(3)).T == 4
     assert len(calls) == 1
     # t_min is the averaged load bound 9 / 2 rounded up onto the grid
     calls.clear()
     P333 = ((rat(3), rat(3)),) * 3
-    assert min_feasible_T(P333, T00, range(3)).t_min == 5
+    assert min_feasible_T(P333, T00, range(3)).T == 5
     assert len(calls) == 1
     # t_min is the lower hint, with or without an upper hint
     P = ((rat(3), rat(5)), (rat(4), rat(2)), (rat(6), rat(6)))
     t = (rat(2), rat(0))
-    t_min = min_feasible_T(P, t, range(3)).t_min
+    t_min = min_feasible_T(P, t, range(3)).T
     assert t_min == 7
     for hi_hint in (None, t_min, t_min + 3):
         calls.clear()
         res = min_feasible_T(P, t, range(3), lo_hint=t_min, hi_hint=hi_hint)
-        assert res.t_min == t_min and len(calls) == 1
+        assert res.T == t_min and len(calls) == 1
 
 
 def test_lower_bracket_infeasible_walks_up_past_the_ray(monkeypatch):
@@ -247,9 +247,9 @@ def test_lower_bracket_infeasible_walks_up_past_the_ray(monkeypatch):
     # lower bracket max(5, (5 + 5) / 2) = 5, but at 5 both jobs need machine 0
     P = ((rat(5), rat(9)), (rat(5), rat(9)))
     res = min_feasible_T(P, T00, range(2))
-    assert res.t_min > 5 and len(calls) > 1
+    assert res.T > 5 and len(calls) > 1
     assert calls[0].inequalities[0][1] == 5  # the lower end is probed first
-    assert res.t_min == min_feasible_T(P, T00, range(2), lo_hint=res.t_min - 1).t_min
+    assert res.T == min_feasible_T(P, T00, range(2), lo_hint=res.T - 1).T
 
 
 def test_hi_hint_below_the_minimum_raises():
@@ -259,16 +259,16 @@ def test_hi_hint_below_the_minimum_raises():
             min_feasible_T(P332, T00, range(3), hi_hint=hi_hint)
     # a one-point bracket just below the minimum, above the lower bracket
     P = ((rat(5), rat(9)), (rat(5), rat(9)))
-    t_min = min_feasible_T(P, T00, range(2)).t_min
+    t_min = min_feasible_T(P, T00, range(2)).T
     assert t_min > 6
     with pytest.raises(LpError, match="upper bracket infeasible"):
         min_feasible_T(P, T00, range(2), lo_hint=t_min - 1, hi_hint=t_min - 1)
     # a hint is rounded up onto the grid: 7/2 -> 4, which is feasible
-    assert min_feasible_T(P332, T00, range(3), hi_hint=rat(7, 2)).t_min == 4
+    assert min_feasible_T(P332, T00, range(3), hi_hint=rat(7, 2)).T == 4
     for seed in range(10):
         inst = generate(UNRELATED, 6, 3, 9700 + seed)
         P, t, jobs = inst.processing, inst.overheads, tuple(range(inst.n))
-        t_min = min_feasible_T(P, t, jobs).t_min
+        t_min = min_feasible_T(P, t, jobs).T
         D = grid_denominator(P, t, jobs)
         for below in (t_min - rat(1, D), t_min / 2):
             with pytest.raises(LpError, match="upper bracket infeasible"):
@@ -276,7 +276,7 @@ def test_hi_hint_below_the_minimum_raises():
             # a one-point bracket below the minimum
             with pytest.raises(LpError, match="upper bracket infeasible"):
                 min_feasible_T(P, t, jobs, lo_hint=below, hi_hint=below)
-        assert min_feasible_T(P, t, jobs, hi_hint=t_min).t_min == t_min
+        assert min_feasible_T(P, t, jobs, hi_hint=t_min).T == t_min
 
 
 def test_children_get_a_feasible_upper_hint():
@@ -309,7 +309,7 @@ def _break_lst_matching(monkeypatch):
     # every fractional job goes to a machine no vertex uses: 100 > 2 * 4
     P = tuple(row + (rat(100),) for row in P332)
     t = (rat(0),) * 3
-    point = min_feasible_T(P, t, range(3)).point
+    point = min_feasible_T(P, t, range(3))
     monkeypatch.setattr(
         scheduling, "job_machine_matching", lambda graph: {j: 2 for j in graph.jobs}
     )
@@ -320,8 +320,8 @@ def _break_integral_guess(monkeypatch):
     search = scheduling.min_feasible_T
 
     def lowered(*args, **kwargs):
-        res = search(*args, **kwargs)
-        return TSearchResult(res.t_min - 1, res.point)
+        point = search(*args, **kwargs)
+        return dataclasses.replace(point, T=point.T - 1)
 
     monkeypatch.setattr(scheduling, "min_feasible_T", lowered)
     inst = SchedulingInstance(UNRELATED, ((rat(7), rat(9)),), T00)
@@ -360,7 +360,7 @@ def test_broken_guarantee_raises(breaker, message, monkeypatch):
 def test_unbroken_guarantees_pass():
     P = tuple(row + (rat(100),) for row in P332)
     t = (rat(0),) * 3
-    round_vertex(min_feasible_T(P, t, range(3)).point, P, t, ROUNDING_LST)
+    round_vertex(min_feasible_T(P, t, range(3)), P, t, ROUNDING_LST)
     inst = SchedulingInstance(UNRELATED, ((rat(7), rat(9)),), T00)
     UnrelatedAdapter(inst).bound(UnrelatedAdapter(inst).root_payload())
     UnrelatedAdapter(UNRELATED332).bound(UnrelatedAdapter(UNRELATED332).root_payload())

@@ -7,9 +7,8 @@ from `Fraction` rows. The production search scales the data onto one
 integer grid per call and, after an infeasible probe, skips every guess
 the probe's Farkas ray proves infeasible. The smallest feasible grid value
 is unique and the LP solver is deterministic, so both must return the
-same `t_min` and the same vertex (`x` in the same order, `loads`,
-`fractional_jobs`, `integral_assignment`), and the walk-up must need
-fewer LP solves in total.
+same vertex (`T`, `x` in the same order, `loads`, `fractional_jobs`,
+`integral_assignment`), and the walk-up must need fewer LP solves in total.
 """
 import random
 import sys
@@ -26,7 +25,6 @@ from bnbapprox.scheduling import (
     ROUNDING_AS,
     ROUNDING_BM,
     LpPoint,
-    TSearchResult,
     feasible_point,
     grid_denominator,
     min_feasible_T,
@@ -135,7 +133,7 @@ def reference_min_feasible_T(P, t, jobs, restrict=True, lo_hint=None, hi_hint=No
     if cached is None or cached.T != t_min:
         cached = _reference_feasible_point(P, t, jobs, t_min, restrict)
         assert cached is not None
-    return TSearchResult(t_min, cached)
+    return cached
 
 
 def _count_solves(monkeypatch):
@@ -153,15 +151,13 @@ def _count_solves(monkeypatch):
     return counts
 
 
-def _assert_same(got: TSearchResult, want: TSearchResult) -> None:
-    assert got.t_min == want.t_min and type(got.t_min) is Rat
-    a, b = got.point, want.point
-    assert a.T == b.T == want.t_min and type(a.T) is Rat
-    assert list(a.x.items()) == list(b.x.items())
-    assert all(type(v) is Rat for v in a.x.values())
-    assert a.loads == b.loads and all(type(v) is Rat for v in a.loads)
-    assert a.fractional_jobs == b.fractional_jobs
-    assert list(a.integral_assignment.items()) == list(b.integral_assignment.items())
+def _assert_same(got: LpPoint, want: LpPoint) -> None:
+    assert got.T == want.T and type(got.T) is Rat
+    assert list(got.x.items()) == list(want.x.items())
+    assert all(type(v) is Rat for v in got.x.values())
+    assert got.loads == want.loads and all(type(v) is Rat for v in got.loads)
+    assert got.fractional_jobs == want.fractional_jobs
+    assert list(got.integral_assignment.items()) == list(want.integral_assignment.items())
 
 
 def _rationalize(inst: SchedulingInstance, rnd: random.Random) -> SchedulingInstance:
@@ -206,7 +202,7 @@ def test_seeded_instances_match_reference(data, monkeypatch):
                 want = reference_min_feasible_T(inst.processing, t, jobs, restrict)
                 got = min_feasible_T(inst.processing, t, jobs, restrict)
                 _assert_same(got, want)
-                hint = want.t_min - rat(1, 2)
+                hint = want.T - rat(1, 2)
                 _assert_same(
                     min_feasible_T(inst.processing, t, jobs, restrict, lo_hint=hint),
                     reference_min_feasible_T(inst.processing, t, jobs, restrict, lo_hint=hint),
@@ -242,7 +238,7 @@ def _check_recorded(calls, solves) -> int:
         _assert_same(res, reference_min_feasible_T(P, t, jobs, restrict, lo_hint, hi_hint))
         if hi_hint is not None:
             hinted += 1
-            assert res.t_min <= hi_hint
+            assert res.T <= hi_hint
             assert feasible_point(P, t, jobs, hi_hint, restrict) is not None
     assert walk_up < solves["bisection"]
     return hinted

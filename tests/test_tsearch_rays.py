@@ -103,7 +103,7 @@ def test_every_guess_a_ray_skips_is_infeasible(instance):
             assert built is not None
             assert _certifies(rays[0], *built)
             k = k2 + 1
-        assert min_feasible_T(P, t, jobs, restrict).t_min == Fraction(k, D)
+        assert min_feasible_T(P, t, jobs, restrict).T == Fraction(k, D)
 
 
 # --- forged rays ---------------------------------------------------------
