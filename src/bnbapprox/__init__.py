@@ -34,7 +34,7 @@ from .knapsack import KnapsackAdapter
 from .oracle import exact_opt, optimality_gap
 from .profiles import solve_identical, solve_uniform
 from .rational import Rat, rat
-from .scheduling import UnrelatedAdapter, min_feasible_T, solve_unrelated
+from .scheduling import SchedGrid, UnrelatedAdapter, min_feasible_T, solve_unrelated
 
 __version__ = "0.1.0"
 
@@ -63,6 +63,7 @@ __all__ = [
     "solve_uniform",
     "Rat",
     "rat",
+    "SchedGrid",
     "UnrelatedAdapter",
     "min_feasible_T",
     "solve_unrelated",

@@ -2,8 +2,8 @@
 
 `solve` checks an instance, a ratio, a strategy and a depth cap against the
 algorithm's row of ALGORITHMS, runs it and returns an `Outcome`. The
-profile schemes search an instance normalized by its root bound; their
-value and bound come back in the instance's own units here.
+profile schemes search in units of the root bound (profiles.normalize);
+their value and bound come back in the instance's own units here.
 """
 from __future__ import annotations
 
@@ -103,6 +103,8 @@ def solve(
         raise StrategyError(f"{tags} is no {algorithm} strategy")
     if depth_cap is not None and not algo.takes_depth_cap:
         raise ValueError(f"{algorithm} takes no depth cap")
+    if node_limit is not None and node_limit < 1:
+        raise ValueError("node_limit must be at least 1")
     extra = () if depth_cap is None else (depth_cap,)
     result, scale, assignment = algo.run(inst, ratio, strategy, node_limit, *extra)
     unit = 1 if scale is None else scale

@@ -81,6 +81,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     payload["assignment"] = {str(j): i for j, i in sorted(outcome.assignment.items())}
     if outcome.scale is not None:
         payload["makespan"] = format_rat(outcome.value)
+        payload["bound"] = format_rat(outcome.bound)
         payload["scale"] = format_rat(outcome.scale)
     _emit(payload, args.out)
     return EXIT_OK

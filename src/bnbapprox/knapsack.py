@@ -53,7 +53,7 @@ from typing import Iterable, Mapping, Sequence
 from .engine import AdapterContractError, BaseAdapter, BoundInfo, ChildSpec, Criterion, Node
 from .engine import RunResult, Sense, Strategy, run
 from .instances import KnapsackInstance
-from .rational import Rat
+from .rational import Rat, grid_scale, on_grid
 
 __all__ = [
     "DantzigSolution",
@@ -64,15 +64,6 @@ __all__ = [
     "KnapsackAdapter",
     "run_knapsack",
 ]
-
-
-def _scale(values: Iterable[Rat]) -> int:
-    """lcm of the denominators: the smallest scale putting values on integers."""
-    return math.lcm(*[v.denominator for v in values])
-
-
-def _on_grid(values: Iterable[Rat], scale: int) -> tuple[int, ...]:
-    return tuple([v.numerator * (scale // v.denominator) for v in values])
 
 
 _ONE = Fraction(1)
@@ -99,16 +90,16 @@ class KnapsackGrid:
 
     @classmethod
     def build(cls, inst: KnapsackInstance) -> "KnapsackGrid":
-        dw = _scale((*inst.weights, *inst.capacities))
-        dp = _scale(inst.profits)
-        W = _on_grid(inst.weights, dw)
-        P = _on_grid(inst.profits, dp)
+        dw = grid_scale((*inst.weights, *inst.capacities))
+        dp = grid_scale(inst.profits)
+        W = on_grid(inst.weights, dw)
+        P = on_grid(inst.profits, dp)
         lw = math.lcm(*[w for w in W if w])
         factors = tuple([lw // w if w else 0 for w in W])
         zero = [j for j in range(len(W)) if W[j] == 0]
         rest = sorted([j for j in range(len(W)) if W[j] != 0], key=lambda j: -P[j] * factors[j])
         return cls(
-            dw, dp, W, P, _on_grid(inst.capacities, dw), lw, factors, tuple(zero + rest)
+            dw, dp, W, P, on_grid(inst.capacities, dw), lw, factors, tuple(zero + rest)
         )
 
 

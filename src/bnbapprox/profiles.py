@@ -1,11 +1,18 @@
 """Profile-pruned search for uniform and identical machines.
 
-Both schemes normalize the instance by the root's parametric-search
+Both schemes measure the instance in units of the root's parametric-search
 optimum (optimal makespans then lie in [1, 2]), sort jobs by decreasing
 processing time and fix the longest unfixed job at every node, so that all
 nodes of a tree level share the same fixed job set. Any partial schedule
 whose completion-time vector (its *profile*, the node's overhead vector)
 leaves the cube [0, 2(1+eps)^2]^m can be discarded outright.
+
+normalize runs the one root search on the instance's grid (R, see
+scheduling.SchedGrid), finds the optimum K/R and returns the sorted data on
+the smallest grid of the normalized data, R' = K/h with h = gcd(K, all data
+on R). The adapter's bounds are ints in units of 1/R'; its thresholds (cube
+limit, cell side, big-job cut, geometric rounding) go on R' once, and the
+root is bounded at the one guess R', the normalized 1: a single LP solve.
 
 Nodes and children are the unrelated scheme's (scheduling._SchedState,
 scheduling.fix_job); ProfileAdapter adds only the pivot (the first of the
@@ -33,7 +40,10 @@ pivot stays the longest unfixed job either way).
 """
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
+from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .engine import (
@@ -55,6 +65,7 @@ from .rational import Rat, floor_div, rat
 from .scheduling import (
     ROUNDING_LST,
     LpPoint,
+    SchedGrid,
     _SchedState,
     fix_job,
     min_feasible_T,
@@ -83,41 +94,33 @@ __all__ = [
 PROFILE_TAGS = ("LJ", "BS", ROUNDING_LST)
 
 
-def normalize(inst: SchedulingInstance) -> tuple[SchedulingInstance, Rat]:
-    """Divide all processing data by the root parametric optimum.
+def normalize(inst: SchedulingInstance) -> tuple[SchedGrid, Rat, tuple[int, ...]]:
+    """The instance in units of its root parametric optimum K/R, its jobs
+    sorted by decreasing processing time (ties by id).
 
-    Returns the scaled instance and the scale; reported makespans multiply
-    back by the scale. Only uniform/identical instances are accepted.
+    Returns the sorted instance on the grid R' = K/h (see the module
+    docstring), at whose guess R' the root's load LP is feasible; the
+    scale K/R, by which reported makespans multiply back; and the order
+    (position -> job). Only uniform/identical instances are accepted.
     """
     if inst.kind not in (UNIFORM, IDENTICAL):
         raise InstanceError("normalization applies to uniform or identical instances")
-    scale = min_feasible_T(inst.processing, inst.overheads, range(inst.n)).T
-    if scale <= 0:
-        raise InstanceError("degenerate instance: zero root bound")
-    scaled = SchedulingInstance(
-        kind=inst.kind,
-        processing=tuple(tuple(v / scale for v in row) for row in inst.processing),
-        overheads=tuple(v / scale for v in inst.overheads),
-        base_times=tuple(v / scale for v in inst.base_times),
-        speeds=inst.speeds,
-        meta={**dict(inst.meta), "scale": str(scale)},
-    )
-    return scaled, scale
+    grid = SchedGrid.build(inst)
+    K = min_feasible_T(grid, grid.t, range(inst.n)).T
+    h = math.gcd(K, *grid.t, *itertools.chain(*grid.P))
+    order = tuple(sorted(range(inst.n), key=lambda j: (-grid.P[j][0], j)))
+    P = tuple([tuple([p // h for p in grid.P[j]]) for j in order])
+    return SchedGrid(K // h, P, tuple([v // h for v in grid.t])), Fraction(K, grid.R), order
 
 
 def cube_limit(eps: Rat) -> Rat:
     return 2 * (1 + rat(eps)) ** 2
 
 
-def similarity_cell(profile: Sequence[Rat], eps: Rat, n: int) -> tuple[int, ...] | None:
-    """Cell of the eps/n grid, or None when the profile leaves the cube."""
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    limit = cube_limit(eps)
-    if any(c > limit for c in profile):
-        return None
-    return tuple(floor_div(c * n, eps) for c in profile)
+def similarity_cell(profile: Sequence[int | Rat], side: Rat) -> tuple[int, ...]:
+    """The cell of a profile in the grid of cubes of side `side`: the
+    coordinate-wise floor of profile / side."""
+    return tuple([c * side.denominator // side.numerator for c in profile])
 
 
 def similarity_level_bound(n: int, eps: Rat, m: int) -> Rat:
@@ -158,18 +161,16 @@ def uniform_vertex_check(point: LpPoint) -> bool:
 
 
 def make_longest_fractional(
-    point: LpPoint,
-    base_times: Sequence[Rat],
-    speeds: Sequence[Rat],
-    longest_job: int,
+    point: LpPoint, P: Sequence[Sequence[int]], longest_job: int
 ) -> tuple[LpPoint, bool]:
     """Swap fractional mass so the longest unfixed job becomes fractional.
 
-    Machine completion times are preserved exactly. Returns (point, False)
-    unchanged when the job is already fractional or when no eligible swap
-    partner exists (every candidate machine would receive the long job's
-    mass while p_L on it exceeds the guess). The transformed point is
-    checked against the vertex predicate.
+    P holds uniform machines' times (p_ji / p_Li is the same on every i) on
+    the point's grid. Completion times are preserved exactly. Returns
+    (point, False) unchanged when the job is already fractional or when no
+    eligible swap partner exists (every candidate machine would receive the
+    long job's mass while p_L on it exceeds the guess). The transformed
+    point is checked against the vertex predicate.
     """
     L = longest_job
     if L in point.fractional_jobs:
@@ -183,7 +184,7 @@ def make_longest_fractional(
     m = len(point.loads)
 
     def eligible(i: int) -> bool:
-        return base_times[L] / speeds[i] <= T
+        return P[L][i] <= T
 
     # partners: the fractional jobs on m1 if there are any, else all of them
     on_m1 = [
@@ -202,13 +203,11 @@ def make_longest_fractional(
         return point, False
 
     j, m2 = choice
-    x = _swap_mass(point.x, L, j, m1, m2, base_times)
+    x = _swap_mass(point.x, L, j, m1, m2, P)
     # completion times must be untouched: on each machine the loads the
     # changed coordinates gain and lose cancel exactly
     for i in (m1, m2):
-        shift = sum(
-            (x.get((jj, i), 0) - point.x.get((jj, i), 0)) * base_times[jj] for jj in (L, j)
-        ) / speeds[i]
+        shift = sum((x.get((jj, i), 0) - point.x.get((jj, i), 0)) * P[jj][i] for jj in (L, j))
         if shift != 0:
             raise AdapterContractError(
                 f"mass swap moved the completion time of machine {i} by {shift}"
@@ -226,12 +225,12 @@ def _swap_mass(
     j: int,
     m1: int,
     m2: int,
-    base_times: Sequence[Rat],
+    P: Sequence[Sequence[int]],
 ) -> dict[tuple[int, int], Rat]:
     """Move job j's mass x[j, m2] onto m1 and the same work of job L from
     m1 onto m2; L sits wholly on m1."""
     eps2 = x[(j, m2)]
-    eps1 = eps2 * base_times[j] / base_times[L]
+    eps1 = eps2 * P[j][m2] / P[L][m2]
     x = dict(x)
     x[(L, m1)] = 1 - eps1
     x[(L, m2)] = eps1
@@ -243,43 +242,42 @@ def _swap_mass(
 
 
 class ProfileAdapter(BaseAdapter):
-    """Shared skeleton; mode "similarity" (uniform) or "equivalence" (identical)."""
+    """Shared skeleton; mode "similarity" (uniform) or "equivalence" (identical).
+    Runs on normalize(inst): job order[k] is position k, values times scale
+    are in the instance's units."""
 
     sense = Sense.MIN
 
     def __init__(self, inst: SchedulingInstance, eps: Rat, mode: str):
         if mode not in ("similarity", "equivalence"):
             raise ValueError(f"unknown profile mode {mode!r}")
-        if inst.kind not in (UNIFORM, IDENTICAL):
-            raise InstanceError("profile pruning applies to uniform or identical instances")
+        if mode == "equivalence" and inst.kind != IDENTICAL:
+            raise InstanceError("equivalence pruning applies to identical instances")
         eps = rat(eps)
         if mode == "similarity" and not 0 < eps < 1:
             raise ValueError("similarity pruning needs 0 < eps < 1")
         if mode == "equivalence" and not 0 < eps <= 1:
             raise ValueError("equivalence pruning needs 0 < eps <= 1")
-        base = inst.base_times
-        if any(base[k] < base[k + 1] for k in range(inst.n - 1)):
-            raise ValueError("jobs must be sorted by decreasing processing time")
-        self.inst = inst
-        self.eps = eps
+        self.grid, self.scale, self.order = normalize(inst)
+        R = self.bound_scale = self.grid.R
         self.mode = mode
-        self.P = inst.processing
-        self.base = base
-        self.speeds = inst.speeds
+        self.P = self.grid.P
         self.n = inst.n
         self.m = inst.m
-        self.limit = cube_limit(eps)
+        # the thresholds on the grid: a profile coordinate c leaves the cube
+        # when c > limit, and its cell is floor(c / cell_side)
+        self.limit = floor_div(cube_limit(eps) * R, 1)
+        self.cell_side = eps * R / self.n
         self.seen: set[tuple[int, Any]] = set()
         self.level_inserted: Counter = Counter()
         self.level_bound = similarity_level_bound(self.n, eps, self.m)
-        self.big_count = sum(1 for p in base if p >= eps)
-        # the rounded time of every big job (they come first); equivalence
-        # branching stops before the first small one
-        self.rounded = (
-            [round_geometric(p, eps) for p in base[: self.big_count]]
-            if mode == "equivalence"
-            else []
-        )
+        if mode == "equivalence":
+            # identical machines: column 0 holds every job's time; the big
+            # jobs come first, and branching stops before the first small one
+            self.big_count = sum(1 for row in self.P if row[0] >= eps * R)
+            self.rounded = [
+                round_geometric(Fraction(row[0], R), eps) for row in self.P[: self.big_count]
+            ]
         self.rounded_values: set[Rat] = set()
         self.transforms = 0
         self.transforms_skipped = 0
@@ -287,19 +285,18 @@ class ProfileAdapter(BaseAdapter):
         self.rejected_profile = 0
 
     def root_payload(self) -> _SchedState:
-        return _SchedState(tuple(range(self.n)), self.inst.overheads, {})
+        R = self.grid.R  # the root optimum
+        return _SchedState(tuple(range(self.n)), self.grid.t, {}, lo_hint=R, hi_hint=R)
 
     def bound(self, state: _SchedState) -> BoundInfo:
         point = min_feasible_T(
-            self.P, state.t, state.jobs, lo_hint=state.lo_hint, hi_hint=state.hi_hint
+            self.grid, state.t, state.jobs, lo_hint=state.lo_hint, hi_hint=state.hi_hint
         )
         lb = point.T
         if point.fractional_jobs:
             longest = state.jobs[0]  # jobs stay sorted
             if longest not in point.fractional_jobs:
-                point, changed = make_longest_fractional(
-                    point, self.base, self.speeds, longest
-                )
+                point, changed = make_longest_fractional(point, self.P, longest)
                 if changed:
                     self.transforms += 1
                 else:
@@ -327,7 +324,7 @@ class ProfileAdapter(BaseAdapter):
 
     def _profile_key(self, state: _SchedState):
         if self.mode == "similarity":
-            return similarity_cell(state.t, self.eps, self.n)
+            return similarity_cell(state.t, self.cell_side)
         loads = [rat(0)] * self.m
         for j, i in state.fixed.items():
             loads[i] += self.rounded[j]
@@ -369,43 +366,29 @@ class ProfileAdapter(BaseAdapter):
         return out
 
 
-def _sorted_normalized(inst: SchedulingInstance) -> tuple[SchedulingInstance, Rat, list[int]]:
-    normalized, scale = normalize(inst)
-    order = sorted(range(inst.n), key=lambda j: (-normalized.base_times[j], j))
-    arranged = SchedulingInstance(
-        kind=normalized.kind,
-        processing=tuple(normalized.processing[j] for j in order),
-        overheads=normalized.overheads,
-        base_times=tuple(normalized.base_times[j] for j in order),
-        speeds=normalized.speeds,
-        meta=dict(normalized.meta),
-    )
-    return arranged, scale, order
-
-
 def run_profile(
     inst: SchedulingInstance, eps: Rat, strategy: Strategy, node_limit: int | None, mode: str
 ) -> tuple[RunResult, Rat, dict[int, int]]:
     """Run the similarity (uniform) or equivalence (identical) scheme, each
-    with a (1+eps)^2 guarantee. Returns the run on the normalized instance,
-    its scale and the assignment in the instance's job labels.
+    with a (1+eps)^2 guarantee. Returns the run in normalized units, its
+    scale and the assignment in the instance's job labels.
 
     For eps > 1 the equivalence scheme's root rounding alone is already a
     2 <= (1+eps) approximation and is returned directly, at scale 1.
     """
     if mode == "equivalence" and eps > 1:
-        point = min_feasible_T(inst.processing, inst.overheads, range(inst.n))
-        assignment, makespan = round_vertex(point, inst.processing, inst.overheads, ROUNDING_LST)
+        grid = SchedGrid.build(inst)
+        point = min_feasible_T(grid, grid.t, range(inst.n))
+        assignment, makespan = round_vertex(point, grid.P, grid.t, ROUNDING_LST)
         result = RunResult(
-            best_value=makespan, best_solution=dict(assignment), global_bound=point.T,
+            Fraction(makespan, grid.R), dict(assignment), Fraction(point.T, grid.R),
             nodes_explored=1, nodes_processed=0, max_depth=0, left_turn_max=None,
             nodes_after_optimum=0, termination="ratio-met", extras={"root_rounding_only": True},
         )
         return result, rat(1), dict(assignment)
-    arranged, scale, order = _sorted_normalized(inst)
-    adapter = ProfileAdapter(arranged, eps, mode)
+    adapter = ProfileAdapter(inst, eps, mode)
     result = run(adapter, strategy.selection, Criterion("ratio-eps", eps), node_limit=node_limit)
-    return result, scale, {order[k]: machine for k, machine in result.best_solution.items()}
+    return result, adapter.scale, {adapter.order[k]: i for k, i in result.best_solution.items()}
 
 
 def solve_uniform(

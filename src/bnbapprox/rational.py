@@ -6,14 +6,15 @@ solvers rely on: canonical form after every operation (positive denominator,
 gcd-reduced), arbitrary-precision integers underneath, and a total order
 consistent with the reals. This module adds the small set of operations the
 rest of the package needs on top of that: construction from text, floor
-division and the "num/den" text form used in instance and result files.
+division, the "num/den" text form of instance and result files and grids.
 
 Values are immutable; sharing them across threads is safe.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 Rat = Fraction
 
@@ -58,3 +59,13 @@ def floor_div(a: RatLike, b: RatLike) -> int:
         raise ZeroDivisionError("floor_div by zero")
     q = a / b
     return q.numerator // q.denominator
+
+
+def grid_scale(values: Iterable[Rat]) -> int:
+    """lcm of the denominators: the smallest scale putting values on integers."""
+    return math.lcm(*[v.denominator for v in values])
+
+
+def on_grid(values: Iterable[Rat], scale: int) -> tuple[int, ...]:
+    """The values times `scale`, a multiple of every denominator, as ints."""
+    return tuple([v.numerator * (scale // v.denominator) for v in values])

@@ -9,12 +9,16 @@ T - t_i. The LR baseline bound drops the eligibility filter (the plain
 makespan LP relaxation) and searches the same grid, so BS dominates LR by
 construction.
 
-The search grid is the integer multiples of 1/D, D the least common
-denominator of the node's processing times and overheads. min_feasible_T
-scales P and t by D once per node and probes integers k = T*D, so every
-load row it builds is an integer row with right-hand side k - t_i*D (a
-positive multiple of the rational row, which changes neither the pivots
-nor the vertex). Feasibility is monotone in T, and the search:
+Everything runs on one integer view of the instance (`SchedGrid`), built
+once per run: P and t times R, the lcm of their denominators. Overheads,
+guesses, hints, makespans and the adapter's bounds (bound_scale = R) are
+integers on it; only LP coordinates and the loads they touch are
+Fractions. A node's data can lie on a coarser grid than the instance's
+(fixed times 1/3 + 2/3 sum to 1), so min_feasible_T probes only multiples
+of the node step g = gcd(R, t, the unfixed jobs' rows), the node's own
+grid: the LP at k = g*k' is the LP at k' on that grid with every load row
+multiplied by g, which changes neither the pivots nor the vertex.
+Feasibility is monotone in T, and the search:
 
     brackets   k_lo from the overheads, the processing times and the
                parent's bound, k_hi from the list schedule or, tighter,
@@ -27,7 +31,7 @@ nor the vertex). Feasibility is monotone in T, and the search:
                which also proves every guess up to the last one where it
                breaks infeasible (its infeasibility reaches zero, or a
                column that opens has a positive weight), so the next
-               probe is the guess after that. Rays are checked against
+               probe is the step after that. Rays are checked against
                the node's data before they are used (LpError otherwise).
                The first feasible probe is the smallest feasible guess,
                and its vertex is the one that guess's LP always gives.
@@ -77,12 +81,13 @@ from .lp import (
     job_machine_matching,
     solve_vertex,
 )
-from .rational import Rat, floor_div, rat
+from .rational import Rat, floor_div, grid_scale, on_grid
 
 if TYPE_CHECKING:
     from .algorithms import Outcome
 
 __all__ = [
+    "SchedGrid",
     "LpPoint",
     "FarkasRay",
     "build_load_lp",
@@ -98,7 +103,6 @@ __all__ = [
     "run_unrelated",
     "solve_unrelated",
     "scheme_depth_cap",
-    "grid_denominator",
     "child_hi_hint",
 ]
 
@@ -108,12 +112,28 @@ ROUNDING_LST = "LST-match"
 
 
 @dataclass(frozen=True)
+class SchedGrid:
+    """An instance on integers: P (jobs x machines) and the overheads t
+    times R, the lcm of their denominators (1 on generated data)."""
+
+    R: int
+    P: tuple[tuple[int, ...], ...]
+    t: tuple[int, ...]
+
+    @classmethod
+    def build(cls, inst: SchedulingInstance) -> SchedGrid:
+        R = grid_scale([*itertools.chain(*inst.processing), *inst.overheads])
+        P = tuple([on_grid(row, R) for row in inst.processing])
+        return cls(R, P, on_grid(inst.overheads, R))
+
+
+@dataclass(frozen=True)
 class LpPoint:
     """A basic feasible solution of the parametric load LP at guess T."""
 
-    T: Rat
+    T: int  # on the grid of the data the point was built from
     x: Mapping[tuple[int, int], Rat]  # nonzero coordinates
-    loads: tuple[Rat, ...]  # completion times t_i + assigned load
+    loads: tuple[int | Rat, ...]  # completion times t_i + assigned load
     fractional_jobs: tuple[int, ...]
     integral_assignment: Mapping[int, int]
 
@@ -125,25 +145,15 @@ class FarkasRay:
     machine the program gives no row). See ray_reach for what they must
     satisfy."""
 
-    y_jobs: Mapping[int, Rat]
-    y_machines: tuple[Rat, ...]
-
-
-def grid_denominator(P: Sequence[Sequence[Rat]], t: Sequence[Rat], jobs: Sequence[int]) -> int:
-    d = 1
-    for j in jobs:
-        for v in P[j]:
-            d = math.lcm(d, v.denominator)
-    for v in t:
-        d = math.lcm(d, v.denominator)
-    return d
+    y_jobs: Mapping[int, int]
+    y_machines: tuple[int, ...]
 
 
 def build_load_lp(
-    P: Sequence[Sequence[Rat]],
-    t: Sequence[Rat],
+    P: Sequence[Sequence[int]],
+    t: Sequence[int],
     jobs: Sequence[int],
-    T: Rat,
+    T: int,
     restrict: bool = True,
 ) -> tuple[LinearProgram, tuple[tuple[int, int], ...]] | None:
     """The load LP at guess T plus its variable order, or None when it is
@@ -189,10 +199,10 @@ def build_load_lp(
 
 
 def feasible_point(
-    P: Sequence[Sequence[Rat]],
-    t: Sequence[Rat],
+    P: Sequence[Sequence[int]],
+    t: Sequence[int],
     jobs: Sequence[int],
-    T: Rat,
+    T: int,
     restrict: bool = True,
     rays: list[FarkasRay] | None = None,
 ) -> LpPoint | None:
@@ -221,7 +231,7 @@ def feasible_point(
             y = [0] * len(t)
             for r, i in enumerate(sorted({i for _, i in pairs})):
                 y[i] = -farkas[nv + r]
-            y_jobs: dict[int, Rat] = {}
+            y_jobs: dict[int, int] = {}
             for (j, i), d in zip(pairs, farkas):
                 if j not in y_jobs:
                     y_jobs[j] = -d - y[i] * P[j][i]
@@ -255,8 +265,8 @@ def split_jobs(
 
 
 def list_schedule(
-    P: Sequence[Sequence[Rat]], t: Sequence[Rat], jobs: Sequence[int]
-) -> tuple[dict[int, int], Rat]:
+    P: Sequence[Sequence[int]], t: Sequence[int], jobs: Sequence[int]
+) -> tuple[dict[int, int], int]:
     """Greedy integer schedule (jobs in given order, least resulting load)."""
     loads = list(t)
     assignment: dict[int, int] = {}
@@ -264,18 +274,18 @@ def list_schedule(
         best = min(range(len(t)), key=lambda i: (loads[i] + P[j][i], i))
         assignment[j] = best
         loads[best] += P[j][best]
-    return assignment, max(loads) if loads else rat(0)
+    return assignment, max(loads) if loads else 0
 
 
-def _ceil_on_grid(v: Rat, D: int) -> int:
-    """The smallest k with k/D >= v."""
-    return -(-v.numerator * D // v.denominator)
+def _ceil_to(v: int | Rat, g: int) -> int:
+    """The smallest multiple of g that is >= v."""
+    return -(-v // g) * g
 
 
 def ray_reach(
     ray: FarkasRay,
-    PD: Sequence[Sequence[int]],
-    tD: Sequence[int],
+    P: Sequence[Sequence[int]],
+    t: Sequence[int],
     jobs: Sequence[int],
     k: int,
     k_hi: int,
@@ -303,7 +313,7 @@ def ray_reach(
     for i, yi in enumerate(y):
         if yi > 0:
             raise LpError(f"Farkas ray is positive on the slack of machine {i}")
-        infeasibility += yi * (k - tD[i])
+        infeasibility += yi * (k - t[i])
     if infeasibility <= 0:
         raise LpError(f"Farkas ray has infeasibility {infeasibility} <= 0 at guess {k}")
     reach = k_hi
@@ -312,9 +322,9 @@ def ray_reach(
         reach = min(reach, k + (infeasibility - 1) // slope)
     for j in jobs:
         yj = ray.y_jobs[j]
-        for i, p in enumerate(PD[j]):
+        for i, p in enumerate(P[j]):
             if yj + y[i] * p > 0:
-                opens = tD[i] + 1
+                opens = t[i] + 1
                 if restrict and p > opens:
                     opens = p
                 if opens <= k:
@@ -324,74 +334,64 @@ def ray_reach(
 
 
 def min_feasible_T(
-    P: Sequence[Sequence[Rat]],
-    t: Sequence[Rat],
+    grid: SchedGrid,
+    t: Sequence[int],
     jobs: Sequence[int],
     restrict: bool = True,
-    lo_hint: Rat | None = None,
-    hi_hint: Rat | None = None,
+    lo_hint: int | Rat | None = None,
+    hi_hint: int | Rat | None = None,
 ) -> LpPoint:
-    """A vertex of the load LP at the smallest feasible grid guess T.
-
-    The search runs on k = T*D, D = grid_denominator(P, t, jobs): processing
-    times and overheads are scaled by D once, so every probe builds an
-    integer program. The bracket is [k_lo, k_hi]:
+    """A vertex of the load LP at the smallest feasible guess of the node
+    with overheads t and unfixed `jobs`, all on `grid`: guesses k stand for
+    T = k/R, and only multiples of the node step g are probed (see the
+    module docstring). The bracket is [k_lo, k_hi], both multiples of g:
 
     - k_lo: max(max overhead, largest minimal processing time under
-      restrict, averaged load bound, lo_hint), rounded up onto the grid;
+      restrict, averaged load bound, lo_hint), rounded up to a step;
       lo_hint is a known lower bound such as the parent node's optimum;
-    - k_hi: the list-schedule makespan, or hi_hint rounded up onto the
-      grid when that is smaller; hi_hint must be a guess at which the LP
-      is feasible (the parent's point gives one, see child_hi_hint).
+    - k_hi: the list-schedule makespan, or hi_hint rounded up to a step
+      when that is smaller; hi_hint must be a guess at which the LP is
+      feasible (the parent's point gives one, see child_hi_hint).
 
     k_lo is probed first and, when feasible, is the answer after one LP
     solve. Otherwise the search walks up: an infeasible probe at k hands
     back its Farkas ray, ray_reach checks it and finds the last guess k2
-    it proves infeasible, and the next probe is k2 + 1 (k + 1 when
-    build_load_lp rules k out without a solve). So the first feasible
-    probe is the smallest feasible guess, and the vertex returned is the
-    one its LP always gives. Every probe is one feasible_point call.
-    Raises LpError when no grid point of the bracket is feasible, i.e.
-    when k_hi (or hi_hint) was not a feasible guess, or when a ray fails
-    its check; a wrong T is never returned.
+    it proves infeasible, and the next probe is the first step above k2
+    (k + g when build_load_lp rules k out without a solve). So the first
+    feasible probe is the smallest feasible step, and the vertex returned
+    is the one its LP always gives. Every probe is one feasible_point call.
+    Raises LpError when no step of the bracket is feasible, i.e. when k_hi
+    (or hi_hint) was not a feasible guess, or when a ray fails its check; a
+    wrong T is never returned.
     """
-    m = len(t)
-    D = grid_denominator(P, t, jobs)
-    PD = {j: [v.numerator * (D // v.denominator) for v in P[j]] for j in jobs}
-    tD = [v.numerator * (D // v.denominator) for v in t]
-
-    k_lo = max(tD, default=0)
+    P = grid.P
+    g = math.gcd(grid.R, *t, *itertools.chain(*[P[j] for j in jobs]))
+    k_lo = max(t, default=0)
     if jobs:
         if restrict:
-            k_lo = max(k_lo, max([min(PD[j]) for j in jobs]))
-        total = sum([min(PD[j]) for j in jobs]) + sum(tD)
-        k_lo = max(k_lo, -(-total // m))
+            k_lo = max(k_lo, max([min(P[j]) for j in jobs]))
+        total = sum([min(P[j]) for j in jobs]) + sum(t)
+        k_lo = max(k_lo, _ceil_to(total, len(t) * g) // len(t))
     if lo_hint is not None:
-        k_lo = max(k_lo, _ceil_on_grid(lo_hint, D))
-    k_hi = max(list_schedule(PD, tD, jobs)[1], k_lo)
+        k_lo = max(k_lo, _ceil_to(lo_hint, g))
+    k_hi = max(list_schedule(P, t, jobs)[1], k_lo)
     if hi_hint is not None:
-        k_hi = min(k_hi, _ceil_on_grid(hi_hint, D))
+        k_hi = min(k_hi, _ceil_to(hi_hint, g))
 
     # the lower end first: a child's answer is often its parent's bound
-    k, point = k_lo, None
+    k = k_lo
     while k <= k_hi:
         rays: list[FarkasRay] = []
-        point = feasible_point(PD, tD, jobs, k, restrict, rays)
+        point = feasible_point(P, t, jobs, k, restrict, rays)
         if point is not None:
-            break
-        k = (ray_reach(rays[0], PD, tD, jobs, k, k_hi, restrict) if rays else k) + 1
-    if point is None:
-        raise LpError("upper bracket infeasible; bracket construction is broken")
-    # back from the grid: x is scale-free, T and the loads divide by D; a
-    # machine that carries nothing keeps its overhead object, as the nodes
-    # of a search keep their points
-    loads = tuple([t[i] if v == tD[i] else Rat(v, D) for i, v in enumerate(point.loads)])
-    return LpPoint(
-        Rat(point.T, D), point.x, loads, point.fractional_jobs, point.integral_assignment
-    )
+            return point
+        k = _ceil_to((ray_reach(rays[0], P, t, jobs, k, k_hi, restrict) if rays else k) + 1, g)
+    raise LpError("upper bracket infeasible; bracket construction is broken")
 
 
-def child_hi_hint(point: LpPoint, P: Sequence[Sequence[Rat]], job: int, machine: int) -> Rat:
+def child_hi_hint(
+    point: LpPoint, P: Sequence[Sequence[int]], job: int, machine: int
+) -> int | Rat:
     """A guess at which the child fixing `job` on `machine` has a feasible LP.
 
     Keep the parent's feasible point for every other job and put `job`
@@ -404,22 +404,23 @@ def child_hi_hint(point: LpPoint, P: Sequence[Sequence[Rat]], job: int, machine:
     return max(point.T, raised)
 
 
-def _makespan(
-    P: Sequence[Sequence[Rat]], t: Sequence[Rat], assignment: Mapping[int, int]
-) -> Rat:
-    loads = [rat(v) for v in t]
+def _loads(
+    P: Sequence[Sequence[int]], t: Sequence[int], assignment: Mapping[int, int]
+) -> list[int]:
+    loads = list(t)
     for j, i in assignment.items():
         loads[i] += P[j][i]
-    return max(loads) if loads else rat(0)
+    return loads
 
 
 def round_vertex(
     point: LpPoint,
-    P: Sequence[Sequence[Rat]],
-    t: Sequence[Rat],
+    P: Sequence[Sequence[int]],
+    t: Sequence[int],
     mode: str,
-) -> tuple[dict[int, int], Rat]:
-    """Integral schedule from a vertex: integral jobs stay, fractional move.
+) -> tuple[dict[int, int], int]:
+    """Integral schedule from a vertex and its makespan, on the grid of P
+    and t: integral jobs stay, fractional ones move.
 
     LST-match reassigns along an injection into supporting machines and is
     guaranteed a makespan of at most twice the vertex's T (checked on
@@ -431,18 +432,18 @@ def round_vertex(
     assignment = dict(point.integral_assignment)
     frac = point.fractional_jobs
     if not frac:
-        return assignment, _makespan(P, t, assignment)
+        return assignment, max(_loads(P, t, assignment))
     if mode == ROUNDING_AS:
         for j in frac:
             assignment[j] = min(range(m), key=lambda i: (P[j][i], i))
-        return assignment, _makespan(P, t, assignment)
+        return assignment, max(_loads(P, t, assignment))
     if mode == ROUNDING_LST:
         graph = fractional_graph(point.x, m)
         matching = job_machine_matching(graph)
         if matching is None:
             raise LpError("no fractional-job matching: vertex structure bug")
         assignment.update(matching)
-        makespan = _makespan(P, t, assignment)
+        makespan = max(_loads(P, t, assignment))
         if makespan > 2 * point.T:
             raise AdapterContractError(
                 f"matching rounding makespan {makespan} exceeded twice the guess {point.T}"
@@ -455,18 +456,18 @@ def round_vertex(
                 "use AS or LST-match on this many machines"
             )
         best_assign: dict[int, int] | None = None
-        best_makespan: Rat | None = None
+        best_makespan: int | None = None
         for combo in itertools.product(range(m), repeat=len(frac)):
             cand = dict(assignment)
             cand.update(zip(frac, combo))
-            mk = _makespan(P, t, cand)
+            mk = max(_loads(P, t, cand))
             if best_makespan is None or mk < best_makespan:
                 best_assign, best_makespan = cand, mk
         return best_assign, best_makespan
     raise ValueError(f"unknown rounding mode {mode!r}")
 
 
-def mmp_pivot(point: LpPoint, P: Sequence[Sequence[Rat]]) -> int:
+def mmp_pivot(point: LpPoint, P: Sequence[Sequence[int]]) -> int:
     """Fractional job with maximal shortest processing time; ties lowest id."""
     if not point.fractional_jobs:
         raise ValueError("no fractional job to pivot on")
@@ -483,18 +484,18 @@ def scheme_depth_cap(m: int, eps: Rat) -> int:
 class _SchedState:
     """A scheduling node, also the profile schemes': unfixed jobs, completion
     times t, fixed jobs (job -> machine), the parent's T-search brackets and,
-    once bounded, the LP point."""
+    once bounded, the LP point; all on the adapter's grid."""
 
     jobs: tuple[int, ...]
-    t: tuple[Rat, ...]
+    t: tuple[int, ...]
     fixed: dict[int, int]
-    lo_hint: Rat | None = None
-    hi_hint: Rat | None = None
+    lo_hint: int | None = None
+    hi_hint: int | Rat | None = None
     point: LpPoint | None = None
 
 
 def fix_job(
-    node: Node, P: Sequence[Sequence[Rat]], pivot: int, hint_point: LpPoint | None
+    node: Node, P: Sequence[Sequence[int]], pivot: int, hint_point: LpPoint | None
 ) -> list[ChildSpec]:
     """One child per machine: `pivot` fixed there and that machine's
     completion time raised. Each child brackets its T-search by the node's
@@ -515,7 +516,9 @@ def fix_job(
 
 
 class UnrelatedAdapter(BaseAdapter):
-    """Engine adapter: BS or LR bounding, AS or BM rounding, MMP branching."""
+    """Engine adapter: BS or LR bounding, AS or BM rounding, MMP branching.
+    Bounds are ints on the instance's grid, in units of 1/bound_scale =
+    1/R."""
 
     sense = Sense.MIN
 
@@ -528,19 +531,20 @@ class UnrelatedAdapter(BaseAdapter):
     ):
         if bounding not in ("BS", "LR"):
             raise ValueError(f"unknown bounding {bounding!r}")
-        self.inst = inst
-        self.P = inst.processing
+        self.grid = SchedGrid.build(inst)
+        self.bound_scale = self.grid.R
+        self.P = self.grid.P
         self.m = inst.m
         self.restrict = bounding == "BS"
         self.rounding = rounding
         self.depth_cap = depth_cap
 
     def root_payload(self) -> _SchedState:
-        return _SchedState(tuple(range(self.inst.n)), self.inst.overheads, {})
+        return _SchedState(tuple(range(len(self.P))), self.grid.t, {})
 
     def bound(self, state: _SchedState) -> BoundInfo:
         point = min_feasible_T(
-            self.P,
+            self.grid,
             state.t,
             state.jobs,
             restrict=self.restrict,
@@ -551,7 +555,7 @@ class UnrelatedAdapter(BaseAdapter):
         lb = point.T
         if not point.fractional_jobs:
             solution = {**state.fixed, **point.integral_assignment}
-            ub = _makespan(self.P, self.inst.overheads, solution)
+            ub = max(_loads(self.P, self.grid.t, solution))
             if ub != lb:
                 raise AdapterContractError(
                     f"integral vertex makespan {ub} off its minimal guess {lb}"

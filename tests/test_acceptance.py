@@ -39,6 +39,7 @@ from bnbapprox.rational import rat
 from bnbapprox.rng import SplitMix64
 from bnbapprox.scheduling import (
     ROUNDING_LST,
+    SchedGrid,
     build_load_lp,
     min_feasible_T,
     mmp_pivot,
@@ -204,7 +205,8 @@ def test_criterion_07_vertex_structure():
     with _report(7, "vertices: <= m fractional jobs, machine injection, uniform predicate"):
         for i in range(100):
             inst = generate("scheduling-uniform", 4 + i % 6, 2 + i % 2, 50_000 + i)
-            res = min_feasible_T(inst.processing, inst.overheads, range(inst.n))
+            grid = SchedGrid.build(inst)
+            res = min_feasible_T(grid, grid.t, range(inst.n))
             assert len(res.fractional_jobs) <= inst.m
             graph = fractional_graph(res.x, inst.m)
             matching = job_machine_matching(graph)
@@ -218,14 +220,15 @@ def test_criterion_08_lst_rounding_bound():
         rng = SplitMix64(60_000)
         for i in range(100):
             inst = generate("scheduling-unrelated", 4 + i % 7, 2 + i % 2, 60_000 + i)
-            t = list(inst.overheads)
+            grid = SchedGrid.build(inst)
+            t = list(grid.t)
             jobs = list(range(inst.n))
             for _ in range(rng.randint(0, 2)):
                 j = jobs.pop(rng.randint(0, len(jobs) - 1))
                 k = rng.randint(0, inst.m - 1)
-                t[k] += inst.processing[j][k]
-            res = min_feasible_T(inst.processing, tuple(t), jobs)
-            _, makespan = round_vertex(res, inst.processing, tuple(t), ROUNDING_LST)
+                t[k] += grid.P[j][k]
+            res = min_feasible_T(grid, tuple(t), jobs)
+            _, makespan = round_vertex(res, grid.P, tuple(t), ROUNDING_LST)
             assert makespan <= 2 * res.T  # also asserted inside round_vertex
 
 
@@ -273,14 +276,15 @@ def test_criterion_11_bound_dominance():
         rng = SplitMix64(90_000)
         for i in range(100):
             inst = generate("scheduling-unrelated", 4 + i % 6, 2 + i % 3, 90_000 + i)
-            t = list(inst.overheads)
+            grid = SchedGrid.build(inst)
+            t = list(grid.t)
             jobs = list(range(inst.n))
             for _ in range(rng.randint(0, 3)):
                 j = jobs.pop(rng.randint(0, len(jobs) - 1))
                 k = rng.randint(0, inst.m - 1)
-                t[k] += inst.processing[j][k]
-            bs = min_feasible_T(inst.processing, tuple(t), jobs, restrict=True)
-            lr = min_feasible_T(inst.processing, tuple(t), jobs, restrict=False)
+                t[k] += grid.P[j][k]
+            bs = min_feasible_T(grid, tuple(t), jobs, restrict=True)
+            lr = min_feasible_T(grid, tuple(t), jobs, restrict=False)
             assert bs.T >= lr.T
 
 
@@ -335,8 +339,9 @@ def _counterexample_instance():
 
 
 def _second_iteration_node(inst):
-    P, t = inst.processing, inst.overheads
-    root = min_feasible_T(P, t, range(inst.n))
+    grid = SchedGrid.build(inst)  # integer data: R = 1
+    P, t = grid.P, grid.t
+    root = min_feasible_T(grid, t, range(inst.n))
     pivot = mmp_pivot(root, P)
     children = []
     for i in range(inst.m):
@@ -344,7 +349,7 @@ def _second_iteration_node(inst):
             v + P[pivot][i] if idx == i else v for idx, v in enumerate(t)
         )
         rest = tuple(j for j in range(inst.n) if j != pivot)
-        res = min_feasible_T(P, t_child, rest)
+        res = min_feasible_T(grid, t_child, rest)
         children.append((res.T, i, t_child, rest, res))
     children.sort(key=lambda c: (c[0], c[1]))
     return children[0]
@@ -361,7 +366,7 @@ def test_criterion_13a_counterexample_no_mmp_fractional_vertex():
         inst = _counterexample_instance()
         t_min, _, t_child, rest, _ = _second_iteration_node(inst)
         mmp_job = max(rest, key=lambda j: (min(inst.processing[j]), -j))
-        built = build_load_lp(inst.processing, t_child, rest, t_min)
+        built = build_load_lp(SchedGrid.build(inst).P, t_child, rest, t_min)
         assert built is not None
         lp, pairs = built
         for values in enumerate_vertices(lp, budget=200_000):

@@ -263,13 +263,16 @@ def test_cli_rejects_alpha_out_of_range(tmp_path):
 
 def _library_payload(algorithm, result, assignment, outcome=None):
     # the CLI's JSON keys: the run's counters, the algorithm and the
-    # assignment, plus makespan and scale for the normalizing profile schemes
+    # assignment, plus makespan, bound and scale for the normalizing profile
+    # schemes (the run's own value and bound are in normalized units)
     expected = result.to_json_dict()
     expected["algorithm"] = algorithm
     expected["assignment"] = {str(j): i for j, i in sorted(assignment.items())}
     if outcome is not None:
         expected["makespan"] = format_rat(outcome.makespan)
+        expected["bound"] = format_rat(outcome.bound)
         expected["scale"] = format_rat(outcome.scale)
+        assert outcome.bound == result.global_bound * outcome.scale <= outcome.makespan
     return expected
 
 
@@ -372,6 +375,16 @@ def test_config_rejects_ratios_an_algorithm_cannot_take(tmp_path):
                  "--ratios", "1/2,1", "--instances-per-pair", "1",
                  "--out", str(tmp_path / "rows.csv")]) == 2
     assert not (tmp_path / "rows.csv").exists()
+
+
+def test_cli_rejects_node_limit_below_one(tmp_path):
+    inst_path = tmp_path / "unrelated.json"
+    assert main(["generate", "--kind", "scheduling-unrelated", "--n", "5", "--m", "2",
+                 "--seed", "3", "--out", str(inst_path)]) == 0
+    args = ["solve", "--instance", str(inst_path), "--algorithm", "unrelated"]
+    assert main(args + ["--node-limit", "1"]) == 0
+    for limit in ("0", "-1"):
+        assert main(args + ["--node-limit", limit]) == 2
 
 
 def test_cli_rejects_depth_cap_where_unused(tmp_path):

@@ -15,7 +15,7 @@ from bnbapprox.instances import IDENTICAL, UNIFORM, UNRELATED, generate
 from bnbapprox.lp import LinearProgram, LpError, Vertex, solve_vertex
 from bnbapprox.profiles import normalize
 from bnbapprox.rational import Rat, rat
-from bnbapprox.scheduling import build_load_lp, grid_denominator, min_feasible_T
+from bnbapprox.scheduling import SchedGrid, build_load_lp, min_feasible_T
 
 
 def _reference_pivot(tableau, r, c, den):
@@ -246,15 +246,14 @@ def test_degenerate_rows_match_reference():
     assert redundant > 20
 
 
-def _load_lps_around_optimum(P, t, jobs):
+def _load_lps_around_optimum(grid, t, jobs):
     """build_load_lp output at guesses below, at and above the smallest
-    feasible grid value, with and without the eligibility filter."""
-    D = grid_denominator(P, t, jobs)
-    t_min = min_feasible_T(P, t, jobs).T
-    guesses = [t_min + rat(k, D) for k in (-3, -1, 0, 1, 4)] + [t_min * rat(3, 2)]
+    feasible guess on the grid, with and without the eligibility filter."""
+    k_min = min_feasible_T(grid, t, jobs).T
+    guesses = [k_min + k for k in (-3, -1, 0, 1, 4)] + [rat(3 * k_min, 2)]
     for T in guesses:
         for restrict in (True, False):
-            built = build_load_lp(P, t, jobs, T, restrict)
+            built = build_load_lp(grid.P, t, jobs, T, restrict)
             if built is not None:
                 yield built[0]
 
@@ -263,15 +262,15 @@ def test_unrelated_load_lps_match_reference():
     solved = 0
     for seed in range(8):
         inst = generate(UNRELATED, 6 + seed % 3, 2 + seed % 3, 9100 + seed)
-        P, m = inst.processing, inst.m
+        grid, m = SchedGrid.build(inst), inst.m
         jobs = list(range(inst.n))
         # a root node and a node with two jobs fixed onto machines
         fixed = {jobs[0]: 0, jobs[1]: m - 1}
-        t = [rat(0)] * m
+        t = [0] * m
         for j, i in fixed.items():
-            t[i] += P[j][i]
-        for overheads, free in ((inst.overheads, jobs), (tuple(t), jobs[2:])):
-            for lp in _load_lps_around_optimum(P, overheads, free):
+            t[i] += grid.P[j][i]
+        for overheads, free in ((grid.t, jobs), (tuple(t), jobs[2:])):
+            for lp in _load_lps_around_optimum(grid, overheads, free):
                 solved += _assert_same(lp) is not None
     assert solved > 50
 
@@ -280,8 +279,8 @@ def test_normalized_uniform_load_lps_match_reference():
     solved = 0
     for seed in range(6):
         kind = UNIFORM if seed % 2 else IDENTICAL
-        scaled, _ = normalize(generate(kind, 6, 3, 7300 + seed))
-        jobs = list(range(scaled.n))
-        for lp in _load_lps_around_optimum(scaled.processing, scaled.overheads, jobs):
+        grid, _, _ = normalize(generate(kind, 6, 3, 7300 + seed))
+        jobs = list(range(len(grid.P)))
+        for lp in _load_lps_around_optimum(grid, grid.t, jobs):
             solved += _assert_same(lp) is not None
     assert solved > 20

@@ -4,13 +4,16 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from bnbapprox import profiles
 from bnbapprox.engine import AdapterContractError, Criterion, Node, Selection, run
-from bnbapprox.instances import IDENTICAL, InstanceError, SchedulingInstance, generate
+from bnbapprox.instances import IDENTICAL, UNRELATED, InstanceError, SchedulingInstance
+from bnbapprox.instances import generate
 from bnbapprox.oracle import exact_opt
+from bnbapprox.scheduling import _SchedState
 from bnbapprox.profiles import (
     ProfileAdapter,
     cube_limit,
@@ -22,12 +25,12 @@ from bnbapprox.profiles import (
     solve_identical,
     solve_uniform,
     uniform_vertex_check,
-    _sorted_normalized,
 )
 from bnbapprox.rational import rat
 from bnbapprox.scheduling import (
     ROUNDING_LST,
     LpPoint,
+    SchedGrid,
     min_feasible_T,
     round_vertex,
 )
@@ -54,18 +57,43 @@ IDENT332 = SchedulingInstance(
 )
 
 
+def _normalized_base(grid):
+    """An identical or uniform instance's normalized time of each sorted
+    job on machine 0 (its base time when that machine has speed 1)."""
+    return tuple(Fraction(row[0], grid.R) for row in grid.P)
+
+
 def test_normalize_worked_example():
-    norm, scale = normalize(IDENT332)
-    assert scale == 4
-    assert norm.base_times == (rat(3, 4), rat(3, 4), rat(1, 2))
-    res = min_feasible_T(norm.processing, norm.overheads, range(3))
-    assert res.T == 1  # normalized root bound
+    grid, scale, order = normalize(IDENT332)
+    assert scale == 4 and order == (0, 1, 2)
+    assert grid.R == 4 and grid.P == ((3, 3), (3, 3), (2, 2)) and grid.t == (0, 0)
+    assert _normalized_base(grid) == (rat(3, 4), rat(3, 4), rat(1, 2))
+    res = min_feasible_T(grid, grid.t, range(3))
+    assert res.T == grid.R  # normalized root bound 1
 
 
 def test_normalize_identity_when_scaled():
-    norm, scale = normalize(IDENT332)
-    again, scale2 = normalize(norm)
-    assert scale2 == 1 and again.base_times == norm.base_times
+    # the normalized data as an instance of its own: a second
+    # normalization keeps it, at scale 1
+    grid, _, _ = normalize(IDENT332)
+    base = _normalized_base(grid)
+    norm = SchedulingInstance(
+        IDENTICAL, tuple((b, b) for b in base), (rat(0), rat(0)), base, (rat(1), rat(1))
+    )
+    again, scale2, order = normalize(norm)
+    assert scale2 == 1 and again == grid and order == (0, 1, 2)
+
+
+def test_normalize_sorts_and_divides_by_the_common_factor():
+    # one machine: root optimum 15 (R = 2, K = 30); every datum on R is a
+    # multiple of 3, so the normalized grid is R' = 10, the data divided by 3
+    base = (rat(3, 2), rat(6), rat(15, 2))
+    inst = SchedulingInstance(
+        IDENTICAL, tuple((b,) for b in base), (rat(0),), base, (rat(1),)
+    )
+    grid, scale, order = normalize(inst)
+    assert scale == 15 and order == (2, 1, 0)
+    assert grid == SchedGrid(10, ((5,), (4,), (1,)), (0,))
 
 
 def test_normalize_rejects_unrelated():
@@ -75,17 +103,27 @@ def test_normalize_rejects_unrelated():
 
 
 def test_similarity_cell_examples():
-    assert similarity_cell((rat(1), rat(11, 10)), rat(1, 2), 4) == (8, 8)
+    # cells of side eps/n = 1/8, in normalized units and on the grid R' = 40
+    assert similarity_cell((rat(1), rat(11, 10)), rat(1, 8)) == (8, 8)
+    assert similarity_cell((40, 44), rat(1, 8) * 40) == (8, 8)
     eps = rat(1, 2)
-    too_big = 3 * (1 + eps) ** 2
-    assert similarity_cell((too_big, rat(0)), eps, 4) is None
     # same cell => coordinates differ by less than eps/n
     a = (rat(3, 10), rat(1, 2))
     b = (rat(32, 100), rat(51, 100))
     n = 4
-    ca, cb = similarity_cell(a, eps, n), similarity_cell(b, eps, n)
+    ca, cb = similarity_cell(a, eps / n), similarity_cell(b, eps / n)
     assert ca == cb
     assert all(abs(x - y) <= eps / n for x, y in zip(a, b))
+
+
+def test_cube_limit_on_the_normalized_grid():
+    # R' = 4: the cube limit 2(1+eps)^2 = 9/2 is the grid value 18
+    adapter = ProfileAdapter(IDENT332, rat(1, 2), "similarity")
+    assert adapter.grid.R == 4 and adapter.limit == 18
+    for t, inside in (((18, 0), True), ((19, 0), False), ((0, 19), False)):
+        node = Node(1, 0, 1, 16, 18, False, 0, False, _SchedState((1, 2), t, {0: 0}))
+        assert adapter.admit(node) is inside
+    assert adapter.rejected_cube == 2
 
 
 def test_round_geometric():
@@ -123,15 +161,16 @@ def test_adapter_key_matches_reference_equivalence_key():
     checked = 0
     eps = rat(1, 20)
     for seed, selection in itertools.product(range(4), (Selection.BEST_FIRST, Selection.BFS)):
-        arranged, _, _ = _sorted_normalized(generate("scheduling-identical", 10, 3, 300 + seed))
-        adapter = ProfileAdapter(arranged, eps, "equivalence")
+        inst = generate("scheduling-identical", 10, 3, 300 + seed)
+        adapter = ProfileAdapter(inst, eps, "equivalence")
+        base = _normalized_base(adapter.grid)
         keys = set()
         insert = adapter.on_insert
 
         def on_insert(node):
             nonlocal checked
             state = node.payload
-            key = equivalence_key(state.fixed, arranged.base_times, eps, arranged.m)
+            key = equivalence_key(state.fixed, base, eps, inst.m)
             assert key != SMALL_JOB and adapter._profile_key(state) == key
             assert (node.depth, key) not in keys
             keys.add((node.depth, key))
@@ -148,7 +187,6 @@ def test_uniform_vertex_check_integral_and_cycle():
     assert uniform_vertex_check(point)
     # averaging two distinct vertices yields a non-vertex (cycle / two
     # slack machines in one component)
-    res = min_feasible_T(P332, (rat(0), rat(0)), range(3))
     cycle_x = {
         (0, 0): rat(1, 2),
         (0, 1): rat(1, 2),
@@ -164,32 +202,27 @@ def test_uniform_vertex_check_integral_and_cycle():
 
 def test_uniform_vertex_check_accepts_solver_output():
     for seed in range(30):
-        inst = generate("scheduling-uniform", 6, 2, 400 + seed)
-        arranged, _, _ = _sorted_normalized(inst)
-        res = min_feasible_T(arranged.processing, arranged.overheads, range(arranged.n))
+        grid, _, _ = normalize(generate("scheduling-uniform", 6, 2, 400 + seed))
+        res = min_feasible_T(grid, grid.t, range(len(grid.P)))
         assert uniform_vertex_check(res)
 
 
 def test_make_longest_fractional_noop_when_already_fractional():
-    arranged, _, _ = _sorted_normalized(IDENT332)
-    res = min_feasible_T(arranged.processing, arranged.overheads, range(3))
+    grid, _, _ = normalize(IDENT332)
+    res = min_feasible_T(grid, grid.t, range(3))
     if 0 in res.fractional_jobs:
-        point, changed = make_longest_fractional(res, arranged.base_times, arranged.speeds, 0)
+        point, changed = make_longest_fractional(res, grid.P, 0)
         assert point is res and not changed
 
 
 def test_make_longest_fractional_randomized_search():
     transformed = 0
     for seed in range(200):
-        inst = generate("scheduling-uniform", 5, 2, 800 + seed)
-        arranged, _, _ = _sorted_normalized(inst)
-        res = min_feasible_T(arranged.processing, arranged.overheads, range(arranged.n))
-        point = res
+        grid, _, _ = normalize(generate("scheduling-uniform", 5, 2, 800 + seed))
+        point = min_feasible_T(grid, grid.t, range(len(grid.P)))
         if not point.fractional_jobs or 0 in point.fractional_jobs:
             continue
-        new_point, changed = make_longest_fractional(
-            point, arranged.base_times, arranged.speeds, 0
-        )
+        new_point, changed = make_longest_fractional(point, grid.P, 0)
         if not changed:
             continue
         transformed += 1
@@ -210,26 +243,25 @@ def test_profile_drift_bounds_on_sibling_pairs():
     checked = 0
     for seed in range(12):
         inst = generate("scheduling-uniform", 6, 2, seed)
-        arranged, _, _ = _sorted_normalized(inst)
-        P, base = arranged.processing, arranged.base_times
-        n, m = arranged.n, arranged.m
+        grid, _, _ = normalize(inst)
+        P, R = grid.P, grid.R
+        n, m = inst.n, inst.m
         jobs_left = tuple(range(d, n))
         delta = d * eps / n
         nodes = []
         for combo in itertools.product(range(m), repeat=d):
-            t = [rat(0)] * m
+            t = [0] * m
             for k, i in enumerate(combo):
                 t[i] += P[k][i]
-            res = min_feasible_T(P, tuple(t), jobs_left)
+            res = min_feasible_T(grid, tuple(t), jobs_left)
+            # the node's residual problem in normalized units
             sub = SchedulingInstance(
-                kind=arranged.kind,
-                processing=tuple(P[j] for j in jobs_left),
-                overheads=tuple(t),
-                base_times=tuple(base[j] for j in jobs_left),
-                speeds=arranged.speeds,
+                kind=UNRELATED,
+                processing=tuple(tuple(Fraction(p, R) for p in P[j]) for j in jobs_left),
+                overheads=tuple(Fraction(v, R) for v in t),
             )
             best = exact_opt(sub).optimum
-            nodes.append((tuple(t), res.T, best))
+            nodes.append((tuple(Fraction(v, R) for v in t), Fraction(res.T, R), best))
         for (t1, lb1, ub1), (t2, lb2, ub2) in itertools.combinations(nodes, 2):
             if all(abs(a - b) <= delta for a, b in zip(t1, t2)):
                 checked += 1
@@ -245,21 +277,21 @@ def test_equivalence_key_ratio_bounds():
     checked = 0
     for seed in range(12):
         inst = generate("scheduling-identical", 6, 3, seed)
-        arranged, _, _ = _sorted_normalized(inst)
-        P, base = arranged.processing, arranged.base_times
-        n, m = arranged.n, arranged.m
+        grid, _, _ = normalize(inst)
+        P, base = grid.P, _normalized_base(grid)
+        n, m = inst.n, inst.m
         if any(base[k] < eps for k in range(d)):
             continue
         jobs_left = tuple(range(d, n))
         buckets: dict = {}
         for combo in itertools.product(range(m), repeat=d):
-            t = [rat(0)] * m
+            t = [0] * m
             fixed = {}
             for k, i in enumerate(combo):
                 t[i] += P[k][i]
                 fixed[k] = i
             key = equivalence_key(fixed, base, eps, m)
-            res = min_feasible_T(P, tuple(t), jobs_left)
+            res = min_feasible_T(grid, tuple(t), jobs_left)
             if res.fractional_jobs:
                 _, ub = round_vertex(res, P, tuple(t), ROUNDING_LST)
             else:
@@ -281,16 +313,11 @@ def test_same_profile_different_levels_never_merged():
     base = (rat(N), rat(N)) + (rat(1),) * N
     P = tuple((b, b) for b in base)
     inst = SchedulingInstance(IDENTICAL, P, (rat(0), rat(0)), base, (rat(1), rat(1)))
-    arranged, _, _ = _sorted_normalized(inst)
     eps = rat(1, 2)
-    adapter = ProfileAdapter(arranged, eps, "similarity")
-    from bnbapprox.engine import Node
-    from bnbapprox.scheduling import _SchedState
-
-    scale = rat(arranged.meta["scale"]) if "scale" in dict(arranged.meta) else rat(1)
-    profile = (rat(N) / rat(2 * N + 4) * 2, rat(N) / rat(2 * N + 4) * 2)
-    shallow = _SchedState(tuple(range(2, arranged.n)), profile, {})
-    deep = _SchedState(tuple(range(3, arranged.n)), profile, {})
+    adapter = ProfileAdapter(inst, eps, "similarity")
+    profile = (adapter.P[0][0],) * 2  # an N-job on each machine
+    shallow = _SchedState(tuple(range(2, inst.n)), profile, {})
+    deep = _SchedState(tuple(range(3, inst.n)), profile, {})
     node_a = Node(10, None, 2, rat(1), rat(2), False, 0, False, shallow)
     node_b = Node(11, None, 3, rat(1), rat(2), False, 0, False, deep)
     assert adapter.admit(node_a)
@@ -314,11 +341,14 @@ def test_solve_uniform_guarantee_and_level_widths():
 
 
 def test_adapter_rejects_unrelated_instances():
-    # the profile schemes read base times and speeds, which only uniform and
-    # identical instances carry
+    # the profile schemes need a common job order on every machine, which
+    # only uniform and identical instances have; equivalence pruning reads
+    # every job's time from one machine, which needs identical machines
     inst = generate("scheduling-unrelated", 4, 2, 0)
     with pytest.raises(InstanceError):
         ProfileAdapter(inst, rat(1, 2), "similarity")
+    with pytest.raises(InstanceError):
+        ProfileAdapter(generate("scheduling-uniform", 4, 2, 0), rat(1, 2), "equivalence")
 
 
 def test_solve_uniform_rejects_bad_eps():
@@ -370,22 +400,21 @@ def test_children_hints_come_only_from_an_eligible_point():
     from bnbapprox.engine import Node
     from bnbapprox.scheduling import feasible_point
 
-    arranged, _, _ = _sorted_normalized(generate("scheduling-uniform", 8, 3, 720004))
-    adapter = ProfileAdapter(arranged, rat(1, 10), "similarity")
+    adapter = ProfileAdapter(generate("scheduling-uniform", 8, 3, 720004), rat(1, 10), "similarity")
     state = adapter.root_payload()
     info = adapter.bound(state)
     assert not info.leaf
     node = Node(0, None, 0, info.lb, info.ub, False, 0, False, state)
-    jobs = tuple(range(1, arranged.n))
+    jobs = tuple(range(1, adapter.n))
     for spec in adapter.branch(node):
         child = spec.payload
         assert child.hi_hint is not None and child.hi_hint >= info.lb
-        assert feasible_point(arranged.processing, child.t, jobs, child.hi_hint) is not None
+        assert feasible_point(adapter.P, child.t, jobs, child.hi_hint) is not None
     # a point that uses a pair above its guess is not feasible for the load
     # LP, so the children fall back to the list-schedule bracket
     point = state.point
     j, i = next(iter(point.x))
-    state.point = dataclasses.replace(point, T=arranged.processing[j][i] / 2)
+    state.point = dataclasses.replace(point, T=adapter.P[j][i] - 1)
     assert all(spec.payload.hi_hint is None for spec in adapter.branch(node))
 
 
@@ -395,9 +424,9 @@ def test_children_hints_come_only_from_an_eligible_point():
 _swap_mass = profiles._swap_mass
 
 
-def _swapped_with_drift(x, L, j, m1, m2, base_times):
+def _swapped_with_drift(x, L, j, m1, m2, P):
     # the right swap, plus a sliver more of L on m2 than its work allows
-    x = _swap_mass(x, L, j, m1, m2, base_times)
+    x = _swap_mass(x, L, j, m1, m2, P)
     x[(L, m2)] += rat(1, 1000)
     x[(L, m1)] -= rat(1, 1000)
     return x
@@ -405,11 +434,11 @@ def _swapped_with_drift(x, L, j, m1, m2, base_times):
 
 def test_broken_mass_swap_raises(monkeypatch):
     for seed in range(200):
-        arranged, _, _ = _sorted_normalized(generate("scheduling-uniform", 5, 2, 800 + seed))
-        point = min_feasible_T(arranged.processing, arranged.overheads, range(arranged.n))
+        grid, _, _ = normalize(generate("scheduling-uniform", 5, 2, 800 + seed))
+        point = min_feasible_T(grid, grid.t, range(len(grid.P)))
         if not point.fractional_jobs or 0 in point.fractional_jobs:
             continue
-        args = (point, arranged.base_times, arranged.speeds, 0)
+        args = (point, grid.P, 0)
         if make_longest_fractional(*args)[1]:  # the real swap passes
             break
     else:
@@ -420,8 +449,7 @@ def test_broken_mass_swap_raises(monkeypatch):
 
 
 def test_broken_level_width_raises():
-    arranged, _, _ = _sorted_normalized(generate("scheduling-uniform", 6, 2, 1))
-    adapter = ProfileAdapter(arranged, rat(1, 2), "similarity")
+    adapter = ProfileAdapter(generate("scheduling-uniform", 6, 2, 1), rat(1, 2), "similarity")
     adapter.level_bound = 0  # no node fits under a zero width bound
     root = Node(0, None, 0, rat(1), rat(2), False, 0, False, adapter.root_payload())
     with pytest.raises(AdapterContractError, match="similarity-cell bound"):

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -17,8 +19,8 @@ from bnbapprox.scheduling import (
     ROUNDING_AS,
     ROUNDING_BM,
     ROUNDING_LST,
+    SchedGrid,
     UnrelatedAdapter,
-    grid_denominator,
     list_schedule,
     min_feasible_T,
     mmp_pivot,
@@ -30,64 +32,91 @@ from guarantees import schedule_makespan
 
 P332 = ((rat(3), rat(3)), (rat(3), rat(3)), (rat(2), rat(2)))
 T00 = (rat(0), rat(0))
+# the same data on its grid (R = 1)
+G332 = SchedGrid(1, ((3, 3), (3, 3), (2, 2)), (0, 0))
+G7 = SchedGrid(1, ((7,),), (0,))
+
+
+def _grid(P, t=T00):
+    """Integer data as a SchedGrid on R = 1."""
+    return SchedGrid(1, tuple(tuple(int(v) for v in row) for row in P), tuple(int(v) for v in t))
 
 
 def test_min_feasible_T_332():
-    res = min_feasible_T(P332, T00, range(3))
+    res = min_feasible_T(G332, G332.t, range(3))
     assert res.T == 4
-    assert res.loads == (rat(4), rat(4))
+    assert res.loads == (4, 4)
     assert len(res.fractional_jobs) == 1
     # T=3 infeasible, certified by the bracket/walk-up invariant
     from bnbapprox.scheduling import feasible_point
 
-    assert feasible_point(P332, T00, range(3), rat(3)) is None
+    assert feasible_point(G332.P, G332.t, range(3), 3) is None
 
 
 def test_min_feasible_T_single_job():
-    res = min_feasible_T(((rat(7),),), (rat(0),), range(1))
+    res = min_feasible_T(G7, G7.t, range(1))
     assert res.T == 7
     assert res.fractional_jobs == ()
 
 
 def test_min_feasible_T_with_overheads():
-    res = min_feasible_T(((rat(10), rat(10)),), (rat(5), rat(0)), range(1))
+    res = min_feasible_T(SchedGrid(1, ((10, 10),), (5, 0)), (5, 0), range(1))
     assert res.T == 10
 
 
-def test_grid_denominator_rational_data():
-    P = ((rat(3, 2), rat(3)), (rat(2), rat(4)))
-    assert grid_denominator(P, (rat(0), rat(1, 3)), range(2)) == 6
-    res = min_feasible_T(P, (rat(0), rat(0)), range(2))
-    assert res.T.denominator in (1, 2)  # grid multiple of 1/2
+def test_sched_grid_rational_data():
+    inst = SchedulingInstance(
+        UNRELATED, ((rat(3, 2), rat(3)), (rat(2), rat(4))), (rat(0), rat(1, 3))
+    )
+    grid = SchedGrid.build(inst)
+    assert grid.R == 6
+    assert grid.P == ((9, 18), (12, 24)) and grid.t == (0, 2)
+    res = min_feasible_T(grid, grid.t, range(2))
+    assert res.T == 18  # 3, on the grid 1/6
+    assert UnrelatedAdapter(inst).bound_scale == 6
+
+
+def test_search_steps_on_the_node_grid():
+    # fixing job 2 on machine 1 (1/3 + 2/3) leaves integer data: the node
+    # step is 3 (the integers on R = 3), and the answer is the guess 2, not
+    # the guess 5/3 of the instance's finer grid, which is feasible too
+    inst = SchedulingInstance(
+        UNRELATED, ((rat(1), rat(1)), (rat(1), rat(1)), (rat(1, 3), rat(2, 3))), (rat(0), rat(1, 3))
+    )
+    grid = SchedGrid.build(inst)
+    assert grid.R == 3
+    t = (0, grid.t[1] + grid.P[2][1])
+    assert min_feasible_T(grid, t, (0, 1)).T == 6
+    assert scheduling.feasible_point(grid.P, t, (0, 1), 5) is not None
 
 
 def test_round_vertex_modes_on_332():
-    point = min_feasible_T(P332, T00, range(3))
+    point = min_feasible_T(G332, G332.t, range(3))
     for mode in (ROUNDING_AS, ROUNDING_BM, ROUNDING_LST):
-        assignment, makespan = round_vertex(point, P332, T00, mode)
+        assignment, makespan = round_vertex(point, G332.P, G332.t, mode)
         assert sorted(assignment) == [0, 1, 2]
         assert makespan == 5
         assert makespan <= 2 * point.T
 
 
 def test_round_vertex_integral_passthrough():
-    point = min_feasible_T(((rat(7),),), (rat(0),), range(1))
-    assignment, makespan = round_vertex(point, ((rat(7),),), (rat(0),), ROUNDING_LST)
+    point = min_feasible_T(G7, G7.t, range(1))
+    assignment, makespan = round_vertex(point, G7.P, G7.t, ROUNDING_LST)
     assert assignment == {0: 0} and makespan == 7
 
 
 def test_lst_rounding_bound_random():
     rng = SplitMix64(2024)
     for trial in range(60):
-        inst = generate("scheduling-unrelated", 7, 3, 5000 + trial)
-        t = list(inst.overheads)
-        jobs = list(range(inst.n))
+        grid = SchedGrid.build(generate("scheduling-unrelated", 7, 3, 5000 + trial))
+        t = list(grid.t)
+        jobs = list(range(len(grid.P)))
         for _ in range(rng.randint(0, 2)):
             j = jobs.pop(rng.randint(0, len(jobs) - 1))
-            i = rng.randint(0, inst.m - 1)
-            t[i] += inst.processing[j][i]
-        res = min_feasible_T(inst.processing, tuple(t), jobs)
-        _, makespan = round_vertex(res, inst.processing, tuple(t), ROUNDING_LST)
+            i = rng.randint(0, len(t) - 1)
+            t[i] += grid.P[j][i]
+        res = min_feasible_T(grid, tuple(t), jobs)
+        _, makespan = round_vertex(res, grid.P, tuple(t), ROUNDING_LST)
         assert makespan <= 2 * res.T
 
 
@@ -95,11 +124,11 @@ def test_bm_rounding_guards_against_blowup():
     from bnbapprox.scheduling import LpPoint
 
     m = 40
-    P = tuple(tuple(rat(1) for _ in range(m)) for _ in range(m))
+    P = tuple(tuple(1 for _ in range(m)) for _ in range(m))
     x = {(j, i): rat(1, 2) for j in range(6) for i in (0, 1)}
-    point = LpPoint(rat(10), x, tuple(rat(0) for _ in range(m)), tuple(range(6)), {})
+    point = LpPoint(10, x, (0,) * m, tuple(range(6)), {})
     with pytest.raises(ValueError):
-        round_vertex(point, P, tuple(rat(0) for _ in range(m)), ROUNDING_BM)
+        round_vertex(point, P, (0,) * m, ROUNDING_BM)
 
 
 def test_mmp_pivot_rules():
@@ -125,15 +154,15 @@ def test_list_schedule_upper_bracket():
 def test_bs_dominates_lr():
     rng = SplitMix64(77)
     for trial in range(40):
-        inst = generate("scheduling-unrelated", 6, 3, 900 + trial)
-        t = list(inst.overheads)
-        jobs = list(range(inst.n))
+        grid = SchedGrid.build(generate("scheduling-unrelated", 6, 3, 900 + trial))
+        t = list(grid.t)
+        jobs = list(range(len(grid.P)))
         for _ in range(rng.randint(0, 3)):
             j = jobs.pop(rng.randint(0, len(jobs) - 1))
-            i = rng.randint(0, inst.m - 1)
-            t[i] += inst.processing[j][i]
-        bs = min_feasible_T(inst.processing, tuple(t), jobs, restrict=True)
-        lr = min_feasible_T(inst.processing, tuple(t), jobs, restrict=False)
+            i = rng.randint(0, len(t) - 1)
+            t[i] += grid.P[j][i]
+        bs = min_feasible_T(grid, tuple(t), jobs, restrict=True)
+        lr = min_feasible_T(grid, tuple(t), jobs, restrict=False)
         assert bs.T >= lr.T
 
 
@@ -185,7 +214,8 @@ def test_vertex_structure_on_random_instances():
     # <= m fractional jobs and a saturating machine matching (Hall check)
     for seed in range(40):
         inst = generate("scheduling-unrelated", 8, 3, 300 + seed)
-        res = min_feasible_T(inst.processing, inst.overheads, range(inst.n))
+        grid = SchedGrid.build(inst)
+        res = min_feasible_T(grid, grid.t, range(inst.n))
         assert len(res.fractional_jobs) <= inst.m
         graph = fractional_graph(res.x, inst.m)
         matching = job_machine_matching(graph)
@@ -220,63 +250,60 @@ def _count_lp_solves(monkeypatch):
 def test_lower_bracket_answer_takes_one_lp_solve(monkeypatch):
     calls = _count_lp_solves(monkeypatch)
     # t_min is the largest minimal processing time
-    assert min_feasible_T(((rat(7),),), (rat(0),), range(1)).T == 7
+    assert min_feasible_T(G7, G7.t, range(1)).T == 7
     assert len(calls) == 1
     # t_min is the averaged load bound (3 + 3 + 2) / 2
     calls.clear()
-    assert min_feasible_T(P332, T00, range(3)).T == 4
+    assert min_feasible_T(G332, G332.t, range(3)).T == 4
     assert len(calls) == 1
     # t_min is the averaged load bound 9 / 2 rounded up onto the grid
     calls.clear()
-    P333 = ((rat(3), rat(3)),) * 3
-    assert min_feasible_T(P333, T00, range(3)).T == 5
+    assert min_feasible_T(_grid(((3, 3),) * 3), (0, 0), range(3)).T == 5
     assert len(calls) == 1
     # t_min is the lower hint, with or without an upper hint
-    P = ((rat(3), rat(5)), (rat(4), rat(2)), (rat(6), rat(6)))
-    t = (rat(2), rat(0))
-    t_min = min_feasible_T(P, t, range(3)).T
+    grid = _grid(((3, 5), (4, 2), (6, 6)), (2, 0))
+    t_min = min_feasible_T(grid, grid.t, range(3)).T
     assert t_min == 7
     for hi_hint in (None, t_min, t_min + 3):
         calls.clear()
-        res = min_feasible_T(P, t, range(3), lo_hint=t_min, hi_hint=hi_hint)
+        res = min_feasible_T(grid, grid.t, range(3), lo_hint=t_min, hi_hint=hi_hint)
         assert res.T == t_min and len(calls) == 1
 
 
 def test_lower_bracket_infeasible_walks_up_past_the_ray(monkeypatch):
     calls = _count_lp_solves(monkeypatch)
     # lower bracket max(5, (5 + 5) / 2) = 5, but at 5 both jobs need machine 0
-    P = ((rat(5), rat(9)), (rat(5), rat(9)))
-    res = min_feasible_T(P, T00, range(2))
+    grid = _grid(((5, 9), (5, 9)))
+    res = min_feasible_T(grid, grid.t, range(2))
     assert res.T > 5 and len(calls) > 1
     assert calls[0].inequalities[0][1] == 5  # the lower end is probed first
-    assert res.T == min_feasible_T(P, T00, range(2), lo_hint=res.T - 1).T
+    assert res.T == min_feasible_T(grid, grid.t, range(2), lo_hint=res.T - 1).T
 
 
 def test_hi_hint_below_the_minimum_raises():
     # the LP is infeasible at 3 (total load 8 on two machines)
-    for hi_hint in (rat(3), rat(1)):
+    for hi_hint in (3, 1):
         with pytest.raises(LpError, match="upper bracket infeasible"):
-            min_feasible_T(P332, T00, range(3), hi_hint=hi_hint)
+            min_feasible_T(G332, G332.t, range(3), hi_hint=hi_hint)
     # a one-point bracket just below the minimum, above the lower bracket
-    P = ((rat(5), rat(9)), (rat(5), rat(9)))
-    t_min = min_feasible_T(P, T00, range(2)).T
+    grid = _grid(((5, 9), (5, 9)))
+    t_min = min_feasible_T(grid, grid.t, range(2)).T
     assert t_min > 6
     with pytest.raises(LpError, match="upper bracket infeasible"):
-        min_feasible_T(P, T00, range(2), lo_hint=t_min - 1, hi_hint=t_min - 1)
+        min_feasible_T(grid, grid.t, range(2), lo_hint=t_min - 1, hi_hint=t_min - 1)
     # a hint is rounded up onto the grid: 7/2 -> 4, which is feasible
-    assert min_feasible_T(P332, T00, range(3), hi_hint=rat(7, 2)).T == 4
+    assert min_feasible_T(G332, G332.t, range(3), hi_hint=rat(7, 2)).T == 4
     for seed in range(10):
-        inst = generate(UNRELATED, 6, 3, 9700 + seed)
-        P, t, jobs = inst.processing, inst.overheads, tuple(range(inst.n))
-        t_min = min_feasible_T(P, t, jobs).T
-        D = grid_denominator(P, t, jobs)
-        for below in (t_min - rat(1, D), t_min / 2):
+        grid = SchedGrid.build(generate(UNRELATED, 6, 3, 9700 + seed))
+        jobs = tuple(range(len(grid.P)))
+        t_min = min_feasible_T(grid, grid.t, jobs).T
+        for below in (t_min - 1, rat(t_min, 2)):  # generated data: R = 1
             with pytest.raises(LpError, match="upper bracket infeasible"):
-                min_feasible_T(P, t, jobs, hi_hint=below)
+                min_feasible_T(grid, grid.t, jobs, hi_hint=below)
             # a one-point bracket below the minimum
             with pytest.raises(LpError, match="upper bracket infeasible"):
-                min_feasible_T(P, t, jobs, lo_hint=below, hi_hint=below)
-        assert min_feasible_T(P, t, jobs, hi_hint=t_min).T == t_min
+                min_feasible_T(grid, grid.t, jobs, lo_hint=below, hi_hint=below)
+        assert min_feasible_T(grid, grid.t, jobs, hi_hint=t_min).T == t_min
 
 
 def test_children_get_a_feasible_upper_hint():
@@ -293,11 +320,12 @@ def test_children_get_a_feasible_upper_hint():
                 child = spec.payload
                 assert child.hi_hint >= info.lb
                 assert scheduling.feasible_point(
-                    inst.processing, child.t, child.jobs, child.hi_hint, bounding == "BS"
+                    adapter.P, child.t, child.jobs, child.hi_hint, bounding == "BS"
                 ) is not None
-                # the answer is at most the hint rounded up onto the child's grid
-                D = grid_denominator(inst.processing, child.t, child.jobs)
-                assert adapter.bound(child).lb < child.hi_hint + rat(1, D)
+                # the answer is at most the hint rounded up to the child's step
+                rows = itertools.chain(*[adapter.P[j] for j in child.jobs])
+                g = math.gcd(adapter.grid.R, *child.t, *rows)
+                assert adapter.bound(child).lb < child.hi_hint + g
 
 
 # --- guarantee checks ----------------------------------------------------
@@ -307,9 +335,9 @@ UNRELATED332 = SchedulingInstance(UNRELATED, P332, T00)
 
 def _break_lst_matching(monkeypatch):
     # every fractional job goes to a machine no vertex uses: 100 > 2 * 4
-    P = tuple(row + (rat(100),) for row in P332)
-    t = (rat(0),) * 3
-    point = min_feasible_T(P, t, range(3))
+    grid = SchedGrid(1, tuple(row + (100,) for row in G332.P), (0,) * 3)
+    P, t = grid.P, grid.t
+    point = min_feasible_T(grid, t, range(3))
     monkeypatch.setattr(
         scheduling, "job_machine_matching", lambda graph: {j: 2 for j in graph.jobs}
     )
@@ -358,9 +386,8 @@ def test_broken_guarantee_raises(breaker, message, monkeypatch):
 
 
 def test_unbroken_guarantees_pass():
-    P = tuple(row + (rat(100),) for row in P332)
-    t = (rat(0),) * 3
-    round_vertex(min_feasible_T(P, t, range(3)), P, t, ROUNDING_LST)
+    grid = SchedGrid(1, tuple(row + (100,) for row in G332.P), (0,) * 3)
+    round_vertex(min_feasible_T(grid, grid.t, range(3)), grid.P, grid.t, ROUNDING_LST)
     inst = SchedulingInstance(UNRELATED, ((rat(7), rat(9)),), T00)
     UnrelatedAdapter(inst).bound(UnrelatedAdapter(inst).root_payload())
     UnrelatedAdapter(UNRELATED332).bound(UnrelatedAdapter(UNRELATED332).root_payload())

@@ -1,15 +1,20 @@
 """Differential test: min_feasible_T must answer exactly like bisection.
 
 `reference_min_feasible_T` below is the search that the Farkas walk-up of
-`bnbapprox.scheduling.min_feasible_T` replaced: it probes the lower end
-of the bracket first and bisects the rest, building every probe's load LP
-from `Fraction` rows. The production search scales the data onto one
-integer grid per call and, after an infeasible probe, skips every guess
-the probe's Farkas ray proves infeasible. The smallest feasible grid value
-is unique and the LP solver is deterministic, so both must return the
-same vertex (`T`, `x` in the same order, `loads`, `fractional_jobs`,
-`integral_assignment`), and the walk-up must need fewer LP solves in total.
+`bnbapprox.scheduling.min_feasible_T` replaced: it works in the instance's
+units on the node's own grid (`grid_denominator`, the lcm of the node's
+denominators), probes the lower end of the bracket first and bisects the
+rest, building every probe's load LP from `Fraction` rows. The production
+search runs on the instance's integer grid (`SchedGrid`), probes only the
+multiples of the node step, and after an infeasible probe skips every
+guess the probe's Farkas ray proves infeasible. The smallest feasible
+value of the node's grid is unique and the LP solver is deterministic, so
+both must return the same vertex (`T` and `loads` up to the grid's scale,
+`x` in the same order, `fractional_jobs`, `integral_assignment`), and the
+walk-up must need fewer LP solves in total. Node states whose data lie on
+a coarser grid than the instance's are among the inputs.
 """
+import math
 import random
 import sys
 
@@ -20,16 +25,27 @@ from bnbapprox.engine import Selection
 from bnbapprox.instances import IDENTICAL, UNIFORM, UNRELATED, SchedulingInstance, generate
 from bnbapprox.lp import LinearProgram, solve_vertex
 from bnbapprox.profiles import solve_identical, solve_uniform
-from bnbapprox.rational import Rat, floor_div, rat
+from bnbapprox.rational import Rat, floor_div, on_grid, rat
 from bnbapprox.scheduling import (
     ROUNDING_AS,
     ROUNDING_BM,
     LpPoint,
+    SchedGrid,
     feasible_point,
-    grid_denominator,
     min_feasible_T,
     solve_unrelated,
 )
+
+
+def grid_denominator(P, t, jobs) -> int:
+    """The lcm of the denominators of a node's data: its own grid."""
+    d = 1
+    for j in jobs:
+        for v in P[j]:
+            d = math.lcm(d, v.denominator)
+    for v in t:
+        d = math.lcm(d, v.denominator)
+    return d
 
 
 def _reference_build_load_lp(P, t, jobs, T, restrict=True):
@@ -151,13 +167,18 @@ def _count_solves(monkeypatch):
     return counts
 
 
-def _assert_same(got: LpPoint, want: LpPoint) -> None:
-    assert got.T == want.T and type(got.T) is Rat
+def _assert_same(got: LpPoint, want: LpPoint, R: int) -> None:
+    """got is on the grid R, want in the instance's units."""
+    assert type(got.T) is int and got.T == want.T * R
     assert list(got.x.items()) == list(want.x.items())
     assert all(type(v) is Rat for v in got.x.values())
-    assert got.loads == want.loads and all(type(v) is Rat for v in got.loads)
+    assert [Rat(v, R) for v in got.loads] == list(want.loads)
     assert got.fractional_jobs == want.fractional_jobs
     assert list(got.integral_assignment.items()) == list(want.integral_assignment.items())
+
+
+def _units(v, R):
+    return None if v is None else Rat(v, R)
 
 
 def _rationalize(inst: SchedulingInstance, rnd: random.Random) -> SchedulingInstance:
@@ -184,31 +205,63 @@ def _node_states(inst: SchedulingInstance, rnd: random.Random):
         yield tuple(t), tuple(sorted(jobs[fixed_count:]))
 
 
-@pytest.mark.parametrize("data", ["integer", "rational"])
+def _coarsen(inst: SchedulingInstance, rnd: random.Random) -> SchedulingInstance:
+    """Unrelated instance on the grid 1/6 whose node states can lie on 1/2:
+    the jobs' times halved, overheads c + 1/3 and, after the n jobs, one
+    filler job per machine with times d + 2/3 (see _coarse_node_states)."""
+    m = inst.m
+    rows = [tuple(v / 2 for v in row) for row in inst.processing]
+    fillers = [tuple(rat(rnd.randint(0, 4)) + rat(2, 3) for _ in range(m)) for _ in range(m)]
+    overheads = tuple(rat(rnd.randint(0, 4)) + rat(1, 3) for _ in range(m))
+    return SchedulingInstance(UNRELATED, tuple(rows + fillers), overheads)
+
+
+def _coarse_node_states(inst: SchedulingInstance, rnd: random.Random):
+    """Filler i fixed on machine i (1/3 + 2/3), and then one more job: the
+    overheads and the free jobs' rows lie on the grid 1/2."""
+    m = inst.m
+    n = inst.n - m
+    t = tuple(inst.overheads[i] + inst.processing[n + i][i] for i in range(m))
+    yield t, tuple(range(n))
+    j, i = rnd.randrange(n), rnd.randrange(m)
+    raised = tuple(v + inst.processing[j][i] if k == i else v for k, v in enumerate(t))
+    yield raised, tuple(k for k in range(n) if k != j)
+
+
+@pytest.mark.parametrize("data", ["integer", "rational", "coarse"])
 def test_seeded_instances_match_reference(data, monkeypatch):
     solves = _count_solves(monkeypatch)
     rnd = random.Random(f"tsearch/{data}")
-    compared = 0
+    compared = coarse = 0
     for seed in range(30):
         inst = generate(UNRELATED, 5 + seed % 4, 2 + seed % 3, 9400 + seed)
+        states = _node_states
         if data == "rational":
             inst = _rationalize(inst, rnd)
+        elif data == "coarse":
+            inst, states = _coarsen(inst, rnd), _coarse_node_states
         elif seed % 2:
             inst = SchedulingInstance(
                 UNRELATED, inst.processing, tuple(rat(rnd.randint(0, 12)) for _ in range(inst.m))
             )
-        for t, jobs in _node_states(inst, rnd):
+        grid = SchedGrid.build(inst)
+        R = grid.R
+        for t, jobs in states(inst, rnd):
+            coarse += grid_denominator(inst.processing, t, jobs) < R
+            tR = on_grid(t, R)
             for restrict in (True, False):
                 want = reference_min_feasible_T(inst.processing, t, jobs, restrict)
-                got = min_feasible_T(inst.processing, t, jobs, restrict)
-                _assert_same(got, want)
+                _assert_same(min_feasible_T(grid, tR, jobs, restrict), want, R)
                 hint = want.T - rat(1, 2)
                 _assert_same(
-                    min_feasible_T(inst.processing, t, jobs, restrict, lo_hint=hint),
+                    min_feasible_T(grid, tR, jobs, restrict, lo_hint=hint * R),
                     reference_min_feasible_T(inst.processing, t, jobs, restrict, lo_hint=hint),
+                    R,
                 )
                 compared += 1
-    assert compared == 30 * 3 * 2
+    assert compared == 30 * (2 if data == "coarse" else 3) * 2
+    if data == "coarse":
+        assert coarse == 60  # every state: its grid 1/2, the instance's 1/6
     assert solves["walk-up"] < solves["bisection"]
 
 
@@ -219,9 +272,9 @@ def _record_bound_searches(monkeypatch):
     search = scheduling.min_feasible_T
     solves = _count_solves(monkeypatch)
 
-    def recording(P, t, jobs, restrict=True, lo_hint=None, hi_hint=None):
-        res = search(P, t, jobs, restrict=restrict, lo_hint=lo_hint, hi_hint=hi_hint)
-        calls.append((P, tuple(t), tuple(jobs), restrict, lo_hint, hi_hint, res))
+    def recording(grid, t, jobs, restrict=True, lo_hint=None, hi_hint=None):
+        res = search(grid, t, jobs, restrict=restrict, lo_hint=lo_hint, hi_hint=hi_hint)
+        calls.append((grid, tuple(t), tuple(jobs), restrict, lo_hint, hi_hint, res))
         return res
 
     monkeypatch.setattr(scheduling, "min_feasible_T", recording)
@@ -234,12 +287,17 @@ def _check_recorded(calls, solves) -> int:
     hints; the walk-up made fewer LP solves than the bisection."""
     walk_up = solves["walk-up"]
     hinted = 0
-    for P, t, jobs, restrict, lo_hint, hi_hint, res in calls:
-        _assert_same(res, reference_min_feasible_T(P, t, jobs, restrict, lo_hint, hi_hint))
+    for grid, t, jobs, restrict, lo_hint, hi_hint, res in calls:
+        R = grid.R
+        P = [[Rat(p, R) for p in row] for row in grid.P]
+        want = reference_min_feasible_T(
+            P, [Rat(v, R) for v in t], jobs, restrict, _units(lo_hint, R), _units(hi_hint, R)
+        )
+        _assert_same(res, want, R)
         if hi_hint is not None:
             hinted += 1
             assert res.T <= hi_hint
-            assert feasible_point(P, t, jobs, hi_hint, restrict) is not None
+            assert feasible_point(grid.P, t, jobs, hi_hint, restrict) is not None
     assert walk_up < solves["bisection"]
     return hinted
 

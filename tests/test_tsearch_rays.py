@@ -2,7 +2,8 @@
 
 `min_feasible_T` walks up its grid: an infeasible probe at k hands back the
 Farkas ray of its phase-1 optimum, `ray_reach` checks it and returns the
-last guess k2 it still proves infeasible, and the next probe is k2 + 1.
+last guess k2 it still proves infeasible, and the next probe is the first
+step above k2 (k2 + 1 at a root, whose data need the whole instance grid).
 The property below solves every skipped guess with `solve_vertex` and
 re-checks the ray at k2 in `Fraction`s on the program `build_load_lp`
 builds there. The contract tests forge rays that prove nothing and expect
@@ -18,13 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnbapprox import scheduling
+from bnbapprox.instances import UNRELATED, SchedulingInstance
 from bnbapprox.lp import LpError
-from bnbapprox.rational import rat
 from bnbapprox.scheduling import (
     FarkasRay,
+    SchedGrid,
     build_load_lp,
     feasible_point,
-    grid_denominator,
     list_schedule,
     min_feasible_T,
     ray_reach,
@@ -77,11 +78,9 @@ def _certifies(ray: FarkasRay, lp, pairs) -> bool:
 @PROPERTY
 @given(tiny_instances())
 def test_every_guess_a_ray_skips_is_infeasible(instance):
-    P, t = instance
-    jobs = tuple(range(len(P)))
-    D = grid_denominator(P, t, jobs)
-    PD = [[v.numerator * (D // v.denominator) for v in row] for row in P]
-    tD = [v.numerator * (D // v.denominator) for v in t]
+    grid = SchedGrid.build(SchedulingInstance(UNRELATED, *instance))
+    PD, tD = grid.P, grid.t
+    jobs = tuple(range(len(PD)))
     for restrict in (True, False):
         # start below the search's own lower bracket, where rays are longest
         k = max(tD)
@@ -103,7 +102,7 @@ def test_every_guess_a_ray_skips_is_infeasible(instance):
             assert built is not None
             assert _certifies(rays[0], *built)
             k = k2 + 1
-        assert min_feasible_T(P, t, jobs, restrict).T == Fraction(k, D)
+        assert min_feasible_T(grid, tD, jobs, restrict).T == k
 
 
 # --- forged rays ---------------------------------------------------------
@@ -153,7 +152,7 @@ def _forged_lp_row(monkeypatch):
         return vertex
 
     monkeypatch.setattr(scheduling, "solve_vertex", forging)
-    min_feasible_T(((rat(5), rat(9)), (rat(5), rat(9))), (rat(0), rat(0)), range(2))
+    min_feasible_T(SchedGrid(1, PD55, T00), T00, range(2))
 
 
 @pytest.mark.parametrize(
