@@ -288,8 +288,12 @@ def run(
     selected and expanded, the quantity the tree-size guarantees speak
     about. A run returns when the stopping ratio is met, the node cap is
     reached (best solution so far is returned), or the frontier empties.
-    global_bound is the better of the incumbent and the best frontier key,
-    so it never lies on the wrong side of best_value.
+    A subtree can also be left unresolved: a parent whose expansion the
+    node cap cuts short, a child `admit` rejects, a non-leaf whose `branch`
+    returns no children. The run keeps the best key over those, and
+    global_bound is the better of the incumbent, the best frontier key and
+    that key: it never lies on the wrong side of best_value or of the
+    optimum. The stopping test reads the incumbent and the frontier only.
     """
     sense = adapter.sense
     scale = adapter.bound_scale
@@ -343,13 +347,18 @@ def run(
         node = frontier[bound_heap[0][1]]
         return node.ub if sense is Sense.MAX else node.lb
 
-    def certified_bound(gb: Bound | None) -> Bound:
-        # a node pruned or never admitted is no better than the incumbent,
-        # and the frontier's keys date from when their nodes were bounded:
-        # the incumbent can have moved past them since
-        if gb is None:
-            return incumbent_value
-        return max(gb, incumbent_value) if sense is Sense.MAX else min(gb, incumbent_value)
+    def best_of(*keys: Bound | None) -> Bound:
+        # a pruned node is no better than the incumbent, and the frontier's
+        # keys date from when their nodes were bounded: the incumbent can
+        # have moved past them since
+        live = [key for key in keys if key is not None]
+        return max(live) if sense is Sense.MAX else min(live)
+
+    unresolved: Bound | None = None  # best key over subtrees left unresolved
+
+    def leave_unresolved(node: Node) -> None:
+        nonlocal unresolved
+        unresolved = best_of(unresolved, node.ub if sense is Sense.MAX else node.lb)
 
     def pop_selected() -> Node:
         return frontier.pop(heapq.heappop(select_heap)[1])
@@ -358,14 +367,12 @@ def run(
         return candidate > reference if sense is Sense.MAX else candidate < reference
 
     termination = None
-    global_bound = incumbent_value
     while termination is None:
         gb = frontier_bound()
-        global_bound = certified_bound(gb)
         if gb is None:
             termination = FRONTIER_EMPTY
             break
-        if should_stop(incumbent_value, global_bound, criterion, sense):
+        if should_stop(incumbent_value, best_of(gb, incumbent_value), criterion, sense):
             termination = RATIO_MET
             break
         if node_limit is not None and explored >= node_limit:
@@ -378,8 +385,13 @@ def run(
             continue
         incumbent_start = incumbent_value
         updates: list[tuple[Bound, Any]] = []
-        for spec in adapter.branch(v):
+        children = adapter.branch(v)
+        if not children:
+            leave_unresolved(v)
+        for spec in children:
             if node_limit is not None and explored >= node_limit:
+                # the children not bounded yet lie in v's subtree
+                leave_unresolved(v)
                 termination = NODE_LIMIT
                 break
             cb = adapter.bound(spec.payload)
@@ -420,24 +432,26 @@ def run(
                 if sense is Sense.MAX
                 else child.lb >= incumbent_start
             )
-            if not pruned and adapter.admit(child):
-                frontier[child.id] = child
-                heapq.heappush(select_heap, (_selection_key(child, selection, sense), child.id))
-                if bound_heap is not select_heap:
-                    heapq.heappush(bound_heap, (_bound_key(child, sense), child.id))
-                adapter.on_insert(child)
+            if pruned:
+                continue
+            if not adapter.admit(child):
+                leave_unresolved(child)
+                continue
+            frontier[child.id] = child
+            heapq.heappush(select_heap, (_selection_key(child, selection, sense), child.id))
+            if bound_heap is not select_heap:
+                heapq.heappush(bound_heap, (_bound_key(child, sense), child.id))
+            adapter.on_insert(child)
         for candidate, solution in updates:
             if improves(candidate, incumbent_value):
                 incumbent_value = candidate
                 incumbent_solution = solution
                 explored_at_improve = explored
-        if termination == NODE_LIMIT:
-            global_bound = certified_bound(frontier_bound())
 
     return RunResult(
         best_value=unscaled(incumbent_value),
         best_solution=incumbent_solution,
-        global_bound=unscaled(global_bound),
+        global_bound=unscaled(best_of(frontier_bound(), unresolved, incumbent_value)),
         nodes_explored=explored,
         nodes_processed=processed,
         max_depth=max_depth,

@@ -12,10 +12,8 @@ the identical scheme also runs at eps = 3/2, where its root rounding alone
 is returned and must stay within 2 OPT. The same test runs again in a
 `python -O` subprocess, since the guarantees must not rest on asserts.
 
-Only the value is checked here. Which side of the optimum a run's bound
-lies on is not: a run can still lose the bound of a subtree it leaves
-unresolved (the node limit, an `admit` rejection, the identical scheme's
-stop at the last big job), which the engine does not yet account for.
+Only the value is checked here; test_bound_property.py checks which side
+of the optimum each run's bound lies on, under node limits and depth caps.
 """
 import os
 import subprocess
