@@ -4,25 +4,39 @@ The solver answers one question: is the polyhedron
 {x >= 0 : A_eq x = b_eq, A_ub x <= b_ub} non-empty, and if so, return a
 vertex (basic feasible solution). There is no objective; optimization is
 expressed by the callers (the walk up the makespan guesses, Dantzig's
-greedy for the knapsack bound). When the polyhedron is empty the solver
-can hand back its final phase-1 objective row, from which the caller
-reads a Farkas ray y over the rows: y^T A <= 0 on every column, y_r <= 0
-on every inequality row r and y^T b > 0. Only phase 1 runs.
+greedy for the knapsack bound), which need some vertex, not a particular
+one. When the polyhedron is empty the solver can hand back the tableau row
+that proves it, from which the caller reads a Farkas ray y over the rows:
+y^T A <= 0 on every column, y_r <= 0 on every inequality row r and
+y^T b > 0.
 
-Method: phase-1 simplex with Bland's rule on a fraction-free integer
-tableau. Every row is scaled to integers once, from the numerators and
-denominators of its nonzero entries; pivoting keeps entries integral
-(they are minors of the input matrix), so the hot loop does no gcd work
-at all.
+Tableau: fraction-free and integer. Every row is scaled to integers once,
+from the numerators and denominators of its nonzero entries; pivoting
+keeps entries integral (they are minors of the input matrix, over one
+common denominator that may be negative), so the hot loop does no gcd
+work at all. Columns are the structural variables, then one slack per
+inequality row, then the right-hand side; there are no artificials.
 
-Each equality row, and each inequality row with a negative right-hand
-side, starts with an artificial basic variable. The tableau stores only
-the structural columns, the slack columns and the right-hand side: an
-artificial never re-enters the basis and a pivot never mixes columns, so
-the artificial columns would be dead weight. Artificials keep their
-labels (num_vars + len(inequalities) + k, in row order) in the basis,
-because the ratio test breaks ties by the lowest basic label. Bland's
-rule plus that tie-break makes runs deterministic and cycle-free.
+Crash basis: each inequality row's slack starts basic, and each equality
+row in turn pivots its first nonzero column into the basis (a basic
+column is zero on every other row, so that column is nonbasic). An
+equality row with no nonzero column left is a combination of the rows
+before it: redundant when its rhs is 0, and dropped, or else itself the
+proof that the program is empty. The load LP of scheduling.build_load_lp
+lists each job's columns fastest machine first, so the crash puts every
+job wholly on its fastest machine, with unit pivots that touch one load
+row each; its only infeasibilities are overfull machines.
+
+Dual phase: with a zero objective every basis is dual feasible, so the
+dual simplex (Lemke 1954) runs from the crash basis. While some basic
+variable is negative, the row with the lowest basic label among the
+negative ones leaves, and the lowest-index column with a negative entry in
+that row enters. Every ratio of the dual ratio test is 0, so this is
+Bland's rule (Bland 1977) for the dual, and the phase ends after finitely
+many pivots, in a basis whose basic solution is nonnegative: a vertex.
+When the leaving row has no negative entry, the row itself is the Farkas
+row: its entries are all >= 0 and its rhs is < 0, so no x >= 0 meets it,
+and it is a combination y of the rows.
 
 Thread-safety: solves are pure functions of their input.
 """
@@ -128,119 +142,86 @@ def pivot(tableau: list[list[int]], r: int, c: int, den: int) -> int:
 def solve_vertex(lp: LinearProgram, farkas: list[int] | None = None) -> Vertex | None:
     """Return a vertex of the polyhedron, or None when it is empty.
 
+    Crash: every inequality row's slack starts basic, and each equality row
+    in turn takes its first nonzero column into the basis. A row left all
+    zero is redundant (rhs 0: dropped) or proves the program empty.
+    Dual phase: while a basic variable is negative, the row with the lowest
+    basic label among the negative ones leaves and the lowest-index column
+    with a negative entry in it enters (see the module docstring).
+
     When the polyhedron is empty and `farkas` is a list, it receives the
-    final phase-1 objective row, integer and scaled by the tableau's
-    positive denominator: the reduced costs of the structural columns, then
-    of the slack columns (all >= 0), then the rhs cell (minus the optimal
-    artificial sum, < 0). The row is -(y^T A, y_ineq, y^T b) for a Farkas
-    ray y of the rows as scaled to integers, which for an integer program
-    are the rows as given.
+    row that proves it, integer and scaled by a positive factor: its
+    entries on the structural columns, then on the slack columns (all
+    >= 0), then its rhs (< 0). The row is -(y^T A, y_ineq, y^T b) for a
+    Farkas ray y of the rows as scaled to integers, which for an integer
+    program are the rows as given.
     """
     nv = lp.num_vars
+    n_eq = len(lp.equalities)
     n_ineq = len(lp.inequalities)
-    n_slack_cols = nv + n_ineq
+    rhs = nv + n_ineq  # the rhs column; every column before it is a variable
 
-    # Rows span the structural and slack columns plus the rhs; an artificial
-    # basic variable appears only as its label n_slack_cols + k in `basis`.
     tableau: list[list[int]] = []
-    basis: list[int] = []
-    art_rows: list[int] = []
-    for i, (coeffs, b) in enumerate(lp.equalities + lp.inequalities):
+    basis: list[int] = []  # basic label of each row; -1 until the crash
+    for k, (coeffs, b) in enumerate(lp.equalities + lp.inequalities):
         row, bi = _scaled_int_row(coeffs, b)
         row.extend([0] * n_ineq)
-        k = i - len(lp.equalities)
-        if k >= 0:
-            row[nv + k] = 1
+        if k >= n_eq:
+            row[nv + k - n_eq] = 1
         row.append(bi)
-        if bi < 0:
-            row = [-v for v in row]
-        if k < 0 or bi < 0:
-            basis.append(n_slack_cols + len(art_rows))
-            art_rows.append(i)
-        else:
-            basis.append(nv + k)
         tableau.append(row)
-    nrows = len(tableau)
-    in_basis = set(basis)
+        basis.append(nv + k - n_eq if k >= n_eq else -1)
 
-    # Phase-1 objective: minimize the artificial sum. Its reduced costs on
-    # the stored columns are minus the column sums over the artificial rows;
-    # the rhs cell holds -objective. (Summing row by row, not via zip(*rows),
-    # avoids a k-tuple per column, which the tuple free lists would keep.)
-    obj = [0] * (n_slack_cols + 1)
-    for i in art_rows:
-        obj = [o - v for o, v in zip(obj, tableau[i])]
-    tableau.append(obj)
-    obj_idx = nrows
-
+    # The tableau stores den * (the real tableau), and den may be negative.
+    # A basic column is den on its row and 0 elsewhere, so the first nonzero
+    # entry of an equality row lies in a nonbasic column.
     den = 1
-    rhs_col = n_slack_cols
-    while True:
+    r = 0
+    for _ in range(n_eq):
+        row = tableau[r]
         enter = -1
-        objrow = tableau[obj_idx]
-        for j in range(n_slack_cols):
-            if objrow[j] < 0 and j not in in_basis:
+        for j in range(rhs):
+            if row[j]:
+                enter = j
+                break
+        if enter >= 0:
+            den = pivot(tableau, r, enter, den)
+            basis[r] = enter
+            r += 1
+        elif row[rhs] == 0:
+            del tableau[r]
+            del basis[r]
+        else:
+            if farkas is not None:
+                farkas.extend(row if row[rhs] < 0 else [-v for v in row])
+            return None
+
+    while True:
+        sign = 1 if den > 0 else -1
+        leave = -1
+        for i, row in enumerate(tableau):
+            if row[rhs] * sign < 0 and (leave < 0 or basis[i] < basis[leave]):
+                leave = i
+        if leave < 0:
+            break
+        row = tableau[leave]
+        enter = -1
+        for j in range(rhs):
+            if row[j] * sign < 0:
                 enter = j
                 break
         if enter < 0:
-            break
-        leave = -1
-        best_num = best_den = 0
-        for i in range(nrows):
-            row = tableau[i]
-            a = row[enter]
-            if a > 0:
-                bi = row[rhs_col]
-                if leave < 0 or bi * best_den < best_num * a or (
-                    bi * best_den == best_num * a and basis[i] < basis[leave]
-                ):
-                    leave, best_num, best_den = i, bi, a
-        if leave < 0:  # phase-1 objective is bounded below; cannot happen
-            raise LpError("unbounded phase-1 ray")
+            if farkas is not None:
+                farkas.extend(row if sign > 0 else [-v for v in row])
+            return None
         den = pivot(tableau, leave, enter, den)
-        in_basis.discard(basis[leave])
-        in_basis.add(enter)
         basis[leave] = enter
 
-    if tableau[obj_idx][rhs_col] != 0:
-        if farkas is not None:
-            farkas.extend(tableau[obj_idx])
-        return None
-
-    del tableau[obj_idx]
-
-    # Drive zero-valued artificials out of the basis; drop redundant rows.
-    live = list(range(nrows))
-    for pos in range(nrows - 1, -1, -1):
-        i = live[pos]
-        if basis[i] < n_slack_cols:
-            continue
-        row = tableau[pos]
-        enter = -1
-        for j in range(n_slack_cols):
-            if row[j] != 0 and j not in in_basis:
-                enter = j
-                break
-        if enter < 0:
-            del tableau[pos]
-            del live[pos]
-            continue
-        if row[enter] < 0:
-            # Row negation is safe: the artificial's value is zero here.
-            tableau[pos] = [-v for v in row]
-        den = pivot(tableau, pos, enter, den)
-        in_basis.discard(basis[i])
-        in_basis.add(enter)
-        basis[i] = enter
-
     values = [rat(0)] * nv
-    out_basis = []
-    for pos, i in enumerate(live):
-        b = basis[i]
-        out_basis.append(b)
+    for row, b in zip(tableau, basis):
         if b < nv:
-            values[b] = Rat(tableau[pos][rhs_col], den)
-    return Vertex(tuple(values), tuple(sorted(out_basis)))
+            values[b] = Rat(row[rhs], den)
+    return Vertex(tuple(values), tuple(sorted(basis)))
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,10 @@ Feasibility is monotone in T, and the search:
                feasible for the child at that machine's raised load;
     probes     k_lo first (often the parent's bound is the child's
                answer, one LP solve), then walks up: an infeasible probe
-               at k hands back the Farkas ray of its phase-1 optimum,
-               which also proves every guess up to the last one where it
-               breaks infeasible (its infeasibility reaches zero, or a
-               column that opens has a positive weight), so the next
+               at k hands back a Farkas ray, the tableau row that proved
+               it empty, which also proves every guess up to the last one
+               where it breaks infeasible (its infeasibility reaches zero,
+               or a column that opens has a positive weight), so the next
                probe is the step after that. Rays are checked against
                the node's data before they are used (LpError otherwise).
                The first feasible probe is the smallest feasible guess,
@@ -160,7 +160,9 @@ def build_load_lp(
     trivially infeasible (an overfull machine or a job with no eligible
     pair). Machines without residual capacity take no variables.
 
-    Variables are the eligible pairs, grouped by job in `jobs` order. The
+    Variables are the eligible pairs, grouped by job in `jobs` order and
+    within a job fastest machine first (ties: lowest machine), so the LP
+    solver's crash basis puts each job wholly on its fastest column. The
     assignment rows and the zero coefficients are plain integers; the load
     rows carry P's entries and T - t_i, so integer data and an integer
     guess (the search grid of min_feasible_T) give an all-integer program.
@@ -174,7 +176,7 @@ def build_load_lp(
     for j in jobs:
         Pj = P[j]
         start = len(pairs)
-        for i in open_machines:
+        for i in sorted(open_machines, key=Pj.__getitem__):
             if not restrict or Pj[i] <= T:
                 columns[i].append(len(pairs))
                 pairs.append((j, i))
@@ -211,9 +213,9 @@ def feasible_point(
     restrict=True applies the eligibility filter p_{j,i} <= T; machines
     with no residual capacity (T - t_i <= 0) take no variables either way.
     When the simplex finds the LP empty and `rays` is a list, the Farkas
-    ray of its phase-1 optimum is appended to it (an integer program
-    gives an integer ray); a program that build_load_lp already rules
-    out appends nothing.
+    ray read off the tableau row that proved it empty (see lp) is appended
+    to it (an integer program gives an integer ray); a program that
+    build_load_lp already rules out appends nothing.
     """
     built = build_load_lp(P, t, jobs, T, restrict)
     if built is None:
@@ -224,8 +226,8 @@ def feasible_point(
     if vertex is None:
         if rays is not None:
             # load row r is that of the r-th machine with columns (the order
-            # of build_load_lp); its slack has reduced cost -y_i and a column
-            # (j, i) has -(y_jobs[j] + y_i * p_ji), so one column per job
+            # of build_load_lp); the Farkas row holds -y_i on its slack and
+            # -(y_jobs[j] + y_i * p_ji) on a column (j, i), so one column per job
             # gives y_jobs; ray_reach checks the ray whatever its source
             nv = len(pairs)
             y = [0] * len(t)

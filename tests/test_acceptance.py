@@ -329,12 +329,16 @@ def test_criterion_12_protocol_reproduction(tmp_path):
 
 def _counterexample_instance():
     # m=3, n=2k+2 with k=3: one long job everywhere, 3-jobs and a 2-job on
-    # the two fast machines, first-machine times at the allowed maximum
+    # the two fast machines (listed first), slow-machine times at the
+    # allowed maximum. With the slow machine first, the LP solver's crash
+    # basis puts the long job alone there (its tie goes to the lowest
+    # machine) and the root vertex comes out integral, leaving no second
+    # iteration; with the fast machines first the root splits the long job.
     k = 3
     rows = [(rat(3 * k + 2),) * 3]
     for _ in range(2 * k):
-        rows.append((rat(3 * k + 1), rat(3), rat(3)))
-    rows.append((rat(3 * k + 1), rat(2), rat(2)))
+        rows.append((rat(3), rat(3), rat(3 * k + 1)))
+    rows.append((rat(2), rat(2), rat(3 * k + 1)))
     return SchedulingInstance(UNRELATED, tuple(rows), (rat(0),) * 3)
 
 

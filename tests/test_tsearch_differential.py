@@ -1,18 +1,26 @@
-"""Differential test: min_feasible_T must answer exactly like bisection.
+"""Differential test: min_feasible_T must find the guess that bisection finds.
 
 `reference_min_feasible_T` below is the search that the Farkas walk-up of
 `bnbapprox.scheduling.min_feasible_T` replaced: it works in the instance's
 units on the node's own grid (`grid_denominator`, the lcm of the node's
 denominators), probes the lower end of the bracket first and bisects the
-rest, building every probe's load LP from `Fraction` rows. The production
-search runs on the instance's integer grid (`SchedGrid`), probes only the
-multiples of the node step, and after an infeasible probe skips every
-guess the probe's Farkas ray proves infeasible. The smallest feasible
-value of the node's grid is unique and the LP solver is deterministic, so
-both must return the same vertex (`T` and `loads` up to the grid's scale,
-`x` in the same order, `fractional_jobs`, `integral_assignment`), and the
-walk-up must need fewer LP solves in total. Node states whose data lie on
-a coarser grid than the instance's are among the inputs.
+rest, building every probe's load LP from `Fraction` rows and deciding it
+with the phase-1 simplex `reference_solve_vertex` (test_lp_differential).
+The production search runs on the instance's integer grid (`SchedGrid`),
+probes only the multiples of the node step, and after an infeasible probe
+skips every guess the probe's Farkas ray proves infeasible. The smallest
+feasible value of the node's grid belongs to the LP family, not to a
+solver, so both must return the same T, and the walk-up must need fewer LP
+solves in total. Which vertex of that LP comes back is the solver's choice:
+the production point must be one: a point of the LP at T with its loads
+and split read off x correctly, at most m fractional jobs, and a
+fractional graph with a job-machine matching whose every component has no
+more edges than nodes (one cycle at most). On unrelated data such a cycle
+is a genuine vertex: two jobs split over the same two machines with
+p_a0 * p_b1 != p_a1 * p_b0 have independent columns. On uniform data that
+determinant is 0, so there the graph must be a forest and the point must
+also pass `uniform_vertex_check`. Node states whose data lie on a coarser grid than
+the instance's are among the inputs.
 """
 import math
 import random
@@ -23,8 +31,8 @@ import pytest
 from bnbapprox import profiles, scheduling
 from bnbapprox.engine import Selection
 from bnbapprox.instances import IDENTICAL, UNIFORM, UNRELATED, SchedulingInstance, generate
-from bnbapprox.lp import LinearProgram, solve_vertex
-from bnbapprox.profiles import solve_identical, solve_uniform
+from bnbapprox.lp import LinearProgram, fractional_graph, graph_components, job_machine_matching
+from bnbapprox.profiles import solve_identical, solve_uniform, uniform_vertex_check
 from bnbapprox.rational import Rat, floor_div, on_grid, rat
 from bnbapprox.scheduling import (
     ROUNDING_AS,
@@ -35,6 +43,7 @@ from bnbapprox.scheduling import (
     min_feasible_T,
     solve_unrelated,
 )
+from test_lp_differential import reference_solve_vertex
 
 
 def grid_denominator(P, t, jobs) -> int:
@@ -88,7 +97,7 @@ def _reference_feasible_point(P, t, jobs, T, restrict=True):
     if built is None:
         return None
     lp, pairs = built
-    vertex = solve_vertex(lp)
+    vertex = reference_solve_vertex(lp)
     if vertex is None:
         return None
     x = {pair: v for pair, v in zip(pairs, vertex.values) if v != 0}
@@ -156,25 +165,54 @@ def _count_solves(monkeypatch):
     """Count the LP solves of the production search ("walk-up") and of the
     reference ("bisection") apart."""
     counts = {"walk-up": 0, "bisection": 0}
-    for owner, side in ((scheduling, "walk-up"), (sys.modules[__name__], "bisection")):
-        kernel = owner.solve_vertex
+    for owner, name, side in (
+        (scheduling, "solve_vertex", "walk-up"),
+        (sys.modules[__name__], "reference_solve_vertex", "bisection"),
+    ):
+        kernel = getattr(owner, name)
 
         def counting(lp, *args, _kernel=kernel, _side=side, **kwargs):
             counts[_side] += 1
             return _kernel(lp, *args, **kwargs)
 
-        monkeypatch.setattr(owner, "solve_vertex", counting)
+        monkeypatch.setattr(owner, name, counting)
     return counts
 
 
-def _assert_same(got: LpPoint, want: LpPoint, R: int) -> None:
-    """got is on the grid R, want in the instance's units."""
+def _assert_vertex(got: LpPoint, want: LpPoint, R: int, P, t, jobs, restrict: bool) -> None:
+    """got, P and t are on the grid R, want is in the instance's units:
+    the same T, and got a vertex of the load LP at that T."""
     assert type(got.T) is int and got.T == want.T * R
-    assert list(got.x.items()) == list(want.x.items())
-    assert all(type(v) is Rat for v in got.x.values())
-    assert [Rat(v, R) for v in got.loads] == list(want.loads)
-    assert got.fractional_jobs == want.fractional_jobs
-    assert list(got.integral_assignment.items()) == list(want.integral_assignment.items())
+    T, m, x = got.T, len(t), got.x
+    assert all(type(v) is Rat and 0 < v <= 1 for v in x.values())
+    assert all(j in jobs and t[i] < T and (not restrict or P[j][i] <= T) for j, i in x)
+    by_job = {j: [v for (jj, _), v in x.items() if jj == j] for j in jobs}
+    assert all(sum(values) == 1 for values in by_job.values())
+    loads = list(t)
+    for (j, i), v in x.items():
+        loads[i] += P[j][i] * v
+    assert list(got.loads) == loads and max(loads) <= T
+    fractional = [j for j in jobs if any(v < 1 for v in by_job[j])]
+    assert list(got.fractional_jobs) == fractional and len(fractional) <= m
+    assert got.integral_assignment == {j: i for (j, i), v in x.items() if v == 1}
+    graph = fractional_graph(x, m)
+    assert job_machine_matching(graph) is not None
+    nodes: dict = {}
+    for j, i in graph.edges:
+        nodes.setdefault(("job", j), set()).add(("machine", i))
+        nodes.setdefault(("machine", i), set()).add(("job", j))
+    seen: set = set()
+    for start in nodes:
+        if start in seen:
+            continue
+        component, stack = {start}, [start]
+        while stack:
+            for nxt in nodes[stack.pop()] - component:
+                component.add(nxt)
+                stack.append(nxt)
+        seen |= component
+        edges = sum(len(nodes[v]) for v in component) // 2
+        assert edges <= len(component)
 
 
 def _units(v, R):
@@ -251,12 +289,13 @@ def test_seeded_instances_match_reference(data, monkeypatch):
             tR = on_grid(t, R)
             for restrict in (True, False):
                 want = reference_min_feasible_T(inst.processing, t, jobs, restrict)
-                _assert_same(min_feasible_T(grid, tR, jobs, restrict), want, R)
+                got = min_feasible_T(grid, tR, jobs, restrict)
+                _assert_vertex(got, want, R, grid.P, tR, jobs, restrict)
                 hint = want.T - rat(1, 2)
-                _assert_same(
+                _assert_vertex(
                     min_feasible_T(grid, tR, jobs, restrict, lo_hint=hint * R),
                     reference_min_feasible_T(inst.processing, t, jobs, restrict, lo_hint=hint),
-                    R,
+                    R, grid.P, tR, jobs, restrict,
                 )
                 compared += 1
     assert compared == 30 * (2 if data == "coarse" else 3) * 2
@@ -282,7 +321,7 @@ def _record_bound_searches(monkeypatch):
     return calls, solves
 
 
-def _check_recorded(calls, solves) -> int:
+def _check_recorded(calls, solves, uniform: bool = False) -> int:
     """Compare every recorded search with the reference under the same
     hints; the walk-up made fewer LP solves than the bisection."""
     walk_up = solves["walk-up"]
@@ -293,10 +332,15 @@ def _check_recorded(calls, solves) -> int:
         want = reference_min_feasible_T(
             P, [Rat(v, R) for v in t], jobs, restrict, _units(lo_hint, R), _units(hi_hint, R)
         )
-        _assert_same(res, want, R)
+        _assert_vertex(res, want, R, grid.P, t, jobs, restrict)
+        if uniform:
+            assert graph_components(fractional_graph(res.x, len(t))) is not None
+            assert uniform_vertex_check(res)
         if hi_hint is not None:
             hinted += 1
-            assert res.T <= hi_hint
+            # the hint is a real guess; the search may round it up one step
+            g = math.gcd(R, *t, *[p for j in jobs for p in grid.P[j]])
+            assert res.T <= -(-hi_hint // g) * g
             assert feasible_point(grid.P, t, jobs, hi_hint, restrict) is not None
     assert walk_up < solves["bisection"]
     return hinted
@@ -329,6 +373,6 @@ def test_profile_adapter_node_states_match_reference(monkeypatch):
             inst = generate(kind, 10, 2 + seed % 2, 9600 + seed)
             for selection in SELECTIONS:
                 solver(inst, rat(1, 10), selection, node_limit=200)
-    hinted = _check_recorded(calls, solves)
+    hinted = _check_recorded(calls, solves, uniform=True)
     assert len(calls) > 400
     assert hinted > 350

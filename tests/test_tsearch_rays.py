@@ -1,13 +1,13 @@
 """Farkas rays of the T-search: every guess a ray skips is infeasible.
 
-`min_feasible_T` walks up its grid: an infeasible probe at k hands back the
-Farkas ray of its phase-1 optimum, `ray_reach` checks it and returns the
-last guess k2 it still proves infeasible, and the next probe is the first
-step above k2 (k2 + 1 at a root, whose data need the whole instance grid).
-The property below solves every skipped guess with `solve_vertex` and
-re-checks the ray at k2 in `Fraction`s on the program `build_load_lp`
-builds there. The contract tests forge rays that prove nothing and expect
-`LpError`, also under `python -O`.
+`min_feasible_T` walks up its grid: an infeasible probe at k hands back a
+Farkas ray (the tableau row that proved it empty), `ray_reach` checks it and
+returns the last guess k2 it still proves infeasible, and the next probe is
+the first step above k2 (k2 + 1 at a root, whose data need the whole
+instance grid). The property below solves every skipped guess with
+`solve_vertex` and re-checks the ray at k2 in `Fraction`s on the program
+`build_load_lp` builds there. The contract tests forge rays that prove
+nothing and expect `LpError`, also under `python -O`.
 """
 import os
 import subprocess
@@ -141,7 +141,7 @@ def _positive_slack(monkeypatch):
 
 
 def _forged_lp_row(monkeypatch):
-    # a solver that reports an all-zero phase-1 row: the search must not
+    # a solver that reports an all-zero Farkas row: the search must not
     # skip a single guess on it
     kernel = scheduling.solve_vertex
 
