@@ -33,6 +33,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ORACLE_BUDGET = 3
 
+_RATIO_DEFAULTS = {"alpha": "9/10", "eps": "1/10"}
+
 _SELECTIONS = {
     "HUB": Selection.BEST_FIRST,
     "LLB": Selection.BEST_FIRST,
@@ -63,6 +65,16 @@ def _strategy(algo: Algorithm, args: argparse.Namespace) -> Strategy:
     raise StrategyError(f"{algo.name} takes no strategy {given}")
 
 
+def _ratio_flag(algo: Algorithm, args: argparse.Namespace) -> str:
+    """The ratio flag the algorithm reads (--alpha for knapsack, --eps for
+    the scheduling schemes) or its default; the other flag is rejected."""
+    used, unused = ("alpha", "eps") if algo.criterion == "ratio-alpha" else ("eps", "alpha")
+    if getattr(args, unused) is not None:
+        raise ValueError(f"{algo.name} takes no --{unused}")
+    value = getattr(args, used)
+    return _RATIO_DEFAULTS[used] if value is None else value
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     inst = generate(args.kind, args.n, args.m, args.seed)
     save_instance(inst, args.out)
@@ -73,7 +85,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     algo = ALGORITHMS[args.algorithm]
-    ratio = parse_rat(args.alpha if algo.criterion == "ratio-alpha" else args.eps)
+    ratio = parse_rat(_ratio_flag(algo, args))
     depth_cap = scheme_depth_cap(inst.m, ratio) if args.bfs_depth_cap else None
     outcome = solve(inst, algo.name, ratio, _strategy(algo, args), args.node_limit, depth_cap)
     payload = outcome.result.to_json_dict()
@@ -161,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one instance")
     solve.add_argument("--instance", required=True)
     solve.add_argument("--algorithm", required=True, choices=list(ALGORITHMS))
-    solve.add_argument("--alpha", default="9/10", help="knapsack target ratio")
-    solve.add_argument("--eps", default="1/10", help="scheduling tolerance")
+    solve.add_argument("--alpha", default=None, help="knapsack target ratio; default 9/10")
+    solve.add_argument("--eps", default=None, help="scheduling tolerance; default 1/10")
     solve.add_argument("--selection", default="BestFirst", choices=sorted(_SELECTIONS))
     solve.add_argument(
         "--branching", default=None, choices=["CE", "PPW", "K"], help="knapsack; default CE"

@@ -10,12 +10,15 @@ that proves it, from which the caller reads a Farkas ray y over the rows:
 y^T A <= 0 on every column, y_r <= 0 on every inequality row r and
 y^T b > 0.
 
-Tableau: fraction-free and integer. Every row is scaled to integers once,
-from the numerators and denominators of its nonzero entries; pivoting
-keeps entries integral (they are minors of the input matrix, over one
-common denominator that may be negative), so the hot loop does no gcd
-work at all. Columns are the structural variables, then one slack per
-inequality row, then the right-hand side; there are no artificials.
+Program and tableau: fraction-free and integer. A LinearProgram that holds
+a non-integer puts its rows on integers once, at construction (each times
+the lcm of its denominators); integer programs, every load LP among them,
+keep their rows as given. solve_vertex copies the stored rows straight
+into its tableau, and pivoting keeps entries integral (they are minors of
+the input matrix, over one common denominator that may be negative), so
+no solve scales a row and the hot loop does no gcd work at all. Columns
+are the structural variables, then one slack per inequality row, then the
+right-hand side; there are no artificials.
 
 Crash basis: each inequality row's slack starts basic, and each equality
 row in turn pivots its first nonzero column into the basis (a basic
@@ -37,6 +40,11 @@ many pivots, in a basis whose basic solution is nonnegative: a vertex.
 When the leaving row has no negative entry, the row itself is the Farkas
 row: its entries are all >= 0 and its rhs is < 0, so no x >= 0 meets it,
 and it is a combination y of the rows.
+
+Read-out: the vertex holds the structural values and the slack of every
+inequality row (0 where nonbasic), with a Rat built only for a nonzero
+basic value; scheduling.feasible_point reads each machine's completion
+time off the slack of its load row.
 
 Thread-safety: solves are pure functions of their input.
 """
@@ -66,18 +74,39 @@ class LpError(Exception):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """num_vars non-negative variables, equality and <=-inequality rows."""
+    """num_vars non-negative variables, equality and <=-inequality rows.
+
+    Rows are stored on integers. A program holding a value that is not an
+    int is put on them at construction, each row times the lcm of its
+    denominators, which changes neither the polyhedron nor any vertex; a
+    program of ints, such as every load LP, keeps its rows as given.
+    """
 
     num_vars: int
-    equalities: tuple[tuple[tuple[Rat, ...], Rat], ...] = ()
-    inequalities: tuple[tuple[tuple[Rat, ...], Rat], ...] = ()
+    equalities: tuple[tuple[tuple[int, ...], int], ...] = ()
+    inequalities: tuple[tuple[tuple[int, ...], int], ...] = ()
 
     def __post_init__(self):
         if self.num_vars < 0:
             raise LpError("negative variable count")
-        for coeffs, _ in self.equalities + self.inequalities:
+        on_ints = True
+        for coeffs, b in self.equalities + self.inequalities:
             if len(coeffs) != self.num_vars:
                 raise LpError("row references undeclared variables")
+            # a sum of ints is an int, and a Fraction anywhere makes it one
+            if on_ints and type(sum(coeffs, b)) is not int:
+                on_ints = False
+        if not on_ints:
+            for name in ("equalities", "inequalities"):
+                rows = getattr(self, name)
+                object.__setattr__(self, name, tuple([_int_row(*row) for row in rows]))
+
+
+def _int_row(coeffs: Sequence[Rat | int], rhs: Rat | int) -> tuple[tuple[int, ...], int]:
+    """The row times the lcm of its denominators, as plain integers."""
+    scale = math.lcm(rhs.denominator, *[v.denominator for v in coeffs])
+    row = tuple([v.numerator * (scale // v.denominator) for v in coeffs])
+    return row, rhs.numerator * (scale // rhs.denominator)
 
 
 @dataclass(frozen=True)
@@ -85,29 +114,15 @@ class Vertex:
     """A basic feasible solution.
 
     values: the structural variables (exact rationals).
+    slacks: the slack of each inequality row, in row order (b minus the
+    row's left-hand side); an int 0 where the slack is nonbasic.
     basis: basic column indices in the standard form; columns
     0..num_vars-1 are structural, the next len(inequalities) are slacks.
     """
 
     values: tuple[Rat, ...]
+    slacks: tuple[Rat | int, ...]
     basis: tuple[int, ...]
-
-
-def _scaled_int_row(coeffs: Sequence[Rat], rhs: Rat) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, as plain integers."""
-    scale = 1
-    for v in coeffs:
-        if v:
-            d = v.denominator
-            if d != 1:
-                scale = math.lcm(scale, d)
-    d = rhs.denominator
-    if d != 1:
-        scale = math.lcm(scale, d)
-    if scale == 1:
-        return [v.numerator for v in coeffs], rhs.numerator
-    row = [v.numerator * (scale // v.denominator) if v else 0 for v in coeffs]
-    return row, rhs.numerator * (scale // d)
 
 
 def pivot(tableau: list[list[int]], r: int, c: int, den: int) -> int:
@@ -142,6 +157,8 @@ def pivot(tableau: list[list[int]], r: int, c: int, den: int) -> int:
 def solve_vertex(lp: LinearProgram, farkas: list[int] | None = None) -> Vertex | None:
     """Return a vertex of the polyhedron, or None when it is empty.
 
+    The tableau starts as the stored integer rows, a unit slack column per
+    inequality row and the rhs; no row is rescaled here.
     Crash: every inequality row's slack starts basic, and each equality row
     in turn takes its first nonzero column into the basis. A row left all
     zero is redundant (rhs 0: dropped) or proves the program empty.
@@ -153,24 +170,22 @@ def solve_vertex(lp: LinearProgram, farkas: list[int] | None = None) -> Vertex |
     row that proves it, integer and scaled by a positive factor: its
     entries on the structural columns, then on the slack columns (all
     >= 0), then its rhs (< 0). The row is -(y^T A, y_ineq, y^T b) for a
-    Farkas ray y of the rows as scaled to integers, which for an integer
-    program are the rows as given.
+    Farkas ray y of the rows as stored (see LinearProgram), which for an
+    integer program are the rows as given.
     """
     nv = lp.num_vars
     n_eq = len(lp.equalities)
     n_ineq = len(lp.inequalities)
     rhs = nv + n_ineq  # the rhs column; every column before it is a variable
 
-    tableau: list[list[int]] = []
-    basis: list[int] = []  # basic label of each row; -1 until the crash
-    for k, (coeffs, b) in enumerate(lp.equalities + lp.inequalities):
-        row, bi = _scaled_int_row(coeffs, b)
-        row.extend([0] * n_ineq)
-        if k >= n_eq:
-            row[nv + k - n_eq] = 1
-        row.append(bi)
+    slack_zeros = [0] * n_ineq
+    tableau = [[*coeffs, *slack_zeros, b] for coeffs, b in lp.equalities]
+    basis = [-1] * n_eq  # basic label of each row; -1 until the crash
+    for k, (coeffs, b) in enumerate(lp.inequalities):
+        row = [*coeffs, *slack_zeros, b]
+        row[nv + k] = 1
         tableau.append(row)
-        basis.append(nv + k - n_eq if k >= n_eq else -1)
+        basis.append(nv + k)
 
     # The tableau stores den * (the real tableau), and den may be negative.
     # A basic column is den on its row and 0 elsewhere, so the first nonzero
@@ -218,10 +233,15 @@ def solve_vertex(lp: LinearProgram, farkas: list[int] | None = None) -> Vertex |
         basis[leave] = enter
 
     values = [rat(0)] * nv
+    slacks = [0] * n_ineq
     for row, b in zip(tableau, basis):
-        if b < nv:
-            values[b] = Rat(row[rhs], den)
-    return Vertex(tuple(values), tuple(sorted(basis)))
+        v = row[rhs]
+        if v:
+            if b < nv:
+                values[b] = Rat(v, den)
+            else:
+                slacks[b - nv] = Rat(v, den)
+    return Vertex(tuple(values), tuple(slacks), tuple(sorted(basis)))
 
 
 @dataclass(frozen=True)

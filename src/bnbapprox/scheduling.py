@@ -10,21 +10,24 @@ makespan LP relaxation) and searches the same grid, so BS dominates LR by
 construction.
 
 Everything runs on one integer view of the instance (`SchedGrid`), built
-once per run: P and t times R, the lcm of their denominators. Overheads,
-guesses, hints, makespans and the adapter's bounds (bound_scale = R) are
-integers on it; only LP coordinates and the loads they touch are
-Fractions. A node's data can lie on a coarser grid than the instance's
-(fixed times 1/3 + 2/3 sum to 1), so min_feasible_T probes only multiples
-of the node step g = gcd(R, t, the unfixed jobs' rows), the node's own
-grid: the LP at k = g*k' is the LP at k' on that grid with every load row
-multiplied by g, which changes neither the pivots nor the vertex.
+once per run: P and t times R, the lcm of their denominators, and each
+job's machines fastest first. Overheads, guesses, hints, makespans, the
+adapter's bounds (bound_scale = R) and every load LP are integers on it;
+only the LP point's coordinates and the completion times read off its
+slacks are Fractions. A node's data can lie on a coarser grid than the
+instance's (fixed times 1/3 + 2/3 sum to 1), so min_feasible_T probes
+only multiples of the node step g = gcd(R, t, the unfixed jobs' rows),
+the node's own grid: the LP at k = g*k' is the LP at k' on that grid with
+every load row multiplied by g, which changes neither the pivots nor the
+vertex.
 Feasibility is monotone in T, and the search:
 
     brackets   k_lo from the overheads, the processing times and the
-               parent's bound, k_hi from the list schedule or, tighter,
-               from the parent's LP point: keeping it for every other job
-               and putting the branched job wholly on its machine is
-               feasible for the child at that machine's raised load;
+               parent's bound, k_hi from the parent's LP point when
+               there is one (keeping it for every other job and putting
+               the branched job wholly on its machine is feasible for the
+               child at that machine's raised load), else from the list
+               schedule;
     probes     k_lo first (often the parent's bound is the child's
                answer, one LP solve), then walks up: an infeasible probe
                at k hands back a Farkas ray, the tableau row that proved
@@ -42,7 +45,7 @@ modes:
     AS        each fractional job to its fastest machine;
     LST-match each fractional job to a distinct supporting machine along
               a bipartite matching (makespan at most 2T);
-    BM        exhaustive best placement of the fractional jobs.
+    BM        best placement of the fractional jobs (a pruned search).
 
 Branching fixes the fractional job with maximal shortest processing time
 (MMP) onto each machine in turn. A node is a _SchedState and fix_job
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .engine import (
@@ -114,11 +117,19 @@ ROUNDING_LST = "LST-match"
 @dataclass(frozen=True)
 class SchedGrid:
     """An instance on integers: P (jobs x machines) and the overheads t
-    times R, the lcm of their denominators (1 on generated data)."""
+    times R, the lcm of their denominators (1 on generated data). `order`
+    holds each job's machines fastest first (ties: lowest machine), derived
+    from P once per grid; each load LP filters it by the open and eligible
+    machines."""
 
     R: int
     P: tuple[tuple[int, ...], ...]
     t: tuple[int, ...]
+    order: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        order = tuple([tuple(sorted(range(len(row)), key=row.__getitem__)) for row in self.P])
+        object.__setattr__(self, "order", order)
 
     @classmethod
     def build(cls, inst: SchedulingInstance) -> SchedGrid:
@@ -150,100 +161,101 @@ class FarkasRay:
 
 
 def build_load_lp(
-    P: Sequence[Sequence[int]],
+    grid: SchedGrid,
     t: Sequence[int],
     jobs: Sequence[int],
     T: int,
     restrict: bool = True,
 ) -> tuple[LinearProgram, tuple[tuple[int, int], ...]] | None:
-    """The load LP at guess T plus its variable order, or None when it is
-    trivially infeasible (an overfull machine or a job with no eligible
-    pair). Machines without residual capacity take no variables.
+    """The load LP at guess T of the node with overheads t and unfixed
+    `jobs` on `grid`, plus its variable order, or None when it is trivially
+    infeasible (an overfull machine or a job with no eligible pair).
+    Machines without residual capacity take no variables.
 
     Variables are the eligible pairs, grouped by job in `jobs` order and
-    within a job fastest machine first (ties: lowest machine), so the LP
-    solver's crash basis puts each job wholly on its fastest column. The
-    assignment rows and the zero coefficients are plain integers; the load
-    rows carry P's entries and T - t_i, so integer data and an integer
-    guess (the search grid of min_feasible_T) give an all-integer program.
+    within a job in the grid's fastest-first order, filtered by the open
+    machines, so the LP solver's crash basis puts each job wholly on its
+    fastest column. There is one load row per machine with columns, in
+    machine order. Every row is integer: 0/1 assignment rows, and load rows
+    of P's entries with rhs T - t_i.
     """
-    if any(T < ti for ti in t):
+    if max(t) > T:
         return None
-    open_machines = [i for i in range(len(t)) if T - t[i] > 0]
+    P = grid.P
+    is_open = [T > ti for ti in t]
     pairs: list[tuple[int, int]] = []
     spans: list[tuple[int, int]] = []
-    columns: dict[int, list[int]] = {i: [] for i in open_machines}
     for j in jobs:
         Pj = P[j]
         start = len(pairs)
-        for i in sorted(open_machines, key=Pj.__getitem__):
-            if not restrict or Pj[i] <= T:
-                columns[i].append(len(pairs))
+        for i in grid.order[j]:
+            if restrict and Pj[i] > T:
+                break  # every later machine is slower still
+            if is_open[i]:
                 pairs.append((j, i))
         if len(pairs) == start:
             return None
         spans.append((start, len(pairs)))
     nv = len(pairs)
 
-    equalities = []
-    for start, end in spans:
-        coeffs = [0] * nv
-        coeffs[start:end] = [1] * (end - start)
-        equalities.append((tuple(coeffs), 1))
-    inequalities = []
-    for i in open_machines:
-        if columns[i]:
-            coeffs = [0] * nv
-            for k in columns[i]:
-                coeffs[k] = P[pairs[k][0]][i]
-            inequalities.append((tuple(coeffs), T - t[i]))
+    equalities = [((0,) * a + (1,) * (b - a) + (0,) * (nv - b), 1) for a, b in spans]
+    load_rows: list[list[int] | None] = [None] * len(t)
+    for k, (j, i) in enumerate(pairs):
+        row = load_rows[i]
+        if row is None:
+            row = load_rows[i] = [0] * nv
+        row[k] = P[j][i]
+    inequalities = [(tuple(row), T - ti) for row, ti in zip(load_rows, t) if row is not None]
     return LinearProgram(nv, tuple(equalities), tuple(inequalities)), tuple(pairs)
 
 
 def feasible_point(
-    P: Sequence[Sequence[int]],
+    grid: SchedGrid,
     t: Sequence[int],
     jobs: Sequence[int],
     T: int,
     restrict: bool = True,
     rays: list[FarkasRay] | None = None,
 ) -> LpPoint | None:
-    """Vertex of the load LP at guess T, or None when infeasible.
+    """Vertex of the load LP at guess T (see build_load_lp), or None when
+    infeasible.
 
     restrict=True applies the eligibility filter p_{j,i} <= T; machines
     with no residual capacity (T - t_i <= 0) take no variables either way.
-    When the simplex finds the LP empty and `rays` is a list, the Farkas
-    ray read off the tableau row that proved it empty (see lp) is appended
-    to it (an integer program gives an integer ray); a program that
-    build_load_lp already rules out appends nothing.
+    A machine's completion time is T minus the slack of its load row, and
+    t_i when it has none. When the simplex finds the LP empty and `rays`
+    is a list, the Farkas ray read off the tableau row that proved it
+    empty (see lp) is appended to it; a program that build_load_lp already
+    rules out appends nothing.
     """
-    built = build_load_lp(P, t, jobs, T, restrict)
+    built = build_load_lp(grid, t, jobs, T, restrict)
     if built is None:
         return None
     lp, pairs = built
     farkas: list[int] | None = None if rays is None else []
     vertex = solve_vertex(lp, farkas)
+    # load row r is that of the r-th machine with columns (build_load_lp)
+    row_machines = sorted({i for _, i in pairs})
     if vertex is None:
         if rays is not None:
-            # load row r is that of the r-th machine with columns (the order
-            # of build_load_lp); the Farkas row holds -y_i on its slack and
-            # -(y_jobs[j] + y_i * p_ji) on a column (j, i), so one column per job
-            # gives y_jobs; ray_reach checks the ray whatever its source
+            # the Farkas row holds -y_i on the slack of machine i's load row
+            # and -(y_jobs[j] + y_i * p_ji) on a column (j, i), so one column
+            # per job gives y_jobs; ray_reach checks the ray whatever its source
             nv = len(pairs)
             y = [0] * len(t)
-            for r, i in enumerate(sorted({i for _, i in pairs})):
+            for r, i in enumerate(row_machines):
                 y[i] = -farkas[nv + r]
             y_jobs: dict[int, int] = {}
             for (j, i), d in zip(pairs, farkas):
                 if j not in y_jobs:
-                    y_jobs[j] = -d - y[i] * P[j][i]
+                    y_jobs[j] = -d - y[i] * grid.P[j][i]
             rays.append(FarkasRay(y_jobs, tuple(y)))
         return None
 
-    x = {pair: v for pair, v in zip(pairs, vertex.values) if v != 0}
-    loads = list(t)
-    for (j, i), v in x.items():
-        loads[i] += P[j][i] * v
+    x = {pair: v for pair, v in zip(pairs, vertex.values) if v}
+    loads: list[int | Rat] = list(t)
+    for i, slack in zip(row_machines, vertex.slacks):
+        loads[i] = T - slack
     return LpPoint(T, x, tuple(loads), *split_jobs(x, jobs))
 
 
@@ -351,9 +363,11 @@ def min_feasible_T(
     - k_lo: max(max overhead, largest minimal processing time under
       restrict, averaged load bound, lo_hint), rounded up to a step;
       lo_hint is a known lower bound such as the parent node's optimum;
-    - k_hi: the list-schedule makespan, or hi_hint rounded up to a step
-      when that is smaller; hi_hint must be a guess at which the LP is
-      feasible (the parent's point gives one, see child_hi_hint).
+    - k_hi: hi_hint rounded up to a step when it is given, else the
+      list-schedule makespan (at least k_lo); hi_hint must be a guess at
+      which the LP is feasible (the parent's point gives one, see
+      child_hi_hint), so it is at least the answer and the probes are
+      those of the list-schedule bracket.
 
     k_lo is probed first and, when feasible, is the answer after one LP
     solve. Otherwise the search walks up: an infeasible probe at k hands
@@ -376,15 +390,16 @@ def min_feasible_T(
         k_lo = max(k_lo, _ceil_to(total, len(t) * g) // len(t))
     if lo_hint is not None:
         k_lo = max(k_lo, _ceil_to(lo_hint, g))
-    k_hi = max(list_schedule(P, t, jobs)[1], k_lo)
-    if hi_hint is not None:
-        k_hi = min(k_hi, _ceil_to(hi_hint, g))
+    if hi_hint is None:
+        k_hi = max(list_schedule(P, t, jobs)[1], k_lo)
+    else:
+        k_hi = _ceil_to(hi_hint, g)
 
     # the lower end first: a child's answer is often its parent's bound
     k = k_lo
     while k <= k_hi:
         rays: list[FarkasRay] = []
-        point = feasible_point(P, t, jobs, k, restrict, rays)
+        point = feasible_point(grid, t, jobs, k, restrict, rays)
         if point is not None:
             return point
         k = _ceil_to((ray_reach(rays[0], P, t, jobs, k, k_hi, restrict) if rays else k) + 1, g)
@@ -415,6 +430,46 @@ def _loads(
     return loads
 
 
+def _best_placement(
+    P: Sequence[Sequence[int]], loads: list[int], frac: Sequence[int]
+) -> tuple[tuple[int, ...], int]:
+    """The first placement of the jobs `frac`, in itertools.product order,
+    that minimizes the makespan over the fixed `loads`, and that makespan.
+
+    A depth-first search in that order: a prefix whose partial makespan is
+    not below the best cannot improve it and is pruned, and the search
+    stops once the best equals the largest fixed load, which nothing beats.
+    Only a strictly smaller makespan replaces the best, so the first
+    minimum wins, as in an exhaustive scan. `loads` is restored on return.
+    """
+    m = len(loads)
+    floor = max(loads)
+    combo = [0] * len(frac)
+    best_combo: tuple[int, ...] = ()
+    best: int | None = None
+
+    def place(d: int, partial: int) -> None:
+        """Try every machine for frac[d] after the prefix combo[:d]."""
+        nonlocal best_combo, best
+        Pj = P[frac[d]]
+        last = d + 1 == len(frac)
+        for i in range(m):
+            loads[i] += Pj[i]
+            mk = max(partial, loads[i])
+            if best is None or mk < best:
+                combo[d] = i
+                if last:
+                    best_combo, best = tuple(combo), mk
+                else:
+                    place(d + 1, mk)
+            loads[i] -= Pj[i]
+            if best == floor:
+                return
+
+    place(0, floor)
+    return best_combo, best
+
+
 def round_vertex(
     point: LpPoint,
     P: Sequence[Sequence[int]],
@@ -427,8 +482,8 @@ def round_vertex(
     LST-match reassigns along an injection into supporting machines and is
     guaranteed a makespan of at most twice the vertex's T (checked on
     every call, AdapterContractError otherwise); AS uses each job's
-    fastest machine; BM exhausts all placements of the (at most m)
-    fractional jobs.
+    fastest machine; BM finds the best placement of the (at most m)
+    fractional jobs, the first in itertools.product order.
     """
     m = len(t)
     assignment = dict(point.integral_assignment)
@@ -457,15 +512,9 @@ def round_vertex(
                 f"best-matching rounding would scan {m}^{len(frac)} placements; "
                 "use AS or LST-match on this many machines"
             )
-        best_assign: dict[int, int] | None = None
-        best_makespan: int | None = None
-        for combo in itertools.product(range(m), repeat=len(frac)):
-            cand = dict(assignment)
-            cand.update(zip(frac, combo))
-            mk = max(_loads(P, t, cand))
-            if best_makespan is None or mk < best_makespan:
-                best_assign, best_makespan = cand, mk
-        return best_assign, best_makespan
+        best_combo, best_makespan = _best_placement(P, _loads(P, t, assignment), frac)
+        assignment.update(zip(frac, best_combo))
+        return assignment, best_makespan
     raise ValueError(f"unknown rounding mode {mode!r}")
 
 

@@ -370,7 +370,7 @@ def test_criterion_13a_counterexample_no_mmp_fractional_vertex():
         inst = _counterexample_instance()
         t_min, _, t_child, rest, _ = _second_iteration_node(inst)
         mmp_job = max(rest, key=lambda j: (min(inst.processing[j]), -j))
-        built = build_load_lp(SchedGrid.build(inst).P, t_child, rest, t_min)
+        built = build_load_lp(SchedGrid.build(inst), t_child, rest, t_min)
         assert built is not None
         lp, pairs = built
         for values in enumerate_vertices(lp, budget=200_000):

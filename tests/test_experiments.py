@@ -261,6 +261,31 @@ def test_cli_rejects_alpha_out_of_range(tmp_path):
                      f"--alpha={alpha}"]) == 2
 
 
+def test_cli_rejects_the_ratio_flag_the_algorithm_does_not_read(tmp_path, capsys):
+    knap, sched = tmp_path / "knap.json", tmp_path / "sched.json"
+    assert main(["generate", "--kind", "knapsack", "--n", "6", "--m", "2",
+                 "--seed", "3", "--out", str(knap)]) == 0
+    assert main(["generate", "--kind", "scheduling-unrelated", "--n", "5", "--m", "2",
+                 "--seed", "3", "--out", str(sched)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(knap), "--algorithm", "knapsack",
+                 "--eps", "1/2"]) == 2
+    assert "knapsack takes no --eps" in capsys.readouterr().err
+    assert main(["solve", "--instance", str(sched), "--algorithm", "unrelated",
+                 "--alpha", "2"]) == 2
+    assert "unrelated takes no --alpha" in capsys.readouterr().err
+    # each family still falls back to its own default when its flag is absent
+    for path, algorithm, ratio in ((knap, "knapsack", "9/10"), (sched, "unrelated", "1/10")):
+        out = tmp_path / f"{algorithm}.json"
+        assert main(["solve", "--instance", str(path), "--algorithm", algorithm,
+                     "--out", str(out)]) == 0
+        flag = "--alpha" if algorithm == "knapsack" else "--eps"
+        explicit = tmp_path / f"{algorithm}-explicit.json"
+        assert main(["solve", "--instance", str(path), "--algorithm", algorithm,
+                     flag, ratio, "--out", str(explicit)]) == 0
+        assert out.read_text() == explicit.read_text()
+
+
 def _library_payload(algorithm, result, assignment, outcome=None):
     # the CLI's JSON keys: the run's counters, the algorithm and the
     # assignment, plus makespan, bound and scale for the normalizing profile
@@ -393,7 +418,7 @@ def test_cli_rejects_depth_cap_where_unused(tmp_path):
         inst_path = tmp_path / f"{kind}.json"
         assert main(["generate", "--kind", kind, "--n", "5", "--m", "2",
                      "--seed", "3", "--out", str(inst_path)]) == 0
-        args = ["solve", "--instance", str(inst_path), "--algorithm", algorithm,
-                "--eps", "1/2"]
+        ratio = "--alpha" if algorithm == "knapsack" else "--eps"
+        args = ["solve", "--instance", str(inst_path), "--algorithm", algorithm, ratio, "1/2"]
         assert main(args) == 0
         assert main(args + ["--bfs-depth-cap"]) == 2

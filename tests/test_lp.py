@@ -13,7 +13,7 @@ from bnbapprox.lp import (
 )
 from bnbapprox.oracle import enumerate_vertices
 from bnbapprox.rational import rat
-from bnbapprox.scheduling import build_load_lp, feasible_point
+from bnbapprox.scheduling import SchedGrid, build_load_lp, feasible_point
 from guarantees import graph_is_forest
 
 
@@ -47,14 +47,38 @@ def test_solve_infeasible_pair():
     assert solve_vertex(lp) is None
 
 
-P332 = ((rat(3), rat(3)), (rat(3), rat(3)), (rat(2), rat(2)))
-T0 = (rat(0), rat(0))
+G332 = SchedGrid(1, ((3, 3), (3, 3), (2, 2)), (0, 0))
+
+
+def test_rational_rows_are_stored_on_integers():
+    # a program with a non-integer puts each row on integers once, at
+    # construction, times the lcm of its denominators; a program of ints
+    # keeps its rows as given
+    ints = ((1, 0, 2), 3)
+    lp = LinearProgram(3, (ints,), (((rat(1, 2), rat(0), rat(2, 3)), rat(5, 6)), ints))
+    assert lp.equalities == (ints,)
+    assert lp.inequalities == (((3, 0, 4), 5), ints)
+    assert all(type(v) is int for coeffs, b in lp.inequalities for v in (*coeffs, b))
+    assert LinearProgram(1, (), (((rat(2),), rat(4)),)).inequalities == (((2,), 4),)
+    program = LinearProgram(3, (ints,), (ints,))
+    assert program.equalities[0] is ints and program.inequalities[0] is ints
+
+
+def test_vertex_slacks_are_the_rows_slack():
+    # x1 + x2 = 1, x1 <= 1/2 (stored as 2 x1 <= 1), x2 <= 3: the crash puts
+    # x1 = 1, the dual step moves half of it to x2
+    lp = LinearProgram(2, (((1, 1), 1),), (((rat(1), rat(0)), rat(1, 2)), ((0, 1), 3)))
+    vertex = solve_vertex(lp)
+    assert vertex is not None and vertex.values == (rat(1, 2), rat(1, 2))
+    assert vertex.slacks == (0, rat(5, 2))
+    for (coeffs, b), slack in zip(lp.inequalities, vertex.slacks):
+        assert b - sum(c * v for c, v in zip(coeffs, vertex.values)) == slack
 
 
 def test_parametric_lp_332_all_basic_solutions():
     # m=2 identical machines, jobs (3,3,2), T=4: feasible, and every vertex
     # has at most 2 fractional jobs (checked by full enumeration)
-    built = build_load_lp(P332, T0, range(3), rat(4))
+    built = build_load_lp(G332, G332.t, range(3), 4)
     assert built is not None
     lp, pairs = built
     vertices = enumerate_vertices(lp)
@@ -64,8 +88,9 @@ def test_parametric_lp_332_all_basic_solutions():
             pairs[k][0] for k, v in enumerate(values) if 0 < v < 1
         }
         assert len(frac_jobs) <= 2
-    point = feasible_point(P332, T0, range(3), rat(4))
+    point = feasible_point(G332, G332.t, range(3), 4)
     assert point is not None
+    assert point.loads == (4, 4)  # T minus each load row's slack
     assert tuple(point.x[p] for p in pairs if p in point.x)  # solver agrees it is feasible
     assert len(point.fractional_jobs) <= 2
 
@@ -111,7 +136,7 @@ def test_fractional_graph_shapes():
     g = fractional_graph({(0, 1): rat(1), (1, 0): rat(1)}, 2)
     assert g.jobs == () and g.edges == ()
     # one split job: one node of degree 2 (from the (3,3,2)/T=4 system)
-    point = feasible_point(P332, T0, range(3), rat(4))
+    point = feasible_point(G332, G332.t, range(3), 4)
     assert point is not None
     g = fractional_graph(point.x, 2)
     assert len(g.jobs) == 1

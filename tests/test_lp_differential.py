@@ -181,18 +181,21 @@ def reference_solve_vertex(lp: LinearProgram) -> Vertex | None:
         basis[i] = enter
 
     values = [rat(0)] * nv
+    slacks = [0] * n_ineq
     out_basis = []
     for pos, i in enumerate(live):
         b = basis[i]
         out_basis.append(b)
         if b < nv:
             values[b] = Rat(tableau[pos][rhs_col], den)
-    return Vertex(tuple(values), tuple(sorted(out_basis)))
+        elif b < n_slack_cols:
+            slacks[b - nv] = Rat(tableau[pos][rhs_col], den)
+    return Vertex(tuple(values), tuple(slacks), tuple(sorted(out_basis)))
 
 
 def _scaled_rows(lp: LinearProgram):
     """The rows over structural and slack columns plus the rhs, each scaled
-    to integers as the solver scales them (the slack entry stays 1)."""
+    to integers as LinearProgram stores them (the slack entry stays 1)."""
     nv, n_ineq = lp.num_vars, len(lp.inequalities)
     rows = []
     for k, (coeffs, b) in enumerate(lp.equalities + lp.inequalities):
@@ -259,6 +262,7 @@ def _check_vertex(lp: LinearProgram, vertex: Vertex) -> None:
     point = list(vertex.values)
     for row in rows[len(lp.equalities):]:
         point.append(row[-1] - sum(c * v for c, v in zip(row[:nv], vertex.values)))
+    assert tuple(point[nv:]) == vertex.slacks
     basis = vertex.basis
     assert list(basis) == sorted(set(basis)) and all(0 <= c < nv + n_ineq for c in basis)
     assert all(point[c] == 0 for c in range(nv + n_ineq) if c not in basis)
@@ -365,7 +369,7 @@ def _recorded_load_lps(kind: str) -> tuple[LinearProgram, ...]:
                 k_min = min_feasible_T(grid, grid.t, jobs).T
                 for k in range(k_min - 3, k_min + 2):
                     for restrict in (True, False):
-                        built = build_load_lp(grid.P, grid.t, jobs, k, restrict)
+                        built = build_load_lp(grid, grid.t, jobs, k, restrict)
                         if built is not None:
                             recorded.append(built[0])
     finally:

@@ -409,7 +409,7 @@ def test_children_hints_come_only_from_an_eligible_point():
     for spec in adapter.branch(node):
         child = spec.payload
         assert child.hi_hint is not None and child.hi_hint >= info.lb
-        assert feasible_point(adapter.P, child.t, jobs, child.hi_hint) is not None
+        assert feasible_point(adapter.grid, child.t, jobs, child.hi_hint) is not None
     # a point that uses a pair above its guess is not feasible for the load
     # LP, so the children fall back to the list-schedule bracket
     point = state.point

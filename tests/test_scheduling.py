@@ -50,7 +50,7 @@ def test_min_feasible_T_332():
     # T=3 infeasible, certified by the bracket/walk-up invariant
     from bnbapprox.scheduling import feasible_point
 
-    assert feasible_point(G332.P, G332.t, range(3), 3) is None
+    assert feasible_point(G332, G332.t, range(3), 3) is None
 
 
 def test_min_feasible_T_single_job():
@@ -87,7 +87,7 @@ def test_search_steps_on_the_node_grid():
     assert grid.R == 3
     t = (0, grid.t[1] + grid.P[2][1])
     assert min_feasible_T(grid, t, (0, 1)).T == 6
-    assert scheduling.feasible_point(grid.P, t, (0, 1), 5) is not None
+    assert scheduling.feasible_point(grid, t, (0, 1), 5) is not None
 
 
 def test_round_vertex_modes_on_332():
@@ -320,7 +320,7 @@ def test_children_get_a_feasible_upper_hint():
                 child = spec.payload
                 assert child.hi_hint >= info.lb
                 assert scheduling.feasible_point(
-                    adapter.P, child.t, child.jobs, child.hi_hint, bounding == "BS"
+                    adapter.grid, child.t, child.jobs, child.hi_hint, bounding == "BS"
                 ) is not None
                 # the answer is at most the hint rounded up to the child's step
                 rows = itertools.chain(*[adapter.P[j] for j in child.jobs])

@@ -341,7 +341,7 @@ def _check_recorded(calls, solves, uniform: bool = False) -> int:
             # the hint is a real guess; the search may round it up one step
             g = math.gcd(R, *t, *[p for j in jobs for p in grid.P[j]])
             assert res.T <= -(-hi_hint // g) * g
-            assert feasible_point(grid.P, t, jobs, hi_hint, restrict) is not None
+            assert feasible_point(grid, t, jobs, hi_hint, restrict) is not None
     assert walk_up < solves["bisection"]
     return hinted
 

@@ -89,7 +89,7 @@ def test_every_guess_a_ray_skips_is_infeasible(instance):
         k_hi = max(list_schedule(PD, tD, jobs)[1], k)
         while True:
             rays = []
-            if feasible_point(PD, tD, jobs, k, restrict, rays) is not None:
+            if feasible_point(grid, tD, jobs, k, restrict, rays) is not None:
                 break
             if not rays:  # build_load_lp ruled k out without a solve
                 k += 1
@@ -97,8 +97,8 @@ def test_every_guess_a_ray_skips_is_infeasible(instance):
             k2 = ray_reach(rays[0], PD, tD, jobs, k, k_hi, restrict)
             assert k <= k2 <= k_hi
             for guess in range(k, k2 + 1):
-                assert feasible_point(PD, tD, jobs, guess, restrict) is None
-            built = build_load_lp(PD, tD, jobs, k2, restrict)
+                assert feasible_point(grid, tD, jobs, guess, restrict) is None
+            built = build_load_lp(grid, tD, jobs, k2, restrict)
             assert built is not None
             assert _certifies(rays[0], *built)
             k = k2 + 1
@@ -109,18 +109,19 @@ def test_every_guess_a_ray_skips_is_infeasible(instance):
 
 PD55 = ((5, 9), (5, 9))  # infeasible from 5 to 8 under restrict
 T00 = (0, 0)
+G55 = SchedGrid(1, PD55, T00)
 
 
 def test_the_lp_ray_reaches_the_next_column():
     rays = []
-    assert feasible_point(PD55, T00, (0, 1), 5, True, rays) is None
+    assert feasible_point(G55, T00, (0, 1), 5, True, rays) is None
     # machine 1 takes columns at 9, where the LP becomes feasible
     assert ray_reach(rays[0], PD55, T00, (0, 1), 5, 20, True) == 8
     # without eligibility the ray breaks where its infeasibility runs out
     rays = []
-    assert feasible_point(PD55, (0, 6), (0, 1), 7, False, rays) is None
+    assert feasible_point(G55, (0, 6), (0, 1), 7, False, rays) is None
     reach = ray_reach(rays[0], PD55, (0, 6), (0, 1), 7, 20, False)
-    assert feasible_point(PD55, (0, 6), (0, 1), reach + 1, False) is not None
+    assert feasible_point(G55, (0, 6), (0, 1), reach + 1, False) is not None
 
 
 def _zero_infeasibility(monkeypatch):
@@ -152,7 +153,7 @@ def _forged_lp_row(monkeypatch):
         return vertex
 
     monkeypatch.setattr(scheduling, "solve_vertex", forging)
-    min_feasible_T(SchedGrid(1, PD55, T00), T00, range(2))
+    min_feasible_T(G55, T00, range(2))
 
 
 @pytest.mark.parametrize(
