@@ -4,8 +4,9 @@ Four solver families over exact rational arithmetic:
 
 * multi-knapsack with a surrogate-relaxation bound and Dantzig rounding,
   stopping at a target ratio alpha (``knapsack``);
-* unrelated parallel machines with a parametric LP bound found by binary
-  search, stopping at ratio 1+eps (``scheduling``);
+* unrelated parallel machines with a parametric LP bound, the smallest
+  feasible guess found by a Farkas-ray walk up from a lower bound,
+  stopping at ratio 1+eps (``scheduling``);
 * uniform machines with similarity-pruned profiles (``profiles``);
 * identical machines with equivalence-pruned profiles (``profiles``).
 

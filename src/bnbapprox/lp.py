@@ -116,13 +116,10 @@ class Vertex:
     values: the structural variables (exact rationals).
     slacks: the slack of each inequality row, in row order (b minus the
     row's left-hand side); an int 0 where the slack is nonbasic.
-    basis: basic column indices in the standard form; columns
-    0..num_vars-1 are structural, the next len(inequalities) are slacks.
     """
 
     values: tuple[Rat, ...]
     slacks: tuple[Rat | int, ...]
-    basis: tuple[int, ...]
 
 
 def pivot(tableau: list[list[int]], r: int, c: int, den: int) -> int:
@@ -241,7 +238,7 @@ def solve_vertex(lp: LinearProgram, farkas: list[int] | None = None) -> Vertex |
                 values[b] = Rat(v, den)
             else:
                 slacks[b - nv] = Rat(v, den)
-    return Vertex(tuple(values), tuple(slacks), tuple(sorted(basis)))
+    return Vertex(tuple(values), tuple(slacks))
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,7 @@ from .scheduling import (
     ROUNDING_LST,
     LpPoint,
     SchedGrid,
+    _integral_leaf,
     _SchedState,
     fix_job,
     min_feasible_T,
@@ -286,24 +287,20 @@ class ProfileAdapter(BaseAdapter):
 
     def root_payload(self) -> _SchedState:
         R = self.grid.R  # the root optimum
-        return _SchedState(tuple(range(self.n)), self.grid.t, {}, lo_hint=R, hi_hint=R)
+        return _SchedState(tuple(range(self.n)), self.grid.t, {}, lo_hint=R)
 
     def bound(self, state: _SchedState) -> BoundInfo:
-        point = min_feasible_T(
-            self.grid, state.t, state.jobs, lo_hint=state.lo_hint, hi_hint=state.hi_hint
-        )
-        lb = point.T
-        if point.fractional_jobs:
-            longest = state.jobs[0]  # jobs stay sorted
-            if longest not in point.fractional_jobs:
-                point, changed = make_longest_fractional(point, self.P, longest)
-                if changed:
-                    self.transforms += 1
-                else:
-                    self.transforms_skipped += 1
-        state.point = point
+        point = min_feasible_T(self.grid, state.t, state.jobs, lo_hint=state.lo_hint)
         if not point.fractional_jobs:
-            return BoundInfo(lb, lb, {**state.fixed, **point.integral_assignment}, leaf=True)
+            return _integral_leaf(self.grid, state, point)
+        lb = point.T
+        longest = state.jobs[0]  # jobs stay sorted
+        if longest not in point.fractional_jobs:
+            point, changed = make_longest_fractional(point, self.P, longest)
+            if changed:
+                self.transforms += 1
+            else:
+                self.transforms_skipped += 1
         assignment, ub = round_vertex(point, self.P, state.t, ROUNDING_LST)
         return BoundInfo(lb, ub, {**state.fixed, **assignment}, leaf=False)
 
@@ -315,12 +312,7 @@ class ProfileAdapter(BaseAdapter):
             # the next pivot would be a small job: stop this branch; the
             # node's own rounding is at most eps above its bound already
             return []
-        # the children's upper brackets come from the node's point, which the
-        # mass swap rewrote: rely on it only while every pair it uses is
-        # eligible at its guess, since otherwise it is no point of the load LP
-        point = state.point
-        feasible = all(self.P[j][i] <= point.T for j, i in point.x)
-        return fix_job(node, self.P, state.jobs[0], point if feasible else None)
+        return fix_job(node, self.P, state.jobs[0])
 
     def _profile_key(self, state: _SchedState):
         if self.mode == "similarity":

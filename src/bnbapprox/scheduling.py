@@ -11,7 +11,7 @@ construction.
 
 Everything runs on one integer view of the instance (`SchedGrid`), built
 once per run: P and t times R, the lcm of their denominators, and each
-job's machines fastest first. Overheads, guesses, hints, makespans, the
+job's machines fastest first. Overheads, guesses, makespans, the
 adapter's bounds (bound_scale = R) and every load LP are integers on it;
 only the LP point's coordinates and the completion times read off its
 slacks are Fractions. A node's data can lie on a coarser grid than the
@@ -23,11 +23,9 @@ vertex.
 Feasibility is monotone in T, and the search:
 
     brackets   k_lo from the overheads, the processing times and the
-               parent's bound, k_hi from the parent's LP point when
-               there is one (keeping it for every other job and putting
-               the branched job wholly on its machine is feasible for the
-               child at that machine's raised load), else from the list
-               schedule;
+               parent's bound, k_hi from the node's own data: the largest
+               overhead plus every job's shortest time, where each job on
+               its fastest machine is feasible;
     probes     k_lo first (often the parent's bound is the child's
                answer, one LP solve), then walks up: an infeasible probe
                at k hands back a Farkas ray, the tableau row that proved
@@ -98,7 +96,6 @@ __all__ = [
     "feasible_point",
     "ray_reach",
     "split_jobs",
-    "list_schedule",
     "round_vertex",
     "mmp_pivot",
     "fix_job",
@@ -106,7 +103,6 @@ __all__ = [
     "run_unrelated",
     "solve_unrelated",
     "scheme_depth_cap",
-    "child_hi_hint",
 ]
 
 ROUNDING_AS = "AS"
@@ -278,19 +274,6 @@ def split_jobs(
     return tuple(fractional), integral
 
 
-def list_schedule(
-    P: Sequence[Sequence[int]], t: Sequence[int], jobs: Sequence[int]
-) -> tuple[dict[int, int], int]:
-    """Greedy integer schedule (jobs in given order, least resulting load)."""
-    loads = list(t)
-    assignment: dict[int, int] = {}
-    for j in jobs:
-        best = min(range(len(t)), key=lambda i: (loads[i] + P[j][i], i))
-        assignment[j] = best
-        loads[best] += P[j][best]
-    return assignment, max(loads) if loads else 0
-
-
 def _ceil_to(v: int | Rat, g: int) -> int:
     """The smallest multiple of g that is >= v."""
     return -(-v // g) * g
@@ -353,7 +336,6 @@ def min_feasible_T(
     jobs: Sequence[int],
     restrict: bool = True,
     lo_hint: int | Rat | None = None,
-    hi_hint: int | Rat | None = None,
 ) -> LpPoint:
     """A vertex of the load LP at the smallest feasible guess of the node
     with overheads t and unfixed `jobs`, all on `grid`: guesses k stand for
@@ -363,11 +345,10 @@ def min_feasible_T(
     - k_lo: max(max overhead, largest minimal processing time under
       restrict, averaged load bound, lo_hint), rounded up to a step;
       lo_hint is a known lower bound such as the parent node's optimum;
-    - k_hi: hi_hint rounded up to a step when it is given, else the
-      list-schedule makespan (at least k_lo); hi_hint must be a guess at
-      which the LP is feasible (the parent's point gives one, see
-      child_hi_hint), so it is at least the answer and the probes are
-      those of the list-schedule bracket.
+    - k_hi: the largest overhead plus every job's shortest time (at least
+      k_lo), a feasible guess under either restrict: with every job on its
+      fastest machine each used pair is eligible, each machine is open
+      (processing times are positive) and no load exceeds it.
 
     k_lo is probed first and, when feasible, is the answer after one LP
     solve. Otherwise the search walks up: an infeasible probe at k hands
@@ -376,24 +357,23 @@ def min_feasible_T(
     (k + g when build_load_lp rules k out without a solve). So the first
     feasible probe is the smallest feasible step, and the vertex returned
     is the one its LP always gives. Every probe is one feasible_point call.
-    Raises LpError when no step of the bracket is feasible, i.e. when k_hi
-    (or hi_hint) was not a feasible guess, or when a ray fails its check; a
-    wrong T is never returned.
+    Raises LpError when a ray fails its check, or when no step of the
+    bracket turns out feasible, which a correct ray never allows; a wrong
+    T is never returned.
     """
     P = grid.P
     g = math.gcd(grid.R, *t, *itertools.chain(*[P[j] for j in jobs]))
+    shortest = [min(P[j]) for j in jobs]
+    work = sum(shortest)
     k_lo = max(t, default=0)
+    k_hi = k_lo + work  # a multiple of g, as t and P[jobs] are
     if jobs:
         if restrict:
-            k_lo = max(k_lo, max([min(P[j]) for j in jobs]))
-        total = sum([min(P[j]) for j in jobs]) + sum(t)
-        k_lo = max(k_lo, _ceil_to(total, len(t) * g) // len(t))
+            k_lo = max(k_lo, max(shortest))
+        k_lo = max(k_lo, _ceil_to(work + sum(t), len(t) * g) // len(t))
     if lo_hint is not None:
         k_lo = max(k_lo, _ceil_to(lo_hint, g))
-    if hi_hint is None:
-        k_hi = max(list_schedule(P, t, jobs)[1], k_lo)
-    else:
-        k_hi = _ceil_to(hi_hint, g)
+    k_hi = max(k_hi, k_lo)
 
     # the lower end first: a child's answer is often its parent's bound
     k = k_lo
@@ -404,21 +384,6 @@ def min_feasible_T(
             return point
         k = _ceil_to((ray_reach(rays[0], P, t, jobs, k, k_hi, restrict) if rays else k) + 1, g)
     raise LpError("upper bracket infeasible; bracket construction is broken")
-
-
-def child_hi_hint(
-    point: LpPoint, P: Sequence[Sequence[int]], job: int, machine: int
-) -> int | Rat:
-    """A guess at which the child fixing `job` on `machine` has a feasible LP.
-
-    Keep the parent's feasible point for every other job and put `job`
-    wholly on `machine`: that machine's completion time becomes its parent
-    load plus p * (1 - x[job, machine]), the others keep theirs (at most
-    point.T), and every pair used stays eligible at point.T. The point
-    must be feasible for the parent's load LP at point.T.
-    """
-    raised = point.loads[machine] + P[job][machine] * (1 - point.x.get((job, machine), 0))
-    return max(point.T, raised)
 
 
 def _loads(
@@ -534,24 +499,21 @@ def scheme_depth_cap(m: int, eps: Rat) -> int:
 @dataclass
 class _SchedState:
     """A scheduling node, also the profile schemes': unfixed jobs, completion
-    times t, fixed jobs (job -> machine), the parent's T-search brackets and,
-    once bounded, the LP point; all on the adapter's grid."""
+    times t, fixed jobs (job -> machine), the parent's bound (where the
+    node's T-search starts) and, once the unrelated scheme has bounded it,
+    the job it branches on; all on the adapter's grid."""
 
     jobs: tuple[int, ...]
     t: tuple[int, ...]
     fixed: dict[int, int]
     lo_hint: int | None = None
-    hi_hint: int | Rat | None = None
-    point: LpPoint | None = None
+    pivot: int | None = None
 
 
-def fix_job(
-    node: Node, P: Sequence[Sequence[int]], pivot: int, hint_point: LpPoint | None
-) -> list[ChildSpec]:
+def fix_job(node: Node, P: Sequence[Sequence[int]], pivot: int) -> list[ChildSpec]:
     """One child per machine: `pivot` fixed there and that machine's
-    completion time raised. Each child brackets its T-search by the node's
-    bound and, when hint_point (a feasible point of the node's load LP) is
-    given, by child_hi_hint from it; else by its list schedule."""
+    completion time raised. Each child's T-search starts at the node's
+    bound."""
     state: _SchedState = node.payload
     rest = tuple(j for j in state.jobs if j != pivot)
     out = []
@@ -560,10 +522,22 @@ def fix_job(
         t[i] += p
         fixed = dict(state.fixed)
         fixed[pivot] = i
-        hi_hint = None if hint_point is None else child_hi_hint(hint_point, P, pivot, i)
-        child = _SchedState(rest, tuple(t), fixed, lo_hint=node.lb, hi_hint=hi_hint)
+        child = _SchedState(rest, tuple(t), fixed, lo_hint=node.lb)
         out.append(ChildSpec(right_turn=False, payload=child))
     return out
+
+
+def _integral_leaf(grid: SchedGrid, state: _SchedState, point: LpPoint) -> BoundInfo:
+    """The leaf of a node whose vertex is integral: the fixed jobs plus the
+    vertex's assignment, whose makespan on the instance must be the minimal
+    guess point.T (AdapterContractError otherwise)."""
+    solution = {**state.fixed, **point.integral_assignment}
+    makespan = max(_loads(grid.P, grid.t, solution))
+    if makespan != point.T:
+        raise AdapterContractError(
+            f"integral vertex makespan {makespan} off its minimal guess {point.T}"
+        )
+    return BoundInfo(point.T, makespan, solution, leaf=True)
 
 
 class UnrelatedAdapter(BaseAdapter):
@@ -595,25 +569,13 @@ class UnrelatedAdapter(BaseAdapter):
 
     def bound(self, state: _SchedState) -> BoundInfo:
         point = min_feasible_T(
-            self.grid,
-            state.t,
-            state.jobs,
-            restrict=self.restrict,
-            lo_hint=state.lo_hint,
-            hi_hint=state.hi_hint,
+            self.grid, state.t, state.jobs, restrict=self.restrict, lo_hint=state.lo_hint
         )
-        state.point = point
-        lb = point.T
         if not point.fractional_jobs:
-            solution = {**state.fixed, **point.integral_assignment}
-            ub = max(_loads(self.P, self.grid.t, solution))
-            if ub != lb:
-                raise AdapterContractError(
-                    f"integral vertex makespan {ub} off its minimal guess {lb}"
-                )
-            return BoundInfo(lb, ub, solution, leaf=True)
+            return _integral_leaf(self.grid, state, point)
+        lb = point.T
         assignment, ub = round_vertex(point, self.P, state.t, self.rounding)
-        pivot = mmp_pivot(point, self.P)
+        pivot = state.pivot = mmp_pivot(point, self.P)
         if ub > lb + self.m * min(self.P[pivot]):
             raise AdapterContractError(
                 f"rounded makespan {ub} exceeded the pivot-controlled bound "
@@ -624,8 +586,7 @@ class UnrelatedAdapter(BaseAdapter):
     def branch(self, node: Node) -> list[ChildSpec]:
         if self.depth_cap is not None and node.depth >= self.depth_cap:
             return []
-        point = node.payload.point
-        return fix_job(node, self.P, mmp_pivot(point, self.P), point)
+        return fix_job(node, self.P, node.payload.pivot)
 
 
 def run_unrelated(

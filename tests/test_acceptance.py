@@ -22,13 +22,7 @@ from bnbapprox.experiments import (
 from bnbapprox.instances import SchedulingInstance, UNRELATED, generate
 from bnbapprox.knapsack import KnapsackAdapter, dantzig_solve, pick_pivot
 from bnbapprox.lp import fractional_graph, job_machine_matching
-from bnbapprox.oracle import (
-    enumerate_vertices,
-    exact_opt,
-    knapsack_lp,
-    lp_optimum_by_enumeration,
-    merged_knapsack_lp_optimum,
-)
+from bnbapprox.oracle import exact_opt
 from bnbapprox.profiles import (
     similarity_level_bound,
     solve_identical,
@@ -56,6 +50,12 @@ from guarantees import (
     int_value,
     schedule_makespan,
     sub_value,
+)
+from lp_oracle import (
+    enumerate_vertices,
+    knapsack_lp,
+    lp_optimum_by_enumeration,
+    merged_knapsack_lp_optimum,
 )
 
 

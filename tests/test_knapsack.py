@@ -17,12 +17,7 @@ from bnbapprox.knapsack import (
     dantzig_solve,
     pick_pivot,
 )
-from bnbapprox.oracle import (
-    exact_opt,
-    knapsack_lp,
-    lp_optimum_by_enumeration,
-    merged_knapsack_lp_optimum,
-)
+from bnbapprox.oracle import exact_opt
 from bnbapprox.rational import rat
 from guarantees import (
     assignment_feasible,
@@ -32,6 +27,7 @@ from guarantees import (
     int_value,
     sub_value,
 )
+from lp_oracle import knapsack_lp, lp_optimum_by_enumeration, merged_knapsack_lp_optimum
 
 WORKED = KnapsackInstance(
     weights=(rat(6), rat(5), rat(4)),

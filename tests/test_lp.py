@@ -11,10 +11,10 @@ from bnbapprox.lp import (
     pivot,
     solve_vertex,
 )
-from bnbapprox.oracle import enumerate_vertices
 from bnbapprox.rational import rat
 from bnbapprox.scheduling import SchedGrid, build_load_lp, feasible_point
 from guarantees import graph_is_forest
+from lp_oracle import enumerate_vertices
 
 
 def satisfies(lp, values):

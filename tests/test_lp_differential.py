@@ -9,9 +9,9 @@ reach different vertices; what they must share is the feasibility
 decision. On top of that, every answer of the production solver is checked
 against what it claims:
 
-- a returned vertex lies in `oracle.enumerate_vertices`, and its basis has
-  one column per independent row, independent columns, and zeros on every
-  nonbasic column of the standard form (structural and slack values);
+- a returned vertex lies in `lp_oracle.enumerate_vertices`, its slacks are
+  those of its values, and the columns of its support in the standard form
+  (structural and slack) are linearly independent: a basic solution;
 - on an empty polyhedron the Farkas row has entries >= 0 and a negative
   rhs, and it is -(y^T A, y_ineq, y^T b) for row weights y of the rows as
   scaled to integers, which the test solves for: so y^T b > 0 while
@@ -38,10 +38,10 @@ from bnbapprox import scheduling
 from bnbapprox.engine import Selection
 from bnbapprox.instances import IDENTICAL, UNIFORM, UNRELATED, generate
 from bnbapprox.lp import LinearProgram, LpError, Vertex, solve_vertex
-from bnbapprox.oracle import enumerate_vertices
 from bnbapprox.profiles import normalize, solve_uniform
 from bnbapprox.rational import Rat, rat
 from bnbapprox.scheduling import ROUNDING_AS, build_load_lp, min_feasible_T, solve_unrelated
+from lp_oracle import enumerate_vertices
 
 
 def _reference_pivot(tableau, r, c, den):
@@ -182,15 +182,13 @@ def reference_solve_vertex(lp: LinearProgram) -> Vertex | None:
 
     values = [rat(0)] * nv
     slacks = [0] * n_ineq
-    out_basis = []
     for pos, i in enumerate(live):
         b = basis[i]
-        out_basis.append(b)
         if b < nv:
             values[b] = Rat(tableau[pos][rhs_col], den)
         elif b < n_slack_cols:
             slacks[b - nv] = Rat(tableau[pos][rhs_col], den)
-    return Vertex(tuple(values), tuple(slacks), tuple(sorted(out_basis)))
+    return Vertex(tuple(values), tuple(slacks))
 
 
 def _scaled_rows(lp: LinearProgram):
@@ -263,11 +261,8 @@ def _check_vertex(lp: LinearProgram, vertex: Vertex) -> None:
     for row in rows[len(lp.equalities):]:
         point.append(row[-1] - sum(c * v for c, v in zip(row[:nv], vertex.values)))
     assert tuple(point[nv:]) == vertex.slacks
-    basis = vertex.basis
-    assert list(basis) == sorted(set(basis)) and all(0 <= c < nv + n_ineq for c in basis)
-    assert all(point[c] == 0 for c in range(nv + n_ineq) if c not in basis)
-    assert len(basis) == _rank([row[:-1] for row in rows])
-    assert _rank([[row[c] for c in basis] for row in rows]) == len(basis)
+    support = [c for c in range(nv + n_ineq) if point[c] != 0]
+    assert _rank([[row[c] for c in support] for row in rows]) == len(support)
 
 
 def _check_farkas(lp: LinearProgram, farkas: list[int]) -> None:
@@ -289,7 +284,7 @@ def _check_farkas(lp: LinearProgram, farkas: list[int]) -> None:
     assert all(v <= 0 for v in combined[:nv]) and combined[-1] > 0
 
 
-def _check(lp: LinearProgram) -> Vertex | None:
+def _check(lp: LinearProgram) -> None:
     farkas: list[int] = []
     got = solve_vertex(lp, farkas)
     assert (got is None) == (reference_solve_vertex(lp) is None)
@@ -298,7 +293,6 @@ def _check(lp: LinearProgram) -> Vertex | None:
     else:
         assert farkas == []
         _check_vertex(lp, got)
-    return got
 
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -400,10 +394,10 @@ def test_degenerate_rows_match_reference(drawn):
 
 
 def _check_load_lp(lp: LinearProgram) -> None:
-    vertex = _check(lp)
-    # no assignment row of a load LP is redundant: one basic column per row
-    if vertex is not None:
-        assert len(vertex.basis) == len(lp.equalities) + len(lp.inequalities)
+    _check(lp)
+    # no row of a load LP is redundant: its rows have full rank
+    rows = _scaled_rows(lp)
+    assert _rank([row[:-1] for row in rows]) == len(rows)
 
 
 @PROPERTY

@@ -2,14 +2,14 @@ import pytest
 
 from bnbapprox.instances import IDENTICAL, KnapsackInstance, SchedulingInstance, generate
 from bnbapprox.lp import LinearProgram
-from bnbapprox.oracle import (
-    OracleBudgetExceeded,
-    enumerate_vertices,
-    exact_opt,
-    merged_knapsack_lp_optimum,
-    optimality_gap,
-)
+from bnbapprox.oracle import OracleBudgetExceeded, exact_opt, optimality_gap
 from bnbapprox.rational import rat
+from lp_oracle import (
+    enumerate_vertices,
+    knapsack_lp,
+    lp_optimum_by_enumeration,
+    merged_knapsack_lp_optimum,
+)
 
 
 def test_worked_knapsack_optimum():
@@ -116,8 +116,6 @@ def test_enumerate_vertices_toy():
 
 
 def test_merged_lp_matches_generic_enumeration():
-    from bnbapprox.oracle import knapsack_lp, lp_optimum_by_enumeration
-
     for seed in range(10):
         inst = generate("knapsack", 4, 2, 50 + seed)
         merged = merged_knapsack_lp_optimum(inst)

@@ -394,30 +394,6 @@ def test_solve_identical_large_eps_root_rounding():
     assert out.makespan <= 2 * opt
 
 
-def test_children_hints_come_only_from_an_eligible_point():
-    import dataclasses
-
-    from bnbapprox.engine import Node
-    from bnbapprox.scheduling import feasible_point
-
-    adapter = ProfileAdapter(generate("scheduling-uniform", 8, 3, 720004), rat(1, 10), "similarity")
-    state = adapter.root_payload()
-    info = adapter.bound(state)
-    assert not info.leaf
-    node = Node(0, None, 0, info.lb, info.ub, False, 0, False, state)
-    jobs = tuple(range(1, adapter.n))
-    for spec in adapter.branch(node):
-        child = spec.payload
-        assert child.hi_hint is not None and child.hi_hint >= info.lb
-        assert feasible_point(adapter.grid, child.t, jobs, child.hi_hint) is not None
-    # a point that uses a pair above its guess is not feasible for the load
-    # LP, so the children fall back to the list-schedule bracket
-    point = state.point
-    j, i = next(iter(point.x))
-    state.point = dataclasses.replace(point, T=adapter.P[j][i] - 1)
-    assert all(spec.payload.hi_hint is None for spec in adapter.branch(node))
-
-
 # --- guarantee checks ----------------------------------------------------
 
 

@@ -17,7 +17,7 @@ grids) with some jobs fixed, and checks at the node's minimal guess T:
 Knapsack: at every node of a run small enough for vertex enumeration, the
 Dantzig rounding's integer profit times m+1 is at least the optimum of the
 node's per-knapsack LP relaxation, found by
-`oracle.lp_optimum_by_enumeration`, on the tiny adversarial instances of
+`lp_oracle.lp_optimum_by_enumeration`, on the tiny adversarial instances of
 test_knapsack_property.py. All properties run again in a `python -O`
 subprocess, since the guarantees must not rest on asserts.
 """
@@ -34,7 +34,6 @@ from bnbapprox import knapsack, scheduling
 from bnbapprox.algorithms import solve
 from bnbapprox.engine import Selection, valid_strategies
 from bnbapprox.instances import UNRELATED, KnapsackInstance, SchedulingInstance, generate
-from bnbapprox.oracle import knapsack_lp, lp_optimum_by_enumeration
 from bnbapprox.rng import SplitMix64
 from bnbapprox.scheduling import (
     ROUNDING_AS,
@@ -45,6 +44,7 @@ from bnbapprox.scheduling import (
     round_vertex,
     solve_unrelated,
 )
+from lp_oracle import knapsack_lp, lp_optimum_by_enumeration
 from test_knapsack_property import _instances as knapsack_instances
 from test_scheduling_property import _instances as scheduling_instances
 

@@ -1,6 +1,4 @@
 import dataclasses
-import itertools
-import math
 import os
 import random
 import subprocess
@@ -8,11 +6,12 @@ import sys
 
 import pytest
 
-from bnbapprox import scheduling
+from bnbapprox import profiles, scheduling
 from bnbapprox.engine import AdapterContractError, Criterion, Node, Selection, run
-from bnbapprox.instances import IDENTICAL, UNRELATED, SchedulingInstance, generate
+from bnbapprox.instances import IDENTICAL, UNIFORM, UNRELATED, SchedulingInstance, generate
 from bnbapprox.lp import LpError, fractional_graph, job_machine_matching
 from bnbapprox.oracle import exact_opt
+from bnbapprox.profiles import ProfileAdapter
 from bnbapprox.rational import rat
 from bnbapprox.rng import SplitMix64
 from bnbapprox.scheduling import (
@@ -21,7 +20,6 @@ from bnbapprox.scheduling import (
     ROUNDING_LST,
     SchedGrid,
     UnrelatedAdapter,
-    list_schedule,
     min_feasible_T,
     mmp_pivot,
     round_vertex,
@@ -145,12 +143,6 @@ def test_mmp_pivot_rules():
         mmp_pivot(LpPoint(rat(1), {}, (rat(0),), (), {}), P)
 
 
-def test_list_schedule_upper_bracket():
-    assignment, makespan = list_schedule(P332, T00, range(3))
-    assert sorted(assignment) == [0, 1, 2]
-    assert makespan >= 4
-
-
 def test_bs_dominates_lr():
     rng = SplitMix64(77)
     for trial in range(40):
@@ -260,14 +252,13 @@ def test_lower_bracket_answer_takes_one_lp_solve(monkeypatch):
     calls.clear()
     assert min_feasible_T(_grid(((3, 3),) * 3), (0, 0), range(3)).T == 5
     assert len(calls) == 1
-    # t_min is the lower hint, with or without an upper hint
+    # t_min is the lower hint
     grid = _grid(((3, 5), (4, 2), (6, 6)), (2, 0))
     t_min = min_feasible_T(grid, grid.t, range(3)).T
     assert t_min == 7
-    for hi_hint in (None, t_min, t_min + 3):
-        calls.clear()
-        res = min_feasible_T(grid, grid.t, range(3), lo_hint=t_min, hi_hint=hi_hint)
-        assert res.T == t_min and len(calls) == 1
+    calls.clear()
+    assert min_feasible_T(grid, grid.t, range(3), lo_hint=t_min).T == t_min
+    assert len(calls) == 1
 
 
 def test_lower_bracket_infeasible_walks_up_past_the_ray(monkeypatch):
@@ -280,33 +271,18 @@ def test_lower_bracket_infeasible_walks_up_past_the_ray(monkeypatch):
     assert res.T == min_feasible_T(grid, grid.t, range(2), lo_hint=res.T - 1).T
 
 
-def test_hi_hint_below_the_minimum_raises():
-    # the LP is infeasible at 3 (total load 8 on two machines)
-    for hi_hint in (3, 1):
+def test_a_ray_reaching_the_upper_bracket_raises(monkeypatch):
+    # a ray that claims every guess up to k_hi infeasible empties the bracket
+    monkeypatch.setattr(scheduling, "ray_reach", lambda ray, P, t, jobs, k, k_hi, r: k_hi)
+    grid = _grid(((5, 9), (5, 9)))  # the lower bracket 5 is infeasible
+    for restrict in (True, False):
         with pytest.raises(LpError, match="upper bracket infeasible"):
-            min_feasible_T(G332, G332.t, range(3), hi_hint=hi_hint)
-    # a one-point bracket just below the minimum, above the lower bracket
-    grid = _grid(((5, 9), (5, 9)))
-    t_min = min_feasible_T(grid, grid.t, range(2)).T
-    assert t_min > 6
-    with pytest.raises(LpError, match="upper bracket infeasible"):
-        min_feasible_T(grid, grid.t, range(2), lo_hint=t_min - 1, hi_hint=t_min - 1)
-    # a hint is rounded up onto the grid: 7/2 -> 4, which is feasible
-    assert min_feasible_T(G332, G332.t, range(3), hi_hint=rat(7, 2)).T == 4
-    for seed in range(10):
-        grid = SchedGrid.build(generate(UNRELATED, 6, 3, 9700 + seed))
-        jobs = tuple(range(len(grid.P)))
-        t_min = min_feasible_T(grid, grid.t, jobs).T
-        for below in (t_min - 1, rat(t_min, 2)):  # generated data: R = 1
-            with pytest.raises(LpError, match="upper bracket infeasible"):
-                min_feasible_T(grid, grid.t, jobs, hi_hint=below)
-            # a one-point bracket below the minimum
-            with pytest.raises(LpError, match="upper bracket infeasible"):
-                min_feasible_T(grid, grid.t, jobs, lo_hint=below, hi_hint=below)
-        assert min_feasible_T(grid, grid.t, jobs, hi_hint=t_min).T == t_min
+            min_feasible_T(grid, grid.t, range(2), restrict)
+    # a search whose lower bracket is feasible reads no ray
+    assert min_feasible_T(G332, G332.t, range(3)).T == 4
 
 
-def test_children_get_a_feasible_upper_hint():
+def test_children_fix_the_node_pivot():
     for seed in range(10):
         inst = generate(UNRELATED, 7, 3, 9800 + seed)
         for bounding in ("BS", "LR"):
@@ -315,17 +291,14 @@ def test_children_get_a_feasible_upper_hint():
             info = adapter.bound(state)
             if info.leaf:
                 continue
+            point = min_feasible_T(adapter.grid, state.t, state.jobs, bounding == "BS")
+            assert state.pivot == mmp_pivot(point, adapter.P)
             node = Node(0, None, 0, info.lb, info.ub, False, 0, False, state)
-            for spec in adapter.branch(node):
-                child = spec.payload
-                assert child.hi_hint >= info.lb
-                assert scheduling.feasible_point(
-                    adapter.grid, child.t, child.jobs, child.hi_hint, bounding == "BS"
-                ) is not None
-                # the answer is at most the hint rounded up to the child's step
-                rows = itertools.chain(*[adapter.P[j] for j in child.jobs])
-                g = math.gcd(adapter.grid.R, *child.t, *rows)
-                assert adapter.bound(child).lb < child.hi_hint + g
+            children = [spec.payload for spec in adapter.branch(node)]
+            assert [child.fixed for child in children] == [
+                {state.pivot: i} for i in range(inst.m)
+            ]
+            assert all(child.lo_hint == info.lb for child in children)
 
 
 # --- guarantee checks ----------------------------------------------------
@@ -357,6 +330,19 @@ def _break_integral_guess(monkeypatch):
     adapter.bound(adapter.root_payload())
 
 
+def _break_profile_integral_guess(monkeypatch):
+    inst = SchedulingInstance(UNIFORM, ((rat(7), rat(7)),), T00, (rat(7),), (rat(1), rat(1)))
+    adapter = ProfileAdapter(inst, rat(1, 10), "similarity")  # one job: integral
+    search = profiles.min_feasible_T
+
+    def lowered(*args, **kwargs):
+        point = search(*args, **kwargs)
+        return dataclasses.replace(point, T=point.T - 1)
+
+    monkeypatch.setattr(profiles, "min_feasible_T", lowered)
+    adapter.bound(adapter.root_payload())
+
+
 def _break_pivot_bound(monkeypatch):
     monkeypatch.setattr(
         scheduling, "round_vertex",
@@ -376,6 +362,7 @@ def _break_depth_cap(monkeypatch):
     [
         (_break_lst_matching, "twice the guess"),
         (_break_integral_guess, "minimal guess"),
+        (_break_profile_integral_guess, "minimal guess"),
         (_break_pivot_bound, "pivot-controlled bound"),
         (_break_depth_cap, "best-first tree reached depth"),
     ],
@@ -406,4 +393,4 @@ def test_broken_guarantee_raises_under_optimize_flag():
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "4 passed" in proc.stdout
+    assert "5 passed" in proc.stdout

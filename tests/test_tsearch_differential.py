@@ -39,7 +39,6 @@ from bnbapprox.scheduling import (
     ROUNDING_BM,
     LpPoint,
     SchedGrid,
-    feasible_point,
     min_feasible_T,
     solve_unrelated,
 )
@@ -126,7 +125,7 @@ def _reference_list_schedule(P, t, jobs):
     return max(loads) if loads else rat(0)
 
 
-def reference_min_feasible_T(P, t, jobs, restrict=True, lo_hint=None, hi_hint=None):
+def reference_min_feasible_T(P, t, jobs, restrict=True, lo_hint=None):
     m = len(t)
     D = grid_denominator(P, t, jobs)
     lo = max(t) if t else rat(0)
@@ -140,8 +139,6 @@ def reference_min_feasible_T(P, t, jobs, restrict=True, lo_hint=None, hi_hint=No
     upper = max(_reference_list_schedule(P, t, jobs), lo)
     k_lo = -floor_div(-lo * D, 1)
     k_hi = max(int(upper * D), k_lo)
-    if hi_hint is not None:
-        k_hi = min(k_hi, -floor_div(-hi_hint * D, 1))
     # the lower end first, then bisection of the rest of the bracket
     cached = _reference_feasible_point(P, t, jobs, Rat(k_lo, D), restrict)
     if cached is None:
@@ -311,9 +308,9 @@ def _record_bound_searches(monkeypatch):
     search = scheduling.min_feasible_T
     solves = _count_solves(monkeypatch)
 
-    def recording(grid, t, jobs, restrict=True, lo_hint=None, hi_hint=None):
-        res = search(grid, t, jobs, restrict=restrict, lo_hint=lo_hint, hi_hint=hi_hint)
-        calls.append((grid, tuple(t), tuple(jobs), restrict, lo_hint, hi_hint, res))
+    def recording(grid, t, jobs, restrict=True, lo_hint=None):
+        res = search(grid, t, jobs, restrict=restrict, lo_hint=lo_hint)
+        calls.append((grid, tuple(t), tuple(jobs), restrict, lo_hint, res))
         return res
 
     monkeypatch.setattr(scheduling, "min_feasible_T", recording)
@@ -321,29 +318,21 @@ def _record_bound_searches(monkeypatch):
     return calls, solves
 
 
-def _check_recorded(calls, solves, uniform: bool = False) -> int:
+def _check_recorded(calls, solves, uniform: bool = False) -> None:
     """Compare every recorded search with the reference under the same
-    hints; the walk-up made fewer LP solves than the bisection."""
+    lower hint; the walk-up made fewer LP solves than the bisection."""
     walk_up = solves["walk-up"]
-    hinted = 0
-    for grid, t, jobs, restrict, lo_hint, hi_hint, res in calls:
+    for grid, t, jobs, restrict, lo_hint, res in calls:
         R = grid.R
         P = [[Rat(p, R) for p in row] for row in grid.P]
         want = reference_min_feasible_T(
-            P, [Rat(v, R) for v in t], jobs, restrict, _units(lo_hint, R), _units(hi_hint, R)
+            P, [Rat(v, R) for v in t], jobs, restrict, _units(lo_hint, R)
         )
         _assert_vertex(res, want, R, grid.P, t, jobs, restrict)
         if uniform:
             assert graph_components(fractional_graph(res.x, len(t))) is not None
             assert uniform_vertex_check(res)
-        if hi_hint is not None:
-            hinted += 1
-            # the hint is a real guess; the search may round it up one step
-            g = math.gcd(R, *t, *[p for j in jobs for p in grid.P[j]])
-            assert res.T <= -(-hi_hint // g) * g
-            assert feasible_point(grid, t, jobs, hi_hint, restrict) is not None
     assert walk_up < solves["bisection"]
-    return hinted
 
 
 SELECTIONS = (Selection.BEST_FIRST, Selection.DFS, Selection.BFS)
@@ -361,9 +350,8 @@ def test_unrelated_adapter_node_states_match_reference(monkeypatch):
                 for selection in SELECTIONS:
                     solve_unrelated(inst, rat(1, 100), selection, bounding, rounding,
                                     node_limit=60)
-    hinted = _check_recorded(calls, solves)
+    _check_recorded(calls, solves)
     assert len(calls) > 1000
-    assert hinted > 900
 
 
 def test_profile_adapter_node_states_match_reference(monkeypatch):
@@ -373,6 +361,5 @@ def test_profile_adapter_node_states_match_reference(monkeypatch):
             inst = generate(kind, 10, 2 + seed % 2, 9600 + seed)
             for selection in SELECTIONS:
                 solver(inst, rat(1, 10), selection, node_limit=200)
-    hinted = _check_recorded(calls, solves, uniform=True)
+    _check_recorded(calls, solves, uniform=True)
     assert len(calls) > 400
-    assert hinted > 350

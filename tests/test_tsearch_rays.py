@@ -6,8 +6,10 @@ returns the last guess k2 it still proves infeasible, and the next probe is
 the first step above k2 (k2 + 1 at a root, whose data need the whole
 instance grid). The property below solves every skipped guess with
 `solve_vertex` and re-checks the ray at k2 in `Fraction`s on the program
-`build_load_lp` builds there. The contract tests forge rays that prove
-nothing and expect `LpError`, also under `python -O`.
+`build_load_lp` builds there, and checks that the search's upper bracket
+(the largest overhead plus every job's shortest time) is a feasible guess.
+The contract tests forge rays that prove nothing and expect `LpError`, also
+under `python -O`.
 """
 import os
 import subprocess
@@ -26,7 +28,6 @@ from bnbapprox.scheduling import (
     SchedGrid,
     build_load_lp,
     feasible_point,
-    list_schedule,
     min_feasible_T,
     ray_reach,
 )
@@ -86,7 +87,9 @@ def test_every_guess_a_ray_skips_is_infeasible(instance):
         k = max(tD)
         if restrict:
             k = max(k, max(min(row) for row in PD))
-        k_hi = max(list_schedule(PD, tD, jobs)[1], k)
+        # the search's upper bracket: every job on its fastest machine
+        k_hi = max(max(tD) + sum(min(row) for row in PD), k)
+        assert feasible_point(grid, tD, jobs, k_hi, restrict) is not None
         while True:
             rays = []
             if feasible_point(grid, tD, jobs, k, restrict, rays) is not None:
