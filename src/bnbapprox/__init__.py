@@ -15,8 +15,9 @@ table ``ALGORITHMS`` (``algorithms``) and returns an ``Outcome``; the CLI,
 the sweeps and the ``solve_*`` functions all go through it.
 
 Plus instance generation and file I/O (``instances``), exact oracles
-(``oracle``), the generic search engine (``engine``), an exact LP vertex
-solver (``lp``) and the experiment harness (``experiments``/``cli``).
+(``oracle``), the generic search engine (``engine``), the exact dual
+simplex of the load LP (``lp``) and the experiment harness
+(``experiments``/``cli``).
 """
 from .algorithms import ALGORITHMS, Outcome, solve
 from .engine import Criterion, RunResult, Selection, Strategy, run

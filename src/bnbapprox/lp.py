@@ -1,34 +1,29 @@
-"""Exact-rational LP feasibility and vertex computation.
+"""Exact-rational vertex computation for the load LP.
 
 The solver answers one question: is the polyhedron
 {x >= 0 : A_eq x = b_eq, A_ub x <= b_ub} non-empty, and if so, return a
 vertex (basic feasible solution). There is no objective; optimization is
-expressed by the callers (the walk up the makespan guesses, Dantzig's
-greedy for the knapsack bound), which need some vertex, not a particular
-one. When the polyhedron is empty the solver can hand back the tableau row
-that proves it, from which the caller reads a Farkas ray y over the rows:
-y^T A <= 0 on every column, y_r <= 0 on every inequality row r and
-y^T b > 0.
+expressed by the callers (the walk up the makespan guesses), which need
+some vertex, not a particular one. When the polyhedron is empty the solver
+can hand back the tableau row that proves it, from which the caller reads
+a Farkas ray y over the rows: y^T A <= 0 on every column, y_r <= 0 on
+every inequality row r and y^T b > 0.
 
-Program and tableau: fraction-free and integer. A LinearProgram that holds
-a non-integer puts its rows on integers once, at construction (each times
-the lcm of its denominators); integer programs, every load LP among them,
-keep their rows as given. solve_vertex copies the stored rows straight
-into its tableau, and pivoting keeps entries integral (they are minors of
-the input matrix, over one common denominator that may be negative), so
-no solve scales a row and the hot loop does no gcd work at all. Columns
-are the structural variables, then one slack per inequality row, then the
-right-hand side; there are no artificials.
+Tableau: fraction-free and integer. Columns are the structural variables,
+then one slack per inequality row, then the right-hand side; there are no
+artificials. Pivoting keeps entries integral (they are minors of the input
+matrix, over one common denominator that may be negative), so no solve
+scales a row and the hot loop does no gcd work at all.
 
-Crash basis: each inequality row's slack starts basic, and each equality
-row in turn pivots its first nonzero column into the basis (a basic
-column is zero on every other row, so that column is nonbasic). An
-equality row with no nonzero column left is a combination of the rows
-before it: redundant when its rhs is 0, and dropped, or else itself the
-proof that the program is empty. The load LP of scheduling.build_load_lp
-lists each job's columns fastest machine first, so the crash puts every
-job wholly on its fastest machine, with unit pivots that touch one load
-row each; its only infeasibilities are overfull machines.
+Crash basis: the caller hands over the tableau already crashed, with a
+basic label per row and denominator 1. scheduling.build_load_lp writes it
+straight from the data: each job's assignment row takes the job's first
+column, its fastest open and eligible machine, which is a unit pivot that
+only subtracts that column's processing time times the job's 0/1 row from
+the machine's load row; every load row's slack is basic. So the crash puts
+every job wholly on its fastest machine, and its only infeasibilities are
+overfull machines. The general crash of any equality rows, which this one
+must equal, is the tests' reference (tests/lp_oracle.py).
 
 Dual phase: with a zero objective every basis is dual feasible, so the
 dual simplex (Lemke 1954) runs from the crash basis. While some basic
@@ -46,18 +41,17 @@ inequality row (0 where nonbasic), with a Rat built only for a nonzero
 basic value; scheduling.feasible_point reads each machine's completion
 time off the slack of its load row.
 
-Thread-safety: solves are pure functions of their input.
+Thread-safety: a solve touches nothing but the tableau and basis it is
+handed, which it pivots in place.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .rational import Rat, rat
 
 __all__ = [
-    "LinearProgram",
     "Vertex",
     "FractionalGraph",
     "LpError",
@@ -70,43 +64,6 @@ __all__ = [
 
 class LpError(Exception):
     """Internal solver failure (malformed program, broken invariant)."""
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """num_vars non-negative variables, equality and <=-inequality rows.
-
-    Rows are stored on integers. A program holding a value that is not an
-    int is put on them at construction, each row times the lcm of its
-    denominators, which changes neither the polyhedron nor any vertex; a
-    program of ints, such as every load LP, keeps its rows as given.
-    """
-
-    num_vars: int
-    equalities: tuple[tuple[tuple[int, ...], int], ...] = ()
-    inequalities: tuple[tuple[tuple[int, ...], int], ...] = ()
-
-    def __post_init__(self):
-        if self.num_vars < 0:
-            raise LpError("negative variable count")
-        on_ints = True
-        for coeffs, b in self.equalities + self.inequalities:
-            if len(coeffs) != self.num_vars:
-                raise LpError("row references undeclared variables")
-            # a sum of ints is an int, and a Fraction anywhere makes it one
-            if on_ints and type(sum(coeffs, b)) is not int:
-                on_ints = False
-        if not on_ints:
-            for name in ("equalities", "inequalities"):
-                rows = getattr(self, name)
-                object.__setattr__(self, name, tuple([_int_row(*row) for row in rows]))
-
-
-def _int_row(coeffs: Sequence[Rat | int], rhs: Rat | int) -> tuple[tuple[int, ...], int]:
-    """The row times the lcm of its denominators, as plain integers."""
-    scale = math.lcm(rhs.denominator, *[v.denominator for v in coeffs])
-    row = tuple([v.numerator * (scale // v.denominator) for v in coeffs])
-    return row, rhs.numerator * (scale // rhs.denominator)
 
 
 @dataclass(frozen=True)
@@ -151,63 +108,32 @@ def pivot(tableau: list[list[int]], r: int, c: int, den: int) -> int:
     return piv
 
 
-def solve_vertex(lp: LinearProgram, farkas: list[int] | None = None) -> Vertex | None:
+def solve_vertex(
+    tableau: list[list[int]],
+    basis: list[int],
+    num_vars: int,
+    num_slacks: int,
+    farkas: list[int] | None = None,
+) -> Vertex | None:
     """Return a vertex of the polyhedron, or None when it is empty.
 
-    The tableau starts as the stored integer rows, a unit slack column per
-    inequality row and the rhs; no row is rescaled here.
-    Crash: every inequality row's slack starts basic, and each equality row
-    in turn takes its first nonzero column into the basis. A row left all
-    zero is redundant (rhs 0: dropped) or proves the program empty.
-    Dual phase: while a basic variable is negative, the row with the lowest
-    basic label among the negative ones leaves and the lowest-index column
-    with a negative entry in it enters (see the module docstring).
+    `tableau` is the crashed tableau on integers with denominator 1: one
+    row per basic variable, num_vars structural columns, then num_slacks
+    slack columns (one per inequality row, in row order), then the rhs;
+    `basis` holds each row's basic column, which is 1 on its row and 0 on
+    every other. Both are pivoted in place. The dual phase runs while a
+    basic variable is negative: the row with the lowest basic label among
+    the negative ones leaves and the lowest-index column with a negative
+    entry in it enters (see the module docstring).
 
     When the polyhedron is empty and `farkas` is a list, it receives the
     row that proves it, integer and scaled by a positive factor: its
     entries on the structural columns, then on the slack columns (all
     >= 0), then its rhs (< 0). The row is -(y^T A, y_ineq, y^T b) for a
-    Farkas ray y of the rows as stored (see LinearProgram), which for an
-    integer program are the rows as given.
+    Farkas ray y of the rows of the program the tableau was crashed from.
     """
-    nv = lp.num_vars
-    n_eq = len(lp.equalities)
-    n_ineq = len(lp.inequalities)
-    rhs = nv + n_ineq  # the rhs column; every column before it is a variable
-
-    slack_zeros = [0] * n_ineq
-    tableau = [[*coeffs, *slack_zeros, b] for coeffs, b in lp.equalities]
-    basis = [-1] * n_eq  # basic label of each row; -1 until the crash
-    for k, (coeffs, b) in enumerate(lp.inequalities):
-        row = [*coeffs, *slack_zeros, b]
-        row[nv + k] = 1
-        tableau.append(row)
-        basis.append(nv + k)
-
-    # The tableau stores den * (the real tableau), and den may be negative.
-    # A basic column is den on its row and 0 elsewhere, so the first nonzero
-    # entry of an equality row lies in a nonbasic column.
+    rhs = num_vars + num_slacks  # the rhs column; every column before it is a variable
     den = 1
-    r = 0
-    for _ in range(n_eq):
-        row = tableau[r]
-        enter = -1
-        for j in range(rhs):
-            if row[j]:
-                enter = j
-                break
-        if enter >= 0:
-            den = pivot(tableau, r, enter, den)
-            basis[r] = enter
-            r += 1
-        elif row[rhs] == 0:
-            del tableau[r]
-            del basis[r]
-        else:
-            if farkas is not None:
-                farkas.extend(row if row[rhs] < 0 else [-v for v in row])
-            return None
-
     while True:
         sign = 1 if den > 0 else -1
         leave = -1
@@ -229,15 +155,15 @@ def solve_vertex(lp: LinearProgram, farkas: list[int] | None = None) -> Vertex |
         den = pivot(tableau, leave, enter, den)
         basis[leave] = enter
 
-    values = [rat(0)] * nv
-    slacks = [0] * n_ineq
+    values = [rat(0)] * num_vars
+    slacks = [0] * num_slacks
     for row, b in zip(tableau, basis):
         v = row[rhs]
         if v:
-            if b < nv:
+            if b < num_vars:
                 values[b] = Rat(v, den)
             else:
-                slacks[b - nv] = Rat(v, den)
+                slacks[b - num_vars] = Rat(v, den)
     return Vertex(tuple(values), tuple(slacks))
 
 

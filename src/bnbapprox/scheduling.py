@@ -76,7 +76,6 @@ from .engine import (
 )
 from .instances import SchedulingInstance
 from .lp import (
-    LinearProgram,
     LpError,
     fractional_graph,
     job_machine_matching,
@@ -162,18 +161,25 @@ def build_load_lp(
     jobs: Sequence[int],
     T: int,
     restrict: bool = True,
-) -> tuple[LinearProgram, tuple[tuple[int, int], ...]] | None:
-    """The load LP at guess T of the node with overheads t and unfixed
-    `jobs` on `grid`, plus its variable order, or None when it is trivially
-    infeasible (an overfull machine or a job with no eligible pair).
-    Machines without residual capacity take no variables.
+) -> tuple[list[list[int]], list[int], list[tuple[int, int]], list[int]] | None:
+    """The crashed tableau of the load LP at guess T of the node with
+    overheads t and unfixed `jobs` on `grid`, or None when the LP is
+    trivially infeasible (an overfull machine or a job with no eligible
+    pair). Returns (tableau, basis, pairs, machines) for lp.solve_vertex.
 
-    Variables are the eligible pairs, grouped by job in `jobs` order and
-    within a job in the grid's fastest-first order, filtered by the open
-    machines, so the LP solver's crash basis puts each job wholly on its
-    fastest column. There is one load row per machine with columns, in
-    machine order. Every row is integer: 0/1 assignment rows, and load rows
-    of P's entries with rhs T - t_i.
+    The LP: variables are the eligible pairs (`pairs`), grouped by job in
+    `jobs` order and within a job in the grid's fastest-first order,
+    filtered by the open machines; machines without residual capacity take
+    no variables. Each job has a 0/1 assignment row with rhs 1, and each
+    machine with columns (`machines`, in machine order) a load row of P's
+    entries with rhs T - t_i and a slack.
+
+    The crash: job j's row pivots on its first column, its fastest open
+    and eligible machine m_j. That unit pivot leaves every other row alone
+    except m_j's load row, from which it subtracts P[j][m_j] times job j's
+    row: -P[j][m_j] on j's other columns and on the rhs, 0 on (j, m_j). So
+    the tableau holds the job rows as given, with basic label their first
+    column, then the load rows so reduced, with basic label their slack.
     """
     if max(t) > T:
         return None
@@ -194,15 +200,28 @@ def build_load_lp(
         spans.append((start, len(pairs)))
     nv = len(pairs)
 
-    equalities = [((0,) * a + (1,) * (b - a) + (0,) * (nv - b), 1) for a, b in spans]
-    load_rows: list[list[int] | None] = [None] * len(t)
-    for k, (j, i) in enumerate(pairs):
-        row = load_rows[i]
-        if row is None:
-            row = load_rows[i] = [0] * nv
-        row[k] = P[j][i]
-    inequalities = [(tuple(row), T - ti) for row, ti in zip(load_rows, t) if row is not None]
-    return LinearProgram(nv, tuple(equalities), tuple(inequalities)), tuple(pairs)
+    machines = sorted({i for _, i in pairs})
+    width = nv + len(machines) + 1
+    load_rows: dict[int, list[int]] = {}
+    for r, i in enumerate(machines):
+        row = load_rows[i] = [0] * width
+        row[nv + r] = 1
+        row[-1] = T - t[i]
+    tableau: list[list[int]] = []
+    for a, b in spans:
+        tableau.append([0] * a + [1] * (b - a) + [0] * (width - 1 - b) + [1])
+        j, fastest = pairs[a]
+        Pj = P[j]
+        p = Pj[fastest]
+        crashed = load_rows[fastest]
+        crashed[-1] -= p
+        for k in range(a + 1, b):
+            i = pairs[k][1]
+            crashed[k] = -p
+            load_rows[i][k] = Pj[i]
+    tableau += load_rows.values()
+    basis = [a for a, _ in spans] + list(range(nv, width - 1))
+    return tableau, basis, pairs, machines
 
 
 def feasible_point(
@@ -218,28 +237,27 @@ def feasible_point(
 
     restrict=True applies the eligibility filter p_{j,i} <= T; machines
     with no residual capacity (T - t_i <= 0) take no variables either way.
-    A machine's completion time is T minus the slack of its load row, and
-    t_i when it has none. When the simplex finds the LP empty and `rays`
-    is a list, the Farkas ray read off the tableau row that proved it
-    empty (see lp) is appended to it; a program that build_load_lp already
-    rules out appends nothing.
+    build_load_lp writes the crashed tableau and lp.solve_vertex runs the
+    dual phase on it. A machine's completion time is T minus the slack of
+    its load row, and t_i when it has none (so a node without unfixed jobs
+    gets loads t). When the LP is empty and `rays` is a list, the Farkas
+    ray read off the tableau row that proved it empty (see lp) is appended
+    to it; a program that build_load_lp already rules out appends nothing.
     """
     built = build_load_lp(grid, t, jobs, T, restrict)
     if built is None:
         return None
-    lp, pairs = built
+    tableau, basis, pairs, machines = built
+    nv = len(pairs)
     farkas: list[int] | None = None if rays is None else []
-    vertex = solve_vertex(lp, farkas)
-    # load row r is that of the r-th machine with columns (build_load_lp)
-    row_machines = sorted({i for _, i in pairs})
+    vertex = solve_vertex(tableau, basis, nv, len(machines), farkas)
     if vertex is None:
         if rays is not None:
             # the Farkas row holds -y_i on the slack of machine i's load row
             # and -(y_jobs[j] + y_i * p_ji) on a column (j, i), so one column
             # per job gives y_jobs; ray_reach checks the ray whatever its source
-            nv = len(pairs)
             y = [0] * len(t)
-            for r, i in enumerate(row_machines):
+            for r, i in enumerate(machines):
                 y[i] = -farkas[nv + r]
             y_jobs: dict[int, int] = {}
             for (j, i), d in zip(pairs, farkas):
@@ -250,7 +268,7 @@ def feasible_point(
 
     x = {pair: v for pair, v in zip(pairs, vertex.values) if v}
     loads: list[int | Rat] = list(t)
-    for i, slack in zip(row_machines, vertex.slacks):
+    for i, slack in zip(machines, vertex.slacks):
         loads[i] = T - slack
     return LpPoint(T, x, tuple(loads), *split_jobs(x, jobs))
 

@@ -1,18 +1,226 @@
-"""Exact LP oracles for the tests: vertex enumeration and LP optima.
+"""Exact LP references for the tests: the general LP solver, vertex
+enumeration and LP optima.
 
-Independent of the simplex in bnbapprox.lp: a vertex is found by solving
-every square column subset of the standard form exactly, and the knapsack
-LP optima by enumerating vertices. Not a test module (pytest collects only
-test_*.py); the test modules import it from their own directory.
+`LinearProgram` and `solve_vertex` are the general front end that the
+load LP's solver was cut down from: a program of equality and inequality
+rows, put on integers at construction, a crash basis that pivots each
+equality row on its first nonzero column (dropping a redundant row), then
+the zero-cost dual simplex under Bland's rule. `load_program` writes a
+load LP as such a program. `bnbapprox.scheduling.build_load_lp` must give
+the tableau and basis that `crash` reaches on it, and
+`bnbapprox.lp.solve_vertex` the vertex or Farkas row that `solve_vertex`
+returns.
+
+The enumeration shares nothing with any simplex: a vertex is found by
+solving every square column subset of the standard form exactly, and the
+knapsack LP optima by enumerating vertices. Not a test module (pytest collects only test_*.py);
+the test modules import it from their own directory.
 """
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 from bnbapprox.instances import KnapsackInstance
-from bnbapprox.lp import LinearProgram
+from bnbapprox.lp import LpError, Vertex, pivot
 from bnbapprox.oracle import OracleBudgetExceeded
 from bnbapprox.rational import Rat, rat
+from bnbapprox.scheduling import SchedGrid
+
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """num_vars non-negative variables, equality and <=-inequality rows.
+
+    Rows are stored on integers. A program holding a value that is not an
+    int is put on them at construction, each row times the lcm of its
+    denominators, which changes neither the polyhedron nor any vertex; a
+    program of ints, such as every load LP, keeps its rows as given.
+    """
+
+    num_vars: int
+    equalities: tuple[tuple[tuple[int, ...], int], ...] = ()
+    inequalities: tuple[tuple[tuple[int, ...], int], ...] = ()
+
+    def __post_init__(self):
+        if self.num_vars < 0:
+            raise LpError("negative variable count")
+        on_ints = True
+        for coeffs, b in self.equalities + self.inequalities:
+            if len(coeffs) != self.num_vars:
+                raise LpError("row references undeclared variables")
+            # a sum of ints is an int, and a Fraction anywhere makes it one
+            if on_ints and type(sum(coeffs, b)) is not int:
+                on_ints = False
+        if not on_ints:
+            for name in ("equalities", "inequalities"):
+                rows = getattr(self, name)
+                object.__setattr__(self, name, tuple([_int_row(*row) for row in rows]))
+
+
+def _int_row(coeffs: Sequence[Rat | int], rhs: Rat | int) -> tuple[tuple[int, ...], int]:
+    """The row times the lcm of its denominators, as plain integers."""
+    scale = math.lcm(rhs.denominator, *[v.denominator for v in coeffs])
+    row = tuple([v.numerator * (scale // v.denominator) for v in coeffs])
+    return row, rhs.numerator * (scale // rhs.denominator)
+
+
+def crash(
+    lp: LinearProgram, farkas: list[int] | None = None
+) -> tuple[list[list[int]], list[int], int] | None:
+    """The crash basis of a program: (tableau, basis labels, den), or None
+    when a row of the crash proves the program empty.
+
+    The tableau starts as the stored integer rows, a unit slack column per
+    inequality row and the rhs. Every inequality row's slack starts basic,
+    and each equality row in turn takes its first nonzero column into the
+    basis. A row left all zero is a combination of the rows before it:
+    redundant when its rhs is 0, and dropped, or else the proof that the
+    program is empty, which `farkas` (a list) receives as in solve_vertex.
+    """
+    nv = lp.num_vars
+    n_eq = len(lp.equalities)
+    n_ineq = len(lp.inequalities)
+    rhs = nv + n_ineq  # the rhs column; every column before it is a variable
+
+    slack_zeros = [0] * n_ineq
+    tableau = [[*coeffs, *slack_zeros, b] for coeffs, b in lp.equalities]
+    basis = [-1] * n_eq  # basic label of each row; -1 until the crash
+    for k, (coeffs, b) in enumerate(lp.inequalities):
+        row = [*coeffs, *slack_zeros, b]
+        row[nv + k] = 1
+        tableau.append(row)
+        basis.append(nv + k)
+
+    # The tableau stores den * (the real tableau), and den may be negative.
+    # A basic column is den on its row and 0 elsewhere, so the first nonzero
+    # entry of an equality row lies in a nonbasic column.
+    den = 1
+    r = 0
+    for _ in range(n_eq):
+        row = tableau[r]
+        enter = -1
+        for j in range(rhs):
+            if row[j]:
+                enter = j
+                break
+        if enter >= 0:
+            den = pivot(tableau, r, enter, den)
+            basis[r] = enter
+            r += 1
+        elif row[rhs] == 0:
+            del tableau[r]
+            del basis[r]
+        else:
+            if farkas is not None:
+                farkas.extend(row if row[rhs] < 0 else [-v for v in row])
+            return None
+    return tableau, basis, den
+
+
+def solve_vertex(lp: LinearProgram, farkas: list[int] | None = None) -> Vertex | None:
+    """Return a vertex of the polyhedron, or None when it is empty.
+
+    From the crash basis (see crash), the dual phase runs while a basic
+    variable is negative: the row with the lowest basic label among the
+    negative ones leaves and the lowest-index column with a negative entry
+    in it enters (Bland's rule for the zero-cost dual simplex).
+
+    When the polyhedron is empty and `farkas` is a list, it receives the
+    row that proves it, integer and scaled by a positive factor: its
+    entries on the structural columns, then on the slack columns (all
+    >= 0), then its rhs (< 0). The row is -(y^T A, y_ineq, y^T b) for a
+    Farkas ray y of the rows as stored (see LinearProgram), which for an
+    integer program are the rows as given.
+    """
+    crashed = crash(lp, farkas)
+    if crashed is None:
+        return None
+    tableau, basis, den = crashed
+    nv = lp.num_vars
+    n_ineq = len(lp.inequalities)
+    rhs = nv + n_ineq
+
+    while True:
+        sign = 1 if den > 0 else -1
+        leave = -1
+        for i, row in enumerate(tableau):
+            if row[rhs] * sign < 0 and (leave < 0 or basis[i] < basis[leave]):
+                leave = i
+        if leave < 0:
+            break
+        row = tableau[leave]
+        enter = -1
+        for j in range(rhs):
+            if row[j] * sign < 0:
+                enter = j
+                break
+        if enter < 0:
+            if farkas is not None:
+                farkas.extend(row if sign > 0 else [-v for v in row])
+            return None
+        den = pivot(tableau, leave, enter, den)
+        basis[leave] = enter
+
+    values = [rat(0)] * nv
+    slacks = [0] * n_ineq
+    for row, b in zip(tableau, basis):
+        v = row[rhs]
+        if v:
+            if b < nv:
+                values[b] = Rat(v, den)
+            else:
+                slacks[b - nv] = Rat(v, den)
+    return Vertex(tuple(values), tuple(slacks))
+
+
+def load_program(
+    grid: SchedGrid,
+    t: Sequence[int],
+    jobs: Sequence[int],
+    T: int,
+    restrict: bool = True,
+) -> tuple[LinearProgram, tuple[tuple[int, int], ...]] | None:
+    """The load LP at guess T of the node with overheads t and unfixed
+    `jobs` on `grid`, as a LinearProgram, plus its variable order, or None
+    when it is trivially infeasible (an overfull machine or a job with no
+    eligible pair), exactly when build_load_lp says so.
+
+    Variables are the eligible pairs, grouped by job in `jobs` order and
+    within a job in the grid's fastest-first order, filtered by the open
+    machines, so the crash puts each job wholly on its fastest column.
+    There is one load row per machine with columns, in machine order. Every
+    row is integer: 0/1 assignment rows, and load rows of P's entries with
+    rhs T - t_i.
+    """
+    if max(t) > T:
+        return None
+    P = grid.P
+    is_open = [T > ti for ti in t]
+    pairs: list[tuple[int, int]] = []
+    spans: list[tuple[int, int]] = []
+    for j in jobs:
+        Pj = P[j]
+        start = len(pairs)
+        for i in grid.order[j]:
+            if restrict and Pj[i] > T:
+                break  # every later machine is slower still
+            if is_open[i]:
+                pairs.append((j, i))
+        if len(pairs) == start:
+            return None
+        spans.append((start, len(pairs)))
+    nv = len(pairs)
+
+    equalities = [((0,) * a + (1,) * (b - a) + (0,) * (nv - b), 1) for a, b in spans]
+    load_rows: list[list[int] | None] = [None] * len(t)
+    for k, (j, i) in enumerate(pairs):
+        row = load_rows[i]
+        if row is None:
+            row = load_rows[i] = [0] * nv
+        row[k] = P[j][i]
+    inequalities = [(tuple(row), T - ti) for row, ti in zip(load_rows, t) if row is not None]
+    return LinearProgram(nv, tuple(equalities), tuple(inequalities)), tuple(pairs)
 
 
 def _standard_form(lp: LinearProgram) -> tuple[list[list[int]], list[int], int]:

@@ -34,7 +34,6 @@ from bnbapprox.rng import SplitMix64
 from bnbapprox.scheduling import (
     ROUNDING_LST,
     SchedGrid,
-    build_load_lp,
     min_feasible_T,
     mmp_pivot,
     round_vertex,
@@ -54,6 +53,7 @@ from guarantees import (
 from lp_oracle import (
     enumerate_vertices,
     knapsack_lp,
+    load_program,
     lp_optimum_by_enumeration,
     merged_knapsack_lp_optimum,
 )
@@ -370,7 +370,7 @@ def test_criterion_13a_counterexample_no_mmp_fractional_vertex():
         inst = _counterexample_instance()
         t_min, _, t_child, rest, _ = _second_iteration_node(inst)
         mmp_job = max(rest, key=lambda j: (min(inst.processing[j]), -j))
-        built = build_load_lp(SchedGrid.build(inst), t_child, rest, t_min)
+        built = load_program(SchedGrid.build(inst), t_child, rest, t_min)
         assert built is not None
         lp, pairs = built
         for values in enumerate_vertices(lp, budget=200_000):

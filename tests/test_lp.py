@@ -3,18 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from bnbapprox.lp import (
-    LinearProgram,
-    LpError,
-    fractional_graph,
-    job_machine_matching,
-    pivot,
-    solve_vertex,
-)
+from bnbapprox import lp
+from bnbapprox.lp import LpError, fractional_graph, job_machine_matching, pivot
 from bnbapprox.rational import rat
 from bnbapprox.scheduling import SchedGrid, build_load_lp, feasible_point
 from guarantees import graph_is_forest
-from lp_oracle import enumerate_vertices
+from lp_oracle import LinearProgram, enumerate_vertices, load_program, solve_vertex
 
 
 def satisfies(lp, values):
@@ -78,10 +72,10 @@ def test_vertex_slacks_are_the_rows_slack():
 def test_parametric_lp_332_all_basic_solutions():
     # m=2 identical machines, jobs (3,3,2), T=4: feasible, and every vertex
     # has at most 2 fractional jobs (checked by full enumeration)
-    built = build_load_lp(G332, G332.t, range(3), 4)
+    built = load_program(G332, G332.t, range(3), 4)
     assert built is not None
-    lp, pairs = built
-    vertices = enumerate_vertices(lp)
+    program, pairs = built
+    vertices = enumerate_vertices(program)
     assert vertices  # feasible
     for values in vertices:
         frac_jobs = {
@@ -93,6 +87,51 @@ def test_parametric_lp_332_all_basic_solutions():
     assert point.loads == (4, 4)  # T minus each load row's slack
     assert tuple(point.x[p] for p in pairs if p in point.x)  # solver agrees it is feasible
     assert len(point.fractional_jobs) <= 2
+
+
+def test_build_load_lp_writes_the_crashed_tableau():
+    # jobs (3,3,2) on two identical machines at T=4: every job crashes onto
+    # machine 0 (ties go to the lowest machine), whose load row loses
+    # 3 + 3 + 2 from its rhs and -p on each job's machine-1 column
+    tableau, basis, pairs, machines = build_load_lp(G332, G332.t, range(3), 4)
+    assert pairs == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+    assert machines == [0, 1]
+    assert tableau == [
+        [1, 1, 0, 0, 0, 0, 0, 0, 1],
+        [0, 0, 1, 1, 0, 0, 0, 0, 1],
+        [0, 0, 0, 0, 1, 1, 0, 0, 1],
+        [0, -3, 0, -3, 0, -2, 1, 0, -4],
+        [0, 3, 0, 3, 0, 2, 0, 1, 4],
+    ]
+    assert basis == [0, 2, 4, 6, 7]
+    # the dual phase moves job 0 to machine 1 and a third of job 1 after it
+    vertex = lp.solve_vertex(tableau, basis, 6, 2)
+    assert vertex == lp.Vertex((0, 1, rat(2, 3), rat(1, 3), 1, 0), (0, 0))
+
+
+def test_a_node_without_unfixed_jobs_has_loads_t():
+    # no job rows and no load rows: the width comes from the counts, not
+    # from a first row
+    assert build_load_lp(G332, (1, 3), (), 3) == ([], [], [], [])
+    assert lp.solve_vertex([], [], 0, 0) == lp.Vertex((), ())
+    point = feasible_point(G332, (1, 3), (), 3)
+    assert point is not None
+    assert point.loads == (1, 3) and point.x == {} and point.fractional_jobs == ()
+
+
+def test_a_machine_without_a_load_row_completes_at_its_overhead():
+    # at T=3 machine 1 is closed (t_1 = 3), and under restrict no job is
+    # eligible on machine 2 (p = 4 > 3): neither takes a load row, so both
+    # complete at their overheads, and both jobs go to machine 0
+    grid = SchedGrid(1, ((2, 2, 4), (1, 1, 4)), (0, 3, 1))
+    tableau, basis, pairs, machines = build_load_lp(grid, grid.t, range(2), 3)
+    assert pairs == [(0, 0), (1, 0)] and machines == [0]
+    point = feasible_point(grid, grid.t, range(2), 3)
+    assert point is not None
+    assert point.loads == (3, 3, 1) and point.integral_assignment == {0: 0, 1: 0}
+    # without restrict machine 2 takes columns and a load row
+    _, _, pairs, machines = build_load_lp(grid, grid.t, range(2), 3, restrict=False)
+    assert machines == [0, 2] and (0, 2) in pairs
 
 
 def test_vertex_resubstitution_and_enumeration_agreement():

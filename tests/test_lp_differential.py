@@ -1,12 +1,22 @@
-"""Differential test: solve_vertex against a phase-1 simplex and the oracle.
+"""Differential test: the LP solvers against a phase-1 simplex and the oracle.
+
+Two solvers are under test. `lp_oracle.solve_vertex` is the general one:
+a `LinearProgram` of any rows, a general crash, then the zero-cost dual
+simplex. The load LP's own path is `scheduling.build_load_lp`, which
+writes the crashed tableau straight from the data, and `lp.solve_vertex`,
+the dual phase alone. On every load LP the two must agree entry for
+entry: the tableau and basis that `build_load_lp` writes are those that
+`lp_oracle.crash` reaches on `lp_oracle.load_program`'s program of the
+same node and guess, and `lp.solve_vertex` returns the same `Vertex`, or
+the same Farkas row, as `lp_oracle.solve_vertex`.
 
 `reference_solve_vertex` below is a dense fraction-free phase-1 simplex
 from an all-artificial basis: it stores an artificial column per artificial
 row, tests basis membership on a list, pivots with an indexed loop and
 scales rows with Fraction arithmetic. It shares no pivot choice with the
-production solver (a crash basis and a zero-cost dual simplex), so the two
+general solver (a crash basis and a zero-cost dual simplex), so the two
 reach different vertices; what they must share is the feasibility
-decision. On top of that, every answer of the production solver is checked
+decision. On top of that, every answer of the general solver is checked
 against what it claims:
 
 - a returned vertex lies in `lp_oracle.enumerate_vertices`, its slacks are
@@ -21,10 +31,16 @@ Hypothesis draws small rational programs around named cases: random rows,
 negative right-hand sides on both row types, and degenerate ones (zero
 right-hand sides, duplicated and scaled rows, redundant and contradictory
 equalities); and it picks among the load LPs that tiny unrelated runs and
-the uniform and identical schemes solve. The same tests run again in a
-`python -O` subprocess.
+the uniform and identical schemes solve. The crash comparison runs on
+every one of those load LPs, on tiny nodes drawn with ties in the
+fastest-first order, closed machines and jobs eligible on one machine
+only, and on rational nodes whose data lie on a coarser grid than the
+instance's (node step g > 1). The same tests run again in a `python -O`
+subprocess.
 """
+import contextlib
 import functools
+import itertools
 import math
 import os
 import subprocess
@@ -34,14 +50,20 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnbapprox import scheduling
+from bnbapprox import lp, scheduling
 from bnbapprox.engine import Selection
-from bnbapprox.instances import IDENTICAL, UNIFORM, UNRELATED, generate
-from bnbapprox.lp import LinearProgram, LpError, Vertex, solve_vertex
+from bnbapprox.instances import IDENTICAL, UNIFORM, UNRELATED, SchedulingInstance, generate
+from bnbapprox.lp import LpError, Vertex
 from bnbapprox.profiles import normalize, solve_uniform
 from bnbapprox.rational import Rat, rat
-from bnbapprox.scheduling import ROUNDING_AS, build_load_lp, min_feasible_T, solve_unrelated
-from lp_oracle import enumerate_vertices
+from bnbapprox.scheduling import (
+    ROUNDING_AS,
+    SchedGrid,
+    build_load_lp,
+    min_feasible_T,
+    solve_unrelated,
+)
+from lp_oracle import LinearProgram, crash, enumerate_vertices, load_program, solve_vertex
 
 
 def _reference_pivot(tableau, r, c, den):
@@ -333,21 +355,32 @@ def _programs(draw, cases):
     return case, LinearProgram(nv, tuple(eqs), tuple(ineqs))
 
 
+@contextlib.contextmanager
+def _recording_builds():
+    """Record the arguments of every scheduling.build_load_lp call made
+    inside the block, in the list it yields."""
+    probes: list = []
+    original = scheduling.build_load_lp
+
+    def recording(grid, t, jobs, T, restrict=True):
+        probes.append((grid, tuple(t), tuple(jobs), T, restrict))
+        return original(grid, t, jobs, T, restrict)
+
+    scheduling.build_load_lp = recording
+    try:
+        yield probes
+    finally:
+        scheduling.build_load_lp = original
+
+
 @functools.cache
-def _recorded_load_lps(kind: str) -> tuple[LinearProgram, ...]:
+def _recorded_load_lps(kind: str) -> tuple[tuple[LinearProgram, tuple], ...]:
     """Every load LP that tiny unrelated runs (integer data) or uniform and
     identical runs (the profile schemes' normalized grid) hand to the
-    solver, each once; for the latter, whose hinted searches seldom probe
-    an empty LP, also the root's LPs around its smallest feasible guess."""
-    recorded = []
-    kernel = scheduling.solve_vertex
-
-    def recording(lp, farkas=None):
-        recorded.append(lp)
-        return kernel(lp, farkas)
-
-    scheduling.solve_vertex = recording
-    try:
+    solver, each once, with the build_load_lp arguments of its first
+    probe; for the latter, whose hinted searches seldom probe an empty LP,
+    also the root's LPs around its smallest feasible guess."""
+    with _recording_builds() as recorded:
         for seed in range(3):
             if kind == UNRELATED:
                 inst = generate(UNRELATED, 4, 2 + seed % 2, 9100 + seed)
@@ -359,17 +392,18 @@ def _recorded_load_lps(kind: str) -> tuple[LinearProgram, ...]:
                 inst = generate(profile_kind, 5, 2, 7300 + seed)
                 solve_uniform(inst, rat(1, 10))
                 grid, _, _ = normalize(inst)
-                jobs = range(len(grid.P))
+                jobs = tuple(range(len(grid.P)))
                 k_min = min_feasible_T(grid, grid.t, jobs).T
                 for k in range(k_min - 3, k_min + 2):
                     for restrict in (True, False):
-                        built = build_load_lp(grid, grid.t, jobs, k, restrict)
-                        if built is not None:
-                            recorded.append(built[0])
-    finally:
-        scheduling.solve_vertex = kernel
-    lps = tuple(dict.fromkeys(recorded))
-    infeasible = sum(solve_vertex(lp) is None for lp in lps)
+                        recorded.append((grid, grid.t, jobs, k, restrict))
+    programs: dict[LinearProgram, tuple] = {}
+    for args in recorded:
+        built = load_program(*args)
+        if built is not None:
+            programs.setdefault(built[0], args)
+    lps = tuple(programs.items())
+    infeasible = sum(solve_vertex(program) is None for program, _ in lps)
     assert infeasible > 5 and len(lps) - infeasible > 5, (len(lps), infeasible)
     return lps
 
@@ -393,11 +427,41 @@ def test_degenerate_rows_match_reference(drawn):
     _check(drawn[1])
 
 
-def _check_load_lp(lp: LinearProgram) -> None:
-    _check(lp)
+def _check_load_lp(drawn) -> None:
+    program, args = drawn
+    _check(program)
     # no row of a load LP is redundant: its rows have full rank
-    rows = _scaled_rows(lp)
+    rows = _scaled_rows(program)
     assert _rank([row[:-1] for row in rows]) == len(rows)
+    _check_crash(args)
+
+
+def _check_crash(args) -> None:
+    """build_load_lp(*args) writes the tableau and basis that the general
+    crash reaches on the same program, and lp.solve_vertex then returns
+    the general solver's vertex or Farkas row."""
+    built = build_load_lp(*args)
+    reference = load_program(*args)
+    assert (built is None) == (reference is None)
+    if built is None:
+        return
+    tableau, basis, pairs, machines = built
+    program, want_pairs = reference
+    assert tuple(pairs) == want_pairs
+    # the load rows are those of the machines with columns, in machine order
+    assert machines == sorted({i for _, i in want_pairs})
+    assert len(machines) == len(program.inequalities)
+    crashed = crash(program)
+    assert crashed is not None
+    want_tableau, want_basis, den = crashed
+    assert den == 1
+    assert tableau == want_tableau and basis == want_basis
+    assert all(type(v) is int for row in tableau for v in row)
+    farkas: list[int] = []
+    want_farkas: list[int] = []
+    got = lp.solve_vertex(tableau, basis, len(pairs), len(machines), farkas)
+    assert got == solve_vertex(program, want_farkas)
+    assert farkas == want_farkas
 
 
 @PROPERTY
@@ -412,6 +476,67 @@ def test_normalized_uniform_load_lps_match_reference(data):
     _check_load_lp(data.draw(st.sampled_from(_recorded_load_lps(UNIFORM))))
 
 
+def test_recorded_load_lp_crashes_match_reference():
+    for kind in (UNRELATED, UNIFORM):
+        for _, args in _recorded_load_lps(kind):
+            _check_crash(args)
+
+
+@st.composite
+def _tiny_nodes(draw):
+    """build_load_lp arguments of a tiny node around named cases: ties in
+    the fastest-first order (times 1 to 3), a closed machine (T = t_i), and
+    a job eligible on one machine only."""
+    case = draw(st.sampled_from(("ties", "closed", "single-eligible")))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    top = 3 if case == "ties" else 6
+    P = [[draw(st.integers(1, top)) for _ in range(m)] for _ in range(n)]
+    t = [draw(st.integers(0, 3)) for _ in range(m)]
+    T = draw(st.integers(max(t) + 1, max(t) + 6))
+    restrict = draw(st.booleans())
+    i = draw(st.integers(0, m - 1))
+    if case == "closed":
+        t[i] = T
+    if case == "single-eligible":
+        restrict = True
+        P[0] = [draw(st.integers(1, T)) if k == i else T + draw(st.integers(1, 3))
+                for k in range(m)]
+    jobs = tuple(draw(st.permutations(range(n))))
+    return SchedGrid(1, tuple(map(tuple, P)), tuple(t)), tuple(t), jobs, T, restrict
+
+
+@PROPERTY
+@given(_tiny_nodes())
+def test_tiny_node_load_lp_crashes_match_reference(args):
+    _check_crash(args)
+
+
+@st.composite
+def _coarse_nodes(draw):
+    """A rational unrelated instance whose unfixed jobs take halves and
+    whose last job, which the node has fixed, takes sixths: the grid has
+    R = 6 and the node step is 3 or 6."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = [tuple(Fraction(draw(st.integers(1, 8)), 2) for _ in range(m)) for _ in range(n)]
+    fixed = tuple(Fraction(draw(st.sampled_from((1, 5, 7))), 6) for _ in range(m))
+    t = tuple(Fraction(draw(st.integers(0, 3))) for _ in range(m))
+    grid = SchedGrid.build(SchedulingInstance(UNRELATED, (*rows, fixed), t))
+    return grid, tuple(range(n)), draw(st.booleans())
+
+
+@PROPERTY
+@given(_coarse_nodes())
+def test_coarse_grid_load_lp_crashes_match_reference(node):
+    grid, jobs, restrict = node
+    g = math.gcd(grid.R, *grid.t, *itertools.chain(*[grid.P[j] for j in jobs]))
+    assert grid.R == 6 and g > 1
+    with _recording_builds() as probes:
+        min_feasible_T(grid, grid.t, jobs, restrict)
+    assert probes and all(T % g == 0 for *_, T, _ in probes)
+    for args in probes:
+        _check_crash(args)
+
+
 def test_lp_checks_under_optimize_flag():
     # `python -O` strips assert statements; the solver must not rest on them
     env = dict(os.environ)
@@ -423,4 +548,4 @@ def test_lp_checks_under_optimize_flag():
         capture_output=True, text=True, env=env, timeout=900,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "5 passed" in proc.stdout
+    assert "8 passed" in proc.stdout

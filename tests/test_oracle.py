@@ -1,10 +1,10 @@
 import pytest
 
 from bnbapprox.instances import IDENTICAL, KnapsackInstance, SchedulingInstance, generate
-from bnbapprox.lp import LinearProgram
 from bnbapprox.oracle import OracleBudgetExceeded, exact_opt, optimality_gap
 from bnbapprox.rational import rat
 from lp_oracle import (
+    LinearProgram,
     enumerate_vertices,
     knapsack_lp,
     lp_optimum_by_enumeration,

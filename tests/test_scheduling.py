@@ -267,7 +267,9 @@ def test_lower_bracket_infeasible_walks_up_past_the_ray(monkeypatch):
     grid = _grid(((5, 9), (5, 9)))
     res = min_feasible_T(grid, grid.t, range(2))
     assert res.T > 5 and len(calls) > 1
-    assert calls[0].inequalities[0][1] == 5  # the lower end is probed first
+    # the lower end is probed first: at T = 5 both jobs crash onto machine 0,
+    # whose load row (the last row) keeps the rhs T - 5 - 5
+    assert calls[0][-1][-1] == 5 - 5 - 5
     assert res.T == min_feasible_T(grid, grid.t, range(2), lo_hint=res.T - 1).T
 
 

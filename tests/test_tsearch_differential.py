@@ -31,7 +31,7 @@ import pytest
 from bnbapprox import profiles, scheduling
 from bnbapprox.engine import Selection
 from bnbapprox.instances import IDENTICAL, UNIFORM, UNRELATED, SchedulingInstance, generate
-from bnbapprox.lp import LinearProgram, fractional_graph, graph_components, job_machine_matching
+from bnbapprox.lp import fractional_graph, graph_components, job_machine_matching
 from bnbapprox.profiles import solve_identical, solve_uniform, uniform_vertex_check
 from bnbapprox.rational import Rat, floor_div, on_grid, rat
 from bnbapprox.scheduling import (
@@ -42,6 +42,7 @@ from bnbapprox.scheduling import (
     min_feasible_T,
     solve_unrelated,
 )
+from lp_oracle import LinearProgram
 from test_lp_differential import reference_solve_vertex
 
 

@@ -5,8 +5,9 @@ Farkas ray (the tableau row that proved it empty), `ray_reach` checks it and
 returns the last guess k2 it still proves infeasible, and the next probe is
 the first step above k2 (k2 + 1 at a root, whose data need the whole
 instance grid). The property below solves every skipped guess with
-`solve_vertex` and re-checks the ray at k2 in `Fraction`s on the program
-`build_load_lp` builds there, and checks that the search's upper bracket
+`feasible_point` and re-checks the ray at k2 in `Fraction`s on the
+program `lp_oracle.load_program` writes there (the program whose crash
+`build_load_lp` writes, see test_lp_differential), and checks that the search's upper bracket
 (the largest overhead plus every job's shortest time) is a feasible guess.
 The contract tests forge rays that prove nothing and expect `LpError`, also
 under `python -O`.
@@ -26,11 +27,11 @@ from bnbapprox.lp import LpError
 from bnbapprox.scheduling import (
     FarkasRay,
     SchedGrid,
-    build_load_lp,
     feasible_point,
     min_feasible_T,
     ray_reach,
 )
+from lp_oracle import load_program
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -101,7 +102,7 @@ def test_every_guess_a_ray_skips_is_infeasible(instance):
             assert k <= k2 <= k_hi
             for guess in range(k, k2 + 1):
                 assert feasible_point(grid, tD, jobs, guess, restrict) is None
-            built = build_load_lp(grid, tD, jobs, k2, restrict)
+            built = load_program(grid, tD, jobs, k2, restrict)
             assert built is not None
             assert _certifies(rays[0], *built)
             k = k2 + 1
@@ -149,8 +150,8 @@ def _forged_lp_row(monkeypatch):
     # skip a single guess on it
     kernel = scheduling.solve_vertex
 
-    def forging(lp, farkas=None):
-        vertex = kernel(lp, farkas)
+    def forging(tableau, basis, num_vars, num_slacks, farkas=None):
+        vertex = kernel(tableau, basis, num_vars, num_slacks, farkas)
         if vertex is None and farkas is not None:
             farkas[:] = [0] * len(farkas)
         return vertex
