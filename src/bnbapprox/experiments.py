@@ -138,6 +138,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"experiment config must be a JSON object, not {type(data).__name__}")
         try:
             strategies = data.get("strategies")
             if strategies is not None:
@@ -298,6 +300,9 @@ def summarize(rows: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
     """Per-group geometric means (nodes; gap with +1e-9 offset) and counts."""
     if not rows:
         raise ValueError("no result rows to summarize")
+    missing = [k for k in (*_GROUP_KEY, "nodes_explored", "gap", "termination") if k not in rows[0]]
+    if missing:
+        raise ConfigError(f"result rows lack the columns {', '.join(missing)}")
     groups: dict[tuple, list[Mapping[str, Any]]] = {}
     for row in rows:
         key = tuple(str(row[k]) for k in _GROUP_KEY)

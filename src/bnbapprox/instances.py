@@ -224,6 +224,13 @@ def to_json_dict(inst: Instance) -> dict:
     }
 
 
+def _rats(values: Any, key: str) -> tuple[Rat, ...]:
+    """A JSON array of "num/den" strings as rationals."""
+    if not isinstance(values, list):
+        raise InstanceError(f"{key} must be an array, not {values!r}")
+    return tuple([parse_rat(v) for v in values])
+
+
 def from_json_dict(data: Any) -> Instance:
     if not isinstance(data, dict):
         raise InstanceError("instance file must hold a JSON object")
@@ -231,9 +238,9 @@ def from_json_dict(data: Any) -> Instance:
     try:
         if kind == KNAPSACK:
             inst: Instance = KnapsackInstance(
-                weights=tuple(parse_rat(w) for w in data["weights"]),
-                profits=tuple(parse_rat(p) for p in data["profits"]),
-                capacities=tuple(parse_rat(c) for c in data["capacities"]),
+                weights=_rats(data["weights"], "weights"),
+                profits=_rats(data["profits"], "profits"),
+                capacities=_rats(data["capacities"], "capacities"),
                 meta=data.get("meta", {}),
             )
         elif kind in SCHEDULING_KINDS:
@@ -241,12 +248,10 @@ def from_json_dict(data: Any) -> Instance:
             speeds = data.get("speeds")
             inst = SchedulingInstance(
                 kind=kind,
-                processing=tuple(
-                    tuple(parse_rat(v) for v in row) for row in data["processing"]
-                ),
-                overheads=tuple(parse_rat(t) for t in data["overheads"]),
-                base_times=None if base is None else tuple(parse_rat(p) for p in base),
-                speeds=None if speeds is None else tuple(parse_rat(s) for s in speeds),
+                processing=tuple(_rats(row, "processing row") for row in data["processing"]),
+                overheads=_rats(data["overheads"], "overheads"),
+                base_times=None if base is None else _rats(base, "base_times"),
+                speeds=None if speeds is None else _rats(speeds, "speeds"),
                 meta=data.get("meta", {}),
             )
         else:

@@ -41,22 +41,26 @@ inequality row (0 where nonbasic), with a Rat built only for a nonzero
 basic value; scheduling.feasible_point reads each machine's completion
 time off the slack of its load row.
 
+Fractional graph: scheduling.feasible_point classifies a vertex's jobs
+once (scheduling.split_jobs), into a mapping from each fractional job to
+its machines in ascending order. job_machine_matching and
+graph_components read that mapping as a bipartite graph with an edge from
+each fractional job to each of its machines.
+
 Thread-safety: a solve touches nothing but the tableau and basis it is
 handed, which it pivots in place.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .rational import Rat, rat
 
 __all__ = [
     "Vertex",
-    "FractionalGraph",
     "LpError",
     "solve_vertex",
-    "fractional_graph",
     "job_machine_matching",
     "graph_components",
 ]
@@ -167,64 +171,19 @@ def solve_vertex(
     return Vertex(tuple(values), tuple(slacks))
 
 
-@dataclass(frozen=True)
-class FractionalGraph:
-    """Bipartite structure of fractionally assigned jobs.
-
-    Nodes are the machines 0..num_machines-1 plus every fractional job
-    (a job with an assignment coordinate strictly between 0 and 1);
-    edges join a fractional job to each machine carrying such a coordinate.
-    """
-
-    num_machines: int
-    jobs: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-
-def fractional_graph(
-    x: Mapping[tuple[int, int], Rat], num_machines: int, strict: bool = True
-) -> FractionalGraph:
-    """Build the fractional-assignment graph of an LP point.
-
-    For vertices of the parametric scheduling polyhedron the job side can
-    hold at most num_machines nodes; under strict=True (the default for
-    solver output) a violation flags an LP-solver bug and raises LpError.
-    strict=False admits arbitrary feasible points.
-    """
-    jobs: list[int] = []
-    edges: list[tuple[int, int]] = []
-    by_job: dict[int, list[tuple[int, Rat]]] = {}
-    for (j, i), v in x.items():
-        by_job.setdefault(j, []).append((i, v))
-    for j in sorted(by_job):
-        entries = by_job[j]
-        if any(0 < v < 1 for _, v in entries):
-            jobs.append(j)
-            for i, v in sorted(entries):
-                if 0 < v < 1:
-                    edges.append((j, i))
-    if strict and len(jobs) > num_machines:
-        raise LpError(
-            f"vertex has {len(jobs)} fractional jobs for {num_machines} machines; "
-            "lp-vertex bug"
-        )
-    return FractionalGraph(num_machines, tuple(jobs), tuple(edges))
-
-
-def job_machine_matching(graph: FractionalGraph) -> dict[int, int] | None:
-    """Injection from fractional jobs into machines along graph edges.
+def job_machine_matching(fractional: Mapping[int, Sequence[int]]) -> dict[int, int] | None:
+    """Injection from the fractional jobs into machines, each job to one
+    of its machines; the jobs are tried in mapping order and their
+    machines in the order given.
 
     Returns None when no perfect matching on the job side exists
     (for parametric-LP vertices one always does).
     """
-    adj: dict[int, list[int]] = {j: [] for j in graph.jobs}
-    for j, i in graph.edges:
-        adj[j].append(i)
     machine_of_job: dict[int, int] = {}
     job_of_machine: dict[int, int] = {}
 
     def augment(j: int, seen: set[int]) -> bool:
-        for i in adj[j]:
+        for i in fractional[j]:
             if i in seen:
                 continue
             seen.add(i)
@@ -234,16 +193,18 @@ def job_machine_matching(graph: FractionalGraph) -> dict[int, int] | None:
                 return True
         return False
 
-    for j in graph.jobs:
+    for j in fractional:
         if not augment(j, set()):
             return None
     return machine_of_job
 
 
-def graph_components(graph: FractionalGraph) -> dict[tuple[str, int], tuple[str, int]] | None:
-    """Component root of every node on an edge, by union-find over the
-    edges; None when the graph has a cycle. Nodes are ("job", j) and
-    ("machine", i)."""
+def graph_components(
+    fractional: Mapping[int, Sequence[int]],
+) -> dict[tuple[str, int], tuple[str, int]] | None:
+    """Component root of every node on an edge (j, i), i a machine of the
+    fractional job j, by union-find over the edges; None when the graph
+    has a cycle. Nodes are ("job", j) and ("machine", i)."""
     parent: dict[tuple[str, int], tuple[str, int]] = {}
 
     def find(a):
@@ -252,12 +213,13 @@ def graph_components(graph: FractionalGraph) -> dict[tuple[str, int], tuple[str,
             a = parent[a]
         return a
 
-    for j, i in graph.edges:
-        u, v = ("job", j), ("machine", i)
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return None
-        parent[ru] = rv
+    for j, machines in fractional.items():
+        for i in machines:
+            u, v = ("job", j), ("machine", i)
+            parent.setdefault(u, u)
+            parent.setdefault(v, v)
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                return None
+            parent[ru] = rv
     return {node: find(node) for node in parent}

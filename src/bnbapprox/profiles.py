@@ -60,7 +60,7 @@ from .engine import (
     run,
 )
 from .instances import IDENTICAL, UNIFORM, InstanceError, SchedulingInstance
-from .lp import LpError, fractional_graph, graph_components
+from .lp import LpError, graph_components
 from .rational import Rat, floor_div, rat
 from .scheduling import (
     ROUNDING_LST,
@@ -143,14 +143,15 @@ def round_geometric(x: Rat, eps: Rat) -> Rat:
 
 
 def uniform_vertex_check(point: LpPoint) -> bool:
-    """Vertex predicate: fractional graph is a forest and every component
-    holds at most one machine finishing strictly before the guess."""
+    """Vertex predicate on the point's fractional jobs: at most one per
+    machine, their graph (an edge from each to each of its machines) is a
+    forest, and every component holds at most one machine finishing
+    strictly before the guess."""
     T = point.T
     m = len(point.loads)
-    graph = fractional_graph(point.x, m, strict=False)
-    if len(graph.jobs) > m:
+    if len(point.fractional_jobs) > m:
         return False
-    roots = graph_components(graph)
+    roots = graph_components(point.fractional_jobs)
     if roots is None:
         return False
     slack_count = Counter(
@@ -174,30 +175,20 @@ def make_longest_fractional(
     point is checked against the vertex predicate.
     """
     L = longest_job
-    if L in point.fractional_jobs:
+    frac = point.fractional_jobs
+    if L in frac:
         return point, False
-    if not point.fractional_jobs:
+    if not frac:
         raise ValueError("transform needs a fractional vertex")
     m1 = point.integral_assignment.get(L)
     if m1 is None:
         raise ValueError("longest job must be assigned in the vertex")
     T = point.T
-    m = len(point.loads)
-
-    def eligible(i: int) -> bool:
-        return P[L][i] <= T
 
     # partners: the fractional jobs on m1 if there are any, else all of them
-    on_m1 = [
-        j for j in point.fractional_jobs if 0 < point.x.get((j, m1), rat(0)) < 1
-    ]
+    on_m1 = [j for j, machines in frac.items() if m1 in machines]
     choice = next(
-        (
-            (j, i)
-            for j in on_m1 or point.fractional_jobs
-            for i in range(m)
-            if i != m1 and point.x.get((j, i), rat(0)) > 0 and eligible(i)
-        ),
+        ((j, i) for j in on_m1 or frac for i in frac[j] if i != m1 and P[L][i] <= T),
         None,
     )
     if choice is None:

@@ -32,6 +32,8 @@ def rat(value: RatLike, den: int | None = None) -> Rat:
 
 def parse_rat(text: str) -> Rat:
     """Parse the canonical text form: "num" or "num/den"."""
+    if not isinstance(text, str):
+        raise ValueError(f"rational literal {text!r} is not a \"num/den\" string")
     body = text.strip()
     if not body:
         raise ValueError("empty rational literal")

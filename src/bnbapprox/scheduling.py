@@ -37,8 +37,9 @@ Feasibility is monotone in T, and the search:
                The first feasible probe is the smallest feasible guess,
                and its vertex is the one that guess's LP always gives.
 
-Vertices of the parametric LP have at most m fractional jobs; rounding
-modes:
+Vertices of the parametric LP have at most m fractional jobs, which
+feasible_point checks on every vertex it returns (LpError otherwise);
+rounding modes:
 
     AS        each fractional job to its fastest machine;
     LST-match each fractional job to a distinct supporting machine along
@@ -75,12 +76,7 @@ from .engine import (
     run,
 )
 from .instances import SchedulingInstance
-from .lp import (
-    LpError,
-    fractional_graph,
-    job_machine_matching,
-    solve_vertex,
-)
+from .lp import LpError, job_machine_matching, solve_vertex
 from .rational import Rat, floor_div, grid_scale, on_grid
 
 if TYPE_CHECKING:
@@ -135,12 +131,17 @@ class SchedGrid:
 
 @dataclass(frozen=True)
 class LpPoint:
-    """A basic feasible solution of the parametric load LP at guess T."""
+    """A basic feasible solution of the parametric load LP at guess T.
+
+    fractional_jobs maps each fractional job to its machines (those of
+    its nonzero coordinates, ascending), in the order of the node's jobs;
+    integral_assignment maps every other job to its machine. Both come
+    from split_jobs, the one place that classifies a point's jobs."""
 
     T: int  # on the grid of the data the point was built from
     x: Mapping[tuple[int, int], Rat]  # nonzero coordinates
     loads: tuple[int | Rat, ...]  # completion times t_i + assigned load
-    fractional_jobs: tuple[int, ...]
+    fractional_jobs: Mapping[int, tuple[int, ...]]
     integral_assignment: Mapping[int, int]
 
 
@@ -243,6 +244,7 @@ def feasible_point(
     gets loads t). When the LP is empty and `rays` is a list, the Farkas
     ray read off the tableau row that proved it empty (see lp) is appended
     to it; a program that build_load_lp already rules out appends nothing.
+    A vertex with more fractional jobs than machines raises LpError.
     """
     built = build_load_lp(grid, t, jobs, T, restrict)
     if built is None:
@@ -270,26 +272,35 @@ def feasible_point(
     loads: list[int | Rat] = list(t)
     for i, slack in zip(machines, vertex.slacks):
         loads[i] = T - slack
-    return LpPoint(T, x, tuple(loads), *split_jobs(x, jobs))
+    fractional, integral = split_jobs(x, jobs)
+    if len(fractional) > len(t):
+        raise LpError(
+            f"vertex has {len(fractional)} fractional jobs for {len(t)} machines; "
+            "lp-vertex bug"
+        )
+    return LpPoint(T, x, tuple(loads), fractional, integral)
 
 
 def split_jobs(
     x: Mapping[tuple[int, int], Rat], jobs: Iterable[int]
-) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The fractional jobs of a point x and the machine of every other job,
-    both in `jobs` order."""
+) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
+    """The fractional jobs of a point x with their machines, ascending, and
+    the machine of every other job, both in `jobs` order. x holds a
+    point's nonzero coordinates: a job is integral when its only one is
+    1, and otherwise (its coordinates sum to 1) every one of them lies
+    strictly between 0 and 1."""
     by_job: dict[int, list[tuple[int, Rat]]] = {}
     for (j, i), v in x.items():
         by_job.setdefault(j, []).append((i, v))
-    fractional = []
+    fractional: dict[int, tuple[int, ...]] = {}
     integral: dict[int, int] = {}
     for j in jobs:
         entries = by_job.get(j, [])
         if len(entries) == 1 and entries[0][1] == 1:
             integral[j] = entries[0][0]
         else:
-            fractional.append(j)
-    return tuple(fractional), integral
+            fractional[j] = tuple(sorted([i for i, _ in entries]))
+    return fractional, integral
 
 
 def _ceil_to(v: int | Rat, g: int) -> int:
@@ -478,8 +489,7 @@ def round_vertex(
             assignment[j] = min(range(m), key=lambda i: (P[j][i], i))
         return assignment, max(_loads(P, t, assignment))
     if mode == ROUNDING_LST:
-        graph = fractional_graph(point.x, m)
-        matching = job_machine_matching(graph)
+        matching = job_machine_matching(frac)
         if matching is None:
             raise LpError("no fractional-job matching: vertex structure bug")
         assignment.update(matching)
@@ -495,7 +505,7 @@ def round_vertex(
                 f"best-matching rounding would scan {m}^{len(frac)} placements; "
                 "use AS or LST-match on this many machines"
             )
-        best_combo, best_makespan = _best_placement(P, _loads(P, t, assignment), frac)
+        best_combo, best_makespan = _best_placement(P, _loads(P, t, assignment), tuple(frac))
         assignment.update(zip(frac, best_combo))
         return assignment, best_makespan
     raise ValueError(f"unknown rounding mode {mode!r}")

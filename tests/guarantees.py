@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 from bnbapprox.instances import KnapsackInstance, SchedulingInstance
 from bnbapprox.knapsack import DantzigSolution, KnapsackGrid, dantzig_solve
-from bnbapprox.lp import FractionalGraph, graph_components
+from bnbapprox.lp import graph_components
 from bnbapprox.profiles import cube_limit
 from bnbapprox.rational import Rat, rat
 
@@ -58,9 +58,21 @@ def f_bound(eps: Rat) -> float:
     return 8.0 * float(1 / eps) ** exponent
 
 
-def graph_is_forest(graph: FractionalGraph) -> bool:
-    """True iff the bipartite graph has no cycle."""
-    return graph_components(graph) is not None
+def graph_is_forest(fractional: Mapping[int, Sequence[int]]) -> bool:
+    """True iff the bipartite graph of the fractional jobs (job -> its
+    machines) has no cycle."""
+    return graph_components(fractional) is not None
+
+
+def reference_fractional_jobs(x: Mapping[tuple[int, int], Rat]) -> dict[int, tuple[int, ...]]:
+    """The fractional jobs of a point x, derived from its coordinates alone:
+    every job with a coordinate strictly between 0 and 1, ascending, each
+    mapped to the machines of such coordinates, ascending."""
+    fractional: dict[int, tuple[int, ...]] = {}
+    for j, i in sorted(x):
+        if 0 < x[j, i] < 1:
+            fractional[j] = fractional.get(j, ()) + (i,)
+    return fractional
 
 
 def reference_unit_profit_order(weights: Sequence[Rat], profits: Sequence[Rat]) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ from bnbapprox.experiments import (
 )
 from bnbapprox.instances import SchedulingInstance, UNRELATED, generate
 from bnbapprox.knapsack import KnapsackAdapter, dantzig_solve, pick_pivot
-from bnbapprox.lp import fractional_graph, job_machine_matching
+from bnbapprox.lp import job_machine_matching
 from bnbapprox.oracle import exact_opt
 from bnbapprox.profiles import (
     similarity_level_bound,
@@ -47,6 +47,7 @@ from guarantees import (
     dantzig_whole,
     f_bound,
     int_value,
+    reference_fractional_jobs,
     schedule_makespan,
     sub_value,
 )
@@ -208,10 +209,10 @@ def test_criterion_07_vertex_structure():
             grid = SchedGrid.build(inst)
             res = min_feasible_T(grid, grid.t, range(inst.n))
             assert len(res.fractional_jobs) <= inst.m
-            graph = fractional_graph(res.x, inst.m)
-            matching = job_machine_matching(graph)
+            fractional = reference_fractional_jobs(res.x)
+            matching = job_machine_matching(fractional)
             assert matching is not None
-            assert sorted(matching) == sorted(graph.jobs)
+            assert sorted(matching) == sorted(fractional)
             assert uniform_vertex_check(res)
 
 

@@ -229,7 +229,7 @@ def test_cli_bfs_depth_cap_and_lr_bounding(tmp_path):
     assert payload["max_depth"] <= 4  # floor(m^2/eps)
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["solve", "--instance", str(bad), "--algorithm", "knapsack"]) == 2
@@ -240,6 +240,20 @@ def test_cli_exit_codes(tmp_path):
     assert main(["oracle", "--instance", str(inst_path), "--budget", "10"]) == 3
     # wrong algorithm for the instance kind -> validation error
     assert main(["solve", "--instance", str(inst_path), "--algorithm", "knapsack"]) == 2
+    # a number where an instance file needs a "num/den" string
+    bad.write_text('{"kind": "knapsack", "weights": [1], "profits": ["1"], "capacities": ["2"]}')
+    assert main(["solve", "--instance", str(bad), "--algorithm", "knapsack"]) == 2
+    # a sweep config that is a JSON array, not an object
+    config = tmp_path / "config.json"
+    config.write_text("[]")
+    capsys.readouterr()
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+    # a results CSV without the columns summarize reads
+    results = tmp_path / "results.csv"
+    results.write_text("kind,n,m\nknapsack,5,2\n")
+    assert main(["summarize", "--results", str(results)]) == 2
+    assert "lack the columns ratio, selection" in capsys.readouterr().err
 
 
 def test_cli_rejects_eps_out_of_range(tmp_path):

@@ -126,6 +126,16 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text('{"kind": "mystery"}')
     with pytest.raises(InstanceError):
         load_instance(str(path))
+    # a number where a "num/den" string belongs
+    path.write_text('{"kind": "knapsack", "weights": [1], "profits": ["1"], "capacities": ["2"]}')
+    with pytest.raises(InstanceError, match="not a \"num/den\" string"):
+        load_instance(str(path))
+    # a string where an array belongs, which would read as its characters
+    path.write_text(
+        '{"kind": "scheduling-unrelated", "processing": [["1", "2"]], "overheads": "00"}'
+    )
+    with pytest.raises(InstanceError, match="overheads must be an array"):
+        load_instance(str(path))
 
 
 def test_type_invariants():

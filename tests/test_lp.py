@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from bnbapprox import lp
-from bnbapprox.lp import LpError, fractional_graph, job_machine_matching, pivot
+from bnbapprox import lp, scheduling
+from bnbapprox.lp import LpError, job_machine_matching, pivot
 from bnbapprox.rational import rat
-from bnbapprox.scheduling import SchedGrid, build_load_lp, feasible_point
+from bnbapprox.scheduling import SchedGrid, build_load_lp, feasible_point, split_jobs
 from guarantees import graph_is_forest
 from lp_oracle import LinearProgram, enumerate_vertices, load_program, solve_vertex
 
@@ -116,7 +116,7 @@ def test_a_node_without_unfixed_jobs_has_loads_t():
     assert lp.solve_vertex([], [], 0, 0) == lp.Vertex((), ())
     point = feasible_point(G332, (1, 3), (), 3)
     assert point is not None
-    assert point.loads == (1, 3) and point.x == {} and point.fractional_jobs == ()
+    assert point.loads == (1, 3) and point.x == {} and point.fractional_jobs == {}
 
 
 def test_a_machine_without_a_load_row_completes_at_its_overhead():
@@ -171,32 +171,31 @@ def test_solver_deterministic():
 
 
 def test_fractional_graph_shapes():
-    # fully integral point: no job nodes
-    g = fractional_graph({(0, 1): rat(1), (1, 0): rat(1)}, 2)
-    assert g.jobs == () and g.edges == ()
-    # one split job: one node of degree 2 (from the (3,3,2)/T=4 system)
+    # fully integral point: no fractional job
+    assert split_jobs({(0, 1): rat(1), (1, 0): rat(1)}, range(2)) == ({}, {0: 1, 1: 0})
+    # one split job over both machines (from the (3,3,2)/T=4 system)
     point = feasible_point(G332, G332.t, range(3), 4)
     assert point is not None
-    g = fractional_graph(point.x, 2)
-    assert len(g.jobs) == 1
-    job = g.jobs[0]
-    assert [e for e in g.edges if e[0] == job] == [(job, 0), (job, 1)]
-    assert graph_is_forest(g)
-    matching = job_machine_matching(g)
-    assert matching is not None and set(matching) == set(g.jobs)
+    fractional = point.fractional_jobs
+    assert list(fractional.values()) == [(0, 1)]
+    assert graph_is_forest(fractional)
+    matching = job_machine_matching(fractional)
+    assert matching is not None and set(matching) == set(fractional)
 
 
-def test_fractional_graph_flags_too_many_jobs():
-    x = {(j, i): rat(1, 2) for j in range(3) for i in range(2)}
-    with pytest.raises(LpError, match="fractional jobs"):
-        fractional_graph(x, 2)
+def test_feasible_point_flags_too_many_fractional_jobs(monkeypatch):
+    # a forged vertex that splits all three jobs of G332 over both machines
+    forged = lp.Vertex((rat(1, 2),) * 6, (0, 0))
+    monkeypatch.setattr(scheduling, "solve_vertex", lambda *args: forged)
+    with pytest.raises(LpError, match="3 fractional jobs for 2 machines"):
+        feasible_point(G332, G332.t, range(3), 4)
 
 
 def test_graph_cycle_detection():
-    g = fractional_graph(
-        {(0, 0): rat(1, 2), (0, 1): rat(1, 2), (1, 0): rat(1, 2), (1, 1): rat(1, 2)}, 2
-    )
-    assert not graph_is_forest(g)
+    x = {(0, 0): rat(1, 2), (0, 1): rat(1, 2), (1, 0): rat(1, 2), (1, 1): rat(1, 2)}
+    fractional, _ = split_jobs(x, range(2))
+    assert fractional == {0: (0, 1), 1: (0, 1)}
+    assert not graph_is_forest(fractional)
 
 
 def test_pivot_matches_fraction_gaussian_pivot():

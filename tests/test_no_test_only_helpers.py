@@ -3,9 +3,12 @@
 Every public top-level function and class of src/bnbapprox must be used
 somewhere in the package or in solverbench/: by a name or attribute in
 some module's code. Its own definition, an `__all__` entry (a string) and
-an import line do not count, as none of them uses it.
+an import line do not count, as none of them uses it. And every `__all__`
+entry must name an attribute its module defines, so that a deleted name
+does not linger there.
 """
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -51,3 +54,12 @@ def unused_public_names(root: pathlib.Path) -> list[str]:
 
 def test_no_public_helper_is_used_only_by_the_tests():
     assert unused_public_names(ROOT) == []
+
+
+def test_every_export_is_defined():
+    stale = []
+    for path in sorted((ROOT / "src" / "bnbapprox").glob("*.py")):
+        name = "bnbapprox" if path.stem == "__init__" else f"bnbapprox.{path.stem}"
+        module = importlib.import_module(name)
+        stale += [f"{name}.{e}" for e in getattr(module, "__all__", ()) if not hasattr(module, e)]
+    assert stale == []

@@ -34,7 +34,7 @@ from bnbapprox.scheduling import (
     min_feasible_T,
     round_vertex,
 )
-from guarantees import f_bound, schedule_makespan
+from guarantees import f_bound, reference_fractional_jobs, schedule_makespan
 
 SMALL_JOB = "small-job"
 
@@ -183,7 +183,7 @@ def test_adapter_key_matches_reference_equivalence_key():
 
 
 def test_uniform_vertex_check_integral_and_cycle():
-    point = LpPoint(rat(4), {(0, 0): rat(1)}, (rat(4), rat(4)), (), {0: 0})
+    point = LpPoint(rat(4), {(0, 0): rat(1)}, (rat(4), rat(4)), {}, {0: 0})
     assert uniform_vertex_check(point)
     # averaging two distinct vertices yields a non-vertex (cycle / two
     # slack machines in one component)
@@ -196,7 +196,7 @@ def test_uniform_vertex_check_integral_and_cycle():
         (2, 1): rat(1, 2),
     }
     loads = (rat(4), rat(4))
-    avg = LpPoint(rat(4), cycle_x, loads, (0, 1, 2), {})
+    avg = LpPoint(rat(4), cycle_x, loads, dict.fromkeys(range(3), (0, 1)), {})
     assert not uniform_vertex_check(avg)
 
 
@@ -227,6 +227,9 @@ def test_make_longest_fractional_randomized_search():
             continue
         transformed += 1
         assert 0 in new_point.fractional_jobs
+        # the swapped point's classification, checked from x alone
+        want = reference_fractional_jobs(new_point.x)
+        assert list(new_point.fractional_jobs.items()) == list(want.items())
         assert new_point.loads == point.loads  # completion times preserved
         assert uniform_vertex_check(new_point)
         if transformed >= 5:
@@ -441,7 +444,7 @@ def test_guarantee_checks_raise_under_optimize_flag():
         "PYTHONPATH", ""
     )
     tests = [
-        f"{here}/test_lp.py::test_fractional_graph_flags_too_many_jobs",
+        f"{here}/test_lp.py::test_feasible_point_flags_too_many_fractional_jobs",
         f"{here}/test_profiles.py::test_broken_mass_swap_raises",
         f"{here}/test_profiles.py::test_broken_level_width_raises",
     ]

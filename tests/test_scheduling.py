@@ -9,7 +9,7 @@ import pytest
 from bnbapprox import profiles, scheduling
 from bnbapprox.engine import AdapterContractError, Criterion, Node, Selection, run
 from bnbapprox.instances import IDENTICAL, UNIFORM, UNRELATED, SchedulingInstance, generate
-from bnbapprox.lp import LpError, fractional_graph, job_machine_matching
+from bnbapprox.lp import LpError, job_machine_matching
 from bnbapprox.oracle import exact_opt
 from bnbapprox.profiles import ProfileAdapter
 from bnbapprox.rational import rat
@@ -26,7 +26,7 @@ from bnbapprox.scheduling import (
     solve_unrelated,
     scheme_depth_cap,
 )
-from guarantees import schedule_makespan
+from guarantees import reference_fractional_jobs, schedule_makespan
 
 P332 = ((rat(3), rat(3)), (rat(3), rat(3)), (rat(2), rat(2)))
 T00 = (rat(0), rat(0))
@@ -54,7 +54,7 @@ def test_min_feasible_T_332():
 def test_min_feasible_T_single_job():
     res = min_feasible_T(G7, G7.t, range(1))
     assert res.T == 7
-    assert res.fractional_jobs == ()
+    assert res.fractional_jobs == {}
 
 
 def test_min_feasible_T_with_overheads():
@@ -124,7 +124,7 @@ def test_bm_rounding_guards_against_blowup():
     m = 40
     P = tuple(tuple(1 for _ in range(m)) for _ in range(m))
     x = {(j, i): rat(1, 2) for j in range(6) for i in (0, 1)}
-    point = LpPoint(10, x, (0,) * m, tuple(range(6)), {})
+    point = LpPoint(10, x, (0,) * m, dict.fromkeys(range(6), (0, 1)), {})
     with pytest.raises(ValueError):
         round_vertex(point, P, (0,) * m, ROUNDING_BM)
 
@@ -133,14 +133,15 @@ def test_mmp_pivot_rules():
     from bnbapprox.scheduling import LpPoint
 
     P = ((rat(9), rat(5)), (rat(8), rat(5)), (rat(9), rat(9)))
-    point = LpPoint(rat(10), {}, (rat(0), rat(0)), (0, 1, 2), {})
+    split = (0, 1)  # each fractional job's machines
+    point = LpPoint(rat(10), {}, (rat(0), rat(0)), dict.fromkeys((0, 1, 2), split), {})
     assert mmp_pivot(point, P) == 2  # min times 5, 5, 9
-    point2 = LpPoint(rat(10), {}, (rat(0), rat(0)), (0, 1), {})
+    point2 = LpPoint(rat(10), {}, (rat(0), rat(0)), dict.fromkeys((0, 1), split), {})
     assert mmp_pivot(point2, P) == 0  # tie on 5 -> lowest id
-    single = LpPoint(rat(10), {}, (rat(0), rat(0)), (1,), {})
+    single = LpPoint(rat(10), {}, (rat(0), rat(0)), {1: split}, {})
     assert mmp_pivot(single, P) == 1
     with pytest.raises(ValueError):
-        mmp_pivot(LpPoint(rat(1), {}, (rat(0),), (), {}), P)
+        mmp_pivot(LpPoint(rat(1), {}, (rat(0),), {}, {}), P)
 
 
 def test_bs_dominates_lr():
@@ -209,10 +210,10 @@ def test_vertex_structure_on_random_instances():
         grid = SchedGrid.build(inst)
         res = min_feasible_T(grid, grid.t, range(inst.n))
         assert len(res.fractional_jobs) <= inst.m
-        graph = fractional_graph(res.x, inst.m)
-        matching = job_machine_matching(graph)
+        fractional = reference_fractional_jobs(res.x)
+        matching = job_machine_matching(fractional)
         assert matching is not None
-        assert sorted(matching) == sorted(graph.jobs)
+        assert sorted(matching) == sorted(fractional)
 
 
 def test_identical_instance_through_unrelated_adapter():
@@ -314,7 +315,7 @@ def _break_lst_matching(monkeypatch):
     P, t = grid.P, grid.t
     point = min_feasible_T(grid, t, range(3))
     monkeypatch.setattr(
-        scheduling, "job_machine_matching", lambda graph: {j: 2 for j in graph.jobs}
+        scheduling, "job_machine_matching", lambda fractional: dict.fromkeys(fractional, 2)
     )
     round_vertex(point, P, t, ROUNDING_LST)
 

@@ -13,8 +13,9 @@ feasible value of the node's grid belongs to the LP family, not to a
 solver, so both must return the same T, and the walk-up must need fewer LP
 solves in total. Which vertex of that LP comes back is the solver's choice:
 the production point must be one: a point of the LP at T with its loads
-and split read off x correctly, at most m fractional jobs, and a
-fractional graph with a job-machine matching whose every component has no
+and split read off x correctly (its fractional jobs and their machines
+equal to `guarantees.reference_fractional_jobs` of x), at most m
+fractional jobs, and a fractional graph with a job-machine matching whose every component has no
 more edges than nodes (one cycle at most). On unrelated data such a cycle
 is a genuine vertex: two jobs split over the same two machines with
 p_a0 * p_b1 != p_a1 * p_b0 have independent columns. On uniform data that
@@ -31,7 +32,7 @@ import pytest
 from bnbapprox import profiles, scheduling
 from bnbapprox.engine import Selection
 from bnbapprox.instances import IDENTICAL, UNIFORM, UNRELATED, SchedulingInstance, generate
-from bnbapprox.lp import fractional_graph, graph_components, job_machine_matching
+from bnbapprox.lp import job_machine_matching
 from bnbapprox.profiles import solve_identical, solve_uniform, uniform_vertex_check
 from bnbapprox.rational import Rat, floor_div, on_grid, rat
 from bnbapprox.scheduling import (
@@ -42,6 +43,7 @@ from bnbapprox.scheduling import (
     min_feasible_T,
     solve_unrelated,
 )
+from guarantees import graph_is_forest, reference_fractional_jobs
 from lp_oracle import LinearProgram
 from test_lp_differential import reference_solve_vertex
 
@@ -104,18 +106,8 @@ def _reference_feasible_point(P, t, jobs, T, restrict=True):
     loads = list(t)
     for (j, i), v in x.items():
         loads[i] += P[j][i] * v
-    by_job = {}
-    for (j, i), v in x.items():
-        by_job.setdefault(j, []).append((i, v))
-    fractional = []
-    integral = {}
-    for j in jobs:
-        entries = by_job.get(j, [])
-        if len(entries) == 1 and entries[0][1] == 1:
-            integral[j] = entries[0][0]
-        else:
-            fractional.append(j)
-    return LpPoint(T, x, tuple(loads), tuple(fractional), integral)
+    integral = {j: i for (j, i), v in x.items() if v == 1}
+    return LpPoint(T, x, tuple(loads), reference_fractional_jobs(x), integral)
 
 
 def _reference_list_schedule(P, t, jobs):
@@ -192,13 +184,16 @@ def _assert_vertex(got: LpPoint, want: LpPoint, R: int, P, t, jobs, restrict: bo
     assert list(got.loads) == loads and max(loads) <= T
     fractional = [j for j in jobs if any(v < 1 for v in by_job[j])]
     assert list(got.fractional_jobs) == fractional and len(fractional) <= m
+    # the one classification, against the one derived from x alone
+    want_fractional = reference_fractional_jobs(x)
+    assert list(got.fractional_jobs.items()) == list(want_fractional.items())
     assert got.integral_assignment == {j: i for (j, i), v in x.items() if v == 1}
-    graph = fractional_graph(x, m)
-    assert job_machine_matching(graph) is not None
+    assert job_machine_matching(want_fractional) is not None
     nodes: dict = {}
-    for j, i in graph.edges:
-        nodes.setdefault(("job", j), set()).add(("machine", i))
-        nodes.setdefault(("machine", i), set()).add(("job", j))
+    for j, machines in want_fractional.items():
+        for i in machines:
+            nodes.setdefault(("job", j), set()).add(("machine", i))
+            nodes.setdefault(("machine", i), set()).add(("job", j))
     seen: set = set()
     for start in nodes:
         if start in seen:
@@ -331,7 +326,7 @@ def _check_recorded(calls, solves, uniform: bool = False) -> None:
         )
         _assert_vertex(res, want, R, grid.P, t, jobs, restrict)
         if uniform:
-            assert graph_components(fractional_graph(res.x, len(t))) is not None
+            assert graph_is_forest(res.fractional_jobs)
             assert uniform_vertex_check(res)
     assert walk_up < solves["bisection"]
 
