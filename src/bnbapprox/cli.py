@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .algorithms import ALGORITHMS, Algorithm, solve
 from .engine import Selection, Strategy, StrategyError
@@ -111,32 +112,24 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    pairs = []
-    for part in text.split(","):
-        n, _, m = part.strip().partition("x")
-        pairs.append((int(n), int(m)))
-    return pairs
+def _parse_pairs(text: str) -> list[tuple[int, ...]]:
+    """"5x2,10x2" as [(5, 2), (10, 2)]."""
+    try:
+        return [tuple(int(v) for v in part.split("x")) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad pairs {text!r}, want e.g. 5x2,10x2") from None
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = ExperimentConfig.from_json_dict(json.load(fh))
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
-    else:
-        if not (args.kind and args.pairs and args.ratios):
-            raise ConfigError("need --config or all of --kind/--pairs/--ratios")
-        cfg = ExperimentConfig(
-            kind=args.kind,
-            pairs=_parse_pairs(args.pairs),
-            ratios=[parse_rat(r) for r in args.ratios.split(",")],
-            instances_per_pair=args.instances_per_pair,
-            base_seed=args.base_seed,
-            node_limit=args.node_limit,
-            jobs=args.jobs if args.jobs is not None else 1,
-        )
+            data = json.load(fh)
+    if isinstance(data, dict):  # from_json_dict rejects anything else
+        # each flag that is given overrides the config key of its name
+        data.update((f.name, getattr(args, f.name)) for f in fields(ExperimentConfig)
+                    if getattr(args, f.name, None) is not None)
+    cfg = ExperimentConfig.from_json_dict(data)
     rows = run_experiment(cfg, args.out)
     print(f"wrote {len(rows)} result rows to {args.out}")
     return EXIT_OK
@@ -200,15 +193,19 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--out", default=None)
     orc.set_defaults(func=cmd_oracle)
 
-    exp = sub.add_parser("experiment", help="run a strategy sweep to CSV")
-    exp.add_argument("--config", default=None, help="JSON config file")
-    exp.add_argument("--kind", default=None, choices=ALL_KINDS)
-    exp.add_argument("--pairs", default=None, help="e.g. 5x2,10x2,10x5")
-    exp.add_argument("--ratios", default=None, help="comma-separated rationals")
-    exp.add_argument("--instances-per-pair", type=int, default=30)
-    exp.add_argument("--base-seed", type=int, default=20240101)
-    exp.add_argument("--node-limit", type=int, default=10_000)
-    exp.add_argument("--jobs", type=int, default=None)
+    exp = sub.add_parser(
+        "experiment", help="run a strategy sweep to CSV",
+        description="Run a strategy sweep to CSV. The --config keys are the fields of "
+        "ExperimentConfig; a flag that is given overrides the key of its name. An unknown "
+        "key or a count that is not an int of at least 1 exits 2.",
+    )
+    exp.add_argument("--config", help="JSON config object")
+    exp.add_argument("--kind", choices=ALL_KINDS)
+    exp.add_argument("--pairs", type=_parse_pairs, help="e.g. 5x2,10x2,10x5")
+    exp.add_argument("--ratios", type=lambda text: text.split(","), help="e.g. 1/10,1/2")
+    for key in ("instances_per_pair", "base_seed", "node_limit", "jobs"):
+        default = getattr(ExperimentConfig, key)
+        exp.add_argument("--" + key.replace("_", "-"), type=int, help=f"default {default}")
     exp.add_argument("--out", required=True)
     exp.set_defaults(func=cmd_experiment)
 

@@ -8,6 +8,10 @@ for a fixed config. Values, bounds and gaps are in the instance's own
 units. The optimality gap is filled when the instance fits the oracle
 budget, blank otherwise; gap geometric means add a documented 1e-9 offset
 so zero gaps do not collapse the mean.
+
+A sweep is one ExperimentConfig: its fields, their defaults and their
+checks live there alone, and its JSON form (the CLI's --config file) is
+an object keyed by the same field names.
 """
 from __future__ import annotations
 
@@ -15,7 +19,8 @@ import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import oracle as oracle_mod
@@ -78,8 +83,14 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
+    """One sweep; each field is a key of its JSON form (see from_json_dict)."""
+
     kind: str
     pairs: list[tuple[int, int]]
     ratios: list[Rat]
@@ -95,15 +106,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown kind {self.kind!r}")
         if not self.pairs:
             raise ConfigError("no (n, m) pairs configured")
-        for n, m in self.pairs:
-            if n < 1 or m < 1:
-                raise ConfigError(f"bad pair ({n}, {m})")
+        for pair in self.pairs:
+            if len(pair) != 2 or not all(_is_int(v) and v >= 1 for v in pair):
+                raise ConfigError(f"bad pair {pair!r} in pairs: need two ints of at least 1")
+        for name in ("instances_per_pair", "node_limit", "oracle_budget", "jobs"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise ConfigError(f"{name} must be an int of at least 1, not {value!r}")
+        if not _is_int(self.base_seed):
+            raise ConfigError(f"base_seed must be an int, not {self.base_seed!r}")
         if not self.ratios:
             raise ConfigError("no alpha/epsilon values configured")
-        if self.instances_per_pair < 1:
-            raise ConfigError("instances_per_pair must be at least 1")
-        if self.node_limit < 1:
-            raise ConfigError("node_limit must be at least 1")
         if self.strategies is None:
             self.strategies = [
                 s for name in SWEEPS[self.kind] for s in ALGORITHMS[name].strategies
@@ -118,47 +131,34 @@ class ExperimentConfig:
                 except ValueError as exc:
                     raise ConfigError(f"ratio {format_rat(r)}: {exc}") from exc
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "pairs": [list(p) for p in self.pairs],
-            "ratios": [format_rat(r) for r in self.ratios],
-            "instances_per_pair": self.instances_per_pair,
-            "base_seed": self.base_seed,
-            "strategies": None
-            if self.strategies is None
-            else [
-                [s.selection.value, s.branching, s.bounding, s.rounding]
-                for s in self.strategies
-            ],
-            "node_limit": self.node_limit,
-            "oracle_budget": self.oracle_budget,
-            "jobs": self.jobs,
-        }
-
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
+        """The config of a JSON object keyed by field name.
+
+        kind, pairs and ratios are required; an omitted key takes the
+        field's default, and an unknown key is a ConfigError. pairs holds
+        [n, m] lists, ratios "num/den" strings, and strategies (null for
+        the kind's whole matrix) [selection, branching, bounding, rounding]
+        lists.
+        """
         if not isinstance(data, dict):
             raise ConfigError(f"experiment config must be a JSON object, not {type(data).__name__}")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown experiment config keys: {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        if missing:
+            raise ConfigError(f"experiment config lacks {', '.join(missing)}")
+        values = dict(data)
         try:
-            strategies = data.get("strategies")
-            if strategies is not None:
-                strategies = [
-                    Strategy(Selection(sel), br, bo, ro)
-                    for sel, br, bo, ro in strategies
+            values["pairs"] = [tuple(p) for p in data["pairs"]]
+            values["ratios"] = [parse_rat(str(r)) for r in data["ratios"]]
+            if data.get("strategies") is not None:
+                values["strategies"] = [
+                    Strategy(Selection(sel), br, bo, ro) for sel, br, bo, ro in data["strategies"]
                 ]
-            return cls(
-                kind=data["kind"],
-                pairs=[tuple(p) for p in data["pairs"]],
-                ratios=[parse_rat(str(r)) for r in data["ratios"]],
-                instances_per_pair=data.get("instances_per_pair", 30),
-                base_seed=data.get("base_seed", 20240101),
-                strategies=strategies,
-                node_limit=data.get("node_limit", 10_000),
-                oracle_budget=data.get("oracle_budget", oracle_mod.DEFAULT_BUDGET),
-                jobs=data.get("jobs", 1),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(**values)
+        except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"malformed experiment config: {exc}") from exc
@@ -241,31 +241,19 @@ def _instance_rows(cfg: ExperimentConfig, pair_index: int, instance_index: int) 
     return rows
 
 
-def _instance_task(args: tuple) -> list[dict[str, Any]]:
-    cfg_data, pair_index, instance_index = args
-    cfg = ExperimentConfig.from_json_dict(cfg_data)
-    return _instance_rows(cfg, pair_index, instance_index)
-
-
 def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> list[dict[str, Any]]:
     """Run the full sweep; rows come back in deterministic (pair, seed,
     ratio, strategy) order regardless of worker count."""
-    tasks = [
-        (pair_index, instance_index)
-        for pair_index in range(len(cfg.pairs))
-        for instance_index in range(cfg.instances_per_pair)
-    ]
-    rows: list[dict[str, Any]] = []
+    pair_indices, instance_indices = zip(
+        *[(p, i) for p in range(len(cfg.pairs)) for i in range(cfg.instances_per_pair)]
+    )
+    work = partial(_instance_rows, cfg)
     if cfg.jobs > 1:
-        cfg_data = cfg.to_json_dict()
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for chunk in pool.map(
-                _instance_task, [(cfg_data, p, i) for p, i in tasks]
-            ):
-                rows.extend(chunk)
+            chunks = list(pool.map(work, pair_indices, instance_indices))
     else:
-        for pair_index, instance_index in tasks:
-            rows.extend(_instance_rows(cfg, pair_index, instance_index))
+        chunks = map(work, pair_indices, instance_indices)
+    rows = [row for chunk in chunks for row in chunk]
     if out_path is not None:
         write_rows(rows, out_path)
     return rows

@@ -73,13 +73,13 @@ _ONE = Fraction(1)
 class KnapsackGrid:
     """An instance on integers: w*Dw, c*Dw and p*Dp for the lcm scales Dw, Dp.
 
+    p_scale is Dp; Dw is rational.grid_scale of the weights and capacities.
     lw is the lcm of the positive grid weights and factors[j] = lw // W_j (0
     for a zero weight), so p_j/w_j times Dp * lw is P_j * factors[j]. order
     is the unit-profit order on that key: zero weights first, then by
     decreasing key, ties by id.
     """
 
-    w_scale: int
     p_scale: int
     weights: tuple[int, ...]
     profits: tuple[int, ...]
@@ -99,7 +99,7 @@ class KnapsackGrid:
         zero = [j for j in range(len(W)) if W[j] == 0]
         rest = sorted([j for j in range(len(W)) if W[j] != 0], key=lambda j: -P[j] * factors[j])
         return cls(
-            dw, dp, W, P, on_grid(inst.capacities, dw), lw, factors, tuple(zero + rest)
+            dp, W, P, on_grid(inst.capacities, dw), lw, factors, tuple(zero + rest)
         )
 
 
@@ -115,17 +115,15 @@ class DantzigSolution:
     (line_profit + P_j * inside / W_j) / Dp: line_profit is the profit of
     the zero-weight items and of the items inside the capacity line, and
     split = (j, inside) is the item crossing the end of the line with its
-    weight inside it (None: no item crosses it). critical_items are the
-    distinct critical items in boundary order; best_critical is the most
-    profitable of them (ties to the lowest item id). int_assignment is the
-    rounded integer solution x' and int_profit its profit.
+    weight inside it (None: no item crosses it). best_critical is the most
+    profitable critical item (ties to the lowest item id). int_assignment
+    is the rounded integer solution x' and int_profit its profit.
     """
 
     order: tuple[int, ...]
     x_frac: Mapping[tuple[int, int], Rat]
     line_profit: int
     split: tuple[int, int] | None
-    critical_items: tuple[int, ...]
     best_critical: int | None
     int_assignment: Mapping[int, int]
     int_profit: int
@@ -236,7 +234,6 @@ def dantzig_solve(
         x_frac=x_frac,
         line_profit=line_profit,
         split=split,
-        critical_items=tuple(criticals),
         best_critical=best_critical,
         int_assignment=int_assignment,
         int_profit=int_profit,

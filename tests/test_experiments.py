@@ -40,12 +40,43 @@ def test_config_validation():
         _small_knapsack_cfg(strategies=[])
     with pytest.raises(ConfigError):
         _small_knapsack_cfg(strategies=[Strategy(Selection.DFS, "MMP", "BS", "AS")])
+    # every count is an int of at least 1, base_seed an int, a pair two such
+    # ints, and a bool is no int; the message names the key
+    base = {"kind": "knapsack", "pairs": [[5, 2]], "ratios": ["9/10"]}
+    for key, value in (
+        ("jobs", "x"), ("jobs", -3), ("jobs", 0), ("jobs", True), ("node_limit", 2.5),
+        ("node_limit", 0), ("instances_per_pair", False), ("instances_per_pair", "3"),
+        ("oracle_budget", "a"), ("oracle_budget", 1.0), ("base_seed", 1.5),
+        ("base_seed", "7"), ("base_seed", None), ("pairs", [[5, 2.0]]), ("pairs", [[5, 0]]),
+        ("pairs", [[5, 2, 1]]), ("pairs", [[True, 2]]), ("node_limt", 10),
+    ):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_json_dict({**base, key: value})
+    with pytest.raises(ConfigError, match="malformed"):
+        ExperimentConfig.from_json_dict({**base, "pairs": [5]})
+    with pytest.raises(ConfigError, match="lacks kind, pairs, ratios"):
+        ExperimentConfig.from_json_dict({})
+    ExperimentConfig.from_json_dict({**base, "base_seed": -4, "jobs": 2})
 
 
 def test_config_json_roundtrip():
-    cfg = _small_knapsack_cfg()
-    again = ExperimentConfig.from_json_dict(cfg.to_json_dict())
-    assert again.to_json_dict() == cfg.to_json_dict()
+    # the JSON form names the fields; omitted keys take the dataclass defaults
+    cfg = ExperimentConfig.from_json_dict(json.loads(
+        '{"kind": "knapsack", "pairs": [[5, 2]], "ratios": ["9/10"],'
+        ' "instances_per_pair": 3, "base_seed": 77}'
+    ))
+    assert cfg == _small_knapsack_cfg()
+    cfg = ExperimentConfig.from_json_dict(json.loads(
+        '{"kind": "scheduling-unrelated", "pairs": [[4, 2], [6, 3]], "ratios": ["1/4", "1"],'
+        ' "instances_per_pair": 2, "base_seed": 5, "node_limit": 50, "oracle_budget": 9,'
+        ' "jobs": 2, "strategies": [["DFS", "MMP", "LR", "BM"], ["BestFirst", "MMP", "BS", "AS"]]}'
+    ))
+    assert cfg == ExperimentConfig(
+        kind="scheduling-unrelated", pairs=[(4, 2), (6, 3)], ratios=[rat(1, 4), rat(1)],
+        instances_per_pair=2, base_seed=5, node_limit=50, oracle_budget=9, jobs=2,
+        strategies=[Strategy(Selection.DFS, "MMP", "LR", "BM"),
+                    Strategy(Selection.BEST_FIRST, "MMP", "BS", "AS")],
+    )
 
 
 def test_run_experiment_schema_and_counts(tmp_path):
@@ -209,12 +240,19 @@ def test_cli_experiment_and_summarize(tmp_path, capsys):
 
 
 def test_cli_config_file(tmp_path):
-    cfg = _small_knapsack_cfg(instances_per_pair=1)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg.to_json_dict()))
+    cfg_path.write_text('{"kind": "knapsack", "pairs": [[5, 2]], "ratios": ["9/10"],'
+                        ' "instances_per_pair": 1, "base_seed": 77}')
     out = tmp_path / "rows.csv"
     assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert len(read_rows(str(out))) == 9
+    rows = read_rows(str(out))
+    assert len(rows) == 9 and {r["kind"] for r in rows} == {"knapsack"}
+    # a flag that is given overrides the key of its name
+    assert main(["experiment", "--config", str(cfg_path), "--kind", "scheduling-unrelated",
+                 "--pairs", "4x2", "--base-seed", "5", "--out", str(out)]) == 0
+    rows = read_rows(str(out))
+    assert len(rows) == 12
+    assert {(r["kind"], r["n"], r["seed"]) for r in rows} == {("scheduling-unrelated", "4", "5")}
 
 
 def test_cli_bfs_depth_cap_and_lr_bounding(tmp_path):
@@ -249,6 +287,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
     assert "must be a JSON object" in capsys.readouterr().err
+    # a key with a value of the wrong type or range, or an unknown key
+    for key, value in (("jobs", '"x"'), ("node_limit", "2.5"), ("base_seed", "1.5"),
+                       ("oracle_budget", '"a"'), ("node_limt", "10")):
+        config.write_text('{"kind": "knapsack", "pairs": [[5, 2]], "ratios": ["9/10"],'
+                          f' "instances_per_pair": 1, "{key}": {value}}}')
+        assert main(["experiment", "--config", str(config),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert key in capsys.readouterr().err
+    assert main(["experiment", "--kind", "knapsack", "--pairs", "5x2", "--ratios", "9/10",
+                 "--jobs", "-3", "--out", str(tmp_path / "o.csv")]) == 2
+    assert "jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
     # a results CSV without the columns summarize reads
     results = tmp_path / "results.csv"
     results.write_text("kind,n,m\nknapsack,5,2\n")

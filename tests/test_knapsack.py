@@ -45,7 +45,6 @@ def test_dantzig_worked_example():
         (1, 1): rat(4, 5),
     }
     assert sub_value(grid, sol) == 92
-    assert sol.critical_items == (0, 1)
     assert sol.best_critical == 0
     # item 0 (w=6) fits in no knapsack, so the best *feasible* candidate is
     # item 1 alone; its value still covers the (m+1)-approximation bound
@@ -65,7 +64,7 @@ def test_dantzig_single_item_integral():
     inst = KnapsackInstance((rat(3),), (rat(10),), (rat(5),))
     grid, sol = dantzig_whole(inst)
     assert not sol.fractional
-    assert sol.critical_items == ()
+    assert sol.best_critical is None
     assert sol.int_assignment == {0: 0}
     assert int_value(grid, sol) == sub_value(grid, sol) == 10
 
@@ -76,7 +75,7 @@ def test_dantzig_item_wider_than_merge():
     inst = KnapsackInstance((rat(12),), (rat(36),), (rat(5), (rat(5))))
     grid, sol = dantzig_whole(inst)
     assert sub_value(grid, sol) == 36 * rat(10, 12)
-    assert sol.critical_items == (0,)
+    assert sol.best_critical == 0
     assert sol.int_assignment == {} and int_value(grid, sol) == 0
 
 

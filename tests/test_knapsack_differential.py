@@ -21,7 +21,7 @@ from bnbapprox import knapsack
 from bnbapprox.engine import Criterion, Selection, run
 from bnbapprox.instances import KnapsackInstance, generate
 from bnbapprox.knapsack import DantzigSolution, KnapsackAdapter, KnapsackGrid, dantzig_solve
-from bnbapprox.rational import Rat, rat
+from bnbapprox.rational import Rat, grid_scale, rat
 from guarantees import int_value, reference_unit_profit_order, sub_value
 
 
@@ -135,11 +135,15 @@ def assert_same(grid: KnapsackGrid, got: DantzigSolution, want: ReferenceSolutio
     assert type(got.line_profit) is int and type(got.int_profit) is int
     assert sub_value(grid, got) == want.sub_value
     assert (None if got.split is None else got.split[0]) == want.split_item
-    assert got.critical_items == want.critical_items
     assert got.best_critical == want.best_critical
     assert list(got.int_assignment.items()) == list(want.int_assignment.items())
     assert int_value(grid, got) == want.int_value
     assert got.fractional is want.fractional
+
+
+def weight_scale(inst) -> int:
+    """Dw, the lcm scale that puts the weights and capacities on integers."""
+    return grid_scale((*inst.weights, *inst.capacities))
 
 
 def assert_kernel_matches(inst, items=None, caps=None) -> None:
@@ -150,7 +154,7 @@ def assert_kernel_matches(inst, items=None, caps=None) -> None:
         items = range(inst.n)
     if caps is None:
         caps = inst.capacities
-    scaled = [c * grid.w_scale for c in caps]
+    scaled = [c * weight_scale(inst) for c in caps]
     assert all(c.denominator == 1 for c in scaled)
     assert_same(grid, dantzig_solve(grid, items, tuple(int(c) for c in scaled)),
                 reference_dantzig_solve(inst, items, caps))
@@ -198,7 +202,7 @@ def _random_case(rnd):
     call_caps = None
     if rnd.random() < 0.5:
         # residual capacities, as a node has them: anywhere on the weight grid
-        dw = KnapsackGrid.build(inst).w_scale
+        dw = weight_scale(inst)
         call_caps = tuple(
             Fraction(0) if rnd.random() < 0.2 else Fraction(rnd.randint(0, 40 * dw), dw)
             for _ in range(m)
@@ -294,21 +298,22 @@ def test_every_subproblem_the_adapter_bounds(rule, monkeypatch):
     # bound made one kernel call
     for (adapter, state, info), (grid, items, caps, sol) in zip(states, recorded):
         inst = adapter.inst
+        dw = weight_scale(inst)
         assert grid is adapter.grid and sol is state.sol and caps == state.caps
         fixed = sum((inst.profits[j] for j in state.fixed_assign), start=rat(0))
         assert Fraction(state.fixed_profit, grid.p_scale) == fixed
         for k, cap in enumerate(state.caps):
             used = sum((inst.weights[j] for j, kk in state.fixed_assign.items() if kk == k),
                        start=rat(0))
-            assert Fraction(cap, grid.w_scale) == inst.capacities[k] - used
+            assert Fraction(cap, dw) == inst.capacities[k] - used
         # bounds are exact ints in units of 1/bound_scale
         assert type(info.lb) is int
         assert Fraction(info.lb, adapter.bound_scale) == fixed + int_value(grid, sol)
         assert type(info.ub) is int
         assert Fraction(info.ub, adapter.bound_scale) == fixed + sub_value(grid, sol)
-        rat_caps = tuple(Fraction(c, grid.w_scale) for c in caps)
+        rat_caps = tuple(Fraction(c, dw) for c in caps)
         assert_same(grid, sol, reference_dantzig_solve(inst, items, rat_caps))
-        scaled += grid.w_scale != 1 or grid.p_scale != 1
+        scaled += dw != 1 or grid.p_scale != 1
     assert scaled > 0
 
 
@@ -317,7 +322,7 @@ def test_grid_scales():
         (rat(3, 2), rat(5, 4), rat(2)), (rat(9, 2), rat(5, 3), rat(1)), (rat(4, 3),)
     )
     grid = KnapsackGrid.build(inst)
-    assert grid.w_scale == 12 and grid.p_scale == 6
+    assert weight_scale(inst) == 12 and grid.p_scale == 6
     assert grid.weights == (18, 15, 24)
     assert grid.profits == (27, 10, 6)
     assert grid.capacities == (16,)

@@ -5,7 +5,9 @@ somewhere in the package or in solverbench/: by a name or attribute in
 some module's code. Its own definition, an `__all__` entry (a string) and
 an import line do not count, as none of them uses it. And every `__all__`
 entry must name an attribute its module defines, so that a deleted name
-does not linger there.
+does not linger there. Likewise every field of every dataclass in the
+package must be read as an attribute somewhere in the package or in
+solverbench/.
 """
 import ast
 import importlib
@@ -52,6 +54,30 @@ def unused_public_names(root: pathlib.Path) -> list[str]:
     return sorted(name for name in defined if name.split(".")[1] not in used)
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_dataclass_fields(root: pathlib.Path) -> list[str]:
+    """The fields of the dataclasses of root/src/bnbapprox that no module of
+    the package or of root/solverbench reads as an attribute."""
+    package = sorted((root / "src" / "bnbapprox").glob("*.py"))
+    fields, read = [], set()
+    for path in package + sorted((root / "solverbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif path in package and isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += [f"{path.stem}.{node.name}.{item.target.id}" for item in node.body
+                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    return sorted(name for name in fields if name.rsplit(".", 1)[1] not in read)
+
+
 def test_no_public_helper_is_used_only_by_the_tests():
     assert unused_public_names(ROOT) == []
 
@@ -63,3 +89,7 @@ def test_every_export_is_defined():
         module = importlib.import_module(name)
         stale += [f"{name}.{e}" for e in getattr(module, "__all__", ()) if not hasattr(module, e)]
     assert stale == []
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    assert unread_dataclass_fields(ROOT) == []
