@@ -14,9 +14,15 @@ Bound conventions: for maximization `lb` is the value of the feasible
 solution carried in BoundInfo.solution and `ub` the relaxation bound; for
 minimization the roles swap. Both are exact numbers in units of
 1/`bound_scale`, an integer the adapter declares once per run (default 1):
-an adapter whose bounds all lie on one grid returns them as plain ints, and
-the engine keys its heaps, prunes, checks monotonicity and tests the
-stopping ratio on the values as given. `RunResult` is in instance units:
+an adapter whose bounds all lie on one grid returns them as plain ints.
+
+`run` minimizes whatever the adapter's sense. With sign = +1 for
+minimization and -1 for maximization, a node's key is its relaxation bound
+times sign (`lb`, or `-ub`) and the incumbent is the best solution value
+times sign (`ub`, or `-lb`). The run orders its bound heap, prunes, checks
+monotonicity (a child's key is never below its parent's) and keeps the
+global bound on those keys; it multiplies a value back by sign only for
+the stopping test and for the `RunResult`. The result is in instance units:
 best_value and global_bound are divided by the scale once, on return.
 Children are bounded once, at creation, and the values reused when the
 node is later selected.
@@ -27,6 +33,7 @@ bearing); independent runs may execute concurrently.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -185,7 +192,6 @@ class Node:
     depth: int
     lb: Bound
     ub: Bound
-    right_turn: bool
     left_turns: int
     leaf: bool
     payload: Any
@@ -232,23 +238,6 @@ class BaseAdapter:
         return {}
 
 
-def _bound_key(node: Node, sense: Sense):
-    if sense is Sense.MAX:
-        return (-node.ub, node.id)
-    return (node.lb, node.id)
-
-
-def _selection_key(node: Node, selection: Selection, sense: Sense):
-    if selection is Selection.BEST_FIRST:
-        # HUB: highest upper bound; LLB: lowest lower bound. Ties: lowest id.
-        return _bound_key(node, sense)
-    if selection is Selection.DFS:
-        # Deepest, most recently inserted first.
-        return (-node.depth, -node.id)
-    # BFS: shallowest, earliest inserted first.
-    return (node.depth, node.id)
-
-
 @dataclass
 class RunResult:
     best_value: Rat
@@ -283,6 +272,11 @@ def run(
 ) -> RunResult:
     """Run the branch-and-bound loop to termination.
 
+    The loop minimizes one key per node (see the module docstring): it
+    prunes a child whose key is not below the incumbent, and best-first
+    takes the lowest key, ties to the lowest id. DFS takes the newest open
+    node and BFS the oldest.
+
     nodes_explored counts bounded nodes (one relaxation solve each, the
     unit the node cap applies to); nodes_processed counts nodes actually
     selected and expanded, the quantity the tree-size guarantees speak
@@ -290,81 +284,78 @@ def run(
     reached (best solution so far is returned), or the frontier empties.
     A subtree can also be left unresolved: a parent whose expansion the
     node cap cuts short, a child `admit` rejects, a non-leaf whose `branch`
-    returns no children. The run keeps the best key over those, and
-    global_bound is the better of the incumbent, the best frontier key and
+    returns no children. The run keeps the lowest key over those, and
+    global_bound is the lowest of the incumbent, the frontier's keys and
     that key: it never lies on the wrong side of best_value or of the
     optimum. The stopping test reads the incumbent and the frontier only.
     """
     sense = adapter.sense
+    sign, side, past = (1, "lb", "below") if sense is Sense.MIN else (-1, "ub", "above")
     scale = adapter.bound_scale
 
     def unscaled(value: Bound) -> Rat:
         return Fraction(value, scale)
 
+    def minimized(info: BoundInfo, node_id: int) -> tuple[Bound, Bound]:
+        """A bounded node's key and incumbent candidate: (lb, ub) when
+        minimizing, (-ub, -lb) when maximizing."""
+        if info.lb > info.ub:
+            where = f"node {node_id}:" if node_id else "root has"
+            raise AdapterContractError(
+                f"{where} lb > ub (lb {unscaled(info.lb)}, ub {unscaled(info.ub)})"
+            )
+        return (info.lb, info.ub) if sign == 1 else (-info.ub, -info.lb)
+
     root_payload = adapter.root_payload()
     rootb = adapter.bound(root_payload)
-    if rootb.lb > rootb.ub:
-        raise AdapterContractError(
-            f"root has lb > ub (lb {unscaled(rootb.lb)}, ub {unscaled(rootb.ub)})"
-        )
+    root_key, incumbent = minimized(rootb, 0)
     root = Node(
         id=0,
         parent=None,
         depth=0,
         lb=rootb.lb,
         ub=rootb.ub,
-        right_turn=False,
         left_turns=0,
         leaf=rootb.leaf,
         payload=root_payload,
     )
     explored = 1
     processed = 0
-    incumbent_value = root.lb if sense is Sense.MAX else root.ub
     incumbent_solution = rootb.solution
     explored_at_improve = explored
     max_depth = 0
     left_turn_max = 0
     next_id = 1
 
-    # Node keys never change once a node is inserted, so every selection
-    # heap entry is live. Best-first selects by its bound key and needs one
-    # heap; DFS and BFS keep a bound heap and drop the entries of nodes that
-    # selection has already taken when they reach its top.
-    frontier: dict[int, Node] = {0: root}
-    select_heap: list[tuple] = [(_selection_key(root, selection, sense), 0)]
-    if selection is Selection.BEST_FIRST:
-        bound_heap = select_heap
-    else:
-        bound_heap = [(_bound_key(root, sense), 0)]
+    # The frontier maps each open id to its node and key, and the bound
+    # heap holds (key, id) of every open node: best-first pops its top.
+    # DFS and BFS take ids from a deque in insertion order, and the bound
+    # heap drops the entries of nodes they have taken when those reach its
+    # top. The node taken is the deepest (DFS) or the shallowest (BFS) open
+    # node, so its children are at least as deep as every open node and
+    # newer than all of them: the deque stays sorted by (depth, id), its
+    # newest end is the (-depth, -id) minimum and its oldest end the
+    # (depth, id) minimum.
+    frontier: dict[int, tuple[Node, Bound]] = {0: (root, root_key)}
+    bound_heap: list[tuple[Bound, int]] = [(root_key, 0)]
+    queue: deque[int] | None = None
+    if selection is not Selection.BEST_FIRST:
+        queue = deque([0])
+        take = queue.pop if selection is Selection.DFS else queue.popleft
     adapter.on_insert(root)
 
     def frontier_bound() -> Bound | None:
         while bound_heap and bound_heap[0][1] not in frontier:
             heapq.heappop(bound_heap)
-        if not bound_heap:
-            return None
-        node = frontier[bound_heap[0][1]]
-        return node.ub if sense is Sense.MAX else node.lb
+        return bound_heap[0][0] if bound_heap else None
 
     def best_of(*keys: Bound | None) -> Bound:
         # a pruned node is no better than the incumbent, and the frontier's
         # keys date from when their nodes were bounded: the incumbent can
         # have moved past them since
-        live = [key for key in keys if key is not None]
-        return max(live) if sense is Sense.MAX else min(live)
+        return min(key for key in keys if key is not None)
 
-    unresolved: Bound | None = None  # best key over subtrees left unresolved
-
-    def leave_unresolved(node: Node) -> None:
-        nonlocal unresolved
-        unresolved = best_of(unresolved, node.ub if sense is Sense.MAX else node.lb)
-
-    def pop_selected() -> Node:
-        return frontier.pop(heapq.heappop(select_heap)[1])
-
-    def improves(candidate: Bound, reference: Bound) -> bool:
-        return candidate > reference if sense is Sense.MAX else candidate < reference
+    unresolved: Bound | None = None  # lowest key over subtrees left unresolved
 
     termination = None
     while termination is None:
@@ -372,26 +363,26 @@ def run(
         if gb is None:
             termination = FRONTIER_EMPTY
             break
-        if should_stop(incumbent_value, best_of(gb, incumbent_value), criterion, sense):
+        if should_stop(sign * incumbent, sign * best_of(gb, incumbent), criterion, sense):
             termination = RATIO_MET
             break
         if node_limit is not None and explored >= node_limit:
             termination = NODE_LIMIT
             break
 
-        v = pop_selected()
+        v, v_key = frontier.pop(heapq.heappop(bound_heap)[1] if queue is None else take())
         processed += 1
         if v.leaf:
             continue
-        incumbent_start = incumbent_value
+        incumbent_start = incumbent
         updates: list[tuple[Bound, Any]] = []
         children = adapter.branch(v)
         if not children:
-            leave_unresolved(v)
+            unresolved = best_of(unresolved, v_key)
         for spec in children:
             if node_limit is not None and explored >= node_limit:
                 # the children not bounded yet lie in v's subtree
-                leave_unresolved(v)
+                unresolved = best_of(unresolved, v_key)
                 termination = NODE_LIMIT
                 break
             cb = adapter.bound(spec.payload)
@@ -402,56 +393,41 @@ def run(
                 depth=v.depth + 1,
                 lb=cb.lb,
                 ub=cb.ub,
-                right_turn=spec.right_turn,
                 left_turns=v.left_turns + (0 if spec.right_turn else 1),
                 leaf=cb.leaf,
                 payload=spec.payload,
             )
             next_id += 1
-            if child.lb > child.ub:
+            key, candidate = minimized(cb, child.id)
+            if key < v_key:
                 raise AdapterContractError(
-                    f"node {child.id}: lb > ub (lb {unscaled(child.lb)}, ub {unscaled(child.ub)})"
-                )
-            if sense is Sense.MAX and child.ub > v.ub:
-                raise AdapterContractError(
-                    f"node {child.id}: child ub {unscaled(child.ub)} above parent ub "
-                    f"{unscaled(v.ub)}"
-                )
-            if sense is Sense.MIN and child.lb < v.lb:
-                raise AdapterContractError(
-                    f"node {child.id}: child lb {unscaled(child.lb)} below parent lb "
-                    f"{unscaled(v.lb)}"
+                    f"node {child.id}: child {side} {unscaled(getattr(child, side))} {past} "
+                    f"parent {side} {unscaled(getattr(v, side))}"
                 )
             max_depth = max(max_depth, child.depth)
             left_turn_max = max(left_turn_max, child.left_turns)
-            candidate = child.lb if sense is Sense.MAX else child.ub
-            if improves(candidate, incumbent_start):
+            if candidate < incumbent_start:
                 updates.append((candidate, cb.solution))
-            pruned = (
-                child.ub <= incumbent_start
-                if sense is Sense.MAX
-                else child.lb >= incumbent_start
-            )
-            if pruned:
+            if key >= incumbent_start:
                 continue
             if not adapter.admit(child):
-                leave_unresolved(child)
+                unresolved = best_of(unresolved, key)
                 continue
-            frontier[child.id] = child
-            heapq.heappush(select_heap, (_selection_key(child, selection, sense), child.id))
-            if bound_heap is not select_heap:
-                heapq.heappush(bound_heap, (_bound_key(child, sense), child.id))
+            frontier[child.id] = (child, key)
+            heapq.heappush(bound_heap, (key, child.id))
+            if queue is not None:
+                queue.append(child.id)
             adapter.on_insert(child)
         for candidate, solution in updates:
-            if improves(candidate, incumbent_value):
-                incumbent_value = candidate
+            if candidate < incumbent:
+                incumbent = candidate
                 incumbent_solution = solution
                 explored_at_improve = explored
 
     return RunResult(
-        best_value=unscaled(incumbent_value),
+        best_value=unscaled(sign * incumbent),
         best_solution=incumbent_solution,
-        global_bound=unscaled(best_of(frontier_bound(), unresolved, incumbent_value)),
+        global_bound=unscaled(sign * best_of(frontier_bound(), unresolved, incumbent)),
         nodes_explored=explored,
         nodes_processed=processed,
         max_depth=max_depth,

@@ -164,12 +164,12 @@ def uniform_vertex_check(point: LpPoint) -> bool:
 
 def make_longest_fractional(
     point: LpPoint, P: Sequence[Sequence[int]], longest_job: int
-) -> tuple[LpPoint, bool]:
+) -> LpPoint:
     """Swap fractional mass so the longest unfixed job becomes fractional.
 
     P holds uniform machines' times (p_ji / p_Li is the same on every i) on
-    the point's grid. Completion times are preserved exactly. Returns
-    (point, False) unchanged when the job is already fractional or when no
+    the point's grid. Completion times are preserved exactly. Returns the
+    same point object when the job is already fractional or when no
     eligible swap partner exists (every candidate machine would receive the
     long job's mass while p_L on it exceeds the guess). The transformed
     point is checked against the vertex predicate.
@@ -177,7 +177,7 @@ def make_longest_fractional(
     L = longest_job
     frac = point.fractional_jobs
     if L in frac:
-        return point, False
+        return point
     if not frac:
         raise ValueError("transform needs a fractional vertex")
     m1 = point.integral_assignment.get(L)
@@ -192,7 +192,7 @@ def make_longest_fractional(
         None,
     )
     if choice is None:
-        return point, False
+        return point
 
     j, m2 = choice
     x = _swap_mass(point.x, L, j, m1, m2, P)
@@ -208,7 +208,7 @@ def make_longest_fractional(
     new_point = LpPoint(T, x, point.loads, *split_jobs(x, sorted({jj for jj, _ in x})))
     if not uniform_vertex_check(new_point):
         raise LpError("fractional-mass swap broke the vertex predicate")
-    return new_point, True
+    return new_point
 
 
 def _swap_mass(
@@ -271,10 +271,6 @@ class ProfileAdapter(BaseAdapter):
                 round_geometric(Fraction(row[0], R), eps) for row in self.P[: self.big_count]
             ]
         self.rounded_values: set[Rat] = set()
-        self.transforms = 0
-        self.transforms_skipped = 0
-        self.rejected_cube = 0
-        self.rejected_profile = 0
 
     def root_payload(self) -> _SchedState:
         R = self.grid.R  # the root optimum
@@ -287,11 +283,7 @@ class ProfileAdapter(BaseAdapter):
         lb = point.T
         longest = state.jobs[0]  # jobs stay sorted
         if longest not in point.fractional_jobs:
-            point, changed = make_longest_fractional(point, self.P, longest)
-            if changed:
-                self.transforms += 1
-            else:
-                self.transforms_skipped += 1
+            point = make_longest_fractional(point, self.P, longest)
         assignment, ub = round_vertex(point, self.P, state.t, ROUNDING_LST)
         return BoundInfo(lb, ub, {**state.fixed, **assignment}, leaf=False)
 
@@ -316,12 +308,8 @@ class ProfileAdapter(BaseAdapter):
     def admit(self, node: Node) -> bool:
         state: _SchedState = node.payload
         if any(c > self.limit for c in state.t):
-            self.rejected_cube += 1
             return False
-        if (node.depth, self._profile_key(state)) in self.seen:
-            self.rejected_profile += 1
-            return False
-        return True
+        return (node.depth, self._profile_key(state)) not in self.seen
 
     def on_insert(self, node: Node) -> None:
         key = self._profile_key(node.payload)
@@ -336,13 +324,7 @@ class ProfileAdapter(BaseAdapter):
             self.rounded_values.update(v for v, _ in key if v != 0)
 
     def extras(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "level_inserted": dict(self.level_inserted),
-            "transforms": self.transforms,
-            "transforms_skipped": self.transforms_skipped,
-            "rejected_out_of_cube": self.rejected_cube,
-            "rejected_profile": self.rejected_profile,
-        }
+        out: dict[str, Any] = {"level_inserted": dict(self.level_inserted)}
         if self.mode == "equivalence":
             out["distinct_rounded_values"] = len(self.rounded_values)
             out["big_jobs"] = self.big_count

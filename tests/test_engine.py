@@ -1,3 +1,8 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
 from bnbapprox.algorithms import solve
@@ -8,12 +13,10 @@ from bnbapprox.engine import (
     ChildSpec,
     Criterion,
     DegenerateBoundError,
-    Node,
     Selection,
     Sense,
     Strategy,
     StrategyError,
-    _selection_key,
     run,
     should_stop,
     valid_strategies,
@@ -21,39 +24,6 @@ from bnbapprox.engine import (
 from bnbapprox.experiments import ExperimentConfig, run_experiment
 from bnbapprox.instances import generate
 from bnbapprox.rational import parse_rat, rat
-
-
-def _node(nid, depth, lb, ub):
-    return Node(nid, None, depth, rat(lb), rat(ub), False, 0, False, None)
-
-
-def _select_next(frontier, selection, sense):
-    # the node the engine's selection heap pops first
-    return min(frontier, key=lambda n: _selection_key(n, selection, sense))
-
-
-def test_select_best_first_max_picks_highest_ub():
-    frontier = [_node(1, 1, 0, 10), _node(2, 1, 0, 12)]
-    picked = _select_next(frontier, Selection.BEST_FIRST, Sense.MAX)
-    assert picked.id == 2
-
-
-def test_select_best_first_min_tie_lowest_id():
-    frontier = [_node(5, 1, 4, 9), _node(3, 1, 4, 9)]
-    picked = _select_next(frontier, Selection.BEST_FIRST, Sense.MIN)
-    assert picked.id == 3
-
-
-def test_select_dfs_last_inserted_first():
-    c1, c2, c3 = (_node(i, 1, 0, 5) for i in (1, 2, 3))
-    picked = _select_next([c1, c2, c3], Selection.DFS, Sense.MAX)
-    assert picked.id == 3
-
-
-def test_select_bfs_shallowest_earliest():
-    nodes = [_node(4, 2, 0, 5), _node(6, 1, 0, 5), _node(7, 1, 0, 5)]
-    picked = _select_next(nodes, Selection.BFS, Sense.MAX)
-    assert picked.id == 6
 
 
 def test_should_stop_boundaries():
@@ -154,6 +124,72 @@ def test_run_monotonicity_audit():
         run(_TreeAdapter(tree), Selection.BEST_FIRST, Criterion("ratio-alpha", rat(1, 2)))
 
 
+# the order each selection documents, minimized over the open nodes
+ORDERS = {
+    (Selection.BEST_FIRST, Sense.MAX): lambda node: (-node.ub, node.id),
+    (Selection.BEST_FIRST, Sense.MIN): lambda node: (node.lb, node.id),
+    (Selection.DFS, Sense.MAX): lambda node: (-node.depth, -node.id),
+    (Selection.DFS, Sense.MIN): lambda node: (-node.depth, -node.id),
+    (Selection.BFS, Sense.MAX): lambda node: (node.depth, node.id),
+    (Selection.BFS, Sense.MIN): lambda node: (node.depth, node.id),
+}
+
+
+class _RandomTreeAdapter(BaseAdapter):
+    """A random tree grown as the run branches: no leaves, fan-out 0 to 3,
+    and bounds that tighten monotonically and tie often. It keeps the open
+    nodes from `on_insert` and checks at every `branch` that the run took
+    their minimum under `order`."""
+
+    def __init__(self, sense, order, rnd):
+        self.sense = sense
+        self.order = order
+        self.rnd = rnd
+        self.open = {}
+        self.branched = 0
+
+    def root_payload(self):
+        return (10, 50)
+
+    def bound(self, payload):
+        return BoundInfo(*payload, payload, leaf=False)
+
+    def on_insert(self, node):
+        self.open[node.id] = node
+
+    def branch(self, node):
+        assert min(self.open.values(), key=self.order) is node
+        del self.open[node.id]
+        self.branched += 1
+        lb, ub = node.payload
+        children = []
+        for _ in range(self.rnd.randint(0, 3)):
+            # the bound side moves by 0 to 2, the solution side by 0 to 5
+            if self.sense is Sense.MAX:
+                child_ub = ub - self.rnd.randint(0, 2)
+                bounds = (min(lb + self.rnd.randint(0, 5), child_ub), child_ub)
+            else:
+                child_lb = lb + self.rnd.randint(0, 2)
+                bounds = (child_lb, max(ub - self.rnd.randint(0, 5), child_lb))
+            children.append(ChildSpec(self.rnd.random() < 0.5, bounds))
+        return children
+
+
+def test_run_takes_nodes_in_the_documented_order():
+    # best-first: highest ub (max) or lowest lb (min), ties to the lowest
+    # id; DFS: deepest, newest first; BFS: shallowest, oldest first
+    branched = 0
+    for (selection, sense), order in ORDERS.items():
+        criterion = (Criterion("ratio-alpha", rat(999, 1000)) if sense is Sense.MAX
+                     else Criterion("ratio-eps", rat(1, 1000)))
+        for seed in range(40):
+            rnd = random.Random(seed)
+            adapter = _RandomTreeAdapter(sense, order, rnd)
+            run(adapter, selection, criterion, node_limit=rnd.randint(5, 80))
+            branched += adapter.branched
+    assert branched >= 1000
+
+
 def test_run_prunes_equal_bound_children():
     # child with ub == incumbent cannot improve and is discarded
     tree = {
@@ -194,3 +230,24 @@ def test_sweep_bounds_lie_on_the_certified_side(kind, pairs, ratio):
     for row in rows:
         value, bound = parse_rat(row["best_value"]), parse_rat(row["global_bound"])
         assert (bound >= value if kind == "knapsack" else bound <= value), row
+
+
+def test_engine_contract_checks_under_optimize_flag():
+    # `python -O` strips assert statements; the engine's contract errors and
+    # its selection order must not depend on them
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(here), "src") + os.pathsep + env.get(
+        "PYTHONPATH", ""
+    )
+    tests = [
+        f"{here}/test_engine.py::test_run_monotonicity_audit",
+        f"{here}/test_engine.py::test_run_takes_nodes_in_the_documented_order",
+        f"{here}/test_bound_scale.py::test_contract_errors_print_unscaled_bounds",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "6 passed" in proc.stdout
