@@ -190,6 +190,60 @@ def test_run_takes_nodes_in_the_documented_order():
     assert branched >= 1000
 
 
+class _OrderAdapter(_TreeAdapter):
+    """`_TreeAdapter` in either sense that records the `name` of each node
+    it branches."""
+
+    def __init__(self, tree, sense):
+        super().__init__(tree)
+        self.sense = sense
+        self.branched = []
+
+    def branch(self, node):
+        self.branched.append(node.payload["name"])
+        return super().branch(node)
+
+
+def _branch_order(tree, selection, sense=Sense.MAX):
+    criterion = (Criterion("ratio-alpha", rat(999, 1000)) if sense is Sense.MAX
+                 else Criterion("ratio-eps", rat(1, 1000)))
+    adapter = _OrderAdapter(tree, sense)
+    run(adapter, selection, criterion)
+    return adapter.branched
+
+
+def _inner(name, lb, ub, dead_lb, dead_ub, children=()):
+    # a node that is branched; without children of its own it gets one
+    # leaf that the incumbent prunes
+    return {"name": name, "lb": lb, "ub": ub,
+            "children": list(children) or [{"lb": dead_lb, "ub": dead_ub}]}
+
+
+def test_select_best_first_max_picks_highest_ub():
+    tree = _inner("r", 0, 20, 0, 0, [_inner("a", 0, 10, 0, 0), _inner("b", 0, 12, 0, 0)])
+    assert _branch_order(tree, Selection.BEST_FIRST) == ["r", "b", "a"]
+
+
+def test_select_best_first_min_tie_lowest_id():
+    # equal bounds: the child inserted first (lower id) is branched first
+    tree = _inner("r", 1, 20, 9, 9, [_inner("a", 4, 9, 9, 9), _inner("b", 4, 9, 9, 9)])
+    assert _branch_order(tree, Selection.BEST_FIRST, Sense.MIN) == ["r", "a", "b"]
+
+
+def test_select_dfs_last_inserted_first():
+    tree = _inner("r", 0, 20, 0, 0, [_inner(name, 0, 5, 0, 0) for name in "abc"])
+    assert _branch_order(tree, Selection.DFS) == ["r", "c", "b", "a"]
+
+
+def test_select_bfs_shallowest_earliest():
+    # after a, the open nodes are b (depth 1) and a's child (depth 2)
+    tree = _inner("r", 0, 20, 0, 0, [
+        _inner("a", 0, 5, 0, 0, [_inner("a1", 0, 5, 0, 0)]),
+        _inner("b", 0, 5, 0, 0),
+    ])
+    assert _branch_order(tree, Selection.BFS) == ["r", "a", "b", "a1"]
+
+
 def test_run_prunes_equal_bound_children():
     # child with ub == incumbent cannot improve and is discarded
     tree = {
