@@ -172,7 +172,8 @@ def dantzig_solve(
             free_profit += P[j]
             continue
         if crossed == m:
-            continue  # beyond the end of the line: no coordinate, not critical
+            # beyond the end of the line, as is every later item (zero weights come first)
+            break
         start = cursor
         end = cursor = start + w
         k = seg

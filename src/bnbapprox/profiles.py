@@ -7,12 +7,13 @@ nodes of a tree level share the same fixed job set. Any partial schedule
 whose completion-time vector (its *profile*, the node's overhead vector)
 leaves the cube [0, 2(1+eps)^2]^m can be discarded outright.
 
-normalize runs the one root search on the instance's grid (R, see
-scheduling.SchedGrid), finds the optimum K/R and returns the sorted data on
-the smallest grid of the normalized data, R' = K/h with h = gcd(K, all data
-on R). The adapter's bounds are ints in units of 1/R'; its thresholds (cube
-limit, cell side, big-job cut, geometric rounding) go on R' once, and the
-root is bounded at the one guess R', the normalized 1: a single LP solve.
+normalize sorts the jobs, runs the one root search on the instance's grid
+(R, see scheduling.SchedGrid), finds the optimum K/R and returns the sorted
+data on the smallest grid of the normalized data, R' = K/h with h = gcd(K,
+all data on R), and the root's vertex on it. The adapter's bounds are ints
+in units of 1/R'; its thresholds (cube limit, cell side, big-job cut,
+geometric ladder) go on R' once, and the root, bounded at the one guess R'
+(the normalized 1), takes normalize's vertex: it makes no LP solve.
 
 Nodes and children are the unrelated scheme's (scheduling._SchedState,
 scheduling.fix_job); ProfileAdapter adds only the pivot (the first of the
@@ -29,6 +30,11 @@ order is immaterial) is the node's key; a level keeps one node per key.
 Jobs shorter than eps are *small*: they are never branched on (rounding a
 vertex whose fractional jobs are all small costs at most eps extra, which
 the stopping rule absorbs), so branching stops at the number of big jobs.
+The ladder and the keys are ints: with eps = a/b, rung k is
+a(a+b)^k / b^(k+1) (geometric_rungs), which the adapter keeps as
+a(a+b)^k b^(K-k), over the top rung K's denominator; a key is the sorted
+tuple of the machines' integer sums, equal to another exactly when their
+rational multisets are.
 
 The longest-unfixed-job pivot is justified by a vertex transform: when a
 vertex assigns the longest unfixed job integrally, fractional mass can be
@@ -80,7 +86,7 @@ if TYPE_CHECKING:
 __all__ = [
     "normalize",
     "similarity_cell",
-    "round_geometric",
+    "geometric_rungs",
     "uniform_vertex_check",
     "make_longest_fractional",
     "ProfileAdapter",
@@ -95,23 +101,30 @@ __all__ = [
 PROFILE_TAGS = ("LJ", "BS", ROUNDING_LST)
 
 
-def normalize(inst: SchedulingInstance) -> tuple[SchedGrid, Rat, tuple[int, ...]]:
+def normalize(inst: SchedulingInstance) -> tuple[SchedGrid, Rat, tuple[int, ...], LpPoint]:
     """The instance in units of its root parametric optimum K/R, its jobs
     sorted by decreasing processing time (ties by id).
 
     Returns the sorted instance on the grid R' = K/h (see the module
     docstring), at whose guess R' the root's load LP is feasible; the
-    scale K/R, by which reported makespans multiply back; and the order
-    (position -> job). Only uniform/identical instances are accepted.
+    scale K/R, by which reported makespans multiply back; the order
+    (position -> job); and the root's vertex on R'. The search runs on the
+    sorted grid R, and its LP at K is the LP at R' on R' with every load
+    row multiplied by h: the same pivots and x, the loads divided by h.
+    Only uniform/identical instances are accepted.
     """
     if inst.kind not in (UNIFORM, IDENTICAL):
         raise InstanceError("normalization applies to uniform or identical instances")
     grid = SchedGrid.build(inst)
-    K = min_feasible_T(grid, grid.t, range(inst.n)).T
-    h = math.gcd(K, *grid.t, *itertools.chain(*grid.P))
     order = tuple(sorted(range(inst.n), key=lambda j: (-grid.P[j][0], j)))
-    P = tuple([tuple([p // h for p in grid.P[j]]) for j in order])
-    return SchedGrid(K // h, P, tuple([v // h for v in grid.t])), Fraction(K, grid.R), order
+    P = [grid.P[j] for j in order]
+    point = min_feasible_T(SchedGrid(grid.R, tuple(P), grid.t), grid.t, range(inst.n))
+    K = point.T
+    h = math.gcd(K, *grid.t, *itertools.chain(*P))
+    P = tuple([tuple([p // h for p in row]) for row in P])
+    loads = tuple([Fraction(v, h) for v in point.loads])
+    root = LpPoint(K // h, point.x, loads, point.fractional_jobs, point.integral_assignment)
+    return SchedGrid(K // h, P, tuple([v // h for v in grid.t])), Fraction(K, grid.R), order, root
 
 
 def cube_limit(eps: Rat) -> Rat:
@@ -130,16 +143,20 @@ def similarity_level_bound(n: int, eps: Rat, m: int) -> Rat:
     return (3 * n * (1 + eps) ** 2 / eps) ** m
 
 
-def round_geometric(x: Rat, eps: Rat) -> Rat:
-    """Largest eps*(1+eps)^k (integer k >= 0) not exceeding x."""
-    x, eps = rat(x), rat(eps)
-    if x < eps:
-        raise ValueError("geometric rounding is defined for x >= eps")
-    value = eps
-    step = 1 + eps
-    while value * step <= x:
-        value *= step
-    return value
+def geometric_rungs(eps: Rat, top: int, R: int) -> list[tuple[int, int]]:
+    """The rungs eps*(1+eps)^k (k = 0, 1, ...) up to top/R, each as
+    (a*(a+b)^k, b^(k+1)) for eps = a/b in lowest terms: rung k lies at or
+    below p/R exactly when a*(a+b)^k * R <= p * b^(k+1)."""
+    if eps <= 0:
+        raise ValueError("geometric rounding needs eps > 0")
+    a, b = eps.numerator, eps.denominator
+    num, den = a, b
+    rungs = []
+    while num * R <= top * den:
+        rungs.append((num, den))
+        num *= a + b
+        den *= b
+    return rungs
 
 
 def uniform_vertex_check(point: LpPoint) -> bool:
@@ -236,7 +253,10 @@ def _swap_mass(
 class ProfileAdapter(BaseAdapter):
     """Shared skeleton; mode "similarity" (uniform) or "equivalence" (identical).
     Runs on normalize(inst): job order[k] is position k, values times scale
-    are in the instance's units."""
+    are in the instance's units. The payload of the latest root_payload call
+    is bounded with normalize's vertex; every other payload runs
+    min_feasible_T from its parent's bound. Keys (cells, or sorted sums of
+    rungs) and the level width bound are ints."""
 
     sense = Sense.MIN
 
@@ -250,7 +270,7 @@ class ProfileAdapter(BaseAdapter):
             raise ValueError("similarity pruning needs 0 < eps < 1")
         if mode == "equivalence" and not 0 < eps <= 1:
             raise ValueError("equivalence pruning needs 0 < eps <= 1")
-        self.grid, self.scale, self.order = normalize(inst)
+        self.grid, self.scale, self.order, self._root_point = normalize(inst)
         R = self.bound_scale = self.grid.R
         self.mode = mode
         self.P = self.grid.P
@@ -262,22 +282,36 @@ class ProfileAdapter(BaseAdapter):
         self.cell_side = eps * R / self.n
         self.seen: set[tuple[int, Any]] = set()
         self.level_inserted: Counter = Counter()
-        self.level_bound = similarity_level_bound(self.n, eps, self.m)
+        # a level's int count exceeds the bound exactly when it exceeds its floor
+        self.level_bound = floor_div(similarity_level_bound(self.n, eps, self.m), 1)
         if mode == "equivalence":
-            # identical machines: column 0 holds every job's time; the big
-            # jobs come first, and branching stops before the first small one
-            self.big_count = sum(1 for row in self.P if row[0] >= eps * R)
-            self.rounded = [
-                round_geometric(Fraction(row[0], R), eps) for row in self.P[: self.big_count]
-            ]
-        self.rounded_values: set[Rat] = set()
+            # identical machines: column 0 holds every job's time, longest
+            # first; walk the ladder down to each job's rung (see the module
+            # docstring). Branching stops before the first small job.
+            rungs = geometric_rungs(eps, self.P[0][0], R)
+            common = rungs[-1][1] if rungs else 1
+            self.rounded: list[int] = []
+            k = len(rungs) - 1
+            for row in self.P:
+                while k >= 0 and rungs[k][0] * R > row[0] * rungs[k][1]:
+                    k -= 1
+                if k < 0:
+                    break
+                self.rounded.append(rungs[k][0] * (common // rungs[k][1]))
+            self.big_count = len(self.rounded)
+        self.rounded_values: set[int] = set()
+        self._root: _SchedState | None = None
 
     def root_payload(self) -> _SchedState:
         R = self.grid.R  # the root optimum
-        return _SchedState(tuple(range(self.n)), self.grid.t, {}, lo_hint=R)
+        self._root = _SchedState(tuple(range(self.n)), self.grid.t, {}, lo_hint=R)
+        return self._root
 
     def bound(self, state: _SchedState) -> BoundInfo:
-        point = min_feasible_T(self.grid, state.t, state.jobs, lo_hint=state.lo_hint)
+        if state is self._root:
+            point = self._root_point  # min_feasible_T's answer here, found by normalize
+        else:
+            point = min_feasible_T(self.grid, state.t, state.jobs, lo_hint=state.lo_hint)
         if not point.fractional_jobs:
             return _integral_leaf(self.grid, state, point)
         lb = point.T
@@ -300,10 +334,10 @@ class ProfileAdapter(BaseAdapter):
     def _profile_key(self, state: _SchedState):
         if self.mode == "similarity":
             return similarity_cell(state.t, self.cell_side)
-        loads = [rat(0)] * self.m
+        loads = [0] * self.m
         for j, i in state.fixed.items():
             loads[i] += self.rounded[j]
-        return tuple(sorted(Counter(loads).items()))
+        return tuple(sorted(loads))
 
     def admit(self, node: Node) -> bool:
         state: _SchedState = node.payload
@@ -321,7 +355,8 @@ class ProfileAdapter(BaseAdapter):
                     f"level {node.depth} width exceeded the similarity-cell bound"
                 )
         else:
-            self.rounded_values.update(v for v, _ in key if v != 0)
+            self.rounded_values.update(key)
+            self.rounded_values.discard(0)
 
     def extras(self) -> dict[str, Any]:
         out: dict[str, Any] = {"level_inserted": dict(self.level_inserted)}

@@ -391,7 +391,7 @@ def _recorded_load_lps(kind: str) -> tuple[tuple[LinearProgram, tuple], ...]:
             for profile_kind in (UNIFORM, IDENTICAL):
                 inst = generate(profile_kind, 5, 2, 7300 + seed)
                 solve_uniform(inst, rat(1, 10))
-                grid, _, _ = normalize(inst)
+                grid, _, _, _ = normalize(inst)
                 jobs = tuple(range(len(grid.P)))
                 k_min = min_feasible_T(grid, grid.t, jobs).T
                 for k in range(k_min - 3, k_min + 2):

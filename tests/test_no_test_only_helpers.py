@@ -8,6 +8,13 @@ entry must name an attribute its module defines, so that a deleted name
 does not linger there. Likewise every field of every dataclass in the
 package must be read as an attribute somewhere in the package or in
 solverbench/.
+
+A field read is matched by its name only: the AST does not say which class
+an attribute's receiver is, so a read of `x.parent` counts for every field
+called `parent`, whatever x is. A field that shares its name with a field
+of another class, or with any other attribute read in the package (say
+`Path.parent`), can go unread without this check seeing it; the limit is
+the price of a check that needs no type inference.
 """
 import ast
 import importlib
@@ -64,7 +71,8 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 def unread_dataclass_fields(root: pathlib.Path) -> list[str]:
     """The fields of the dataclasses of root/src/bnbapprox that no module of
-    the package or of root/solverbench reads as an attribute."""
+    the package or of root/solverbench reads as an attribute, matched by
+    field name alone (see the module docstring for what that misses)."""
     package = sorted((root / "src" / "bnbapprox").glob("*.py"))
     fields, read = [], set()
     for path in package + sorted((root / "solverbench").glob("*.py")):

@@ -7,19 +7,21 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bnbapprox import profiles
 from bnbapprox.engine import AdapterContractError, Criterion, Node, Selection, run
-from bnbapprox.instances import IDENTICAL, UNRELATED, InstanceError, SchedulingInstance
-from bnbapprox.instances import generate
+from bnbapprox.instances import IDENTICAL, UNIFORM, UNRELATED, InstanceError
+from bnbapprox.instances import SchedulingInstance, generate
 from bnbapprox.oracle import exact_opt
 from bnbapprox.scheduling import _SchedState
 from bnbapprox.profiles import (
     ProfileAdapter,
     cube_limit,
+    geometric_rungs,
     make_longest_fractional,
     normalize,
-    round_geometric,
     similarity_cell,
     similarity_level_bound,
     solve_identical,
@@ -36,7 +38,18 @@ from bnbapprox.scheduling import (
 )
 from guarantees import f_bound, reference_fractional_jobs, schedule_makespan
 
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
 SMALL_JOB = "small-job"
+
+
+def reference_ladder(x, eps):
+    """Every rung eps*(1+eps)^k (integer k >= 0) up to x, by Fraction steps."""
+    rungs, value = [], eps
+    while value <= x:
+        rungs.append(value)
+        value *= 1 + eps
+    return rungs
 
 
 def equivalence_key(fixed, base_times, eps, m):
@@ -47,8 +60,23 @@ def equivalence_key(fixed, base_times, eps, m):
     for j, i in fixed.items():
         if base_times[j] < eps:
             return SMALL_JOB
-        loads[i] += round_geometric(base_times[j], eps)
+        loads[i] += reference_ladder(base_times[j], eps)[-1]
     return tuple(sorted(Counter(loads).items()))
+
+
+def round_geometric(x, eps):
+    """x rounded down to the geometric grid: the last rung of the ladder
+    up to x."""
+    rungs = geometric_rungs(eps, x.numerator, x.denominator)
+    if not rungs:
+        raise ValueError("geometric rounding is defined for x >= eps")
+    return Fraction(*rungs[-1])
+
+
+def key_scale(base, eps):
+    """The positive scale of the adapter's integer keys: b^(K+1) for
+    eps = a/b and K the rung of the longest job (1 with no big job)."""
+    return eps.denominator ** len(reference_ladder(base[0], eps)) if base[0] >= eps else 1
 
 
 P332 = ((rat(3), rat(3)), (rat(3), rat(3)), (rat(2), rat(2)))
@@ -64,23 +92,23 @@ def _normalized_base(grid):
 
 
 def test_normalize_worked_example():
-    grid, scale, order = normalize(IDENT332)
+    grid, scale, order, root = normalize(IDENT332)
     assert scale == 4 and order == (0, 1, 2)
     assert grid.R == 4 and grid.P == ((3, 3), (3, 3), (2, 2)) and grid.t == (0, 0)
     assert _normalized_base(grid) == (rat(3, 4), rat(3, 4), rat(1, 2))
     res = min_feasible_T(grid, grid.t, range(3))
-    assert res.T == grid.R  # normalized root bound 1
+    assert res.T == root.T == grid.R  # normalized root bound 1
 
 
 def test_normalize_identity_when_scaled():
     # the normalized data as an instance of its own: a second
     # normalization keeps it, at scale 1
-    grid, _, _ = normalize(IDENT332)
+    grid, _, _, _ = normalize(IDENT332)
     base = _normalized_base(grid)
     norm = SchedulingInstance(
         IDENTICAL, tuple((b, b) for b in base), (rat(0), rat(0)), base, (rat(1), rat(1))
     )
-    again, scale2, order = normalize(norm)
+    again, scale2, order, _ = normalize(norm)
     assert scale2 == 1 and again == grid and order == (0, 1, 2)
 
 
@@ -91,7 +119,7 @@ def test_normalize_sorts_and_divides_by_the_common_factor():
     inst = SchedulingInstance(
         IDENTICAL, tuple((b,) for b in base), (rat(0),), base, (rat(1),)
     )
-    grid, scale, order = normalize(inst)
+    grid, scale, order, _ = normalize(inst)
     assert scale == 15 and order == (2, 1, 0)
     assert grid == SchedGrid(10, ((5,), (4,), (1,)), (0,))
 
@@ -156,13 +184,15 @@ def test_equivalence_key_symmetry_and_small_jobs():
 
 def test_adapter_key_matches_reference_equivalence_key():
     # every node the identical-machines search admits carries the reference
-    # key of its fixed jobs, and no two nodes of one level share a key
+    # key of its fixed jobs, on the adapter's integer scale, and no two
+    # nodes of one level share a key
     checked = 0
     eps = rat(1, 20)
     for seed, selection in itertools.product(range(4), (Selection.BEST_FIRST, Selection.BFS)):
         inst = generate("scheduling-identical", 10, 3, 300 + seed)
         adapter = ProfileAdapter(inst, eps, "equivalence")
         base = _normalized_base(adapter.grid)
+        scale = key_scale(base, eps)
         keys = set()
         insert = adapter.on_insert
 
@@ -170,7 +200,10 @@ def test_adapter_key_matches_reference_equivalence_key():
             nonlocal checked
             state = node.payload
             key = equivalence_key(state.fixed, base, eps, inst.m)
-            assert key != SMALL_JOB and adapter._profile_key(state) == key
+            assert key != SMALL_JOB
+            scaled = sorted(v * scale for v, count in key for _ in range(count))
+            got = adapter._profile_key(state)
+            assert all(type(v) is int for v in got) and list(got) == scaled
             assert (node.depth, key) not in keys
             keys.add((node.depth, key))
             checked += 1
@@ -179,6 +212,110 @@ def test_adapter_key_matches_reference_equivalence_key():
         adapter.on_insert = on_insert
         run(adapter, selection, Criterion("ratio-eps", eps))
     assert checked >= 100
+
+
+_EPS = st.sampled_from((rat(1), rat(1, 2), rat(1, 3), rat(2, 3), rat(3, 4), rat(1, 20)))
+
+
+@st.composite
+def _on_or_near_rungs(draw):
+    """eps and an x >= eps: a rung eps*(1+eps)^k itself, a hair below or
+    above it, or any rational in a range of rungs."""
+    eps = draw(_EPS)
+    rung = eps * (1 + eps) ** draw(st.integers(min_value=0, max_value=12))
+    shift = draw(st.sampled_from((0, 0, -1, 1)))
+    x = rung + shift * rat(1, draw(st.integers(min_value=10**3, max_value=10**9)))
+    if x < eps or draw(st.booleans()):
+        x = eps + rat(draw(st.integers(0, 10**4)), draw(st.integers(1, 500)))
+    return eps, x
+
+
+@PROPERTY
+@given(_on_or_near_rungs())
+@example((rat(1), rat(1)))
+@example((rat(1), rat(4)))
+@example((rat(1, 2), rat(27, 16)))
+def test_geometric_rungs_match_fraction_reference(drawn):
+    eps, x = drawn
+    rungs = geometric_rungs(eps, x.numerator, x.denominator)
+    assert [Fraction(num, den) for num, den in rungs] == reference_ladder(x, eps)
+
+
+@st.composite
+def _identical_instances(draw):
+    """Identical machines with integer base times, often several on one
+    rung after normalization (equal and doubled times)."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    base = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 9, 16, 27)), min_size=1, max_size=9))
+    base = tuple(rat(b) for b in base)
+    return SchedulingInstance(
+        IDENTICAL, tuple((b,) * m for b in base), (rat(0),) * m, base, (rat(1),) * m
+    )
+
+
+@PROPERTY
+@given(_identical_instances(), _EPS)
+@example(SchedulingInstance(IDENTICAL, ((rat(1),), (rat(1),)), (rat(0),),
+                            (rat(1), rat(1)), (rat(1),)), rat(1, 2))
+@example(SchedulingInstance(IDENTICAL, ((rat(2),) * 2, (rat(1),) * 2, (rat(1),) * 2),
+                            (rat(0),) * 2, (rat(2), rat(1), rat(1)), (rat(1),) * 2), rat(1))
+def test_adapter_ladder_matches_fraction_reference(inst, eps):
+    # each big job's rung, as an int over the adapter's one denominator,
+    # is the Fraction reference's rung of its normalized time
+    adapter = ProfileAdapter(inst, eps, "equivalence")
+    base = _normalized_base(adapter.grid)
+    big = [x for x in base if x >= eps]
+    assert adapter.big_count == len(big) and base[: len(big)] == tuple(big)
+    assert all(type(v) is int for v in adapter.rounded)
+    scale = key_scale(base, eps)
+    assert [Fraction(v, scale) for v in adapter.rounded] == [reference_ladder(x, eps)[-1] for x in big]
+
+
+def _pool():
+    """Generated uniform and identical instances, each also with every time
+    multiplied by 6, so that normalize divides by a common factor h > 1."""
+    for kind, n, m in ((UNIFORM, 6, 2), (UNIFORM, 8, 3), (IDENTICAL, 6, 2), (IDENTICAL, 9, 3)):
+        for seed in range(12):
+            inst = generate(kind, n, m, 5100 + seed)
+            yield inst
+            yield SchedulingInstance(
+                kind, tuple(tuple(6 * p for p in row) for row in inst.processing),
+                inst.overheads, tuple(6 * b for b in inst.base_times), inst.speeds,
+            )
+
+
+def test_normalize_hands_the_root_its_vertex():
+    # the point normalize returns is the root LP's on the normalized grid,
+    # at the guess R', exactly: loads are ints and Fractions, never floats
+    for inst in _pool():
+        grid, _, _, root = normalize(inst)
+        want = min_feasible_T(grid, grid.t, range(inst.n), lo_hint=grid.R)
+        assert root.T == want.T == grid.R
+        assert root.x == want.x
+        assert root.loads == want.loads
+        assert all(isinstance(v, (int, Fraction)) for v in root.loads)
+        assert list(root.fractional_jobs.items()) == list(want.fractional_jobs.items())
+        assert list(root.integral_assignment.items()) == list(want.integral_assignment.items())
+
+
+def test_root_bound_reuses_the_normalized_vertex(monkeypatch):
+    # the root payload is bounded with no LP search, and a payload with the
+    # same data that is not the root by one, to the same bound
+    searches = []
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return min_feasible_T(*args, **kwargs)
+
+    monkeypatch.setattr(profiles, "min_feasible_T", counting)
+    for inst in itertools.islice(_pool(), 0, None, 4):
+        adapter = ProfileAdapter(inst, rat(1, 2), "similarity")
+        root = adapter.root_payload()
+        other = _SchedState(root.jobs, root.t, {}, lo_hint=root.lo_hint)
+        searches.clear()
+        want = adapter.bound(other)
+        assert len(searches) == 1
+        assert adapter.bound(root) == want and len(searches) == 1
 
 
 def test_uniform_vertex_check_integral_and_cycle():
@@ -201,13 +338,13 @@ def test_uniform_vertex_check_integral_and_cycle():
 
 def test_uniform_vertex_check_accepts_solver_output():
     for seed in range(30):
-        grid, _, _ = normalize(generate("scheduling-uniform", 6, 2, 400 + seed))
+        grid, _, _, _ = normalize(generate("scheduling-uniform", 6, 2, 400 + seed))
         res = min_feasible_T(grid, grid.t, range(len(grid.P)))
         assert uniform_vertex_check(res)
 
 
 def test_make_longest_fractional_noop_when_already_fractional():
-    grid, _, _ = normalize(IDENT332)
+    grid, _, _, _ = normalize(IDENT332)
     res = min_feasible_T(grid, grid.t, range(3))
     if 0 in res.fractional_jobs:
         assert make_longest_fractional(res, grid.P, 0) is res
@@ -216,7 +353,7 @@ def test_make_longest_fractional_noop_when_already_fractional():
 def test_make_longest_fractional_randomized_search():
     transformed = 0
     for seed in range(200):
-        grid, _, _ = normalize(generate("scheduling-uniform", 5, 2, 800 + seed))
+        grid, _, _, _ = normalize(generate("scheduling-uniform", 5, 2, 800 + seed))
         point = min_feasible_T(grid, grid.t, range(len(grid.P)))
         if not point.fractional_jobs or 0 in point.fractional_jobs:
             continue
@@ -244,7 +381,7 @@ def test_profile_drift_bounds_on_sibling_pairs():
     checked = 0
     for seed in range(12):
         inst = generate("scheduling-uniform", 6, 2, seed)
-        grid, _, _ = normalize(inst)
+        grid, _, _, _ = normalize(inst)
         P, R = grid.P, grid.R
         n, m = inst.n, inst.m
         jobs_left = tuple(range(d, n))
@@ -278,7 +415,7 @@ def test_equivalence_key_ratio_bounds():
     checked = 0
     for seed in range(12):
         inst = generate("scheduling-identical", 6, 3, seed)
-        grid, _, _ = normalize(inst)
+        grid, _, _, _ = normalize(inst)
         P, base = grid.P, _normalized_base(grid)
         n, m = inst.n, inst.m
         if any(base[k] < eps for k in range(d)):
@@ -411,7 +548,7 @@ def _swapped_with_drift(x, L, j, m1, m2, P):
 
 def test_broken_mass_swap_raises(monkeypatch):
     for seed in range(200):
-        grid, _, _ = normalize(generate("scheduling-uniform", 5, 2, 800 + seed))
+        grid, _, _, _ = normalize(generate("scheduling-uniform", 5, 2, 800 + seed))
         point = min_feasible_T(grid, grid.t, range(len(grid.P)))
         if not point.fractional_jobs or 0 in point.fractional_jobs:
             continue

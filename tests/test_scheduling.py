@@ -335,14 +335,16 @@ def _break_integral_guess(monkeypatch):
 
 def _break_profile_integral_guess(monkeypatch):
     inst = SchedulingInstance(UNIFORM, ((rat(7), rat(7)),), T00, (rat(7),), (rat(1), rat(1)))
-    adapter = ProfileAdapter(inst, rat(1, 10), "similarity")  # one job: integral
     search = profiles.min_feasible_T
 
     def lowered(*args, **kwargs):
         point = search(*args, **kwargs)
         return dataclasses.replace(point, T=point.T - 1)
 
+    # the root is bounded with the vertex normalize found, so the search
+    # is lowered before the adapter normalizes the instance
     monkeypatch.setattr(profiles, "min_feasible_T", lowered)
+    adapter = ProfileAdapter(inst, rat(1, 10), "similarity")  # one job: integral
     adapter.bound(adapter.root_payload())
 
 
