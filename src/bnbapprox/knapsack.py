@@ -26,8 +26,8 @@ weights and capacities are scaled by Dw, the lcm of their denominators, and
 profits by Dp, the lcm of theirs (both are 1 on generated data). Residual
 capacities are differences of grid values, so they stay on the grid; every
 comparison of weights, capacities and profits, every fit test and every
-value is an integer operation. The kernel builds a `Rat` only for the
-coordinate ov/w of a split piece in `x_frac`.
+value is an integer operation. The kernel builds no `Rat`, and zero-weight
+items never reach it: the adapter's root fixes them into knapsack 0.
 
 Lw, the lcm of the positive grid weights, puts unit profits on integers:
 p/w times Dp * Lw is P_j * (Lw // W_j), the key of the grid's unit-profit
@@ -64,9 +64,6 @@ __all__ = [
     "KnapsackAdapter",
     "run_knapsack",
 ]
-
-
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -108,12 +105,12 @@ class DantzigSolution:
     """Fractional optimum of the relaxation plus its integer rounding.
 
     Values are integer sums on the grid the kernel ran on (profits over Dp,
-    weights over Dw). order holds the live items in unit-profit order.
-    x_frac holds the nonzero coordinates of the optimal fractional point,
-    keyed by (item, knapsack); fractional tells whether one of them lies
-    strictly between 0 and 1. The point's profit is
-    (line_profit + P_j * inside / W_j) / Dp: line_profit is the profit of
-    the zero-weight items and of the items inside the capacity line, and
+    weights over Dw). order holds the live items in unit-profit order. The
+    optimal point is not built: first_split is the first item of order with
+    a coordinate strictly between 0 and 1 (an overlap with one knapsack
+    strictly between 0 and its weight), None when the point is integral.
+    The point's profit is (line_profit + P_j * inside / W_j) / Dp:
+    line_profit is the profit of the items inside the capacity line, and
     split = (j, inside) is the item crossing the end of the line with its
     weight inside it (None: no item crosses it). best_critical is the most
     profitable critical item (ties to the lowest item id). int_assignment
@@ -121,13 +118,17 @@ class DantzigSolution:
     """
 
     order: tuple[int, ...]
-    x_frac: Mapping[tuple[int, int], Rat]
+    first_split: int | None
     line_profit: int
     split: tuple[int, int] | None
     best_critical: int | None
     int_assignment: Mapping[int, int]
     int_profit: int
-    fractional: bool
+
+    @property
+    def fractional(self) -> bool:
+        """Whether the optimal point has a coordinate strictly between 0 and 1."""
+        return self.first_split is not None
 
 
 def dantzig_solve(
@@ -135,8 +136,9 @@ def dantzig_solve(
 ) -> DantzigSolution:
     """Solve the fractional relaxation of a sub-problem on `grid`.
 
-    `items` are the live item ids and `caps` the capacities, integers on the
-    grid's weight scale (`grid.capacities` for the whole instance).
+    `items` are the live item ids, of positive weight (else ValueError), and
+    `caps` the capacities, integers on the grid's weight scale
+    (`grid.capacities` for the whole instance).
     """
     W, P = grid.weights, grid.profits
     live = set(items)
@@ -144,6 +146,9 @@ def dantzig_solve(
     # slots and shrinks in place, and the short tuples a search frees then
     # pile up, each in its ten-slot block, on CPython's per-length free lists.
     seq = tuple([j for j in grid.order if j in live])
+    if seq and W[seq[0]] == 0:
+        # zero weights come first in grid.order, so one test covers them all
+        raise ValueError(f"item {seq[0]} has zero weight: fix it before bounding")
 
     # Segment k of the merged capacity line is [lows[k], highs[k]).
     m = len(caps)
@@ -155,25 +160,16 @@ def dantzig_solve(
         total += c
         highs.append(total)
 
-    x_frac: dict[tuple[int, int], Rat] = {}
-    free_assign: dict[int, int] = {}
     whole: list[tuple[int, int]] = []  # items lying inside one segment
     criticals: list[int] = []
-    free_profit = whole_profit = line_profit = 0
+    whole_profit = line_profit = 0
     split = None  # (item, weight inside the line) of the item across its end
-    fractional = False
+    first_split = None
     cursor = seg = crossed = 0  # crossed: boundaries the cursor has passed
     for j in seq:
-        w = W[j]
-        if w == 0:
-            # Zero-weight items carry free profit: pre-assigned, never critical.
-            x_frac[(j, 0)] = _ONE
-            free_assign[j] = 0
-            free_profit += P[j]
-            continue
         if crossed == m:
-            # beyond the end of the line, as is every later item (zero weights come first)
-            break
+            break  # beyond the end of the line, as is every later item
+        w = W[j]
         start = cursor
         end = cursor = start + w
         k = seg
@@ -184,12 +180,10 @@ def dantzig_solve(
             hi = highs[k]
             overlap = (end if end < hi else hi) - (start if start > lo else lo)
             if overlap == w:
-                x_frac[(j, k)] = _ONE
                 whole.append((j, k))
                 whole_profit += P[j]
-            elif overlap > 0:
-                x_frac[(j, k)] = Fraction(overlap, w)
-                fractional = True
+            elif overlap > 0 and first_split is None:
+                first_split = j
             if hi > end:
                 break
             k += 1
@@ -204,8 +198,6 @@ def dantzig_solve(
             if not criticals or criticals[-1] != j:
                 criticals.append(j)
             crossed += 1
-
-    line_profit += free_profit
 
     best_critical = None
     for s in criticals:
@@ -222,23 +214,21 @@ def dantzig_solve(
         fit = next((k for k in range(m) if w <= caps[k]), None)
         if fit is not None and (chosen is None or P[s] > P[chosen[0]]):
             chosen = (s, fit)
-    int_assignment = dict(free_assign)
     if chosen is None or whole_profit > P[chosen[0]]:
-        int_assignment.update(whole)
-        int_profit = free_profit + whole_profit
+        int_assignment = dict(whole)
+        int_profit = whole_profit
     else:
-        int_assignment[chosen[0]] = chosen[1]
-        int_profit = free_profit + P[chosen[0]]
+        int_assignment = {chosen[0]: chosen[1]}
+        int_profit = P[chosen[0]]
 
     return DantzigSolution(
         order=seq,
-        x_frac=x_frac,
+        first_split=first_split,
         line_profit=line_profit,
         split=split,
         best_critical=best_critical,
         int_assignment=int_assignment,
         int_profit=int_profit,
-        fractional=fractional,
     )
 
 
@@ -247,8 +237,7 @@ def pick_pivot(sol: DantzigSolution, rule: str) -> int | None:
     if rule == "CE":
         return sol.best_critical
     if rule == "PPW":
-        fractional = {j for (j, _), v in sol.x_frac.items() if 0 < v < 1}
-        return next((j for j in sol.order if j in fractional), None)
+        return sol.first_split
     if rule == "K":
         return sol.order[0] if sol.order else None
     raise ValueError(f"unknown branching rule {rule!r}")
@@ -258,20 +247,19 @@ def branch_children(
     grid: KnapsackGrid,
     alive: Sequence[int],
     caps: tuple[int, ...],
-    sol: DantzigSolution,
-    rule: str,
+    pivot: int | None,
     fixed_profit: int,
     fixed_assign: Mapping[int, int],
 ) -> list[ChildSpec]:
-    """Children for the chosen pivot: one per knapsack it fits, plus exclusion.
+    """Children for `pivot`: one per knapsack it fits, plus exclusion.
 
+    pivot is the node's `pick_pivot` choice (None raises ValueError).
     Inclusion children that would overfill their knapsack are dropped here,
     so every child's caps stay non-negative; the exclusion child (the
     rightmost one) always survives. caps and fixed_profit are integers on
     `grid`; fixed_assign is the parent's fixed part, which no child mutates.
     Each payload is the child's node state.
     """
-    pivot = pick_pivot(sol, rule)
     if pivot is None:
         raise ValueError("no eligible pivot: node is integral, caller should have stopped")
     w = grid.weights[pivot]
@@ -291,13 +279,14 @@ def branch_children(
 
 @dataclass
 class _NodeState:
-    """A node's sub-problem; caps and fixed_profit are on the adapter's grid."""
+    """A node's sub-problem, caps and fixed_profit on the adapter's grid;
+    `bound` sets usable and, unless the node is a leaf, the pivot to branch on."""
 
     alive: tuple[int, ...]
     caps: tuple[int, ...]
     fixed_profit: int
     fixed_assign: Mapping[int, int]
-    sol: DantzigSolution | None = None
+    pivot: int | None = None
     usable: tuple[int, ...] = ()
 
 
@@ -331,8 +320,9 @@ class KnapsackAdapter(BaseAdapter):
         cap_max = max(state.caps)
         usable = tuple([j for j in state.alive if W[j] <= cap_max])
         sol = dantzig_solve(grid, usable, state.caps)
-        state.sol = sol
         state.usable = usable
+        if sol.fractional:
+            state.pivot = pick_pivot(sol, self.branching)
         lw = grid.lw
         rounded = sol.int_profit * lw
         sub = sol.line_profit * lw
@@ -375,8 +365,7 @@ class KnapsackAdapter(BaseAdapter):
             self.grid,
             state.usable,
             state.caps,
-            state.sol,
-            self.branching,
+            state.pivot,
             state.fixed_profit,
             state.fixed_assign,
         )

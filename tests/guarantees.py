@@ -87,7 +87,8 @@ def reference_unit_profit_order(weights: Sequence[Rat], profits: Sequence[Rat]) 
 
 
 def dantzig_whole(inst: KnapsackInstance) -> tuple[KnapsackGrid, DantzigSolution]:
-    """The instance's grid and the relaxation of all its items."""
+    """The instance's grid and the relaxation of all its items, which must
+    all have positive weight (the kernel rejects a zero weight)."""
     grid = KnapsackGrid.build(inst)
     return grid, dantzig_solve(grid, range(inst.n), grid.capacities)
 

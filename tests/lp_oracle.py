@@ -5,7 +5,9 @@ enumeration and LP optima.
 load LP's solver was cut down from: a program of equality and inequality
 rows, put on integers at construction, a crash basis that pivots each
 equality row on its first nonzero column (dropping a redundant row), then
-the zero-cost dual simplex under Bland's rule. `load_program` writes a
+the zero-cost dual simplex under Bland's rule. Both pivot with
+`reference_pivot`, an indexed Gaussian pivot of their own, so a change to
+`bnbapprox.lp.pivot` leaves the reference as it is. `load_program` writes a
 load LP as such a program. `bnbapprox.scheduling.build_load_lp` must give
 the tableau and basis that `crash` reaches on it, and
 `bnbapprox.lp.solve_vertex` the vertex or Farkas row that `solve_vertex`
@@ -22,10 +24,31 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from bnbapprox.instances import KnapsackInstance
-from bnbapprox.lp import LpError, Vertex, pivot
+from bnbapprox.lp import LpError, Vertex
 from bnbapprox.oracle import OracleBudgetExceeded
 from bnbapprox.rational import Rat, rat
 from bnbapprox.scheduling import SchedGrid
+
+
+def reference_pivot(tableau: list[list[int]], r: int, c: int, den: int) -> int:
+    """Integer-preserving Gaussian pivot on (r, c), every entry by index;
+    returns the new denominator. The tableau stores den * (real tableau)
+    before and piv * (real tableau) after, piv = tableau[r][c]."""
+    prow = tableau[r]
+    piv = prow[c]
+    ncols = len(prow)
+    for i in range(len(tableau)):
+        if i == r:
+            continue
+        row = tableau[i]
+        f = row[c]
+        if f:
+            for j in range(ncols):
+                row[j] = (piv * row[j] - f * prow[j]) // den
+        elif piv != den:
+            for j in range(ncols):
+                row[j] = piv * row[j] // den
+    return piv
 
 
 @dataclass(frozen=True)
@@ -105,7 +128,7 @@ def crash(
                 enter = j
                 break
         if enter >= 0:
-            den = pivot(tableau, r, enter, den)
+            den = reference_pivot(tableau, r, enter, den)
             basis[r] = enter
             r += 1
         elif row[rhs] == 0:
@@ -159,7 +182,7 @@ def solve_vertex(lp: LinearProgram, farkas: list[int] | None = None) -> Vertex |
             if farkas is not None:
                 farkas.extend(row if sign > 0 else [-v for v in row])
             return None
-        den = pivot(tableau, leave, enter, den)
+        den = reference_pivot(tableau, leave, enter, den)
         basis[leave] = enter
 
     values = [rat(0)] * nv

@@ -32,7 +32,7 @@ from bnbapprox.engine import (
     valid_strategies,
 )
 from bnbapprox.instances import KnapsackInstance, generate
-from bnbapprox.knapsack import KnapsackAdapter, KnapsackGrid
+from bnbapprox.knapsack import KnapsackAdapter, KnapsackGrid, dantzig_solve
 from bnbapprox.rational import rat
 from guarantees import int_value, reference_unit_profit_order, sub_value
 
@@ -50,10 +50,11 @@ class FractionBoundAdapter(KnapsackAdapter):
 
     def bound(self, state):
         info = super().bound(state)
+        sol = dantzig_solve(self.grid, state.usable, state.caps)
         fixed = Fraction(state.fixed_profit, self.grid.p_scale)
         return BoundInfo(
-            lb=fixed + int_value(self.grid, state.sol),
-            ub=fixed + sub_value(self.grid, state.sol),
+            lb=fixed + int_value(self.grid, sol),
+            ub=fixed + sub_value(self.grid, sol),
             solution=info.solution,
             leaf=info.leaf,
         )

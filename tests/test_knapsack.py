@@ -39,11 +39,8 @@ WORKED = KnapsackInstance(
 def test_dantzig_worked_example():
     grid, sol = dantzig_whole(WORKED)
     # ratios (10, 8, 5); item 0 splits 5/6 + 1/6, item 1 puts 4/5 in knapsack 2
-    assert sol.x_frac == {
-        (0, 0): rat(5, 6),
-        (0, 1): rat(1, 6),
-        (1, 1): rat(4, 5),
-    }
+    assert sol.first_split == 0 and pick_pivot(sol, "PPW") == 0
+    assert sol.line_profit == 60 and sol.split == (1, 4)
     assert sub_value(grid, sol) == 92
     assert sol.best_critical == 0
     # item 0 (w=6) fits in no knapsack, so the best *feasible* candidate is
@@ -79,11 +76,29 @@ def test_dantzig_item_wider_than_merge():
     assert sol.int_assignment == {} and int_value(grid, sol) == 0
 
 
+ZERO_WEIGHT = KnapsackInstance((rat(0), rat(4)), (rat(7), rat(9)), (rat(4),))
+
+
 def test_dantzig_zero_weight_items_preassigned():
-    inst = KnapsackInstance((rat(0), rat(4)), (rat(7), rat(9)), (rat(4),))
-    grid, sol = dantzig_whole(inst)
-    assert sol.x_frac[(0, 0)] == 1
-    assert int_value(grid, sol) == 16 and sol.int_assignment == {0: 0, 1: 0}
+    # the kernel gets the positive weights; the zero-weight item sits in the
+    # root's fixed part, on knapsack 0 with its profit
+    grid = KnapsackGrid.build(ZERO_WEIGHT)
+    sol = dantzig_solve(grid, (1,), grid.capacities)
+    assert int_value(grid, sol) == 9 and sol.int_assignment == {1: 0}
+    adapter = KnapsackAdapter(ZERO_WEIGHT)
+    root = adapter.root_payload()
+    assert root.alive == (1,) and root.fixed_profit == 7 and root.fixed_assign == {0: 0}
+    info = adapter.bound(root)
+    assert info.lb == info.ub == 16 * adapter.bound_scale
+    assert info.solution == {0: 0, 1: 0}
+
+
+def test_dantzig_rejects_zero_weight_items():
+    # a zero weight sorts first in the order, so the kernel's one test sees it
+    grid = KnapsackGrid.build(ZERO_WEIGHT)
+    for items in ((0, 1), (1, 0), (0,)):
+        with pytest.raises(ValueError, match="zero weight"):
+            dantzig_solve(grid, items, grid.capacities)
 
 
 def test_unit_profit_order_tie_by_index():
@@ -94,9 +109,11 @@ def test_unit_profit_order_tie_by_index():
 
 def test_branch_children_worked_example():
     grid, sol = dantzig_whole(WORKED)
-    children = branch_children(grid, (0, 1, 2), grid.capacities, sol, "CE", 0, {})
+    pivot = pick_pivot(sol, "CE")
+    children = branch_children(grid, (0, 1, 2), grid.capacities, pivot, 0, {})
     # pivot j* = item 0 (w=6): both inclusion children infeasible, only the
     # rightmost (exclusion) child survives
+    assert pivot == 0
     assert len(children) == 1
     (child,) = children
     assert child.right_turn
@@ -108,11 +125,13 @@ def test_branch_children_fix_the_pivot_where_it_fits():
     # pivot item 1 (w=4) fits knapsack 1 only; item 0 is already fixed in 0
     inst = KnapsackInstance((rat(3), rat(4), rat(2)), (rat(9), rat(10), rat(1)),
                             (rat(3), rat(5)))
-    grid = KnapsackGrid.build(inst)
+    adapter = KnapsackAdapter(inst, branching="CE")
+    grid = adapter.grid
     caps = (0, 5)
-    sol = dantzig_solve(grid, (1, 2), caps)
-    assert pick_pivot(sol, "CE") == 1
-    children = branch_children(grid, (1, 2), caps, sol, "CE", 9, {0: 0})
+    state = knapsack._NodeState((1, 2), caps, 9, {0: 0})
+    assert not adapter.bound(state).leaf
+    assert state.pivot == pick_pivot(dantzig_solve(grid, (1, 2), caps), "CE") == 1
+    children = branch_children(grid, state.usable, caps, state.pivot, 9, {0: 0})
     assert [c.right_turn for c in children] == [False, True]
     inc, exc = (c.payload for c in children)
     assert inc.alive == exc.alive == (2,)
@@ -319,15 +338,17 @@ def test_broken_rounding_raises(breaker, message, monkeypatch):
 
 
 def test_broken_rounding_raises_under_optimize_flag():
-    # `python -O` strips assert statements; the rounding checks must not be
-    # asserts, so the test above has to pass there too
+    # `python -O` strips assert statements; the rounding checks and the
+    # kernel's zero-weight check must not be asserts, so their tests have to
+    # pass there too
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{os.path.abspath(__file__)}::test_broken_rounding_raises"],
+         f"{os.path.abspath(__file__)}::test_broken_rounding_raises",
+         f"{os.path.abspath(__file__)}::test_dantzig_rejects_zero_weight_items"],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "2 passed" in proc.stdout
+    assert "3 passed" in proc.stdout

@@ -2,13 +2,18 @@
 
 `reference_dantzig_solve` is the previous implementation, kept here as the
 reference: it orders the items on Fraction keys, walks the merged capacity
-line in exact Fractions, scans every knapsack for every item and finds each
-critical item by a scan over the cumulative weights. The integer kernel must
-return the same solution, field by field, with the same insertion order in
-`x_frac` and `int_assignment`; its values, rebuilt as Fractions from its
-integer sums, must equal the reference's. This holds on hand-picked edge
-cases, on seeded rational instances and on every sub-problem the adapter
-bounds during real searches.
+line in exact Fractions, building the optimal point `x_frac`, scans every
+knapsack for every item and finds each critical item by a scan over the
+cumulative weights. The integer kernel must return the same solution,
+field by field, with the same insertion order in `int_assignment`; its
+values, rebuilt as Fractions from its integer sums, must equal the
+reference's, and its split item must be the first item of the order with a
+coordinate of `x_frac` strictly between 0 and 1. The kernel takes positive
+weights only: on a call with zero-weight items it gets the others, and the
+reference on all of them must equal its answer plus each zero-weight item
+on knapsack 0 with its profit. This holds on hand-picked edge cases, on
+seeded rational instances and on every sub-problem the adapter bounds
+during real searches.
 """
 import random
 from dataclasses import dataclass
@@ -20,7 +25,13 @@ import pytest
 from bnbapprox import knapsack
 from bnbapprox.engine import Criterion, Selection, run
 from bnbapprox.instances import KnapsackInstance, generate
-from bnbapprox.knapsack import DantzigSolution, KnapsackAdapter, KnapsackGrid, dantzig_solve
+from bnbapprox.knapsack import (
+    DantzigSolution,
+    KnapsackAdapter,
+    KnapsackGrid,
+    dantzig_solve,
+    pick_pivot,
+)
 from bnbapprox.rational import Rat, grid_scale, rat
 from guarantees import int_value, reference_unit_profit_order, sub_value
 
@@ -128,16 +139,26 @@ def reference_dantzig_solve(inst, items, caps):
     )
 
 
-def assert_same(grid: KnapsackGrid, got: DantzigSolution, want: ReferenceSolution) -> None:
-    assert got.order == want.order
-    assert list(got.x_frac.items()) == list(want.x_frac.items())
-    assert all(type(v) is Fraction for v in got.x_frac.values())
+def assert_same(
+    grid: KnapsackGrid, got: DantzigSolution, want: ReferenceSolution, zeros=()
+) -> None:
+    """`zeros` are the zero-weight items, ascending, that the reference was
+    given and the kernel was not."""
+    free = Fraction(sum(grid.profits[j] for j in zeros), grid.p_scale)
+    assert want.order == tuple(zeros) + got.order
+    assert [want.x_frac[j, 0] for j in zeros] == [1] * len(zeros)
+    partial = {j for (j, _), v in want.x_frac.items() if 0 < v < 1}
+    first_partial = next((j for j in want.order if j in partial), None)
+    assert got.first_split == first_partial
+    assert pick_pivot(got, "PPW") == first_partial
     assert type(got.line_profit) is int and type(got.int_profit) is int
-    assert sub_value(grid, got) == want.sub_value
+    assert sub_value(grid, got) + free == want.sub_value
     assert (None if got.split is None else got.split[0]) == want.split_item
     assert got.best_critical == want.best_critical
-    assert list(got.int_assignment.items()) == list(want.int_assignment.items())
-    assert int_value(grid, got) == want.int_value
+    assert [(j, 0) for j in zeros] + list(got.int_assignment.items()) == list(
+        want.int_assignment.items()
+    )
+    assert int_value(grid, got) + free == want.int_value
     assert got.fractional is want.fractional
 
 
@@ -148,7 +169,8 @@ def weight_scale(inst) -> int:
 
 def assert_kernel_matches(inst, items=None, caps=None) -> None:
     """The kernel on the instance's grid against the reference; `caps`, in
-    instance units and on the grid, default to the instance's capacities."""
+    instance units and on the grid, default to the instance's capacities.
+    The kernel gets the items of positive weight, the reference all."""
     grid = KnapsackGrid.build(inst)
     if items is None:
         items = range(inst.n)
@@ -156,8 +178,10 @@ def assert_kernel_matches(inst, items=None, caps=None) -> None:
         caps = inst.capacities
     scaled = [c * weight_scale(inst) for c in caps]
     assert all(c.denominator == 1 for c in scaled)
-    assert_same(grid, dantzig_solve(grid, items, tuple(int(c) for c in scaled)),
-                reference_dantzig_solve(inst, items, caps))
+    zeros = tuple(sorted(j for j in items if inst.weights[j] == 0))
+    positive = [j for j in items if inst.weights[j] != 0]
+    assert_same(grid, dantzig_solve(grid, positive, tuple(int(c) for c in scaled)),
+                reference_dantzig_solve(inst, items, caps), zeros)
 
 
 def _value(rnd, den_choices, lo, hi):
@@ -299,7 +323,10 @@ def test_every_subproblem_the_adapter_bounds(rule, monkeypatch):
     for (adapter, state, info), (grid, items, caps, sol) in zip(states, recorded):
         inst = adapter.inst
         dw = weight_scale(inst)
-        assert grid is adapter.grid and sol is state.sol and caps == state.caps
+        assert grid is adapter.grid and items is state.usable and caps == state.caps
+        # the node keeps the pivot its rule picks, and only a node to branch
+        assert state.pivot == (None if info.leaf else pick_pivot(sol, rule))
+        assert info.leaf or state.pivot is not None
         fixed = sum((inst.profits[j] for j in state.fixed_assign), start=rat(0))
         assert Fraction(state.fixed_profit, grid.p_scale) == fixed
         for k, cap in enumerate(state.caps):

@@ -63,25 +63,14 @@ from bnbapprox.scheduling import (
     min_feasible_T,
     solve_unrelated,
 )
-from lp_oracle import LinearProgram, crash, enumerate_vertices, load_program, solve_vertex
-
-
-def _reference_pivot(tableau, r, c, den):
-    prow = tableau[r]
-    piv = prow[c]
-    ncols = len(prow)
-    for i in range(len(tableau)):
-        if i == r:
-            continue
-        row = tableau[i]
-        f = row[c]
-        if f:
-            for j in range(ncols):
-                row[j] = (piv * row[j] - f * prow[j]) // den
-        elif piv != den:
-            for j in range(ncols):
-                row[j] = piv * row[j] // den
-    return piv
+from lp_oracle import (
+    LinearProgram,
+    crash,
+    enumerate_vertices,
+    load_program,
+    reference_pivot,
+    solve_vertex,
+)
 
 
 def _reference_scaled_int_row(coeffs, rhs):
@@ -175,7 +164,7 @@ def reference_solve_vertex(lp: LinearProgram) -> Vertex | None:
                     leave, best_num, best_den = i, bi, a
         if leave < 0:
             raise LpError("unbounded phase-1 ray")
-        den = _reference_pivot(tableau, leave, enter, den)
+        den = reference_pivot(tableau, leave, enter, den)
         basis[leave] = enter
 
     if tableau[obj_idx][rhs_col] != 0:
@@ -199,7 +188,7 @@ def reference_solve_vertex(lp: LinearProgram) -> Vertex | None:
             continue
         if tableau[pos][enter] < 0:
             tableau[pos] = [-v for v in tableau[pos]]
-        den = _reference_pivot(tableau, pos, enter, den)
+        den = reference_pivot(tableau, pos, enter, den)
         basis[i] = enter
 
     values = [rat(0)] * nv
