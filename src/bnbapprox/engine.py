@@ -9,12 +9,20 @@ collection. Problem specifics live behind a small adapter contract:
     branch(node)   -> [ChildSpec(right_turn, payload), ...]
     admit(node)    -> bool   (optional extra pruning, e.g. profile filters)
     on_insert(node)          (bookkeeping for admitted nodes)
+    solution(token) -> the solution BoundInfo.solution stands for (default:
+                       the token itself)
 
 Bound conventions: for maximization `lb` is the value of the feasible
-solution carried in BoundInfo.solution and `ub` the relaxation bound; for
-minimization the roles swap. Both are exact numbers in units of
+solution that BoundInfo.solution stands for and `ub` the relaxation bound;
+for minimization the roles swap. Both are exact numbers in units of
 1/`bound_scale`, an integer the adapter declares once per run (default 1):
 an adapter whose bounds all lie on one grid returns them as plain ints.
+
+BoundInfo.solution is the adapter's token for its solution: the run keeps
+the incumbent's token and hands it to `solution` once, on return, so a
+bound need not build a solution that the run may never keep. The adapters
+of this package keep a node's fixed decisions as a parent-linked `Chain`
+and return (chain, rest of the assignment) tokens.
 
 `run` minimizes whatever the adapter's sense. With sign = +1 for
 minimization and -1 for maximization, a node's key is its relaxation bound
@@ -37,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Sequence, Union
+from typing import Any, Mapping, Optional, Sequence, Union
 
 from .rational import Rat, format_rat
 
@@ -50,6 +58,8 @@ __all__ = [
     "BoundInfo",
     "ChildSpec",
     "BaseAdapter",
+    "Chain",
+    "chain_solution",
     "RunResult",
     "DegenerateBoundError",
     "AdapterContractError",
@@ -185,7 +195,7 @@ def should_stop(
     return lhs >= rhs if sense is Sense.MAX else lhs <= rhs
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     id: int
     parent: int | None
@@ -211,6 +221,23 @@ class ChildSpec:
     payload: Any
 
 
+# Fixed decisions as a parent-linked chain: None at the root, else (item,
+# place, parent's chain). A child extends its parent's chain in O(1), and
+# siblings share it.
+Chain = Optional[tuple[int, int, "Chain"]]
+
+
+def chain_solution(chain: Chain, rest: Mapping[int, int]) -> dict[int, int]:
+    """The chain's decisions, root first, then `rest`'s."""
+    links = []
+    while chain is not None:
+        item, place, chain = chain
+        links.append((item, place))
+    solution = dict(reversed(links))
+    solution.update(rest)
+    return solution
+
+
 class BaseAdapter:
     """Default adapter hooks; problem adapters override what they need."""
 
@@ -233,6 +260,9 @@ class BaseAdapter:
 
     def on_insert(self, node: Node) -> None:
         pass
+
+    def solution(self, token: Any) -> Any:
+        return token
 
     def extras(self) -> dict[str, Any]:
         return {}
@@ -321,7 +351,7 @@ def run(
     )
     explored = 1
     processed = 0
-    incumbent_solution = rootb.solution
+    incumbent_token = rootb.solution
     explored_at_improve = explored
     max_depth = 0
     left_turn_max = 0
@@ -418,15 +448,15 @@ def run(
             if queue is not None:
                 queue.append(child.id)
             adapter.on_insert(child)
-        for candidate, solution in updates:
+        for candidate, token in updates:
             if candidate < incumbent:
                 incumbent = candidate
-                incumbent_solution = solution
+                incumbent_token = token
                 explored_at_improve = explored
 
     return RunResult(
         best_value=unscaled(sign * incumbent),
-        best_solution=incumbent_solution,
+        best_solution=adapter.solution(incumbent_token),
         global_bound=unscaled(sign * best_of(frontier_bound(), unresolved, incumbent)),
         nodes_explored=explored,
         nodes_processed=processed,

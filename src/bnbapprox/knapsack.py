@@ -29,6 +29,15 @@ comparison of weights, capacities and profits, every fit test and every
 value is an integer operation. The kernel builds no `Rat`, and zero-weight
 items never reach it: the adapter's root fixes them into knapsack 0.
 
+A node is four things: the mask of its live items (an int, bit p for the
+item at position p of the grid's unit-profit order), its residual caps, its
+fixed profit and its fixed items as a parent-linked chain (item, knapsack,
+parent). A node's usable items are one `&` of its mask with the grid's mask
+of the items light enough for its largest cap, and a child's mask is its
+parent's usable mask with the pivot's bit cleared. A bound returns the
+token (chain, rounding), and the adapter builds the solution from the
+incumbent's token once, when the run returns.
+
 Lw, the lcm of the positive grid weights, puts unit profits on integers:
 p/w times Dp * Lw is P_j * (Lw // W_j), the key of the grid's unit-profit
 order. The adapter's bounds are integers in units of 1/bound_scale with
@@ -46,12 +55,13 @@ The engine compares, prunes and tests its stopping ratio on these ints.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .engine import AdapterContractError, BaseAdapter, BoundInfo, ChildSpec, Criterion, Node
-from .engine import RunResult, Sense, Strategy, run
+from .engine import AdapterContractError, BaseAdapter, BoundInfo, Chain, ChildSpec, Criterion
+from .engine import Node, RunResult, Sense, Strategy, chain_solution, run
 from .instances import KnapsackInstance
 from .rational import Rat, grid_scale, on_grid
 
@@ -75,6 +85,13 @@ class KnapsackGrid:
     for a zero weight), so p_j/w_j times Dp * lw is P_j * factors[j]. order
     is the unit-profit order on that key: zero weights first, then by
     decreasing key, ties by id.
+
+    A set of items is an int mask over positions in order: item j is bit
+    rank[j], so the set bits, lowest first, list the items in unit-profit
+    order. light holds the distinct weights, ascending, and fits[k] the mask
+    of the items whose weight is among the k lightest, so the items of
+    weight at most c are fits[bisect_right(light, c)]. zero_mask is the mask
+    of the zero weights, the lowest bits.
     """
 
     p_scale: int
@@ -84,6 +101,10 @@ class KnapsackGrid:
     lw: int
     factors: tuple[int, ...]
     order: tuple[int, ...]
+    rank: tuple[int, ...]
+    light: tuple[int, ...]
+    fits: tuple[int, ...]
+    zero_mask: int
 
     @classmethod
     def build(cls, inst: KnapsackInstance) -> "KnapsackGrid":
@@ -91,13 +112,33 @@ class KnapsackGrid:
         dp = grid_scale(inst.profits)
         W = on_grid(inst.weights, dw)
         P = on_grid(inst.profits, dp)
+        n = len(W)
         lw = math.lcm(*[w for w in W if w])
         factors = tuple([lw // w if w else 0 for w in W])
-        zero = [j for j in range(len(W)) if W[j] == 0]
-        rest = sorted([j for j in range(len(W)) if W[j] != 0], key=lambda j: -P[j] * factors[j])
+        zero = [j for j in range(n) if W[j] == 0]
+        rest = sorted([j for j in range(n) if W[j] != 0], key=lambda j: -P[j] * factors[j])
+        order = tuple(zero + rest)
+        rank = [0] * n
+        for position, j in enumerate(order):
+            rank[j] = position
+        light = tuple(sorted(set(W)))
+        fits = [0] * (len(light) + 1)
+        for j in range(n):  # fits[k] first gets the items of the k-th lightest weight
+            fits[bisect_right(light, W[j])] |= 1 << rank[j]
+        for k in range(1, len(fits)):
+            fits[k] |= fits[k - 1]
         return cls(
-            dp, W, P, on_grid(inst.capacities, dw), lw, factors, tuple(zero + rest)
+            dp, W, P, on_grid(inst.capacities, dw), lw, factors, order, tuple(rank), light,
+            tuple(fits), (1 << len(zero)) - 1,
         )
+
+    def mask(self, items: Iterable[int]) -> int:
+        """The mask of a set of item ids."""
+        rank = self.rank
+        mask = 0
+        for j in items:
+            mask |= 1 << rank[j]
+        return mask
 
 
 @dataclass(frozen=True)
@@ -105,9 +146,10 @@ class DantzigSolution:
     """Fractional optimum of the relaxation plus its integer rounding.
 
     Values are integer sums on the grid the kernel ran on (profits over Dp,
-    weights over Dw). order holds the live items in unit-profit order. The
-    optimal point is not built: first_split is the first item of order with
-    a coordinate strictly between 0 and 1 (an overlap with one knapsack
+    weights over Dw). first_live is the first live item in unit-profit
+    order (the mask's lowest set bit), None when none is live. The optimal
+    point is not built: first_split is the first live item with a
+    coordinate strictly between 0 and 1 (an overlap with one knapsack
     strictly between 0 and its weight), None when the point is integral.
     The point's profit is (line_profit + P_j * inside / W_j) / Dp:
     line_profit is the profit of the items inside the capacity line, and
@@ -117,7 +159,7 @@ class DantzigSolution:
     is the rounded integer solution x' and int_profit its profit.
     """
 
-    order: tuple[int, ...]
+    first_live: int | None
     first_split: int | None
     line_profit: int
     split: tuple[int, int] | None
@@ -131,24 +173,20 @@ class DantzigSolution:
         return self.first_split is not None
 
 
-def dantzig_solve(
-    grid: KnapsackGrid, items: Iterable[int], caps: Sequence[int]
-) -> DantzigSolution:
+def dantzig_solve(grid: KnapsackGrid, live: int, caps: Sequence[int]) -> DantzigSolution:
     """Solve the fractional relaxation of a sub-problem on `grid`.
 
-    `items` are the live item ids, of positive weight (else ValueError), and
-    `caps` the capacities, integers on the grid's weight scale
-    (`grid.capacities` for the whole instance).
+    `live` is the mask (`KnapsackGrid.mask`) of the live items, which must
+    have positive weight (else ValueError), and `caps` the capacities,
+    integers on the grid's weight scale (`grid.capacities` for the whole
+    instance). The kernel walks the set bits lowest first, which is
+    unit-profit order, and stops at the end of the capacity line.
     """
-    W, P = grid.weights, grid.profits
-    live = set(items)
-    # Tuples here are built from lists: tuple() of a generator allocates ten
-    # slots and shrinks in place, and the short tuples a search frees then
-    # pile up, each in its ten-slot block, on CPython's per-length free lists.
-    seq = tuple([j for j in grid.order if j in live])
-    if seq and W[seq[0]] == 0:
-        # zero weights come first in grid.order, so one test covers them all
-        raise ValueError(f"item {seq[0]} has zero weight: fix it before bounding")
+    W, P, order = grid.weights, grid.profits, grid.order
+    zero = live & grid.zero_mask
+    if zero:
+        j = order[(zero & -zero).bit_length() - 1]
+        raise ValueError(f"item {j} has zero weight: fix it before bounding")
 
     # Segment k of the merged capacity line is [lows[k], highs[k]).
     m = len(caps)
@@ -165,10 +203,14 @@ def dantzig_solve(
     whole_profit = line_profit = 0
     split = None  # (item, weight inside the line) of the item across its end
     first_split = None
+    first_live = order[(live & -live).bit_length() - 1] if live else None
     cursor = seg = crossed = 0  # crossed: boundaries the cursor has passed
-    for j in seq:
-        if crossed == m:
-            break  # beyond the end of the line, as is every later item
+    rest = live
+    # past the end of the line (crossed == m) are only later items
+    while rest and crossed < m:
+        low = rest & -rest
+        rest ^= low
+        j = order[low.bit_length() - 1]
         w = W[j]
         start = cursor
         end = cursor = start + w
@@ -222,13 +264,7 @@ def dantzig_solve(
         int_profit = P[chosen[0]]
 
     return DantzigSolution(
-        order=seq,
-        first_split=first_split,
-        line_profit=line_profit,
-        split=split,
-        best_critical=best_critical,
-        int_assignment=int_assignment,
-        int_profit=int_profit,
+        first_live, first_split, line_profit, split, best_critical, int_assignment, int_profit
     )
 
 
@@ -239,55 +275,59 @@ def pick_pivot(sol: DantzigSolution, rule: str) -> int | None:
     if rule == "PPW":
         return sol.first_split
     if rule == "K":
-        return sol.order[0] if sol.order else None
+        return sol.first_live
     raise ValueError(f"unknown branching rule {rule!r}")
 
 
 def branch_children(
     grid: KnapsackGrid,
-    alive: Sequence[int],
+    usable: int,
     caps: tuple[int, ...],
     pivot: int | None,
     fixed_profit: int,
-    fixed_assign: Mapping[int, int],
+    chain: Chain,
 ) -> list[ChildSpec]:
     """Children for `pivot`: one per knapsack it fits, plus exclusion.
 
-    pivot is the node's `pick_pivot` choice (None raises ValueError).
-    Inclusion children that would overfill their knapsack are dropped here,
-    so every child's caps stay non-negative; the exclusion child (the
-    rightmost one) always survives. caps and fixed_profit are integers on
-    `grid`; fixed_assign is the parent's fixed part, which no child mutates.
-    Each payload is the child's node state.
+    pivot is the node's `pick_pivot` choice (None raises ValueError) and
+    usable the mask of the node's usable items; every child's live mask is
+    usable with the pivot's bit cleared. Inclusion children that would
+    overfill their knapsack are dropped here, so every child's caps stay
+    non-negative; the exclusion child (the rightmost one) always survives.
+    caps and fixed_profit are integers on `grid`; chain holds the parent's
+    fixed items, and an inclusion child's chain links (pivot, knapsack) to
+    it. Each payload is the child's node state.
     """
     if pivot is None:
         raise ValueError("no eligible pivot: node is integral, caller should have stopped")
     w = grid.weights[pivot]
     included_profit = fixed_profit + grid.profits[pivot]
-    rest = tuple([j for j in alive if j != pivot])
+    rest = usable & ~(1 << grid.rank[pivot])
     children: list[ChildSpec] = []
     for k, c in enumerate(caps):
         if w <= c:
-            assign = dict(fixed_assign)
-            assign[pivot] = k
-            child = _NodeState(rest, caps[:k] + (c - w,) + caps[k + 1:], included_profit, assign)
-            children.append(ChildSpec(right_turn=False, payload=child))
-    child = _NodeState(rest, caps, fixed_profit, fixed_assign)
-    children.append(ChildSpec(right_turn=True, payload=child))
+            child = _NodeState(
+                rest, caps[:k] + (c - w,) + caps[k + 1:], included_profit, (pivot, k, chain)
+            )
+            children.append(ChildSpec(False, child))
+    children.append(ChildSpec(True, _NodeState(rest, caps, fixed_profit, chain)))
     return children
 
 
-@dataclass
+@dataclass(slots=True)
 class _NodeState:
-    """A node's sub-problem, caps and fixed_profit on the adapter's grid;
-    `bound` sets usable and, unless the node is a leaf, the pivot to branch on."""
+    """A node's sub-problem: the mask of its live items, its caps and
+    fixed_profit on the adapter's grid, and its fixed items as a chain
+    (item, knapsack, parent), zero weights first. `bound` sets usable (the
+    live items that fit some knapsack) and, unless the node is a leaf, the
+    pivot to branch on."""
 
-    alive: tuple[int, ...]
+    alive: int
     caps: tuple[int, ...]
     fixed_profit: int
-    fixed_assign: Mapping[int, int]
+    chain: Chain
     pivot: int | None = None
-    usable: tuple[int, ...] = ()
+    usable: int = 0
 
 
 class KnapsackAdapter(BaseAdapter):
@@ -301,26 +341,27 @@ class KnapsackAdapter(BaseAdapter):
     tracks_turns = True
 
     def __init__(self, inst: KnapsackInstance, branching: str = "CE"):
+        if branching not in ("CE", "PPW", "K"):
+            raise ValueError(f"unknown branching rule {branching!r}")
         self.inst = inst
         self.branching = branching
         self.grid = KnapsackGrid.build(inst)
         self.bound_scale = self.grid.p_scale * self.grid.lw
 
     def root_payload(self) -> _NodeState:
-        W, P = self.grid.weights, self.grid.profits
+        grid = self.grid
+        W = grid.weights
         free = [j for j in range(self.inst.n) if W[j] == 0]
-        alive = tuple([j for j in range(self.inst.n) if W[j] != 0])
-        return _NodeState(
-            alive, self.grid.capacities, sum(P[j] for j in free), {j: 0 for j in free}
-        )
+        chain = None
+        for j in free:
+            chain = (j, 0, chain)
+        alive = grid.mask([j for j in range(self.inst.n) if W[j] != 0])
+        return _NodeState(alive, grid.capacities, sum(grid.profits[j] for j in free), chain)
 
     def bound(self, state: _NodeState) -> BoundInfo:
         grid = self.grid
-        W = grid.weights
-        cap_max = max(state.caps)
-        usable = tuple([j for j in state.alive if W[j] <= cap_max])
+        usable = state.usable = state.alive & grid.fits[bisect_right(grid.light, max(state.caps))]
         sol = dantzig_solve(grid, usable, state.caps)
-        state.usable = usable
         if sol.fractional:
             state.pivot = pick_pivot(sol, self.branching)
         lw = grid.lw
@@ -330,12 +371,14 @@ class KnapsackAdapter(BaseAdapter):
             j, inside = sol.split
             sub += grid.profits[j] * inside * grid.factors[j]
         self._check_rounding_guarantees(sol, sub, rounded)
-        solution = dict(state.fixed_assign)
-        solution.update(sol.int_assignment)
         fixed = state.fixed_profit * lw
         return BoundInfo(
-            lb=fixed + rounded, ub=fixed + sub, solution=solution, leaf=not sol.fractional
+            fixed + rounded, fixed + sub, (state.chain, sol.int_assignment), not sol.fractional
         )
+
+    def solution(self, token: tuple[Chain, Mapping[int, int]]) -> dict[int, int]:
+        """The fixed items, root first, then the rounding."""
+        return chain_solution(*token)
 
     def _check_rounding_guarantees(self, sol: DantzigSolution, sub: int, rounded: int) -> None:
         # Every usable item fits somewhere, which makes both inequalities
@@ -367,7 +410,7 @@ class KnapsackAdapter(BaseAdapter):
             state.caps,
             state.pivot,
             state.fixed_profit,
-            state.fixed_assign,
+            state.chain,
         )
 
 

@@ -56,6 +56,7 @@ from .engine import (
     AdapterContractError,
     BaseAdapter,
     BoundInfo,
+    Chain,
     ChildSpec,
     Criterion,
     Node,
@@ -63,6 +64,7 @@ from .engine import (
     Selection,
     Sense,
     Strategy,
+    chain_solution,
     run,
 )
 from .instances import IDENTICAL, UNIFORM, InstanceError, SchedulingInstance
@@ -304,7 +306,7 @@ class ProfileAdapter(BaseAdapter):
 
     def root_payload(self) -> _SchedState:
         R = self.grid.R  # the root optimum
-        self._root = _SchedState(tuple(range(self.n)), self.grid.t, {}, lo_hint=R)
+        self._root = _SchedState(tuple(range(self.n)), self.grid.t, None, lo_hint=R)
         return self._root
 
     def bound(self, state: _SchedState) -> BoundInfo:
@@ -319,7 +321,11 @@ class ProfileAdapter(BaseAdapter):
         if longest not in point.fractional_jobs:
             point = make_longest_fractional(point, self.P, longest)
         assignment, ub = round_vertex(point, self.P, state.t, ROUNDING_LST)
-        return BoundInfo(lb, ub, {**state.fixed, **assignment}, leaf=False)
+        return BoundInfo(lb, ub, (state.fixed, assignment), leaf=False)
+
+    def solution(self, token: tuple[Chain, Mapping[int, int]]) -> dict[int, int]:
+        """The fixed jobs, root first, then the rounding."""
+        return chain_solution(*token)
 
     def branch(self, node: Node) -> list[ChildSpec]:
         state: _SchedState = node.payload
@@ -335,7 +341,9 @@ class ProfileAdapter(BaseAdapter):
         if self.mode == "similarity":
             return similarity_cell(state.t, self.cell_side)
         loads = [0] * self.m
-        for j, i in state.fixed.items():
+        chain = state.fixed
+        while chain is not None:
+            j, i, chain = chain
             loads[i] += self.rounded[j]
         return tuple(sorted(loads))
 

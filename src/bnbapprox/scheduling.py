@@ -66,6 +66,7 @@ from .engine import (
     AdapterContractError,
     BaseAdapter,
     BoundInfo,
+    Chain,
     ChildSpec,
     Criterion,
     Node,
@@ -73,6 +74,7 @@ from .engine import (
     Selection,
     Sense,
     Strategy,
+    chain_solution,
     run,
 )
 from .instances import SchedulingInstance
@@ -527,13 +529,13 @@ def scheme_depth_cap(m: int, eps: Rat) -> int:
 @dataclass
 class _SchedState:
     """A scheduling node, also the profile schemes': unfixed jobs, completion
-    times t, fixed jobs (job -> machine), the parent's bound (where the
-    node's T-search starts) and, once the unrelated scheme has bounded it,
-    the job it branches on; all on the adapter's grid."""
+    times t, fixed jobs as a chain (job, machine, parent), the parent's bound
+    (where the node's T-search starts) and, once the unrelated scheme has
+    bounded it, the job it branches on; all on the adapter's grid."""
 
     jobs: tuple[int, ...]
     t: tuple[int, ...]
-    fixed: dict[int, int]
+    fixed: Chain
     lo_hint: int | None = None
     pivot: int | None = None
 
@@ -548,9 +550,7 @@ def fix_job(node: Node, P: Sequence[Sequence[int]], pivot: int) -> list[ChildSpe
     for i, p in enumerate(P[pivot]):
         t = list(state.t)
         t[i] += p
-        fixed = dict(state.fixed)
-        fixed[pivot] = i
-        child = _SchedState(rest, tuple(t), fixed, lo_hint=node.lb)
+        child = _SchedState(rest, tuple(t), (pivot, i, state.fixed), lo_hint=node.lb)
         out.append(ChildSpec(right_turn=False, payload=child))
     return out
 
@@ -558,14 +558,15 @@ def fix_job(node: Node, P: Sequence[Sequence[int]], pivot: int) -> list[ChildSpe
 def _integral_leaf(grid: SchedGrid, state: _SchedState, point: LpPoint) -> BoundInfo:
     """The leaf of a node whose vertex is integral: the fixed jobs plus the
     vertex's assignment, whose makespan on the instance must be the minimal
-    guess point.T (AdapterContractError otherwise)."""
-    solution = {**state.fixed, **point.integral_assignment}
+    guess point.T (AdapterContractError otherwise). The check builds the
+    whole solution, so the token carries it with an empty chain."""
+    solution = chain_solution(state.fixed, point.integral_assignment)
     makespan = max(_loads(grid.P, grid.t, solution))
     if makespan != point.T:
         raise AdapterContractError(
             f"integral vertex makespan {makespan} off its minimal guess {point.T}"
         )
-    return BoundInfo(point.T, makespan, solution, leaf=True)
+    return BoundInfo(point.T, makespan, (None, solution), leaf=True)
 
 
 class UnrelatedAdapter(BaseAdapter):
@@ -584,6 +585,8 @@ class UnrelatedAdapter(BaseAdapter):
     ):
         if bounding not in ("BS", "LR"):
             raise ValueError(f"unknown bounding {bounding!r}")
+        if rounding not in (ROUNDING_AS, ROUNDING_BM):
+            raise ValueError(f"unknown rounding {rounding!r}")
         self.grid = SchedGrid.build(inst)
         self.bound_scale = self.grid.R
         self.P = self.grid.P
@@ -593,7 +596,7 @@ class UnrelatedAdapter(BaseAdapter):
         self.depth_cap = depth_cap
 
     def root_payload(self) -> _SchedState:
-        return _SchedState(tuple(range(len(self.P))), self.grid.t, {})
+        return _SchedState(tuple(range(len(self.P))), self.grid.t, None)
 
     def bound(self, state: _SchedState) -> BoundInfo:
         point = min_feasible_T(
@@ -609,7 +612,11 @@ class UnrelatedAdapter(BaseAdapter):
                 f"rounded makespan {ub} exceeded the pivot-controlled bound "
                 f"{lb} + {self.m} * {min(self.P[pivot])}"
             )
-        return BoundInfo(lb, ub, {**state.fixed, **assignment}, leaf=False)
+        return BoundInfo(lb, ub, (state.fixed, assignment), leaf=False)
+
+    def solution(self, token: tuple[Chain, Mapping[int, int]]) -> dict[int, int]:
+        """The fixed jobs, root first, then the rounding."""
+        return chain_solution(*token)
 
     def branch(self, node: Node) -> list[ChildSpec]:
         if self.depth_cap is not None and node.depth >= self.depth_cap:

@@ -90,7 +90,12 @@ def dantzig_whole(inst: KnapsackInstance) -> tuple[KnapsackGrid, DantzigSolution
     """The instance's grid and the relaxation of all its items, which must
     all have positive weight (the kernel rejects a zero weight)."""
     grid = KnapsackGrid.build(inst)
-    return grid, dantzig_solve(grid, range(inst.n), grid.capacities)
+    return grid, dantzig_solve(grid, grid.mask(range(inst.n)), grid.capacities)
+
+
+def mask_items(grid: KnapsackGrid, mask: int) -> tuple[int, ...]:
+    """The items of a mask, in the grid's unit-profit order."""
+    return tuple(j for position, j in enumerate(grid.order) if mask >> position & 1)
 
 
 def sub_value(grid: KnapsackGrid, sol: DantzigSolution) -> Rat:

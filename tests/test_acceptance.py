@@ -138,8 +138,8 @@ def test_criterion_04_rounding_guarantees(monkeypatch):
         kernel = knapsack.dantzig_solve
         solutions = []
 
-        def recording(grid, items, caps):
-            solutions.append((grid, kernel(grid, items, caps)))
+        def recording(grid, live, caps):
+            solutions.append((grid, kernel(grid, live, caps)))
             return solutions[-1][1]
 
         monkeypatch.setattr(knapsack, "dantzig_solve", recording)
@@ -412,7 +412,7 @@ def test_criterion_13b_single_knapsack_pivot_order():
             w = grid.weights[pivot]
             if w > c:
                 continue
-            rest = tuple(j for j in range(n) if j != pivot)
+            rest = grid.mask(j for j in range(n) if j != pivot)
             inc = dantzig_solve(grid, rest, (c - w,))
             exc = dantzig_solve(grid, rest, (c,))
             if not inc.fractional or not exc.fractional:

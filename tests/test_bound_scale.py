@@ -45,7 +45,17 @@ class FractionBoundAdapter(KnapsackAdapter):
     def __init__(self, inst, branching="CE"):
         super().__init__(inst, branching)
         order = reference_unit_profit_order(inst.weights, inst.profits)
-        self.grid = dataclasses.replace(self.grid, order=order)
+        # the masks follow the order: bit rank[j] is item j
+        rank = tuple(order.index(j) for j in range(inst.n))
+        W = self.grid.weights
+
+        def mask(fits):
+            return sum(1 << rank[j] for j in range(inst.n) if fits(W[j]))
+
+        self.grid = dataclasses.replace(
+            self.grid, order=order, rank=rank, zero_mask=mask(lambda w: w == 0),
+            fits=(0,) + tuple(mask(lambda w, c=c: w <= c) for c in self.grid.light),
+        )
         self.bound_scale = 1
 
     def bound(self, state):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from bnbapprox import knapsack
-from bnbapprox.engine import AdapterContractError, Criterion, Selection, run
+from bnbapprox.engine import AdapterContractError, Criterion, Selection, chain_solution, run
 from bnbapprox.instances import KnapsackInstance, generate
 from bnbapprox.knapsack import (
     KnapsackAdapter,
@@ -83,14 +83,15 @@ def test_dantzig_zero_weight_items_preassigned():
     # the kernel gets the positive weights; the zero-weight item sits in the
     # root's fixed part, on knapsack 0 with its profit
     grid = KnapsackGrid.build(ZERO_WEIGHT)
-    sol = dantzig_solve(grid, (1,), grid.capacities)
+    sol = dantzig_solve(grid, grid.mask((1,)), grid.capacities)
     assert int_value(grid, sol) == 9 and sol.int_assignment == {1: 0}
     adapter = KnapsackAdapter(ZERO_WEIGHT)
     root = adapter.root_payload()
-    assert root.alive == (1,) and root.fixed_profit == 7 and root.fixed_assign == {0: 0}
+    assert root.alive == grid.mask((1,)) and root.fixed_profit == 7
+    assert root.chain == (0, 0, None) and chain_solution(root.chain, {}) == {0: 0}
     info = adapter.bound(root)
     assert info.lb == info.ub == 16 * adapter.bound_scale
-    assert info.solution == {0: 0, 1: 0}
+    assert adapter.solution(info.solution) == {0: 0, 1: 0}
 
 
 def test_dantzig_rejects_zero_weight_items():
@@ -98,7 +99,31 @@ def test_dantzig_rejects_zero_weight_items():
     grid = KnapsackGrid.build(ZERO_WEIGHT)
     for items in ((0, 1), (1, 0), (0,)):
         with pytest.raises(ValueError, match="zero weight"):
-            dantzig_solve(grid, items, grid.capacities)
+            dantzig_solve(grid, grid.mask(items), grid.capacities)
+
+
+def test_dantzig_rejects_a_mask_with_a_zero_weight_bit():
+    # zero weights hold the lowest bits: every mask with one of them set
+    # raises and names the first, and every mask without them solves
+    inst = KnapsackInstance((rat(3), rat(0), rat(5), rat(0), rat(0)),
+                            tuple(rat(p) for p in (9, 4, 10, 6, 1)), (rat(6), rat(4)))
+    grid = KnapsackGrid.build(inst)
+    zeros = (1, 3, 4)
+    assert grid.order[:3] == zeros and grid.zero_mask == grid.mask(zeros) == 0b111
+    for mask in range(1, 1 << inst.n):
+        items = [j for j in range(inst.n) if mask >> grid.rank[j] & 1]
+        assert grid.mask(items) == mask
+        if mask & grid.zero_mask:
+            first = min(j for j in items if j in zeros)
+            with pytest.raises(ValueError, match=f"item {first} has zero weight"):
+                dantzig_solve(grid, mask, grid.capacities)
+        else:
+            assert dantzig_solve(grid, mask, grid.capacities).first_live == items[0]
+
+
+def test_adapter_rejects_an_unknown_branching_rule():
+    with pytest.raises(ValueError, match="unknown branching rule 'bogus'"):
+        KnapsackAdapter(WORKED, branching="bogus")
 
 
 def test_unit_profit_order_tie_by_index():
@@ -110,15 +135,15 @@ def test_unit_profit_order_tie_by_index():
 def test_branch_children_worked_example():
     grid, sol = dantzig_whole(WORKED)
     pivot = pick_pivot(sol, "CE")
-    children = branch_children(grid, (0, 1, 2), grid.capacities, pivot, 0, {})
+    children = branch_children(grid, grid.mask((0, 1, 2)), grid.capacities, pivot, 0, None)
     # pivot j* = item 0 (w=6): both inclusion children infeasible, only the
     # rightmost (exclusion) child survives
     assert pivot == 0
     assert len(children) == 1
     (child,) = children
     assert child.right_turn
-    assert child.payload.alive == (1, 2) and child.payload.caps == (5, 5)
-    assert child.payload.fixed_profit == 0 and child.payload.fixed_assign == {}
+    assert child.payload.alive == grid.mask((1, 2)) and child.payload.caps == (5, 5)
+    assert child.payload.fixed_profit == 0 and child.payload.chain is None
 
 
 def test_branch_children_fix_the_pivot_where_it_fits():
@@ -128,15 +153,18 @@ def test_branch_children_fix_the_pivot_where_it_fits():
     adapter = KnapsackAdapter(inst, branching="CE")
     grid = adapter.grid
     caps = (0, 5)
-    state = knapsack._NodeState((1, 2), caps, 9, {0: 0})
+    root_chain = (0, 0, None)
+    state = knapsack._NodeState(grid.mask((1, 2)), caps, 9, root_chain)
     assert not adapter.bound(state).leaf
-    assert state.pivot == pick_pivot(dantzig_solve(grid, (1, 2), caps), "CE") == 1
-    children = branch_children(grid, state.usable, caps, state.pivot, 9, {0: 0})
+    assert state.pivot == pick_pivot(dantzig_solve(grid, grid.mask((1, 2)), caps), "CE") == 1
+    children = branch_children(grid, state.usable, caps, state.pivot, 9, root_chain)
     assert [c.right_turn for c in children] == [False, True]
     inc, exc = (c.payload for c in children)
-    assert inc.alive == exc.alive == (2,)
-    assert inc.caps == (0, 1) and inc.fixed_profit == 19 and inc.fixed_assign == {0: 0, 1: 1}
-    assert exc.caps == (0, 5) and exc.fixed_profit == 9 and exc.fixed_assign == {0: 0}
+    assert inc.alive == exc.alive == grid.mask((2,))
+    assert inc.caps == (0, 1) and inc.fixed_profit == 19 and inc.chain == (1, 1, root_chain)
+    assert chain_solution(inc.chain, {}) == {0: 0, 1: 1}
+    assert exc.caps == (0, 5) and exc.fixed_profit == 9 and exc.chain is root_chain
+    assert chain_solution(exc.chain, {}) == {0: 0}
 
 
 def test_branch_rules_can_disagree():
@@ -194,7 +222,7 @@ def test_single_knapsack_child_pivots_straddle_parent_pivot():
         w = grid.weights[pivot]
         if w > c:
             continue  # inclusion child infeasible
-        rest = tuple(j for j in range(n) if j != pivot)
+        rest = grid.mask(j for j in range(n) if j != pivot)
         inc = dantzig_solve(grid, rest, (c - w,))
         exc = dantzig_solve(grid, rest, (c,))
         if not inc.fractional or not exc.fractional:
@@ -217,8 +245,8 @@ def _record_solutions(monkeypatch):
     kernel = knapsack.dantzig_solve
     solutions = []
 
-    def recording(grid, items, caps):
-        sol = kernel(grid, items, caps)
+    def recording(grid, live, caps):
+        sol = kernel(grid, live, caps)
         solutions.append((grid, sol))
         return sol
 
@@ -327,8 +355,8 @@ def _break_best_critical(grid, sol, m):
 def test_broken_rounding_raises(breaker, message, monkeypatch):
     kernel = knapsack.dantzig_solve
 
-    def broken(grid, items, caps):
-        return breaker(grid, kernel(grid, items, caps), BROKEN.m)
+    def broken(grid, live, caps):
+        return breaker(grid, kernel(grid, live, caps), BROKEN.m)
 
     adapter = KnapsackAdapter(BROKEN)
     adapter.bound(adapter.root_payload())  # the unbroken kernel passes
@@ -347,8 +375,9 @@ def test_broken_rounding_raises_under_optimize_flag():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{os.path.abspath(__file__)}::test_broken_rounding_raises",
-         f"{os.path.abspath(__file__)}::test_dantzig_rejects_zero_weight_items"],
+         f"{os.path.abspath(__file__)}::test_dantzig_rejects_zero_weight_items",
+         f"{os.path.abspath(__file__)}::test_dantzig_rejects_a_mask_with_a_zero_weight_bit"],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "3 passed" in proc.stdout
+    assert "4 passed" in proc.stdout

@@ -8,12 +8,14 @@ cumulative weights. The integer kernel must return the same solution,
 field by field, with the same insertion order in `int_assignment`; its
 values, rebuilt as Fractions from its integer sums, must equal the
 reference's, and its split item must be the first item of the order with a
-coordinate of `x_frac` strictly between 0 and 1. The kernel takes positive
-weights only: on a call with zero-weight items it gets the others, and the
-reference on all of them must equal its answer plus each zero-weight item
-on knapsack 0 with its profit. This holds on hand-picked edge cases, on
-seeded rational instances and on every sub-problem the adapter bounds
-during real searches.
+coordinate of `x_frac` strictly between 0 and 1. The kernel takes the live
+items as a mask over the grid's order, of positive weights only: on a call
+with zero-weight items it gets the others, and the reference on all of them
+must equal its answer plus each zero-weight item on knapsack 0 with its
+profit. This holds on hand-picked edge cases, on seeded rational instances
+and on every sub-problem the adapter bounds during real searches. There
+each node's usable mask, fixed chain and solution token are also checked
+against the same node state kept as plain sets and dicts along its path.
 """
 import random
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from typing import Mapping
 import pytest
 
 from bnbapprox import knapsack
-from bnbapprox.engine import Criterion, Selection, run
+from bnbapprox.engine import Criterion, Selection, chain_solution, run
 from bnbapprox.instances import KnapsackInstance, generate
 from bnbapprox.knapsack import (
     DantzigSolution,
@@ -33,7 +35,7 @@ from bnbapprox.knapsack import (
     pick_pivot,
 )
 from bnbapprox.rational import Rat, grid_scale, rat
-from guarantees import int_value, reference_unit_profit_order, sub_value
+from guarantees import int_value, mask_items, reference_unit_profit_order, sub_value
 
 
 @dataclass(frozen=True)
@@ -140,12 +142,14 @@ def reference_dantzig_solve(inst, items, caps):
 
 
 def assert_same(
-    grid: KnapsackGrid, got: DantzigSolution, want: ReferenceSolution, zeros=()
+    grid: KnapsackGrid, live: int, got: DantzigSolution, want: ReferenceSolution, zeros=()
 ) -> None:
-    """`zeros` are the zero-weight items, ascending, that the reference was
-    given and the kernel was not."""
+    """`live` is the mask the kernel was given and `zeros` the zero-weight
+    items, ascending, that the reference was given and the kernel was not."""
     free = Fraction(sum(grid.profits[j] for j in zeros), grid.p_scale)
-    assert want.order == tuple(zeros) + got.order
+    assert want.order == tuple(zeros) + mask_items(grid, live)
+    assert got.first_live == next(iter(mask_items(grid, live)), None)
+    assert pick_pivot(got, "K") == got.first_live
     assert [want.x_frac[j, 0] for j in zeros] == [1] * len(zeros)
     partial = {j for (j, _), v in want.x_frac.items() if 0 < v < 1}
     first_partial = next((j for j in want.order if j in partial), None)
@@ -179,8 +183,8 @@ def assert_kernel_matches(inst, items=None, caps=None) -> None:
     scaled = [c * weight_scale(inst) for c in caps]
     assert all(c.denominator == 1 for c in scaled)
     zeros = tuple(sorted(j for j in items if inst.weights[j] == 0))
-    positive = [j for j in items if inst.weights[j] != 0]
-    assert_same(grid, dantzig_solve(grid, positive, tuple(int(c) for c in scaled)),
+    live = grid.mask(j for j in items if inst.weights[j] != 0)
+    assert_same(grid, live, dantzig_solve(grid, live, tuple(int(c) for c in scaled)),
                 reference_dantzig_solve(inst, items, caps), zeros)
 
 
@@ -289,6 +293,10 @@ def _adapter_instances():
     out = [generate("knapsack", n, m, 4_042_000 + k)
            for k, (n, m) in enumerate(((9, 2), (12, 2), (10, 3), (14, 3)))]
     out += [_rational_instance(rnd, n, m) for n, m in ((8, 2), (10, 3))]
+    # zero weights, which the root fixes into knapsack 0 in id order
+    base = out[1]
+    weights = tuple(Fraction(0) if j in (2, 7) else w for j, w in enumerate(base.weights))
+    out.append(KnapsackInstance(weights, base.profits, base.capacities))
     return out
 
 
@@ -297,21 +305,51 @@ def test_every_subproblem_the_adapter_bounds(rule, monkeypatch):
     recorded = []
     kernel = knapsack.dantzig_solve
 
-    def recording(grid, items, caps):
-        sol = kernel(grid, items, caps)
-        recorded.append((grid, items, caps, sol))
+    def recording(grid, live, caps):
+        sol = kernel(grid, live, caps)
+        recorded.append((grid, live, caps, sol))
         return sol
 
-    bound = KnapsackAdapter.bound
+    # Each node's state as plain sets and dicts, kept along its path: the
+    # live items and the fixed items (item -> knapsack, in fixing order).
+    paths = {}
+    root_payload, bound, branch = (
+        KnapsackAdapter.root_payload, KnapsackAdapter.bound, KnapsackAdapter.branch
+    )
+
+    def recording_root(adapter):
+        state = root_payload(adapter)
+        inst = adapter.inst
+        paths[id(state)] = (state, {j for j in range(inst.n) if inst.weights[j] != 0},
+                            {j: 0 for j in range(inst.n) if inst.weights[j] == 0})
+        return state
+
     states = []
 
     def recording_bound(adapter, state):
         info = bound(adapter, state)
-        states.append((adapter, state, info))
+        states.append((adapter, state, info, paths[id(state)][1:]))
         return info
 
+    def recording_branch(adapter, node):
+        children = branch(adapter, node)
+        parent = node.payload
+        _, alive, fixed = paths[id(parent)]
+        usable = {j for j in alive if adapter.inst.weights[j] <= max(
+            Fraction(c, weight_scale(adapter.inst)) for c in parent.caps)}
+        for spec in children:
+            child = spec.payload
+            child_fixed = dict(fixed)
+            if not spec.right_turn:
+                (k,) = [k for k, c in enumerate(child.caps) if c != parent.caps[k]]
+                child_fixed[parent.pivot] = k
+            paths[id(child)] = (child, usable - {parent.pivot}, child_fixed)
+        return children
+
     monkeypatch.setattr(knapsack, "dantzig_solve", recording)
+    monkeypatch.setattr(KnapsackAdapter, "root_payload", recording_root)
     monkeypatch.setattr(KnapsackAdapter, "bound", recording_bound)
+    monkeypatch.setattr(KnapsackAdapter, "branch", recording_branch)
     for inst in _adapter_instances():
         for selection in Selection:
             run(KnapsackAdapter(inst, branching=rule), selection,
@@ -320,26 +358,40 @@ def test_every_subproblem_the_adapter_bounds(rule, monkeypatch):
     scaled = 0
     # the integer node state against the same state kept in Fractions; each
     # bound made one kernel call
-    for (adapter, state, info), (grid, items, caps, sol) in zip(states, recorded):
+    for (adapter, state, info, (alive, path_fixed)), (grid, live, caps, sol) in zip(
+        states, recorded
+    ):
         inst = adapter.inst
         dw = weight_scale(inst)
-        assert grid is adapter.grid and items is state.usable and caps == state.caps
+        assert grid is adapter.grid and live == state.usable and caps == state.caps
+        rat_caps = tuple(Fraction(c, dw) for c in caps)
+        # the usable mask holds the path's live items that fit some knapsack
+        assert set(mask_items(grid, state.usable)) == {
+            j for j in alive if inst.weights[j] <= max(rat_caps)
+        }
         # the node keeps the pivot its rule picks, and only a node to branch
         assert state.pivot == (None if info.leaf else pick_pivot(sol, rule))
         assert info.leaf or state.pivot is not None
-        fixed = sum((inst.profits[j] for j in state.fixed_assign), start=rat(0))
+        # the chain holds the path's fixed items, in fixing order
+        fixed_assign = chain_solution(state.chain, {})
+        assert list(fixed_assign.items()) == list(path_fixed.items())
+        fixed = sum((inst.profits[j] for j in fixed_assign), start=rat(0))
         assert Fraction(state.fixed_profit, grid.p_scale) == fixed
         for k, cap in enumerate(state.caps):
-            used = sum((inst.weights[j] for j, kk in state.fixed_assign.items() if kk == k),
+            used = sum((inst.weights[j] for j, kk in fixed_assign.items() if kk == k),
                        start=rat(0))
             assert Fraction(cap, dw) == inst.capacities[k] - used
+        # the token stands for the path's fixed items, then the rounding
+        assert list(adapter.solution(info.solution).items()) == (
+            list(path_fixed.items()) + list(sol.int_assignment.items())
+        )
         # bounds are exact ints in units of 1/bound_scale
         assert type(info.lb) is int
         assert Fraction(info.lb, adapter.bound_scale) == fixed + int_value(grid, sol)
         assert type(info.ub) is int
         assert Fraction(info.ub, adapter.bound_scale) == fixed + sub_value(grid, sol)
-        rat_caps = tuple(Fraction(c, dw) for c in caps)
-        assert_same(grid, sol, reference_dantzig_solve(inst, items, rat_caps))
+        assert_same(grid, live, sol,
+                    reference_dantzig_solve(inst, mask_items(grid, live), rat_caps))
         scaled += dw != 1 or grid.p_scale != 1
     assert scaled > 0
 

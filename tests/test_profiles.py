@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bnbapprox import profiles
-from bnbapprox.engine import AdapterContractError, Criterion, Node, Selection, run
+from bnbapprox.engine import AdapterContractError, Criterion, Node, Selection, chain_solution, run
 from bnbapprox.instances import IDENTICAL, UNIFORM, UNRELATED, InstanceError
 from bnbapprox.instances import SchedulingInstance, generate
 from bnbapprox.oracle import exact_opt
@@ -149,7 +149,7 @@ def test_cube_limit_on_the_normalized_grid():
     adapter = ProfileAdapter(IDENT332, rat(1, 2), "similarity")
     assert adapter.grid.R == 4 and adapter.limit == 18
     for t, inside in (((18, 0), True), ((19, 0), False), ((0, 19), False)):
-        node = Node(1, 0, 1, 16, 18, 0, False, _SchedState((1, 2), t, {0: 0}))
+        node = Node(1, 0, 1, 16, 18, 0, False, _SchedState((1, 2), t, (0, 0, None)))
         assert adapter.admit(node) is inside
 
 
@@ -199,7 +199,7 @@ def test_adapter_key_matches_reference_equivalence_key():
         def on_insert(node):
             nonlocal checked
             state = node.payload
-            key = equivalence_key(state.fixed, base, eps, inst.m)
+            key = equivalence_key(chain_solution(state.fixed, {}), base, eps, inst.m)
             assert key != SMALL_JOB
             scaled = sorted(v * scale for v, count in key for _ in range(count))
             got = adapter._profile_key(state)
@@ -311,7 +311,7 @@ def test_root_bound_reuses_the_normalized_vertex(monkeypatch):
     for inst in itertools.islice(_pool(), 0, None, 4):
         adapter = ProfileAdapter(inst, rat(1, 2), "similarity")
         root = adapter.root_payload()
-        other = _SchedState(root.jobs, root.t, {}, lo_hint=root.lo_hint)
+        other = _SchedState(root.jobs, root.t, None, lo_hint=root.lo_hint)
         searches.clear()
         want = adapter.bound(other)
         assert len(searches) == 1
@@ -454,8 +454,8 @@ def test_same_profile_different_levels_never_merged():
     eps = rat(1, 2)
     adapter = ProfileAdapter(inst, eps, "similarity")
     profile = (adapter.P[0][0],) * 2  # an N-job on each machine
-    shallow = _SchedState(tuple(range(2, inst.n)), profile, {})
-    deep = _SchedState(tuple(range(3, inst.n)), profile, {})
+    shallow = _SchedState(tuple(range(2, inst.n)), profile, None)
+    deep = _SchedState(tuple(range(3, inst.n)), profile, None)
     node_a = Node(10, None, 2, rat(1), rat(2), 0, False, shallow)
     node_b = Node(11, None, 3, rat(1), rat(2), 0, False, deep)
     assert adapter.admit(node_a)

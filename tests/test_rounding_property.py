@@ -44,6 +44,7 @@ from bnbapprox.scheduling import (
     round_vertex,
     solve_unrelated,
 )
+from guarantees import mask_items
 from lp_oracle import knapsack_lp, lp_optimum_by_enumeration
 from test_knapsack_property import _instances as knapsack_instances
 from test_scheduling_property import _instances as scheduling_instances
@@ -176,9 +177,9 @@ def test_knapsack_rounding_against_the_lp_oracle(drawn):
     nodes = {}  # the strategies share sub-problems: check each once
     kernel = knapsack.dantzig_solve
 
-    def recording(grid, items, caps):
-        sol = kernel(grid, items, caps)
-        nodes[tuple(items), tuple(caps)] = grid, sol
+    def recording(grid, live, caps):
+        sol = kernel(grid, live, caps)
+        nodes[mask_items(grid, live), tuple(caps)] = grid, sol
         return sol
 
     knapsack.dantzig_solve = recording

@@ -74,6 +74,15 @@ def test_sched_grid_rational_data():
     assert UnrelatedAdapter(inst).bound_scale == 6
 
 
+def test_adapter_rejects_an_unknown_rounding():
+    # the root of this 2x2 instance is integral, so a run would never round
+    inst = SchedulingInstance(UNRELATED, ((rat(1), rat(5)), (rat(5), rat(1))), T00)
+    assert run(UnrelatedAdapter(inst), Selection.BEST_FIRST,
+               Criterion("ratio-eps", rat(1, 10))).nodes_explored == 1
+    with pytest.raises(ValueError, match="unknown rounding 'bogus'"):
+        UnrelatedAdapter(inst, rounding="bogus")
+
+
 def test_search_steps_on_the_node_grid():
     # fixing job 2 on machine 1 (1/3 + 2/3) leaves integer data: the node
     # step is 3 (the integers on R = 3), and the answer is the guess 2, not
@@ -299,7 +308,7 @@ def test_children_fix_the_node_pivot():
             node = Node(0, None, 0, info.lb, info.ub, 0, False, state)
             children = [spec.payload for spec in adapter.branch(node)]
             assert [child.fixed for child in children] == [
-                {state.pivot: i} for i in range(inst.m)
+                (state.pivot, i, None) for i in range(inst.m)
             ]
             assert all(child.lo_hint == info.lb for child in children)
 
