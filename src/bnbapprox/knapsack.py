@@ -252,10 +252,12 @@ def dantzig_solve(grid: KnapsackGrid, live: int, caps: Sequence[int]) -> Dantzig
     # it, then the floor; the first of the most profitable wins.
     chosen = None
     for s in criticals:
-        w = W[s]
-        fit = next((k for k in range(m) if w <= caps[k]), None)
-        if fit is not None and (chosen is None or P[s] > P[chosen[0]]):
-            chosen = (s, fit)
+        if chosen is None or P[s] > P[chosen[0]]:
+            w = W[s]
+            for k in range(m):
+                if w <= caps[k]:
+                    chosen = (s, k)
+                    break
     if chosen is None or whole_profit > P[chosen[0]]:
         int_assignment = dict(whole)
         int_profit = whole_profit

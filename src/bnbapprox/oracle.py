@@ -40,18 +40,24 @@ class OracleResult:
 def exact_opt(inst, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Exact optimum of a knapsack (max profit) or scheduling (min makespan)
     instance. Raises OracleBudgetExceeded when the state count would pass
-    the budget."""
+    the budget, or when the instance is too deep for the searches, which
+    recurse once per item or job."""
     if isinstance(inst, KnapsackInstance):
         integral = all(
             v.denominator == 1
             for v in (*inst.weights, *inst.profits, *inst.capacities)
         )
-        if integral:
-            return _knapsack_dp(inst, budget)
-        return _knapsack_exhaustive(inst, budget)
-    if isinstance(inst, SchedulingInstance):
-        return _scheduling_exhaustive(inst, budget)
-    raise TypeError(f"no oracle for {type(inst).__name__}")
+        search = _knapsack_dp if integral else _knapsack_exhaustive
+    elif isinstance(inst, SchedulingInstance):
+        search = _scheduling_exhaustive
+    else:
+        raise TypeError(f"no oracle for {type(inst).__name__}")
+    try:
+        return search(inst, budget)
+    except RecursionError as exc:
+        raise OracleBudgetExceeded(
+            f"instance too deep for the oracle: n={inst.n} passes the recursion limit"
+        ) from exc
 
 
 def _knapsack_dp(inst: KnapsackInstance, budget: int) -> OracleResult:

@@ -97,6 +97,7 @@ def knapsack_runs():
     return records
 
 
+@pytest.mark.guarantee
 def test_criterion_01_knapsack_scheme_guarantee(knapsack_runs):
     with _report(1, "knapsack scheme: profit >= alpha * OPT on ratio-met runs"):
         ratio_met = 0
@@ -110,6 +111,7 @@ def test_criterion_01_knapsack_scheme_guarantee(knapsack_runs):
         assert ratio_met >= 500  # the cap should almost never bite at this scale
 
 
+@pytest.mark.guarantee
 def test_criterion_02_left_turn_bound(knapsack_runs):
     with _report(2, "left turns per root-leaf path <= 1 + max{m a/(1-a)^2, (m+1)/(1-a)}"):
         for inst, alpha, _, result in knapsack_runs:
@@ -133,6 +135,7 @@ def test_criterion_03_dantzig_lp_optimality():
         assert per_knapsack_checked >= 20
 
 
+@pytest.mark.guarantee
 def test_criterion_04_rounding_guarantees(monkeypatch):
     with _report(4, "(m+1)-approximation and critical-item inequalities at every node"):
         kernel = knapsack.dantzig_solve
@@ -180,6 +183,7 @@ def scheduling_instances():
     return out
 
 
+@pytest.mark.guarantee
 def test_criterion_05_unrelated_scheme_guarantee(scheduling_instances):
     with _report(5, "scheduling scheme: makespan <= (1+eps) OPT, depth <= floor(m^2/eps), m=2 eps=1 nodes <= 16"):
         for inst, opt in scheduling_instances:
@@ -192,6 +196,7 @@ def test_criterion_05_unrelated_scheme_guarantee(scheduling_instances):
                     assert out.result.nodes_processed <= 16
 
 
+@pytest.mark.guarantee
 def test_criterion_06_bfs_variant(scheduling_instances):
     with _report(6, "BFS selection under depth cap floor(m^2/eps) keeps the guarantee"):
         for inst, opt in scheduling_instances:
@@ -202,6 +207,7 @@ def test_criterion_06_bfs_variant(scheduling_instances):
                 assert out.result.max_depth <= cap
 
 
+@pytest.mark.guarantee
 def test_criterion_07_vertex_structure():
     with _report(7, "vertices: <= m fractional jobs, machine injection, uniform predicate"):
         for i in range(100):
@@ -216,6 +222,7 @@ def test_criterion_07_vertex_structure():
             assert uniform_vertex_check(res)
 
 
+@pytest.mark.guarantee
 def test_criterion_08_lst_rounding_bound():
     with _report(8, "matching-based rounding stays within twice the bound"):
         rng = SplitMix64(60_000)
@@ -233,6 +240,7 @@ def test_criterion_08_lst_rounding_bound():
             assert makespan <= 2 * res.T  # also asserted inside round_vertex
 
 
+@pytest.mark.guarantee
 def test_criterion_09_uniform_scheme_guarantee():
     with _report(9, "uniform scheme: makespan <= (1+eps)^2 OPT, level widths bounded"):
         for i in range(50):
@@ -248,6 +256,7 @@ def test_criterion_09_uniform_scheme_guarantee():
                 assert out.result.nodes_processed <= inst.n * bound
 
 
+@pytest.mark.guarantee
 def test_criterion_10_identical_scheme_guarantee():
     with _report(10, "identical scheme: (1+eps)^2 OPT, depth <= big jobs <= 2m/eps, values <= f(eps)"):
         for i in range(50):
@@ -272,6 +281,7 @@ def test_criterion_10_identical_scheme_guarantee():
                 ) + 1e-9
 
 
+@pytest.mark.guarantee
 def test_criterion_11_bound_dominance():
     with _report(11, "parametric bound dominates the plain LP-relaxation bound"):
         rng = SplitMix64(90_000)

@@ -8,14 +8,13 @@ big job). So whatever stopped it, the optimum lies between the value and
 the bound. Hypothesis draws the tiny adversarial instances of the knapsack
 and scheduling property tests, a node limit of 1 to 8 (or none) and, for
 the unrelated scheme, a depth cap below floor(m^2/eps); every strategy of
-every algorithm the instance admits runs under them. The same tests run
-again in a `python -O` subprocess, since the bound must not rest on asserts.
+every algorithm the instance admits runs under them. The tests carry the
+`guarantee` marker, so they run again in the one `python -O` pass
+(test_no_asserts.py), since the bound must not rest on asserts.
 """
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +25,8 @@ from bnbapprox.oracle import exact_opt
 from bnbapprox.scheduling import scheme_depth_cap
 from test_knapsack_property import _instances as _knapsacks
 from test_scheduling_property import _instances as _schedules
+
+pytestmark = pytest.mark.guarantee
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=250, deadline=None)
 
@@ -70,19 +71,3 @@ def test_scheduling_bound_lies_below_the_optimum(drawn, eps, data):
         assert out.bound <= opt <= out.value, (
             algorithm, ratio, strategy, limit, depth_cap, out.result.termination
         )
-
-
-def test_bounds_under_optimize_flag():
-    # `python -O` strips assert statements; the bounds must hold there too
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    here = os.path.abspath(__file__)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{here}::test_knapsack_bound_lies_above_the_optimum",
-         f"{here}::test_scheduling_bound_lies_below_the_optimum"],
-        capture_output=True, text=True, env=env, timeout=900,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "2 passed" in proc.stdout

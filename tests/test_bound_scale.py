@@ -272,6 +272,7 @@ class _ScaledStub(BaseAdapter):
         return [ChildSpec(False, "child")]
 
 
+@pytest.mark.guarantee
 @pytest.mark.parametrize(
     "sense, root, child, message",
     [

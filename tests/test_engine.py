@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -118,6 +115,7 @@ def test_run_frontier_empty_returns_best():
     assert result.nodes_after_optimum == 0
 
 
+@pytest.mark.guarantee
 def test_run_monotonicity_audit():
     tree = {"lb": 1, "ub": 10, "children": [{"lb": 1, "ub": 11}]}
     with pytest.raises(AdapterContractError):
@@ -175,6 +173,7 @@ class _RandomTreeAdapter(BaseAdapter):
         return children
 
 
+@pytest.mark.guarantee
 def test_run_takes_nodes_in_the_documented_order():
     # best-first: highest ub (max) or lowest lb (min), ties to the lowest
     # id; DFS: deepest, newest first; BFS: shallowest, oldest first
@@ -284,24 +283,3 @@ def test_sweep_bounds_lie_on_the_certified_side(kind, pairs, ratio):
     for row in rows:
         value, bound = parse_rat(row["best_value"]), parse_rat(row["global_bound"])
         assert (bound >= value if kind == "knapsack" else bound <= value), row
-
-
-def test_engine_contract_checks_under_optimize_flag():
-    # `python -O` strips assert statements; the engine's contract errors and
-    # its selection order must not depend on them
-    here = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(here), "src") + os.pathsep + env.get(
-        "PYTHONPATH", ""
-    )
-    tests = [
-        f"{here}/test_engine.py::test_run_monotonicity_audit",
-        f"{here}/test_engine.py::test_run_takes_nodes_in_the_documented_order",
-        f"{here}/test_bound_scale.py::test_contract_errors_print_unscaled_bounds",
-    ]
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "6 passed" in proc.stdout

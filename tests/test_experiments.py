@@ -8,12 +8,14 @@ from bnbapprox.experiments import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    _oracle_value,
     format_summary_table,
     hub_direction_warnings,
     read_rows,
     run_experiment,
     summarize,
 )
+from bnbapprox.instances import load_instance
 from bnbapprox.rational import format_rat, rat
 
 
@@ -304,6 +306,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     results.write_text("kind,n,m\nknapsack,5,2\n")
     assert main(["summarize", "--results", str(results)]) == 2
     assert "lack the columns ratio, selection" in capsys.readouterr().err
+
+
+def test_oracle_refuses_an_instance_too_deep_for_its_recursion(tmp_path, capsys):
+    # the oracle's searches recurse once per item: 1500 items pass the limit
+    inst_path = tmp_path / "deep.json"
+    assert main(["generate", "--kind", "knapsack", "--n", "1500", "--m", "1",
+                 "--seed", "1", "--out", str(inst_path)]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "--instance", str(inst_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance too deep") and "Traceback" not in err
+    # a sweep leaves the gap of such an instance blank
+    assert _oracle_value(load_instance(str(inst_path)), ExperimentConfig.oracle_budget) is None
 
 
 def test_cli_rejects_eps_out_of_range(tmp_path):

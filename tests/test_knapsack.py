@@ -1,9 +1,6 @@
 import dataclasses
 import math
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -94,6 +91,7 @@ def test_dantzig_zero_weight_items_preassigned():
     assert adapter.solution(info.solution) == {0: 0, 1: 0}
 
 
+@pytest.mark.guarantee
 def test_dantzig_rejects_zero_weight_items():
     # a zero weight sorts first in the order, so the kernel's one test sees it
     grid = KnapsackGrid.build(ZERO_WEIGHT)
@@ -102,6 +100,7 @@ def test_dantzig_rejects_zero_weight_items():
             dantzig_solve(grid, grid.mask(items), grid.capacities)
 
 
+@pytest.mark.guarantee
 def test_dantzig_rejects_a_mask_with_a_zero_weight_bit():
     # zero weights hold the lowest bits: every mask with one of them set
     # raises and names the first, and every mask without them solves
@@ -348,6 +347,7 @@ def _break_best_critical(grid, sol, m):
     return dataclasses.replace(sol, int_profit=rounded, best_critical=BROKEN_CRITICAL)
 
 
+@pytest.mark.guarantee
 @pytest.mark.parametrize(
     "breaker, message",
     [(_break_int_value, "approximation"), (_break_best_critical, "critical-item")],
@@ -363,21 +363,3 @@ def test_broken_rounding_raises(breaker, message, monkeypatch):
     monkeypatch.setattr(knapsack, "dantzig_solve", broken)
     with pytest.raises(AdapterContractError, match=message):
         adapter.bound(adapter.root_payload())
-
-
-def test_broken_rounding_raises_under_optimize_flag():
-    # `python -O` strips assert statements; the rounding checks and the
-    # kernel's zero-weight check must not be asserts, so their tests have to
-    # pass there too
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{os.path.abspath(__file__)}::test_broken_rounding_raises",
-         f"{os.path.abspath(__file__)}::test_dantzig_rejects_zero_weight_items",
-         f"{os.path.abspath(__file__)}::test_dantzig_rejects_a_mask_with_a_zero_weight_bit"],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "4 passed" in proc.stdout

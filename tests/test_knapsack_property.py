@@ -6,14 +6,13 @@ one knapsack, zero capacities and items that fit in no knapsack. Every one
 of the 9 strategies must return a feasible assignment worth its value, a
 bound no smaller than the optimum, and, when it stops on the ratio, a value
 of at least alpha times the bound and so times the optimum. A run that
-empties its frontier must have found the optimum. The same test runs again
-in a `python -O` subprocess, since the certificate must not rest on asserts.
+empties its frontier must have found the optimum. The test carries the
+`guarantee` marker, so it runs again in the one `python -O` pass
+(test_no_asserts.py), since the certificate must not rest on asserts.
 """
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +21,8 @@ from bnbapprox.engine import FRONTIER_EMPTY, RATIO_MET, valid_strategies
 from bnbapprox.instances import KnapsackInstance
 from bnbapprox.oracle import exact_opt
 from guarantees import assignment_feasible, assignment_value
+
+pytestmark = pytest.mark.guarantee
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=400, deadline=None)
 
@@ -76,17 +77,3 @@ def test_alpha_certificate_against_the_oracle(drawn, alpha):
             assert out.value >= alpha * opt
         else:
             assert out.value == opt
-
-
-def test_alpha_certificate_under_optimize_flag():
-    # `python -O` strips assert statements; the certificate must hold there too
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{os.path.abspath(__file__)}::test_alpha_certificate_against_the_oracle"],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "1 passed" in proc.stdout

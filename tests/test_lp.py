@@ -183,6 +183,7 @@ def test_fractional_graph_shapes():
     assert matching is not None and set(matching) == set(fractional)
 
 
+@pytest.mark.guarantee
 def test_feasible_point_flags_too_many_fractional_jobs(monkeypatch):
     # a forged vertex that splits all three jobs of G332 over both machines
     forged = lp.Vertex((rat(1, 2),) * 6, (0, 0))

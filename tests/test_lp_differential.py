@@ -35,18 +35,16 @@ the uniform and identical schemes solve. The crash comparison runs on
 every one of those load LPs, on tiny nodes drawn with ties in the
 fastest-first order, closed machines and jobs eligible on one machine
 only, and on rational nodes whose data lie on a coarser grid than the
-instance's (node step g > 1). The same tests run again in a `python -O`
-subprocess.
+instance's (node step g > 1). The tests carry the `guarantee` marker, so
+they run again in the one `python -O` pass (test_no_asserts.py).
 """
 import contextlib
 import functools
 import itertools
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +69,8 @@ from lp_oracle import (
     reference_pivot,
     solve_vertex,
 )
+
+pytestmark = pytest.mark.guarantee
 
 
 def _reference_scaled_int_row(coeffs, rhs):
@@ -524,17 +524,3 @@ def test_coarse_grid_load_lp_crashes_match_reference(node):
     assert probes and all(T % g == 0 for *_, T, _ in probes)
     for args in probes:
         _check_crash(args)
-
-
-def test_lp_checks_under_optimize_flag():
-    # `python -O` strips assert statements; the solver must not rest on them
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         os.path.abspath(__file__), "-k", "match_reference"],
-        capture_output=True, text=True, env=env, timeout=900,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "8 passed" in proc.stdout

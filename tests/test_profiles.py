@@ -1,8 +1,5 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -546,6 +543,7 @@ def _swapped_with_drift(x, L, j, m1, m2, P):
     return x
 
 
+@pytest.mark.guarantee
 def test_broken_mass_swap_raises(monkeypatch):
     for seed in range(200):
         grid, _, _, _ = normalize(generate("scheduling-uniform", 5, 2, 800 + seed))
@@ -562,30 +560,10 @@ def test_broken_mass_swap_raises(monkeypatch):
         make_longest_fractional(*args)
 
 
+@pytest.mark.guarantee
 def test_broken_level_width_raises():
     adapter = ProfileAdapter(generate("scheduling-uniform", 6, 2, 1), rat(1, 2), "similarity")
     adapter.level_bound = 0  # no node fits under a zero width bound
     root = Node(0, None, 0, rat(1), rat(2), 0, False, adapter.root_payload())
     with pytest.raises(AdapterContractError, match="similarity-cell bound"):
         adapter.on_insert(root)
-
-
-def test_guarantee_checks_raise_under_optimize_flag():
-    # `python -O` strips assert statements; the three checks must not be
-    # asserts, so their tests have to pass there too
-    here = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(here), "src") + os.pathsep + env.get(
-        "PYTHONPATH", ""
-    )
-    tests = [
-        f"{here}/test_lp.py::test_feasible_point_flags_too_many_fractional_jobs",
-        f"{here}/test_profiles.py::test_broken_mass_swap_raises",
-        f"{here}/test_profiles.py::test_broken_level_width_raises",
-    ]
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "3 passed" in proc.stdout

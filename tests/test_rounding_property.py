@@ -18,15 +18,14 @@ Knapsack: at every node of a run small enough for vertex enumeration, the
 Dantzig rounding's integer profit times m+1 is at least the optimum of the
 node's per-knapsack LP relaxation, found by
 `lp_oracle.lp_optimum_by_enumeration`, on the tiny adversarial instances of
-test_knapsack_property.py. All properties run again in a `python -O`
-subprocess, since the guarantees must not rest on asserts.
+test_knapsack_property.py. All tests here carry the `guarantee` marker, so
+they run again in the one `python -O` pass (test_no_asserts.py), since the
+guarantees must not rest on asserts.
 """
 import itertools
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +47,8 @@ from guarantees import mask_items
 from lp_oracle import knapsack_lp, lp_optimum_by_enumeration
 from test_knapsack_property import _instances as knapsack_instances
 from test_scheduling_property import _instances as scheduling_instances
+
+pytestmark = pytest.mark.guarantee
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -198,17 +199,3 @@ def test_knapsack_rounding_against_the_lp_oracle(drawn):
                                tuple(Fraction(c) for c in caps))
         lp_opt = lp_optimum_by_enumeration(*knapsack_lp(sub))
         assert (len(caps) + 1) * sol.int_profit >= lp_opt
-
-
-def test_rounding_properties_under_optimize_flag():
-    # `python -O` strips assert statements; the guarantees must hold there too
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         os.path.abspath(__file__), "-k", "not optimize_flag"],
-        capture_output=True, text=True, env=env, timeout=900,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "3 passed" in proc.stdout

@@ -9,17 +9,16 @@ all 12 strategies of the unrelated scheme must return a complete schedule
 worth their value with OPT <= value <= (1+eps) OPT, and on uniform and
 identical instances the profile schemes must stay within (1+eps)^2 OPT;
 the identical scheme also runs at eps = 3/2, where its root rounding alone
-is returned and must stay within 2 OPT. The same test runs again in a
-`python -O` subprocess, since the guarantees must not rest on asserts.
+is returned and must stay within 2 OPT. The test carries the `guarantee`
+marker, so it runs again in the one `python -O` pass (test_no_asserts.py),
+since the guarantees must not rest on asserts.
 
 Only the value is checked here; test_bound_property.py checks which side
 of the optimum each run's bound lies on, under node limits and depth caps.
 """
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +27,8 @@ from bnbapprox.engine import valid_strategies
 from bnbapprox.instances import IDENTICAL, UNIFORM, UNRELATED, SchedulingInstance
 from bnbapprox.oracle import exact_opt
 from guarantees import schedule_makespan
+
+pytestmark = pytest.mark.guarantee
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=600, deadline=None)
 
@@ -99,17 +100,3 @@ def test_value_guarantees_against_the_oracle(drawn, eps):
     if inst.kind == IDENTICAL:
         _check(inst, "identical", eps, profile, opt, (1 + eps) ** 2)
         _check(inst, "identical", Fraction(3, 2), profile, opt, 2)
-
-
-def test_value_guarantees_under_optimize_flag():
-    # `python -O` strips assert statements; the guarantees must hold there too
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{os.path.abspath(__file__)}::test_value_guarantees_against_the_oracle"],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "1 passed" in proc.stdout

@@ -12,9 +12,6 @@ program `lp_oracle.load_program` writes there (the program whose crash
 The contract tests forge rays that prove nothing and expect `LpError`, also
 under `python -O`.
 """
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -160,6 +157,7 @@ def _forged_lp_row(monkeypatch):
     min_feasible_T(G55, T00, range(2))
 
 
+@pytest.mark.guarantee
 @pytest.mark.parametrize(
     "forger, message",
     [
@@ -172,17 +170,3 @@ def _forged_lp_row(monkeypatch):
 def test_forged_ray_raises(forger, message, monkeypatch):
     with pytest.raises(LpError, match=message):
         forger(monkeypatch)
-
-
-def test_forged_ray_raises_under_optimize_flag():
-    # the ray checks must not be asserts: they must raise under python -O
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{os.path.abspath(__file__)}::test_forged_ray_raises"],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "4 passed" in proc.stdout
