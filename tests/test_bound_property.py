@@ -71,3 +71,8 @@ def test_scheduling_bound_lies_below_the_optimum(drawn, eps, data):
         assert out.bound <= opt <= out.value, (
             algorithm, ratio, strategy, limit, depth_cap, out.result.termination
         )
+
+
+def test_bounds_under_optimize_flag(optimize_pass):
+    # `python -O` strips assert statements; the bounds must hold there too
+    assert optimize_pass.not_passed("test_bound_property.py") == [], optimize_pass.out

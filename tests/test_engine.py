@@ -283,3 +283,9 @@ def test_sweep_bounds_lie_on_the_certified_side(kind, pairs, ratio):
     for row in rows:
         value, bound = parse_rat(row["best_value"]), parse_rat(row["global_bound"])
         assert (bound >= value if kind == "knapsack" else bound <= value), row
+
+
+def test_engine_contract_checks_under_optimize_flag(optimize_pass):
+    # `python -O` strips assert statements; the engine's contract errors and
+    # its selection order must not depend on them
+    assert optimize_pass.not_passed("test_engine.py", "test_bound_scale.py") == [], optimize_pass.out

@@ -363,3 +363,10 @@ def test_broken_rounding_raises(breaker, message, monkeypatch):
     monkeypatch.setattr(knapsack, "dantzig_solve", broken)
     with pytest.raises(AdapterContractError, match=message):
         adapter.bound(adapter.root_payload())
+
+
+def test_broken_rounding_raises_under_optimize_flag(optimize_pass):
+    # `python -O` strips assert statements; the rounding checks and the
+    # kernel's zero-weight checks must not be asserts, so their tests have to
+    # pass there too
+    assert optimize_pass.not_passed("test_knapsack.py") == [], optimize_pass.out

@@ -77,3 +77,8 @@ def test_alpha_certificate_against_the_oracle(drawn, alpha):
             assert out.value >= alpha * opt
         else:
             assert out.value == opt
+
+
+def test_alpha_certificate_under_optimize_flag(optimize_pass):
+    # `python -O` strips assert statements; the certificate must hold there too
+    assert optimize_pass.not_passed("test_knapsack_property.py") == [], optimize_pass.out

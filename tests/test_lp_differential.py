@@ -524,3 +524,8 @@ def test_coarse_grid_load_lp_crashes_match_reference(node):
     assert probes and all(T % g == 0 for *_, T, _ in probes)
     for args in probes:
         _check_crash(args)
+
+
+def test_lp_checks_under_optimize_flag(optimize_pass):
+    # `python -O` strips assert statements; the solver must not rest on them
+    assert optimize_pass.not_passed("test_lp_differential.py") == [], optimize_pass.out

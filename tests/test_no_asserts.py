@@ -8,13 +8,12 @@ whether the flag is set (`__debug__`, `sys.flags.optimize`): then the one
 `python -O` run, `test_guarantee_tests_pass_under_the_optimize_flag`
 below, shows that it behaves the same under the flag. That run takes every
 test that carries the `guarantee` marker, so any new test of a guarantee
-carries it too.
+carries it too; it is the `optimize_pass` fixture of `conftest.py`, started
+once a session, and the `*_under_optimize_flag` test of each guarantee
+module reads its own cases from it.
 """
 import ast
-import os
 import pathlib
-import subprocess
-import sys
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "bnbapprox"
@@ -64,36 +63,11 @@ def test_package_does_not_read_the_optimize_flag():
     assert optimize_flag_reads(files) == []
 
 
-def _start_guarantee_tests(*pytest_args: str, optimize: bool = False) -> subprocess.Popen:
-    """Start pytest on the tests marked `guarantee` in a fresh interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC.parent) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(
-        [sys.executable, *(["-O"] if optimize else []), "-m", "pytest", "-q",
-         "-p", "no:cacheprovider", "-m", "guarantee", *pytest_args, str(TESTS)],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
-        cwd=TESTS.parent,
-    )
-
-
-def _output(proc: subprocess.Popen) -> str:
-    with proc:
-        try:
-            out, _ = proc.communicate(timeout=900)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            raise
-    assert proc.returncode == 0, out
-    return out
-
-
-def test_guarantee_tests_pass_under_the_optimize_flag():
+def test_guarantee_tests_pass_under_the_optimize_flag(optimize_pass):
     # what must pass is what the marker selects without the flag: every
-    # one of those node ids, none skipped, xfailed or missing; the
-    # collection runs alongside the -O run
-    collecting = _start_guarantee_tests("--collect-only")
-    out = _output(_start_guarantee_tests("-rp", optimize=True))
-    collected = {line for line in _output(collecting).splitlines() if "::" in line}
-    passed = {line.removeprefix("PASSED ") for line in out.splitlines()
-              if line.startswith("PASSED ")}
-    assert passed == collected, (sorted(collected - passed), sorted(passed - collected), out)
+    # one of those node ids, none skipped, xfailed or missing
+    assert optimize_pass.collect_code == 0, optimize_pass.collect_out
+    assert optimize_pass.code == 0, optimize_pass.out
+    collected, passed = optimize_pass.collected, optimize_pass.passed
+    assert passed == collected, (sorted(collected - passed), sorted(passed - collected),
+                                 optimize_pass.out)

@@ -567,3 +567,10 @@ def test_broken_level_width_raises():
     root = Node(0, None, 0, rat(1), rat(2), 0, False, adapter.root_payload())
     with pytest.raises(AdapterContractError, match="similarity-cell bound"):
         adapter.on_insert(root)
+
+
+def test_guarantee_checks_raise_under_optimize_flag(optimize_pass):
+    # `python -O` strips assert statements; the fractional-job, mass-swap
+    # and level-width checks must not be asserts, so their tests have to pass
+    # there too
+    assert optimize_pass.not_passed("test_lp.py", "test_profiles.py") == [], optimize_pass.out

@@ -199,3 +199,8 @@ def test_knapsack_rounding_against_the_lp_oracle(drawn):
                                tuple(Fraction(c) for c in caps))
         lp_opt = lp_optimum_by_enumeration(*knapsack_lp(sub))
         assert (len(caps) + 1) * sol.int_profit >= lp_opt
+
+
+def test_rounding_properties_under_optimize_flag(optimize_pass):
+    # `python -O` strips assert statements; the guarantees must hold there too
+    assert optimize_pass.not_passed("test_rounding_property.py") == [], optimize_pass.out

@@ -391,3 +391,9 @@ def test_unbroken_guarantees_pass():
     UnrelatedAdapter(inst).bound(UnrelatedAdapter(inst).root_payload())
     UnrelatedAdapter(UNRELATED332).bound(UnrelatedAdapter(UNRELATED332).root_payload())
     assert solve_unrelated(UNRELATED332, rat(1, 100)).result.max_depth >= 1
+
+
+def test_broken_guarantee_raises_under_optimize_flag(optimize_pass):
+    # `python -O` strips assert statements; the guarantee checks must not be
+    # asserts, so their tests have to pass there too
+    assert optimize_pass.not_passed("test_scheduling.py") == [], optimize_pass.out

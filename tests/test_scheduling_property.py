@@ -100,3 +100,8 @@ def test_value_guarantees_against_the_oracle(drawn, eps):
     if inst.kind == IDENTICAL:
         _check(inst, "identical", eps, profile, opt, (1 + eps) ** 2)
         _check(inst, "identical", Fraction(3, 2), profile, opt, 2)
+
+
+def test_value_guarantees_under_optimize_flag(optimize_pass):
+    # `python -O` strips assert statements; the guarantees must hold there too
+    assert optimize_pass.not_passed("test_scheduling_property.py") == [], optimize_pass.out

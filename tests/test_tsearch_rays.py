@@ -170,3 +170,9 @@ def _forged_lp_row(monkeypatch):
 def test_forged_ray_raises(forger, message, monkeypatch):
     with pytest.raises(LpError, match=message):
         forger(monkeypatch)
+
+
+def test_forged_ray_raises_under_optimize_flag(optimize_pass):
+    # `python -O` strips assert statements; the ray checks must not be
+    # asserts, so their tests have to pass there too
+    assert optimize_pass.not_passed("test_tsearch_rays.py") == [], optimize_pass.out
