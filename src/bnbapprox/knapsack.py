@@ -8,13 +8,19 @@ overlap with segment k to knapsack k. The value equals the LP-relaxation
 optimum of the original program.
 
 The critical item of knapsack k is the first item in unit-profit order
-whose cumulative weight passes the k-th capacity boundary. The integer
-rounding x' is the best *feasible* candidate among: each critical item
-placed alone in the first knapsack that fits it, and the floor of the
+whose cumulative weight passes the k-th capacity boundary. The paper's
+integer rounding is the best *feasible* candidate among: each critical
+item placed alone in the first knapsack that fits it, and the floor of the
 fractional solution (items lying inside a single segment). When every item
 fits in some knapsack the best candidate is an (m+1)-approximation of the
 fractional optimum; the B&B adapter guarantees that precondition by
 dropping items that fit in no residual knapsack before bounding a node.
+The kernel completes the floor by first fit before it compares: the live
+items the floor left out, in unit-profit order, each go into the first
+knapsack with room left (the standard multi-knapsack greedy, Martello and
+Toth, *Knapsack Problems*, 1990, ch. 6). The completed floor is worth at
+least the floor, so the rounding x' (the better of the completed floor and
+one critical item alone) keeps both guarantees.
 
 Branching fixes a pivot item into each knapsack it fits (left turns) or
 excludes it from all (the rightmost child, a right turn). Pivot rules:
@@ -50,7 +56,11 @@ divides Lw:
     lb = (fixed + int profit) * Lw
     ub = (fixed + P_line) * Lw + P_j * (C - start) * (Lw // W_j)
 
-The engine compares, prunes and tests its stopping ratio on these ints.
+Every solution's profit is an integer over Dp, a multiple of Lw on this
+scale, so the adapter floors ub to a multiple of Lw; the floor keeps it an
+upper bound, and keeps a child's ub at most its parent's. The rounding
+checks read the unfloored value. The engine compares, prunes and tests its
+stopping ratio on these ints.
 """
 from __future__ import annotations
 
@@ -156,7 +166,9 @@ class DantzigSolution:
     split = (j, inside) is the item crossing the end of the line with its
     weight inside it (None: no item crosses it). best_critical is the most
     profitable critical item (ties to the lowest item id). int_assignment
-    is the rounded integer solution x' and int_profit its profit.
+    is the rounded integer solution x' and int_profit its profit: the floor
+    completed by first fit, unless a critical item alone is worth at least
+    as much (then that item, in the first knapsack that fits it).
     """
 
     first_live: int | None
@@ -198,9 +210,11 @@ def dantzig_solve(grid: KnapsackGrid, live: int, caps: Sequence[int]) -> Dantzig
         total += c
         highs.append(total)
 
-    whole: list[tuple[int, int]] = []  # items lying inside one segment
+    floor: list[tuple[int, int]] = []  # items inside one segment, then first fit's
+    placed = 0  # the mask of the items inside one segment
+    room = list(caps)  # the floor's residual caps
     criticals: list[int] = []
-    whole_profit = line_profit = 0
+    floor_profit = line_profit = 0
     split = None  # (item, weight inside the line) of the item across its end
     first_split = None
     first_live = order[(live & -live).bit_length() - 1] if live else None
@@ -222,8 +236,10 @@ def dantzig_solve(grid: KnapsackGrid, live: int, caps: Sequence[int]) -> Dantzig
             hi = highs[k]
             overlap = (end if end < hi else hi) - (start if start > lo else lo)
             if overlap == w:
-                whole.append((j, k))
-                whole_profit += P[j]
+                floor.append((j, k))
+                placed |= low
+                room[k] -= w
+                floor_profit += P[j]
             elif overlap > 0 and first_split is None:
                 first_split = j
             if hi > end:
@@ -248,8 +264,26 @@ def dantzig_solve(grid: KnapsackGrid, live: int, caps: Sequence[int]) -> Dantzig
         ):
             best_critical = s
 
+    # Complete the floor by first fit: the live items it left out, in
+    # unit-profit order, each into the first knapsack with room. Only items
+    # as light as the largest residual cap can still fit.
+    light, fits = grid.light, grid.fits
+    rest = live & ~placed & fits[bisect_right(light, max(room, default=0))]
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        j = order[low.bit_length() - 1]
+        w = W[j]
+        for k in range(m):
+            if w <= room[k]:
+                room[k] -= w
+                floor.append((j, k))
+                floor_profit += P[j]
+                rest &= fits[bisect_right(light, max(room))]
+                break
+
     # Candidates: each critical item alone in the first knapsack that fits
-    # it, then the floor; the first of the most profitable wins.
+    # it, then the completed floor; the first of the most profitable wins.
     chosen = None
     for s in criticals:
         if chosen is None or P[s] > P[chosen[0]]:
@@ -258,9 +292,9 @@ def dantzig_solve(grid: KnapsackGrid, live: int, caps: Sequence[int]) -> Dantzig
                 if w <= caps[k]:
                     chosen = (s, k)
                     break
-    if chosen is None or whole_profit > P[chosen[0]]:
-        int_assignment = dict(whole)
-        int_profit = whole_profit
+    if chosen is None or floor_profit > P[chosen[0]]:
+        int_assignment = dict(floor)
+        int_profit = floor_profit
     else:
         int_assignment = {chosen[0]: chosen[1]}
         int_profit = P[chosen[0]]
@@ -374,8 +408,10 @@ class KnapsackAdapter(BaseAdapter):
             sub += grid.profits[j] * inside * grid.factors[j]
         self._check_rounding_guarantees(sol, sub, rounded)
         fixed = state.fixed_profit * lw
+        # every solution's profit is a multiple of lw: floor the bound to it
         return BoundInfo(
-            fixed + rounded, fixed + sub, (state.chain, sol.int_assignment), not sol.fractional
+            fixed + rounded, fixed + sub - sub % lw, (state.chain, sol.int_assignment),
+            not sol.fractional,
         )
 
     def solution(self, token: tuple[Chain, Mapping[int, int]]) -> dict[int, int]:

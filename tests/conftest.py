@@ -1,17 +1,20 @@
 """The one `python -O` pass over the tests marked `guarantee`.
 
 `python -O` strips assert statements, so every guarantee test runs again
-under the flag. The fixture `optimize_pass` starts that run once per
-session, alongside a collection of the same marker without the flag, and
-the tests ending in `_under_optimize_flag` read its outcome for their
-module; `tests/test_no_asserts.py` requires it to pass exactly the collected
-set. Those readers are left out of both runs by name, so the pass never
-starts itself.
+under the flag. When a collected test uses the fixture `optimize_pass`,
+that run and a collection of the same marker without the flag start as soon
+as collection finishes, so they share the machine with the session instead
+of holding it up; the fixture waits for both. The tests ending in
+`_under_optimize_flag` read its outcome for their module;
+`tests/test_no_asserts.py` requires it to pass exactly the collected set.
+Those readers are left out of both runs by name, so the pass never starts
+itself.
 """
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -19,27 +22,55 @@ TESTS = pathlib.Path(__file__).resolve().parent
 READERS = "not _under_optimize_flag"
 
 
-def _start_guarantee_tests(*pytest_args: str, optimize: bool = False) -> subprocess.Popen:
-    """Start pytest on the tests marked `guarantee` in a fresh interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(TESTS.parent / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(
-        [sys.executable, *(["-O"] if optimize else []), "-m", "pytest", "-q",
-         "-p", "no:cacheprovider", "-m", "guarantee", "-k", READERS, *pytest_args,
-         str(TESTS)],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
-        cwd=TESTS.parent,
-    )
+class GuaranteeRun:
+    """pytest on the tests marked `guarantee` in a fresh interpreter, its
+    output going to an unnamed temporary file."""
+
+    def __init__(self, *pytest_args: str, optimize: bool = False):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(TESTS.parent / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        self.out = tempfile.TemporaryFile("w+")
+        self.proc = subprocess.Popen(
+            [sys.executable, *(["-O"] if optimize else []), "-m", "pytest", "-q",
+             "-p", "no:cacheprovider", "-m", "guarantee", "-k", READERS, *pytest_args,
+             str(TESTS)],
+            stdout=self.out, stderr=subprocess.STDOUT, text=True, env=env, cwd=TESTS.parent,
+        )
+
+    def finish(self) -> tuple[int, str]:
+        """Wait for the run; its exit code and output."""
+        with self.out:
+            try:
+                self.proc.wait(timeout=900)
+            except subprocess.TimeoutExpired:
+                self.stop()
+                raise
+            self.out.seek(0)
+            return self.proc.returncode, self.out.read()
+
+    def stop(self) -> None:
+        if self.proc.poll() is None:
+            self.proc.kill()
+            self.proc.wait()
+        self.out.close()
 
 
-def _finish(proc: subprocess.Popen) -> tuple[int, str]:
-    with proc:
-        try:
-            out, _ = proc.communicate(timeout=900)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            raise
-    return proc.returncode, out
+STARTED = pytest.StashKey[tuple[GuaranteeRun, GuaranteeRun]]()
+
+
+def pytest_collection_finish(session: pytest.Session) -> None:
+    if session.config.option.collectonly:
+        return
+    if any("optimize_pass" in getattr(item, "fixturenames", ()) for item in session.items):
+        session.config.stash[STARTED] = (
+            GuaranteeRun("--collect-only"), GuaranteeRun("-rp", optimize=True)
+        )
+
+
+def pytest_unconfigure(config: pytest.Config) -> None:
+    # a session that ends before the fixture has waited, say on -x, stops them
+    for started in config.stash.get(STARTED, ()):
+        started.stop()
 
 
 class OptimizePass:
@@ -64,7 +95,6 @@ class OptimizePass:
 
 
 @pytest.fixture(scope="session")
-def optimize_pass() -> OptimizePass:
-    collecting = _start_guarantee_tests("--collect-only")
-    run = _finish(_start_guarantee_tests("-rp", optimize=True))
-    return OptimizePass(_finish(collecting), run)
+def optimize_pass(request: pytest.FixtureRequest) -> OptimizePass:
+    collecting, running = request.config.stash[STARTED]
+    return OptimizePass(collecting.finish(), running.finish())

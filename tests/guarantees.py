@@ -4,6 +4,7 @@ Not a test module (pytest collects only test_*.py); the test modules import
 it from their own directory.
 """
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -84,6 +85,148 @@ def reference_unit_profit_order(weights: Sequence[Rat], profits: Sequence[Rat]) 
         return (1, -profits[j] / weights[j], j)
 
     return tuple(sorted(range(len(weights)), key=key))
+
+
+def profit_floor(inst: KnapsackInstance, value: Rat) -> Rat:
+    """The largest multiple of 1/Dp at most value, Dp the lcm of the profit
+    denominators: every solution's profit is such a multiple, so flooring an
+    upper bound to it keeps it an upper bound."""
+    dp = math.lcm(*(Fraction(p).denominator for p in inst.profits))
+    return Fraction(math.floor(value * dp), dp)
+
+
+@dataclass(frozen=True)
+class ReferenceSolution:
+    order: tuple[int, ...]
+    x_frac: Mapping[tuple[int, int], Rat]
+    sub_value: Rat
+    split_item: int | None  # the item crossing the end of the capacity line
+    critical_items: tuple[int, ...]
+    best_critical: int | None
+    floor: Mapping[int, int]  # the items wholly inside one segment
+    int_assignment: Mapping[int, int]
+    int_value: Rat
+    paper_value: Rat  # the better of the floor and one critical item alone
+    fractional: bool
+
+
+def _first_of_the_best(candidates):
+    """The first (value, assignment) pair of the highest value."""
+    best = candidates[0]
+    for candidate in candidates[1:]:
+        if candidate[0] > best[0]:
+            best = candidate
+    return best
+
+
+def reference_dantzig_solve(inst: KnapsackInstance, items, caps) -> ReferenceSolution:
+    """The Dantzig relaxation of `items` under `caps` and its rounding, in
+    Fractions and by plain scans: the items in unit-profit order on Fraction
+    keys, the merged capacity line walked into the point `x_frac`, every
+    knapsack scanned for every item and each critical item found by a scan
+    over the cumulative weights. Zero weights sit on knapsack 0.
+
+    The rounding is the first of the most profitable among each critical
+    item alone, in the first knapsack that fits it, and the completed floor:
+    the floor's residual caps, then first fit over the items it left out, in
+    unit-profit order. paper_value is the same choice with the floor left
+    uncompleted."""
+    weights, profits = inst.weights, inst.profits
+    live = set(items)
+    seq = tuple(j for j in reference_unit_profit_order(weights, profits) if j in live)
+
+    m = len(caps)
+    boundaries = []
+    acc = rat(0)
+    for c in caps:
+        acc += c
+        boundaries.append(acc)
+    total = acc
+
+    x_frac = {}
+    free_assign = {}
+    cursor = rat(0)
+    cumulative = []
+    weighted = []
+    split_item = None
+    for j in seq:
+        w = weights[j]
+        if w == 0:
+            x_frac[(j, 0)] = rat(1)
+            free_assign[j] = 0
+            continue
+        start, end = cursor, cursor + w
+        if start < total < end:
+            split_item = j
+        if start < total:
+            for k in range(m):
+                lo = boundaries[k] - caps[k]
+                hi = boundaries[k]
+                overlap = min(end, hi) - max(start, lo)
+                if overlap > 0:
+                    x_frac[(j, k)] = overlap / w
+        cursor = end
+        cumulative.append(cursor)
+        weighted.append(j)
+
+    criticals = []
+    for k in range(m):
+        s_k = next(
+            (j for j, cum in zip(weighted, cumulative) if cum > boundaries[k]), None
+        )
+        if s_k is not None and s_k not in criticals:
+            criticals.append(s_k)
+
+    sub_value = sum((profits[j] * v for (j, _), v in x_frac.items()), start=rat(0))
+
+    best_critical = None
+    for s in criticals:
+        if best_critical is None or profits[s] > profits[best_critical] or (
+            profits[s] == profits[best_critical] and s < best_critical
+        ):
+            best_critical = s
+
+    floor_assign = dict(free_assign)
+    for (j, k), v in x_frac.items():
+        if v == 1:
+            floor_assign[j] = k
+    room = list(caps)
+    for j, k in floor_assign.items():
+        room[k] -= weights[j]
+    completed = dict(floor_assign)
+    for j in seq:
+        if j not in completed:
+            fit = next((k for k in range(m) if weights[j] <= room[k]), None)
+            if fit is not None:
+                room[fit] -= weights[j]
+                completed[j] = fit
+
+    def value(assign):
+        return sum((profits[j] for j in assign), start=rat(0))
+
+    singles = []
+    for s in criticals:
+        fit = next((k for k in range(m) if weights[s] <= caps[k]), None)
+        if fit is not None:
+            assign = dict(free_assign)
+            assign[s] = fit
+            singles.append((value(assign), assign))
+    paper_value, _ = _first_of_the_best(singles + [(value(floor_assign), floor_assign)])
+    int_value, int_assignment = _first_of_the_best(singles + [(value(completed), completed)])
+
+    return ReferenceSolution(
+        order=seq,
+        x_frac=x_frac,
+        sub_value=sub_value,
+        split_item=split_item,
+        critical_items=tuple(criticals),
+        best_critical=best_critical,
+        floor=floor_assign,
+        int_assignment=int_assignment,
+        int_value=int_value,
+        paper_value=paper_value,
+        fractional=any(0 < v < 1 for v in x_frac.values()),
+    )
 
 
 def dantzig_whole(inst: KnapsackInstance) -> tuple[KnapsackGrid, DantzigSolution]:

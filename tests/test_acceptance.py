@@ -147,7 +147,7 @@ def test_criterion_04_rounding_guarantees(monkeypatch):
 
         monkeypatch.setattr(knapsack, "dantzig_solve", recording)
         checked = 0
-        for i in range(40):
+        for i in range(60):
             inst = generate("knapsack", 4 + i % 9, 2 + i % 2, 30_000 + i)
             solutions.clear()
             adapter = KnapsackAdapter(inst, branching="CE")

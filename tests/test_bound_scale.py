@@ -1,10 +1,11 @@
 """Integer bound keys: the engine on scaled bounds against exact Fractions.
 
 `KnapsackAdapter` returns its bounds as ints in units of 1/bound_scale. The
-reference below is the same adapter at bound_scale 1, returning the
-`Fraction` bounds the adapter returned before (the node's fixed profit plus
-the rounding's and the relaxation's values) and ordering the items on
-`Fraction` keys. Every run of the two must agree in every `RunResult`
+reference below is the same adapter at bound_scale 1, ordering the items on
+`Fraction` keys and bounding each node with the Fraction greedy of
+`guarantees.reference_dantzig_solve`: its lower bound is the node's fixed
+profit plus the rounding's value, its upper bound the fixed profit plus the
+relaxation's value, floored to a multiple of 1/Dp. Every run of the two must agree in every `RunResult`
 field, counter and solution. The stopping test and the item order are
 checked against their division definitions, and the engine's contract
 errors against a stub adapter whose bounds are scaled.
@@ -32,9 +33,14 @@ from bnbapprox.engine import (
     valid_strategies,
 )
 from bnbapprox.instances import KnapsackInstance, generate
-from bnbapprox.knapsack import KnapsackAdapter, KnapsackGrid, dantzig_solve
+from bnbapprox.knapsack import KnapsackAdapter, KnapsackGrid
 from bnbapprox.rational import rat
-from guarantees import int_value, reference_unit_profit_order, sub_value
+from guarantees import (
+    mask_items,
+    profit_floor,
+    reference_dantzig_solve,
+    reference_unit_profit_order,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=400, deadline=None)
 
@@ -59,14 +65,17 @@ class FractionBoundAdapter(KnapsackAdapter):
         self.bound_scale = 1
 
     def bound(self, state):
-        info = super().bound(state)
-        sol = dantzig_solve(self.grid, state.usable, state.caps)
+        super().bound(state)  # sets the node's usable mask and pivot
+        inst = self.inst
+        dw = math.lcm(*(Fraction(v).denominator for v in (*inst.weights, *inst.capacities)))
+        ref = reference_dantzig_solve(inst, mask_items(self.grid, state.usable),
+                                      [Fraction(c, dw) for c in state.caps])
         fixed = Fraction(state.fixed_profit, self.grid.p_scale)
         return BoundInfo(
-            lb=fixed + int_value(self.grid, sol),
-            ub=fixed + sub_value(self.grid, sol),
-            solution=info.solution,
-            leaf=info.leaf,
+            lb=fixed + ref.int_value,
+            ub=profit_floor(inst, fixed + ref.sub_value),
+            solution=(state.chain, ref.int_assignment),
+            leaf=not ref.fractional,
         )
 
 

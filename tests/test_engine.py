@@ -258,11 +258,13 @@ def test_global_bound_is_certified_after_the_incumbent_passes_the_frontier():
     # the children of an expansion are admitted against the incumbent it
     # started with; once a sibling improves it, the frontier's best key can
     # lie below the incumbent, and the run stops on the ratio right there
-    inst = generate("knapsack", 12, 2, 7)
+    # (here the run stops with the frontier's best bound at 121, under the
+    # incumbent 164)
+    inst = generate("knapsack", 12, 2, 6)
     strategy = Strategy(Selection.BEST_FIRST, "CE", "Surrogate", "Dantzig")
     out = solve(inst, "knapsack", rat(97, 100), strategy)
-    assert out.value == 268
-    assert out.bound == 268
+    assert out.value == 164
+    assert out.bound == 164
     assert out.result.termination == "ratio-met"
 
 

@@ -34,16 +34,27 @@ WORKED = KnapsackInstance(
 
 
 def test_dantzig_worked_example():
+    """Unit profits 10, 8, 5, so the order is 0, 1, 2 on the line [0, 5)
+    [5, 10). Item 0 covers [0, 6): 5/6 in knapsack 0 and 1/6 in knapsack 1.
+    Item 1 covers [6, 11): 4/5 in knapsack 1, and the line ends inside it.
+    The relaxation is 60 + 40 * 4/5 = 92. Item 0 crosses the first boundary
+    and item 1 the second, so both are critical; item 0 is the most
+    profitable.
+
+    No item lies wholly inside one segment, so the floor is empty and its
+    residual caps are (5, 5). First fit in unit-profit order skips item 0
+    (w=6 fits neither), puts item 1 (w=5) into knapsack 0 and item 2 (w=4)
+    into knapsack 1: profit 60. The critical candidates are item 0, which
+    fits nowhere, and item 1 alone in knapsack 0 (40). The completed floor
+    wins with 60; the paper's rounding (the empty floor, or item 1 alone)
+    would stop at 40."""
     grid, sol = dantzig_whole(WORKED)
-    # ratios (10, 8, 5); item 0 splits 5/6 + 1/6, item 1 puts 4/5 in knapsack 2
     assert sol.first_split == 0 and pick_pivot(sol, "PPW") == 0
     assert sol.line_profit == 60 and sol.split == (1, 4)
     assert sub_value(grid, sol) == 92
     assert sol.best_critical == 0
-    # item 0 (w=6) fits in no knapsack, so the best *feasible* candidate is
-    # item 1 alone; its value still covers the (m+1)-approximation bound
-    assert sol.int_assignment == {1: 0}
-    assert int_value(grid, sol) == 40
+    assert sol.int_assignment == {1: 0, 2: 1}
+    assert int_value(grid, sol) == 60
     assert (WORKED.m + 1) * int_value(grid, sol) >= sub_value(grid, sol)
 
 

@@ -1,26 +1,31 @@
-"""The integer Dantzig kernel against the Fraction greedy it replaced.
+"""The integer Dantzig kernel against a Fraction greedy written by plain scans.
 
-`reference_dantzig_solve` is the previous implementation, kept here as the
-reference: it orders the items on Fraction keys, walks the merged capacity
-line in exact Fractions, building the optimal point `x_frac`, scans every
-knapsack for every item and finds each critical item by a scan over the
-cumulative weights. The integer kernel must return the same solution,
-field by field, with the same insertion order in `int_assignment`; its
-values, rebuilt as Fractions from its integer sums, must equal the
-reference's, and its split item must be the first item of the order with a
-coordinate of `x_frac` strictly between 0 and 1. The kernel takes the live
-items as a mask over the grid's order, of positive weights only: on a call
-with zero-weight items it gets the others, and the reference on all of them
-must equal its answer plus each zero-weight item on knapsack 0 with its
-profit. This holds on hand-picked edge cases, on seeded rational instances
-and on every sub-problem the adapter bounds during real searches. There
-each node's usable mask, fixed chain and solution token are also checked
-against the same node state kept as plain sets and dicts along its path.
+`reference_dantzig_solve` (in `guarantees.py`) is the greedy the integer
+kernel replaced, with the same first-fit completion of the floor: it orders
+the items on Fraction keys, walks the merged capacity line in exact
+Fractions, building the optimal point `x_frac`, scans every knapsack for
+every item and finds each critical item by a scan over the cumulative
+weights. The integer kernel must return the same solution, field by field,
+with the same insertion order in `int_assignment`; its values, rebuilt as
+Fractions from its integer sums, must equal the reference's, and its split
+item must be the first item of the order with a coordinate of `x_frac`
+strictly between 0 and 1. The kernel takes the live items as a mask over the
+grid's order, of positive weights only: on a call with zero-weight items it
+gets the others, and the reference on all of them must equal its answer
+plus each zero-weight item on knapsack 0 with its profit. This holds on
+hand-picked edge cases, on seeded rational instances and on every
+sub-problem the adapter bounds during real searches. There each node's
+usable mask, fixed chain and solution token are also checked against the
+same node state kept as plain sets and dicts along its path, and its upper
+bound is the relaxation floored to the profit grid.
+
+On every node of those searches the rounding must also keep its
+guarantees: it is feasible, worth at least the paper's candidate (the
+floor or one critical item alone), and unless one critical item alone won,
+it holds the floor and no usable item it leaves out fits a residual cap.
 """
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 import pytest
 
@@ -34,111 +39,15 @@ from bnbapprox.knapsack import (
     dantzig_solve,
     pick_pivot,
 )
-from bnbapprox.rational import Rat, grid_scale, rat
-from guarantees import int_value, mask_items, reference_unit_profit_order, sub_value
-
-
-@dataclass(frozen=True)
-class ReferenceSolution:
-    order: tuple[int, ...]
-    x_frac: Mapping[tuple[int, int], Rat]
-    sub_value: Rat
-    split_item: int | None  # the item crossing the end of the capacity line
-    critical_items: tuple[int, ...]
-    best_critical: int | None
-    int_assignment: Mapping[int, int]
-    int_value: Rat
-    fractional: bool
-
-
-def reference_dantzig_solve(inst, items, caps):
-    weights, profits = inst.weights, inst.profits
-    live = set(items)
-    seq = tuple(j for j in reference_unit_profit_order(weights, profits) if j in live)
-
-    m = len(caps)
-    boundaries = []
-    acc = rat(0)
-    for c in caps:
-        acc += c
-        boundaries.append(acc)
-    total = acc
-
-    x_frac = {}
-    free_assign = {}
-    cursor = rat(0)
-    cumulative = []
-    weighted = []
-    split_item = None
-    for j in seq:
-        w = weights[j]
-        if w == 0:
-            x_frac[(j, 0)] = rat(1)
-            free_assign[j] = 0
-            continue
-        start, end = cursor, cursor + w
-        if start < total < end:
-            split_item = j
-        if start < total:
-            for k in range(m):
-                lo = boundaries[k] - caps[k]
-                hi = boundaries[k]
-                overlap = min(end, hi) - max(start, lo)
-                if overlap > 0:
-                    x_frac[(j, k)] = overlap / w
-        cursor = end
-        cumulative.append(cursor)
-        weighted.append(j)
-
-    criticals = []
-    for k in range(m):
-        s_k = next(
-            (j for j, cum in zip(weighted, cumulative) if cum > boundaries[k]), None
-        )
-        if s_k is not None and s_k not in criticals:
-            criticals.append(s_k)
-
-    sub_value = sum((profits[j] * v for (j, _), v in x_frac.items()), start=rat(0))
-
-    best_critical = None
-    for s in criticals:
-        if best_critical is None or profits[s] > profits[best_critical] or (
-            profits[s] == profits[best_critical] and s < best_critical
-        ):
-            best_critical = s
-
-    floor_assign = dict(free_assign)
-    for (j, k), v in x_frac.items():
-        if v == 1:
-            floor_assign[j] = k
-    free_value = sum((profits[j] for j in free_assign), start=rat(0))
-    floor_value = sum((profits[j] for j in floor_assign), start=rat(0))
-
-    candidates = []
-    for s in criticals:
-        fit = next((k for k in range(m) if weights[s] <= caps[k]), None)
-        if fit is not None:
-            assign = dict(free_assign)
-            assign[s] = fit
-            candidates.append((free_value + profits[s], assign))
-    candidates.append((floor_value, floor_assign))
-
-    int_value, int_assignment = candidates[0]
-    for value, assign in candidates[1:]:
-        if value > int_value:
-            int_value, int_assignment = value, assign
-
-    return ReferenceSolution(
-        order=seq,
-        x_frac=x_frac,
-        sub_value=sub_value,
-        split_item=split_item,
-        critical_items=tuple(criticals),
-        best_critical=best_critical,
-        int_assignment=int_assignment,
-        int_value=int_value,
-        fractional=any(0 < v < 1 for v in x_frac.values()),
-    )
+from bnbapprox.rational import grid_scale, rat
+from guarantees import (
+    int_value,
+    mask_items,
+    ReferenceSolution,
+    profit_floor,
+    reference_dantzig_solve,
+    sub_value,
+)
 
 
 def assert_same(
@@ -162,7 +71,7 @@ def assert_same(
     assert [(j, 0) for j in zeros] + list(got.int_assignment.items()) == list(
         want.int_assignment.items()
     )
-    assert int_value(grid, got) + free == want.int_value
+    assert int_value(grid, got) + free == want.int_value >= want.paper_value
     assert got.fractional is want.fractional
 
 
@@ -389,11 +298,61 @@ def test_every_subproblem_the_adapter_bounds(rule, monkeypatch):
         assert type(info.lb) is int
         assert Fraction(info.lb, adapter.bound_scale) == fixed + int_value(grid, sol)
         assert type(info.ub) is int
-        assert Fraction(info.ub, adapter.bound_scale) == fixed + sub_value(grid, sol)
+        assert Fraction(info.ub, adapter.bound_scale) == profit_floor(
+            inst, fixed + sub_value(grid, sol))
         assert_same(grid, live, sol,
                     reference_dantzig_solve(inst, mask_items(grid, live), rat_caps))
         scaled += dw != 1 or grid.p_scale != 1
     assert scaled > 0
+
+
+@pytest.mark.guarantee
+@pytest.mark.parametrize("rule", ["CE", "PPW", "K"])
+def test_every_rounding_the_adapter_bounds_keeps_its_guarantees(rule, monkeypatch):
+    recorded = []
+    kernel = knapsack.dantzig_solve
+
+    def recording(grid, live, caps):
+        sol = kernel(grid, live, caps)
+        recorded.append((live, caps, sol))
+        return sol
+
+    monkeypatch.setattr(knapsack, "dantzig_solve", recording)
+    checked = completed = 0
+    for inst in _adapter_instances():
+        recorded.clear()
+        for selection in Selection:
+            run(KnapsackAdapter(inst, branching=rule), selection,
+                Criterion("ratio-alpha", rat(99, 100)), node_limit=400)
+        grid = KnapsackGrid.build(inst)
+        dw = weight_scale(inst)
+        for live, caps, sol in recorded:
+            items = mask_items(grid, live)
+            rat_caps = [Fraction(c, dw) for c in caps]
+            ref = reference_dantzig_solve(inst, items, rat_caps)
+            assign = sol.int_assignment
+            # feasible, and its value is the kernel's profit
+            room = list(rat_caps)
+            for j, k in assign.items():
+                assert j in items
+                room[k] -= inst.weights[j]
+            assert min(room) >= 0
+            value = sum((inst.profits[j] for j in assign), start=rat(0))
+            assert value == int_value(grid, sol) >= ref.paper_value
+            # a critical item alone wins ties; else the floor was completed
+            singles = [s for s in ref.critical_items if inst.weights[s] <= max(rat_caps)]
+            best = max((inst.profits[s] for s in singles), default=None)
+            if best is not None and value <= best:
+                s = next(s for s in singles if inst.profits[s] == best)
+                k = next(k for k, c in enumerate(rat_caps) if inst.weights[s] <= c)
+                assert assign == {s: k}
+            else:
+                assert ref.floor.items() <= assign.items()
+                assert not [j for j in items if j not in assign
+                            and any(inst.weights[j] <= r for r in room)]
+                completed += len(assign) > len(ref.floor)
+            checked += 1
+    assert checked > 100 and completed > 0
 
 
 def test_grid_scales():
