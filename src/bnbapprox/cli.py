@@ -26,7 +26,7 @@ from .experiments import (
     write_summary,
 )
 from .instances import ALL_KINDS, InstanceError, generate, load_instance, save_instance
-from .oracle import OracleBudgetExceeded, exact_opt
+from .oracle import DEFAULT_BUDGET, OracleBudgetExceeded, exact_opt
 from .rational import format_rat, parse_rat
 from .scheduling import scheme_depth_cap
 
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="exact optimum of an instance")
     orc.add_argument("--instance", required=True)
-    orc.add_argument("--budget", type=int, default=5_000_000)
+    orc.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     orc.add_argument("--out", default=None)
     orc.set_defaults(func=cmd_oracle)
 

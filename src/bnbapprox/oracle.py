@@ -2,13 +2,16 @@
 
 These back every optimality-gap measurement and every derived expected
 value in the test suite, so they deliberately share no code with the
-solver paths they check: knapsack optima come from capacity-state dynamic
-programming or plain exhaustive search, scheduling optima from pruned
-exhaustive assignment. All arithmetic is exact. The LP oracles (vertex
-enumeration, LP optima) serve only the tests and live in tests/lp_oracle.py.
+solver paths they check: knapsack optima come from a layered dynamic
+program over residual-capacity states, scheduling optima from pruned
+exhaustive assignment by an explicit-stack depth-first search. Neither
+recurses, so an instance's size meets only the budget. All arithmetic is
+exact. The LP oracles (vertex enumeration, LP optima) serve only the tests
+and live in tests/lp_oracle.py.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -39,109 +42,71 @@ class OracleResult:
 
 def exact_opt(inst, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Exact optimum of a knapsack (max profit) or scheduling (min makespan)
-    instance. Raises OracleBudgetExceeded when the state count would pass
-    the budget, or when the instance is too deep for the searches, which
-    recurse once per item or job."""
+    instance.
+
+    `budget` (an int of at least 1, else ValueError) caps the work: for a
+    knapsack instance, the DP's states summed over all its layers; for a
+    scheduling instance, the search's visited nodes. Past it the oracle
+    raises OracleBudgetExceeded."""
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise ValueError(f"oracle budget must be an int of at least 1, got {budget!r}")
     if isinstance(inst, KnapsackInstance):
-        integral = all(
-            v.denominator == 1
-            for v in (*inst.weights, *inst.profits, *inst.capacities)
-        )
-        search = _knapsack_dp if integral else _knapsack_exhaustive
-    elif isinstance(inst, SchedulingInstance):
-        search = _scheduling_exhaustive
-    else:
-        raise TypeError(f"no oracle for {type(inst).__name__}")
-    try:
-        return search(inst, budget)
-    except RecursionError as exc:
-        raise OracleBudgetExceeded(
-            f"instance too deep for the oracle: n={inst.n} passes the recursion limit"
-        ) from exc
+        return _knapsack_dp(inst, budget)
+    if isinstance(inst, SchedulingInstance):
+        return _scheduling_exhaustive(inst, budget)
+    raise TypeError(f"no oracle for {type(inst).__name__}")
 
 
 def _knapsack_dp(inst: KnapsackInstance, budget: int) -> OracleResult:
-    """Top-down DP over residual-capacity states (canonicalized by sorting)."""
-    n, m = inst.n, inst.m
-    weights = [int(w) for w in inst.weights]
-    profits = [int(p) for p in inst.profits]
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    """Layered DP over items. Layer j maps each sorted tuple of residual
+    capacities that items 0..j-1 can reach to the best profit reaching it.
+    Rational data is put on integers first: weights and capacities times the
+    lcm of their denominators, profits times the lcm of theirs."""
+    size_scale = math.lcm(*(v.denominator for v in (*inst.weights, *inst.capacities)))
+    profit_scale = math.lcm(*(p.denominator for p in inst.profits))
+    weights = [int(w * size_scale) for w in inst.weights]
+    profits = [int(p * profit_scale) for p in inst.profits]
+    caps0 = tuple(int(c * size_scale) for c in inst.capacities)
 
-    def solve(j: int, caps: tuple[int, ...]) -> int:
-        if j == n:
-            return 0
-        key = (j, tuple(sorted(caps)))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if len(memo) >= budget:
-            raise OracleBudgetExceeded(f"knapsack DP passed {budget} states")
-        best = solve(j + 1, caps)
-        w = weights[j]
-        seen: set[int] = set()
-        for k in range(m):
-            if caps[k] >= w and caps[k] not in seen:
-                seen.add(caps[k])
-                nxt = caps[:k] + (caps[k] - w,) + caps[k + 1 :]
-                best = max(best, profits[j] + solve(j + 1, nxt))
-        memo[key] = best
-        return best
+    layers: list[dict[tuple[int, ...], int]] = [{tuple(sorted(caps0)): 0}]
+    states = 1
+    for w, p in zip(weights, profits):
+        layer = dict(layers[-1])
+        for caps, value in layers[-1].items():
+            for k, cap in enumerate(caps):
+                if cap < w or (k and caps[k - 1] == cap):
+                    continue
+                nxt = tuple(sorted(caps[:k] + (cap - w,) + caps[k + 1 :]))
+                if layer.get(nxt, -1) < value + p:
+                    layer[nxt] = value + p
+            if states + len(layer) > budget:
+                raise OracleBudgetExceeded(f"knapsack DP passed {budget} states")
+        states += len(layer)
+        layers.append(layer)
 
-    caps0 = tuple(int(c) for c in inst.capacities)
-    optimum = solve(0, caps0)
-
-    witness: dict[int, int] = {}
-    caps = caps0
-    for j in range(n):
-        residual = optimum - sum(profits[i] for i in witness)
-        if solve(j + 1, caps) == residual:
+    # walk back: which item each step from the best final state took
+    caps, optimum = max(layers[-1].items(), key=lambda kv: kv[1])
+    taken: dict[int, int] = {}
+    value = optimum
+    for j in range(len(weights) - 1, -1, -1):
+        if layers[j].get(caps) == value:
             continue
-        for k in range(m):
-            if caps[k] >= weights[j]:
-                nxt = caps[:k] + (caps[k] - weights[j],) + caps[k + 1 :]
-                if profits[j] + solve(j + 1, nxt) == residual:
-                    witness[j] = k
-                    caps = nxt
-                    break
+        for k, cap in enumerate(caps):
+            prev = tuple(sorted(caps[:k] + (cap + weights[j],) + caps[k + 1 :]))
+            if layers[j].get(prev) == value - profits[j]:
+                taken[j] = cap + weights[j]
+                caps, value = prev, value - profits[j]
+                break
         else:
             raise RuntimeError("witness reconstruction diverged from DP values")
-    return OracleResult(rat(optimum), witness, "dp")
-
-
-def _knapsack_exhaustive(inst: KnapsackInstance, budget: int) -> OracleResult:
-    n, m = inst.n, inst.m
-    suffix = [rat(0)] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + inst.profits[j]
-    best_value = rat(0)
-    best_witness: dict[int, int] = {}
-    assignment: dict[int, int] = {}
-    visits = 0
-
-    def rec(j: int, caps: list[Rat], value: Rat) -> None:
-        nonlocal best_value, best_witness, visits
-        visits += 1
-        if visits > budget:
-            raise OracleBudgetExceeded(f"knapsack search passed {budget} nodes")
-        if value + suffix[j] <= best_value and j < n:
-            return
-        if j == n:
-            if value > best_value:
-                best_value = value
-                best_witness = dict(assignment)
-            return
-        w = inst.weights[j]
-        for k in range(m):
-            if caps[k] >= w:
-                caps[k] -= w
-                assignment[j] = k
-                rec(j + 1, caps, value + inst.profits[j])
-                del assignment[j]
-                caps[k] += w
-        rec(j + 1, caps, value)
-
-    rec(0, list(inst.capacities), rat(0))
-    return OracleResult(best_value, best_witness, "exhaustive")
+    # replay forward on the unsorted capacities to name each item's knapsack
+    residual = list(caps0)
+    witness: dict[int, int] = {}
+    for j in sorted(taken):
+        k = residual.index(taken[j])
+        witness[j] = k
+        residual[k] -= weights[j]
+    return OracleResult(rat(optimum, profit_scale), witness, "dp")
 
 
 def _scheduling_exhaustive(inst: SchedulingInstance, budget: int) -> OracleResult:
@@ -170,7 +135,9 @@ def _scheduling_exhaustive(inst: SchedulingInstance, budget: int) -> OracleResul
     best_witness = dict(seed)
     visits = 0
 
-    def rec(k: int) -> None:
+    def worth_expanding(k: int) -> bool:
+        """Count the node whose jobs order[:k] are placed; record it when it
+        is a better leaf; True when its subtree may still improve."""
         nonlocal best_value, best_witness, visits
         visits += 1
         if visits > budget:
@@ -178,26 +145,40 @@ def _scheduling_exhaustive(inst: SchedulingInstance, budget: int) -> OracleResul
         current = max(loads)
         balance = (sum(loads, start=rat(0)) + suffix_min[k]) / m
         if max(current, balance) >= best_value:
-            return
+            return False
         if k == n:
-            if current < best_value:
-                best_value = current
-                best_witness = dict(assignment)
-            return
-        j = order[k]
-        tried: set[tuple[int, Rat]] = set()
-        for i in range(m):
-            key = (machine_class[i], loads[i])
-            if key in tried:
-                continue
-            tried.add(key)
-            loads[i] += P[j][i]
-            assignment[j] = i
-            rec(k + 1)
-            del assignment[j]
-            loads[i] -= P[j][i]
+            best_value = current
+            best_witness = dict(assignment)
+            return False
+        return True
 
-    rec(0)
+    # for job order[k] on the search path: the next machine to try, and
+    # the (machine class, load) pairs already tried
+    nexts: list[int] = []
+    tried: list[set[tuple[int, Rat]]] = []
+    if worth_expanding(0):
+        nexts.append(0)
+        tried.append(set())
+    while nexts:
+        k = len(nexts) - 1
+        j = order[k]
+        if j in assignment:  # back from a child: undo its placement
+            i = assignment.pop(j)
+            loads[i] -= P[j][i]
+        i = nexts[k]
+        while i < m and (machine_class[i], loads[i]) in tried[k]:
+            i += 1
+        if i == m:
+            nexts.pop()
+            tried.pop()
+            continue
+        nexts[k] = i + 1
+        tried[k].add((machine_class[i], loads[i]))
+        loads[i] += P[j][i]
+        assignment[j] = i
+        if worth_expanding(k + 1):
+            nexts.append(0)
+            tried.append(set())
     return OracleResult(best_value, best_witness, "exhaustive")
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bnbapprox.cli import main
+from bnbapprox.cli import build_parser, main
 from bnbapprox.engine import Selection, Strategy
 from bnbapprox.experiments import (
     CSV_COLUMNS,
@@ -16,6 +16,7 @@ from bnbapprox.experiments import (
     summarize,
 )
 from bnbapprox.instances import load_instance
+from bnbapprox.oracle import DEFAULT_BUDGET
 from bnbapprox.rational import format_rat, rat
 
 
@@ -308,17 +309,34 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "lack the columns ratio, selection" in capsys.readouterr().err
 
 
-def test_oracle_refuses_an_instance_too_deep_for_its_recursion(tmp_path, capsys):
-    # the oracle's searches recurse once per item: 1500 items pass the limit
-    inst_path = tmp_path / "deep.json"
-    assert main(["generate", "--kind", "knapsack", "--n", "1500", "--m", "1",
+def test_oracle_answers_instances_of_any_depth(tmp_path, capsys):
+    # neither search recurses, so depth meets no limit: only the budget
+    for n, optimum in ((1000, 416), (1500, 703)):
+        inst_path = tmp_path / f"knap{n}.json"
+        assert main(["generate", "--kind", "knapsack", "--n", str(n), "--m", "1",
+                     "--seed", "1", "--out", str(inst_path)]) == 0
+        capsys.readouterr()
+        assert main(["oracle", "--instance", str(inst_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["optimum"] == str(optimum)
+    assert _oracle_value(load_instance(str(inst_path)), ExperimentConfig.oracle_budget) == 703
+    inst_path = tmp_path / "sched.json"
+    assert main(["generate", "--kind", "scheduling-identical", "--n", "1200", "--m", "2",
                  "--seed", "1", "--out", str(inst_path)]) == 0
     capsys.readouterr()
-    assert main(["oracle", "--instance", str(inst_path)]) == 3
+    assert main(["oracle", "--instance", str(inst_path), "--budget", "2000"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: instance too deep") and "Traceback" not in err
-    # a sweep leaves the gap of such an instance blank
-    assert _oracle_value(load_instance(str(inst_path)), ExperimentConfig.oracle_budget) is None
+    assert err.startswith("error: scheduling search passed 2000 nodes") and "Traceback" not in err
+
+
+def test_cli_oracle_budget_default_and_range(tmp_path, capsys):
+    assert build_parser().parse_args(["oracle", "--instance", "x"]).budget == DEFAULT_BUDGET
+    inst_path = tmp_path / "knap.json"
+    assert main(["generate", "--kind", "knapsack", "--n", "5", "--m", "2",
+                 "--seed", "1", "--out", str(inst_path)]) == 0
+    capsys.readouterr()
+    for budget in ("-1", "0"):
+        assert main(["oracle", "--instance", str(inst_path), f"--budget={budget}"]) == 2
+        assert "budget must be an int of at least 1" in capsys.readouterr().err
 
 
 def test_cli_rejects_eps_out_of_range(tmp_path):
