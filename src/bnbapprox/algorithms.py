@@ -25,15 +25,16 @@ __all__ = ["Algorithm", "ALGORITHMS", "Outcome", "solve"]
 @dataclass(frozen=True)
 class Algorithm:
     """A row of the solver table. `run(inst, ratio, strategy, node_limit[,
-    depth_cap])` returns the RunResult, the scale the search divided the
-    instance by (None: none) and the assignment in the instance's labels."""
+    depth_cap])` returns the RunResult, whose best_solution is in the
+    instance's labels, and the scale the search divided the instance by
+    (None: none)."""
 
     name: str
     kinds: tuple[str, ...]
     criterion: str
     strategies: tuple[Strategy, ...]
     takes_depth_cap: bool
-    run: Callable[..., tuple[RunResult, Rat | None, dict[int, int]]]
+    run: Callable[..., tuple[RunResult, Rat | None]]
     ratio_below: Rat | None = None  # beyond the criterion's own range
 
     @property
@@ -106,8 +107,8 @@ def solve(
     if node_limit is not None and node_limit < 1:
         raise ValueError("node_limit must be at least 1")
     extra = () if depth_cap is None else (depth_cap,)
-    result, scale, assignment = algo.run(inst, ratio, strategy, node_limit, *extra)
+    result, scale = algo.run(inst, ratio, strategy, node_limit, *extra)
     unit = 1 if scale is None else scale
     return Outcome(
-        assignment, result.best_value * unit, result.global_bound * unit, scale, result
+        result.best_solution, result.best_value * unit, result.global_bound * unit, scale, result
     )

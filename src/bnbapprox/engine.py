@@ -6,11 +6,11 @@ collection. Problem specifics live behind a small adapter contract:
 
     root_payload() -> payload
     bound(payload) -> BoundInfo(lb, ub, solution, leaf)
-    branch(node)   -> [ChildSpec(right_turn, payload), ...]
+    branch(node)   -> [payload, ...]  (the children; the last is the right turn)
     admit(node)    -> bool   (optional extra pruning, e.g. profile filters)
     on_insert(node)          (bookkeeping for admitted nodes)
     solution(token) -> the solution BoundInfo.solution stands for (default:
-                       the token itself)
+                       chain_solution of a (chain, rest) token)
 
 Bound conventions: for maximization `lb` is the value of the feasible
 solution that BoundInfo.solution stands for and `ub` the relaxation bound;
@@ -22,7 +22,13 @@ BoundInfo.solution is the adapter's token for its solution: the run keeps
 the incumbent's token and hands it to `solution` once, on return, so a
 bound need not build a solution that the run may never keep. The adapters
 of this package keep a node's fixed decisions as a parent-linked `Chain`
-and return (chain, rest of the assignment) tokens.
+and return (chain, rest of the assignment) tokens, which the default
+`solution` reads.
+
+A child's position is its turn: every child but the last that `branch`
+returns is a left turn, the last one the right turn, and a node's
+left_turns counts the left turns on its path from the root. Only an
+adapter that sets `tracks_turns` reports their maximum.
 
 `run` minimizes whatever the adapter's sense. With sign = +1 for
 minimization and -1 for maximization, a node's key is its relaxation bound
@@ -42,7 +48,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence, Union
@@ -56,7 +62,6 @@ __all__ = [
     "Criterion",
     "Node",
     "BoundInfo",
-    "ChildSpec",
     "BaseAdapter",
     "Chain",
     "chain_solution",
@@ -215,12 +220,6 @@ class BoundInfo:
     leaf: bool = False
 
 
-@dataclass(frozen=True)
-class ChildSpec:
-    right_turn: bool
-    payload: Any
-
-
 # Fixed decisions as a parent-linked chain: None at the root, else (item,
 # place, parent's chain). A child extends its parent's chain in O(1), and
 # siblings share it.
@@ -239,7 +238,10 @@ def chain_solution(chain: Chain, rest: Mapping[int, int]) -> dict[int, int]:
 
 
 class BaseAdapter:
-    """Default adapter hooks; problem adapters override what they need."""
+    """Default adapter hooks; problem adapters override what they need.
+
+    `branch` returns the children's payloads, the right turn last; the
+    default `solution` reads a (chain, rest) token with chain_solution."""
 
     sense: Sense = Sense.MAX
     tracks_turns: bool = False
@@ -252,7 +254,7 @@ class BaseAdapter:
     def bound(self, payload: Any) -> BoundInfo:
         raise NotImplementedError
 
-    def branch(self, node: Node) -> Sequence[ChildSpec]:
+    def branch(self, node: Node) -> Sequence[Any]:
         raise NotImplementedError
 
     def admit(self, node: Node) -> bool:
@@ -261,11 +263,8 @@ class BaseAdapter:
     def on_insert(self, node: Node) -> None:
         pass
 
-    def solution(self, token: Any) -> Any:
-        return token
-
-    def extras(self) -> dict[str, Any]:
-        return {}
+    def solution(self, token: tuple[Chain, Mapping[int, int]]) -> Any:
+        return chain_solution(*token)
 
 
 @dataclass
@@ -279,7 +278,6 @@ class RunResult:
     left_turn_max: int | None
     nodes_after_optimum: int
     termination: str
-    extras: dict[str, Any] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -409,13 +407,14 @@ def run(
         children = adapter.branch(v)
         if not children:
             unresolved = best_of(unresolved, v_key)
-        for spec in children:
+        last = len(children) - 1
+        for index, payload in enumerate(children):
             if node_limit is not None and explored >= node_limit:
                 # the children not bounded yet lie in v's subtree
                 unresolved = best_of(unresolved, v_key)
                 termination = NODE_LIMIT
                 break
-            cb = adapter.bound(spec.payload)
+            cb = adapter.bound(payload)
             explored += 1
             child = Node(
                 id=next_id,
@@ -423,9 +422,9 @@ def run(
                 depth=v.depth + 1,
                 lb=cb.lb,
                 ub=cb.ub,
-                left_turns=v.left_turns + (0 if spec.right_turn else 1),
+                left_turns=v.left_turns + (index < last),
                 leaf=cb.leaf,
-                payload=spec.payload,
+                payload=payload,
             )
             next_id += 1
             key, candidate = minimized(cb, child.id)
@@ -464,5 +463,4 @@ def run(
         left_turn_max=left_turn_max if adapter.tracks_turns else None,
         nodes_after_optimum=explored - explored_at_improve,
         termination=termination,
-        extras=adapter.extras(),
     )

@@ -41,7 +41,7 @@ fixed profit and its fixed items as a parent-linked chain (item, knapsack,
 parent). A node's usable items are one `&` of its mask with the grid's mask
 of the items light enough for its largest cap, and a child's mask is its
 parent's usable mask with the pivot's bit cleared. A bound returns the
-token (chain, rounding), and the adapter builds the solution from the
+token (chain, rounding), and the engine builds the solution from the
 incumbent's token once, when the run returns.
 
 Lw, the lcm of the positive grid weights, puts unit profits on integers:
@@ -70,8 +70,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .engine import AdapterContractError, BaseAdapter, BoundInfo, Chain, ChildSpec, Criterion
-from .engine import Node, RunResult, Sense, Strategy, chain_solution, run
+from .engine import AdapterContractError, BaseAdapter, BoundInfo, Chain, Criterion, Node
+from .engine import RunResult, Sense, Strategy, run
 from .instances import KnapsackInstance
 from .rational import Rat, grid_scale, on_grid
 
@@ -315,38 +315,29 @@ def pick_pivot(sol: DantzigSolution, rule: str) -> int | None:
     raise ValueError(f"unknown branching rule {rule!r}")
 
 
-def branch_children(
-    grid: KnapsackGrid,
-    usable: int,
-    caps: tuple[int, ...],
-    pivot: int | None,
-    fixed_profit: int,
-    chain: Chain,
-) -> list[ChildSpec]:
-    """Children for `pivot`: one per knapsack it fits, plus exclusion.
+def branch_children(grid: KnapsackGrid, state: _NodeState) -> list[_NodeState]:
+    """The children of a bounded node: its pivot fixed into each knapsack
+    it fits, then excluded.
 
-    pivot is the node's `pick_pivot` choice (None raises ValueError) and
-    usable the mask of the node's usable items; every child's live mask is
-    usable with the pivot's bit cleared. Inclusion children that would
-    overfill their knapsack are dropped here, so every child's caps stay
-    non-negative; the exclusion child (the rightmost one) always survives.
-    caps and fixed_profit are integers on `grid`; chain holds the parent's
-    fixed items, and an inclusion child's chain links (pivot, knapsack) to
-    it. Each payload is the child's node state.
+    state's pivot is its `pick_pivot` choice (None raises ValueError); every
+    child's live mask is state's usable mask with the pivot's bit cleared.
+    Inclusion children that would overfill their knapsack are dropped here,
+    so every child's caps stay non-negative; the exclusion child, the last
+    one and the right turn, always survives. An inclusion child's chain
+    links (pivot, knapsack) to state's.
     """
+    pivot, caps, fixed_profit, chain = state.pivot, state.caps, state.fixed_profit, state.chain
     if pivot is None:
         raise ValueError("no eligible pivot: node is integral, caller should have stopped")
     w = grid.weights[pivot]
     included_profit = fixed_profit + grid.profits[pivot]
-    rest = usable & ~(1 << grid.rank[pivot])
-    children: list[ChildSpec] = []
-    for k, c in enumerate(caps):
-        if w <= c:
-            child = _NodeState(
-                rest, caps[:k] + (c - w,) + caps[k + 1:], included_profit, (pivot, k, chain)
-            )
-            children.append(ChildSpec(False, child))
-    children.append(ChildSpec(True, _NodeState(rest, caps, fixed_profit, chain)))
+    rest = state.usable & ~(1 << grid.rank[pivot])
+    children = [
+        _NodeState(rest, caps[:k] + (c - w,) + caps[k + 1:], included_profit, (pivot, k, chain))
+        for k, c in enumerate(caps)
+        if w <= c
+    ]
+    children.append(_NodeState(rest, caps, fixed_profit, chain))
     return children
 
 
@@ -414,10 +405,6 @@ class KnapsackAdapter(BaseAdapter):
             not sol.fractional,
         )
 
-    def solution(self, token: tuple[Chain, Mapping[int, int]]) -> dict[int, int]:
-        """The fixed items, root first, then the rounding."""
-        return chain_solution(*token)
-
     def _check_rounding_guarantees(self, sol: DantzigSolution, sub: int, rounded: int) -> None:
         # Every usable item fits somewhere, which makes both inequalities
         # guaranteed; a violation is a solver bug. sub and rounded are the
@@ -440,23 +427,15 @@ class KnapsackAdapter(BaseAdapter):
     def _in_units(self, value: int) -> Rat:
         return Fraction(value, self.bound_scale)
 
-    def branch(self, node: Node) -> list[ChildSpec]:
-        state: _NodeState = node.payload
-        return branch_children(
-            self.grid,
-            state.usable,
-            state.caps,
-            state.pivot,
-            state.fixed_profit,
-            state.chain,
-        )
+    def branch(self, node: Node) -> list[_NodeState]:
+        return branch_children(self.grid, node.payload)
 
 
 def run_knapsack(
     inst: KnapsackInstance, alpha: Rat, strategy: Strategy, node_limit: int | None
-) -> tuple[RunResult, None, dict[int, int]]:
-    """Run the alpha-scheme; returns the run, no scale and the assignment."""
+) -> tuple[RunResult, None]:
+    """Run the alpha-scheme; returns the run, its solution in the instance's
+    item labels, and no scale."""
     adapter = KnapsackAdapter(inst, branching=strategy.branching)
     criterion = Criterion("ratio-alpha", alpha)
-    result = run(adapter, strategy.selection, criterion, node_limit=node_limit)
-    return result, None, dict(result.best_solution)
+    return run(adapter, strategy.selection, criterion, node_limit=node_limit), None

@@ -13,7 +13,8 @@ data on the smallest grid of the normalized data, R' = K/h with h = gcd(K,
 all data on R), and the root's vertex on it. The adapter's bounds are ints
 in units of 1/R'; its thresholds (cube limit, cell side, big-job cut,
 geometric ladder) go on R' once, and the root, bounded at the one guess R'
-(the normalized 1), takes normalize's vertex: it makes no LP solve.
+(the normalized 1), takes normalize's vertex: it makes no LP solve. A
+run's value and bound stay in these units; its solution is in job labels.
 
 Nodes and children are the unrelated scheme's (scheduling._SchedState,
 scheduling.fix_job); ProfileAdapter adds only the pivot (the first of the
@@ -57,7 +58,6 @@ from .engine import (
     BaseAdapter,
     BoundInfo,
     Chain,
-    ChildSpec,
     Criterion,
     Node,
     RunResult,
@@ -255,10 +255,11 @@ def _swap_mass(
 class ProfileAdapter(BaseAdapter):
     """Shared skeleton; mode "similarity" (uniform) or "equivalence" (identical).
     Runs on normalize(inst): job order[k] is position k, values times scale
-    are in the instance's units. The payload of the latest root_payload call
-    is bounded with normalize's vertex; every other payload runs
-    min_feasible_T from its parent's bound. Keys (cells, or sorted sums of
-    rungs) and the level width bound are ints."""
+    are in the instance's units, and `solution` maps positions back to job
+    labels. The payload of the latest root_payload call is bounded with
+    normalize's vertex; every other payload runs min_feasible_T from its
+    parent's bound. Keys (cells, or sorted sums of rungs) and the level
+    width bound are ints."""
 
     sense = Sense.MIN
 
@@ -286,6 +287,7 @@ class ProfileAdapter(BaseAdapter):
         self.level_inserted: Counter = Counter()
         # a level's int count exceeds the bound exactly when it exceeds its floor
         self.level_bound = floor_div(similarity_level_bound(self.n, eps, self.m), 1)
+        self.big_count = self.n  # similarity branches on every job
         if mode == "equivalence":
             # identical machines: column 0 holds every job's time, longest
             # first; walk the ladder down to each job's rung (see the module
@@ -301,7 +303,6 @@ class ProfileAdapter(BaseAdapter):
                     break
                 self.rounded.append(rungs[k][0] * (common // rungs[k][1]))
             self.big_count = len(self.rounded)
-        self.rounded_values: set[int] = set()
         self._root: _SchedState | None = None
 
     def root_payload(self) -> _SchedState:
@@ -324,18 +325,16 @@ class ProfileAdapter(BaseAdapter):
         return BoundInfo(lb, ub, (state.fixed, assignment), leaf=False)
 
     def solution(self, token: tuple[Chain, Mapping[int, int]]) -> dict[int, int]:
-        """The fixed jobs, root first, then the rounding."""
-        return chain_solution(*token)
+        """The fixed jobs, root first, then the rounding, in job labels."""
+        order = self.order
+        return {order[k]: i for k, i in chain_solution(*token).items()}
 
-    def branch(self, node: Node) -> list[ChildSpec]:
-        state: _SchedState = node.payload
-        if not state.jobs:
+    def branch(self, node: Node) -> list[_SchedState]:
+        if node.depth >= self.big_count:
+            # no job left, or the next pivot would be a small job: stop this
+            # branch; the node's own rounding is at most eps above its bound
             return []
-        if self.mode == "equivalence" and node.depth >= self.big_count:
-            # the next pivot would be a small job: stop this branch; the
-            # node's own rounding is at most eps above its bound already
-            return []
-        return fix_job(node, self.P, state.jobs[0])
+        return fix_job(node, self.P, node.payload.jobs[0])
 
     def _profile_key(self, state: _SchedState):
         if self.mode == "similarity":
@@ -354,32 +353,20 @@ class ProfileAdapter(BaseAdapter):
         return (node.depth, self._profile_key(state)) not in self.seen
 
     def on_insert(self, node: Node) -> None:
-        key = self._profile_key(node.payload)
-        self.seen.add((node.depth, key))
+        self.seen.add((node.depth, self._profile_key(node.payload)))
         self.level_inserted[node.depth] += 1
-        if self.mode == "similarity":
-            if self.level_inserted[node.depth] > self.level_bound:
-                raise AdapterContractError(
-                    f"level {node.depth} width exceeded the similarity-cell bound"
-                )
-        else:
-            self.rounded_values.update(key)
-            self.rounded_values.discard(0)
-
-    def extras(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"level_inserted": dict(self.level_inserted)}
-        if self.mode == "equivalence":
-            out["distinct_rounded_values"] = len(self.rounded_values)
-            out["big_jobs"] = self.big_count
-        return out
+        if self.mode == "similarity" and self.level_inserted[node.depth] > self.level_bound:
+            raise AdapterContractError(
+                f"level {node.depth} width exceeded the similarity-cell bound"
+            )
 
 
 def run_profile(
     inst: SchedulingInstance, eps: Rat, strategy: Strategy, node_limit: int | None, mode: str
-) -> tuple[RunResult, Rat, dict[int, int]]:
+) -> tuple[RunResult, Rat]:
     """Run the similarity (uniform) or equivalence (identical) scheme, each
-    with a (1+eps)^2 guarantee. Returns the run in normalized units, its
-    scale and the assignment in the instance's job labels.
+    with a (1+eps)^2 guarantee. Returns the run, its values in normalized
+    units and its solution in the instance's job labels, and its scale.
 
     For eps > 1 the equivalence scheme's root rounding alone is already a
     2 <= (1+eps) approximation and is returned directly, at scale 1.
@@ -389,14 +376,14 @@ def run_profile(
         point = min_feasible_T(grid, grid.t, range(inst.n))
         assignment, makespan = round_vertex(point, grid.P, grid.t, ROUNDING_LST)
         result = RunResult(
-            Fraction(makespan, grid.R), dict(assignment), Fraction(point.T, grid.R),
+            Fraction(makespan, grid.R), assignment, Fraction(point.T, grid.R),
             nodes_explored=1, nodes_processed=0, max_depth=0, left_turn_max=None,
-            nodes_after_optimum=0, termination="ratio-met", extras={"root_rounding_only": True},
+            nodes_after_optimum=0, termination="ratio-met",
         )
-        return result, rat(1), dict(assignment)
+        return result, rat(1)
     adapter = ProfileAdapter(inst, eps, mode)
     result = run(adapter, strategy.selection, Criterion("ratio-eps", eps), node_limit=node_limit)
-    return result, adapter.scale, {adapter.order[k]: i for k, i in result.best_solution.items()}
+    return result, adapter.scale
 
 
 def solve_uniform(

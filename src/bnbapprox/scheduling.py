@@ -67,7 +67,6 @@ from .engine import (
     BaseAdapter,
     BoundInfo,
     Chain,
-    ChildSpec,
     Criterion,
     Node,
     RunResult,
@@ -540,7 +539,7 @@ class _SchedState:
     pivot: int | None = None
 
 
-def fix_job(node: Node, P: Sequence[Sequence[int]], pivot: int) -> list[ChildSpec]:
+def fix_job(node: Node, P: Sequence[Sequence[int]], pivot: int) -> list[_SchedState]:
     """One child per machine: `pivot` fixed there and that machine's
     completion time raised. Each child's T-search starts at the node's
     bound."""
@@ -550,8 +549,7 @@ def fix_job(node: Node, P: Sequence[Sequence[int]], pivot: int) -> list[ChildSpe
     for i, p in enumerate(P[pivot]):
         t = list(state.t)
         t[i] += p
-        child = _SchedState(rest, tuple(t), (pivot, i, state.fixed), lo_hint=node.lb)
-        out.append(ChildSpec(right_turn=False, payload=child))
+        out.append(_SchedState(rest, tuple(t), (pivot, i, state.fixed), lo_hint=node.lb))
     return out
 
 
@@ -614,11 +612,7 @@ class UnrelatedAdapter(BaseAdapter):
             )
         return BoundInfo(lb, ub, (state.fixed, assignment), leaf=False)
 
-    def solution(self, token: tuple[Chain, Mapping[int, int]]) -> dict[int, int]:
-        """The fixed jobs, root first, then the rounding."""
-        return chain_solution(*token)
-
-    def branch(self, node: Node) -> list[ChildSpec]:
+    def branch(self, node: Node) -> list[_SchedState]:
         if self.depth_cap is not None and node.depth >= self.depth_cap:
             return []
         return fix_job(node, self.P, node.payload.pivot)
@@ -630,14 +624,15 @@ def run_unrelated(
     strategy: Strategy,
     node_limit: int | None,
     depth_cap: int | None = None,
-) -> tuple[RunResult, None, dict[int, int]]:
+) -> tuple[RunResult, None]:
     """Run the (1+eps)-scheme on an unrelated/uniform/identical instance.
 
     depth_cap limits branching depth (used by the BFS variant, which keeps
     the guarantee under the cap floor(m^2/eps)). Uncapped best-first runs
     check the tree-depth bound of the scheme after the fact and raise
-    AdapterContractError when it is exceeded. Returns the run, no scale
-    (the scheme runs on the instance as given) and the assignment.
+    AdapterContractError when it is exceeded. Returns the run, its solution
+    in the instance's job labels, and no scale (the scheme runs on the
+    instance as given).
     """
     adapter = UnrelatedAdapter(
         inst, bounding=strategy.bounding, rounding=strategy.rounding, depth_cap=depth_cap
@@ -650,7 +645,7 @@ def run_unrelated(
             raise AdapterContractError(
                 f"best-first tree reached depth {result.max_depth} > {cap}"
             )
-    return result, None, dict(result.best_solution)
+    return result, None
 
 
 def solve_unrelated(

@@ -8,10 +8,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from bnbapprox.engine import Criterion, RunResult, Selection, run
 from bnbapprox.instances import KnapsackInstance, SchedulingInstance
 from bnbapprox.knapsack import DantzigSolution, KnapsackGrid, dantzig_solve
 from bnbapprox.lp import graph_components
-from bnbapprox.profiles import cube_limit
+from bnbapprox.profiles import ProfileAdapter, cube_limit
 from bnbapprox.rational import Rat, rat
 
 
@@ -47,6 +48,17 @@ def schedule_makespan(inst: SchedulingInstance, assignment: Mapping[int, int]) -
     for j, i in assignment.items():
         loads[i] += inst.processing[j][i]
     return max(loads)
+
+
+def profile_run(
+    inst: SchedulingInstance, eps: Rat, mode: str
+) -> tuple[ProfileAdapter, RunResult, Rat]:
+    """A best-first profile run ("similarity" or "equivalence"): its adapter,
+    whose level counts and profile keys the run leaves behind, the run, and
+    its makespan in the instance's units."""
+    adapter = ProfileAdapter(inst, eps, mode)
+    result = run(adapter, Selection.BEST_FIRST, Criterion("ratio-eps", rat(eps)))
+    return adapter, result, result.best_value * adapter.scale
 
 
 def f_bound(eps: Rat) -> float:

@@ -23,12 +23,7 @@ from bnbapprox.instances import SchedulingInstance, UNRELATED, generate
 from bnbapprox.knapsack import KnapsackAdapter, dantzig_solve, pick_pivot
 from bnbapprox.lp import job_machine_matching
 from bnbapprox.oracle import exact_opt
-from bnbapprox.profiles import (
-    similarity_level_bound,
-    solve_identical,
-    solve_uniform,
-    uniform_vertex_check,
-)
+from bnbapprox.profiles import similarity_level_bound, uniform_vertex_check
 from bnbapprox.rational import rat
 from bnbapprox.rng import SplitMix64
 from bnbapprox.scheduling import (
@@ -47,6 +42,7 @@ from guarantees import (
     dantzig_whole,
     f_bound,
     int_value,
+    profile_run,
     reference_fractional_jobs,
     schedule_makespan,
     sub_value,
@@ -247,13 +243,13 @@ def test_criterion_09_uniform_scheme_guarantee():
             inst = generate("scheduling-uniform", 4 + i % 5, 2, 70_000 + i)
             opt = exact_opt(inst).optimum
             for eps in (rat(1, 2), rat(1, 4)):
-                out = solve_uniform(inst, eps)
-                assert schedule_makespan(inst, out.assignment) == out.makespan
-                assert out.makespan <= (1 + eps) ** 2 * opt
+                adapter, result, makespan = profile_run(inst, eps, "similarity")
+                assert schedule_makespan(inst, result.best_solution) == makespan
+                assert makespan <= (1 + eps) ** 2 * opt
                 bound = similarity_level_bound(inst.n, eps, inst.m)
-                for count in out.result.extras["level_inserted"].values():
+                for count in adapter.level_inserted.values():
                     assert count <= bound
-                assert out.result.nodes_processed <= inst.n * bound
+                assert result.nodes_processed <= inst.n * bound
 
 
 @pytest.mark.guarantee
@@ -264,19 +260,19 @@ def test_criterion_10_identical_scheme_guarantee():
             inst = generate("scheduling-identical", 4 + i % 5, m, 80_000 + i)
             opt = exact_opt(inst).optimum
             for eps in (rat(1, 2), rat(1)):
-                out = solve_identical(inst, eps)
-                assert schedule_makespan(inst, out.assignment) == out.makespan
-                assert out.makespan <= (1 + eps) ** 2 * opt
-                ex = out.result.extras
-                assert out.result.max_depth <= ex["big_jobs"]
-                assert ex["big_jobs"] <= 2 * m / eps
-                assert ex["distinct_rounded_values"] <= f_bound(eps)
+                adapter, result, makespan = profile_run(inst, eps, "equivalence")
+                assert schedule_makespan(inst, result.best_solution) == makespan
+                assert makespan <= (1 + eps) ** 2 * opt
+                assert result.max_depth <= adapter.big_count <= 2 * m / eps
+                # the nonzero rounded completion times of the inserted nodes
+                values = {v for _, key in adapter.seen for v in key} - {0}
+                assert len(values) <= f_bound(eps)
                 # level width <= m^f(eps) and node count <= 2 m^(f+1)/eps,
                 # compared in logs (the bounds are astronomically large)
                 f_eps = f_bound(eps)
-                for count in ex["level_inserted"].values():
+                for count in adapter.level_inserted.values():
                     assert math.log(count) <= f_eps * math.log(m) + 1e-9
-                assert math.log(out.result.nodes_processed or 1) <= (
+                assert math.log(result.nodes_processed or 1) <= (
                     math.log(2) + (f_eps + 1) * math.log(m) - math.log(float(eps))
                 ) + 1e-9
 

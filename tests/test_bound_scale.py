@@ -23,7 +23,6 @@ from bnbapprox.engine import (
     AdapterContractError,
     BaseAdapter,
     BoundInfo,
-    ChildSpec,
     Criterion,
     DegenerateBoundError,
     Selection,
@@ -278,7 +277,10 @@ class _ScaledStub(BaseAdapter):
         return BoundInfo(lb, ub, payload, leaf=payload == "child")
 
     def branch(self, node):
-        return [ChildSpec(False, "child")]
+        return ["child"]
+
+    def solution(self, token):
+        return token
 
 
 @pytest.mark.guarantee

@@ -7,7 +7,6 @@ from bnbapprox.engine import (
     AdapterContractError,
     BaseAdapter,
     BoundInfo,
-    ChildSpec,
     Criterion,
     DegenerateBoundError,
     Selection,
@@ -52,7 +51,8 @@ def test_strategy_validation():
 
 
 class _TreeAdapter(BaseAdapter):
-    """Fixed test tree over payload dicts: {"lb","ub","children",...}."""
+    """Fixed test tree over payload dicts: {"lb","ub","children",...}; the
+    last child is the right turn, and a solution is its token."""
 
     sense = Sense.MAX
     tracks_turns = True
@@ -68,10 +68,10 @@ class _TreeAdapter(BaseAdapter):
                          leaf=not payload.get("children"))
 
     def branch(self, node):
-        return [
-            ChildSpec(bool(child.get("right")), child)
-            for child in node.payload.get("children", [])
-        ]
+        return node.payload.get("children", [])
+
+    def solution(self, token):
+        return token
 
 
 def test_run_integral_root_counts_one_node():
@@ -104,7 +104,7 @@ def test_run_frontier_empty_returns_best():
         "lb": 1, "ub": 10, "sol": "r",
         "children": [
             {"lb": 4, "ub": 4, "sol": "a"},
-            {"lb": 6, "ub": 6, "sol": "b", "right": True},
+            {"lb": 6, "ub": 6, "sol": "b"},
         ],
     }
     adapter = _TreeAdapter(tree)
@@ -152,6 +152,9 @@ class _RandomTreeAdapter(BaseAdapter):
     def bound(self, payload):
         return BoundInfo(*payload, payload, leaf=False)
 
+    def solution(self, token):
+        return token
+
     def on_insert(self, node):
         self.open[node.id] = node
 
@@ -169,7 +172,7 @@ class _RandomTreeAdapter(BaseAdapter):
             else:
                 child_lb = lb + self.rnd.randint(0, 2)
                 bounds = (child_lb, max(ub - self.rnd.randint(0, 5), child_lb))
-            children.append(ChildSpec(self.rnd.random() < 0.5, bounds))
+            children.append(bounds)
         return children
 
 

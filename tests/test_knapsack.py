@@ -6,6 +6,7 @@ import pytest
 
 from bnbapprox import knapsack
 from bnbapprox.engine import AdapterContractError, Criterion, Selection, chain_solution, run
+from bnbapprox.engine import valid_strategies
 from bnbapprox.instances import KnapsackInstance, generate
 from bnbapprox.knapsack import (
     KnapsackAdapter,
@@ -15,7 +16,9 @@ from bnbapprox.knapsack import (
     pick_pivot,
 )
 from bnbapprox.oracle import exact_opt
+from bnbapprox.profiles import solve_identical, solve_uniform
 from bnbapprox.rational import rat
+from bnbapprox.scheduling import solve_unrelated
 from guarantees import (
     assignment_feasible,
     assignment_value,
@@ -145,15 +148,16 @@ def test_unit_profit_order_tie_by_index():
 def test_branch_children_worked_example():
     grid, sol = dantzig_whole(WORKED)
     pivot = pick_pivot(sol, "CE")
-    children = branch_children(grid, grid.mask((0, 1, 2)), grid.capacities, pivot, 0, None)
+    live = grid.mask((0, 1, 2))
+    state = knapsack._NodeState(live, grid.capacities, 0, None, pivot=pivot, usable=live)
+    children = branch_children(grid, state)
     # pivot j* = item 0 (w=6): both inclusion children infeasible, only the
     # rightmost (exclusion) child survives
     assert pivot == 0
     assert len(children) == 1
     (child,) = children
-    assert child.right_turn
-    assert child.payload.alive == grid.mask((1, 2)) and child.payload.caps == (5, 5)
-    assert child.payload.fixed_profit == 0 and child.payload.chain is None
+    assert child.alive == grid.mask((1, 2)) and child.caps == (5, 5)
+    assert child.fixed_profit == 0 and child.chain is None
 
 
 def test_branch_children_fix_the_pivot_where_it_fits():
@@ -167,9 +171,8 @@ def test_branch_children_fix_the_pivot_where_it_fits():
     state = knapsack._NodeState(grid.mask((1, 2)), caps, 9, root_chain)
     assert not adapter.bound(state).leaf
     assert state.pivot == pick_pivot(dantzig_solve(grid, grid.mask((1, 2)), caps), "CE") == 1
-    children = branch_children(grid, state.usable, caps, state.pivot, 9, root_chain)
-    assert [c.right_turn for c in children] == [False, True]
-    inc, exc = (c.payload for c in children)
+    # the inclusion child, then the exclusion child (the right turn)
+    inc, exc = branch_children(grid, state)
     assert inc.alive == exc.alive == grid.mask((2,))
     assert inc.caps == (0, 1) and inc.fixed_profit == 19 and inc.chain == (1, 1, root_chain)
     assert chain_solution(inc.chain, {}) == {0: 0, 1: 1}
@@ -290,6 +293,51 @@ def test_adapter_guarantee_and_turn_bound(monkeypatch):
                 assert inst.profits[sol.best_critical] / sub >= min(
                     rat(1, inst.m + 1), gap / inst.m
                 )
+
+
+class _InsertRecorder(KnapsackAdapter):
+    """The knapsack adapter, keeping every node the run inserts."""
+
+    def __init__(self, inst, branching):
+        super().__init__(inst, branching)
+        self.inserted = []
+
+    def on_insert(self, node):
+        self.inserted.append(node)
+
+
+@pytest.mark.guarantee
+def test_left_turns_count_the_fixed_items():
+    # every child but the last fixes the pivot into a knapsack, a left turn;
+    # the last excludes it. So a node's left turns are the positive-weight
+    # links of its chain: zero weights are fixed at the root, not by a turn
+    zero = KnapsackInstance(
+        (rat(0), rat(3), rat(4), rat(0), rat(5), rat(6), rat(2), rat(7), rat(4), rat(3)),
+        (rat(5), rat(7), rat(9), rat(2), rat(8), rat(11), rat(3), rat(12), rat(6), rat(5)),
+        (rat(8), rat(9)),
+    )
+    sizes = [(12, 2), (15, 3), (20, 2)]
+    instances = [generate("knapsack", *sizes[k % 3], 4300 + k) for k in range(18)] + [zero]
+    checked, most = 0, 0
+    for inst in instances:
+        for strategy in valid_strategies("knapsack"):
+            adapter = _InsertRecorder(inst, strategy.branching)
+            result = run(adapter, strategy.selection, Criterion("ratio-alpha", rat(999, 1000)),
+                         node_limit=400)
+            assert result.left_turn_max is not None
+            for node in adapter.inserted:
+                turns, chain = 0, node.payload.chain
+                while chain is not None:
+                    item, _, chain = chain
+                    turns += inst.weights[item] > 0
+                assert node.left_turns == turns, (inst, strategy, node.id)
+                checked += 1
+                most = max(most, turns)
+    assert checked > 800 and most >= 3
+    sched = generate("scheduling-identical", 5, 2, 4400)
+    for out in (solve_unrelated(sched, rat(1, 10)), solve_uniform(sched, rat(1, 2)),
+                solve_identical(sched, rat(1, 2))):
+        assert out.result.left_turn_max is None
 
 
 def test_adapter_rational_data_instance():

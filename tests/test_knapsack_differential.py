@@ -246,10 +246,9 @@ def test_every_subproblem_the_adapter_bounds(rule, monkeypatch):
         _, alive, fixed = paths[id(parent)]
         usable = {j for j in alive if adapter.inst.weights[j] <= max(
             Fraction(c, weight_scale(adapter.inst)) for c in parent.caps)}
-        for spec in children:
-            child = spec.payload
+        for index, child in enumerate(children):
             child_fixed = dict(fixed)
-            if not spec.right_turn:
+            if index < len(children) - 1:  # every child but the last fixes the pivot
                 (k,) = [k for k, c in enumerate(child.caps) if c != parent.caps[k]]
                 child_fixed[parent.pivot] = k
             paths[id(child)] = (child, usable - {parent.pivot}, child_fixed)

@@ -14,7 +14,10 @@ an attribute's receiver is, so a read of `x.parent` counts for every field
 called `parent`, whatever x is. A field that shares its name with a field
 of another class, or with any other attribute read in the package (say
 `Path.parent`), can go unread without this check seeing it; the limit is
-the price of a check that needs no type inference.
+the price of a check that needs no type inference. One case is told apart:
+a read that is called, `x.f(...)`, counts only for a field `f` annotated
+`Callable` (as `Algorithm.run` is), so a method that shares a field's name
+does not read the field.
 """
 import ast
 import importlib
@@ -69,21 +72,31 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _is_callable(annotation: ast.expr) -> bool:
+    """Whether an annotation is `Callable` or `Callable[...]`."""
+    target = annotation.value if isinstance(annotation, ast.Subscript) else annotation
+    return getattr(target, "id", getattr(target, "attr", None)) == "Callable"
+
+
 def unread_dataclass_fields(root: pathlib.Path) -> list[str]:
     """The fields of the dataclasses of root/src/bnbapprox that no module of
     the package or of root/solverbench reads as an attribute, matched by
-    field name alone (see the module docstring for what that misses)."""
+    field name alone (see the module docstring for what that misses). A
+    called read counts only for a field annotated `Callable`."""
     package = sorted((root / "src" / "bnbapprox").glob("*.py"))
-    fields, read = [], set()
+    fields, read, called = [], set(), set()
     for path in package + sorted((root / "solverbench").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                (called if id(node) in callees else read).add(node.attr)
             elif path in package and isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                fields += [f"{path.stem}.{node.name}.{item.target.id}" for item in node.body
+                fields += [(f"{path.stem}.{node.name}.{item.target.id}", item.target.id,
+                            _is_callable(item.annotation)) for item in node.body
                            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
-    return sorted(name for name in fields if name.rsplit(".", 1)[1] not in read)
+    return sorted(name for name, attr, is_callable in fields
+                  if attr not in read and not (is_callable and attr in called))
 
 
 def test_no_public_helper_is_used_only_by_the_tests():

@@ -33,7 +33,7 @@ from bnbapprox.scheduling import (
     min_feasible_T,
     round_vertex,
 )
-from guarantees import f_bound, reference_fractional_jobs, schedule_makespan
+from guarantees import f_bound, profile_run, reference_fractional_jobs, schedule_makespan
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -467,11 +467,11 @@ def test_solve_uniform_guarantee_and_level_widths():
     for seed in range(8):
         inst = generate("scheduling-uniform", 6, 2, 60 + seed)
         opt = exact_opt(inst).optimum
-        out = solve_uniform(inst, eps)
-        assert schedule_makespan(inst, out.assignment) == out.makespan
-        assert out.makespan <= (1 + eps) ** 2 * opt
+        adapter, result, makespan = profile_run(inst, eps, "similarity")
+        assert schedule_makespan(inst, result.best_solution) == makespan
+        assert makespan <= (1 + eps) ** 2 * opt
         bound = similarity_level_bound(inst.n, eps, inst.m)
-        for level, count in out.result.extras["level_inserted"].items():
+        for level, count in adapter.level_inserted.items():
             assert count <= bound, (seed, level, count)
 
 
@@ -499,13 +499,13 @@ def test_solve_identical_guarantee_and_rounded_values():
         for seed in range(6):
             inst = generate("scheduling-identical", 6, 3, 200 + seed)
             opt = exact_opt(inst).optimum
-            out = solve_identical(inst, eps)
-            assert schedule_makespan(inst, out.assignment) == out.makespan
-            assert out.makespan <= (1 + eps) ** 2 * opt
-            ex = out.result.extras
-            assert ex["distinct_rounded_values"] <= f_bound(eps)
-            assert out.result.max_depth <= ex["big_jobs"]
-            assert ex["big_jobs"] <= 2 * inst.m / eps
+            adapter, result, makespan = profile_run(inst, eps, "equivalence")
+            assert schedule_makespan(inst, result.best_solution) == makespan
+            assert makespan <= (1 + eps) ** 2 * opt
+            # the nonzero rounded completion times of the inserted nodes
+            values = {v for _, key in adapter.seen for v in key} - {0}
+            assert len(values) <= f_bound(eps)
+            assert result.max_depth <= adapter.big_count <= 2 * inst.m / eps
 
 
 def test_solve_identical_all_small_jobs_stops_at_root():
@@ -525,7 +525,8 @@ def test_solve_identical_large_eps_root_rounding():
     inst = generate("scheduling-identical", 5, 2, 9)
     opt = exact_opt(inst).optimum
     out = solve_identical(inst, rat(3))
-    assert out.result.extras.get("root_rounding_only")
+    # the root rounding alone, on the instance as given
+    assert out.result.nodes_processed == 0 and out.scale == 1
     assert out.makespan <= 2 * opt
 
 

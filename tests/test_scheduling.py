@@ -303,7 +303,7 @@ def test_children_fix_the_node_pivot():
             point = min_feasible_T(adapter.grid, state.t, state.jobs, bounding == "BS")
             assert state.pivot == mmp_pivot(point, adapter.P)
             node = Node(0, None, 0, info.lb, info.ub, 0, False, state)
-            children = [spec.payload for spec in adapter.branch(node)]
+            children = adapter.branch(node)
             assert [child.fixed for child in children] == [
                 (state.pivot, i, None) for i in range(inst.m)
             ]

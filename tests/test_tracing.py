@@ -1,18 +1,23 @@
-"""The benchmark's span tracer still finds every scheduling and profile site.
+"""The benchmark's span tracer still finds every knapsack, scheduling and
+profile site.
 
 `solverbench/tracing.py` replaces functions at the names they are looked
 up by (module globals and adapter methods), so a refactor that renames a
 function or changes where a caller looks it up breaks `run.py --trace 1`.
-This test installs the tracer, runs one tiny unrelated, uniform and
-identical solve, and checks that every wrapped site recorded spans, from
-each lookup site where there are several; uninstalling must put the
-original functions back.
+These tests install the tracer, run one tiny unrelated, uniform and
+identical solve, or one knapsack solve the way the benchmark runs it
+(`KnapsackAdapter` under `engine.run`), and check that every wrapped site
+recorded spans, from each lookup site where there are several;
+uninstalling must put the original functions back.
 """
 import sys
 from collections import Counter
 from pathlib import Path
 
+from bnbapprox import engine
+from bnbapprox.engine import Criterion, Selection
 from bnbapprox.instances import generate
+from bnbapprox.knapsack import KnapsackAdapter
 from bnbapprox.profiles import solve_identical, solve_uniform
 from bnbapprox.rational import rat
 from bnbapprox.scheduling import solve_unrelated
@@ -39,7 +44,9 @@ SCHEDULING_SITES = (
 )
 
 
-def test_tracer_covers_the_scheduling_sites():
+def _traced(solves) -> tuple[Counter, Counter]:
+    """Run `solves()` under the tracer; the spans' names and their (name,
+    parent's name) pairs, counted."""
     originals = {
         (owner, attr): owner.__dict__[attr]
         for _, _, sites in tracing._sites()
@@ -49,23 +56,31 @@ def test_tracer_covers_the_scheduling_sites():
     tracer.install()
     try:
         assert all(owner.__dict__[attr] is not fn for (owner, attr), fn in originals.items())
-        # uniform seed 720004 transforms a vertex (make_longest_fractional)
-        solve_unrelated(generate("scheduling-unrelated", 6, 3, 5), rat(1, 100))
-        solve_uniform(generate("scheduling-uniform", 8, 3, 720004), rat(1, 10))
-        solve_identical(generate("scheduling-identical", 8, 3, 10), rat(1, 10))
+        solves()
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is fn for (owner, attr), fn in originals.items())
 
     spans = tracer.spans
     calls = Counter(span[tracing.NAME] for span in spans)
-    assert all(calls[name] > 0 for name in SCHEDULING_SITES), calls
-    # the sites looked up from two modules: the calls through each lookup
     parents = Counter(
         (span[tracing.NAME], spans[span[tracing.PARENT]][tracing.NAME])
         for span in spans
         if span[tracing.PARENT] >= 0
     )
+    return calls, parents
+
+
+def test_tracer_covers_the_scheduling_sites():
+    def solves():
+        # uniform seed 720004 transforms a vertex (make_longest_fractional)
+        solve_unrelated(generate("scheduling-unrelated", 6, 3, 5), rat(1, 100))
+        solve_uniform(generate("scheduling-uniform", 8, 3, 720004), rat(1, 10))
+        solve_identical(generate("scheduling-identical", 8, 3, 10), rat(1, 10))
+
+    calls, parents = _traced(solves)
+    assert all(calls[name] > 0 for name in SCHEDULING_SITES), calls
+    # the sites looked up from two modules: the calls through each lookup
     for name, parent in (
         ("scheduling.min_feasible_T", "scheduling.bound"),
         ("scheduling.min_feasible_T", "profiles.bound"),
@@ -78,3 +93,19 @@ def test_tracer_covers_the_scheduling_sites():
         ("lp.pivot", "lp.solve_vertex"),
     ):
         assert parents[(name, parent)] > 0, (name, parent)
+
+
+def test_tracer_covers_the_knapsack_sites():
+    def solves():
+        adapter = KnapsackAdapter(generate("knapsack", 20, 2, 700000), branching="CE")
+        engine.run(adapter, Selection.BEST_FIRST, Criterion("ratio-alpha", rat(99, 100)),
+                   node_limit=2000)
+
+    calls, parents = _traced(solves)
+    for name, parent in (
+        ("knapsack.bound", "engine.run"),
+        ("knapsack.branch", "engine.run"),
+        ("knapsack.dantzig_solve", "knapsack.bound"),
+    ):
+        assert parents[(name, parent)] > 0, (name, parent, calls)
+    assert calls["knapsack.bound"] == calls["knapsack.dantzig_solve"] > calls["knapsack.branch"]
