@@ -11,9 +11,15 @@ every inequality row r and y^T b > 0.
 
 Tableau: fraction-free and integer. Columns are the structural variables,
 then one slack per inequality row, then the right-hand side; there are no
-artificials. Pivoting keeps entries integral (they are minors of the input
-matrix, over one common denominator that may be negative), so no solve
-scales a row and the hot loop does no gcd work at all.
+artificials. Each row i has its own denominator at[i], which may be
+negative: the Bareiss denominator of the last pivot that changed the row
+(Bareiss, Math. Comp. 1968), so the row holds that pivot's integer entries
+(minors of the input matrix) and its real entries are row / at[i]. A pivot
+skips every row with a 0 in the entering column, whose real entries do not
+change, and updates each other row straight to the new denominator with
+divisions that are exact. No entry is reduced by a gcd or normalized in
+sign, so every value a solve reads (the leave test, the entering column,
+the Farkas row, the vertex) is the one a common-denominator tableau holds.
 
 Crash basis: the caller hands over the tableau already crashed, with a
 basic label per row and denominator 1. scheduling.build_load_lp writes it
@@ -83,32 +89,39 @@ class Vertex:
     slacks: tuple[Rat | int, ...]
 
 
-def pivot(tableau: list[list[int]], r: int, c: int, den: int) -> int:
-    """Integer-preserving Gaussian pivot on (r, c); returns the new denominator.
+def pivot(tableau: list[list[int]], at: list[int], r: int, c: int, den: int) -> int:
+    """Fraction-free Gaussian pivot on (r, c) over per-row denominators;
+    returns the new denominator piv.
 
-    The tableau stores den * (real tableau); after the update it stores
-    piv * (real tableau) with piv = tableau[r][c]. The divisions are exact
-    (entries stay minors of the original integer matrix). Rows are updated
-    in place, skipping entries that stay zero; the pivot row itself is left
-    untouched by construction.
+    Row i stores at[i] * (real row i), where at[i] is the Bareiss
+    denominator of the last pivot that changed the row and den is that of
+    the last pivot of all. Row r is first brought to den (b * den // at[r],
+    exact because Bareiss entries are minors of the input matrix), and piv
+    is its entry in column c. A row with a 0 in column c keeps its real
+    entries, so it is skipped; every other row becomes piv * (its new real
+    row), (piv * a - f * b) // at[i] entry by entry, again exact, and takes
+    at[i] = piv. Row r keeps its den-scaled entries and takes at[r] = piv.
+    The rows and `at` change in place.
     """
     prow = tableau[r]
+    d = at[r]
+    if d != den:
+        for j, b in enumerate(prow):
+            if b:
+                prow[j] = b * den // d
     piv = prow[c]
     for i, row in enumerate(tableau):
-        if i == r:
-            continue
         f = row[c]
-        if f:
+        if f and i != r:
+            d = at[i]
             for j, b in enumerate(prow):
                 a = row[j]
                 if b:
-                    row[j] = (piv * a - f * b) // den
+                    row[j] = (piv * a - f * b) // d
                 elif a:
-                    row[j] = piv * a // den
-        elif piv != den:
-            for j, a in enumerate(row):
-                if a:
-                    row[j] = piv * a // den
+                    row[j] = piv * a // d
+            at[i] = piv
+    at[r] = piv
     return piv
 
 
@@ -125,7 +138,8 @@ def solve_vertex(
     row per basic variable, num_vars structural columns, then num_slacks
     slack columns (one per inequality row, in row order), then the rhs;
     `basis` holds each row's basic column, which is 1 on its row and 0 on
-    every other. Both are pivoted in place. The dual phase runs while a
+    every other. Both are pivoted in place, the tableau on per-row
+    denominators that the solve keeps to itself. The dual phase runs while a
     basic variable is negative: the row with the lowest basic label among
     the negative ones leaves and the lowest-index column with a negative
     entry in it enters (see the module docstring).
@@ -137,37 +151,38 @@ def solve_vertex(
     Farkas ray y of the rows of the program the tableau was crashed from.
     """
     rhs = num_vars + num_slacks  # the rhs column; every column before it is a variable
+    at = [1] * len(tableau)  # each row's denominator (see pivot)
     den = 1
     while True:
-        sign = 1 if den > 0 else -1
         leave = -1
         for i, row in enumerate(tableau):
-            if row[rhs] * sign < 0 and (leave < 0 or basis[i] < basis[leave]):
+            if row[rhs] * at[i] < 0 and (leave < 0 or basis[i] < basis[leave]):
                 leave = i
         if leave < 0:
             break
         row = tableau[leave]
+        sign = 1 if at[leave] > 0 else -1
         enter = -1
         for j in range(rhs):
             if row[j] * sign < 0:
                 enter = j
                 break
         if enter < 0:
-            if farkas is not None:
-                farkas.extend(row if sign > 0 else [-v for v in row])
+            if farkas is not None:  # the row brought to den, times den's sign
+                farkas.extend(v * abs(den) // at[leave] for v in row)
             return None
-        den = pivot(tableau, leave, enter, den)
+        den = pivot(tableau, at, leave, enter, den)
         basis[leave] = enter
 
     values = [rat(0)] * num_vars
     slacks = [0] * num_slacks
-    for row, b in zip(tableau, basis):
+    for row, b, d in zip(tableau, basis, at):
         v = row[rhs]
         if v:
             if b < num_vars:
-                values[b] = Rat(v, den)
+                values[b] = Rat(v, d)
             else:
-                slacks[b - num_vars] = Rat(v, den)
+                slacks[b - num_vars] = Rat(v, d)
     return Vertex(tuple(values), tuple(slacks))
 
 

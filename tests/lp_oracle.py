@@ -5,7 +5,8 @@ enumeration and LP optima.
 load LP's solver was cut down from: a program of equality and inequality
 rows, put on integers at construction, a crash basis that pivots each
 equality row on its first nonzero column (dropping a redundant row), then
-the zero-cost dual simplex under Bland's rule. Both pivot with
+the zero-cost dual simplex under Bland's rule (`dual_phase`), on one
+common denominator. Both pivot with
 `reference_pivot`, an indexed Gaussian pivot of their own, so a change to
 `bnbapprox.lp.pivot` leaves the reference as it is. `load_program` writes a
 load LP as such a program. `bnbapprox.scheduling.build_load_lp` must give
@@ -142,12 +143,8 @@ def crash(
 
 
 def solve_vertex(lp: LinearProgram, farkas: list[int] | None = None) -> Vertex | None:
-    """Return a vertex of the polyhedron, or None when it is empty.
-
-    From the crash basis (see crash), the dual phase runs while a basic
-    variable is negative: the row with the lowest basic label among the
-    negative ones leaves and the lowest-index column with a negative entry
-    in it enters (Bland's rule for the zero-cost dual simplex).
+    """Return a vertex of the polyhedron, or None when it is empty: the
+    crash (see crash), then the dual phase (see dual_phase).
 
     When the polyhedron is empty and `farkas` is a list, it receives the
     row that proves it, integer and scaled by a positive factor: its
@@ -160,10 +157,24 @@ def solve_vertex(lp: LinearProgram, farkas: list[int] | None = None) -> Vertex |
     if crashed is None:
         return None
     tableau, basis, den = crashed
-    nv = lp.num_vars
-    n_ineq = len(lp.inequalities)
-    rhs = nv + n_ineq
+    return dual_phase(tableau, basis, den, lp.num_vars, len(lp.inequalities), farkas)
 
+
+def dual_phase(
+    tableau: list[list[int]],
+    basis: list[int],
+    den: int,
+    nv: int,
+    n_ineq: int,
+    farkas: list[int] | None = None,
+) -> Vertex | None:
+    """The dual phase from a crashed tableau that stores den * (the real
+    tableau), pivoting it and `basis` in place: while a basic variable is
+    negative, the row with the lowest basic label among the negative ones
+    leaves and the lowest-index column with a negative entry in it enters
+    (Bland's rule for the zero-cost dual simplex). Returns the vertex, or
+    None with the leaving row in `farkas` (as in solve_vertex)."""
+    rhs = nv + n_ineq
     while True:
         sign = 1 if den > 0 else -1
         leave = -1

@@ -8,7 +8,13 @@ from bnbapprox.lp import LpError, job_machine_matching, pivot
 from bnbapprox.rational import rat
 from bnbapprox.scheduling import SchedGrid, build_load_lp, feasible_point, split_jobs
 from guarantees import graph_is_forest
-from lp_oracle import LinearProgram, enumerate_vertices, load_program, solve_vertex
+from lp_oracle import (
+    LinearProgram,
+    enumerate_vertices,
+    load_program,
+    reference_pivot,
+    solve_vertex,
+)
 
 
 def satisfies(lp, values):
@@ -200,33 +206,54 @@ def test_graph_cycle_detection():
 
 
 def test_pivot_matches_fraction_gaussian_pivot():
-    # The tableau holds den * (real tableau); after pivoting on (r, c) it
-    # must hold piv * (the exact Gauss-Jordan pivot of the real tableau),
-    # over a chain of pivots on the same tableau.
+    # Row i holds at[i] * (real row i). Over a chain of pivots on the same
+    # tableau, after pivoting on (r, c): every row over its at[i] is the
+    # exact Gauss-Jordan pivot of the real tableau; a row with a 0 in
+    # column c is the same list with the same entries and denominator; and
+    # every row brought to the new common denominator equals the dense
+    # reference pivot's row entry for entry. Zeros are frequent, so rows
+    # skip several pivots before one touches them.
     rnd = random.Random(9)
-    for _ in range(200):
-        rows = rnd.randint(2, 5)
-        cols = rnd.randint(2, 6)
-        tab = [[rnd.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    skipped_twice = 0
+    for _ in range(300):
+        rows = rnd.randint(2, 6)
+        cols = rnd.randint(2, 7)
+        tab = [[rnd.choice((0, 0, rnd.randint(-9, 9))) for _ in range(cols)]
+               for _ in range(rows)]
         r = rnd.randrange(rows)
         c = rnd.randrange(cols)
         if tab[r][c] == 0:
             tab[r][c] = 3
+        ref = [list(row) for row in tab]
+        at = [1] * rows
         den = 1
-        for _ in range(rnd.randint(1, 3)):
-            real = [[Fraction(v, den) for v in row] for row in tab]
+        skips = [0] * rows
+        for _ in range(rnd.randint(1, 5)):
+            real = [[Fraction(v, d) for v in row] for row, d in zip(tab, at)]
             expected = [
                 [v / real[r][c] for v in row]
                 if i == r
                 else [v - row[c] / real[r][c] * p for v, p in zip(row, real[r])]
                 for i, row in enumerate(real)
             ]
-            den = pivot(tab, r, c, den)
-            assert den == tab[r][c]
-            assert [[Fraction(v, den) for v in row] for row in tab] == expected
+            untouched = {
+                i: (row, list(row), at[i]) for i, row in enumerate(tab) if i != r and not row[c]
+            }
+            piv = pivot(tab, at, r, c, den)
+            assert piv == reference_pivot(ref, r, c, den) == tab[r][c] == at[r]
+            den = piv
+            assert [[Fraction(v, d) for v in row] for row, d in zip(tab, at)] == expected
+            for i in range(rows):
+                skips[i] = skips[i] + 1 if i in untouched else 0
+            for i, (row, entries, d) in untouched.items():
+                assert tab[i] is row and row == entries and at[i] == d
+                skipped_twice += skips[i] == 2
+            assert all(v * den % d == 0 for row, d in zip(tab, at) for v in row)
+            assert [[v * den // d for v in row] for row, d in zip(tab, at)] == ref
             candidates = [
                 (i, j) for i in range(rows) for j in range(cols) if i != r and tab[i][j]
             ]
             if not candidates:
                 break
             r, c = rnd.choice(candidates)
+    assert skipped_twice > 200, skipped_twice

@@ -35,13 +35,18 @@ the uniform and identical schemes solve. The crash comparison runs on
 every one of those load LPs, on tiny nodes drawn with ties in the
 fastest-first order, closed machines and jobs eligible on one machine
 only, and on rational nodes whose data lie on a coarser grid than the
-instance's (node step g > 1). The tests carry the `guarantee` marker, so
+instance's (node step g > 1). The load LPs of capped mid-size runs
+(unrelated 12x4, uniform and identical 12x3) are checked against the
+dense dual phase alone, vertex, Farkas row and final basis entry for entry:
+their dual phases are long enough that rows skip several pivots before
+one touches them. The tests carry the `guarantee` marker, so
 they run again in the one `python -O` pass (test_no_asserts.py).
 """
 import contextlib
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -52,7 +57,7 @@ from bnbapprox import lp, scheduling
 from bnbapprox.engine import Selection
 from bnbapprox.instances import IDENTICAL, UNIFORM, UNRELATED, SchedulingInstance, generate
 from bnbapprox.lp import LpError, Vertex
-from bnbapprox.profiles import normalize, solve_uniform
+from bnbapprox.profiles import normalize, solve_identical, solve_uniform
 from bnbapprox.rational import Rat, rat
 from bnbapprox.scheduling import (
     ROUNDING_AS,
@@ -64,6 +69,7 @@ from bnbapprox.scheduling import (
 from lp_oracle import (
     LinearProgram,
     crash,
+    dual_phase,
     enumerate_vertices,
     load_program,
     reference_pivot,
@@ -469,6 +475,72 @@ def test_recorded_load_lp_crashes_match_reference():
     for kind in (UNRELATED, UNIFORM):
         for _, args in _recorded_load_lps(kind):
             _check_crash(args)
+
+
+
+@functools.cache
+def _mid_size_load_lps() -> tuple[tuple, ...]:
+    """The build_load_lp arguments of every load LP, each once, that capped
+    mid-size runs hand to the solver: unrelated 12x4 under BS and LR
+    (integer data), and uniform and identical 12x3 on the profile schemes'
+    normalized grid. Their dual phases run long enough that rows skip
+    several pivots before one touches them."""
+    with _recording_builds() as recorded:
+        for seed in range(3):
+            inst = generate(UNRELATED, 12, 4, 9200 + seed)
+            for bounding in ("BS", "LR"):
+                solve_unrelated(inst, rat(1, 100), Selection.BEST_FIRST, bounding, ROUNDING_AS,
+                                node_limit=20)
+            solve_uniform(generate(UNIFORM, 12, 3, 7400 + seed), rat(1, 10), node_limit=200)
+            solve_identical(generate(IDENTICAL, 12, 3, 7500 + seed), rat(1, 10), node_limit=200)
+    return tuple(dict.fromkeys(recorded))
+
+
+def test_mid_size_load_lps_match_the_dense_reference(monkeypatch):
+    # lp.solve_vertex keeps a denominator per row and skips the rows a pivot
+    # does not touch; lp_oracle.dual_phase pivots every row on one common
+    # denominator. From the same crash they must reach the same vertex or
+    # Farkas row and the same final basis, and the final tableau, each row
+    # brought to the last denominator, must be the reference's.
+    original = lp.pivot
+    last: dict = {}
+    skips: list[int] = []
+    touched_after = Counter()  # rows a pivot touches, by the pivots they skipped before
+
+    def watching(tableau, at, r, c, den):
+        if not skips:
+            skips.extend([0] * len(tableau))
+        for i, row in enumerate(tableau):
+            if i == r or row[c]:
+                touched_after[skips[i]] += 1
+                skips[i] = 0
+            else:
+                skips[i] += 1
+        last["at"], last["den"] = at, original(tableau, at, r, c, den)
+        return last["den"]
+
+    monkeypatch.setattr(lp, "pivot", watching)
+    solved = Counter()
+    for args in _mid_size_load_lps():
+        built, reference = build_load_lp(*args), load_program(*args)
+        assert (built is None) == (reference is None)
+        if built is None:
+            continue
+        tableau, basis, pairs, machines = built
+        want_tableau, want_basis, den = crash(reference[0])
+        assert tableau == want_tableau and basis == want_basis and den == 1
+        last.clear()
+        skips.clear()
+        farkas: list[int] = []
+        want_farkas: list[int] = []
+        got = lp.solve_vertex(tableau, basis, len(pairs), len(machines), farkas)
+        want = dual_phase(want_tableau, want_basis, den, len(pairs), len(machines), want_farkas)
+        assert got == want and farkas == want_farkas and basis == want_basis
+        at, den = last.get("at", [1] * len(tableau)), last.get("den", 1)
+        assert [[v * den // d for v in row] for row, d in zip(tableau, at)] == want_tableau
+        solved[got is None] += 1
+    assert solved[False] > 100 and solved[True] > 100, solved
+    assert sum(n for gap, n in touched_after.items() if gap >= 2) > 2000, touched_after
 
 
 @st.composite

@@ -5,17 +5,20 @@ profile site.
 up by (module globals and adapter methods), so a refactor that renames a
 function or changes where a caller looks it up breaks `run.py --trace 1`.
 These tests install the tracer, run one tiny unrelated, uniform and
-identical solve, or one knapsack solve the way the benchmark runs it
-(`KnapsackAdapter` under `engine.run`), and check that every wrapped site
-recorded spans, from each lookup site where there are several;
-uninstalling must put the original functions back.
+identical solve, or one knapsack instance solved the way the benchmark
+runs it (`KnapsackAdapter` under `engine.run`) and through
+`algorithms.solve` (which reaches `engine.run` by `knapsack.run_knapsack`),
+and check that every wrapped site recorded spans, from each lookup site
+where there are several; uninstalling must put the original functions
+back.
 """
 import sys
 from collections import Counter
 from pathlib import Path
 
 from bnbapprox import engine
-from bnbapprox.engine import Criterion, Selection
+from bnbapprox.algorithms import solve
+from bnbapprox.engine import Criterion, Selection, Strategy
 from bnbapprox.instances import generate
 from bnbapprox.knapsack import KnapsackAdapter
 from bnbapprox.profiles import solve_identical, solve_uniform
@@ -96,10 +99,16 @@ def test_tracer_covers_the_scheduling_sites():
 
 
 def test_tracer_covers_the_knapsack_sites():
+    # the same instance run the benchmark's way and through algorithms.solve,
+    # whose run_knapsack looks engine.run up through the module: both runs
+    # record an engine.run span, and every bound lies under one
     def solves():
-        adapter = KnapsackAdapter(generate("knapsack", 20, 2, 700000), branching="CE")
+        inst = generate("knapsack", 20, 2, 700000)
+        adapter = KnapsackAdapter(inst, branching="CE")
         engine.run(adapter, Selection.BEST_FIRST, Criterion("ratio-alpha", rat(99, 100)),
                    node_limit=2000)
+        solve(inst, "knapsack", rat(99, 100),
+              Strategy(Selection.BEST_FIRST, "CE", "Surrogate", "Dantzig"), 2000)
 
     calls, parents = _traced(solves)
     for name, parent in (
@@ -109,3 +118,5 @@ def test_tracer_covers_the_knapsack_sites():
     ):
         assert parents[(name, parent)] > 0, (name, parent, calls)
     assert calls["knapsack.bound"] == calls["knapsack.dantzig_solve"] > calls["knapsack.branch"]
+    assert calls["engine.run"] == 2, calls
+    assert parents[("knapsack.bound", "engine.run")] == calls["knapsack.bound"], parents
