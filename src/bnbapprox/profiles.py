@@ -26,16 +26,20 @@ of side eps/n (coordinate-wise floor of profile * n/eps); two profiles in
 one cell differ by at most eps/n per coordinate, and a level keeps at most
 one node per cell. Identical machines prune by epsilon-equivalence: fixed
 jobs' processing times are rounded down to the geometric grid
-eps*(1+eps)^k, and the multiset of rounded completion times (machine
-order is immaterial) is the node's key; a level keeps one node per key.
+eps*(1+eps)^k, and the multiset of (overhead, rounded load) pairs, one per
+machine, is the node's key; a level keeps one node per key. The
+equivalence argument swaps machines, so it may swap only machines with
+equal overheads: keyed on rounded loads alone, a node whose long job sits
+on a machine that starts later would stand for one where it sits on a
+machine that starts earlier.
 Jobs shorter than eps are *small*: they are never branched on (rounding a
 vertex whose fractional jobs are all small costs at most eps extra, which
 the stopping rule absorbs), so branching stops at the number of big jobs.
 The ladder and the keys are ints: with eps = a/b, rung k is
 a(a+b)^k / b^(k+1) (geometric_rungs), which the adapter keeps as
 a(a+b)^k b^(K-k), over the top rung K's denominator; a key is the sorted
-tuple of the machines' integer sums, equal to another exactly when their
-rational multisets are.
+tuple of the machines' (overhead, integer sum) pairs, equal to another
+exactly when their rational multisets are.
 
 The longest-unfixed-job pivot is justified by a vertex transform: when a
 vertex assigns the longest unfixed job integrally, fractional mass can be
@@ -258,8 +262,8 @@ class ProfileAdapter(BaseAdapter):
     are in the instance's units, and `solution` maps positions back to job
     labels. The payload of the latest root_payload call is bounded with
     normalize's vertex; every other payload runs min_feasible_T from its
-    parent's bound. Keys (cells, or sorted sums of rungs) and the level
-    width bound are ints."""
+    parent's bound. Keys (cells, or sorted (overhead, sum of rungs) pairs)
+    and the level width bound are ints."""
 
     sense = Sense.MIN
 
@@ -344,7 +348,7 @@ class ProfileAdapter(BaseAdapter):
         while chain is not None:
             j, i, chain = chain
             loads[i] += self.rounded[j]
-        return tuple(sorted(loads))
+        return tuple(sorted(zip(self.grid.t, loads)))
 
     def admit(self, node: Node) -> bool:
         state: _SchedState = node.payload
@@ -392,7 +396,13 @@ def solve_uniform(
     selection: Selection = Selection.BEST_FIRST,
     node_limit: int | None = None,
 ) -> Outcome:
-    """The uniform-machines scheme through algorithms.solve."""
+    """The uniform-machines scheme through algorithms.solve.
+
+    Its answer is certified to (1+eps)^2, also when the run ends
+    `ratio-met`: the stopping test reads the incumbent and the frontier
+    only, not the subtrees that `admit` rejected, which the dominance
+    argument covers within another factor 1+eps. The outcome's bound
+    counts those subtrees, so value/bound can exceed 1+eps."""
     from .algorithms import solve  # algorithms imports this module
 
     return solve(inst, "uniform", eps, Strategy(selection, *PROFILE_TAGS), node_limit)
@@ -404,7 +414,8 @@ def solve_identical(
     selection: Selection = Selection.BEST_FIRST,
     node_limit: int | None = None,
 ) -> Outcome:
-    """The identical-machines scheme through algorithms.solve."""
+    """The identical-machines scheme through algorithms.solve; what a
+    `ratio-met` run certifies is (1+eps)^2, as for solve_uniform."""
     from .algorithms import solve  # algorithms imports this module
 
     return solve(inst, "identical", eps, Strategy(selection, *PROFILE_TAGS), node_limit)

@@ -3,9 +3,14 @@
 A node fixes some jobs onto machines; the residual problem is the same
 problem class again with per-machine overheads t_i (the earliest time a
 machine can start). BS bounds a node by searching for the smallest grid
-value T such that the parametric load LP is feasible, where only pairs
-with p_{j,i} <= T are eligible and machine i may carry load at most
-T - t_i. The LR baseline bound drops the eligibility filter (the plain
+value T such that the parametric load LP is feasible, where machine i may
+carry load at most T - t_i and only eligible pairs take variables. Which
+pairs are eligible is the `Eligibility` rule: the unrelated scheme's BS
+admits (j, i) when t_i + p_{j,i} <= T, the eligibility rule of Lenstra,
+Shmoys and Tardos applied to the node's residual problem (no completion
+of the node puts j on i otherwise, and at the root, where t = 0, it is
+their p_{j,i} <= T); the profile schemes keep that paper rule p_{j,i} <=
+T at every node. The LR baseline bound drops the filter (the plain
 makespan LP relaxation) and searches the same grid, so BS dominates LR by
 construction.
 
@@ -59,7 +64,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .engine import (
@@ -84,6 +91,7 @@ if TYPE_CHECKING:
     from .algorithms import Outcome
 
 __all__ = [
+    "Eligibility",
     "SchedGrid",
     "LpPoint",
     "FarkasRay",
@@ -104,6 +112,16 @@ __all__ = [
 ROUNDING_AS = "AS"
 ROUNDING_BM = "BM"
 ROUNDING_LST = "LST-match"
+
+
+class Eligibility(Enum):
+    """Which pairs (j, i) the load LP at guess T of a node with overheads t
+    admits, besides needing an open machine (t_i < T): a pair is a column
+    from the guess max(t_i + 1, its threshold) on."""
+
+    ALL = "all"  # LR: no filter
+    PAPER = "paper"  # p_ji <= T
+    RESIDUAL = "residual"  # t_i + p_ji <= T
 
 
 @dataclass(frozen=True)
@@ -162,19 +180,19 @@ def build_load_lp(
     t: Sequence[int],
     jobs: Sequence[int],
     T: int,
-    restrict: bool = True,
+    eligibility: Eligibility = Eligibility.PAPER,
 ) -> tuple[list[list[int]], list[int], list[tuple[int, int]], list[int]] | None:
     """The crashed tableau of the load LP at guess T of the node with
     overheads t and unfixed `jobs` on `grid`, or None when the LP is
     trivially infeasible (an overfull machine or a job with no eligible
     pair). Returns (tableau, basis, pairs, machines) for lp.solve_vertex.
 
-    The LP: variables are the eligible pairs (`pairs`), grouped by job in
-    `jobs` order and within a job in the grid's fastest-first order,
-    filtered by the open machines; machines without residual capacity take
-    no variables. Each job has a 0/1 assignment row with rhs 1, and each
-    machine with columns (`machines`, in machine order) a load row of P's
-    entries with rhs T - t_i and a slack.
+    The LP: variables are the pairs that `eligibility` admits (`pairs`),
+    grouped by job in `jobs` order and within a job in the grid's
+    fastest-first order; machines without residual capacity take no
+    variables under any rule. Each job has a 0/1 assignment row with rhs 1,
+    and each machine with columns (`machines`, in machine order) a load row
+    of P's entries with rhs T - t_i and a slack.
 
     The crash: job j's row pivots on its first column, its fastest open
     and eligible machine m_j. That unit pivot leaves every other row alone
@@ -186,16 +204,24 @@ def build_load_lp(
     if max(t) > T:
         return None
     P = grid.P
-    is_open = [T > ti for ti in t]
+    # cap[i]: the longest time machine i admits (-1 when it is closed); no
+    # machine admits a time above `top`
+    if eligibility is Eligibility.RESIDUAL:
+        cap = [T - ti if T > ti else -1 for ti in t]
+        top = T - min(t)
+    else:
+        top = T if eligibility is Eligibility.PAPER else math.inf
+        cap = [top if T > ti else -1 for ti in t]
     pairs: list[tuple[int, int]] = []
     spans: list[tuple[int, int]] = []
     for j in jobs:
         Pj = P[j]
         start = len(pairs)
         for i in grid.order[j]:
-            if restrict and Pj[i] > T:
+            p = Pj[i]
+            if p > top:
                 break  # every later machine is slower still
-            if is_open[i]:
+            if p <= cap[i]:
                 pairs.append((j, i))
         if len(pairs) == start:
             return None
@@ -231,23 +257,23 @@ def feasible_point(
     t: Sequence[int],
     jobs: Sequence[int],
     T: int,
-    restrict: bool = True,
+    eligibility: Eligibility = Eligibility.PAPER,
     rays: list[FarkasRay] | None = None,
 ) -> LpPoint | None:
     """Vertex of the load LP at guess T (see build_load_lp), or None when
     infeasible.
 
-    restrict=True applies the eligibility filter p_{j,i} <= T; machines
-    with no residual capacity (T - t_i <= 0) take no variables either way.
-    build_load_lp writes the crashed tableau and lp.solve_vertex runs the
-    dual phase on it. A machine's completion time is T minus the slack of
-    its load row, and t_i when it has none (so a node without unfixed jobs
-    gets loads t). When the LP is empty and `rays` is a list, the Farkas
+    `eligibility` filters the pairs; machines with no residual capacity
+    (T - t_i <= 0) take no variables under any rule. build_load_lp writes
+    the crashed tableau and lp.solve_vertex runs the dual phase on it. A
+    machine's completion time is T minus the slack of its load row, and
+    t_i when it has none (so a node without unfixed jobs gets loads t).
+    When the LP is empty and `rays` is a list, the Farkas
     ray read off the tableau row that proved it empty (see lp) is appended
     to it; a program that build_load_lp already rules out appends nothing.
     A vertex with more fractional jobs than machines raises LpError.
     """
-    built = build_load_lp(grid, t, jobs, T, restrict)
+    built = build_load_lp(grid, t, jobs, T, eligibility)
     if built is None:
         return None
     tableau, basis, pairs, machines = built
@@ -316,7 +342,7 @@ def ray_reach(
     jobs: Sequence[int],
     k: int,
     k_hi: int,
-    restrict: bool = True,
+    eligibility: Eligibility = Eligibility.PAPER,
 ) -> int:
     """The largest guess k2 in [k, k_hi] such that `ray` proves the load LP
     empty at every integer guess from k to k2; k_hi when it proves them
@@ -332,7 +358,8 @@ def ray_reach(
     Raises LpError when the ray proves nothing at k: a positive slack or
     column, or an infeasibility that is not positive. Above k the
     infeasibility falls by -sum(y) per grid step, and a pair (j, i)
-    becomes a column at max(t_i + 1, p_ji if restrict): the reach ends
+    becomes a column at t_i + 1 under Eligibility.ALL, at max(t_i + 1,
+    p_ji) under PAPER and at t_i + p_ji under RESIDUAL: the reach ends
     just before the first guess where either breaks the ray.
     """
     y = ray.y_machines
@@ -352,8 +379,10 @@ def ray_reach(
         for i, p in enumerate(P[j]):
             if yj + y[i] * p > 0:
                 opens = t[i] + 1
-                if restrict and p > opens:
-                    opens = p
+                if eligibility is Eligibility.PAPER:
+                    opens = max(opens, p)
+                elif eligibility is Eligibility.RESIDUAL:
+                    opens = max(opens, t[i] + p)
                 if opens <= k:
                     raise LpError(f"Farkas ray is positive on column ({j}, {i}) at guess {k}")
                 reach = min(reach, opens - 1)
@@ -364,7 +393,7 @@ def min_feasible_T(
     grid: SchedGrid,
     t: Sequence[int],
     jobs: Sequence[int],
-    restrict: bool = True,
+    eligibility: Eligibility = Eligibility.PAPER,
     lo_hint: int | Rat | None = None,
 ) -> LpPoint:
     """A vertex of the load LP at the smallest feasible guess of the node
@@ -372,13 +401,16 @@ def min_feasible_T(
     T = k/R, and only multiples of the node step g are probed (see the
     module docstring). The bracket is [k_lo, k_hi], both multiples of g:
 
-    - k_lo: max(max overhead, largest minimal processing time under
-      restrict, averaged load bound, lo_hint), rounded up to a step;
-      lo_hint is a known lower bound such as the parent node's optimum;
+    - k_lo: max(max overhead, averaged load bound, lo_hint, and the
+      largest over the jobs of the first guess where a job has a column:
+      its shortest time under Eligibility.PAPER, its smallest t_i + p_ji
+      under RESIDUAL), rounded up to a step; lo_hint is a known lower
+      bound such as the parent node's optimum;
     - k_hi: the largest overhead plus every job's shortest time (at least
-      k_lo), a feasible guess under either restrict: with every job on its
-      fastest machine each used pair is eligible, each machine is open
-      (processing times are positive) and no load exceeds it.
+      k_lo), a feasible guess under every rule: with every job on its
+      fastest machine each machine is open (processing times are
+      positive), no load exceeds it and so each used pair has t_i + p_ji
+      <= k_hi.
 
     k_lo is probed first and, when feasible, is the answer after one LP
     solve. Otherwise the search walks up: an infeasible probe at k hands
@@ -398,8 +430,10 @@ def min_feasible_T(
     k_lo = max(t, default=0)
     k_hi = k_lo + work  # a multiple of g, as t and P[jobs] are
     if jobs:
-        if restrict:
+        if eligibility is Eligibility.PAPER:
             k_lo = max(k_lo, max(shortest))
+        elif eligibility is Eligibility.RESIDUAL:
+            k_lo = max(k_lo, max([min(map(operator.add, t, P[j])) for j in jobs]))
         k_lo = max(k_lo, _ceil_to(work + sum(t), len(t) * g) // len(t))
     if lo_hint is not None:
         k_lo = max(k_lo, _ceil_to(lo_hint, g))
@@ -409,10 +443,10 @@ def min_feasible_T(
     k = k_lo
     while k <= k_hi:
         rays: list[FarkasRay] = []
-        point = feasible_point(grid, t, jobs, k, restrict, rays)
+        point = feasible_point(grid, t, jobs, k, eligibility, rays)
         if point is not None:
             return point
-        k = _ceil_to((ray_reach(rays[0], P, t, jobs, k, k_hi, restrict) if rays else k) + 1, g)
+        k = _ceil_to((ray_reach(rays[0], P, t, jobs, k, k_hi, eligibility) if rays else k) + 1, g)
     raise LpError("upper bracket infeasible; bracket construction is broken")
 
 
@@ -568,9 +602,9 @@ def _integral_leaf(grid: SchedGrid, state: _SchedState, point: LpPoint) -> Bound
 
 
 class UnrelatedAdapter(BaseAdapter):
-    """Engine adapter: BS or LR bounding, AS or BM rounding, MMP branching.
-    Bounds are ints on the instance's grid, in units of 1/bound_scale =
-    1/R."""
+    """Engine adapter: BS (under Eligibility.RESIDUAL) or LR bounding, AS
+    or BM rounding, MMP branching. Bounds are ints on the instance's grid,
+    in units of 1/bound_scale = 1/R."""
 
     sense = Sense.MIN
 
@@ -589,7 +623,7 @@ class UnrelatedAdapter(BaseAdapter):
         self.bound_scale = self.grid.R
         self.P = self.grid.P
         self.m = inst.m
-        self.restrict = bounding == "BS"
+        self.eligibility = Eligibility.RESIDUAL if bounding == "BS" else Eligibility.ALL
         self.rounding = rounding
         self.depth_cap = depth_cap
 
@@ -598,7 +632,7 @@ class UnrelatedAdapter(BaseAdapter):
 
     def bound(self, state: _SchedState) -> BoundInfo:
         point = min_feasible_T(
-            self.grid, state.t, state.jobs, restrict=self.restrict, lo_hint=state.lo_hint
+            self.grid, state.t, state.jobs, self.eligibility, lo_hint=state.lo_hint
         )
         if not point.fractional_jobs:
             return _integral_leaf(self.grid, state, point)

@@ -28,7 +28,7 @@ from bnbapprox.instances import KnapsackInstance
 from bnbapprox.lp import LpError, Vertex
 from bnbapprox.oracle import OracleBudgetExceeded
 from bnbapprox.rational import Rat, rat
-from bnbapprox.scheduling import SchedGrid
+from bnbapprox.scheduling import Eligibility, SchedGrid
 
 
 def reference_pivot(tableau: list[list[int]], r: int, c: int, den: int) -> int:
@@ -208,39 +208,45 @@ def dual_phase(
     return Vertex(tuple(values), tuple(slacks))
 
 
+def admits(eligibility: Eligibility, p, ti, T) -> bool:
+    """Whether the load LP at guess T has a column for a pair of time p on
+    a machine with overhead ti: the machine is open (ti < T) and the rule
+    holds, p <= T (PAPER), ti + p <= T (RESIDUAL) or nothing (ALL)."""
+    if ti >= T:
+        return False
+    if eligibility is Eligibility.PAPER:
+        return p <= T
+    if eligibility is Eligibility.RESIDUAL:
+        return ti + p <= T
+    return eligibility is Eligibility.ALL
+
+
 def load_program(
     grid: SchedGrid,
     t: Sequence[int],
     jobs: Sequence[int],
     T: int,
-    restrict: bool = True,
+    eligibility: Eligibility = Eligibility.PAPER,
 ) -> tuple[LinearProgram, tuple[tuple[int, int], ...]] | None:
     """The load LP at guess T of the node with overheads t and unfixed
     `jobs` on `grid`, as a LinearProgram, plus its variable order, or None
     when it is trivially infeasible (an overfull machine or a job with no
     eligible pair), exactly when build_load_lp says so.
 
-    Variables are the eligible pairs, grouped by job in `jobs` order and
-    within a job in the grid's fastest-first order, filtered by the open
-    machines, so the crash puts each job wholly on its fastest column.
-    There is one load row per machine with columns, in machine order. Every
-    row is integer: 0/1 assignment rows, and load rows of P's entries with
-    rhs T - t_i.
+    Variables are the pairs that `admits`, grouped by job in `jobs` order
+    and within a job in the grid's fastest-first order, so the crash puts
+    each job wholly on its fastest column. There is one load row per
+    machine with columns, in machine order. Every row is integer: 0/1
+    assignment rows, and load rows of P's entries with rhs T - t_i.
     """
     if max(t) > T:
         return None
     P = grid.P
-    is_open = [T > ti for ti in t]
     pairs: list[tuple[int, int]] = []
     spans: list[tuple[int, int]] = []
     for j in jobs:
-        Pj = P[j]
         start = len(pairs)
-        for i in grid.order[j]:
-            if restrict and Pj[i] > T:
-                break  # every later machine is slower still
-            if is_open[i]:
-                pairs.append((j, i))
+        pairs += [(j, i) for i in grid.order[j] if admits(eligibility, P[j][i], t[i], T)]
         if len(pairs) == start:
             return None
         spans.append((start, len(pairs)))

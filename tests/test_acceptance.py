@@ -28,6 +28,7 @@ from bnbapprox.rational import rat
 from bnbapprox.rng import SplitMix64
 from bnbapprox.scheduling import (
     ROUNDING_LST,
+    Eligibility,
     SchedGrid,
     min_feasible_T,
     mmp_pivot,
@@ -265,7 +266,7 @@ def test_criterion_10_identical_scheme_guarantee():
                 assert makespan <= (1 + eps) ** 2 * opt
                 assert result.max_depth <= adapter.big_count <= 2 * m / eps
                 # the nonzero rounded completion times of the inserted nodes
-                values = {v for _, key in adapter.seen for v in key} - {0}
+                values = {v for _, key in adapter.seen for _, v in key} - {0}
                 assert len(values) <= f_bound(eps)
                 # level width <= m^f(eps) and node count <= 2 m^(f+1)/eps,
                 # compared in logs (the bounds are astronomically large)
@@ -290,9 +291,10 @@ def test_criterion_11_bound_dominance():
                 j = jobs.pop(rng.randint(0, len(jobs) - 1))
                 k = rng.randint(0, inst.m - 1)
                 t[k] += grid.P[j][k]
-            bs = min_feasible_T(grid, tuple(t), jobs, restrict=True)
-            lr = min_feasible_T(grid, tuple(t), jobs, restrict=False)
-            assert bs.T >= lr.T
+            bs = min_feasible_T(grid, tuple(t), jobs, Eligibility.RESIDUAL)
+            paper = min_feasible_T(grid, tuple(t), jobs, Eligibility.PAPER)
+            lr = min_feasible_T(grid, tuple(t), jobs, Eligibility.ALL)
+            assert bs.T >= paper.T >= lr.T
 
 
 def test_criterion_12_protocol_reproduction(tmp_path):

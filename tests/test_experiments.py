@@ -432,7 +432,7 @@ def test_cli_unrelated_solve_matches_library(tmp_path, selection):
 
     cases = [
         ("knapsack", 14, 3, "knapsack", ["--alpha", "99/100", "--branching", "PPW"], knapsack),
-        ("scheduling-unrelated", 7, 3, "unrelated",
+        ("scheduling-unrelated", 8, 3, "unrelated",
          ["--eps", "1/100", "--bounding", "BS", "--rounding", "AS"], unrelated("BS", "AS", False)),
         ("scheduling-unrelated", 7, 3, "unrelated",
          ["--eps", "1/100", "--bounding", "LR", "--rounding", "BM", "--bfs-depth-cap"],

@@ -6,7 +6,7 @@ import pytest
 from bnbapprox import lp, scheduling
 from bnbapprox.lp import LpError, job_machine_matching, pivot
 from bnbapprox.rational import rat
-from bnbapprox.scheduling import SchedGrid, build_load_lp, feasible_point, split_jobs
+from bnbapprox.scheduling import Eligibility, SchedGrid, build_load_lp, feasible_point, split_jobs
 from guarantees import graph_is_forest
 from lp_oracle import (
     LinearProgram,
@@ -126,7 +126,7 @@ def test_a_node_without_unfixed_jobs_has_loads_t():
 
 
 def test_a_machine_without_a_load_row_completes_at_its_overhead():
-    # at T=3 machine 1 is closed (t_1 = 3), and under restrict no job is
+    # at T=3 machine 1 is closed (t_1 = 3), and under the paper rule no job is
     # eligible on machine 2 (p = 4 > 3): neither takes a load row, so both
     # complete at their overheads, and both jobs go to machine 0
     grid = SchedGrid(1, ((2, 2, 4), (1, 1, 4)), (0, 3, 1))
@@ -135,8 +135,8 @@ def test_a_machine_without_a_load_row_completes_at_its_overhead():
     point = feasible_point(grid, grid.t, range(2), 3)
     assert point is not None
     assert point.loads == (3, 3, 1) and point.integral_assignment == {0: 0, 1: 0}
-    # without restrict machine 2 takes columns and a load row
-    _, _, pairs, machines = build_load_lp(grid, grid.t, range(2), 3, restrict=False)
+    # without the filter machine 2 takes columns and a load row
+    _, _, pairs, machines = build_load_lp(grid, grid.t, range(2), 3, Eligibility.ALL)
     assert machines == [0, 2] and (0, 2) in pairs
 
 

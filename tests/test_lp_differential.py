@@ -34,7 +34,7 @@ equalities); and it picks among the load LPs that tiny unrelated runs and
 the uniform and identical schemes solve. The crash comparison runs on
 every one of those load LPs, on tiny nodes drawn with ties in the
 fastest-first order, closed machines and jobs eligible on one machine
-only, and on rational nodes whose data lie on a coarser grid than the
+only, each under a drawn `Eligibility` rule, and on rational nodes whose data lie on a coarser grid than the
 instance's (node step g > 1). The load LPs of capped mid-size runs
 (unrelated 12x4, uniform and identical 12x3) are checked against the
 dense dual phase alone, vertex, Farkas row and final basis entry for entry:
@@ -61,6 +61,7 @@ from bnbapprox.profiles import normalize, solve_identical, solve_uniform
 from bnbapprox.rational import Rat, rat
 from bnbapprox.scheduling import (
     ROUNDING_AS,
+    Eligibility,
     SchedGrid,
     build_load_lp,
     min_feasible_T,
@@ -357,9 +358,9 @@ def _recording_builds():
     probes: list = []
     original = scheduling.build_load_lp
 
-    def recording(grid, t, jobs, T, restrict=True):
-        probes.append((grid, tuple(t), tuple(jobs), T, restrict))
-        return original(grid, t, jobs, T, restrict)
+    def recording(grid, t, jobs, T, eligibility=Eligibility.PAPER):
+        probes.append((grid, tuple(t), tuple(jobs), T, eligibility))
+        return original(grid, t, jobs, T, eligibility)
 
     scheduling.build_load_lp = recording
     try:
@@ -390,8 +391,8 @@ def _recorded_load_lps(kind: str) -> tuple[tuple[LinearProgram, tuple], ...]:
                 jobs = tuple(range(len(grid.P)))
                 k_min = min_feasible_T(grid, grid.t, jobs).T
                 for k in range(k_min - 3, k_min + 2):
-                    for restrict in (True, False):
-                        recorded.append((grid, grid.t, jobs, k, restrict))
+                    for rule in Eligibility:
+                        recorded.append((grid, grid.t, jobs, k, rule))
     programs: dict[LinearProgram, tuple] = {}
     for args in recorded:
         built = load_program(*args)
@@ -547,23 +548,24 @@ def test_mid_size_load_lps_match_the_dense_reference(monkeypatch):
 def _tiny_nodes(draw):
     """build_load_lp arguments of a tiny node around named cases: ties in
     the fastest-first order (times 1 to 3), a closed machine (T = t_i), and
-    a job eligible on one machine only."""
+    a job eligible on one machine only under the paper rule; each under
+    a drawn Eligibility rule."""
     case = draw(st.sampled_from(("ties", "closed", "single-eligible")))
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     top = 3 if case == "ties" else 6
     P = [[draw(st.integers(1, top)) for _ in range(m)] for _ in range(n)]
     t = [draw(st.integers(0, 3)) for _ in range(m)]
     T = draw(st.integers(max(t) + 1, max(t) + 6))
-    restrict = draw(st.booleans())
+    rule = draw(st.sampled_from(list(Eligibility)))
     i = draw(st.integers(0, m - 1))
     if case == "closed":
         t[i] = T
     if case == "single-eligible":
-        restrict = True
+        rule = Eligibility.PAPER
         P[0] = [draw(st.integers(1, T)) if k == i else T + draw(st.integers(1, 3))
                 for k in range(m)]
     jobs = tuple(draw(st.permutations(range(n))))
-    return SchedGrid(1, tuple(map(tuple, P)), tuple(t)), tuple(t), jobs, T, restrict
+    return SchedGrid(1, tuple(map(tuple, P)), tuple(t)), tuple(t), jobs, T, rule
 
 
 @PROPERTY
@@ -582,17 +584,17 @@ def _coarse_nodes(draw):
     fixed = tuple(Fraction(draw(st.sampled_from((1, 5, 7))), 6) for _ in range(m))
     t = tuple(Fraction(draw(st.integers(0, 3))) for _ in range(m))
     grid = SchedGrid.build(SchedulingInstance(UNRELATED, (*rows, fixed), t))
-    return grid, tuple(range(n)), draw(st.booleans())
+    return grid, tuple(range(n)), draw(st.sampled_from(list(Eligibility)))
 
 
 @PROPERTY
 @given(_coarse_nodes())
 def test_coarse_grid_load_lp_crashes_match_reference(node):
-    grid, jobs, restrict = node
+    grid, jobs, rule = node
     g = math.gcd(grid.R, *grid.t, *itertools.chain(*[grid.P[j] for j in jobs]))
     assert grid.R == 6 and g > 1
     with _recording_builds() as probes:
-        min_feasible_T(grid, grid.t, jobs, restrict)
+        min_feasible_T(grid, grid.t, jobs, rule)
     assert probes and all(T % g == 0 for *_, T, _ in probes)
     for args in probes:
         _check_crash(args)

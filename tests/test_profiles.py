@@ -49,16 +49,17 @@ def reference_ladder(x, eps):
     return rungs
 
 
-def equivalence_key(fixed, base_times, eps, m):
+def equivalence_key(fixed, base_times, eps, overheads):
     """Reference key of the equivalence pruning: the order-free multiset of
-    geometrically rounded completion times of the fixed jobs (job ->
-    machine), or SMALL_JOB when a fixed job is shorter than eps."""
-    loads = [rat(0)] * m
+    (overhead, geometrically rounded load of the fixed jobs) pairs, one per
+    machine, for fixed jobs (job -> machine), or SMALL_JOB when a fixed job
+    is shorter than eps."""
+    loads = [rat(0)] * len(overheads)
     for j, i in fixed.items():
         if base_times[j] < eps:
             return SMALL_JOB
         loads[i] += reference_ladder(base_times[j], eps)[-1]
-    return tuple(sorted(Counter(loads).items()))
+    return tuple(sorted(Counter(zip(overheads, loads)).items()))
 
 
 def round_geometric(x, eps):
@@ -173,22 +174,33 @@ def test_max_geometric_exponent_and_f_bound():
 def test_equivalence_key_symmetry_and_small_jobs():
     eps = rat(1, 2)
     base = (rat(1), rat(3, 4), rat(1, 4))
-    k1 = equivalence_key({0: 0, 1: 1}, base, eps, 2)
-    k2 = equivalence_key({0: 1, 1: 0}, base, eps, 2)
+    k1 = equivalence_key({0: 0, 1: 1}, base, eps, (0, 0))
+    k2 = equivalence_key({0: 1, 1: 0}, base, eps, (0, 0))
     assert k1 == k2  # machine order immaterial
-    assert equivalence_key({2: 0}, base, eps, 2) == SMALL_JOB
+    assert equivalence_key({2: 0}, base, eps, (0, 0)) == SMALL_JOB
+    # but machines that start at different times are not interchangeable
+    k1 = equivalence_key({0: 0, 1: 1}, (rat(1), rat(1, 2)), eps, (1, 0))
+    assert k1 != equivalence_key({0: 1, 1: 0}, (rat(1), rat(1, 2)), eps, (1, 0))
 
 
 def test_adapter_key_matches_reference_equivalence_key():
     # every node the identical-machines search admits carries the reference
-    # key of its fixed jobs, on the adapter's integer scale, and no two
-    # nodes of one level share a key
+    # key of its fixed jobs and the machines' overheads, on the adapter's
+    # integer scales, and no two nodes of one level share a key; odd seeds
+    # give the machines overheads on thirds
     checked = 0
     eps = rat(1, 20)
+    rnd = random.Random(13)
     for seed, selection in itertools.product(range(4), (Selection.BEST_FIRST, Selection.BFS)):
         inst = generate("scheduling-identical", 10, 3, 300 + seed)
+        if seed % 2:
+            overheads = tuple(rat(rnd.randint(0, 90), 3) for _ in range(inst.m))
+            inst = SchedulingInstance(IDENTICAL, inst.processing, overheads, inst.base_times,
+                                      inst.speeds)
         adapter = ProfileAdapter(inst, eps, "equivalence")
+        R = adapter.grid.R
         base = _normalized_base(adapter.grid)
+        overheads = tuple(Fraction(v, R) for v in adapter.grid.t)
         scale = key_scale(base, eps)
         keys = set()
         insert = adapter.on_insert
@@ -196,11 +208,11 @@ def test_adapter_key_matches_reference_equivalence_key():
         def on_insert(node):
             nonlocal checked
             state = node.payload
-            key = equivalence_key(chain_solution(state.fixed, {}), base, eps, inst.m)
+            key = equivalence_key(chain_solution(state.fixed, {}), base, eps, overheads)
             assert key != SMALL_JOB
-            scaled = sorted(v * scale for v, count in key for _ in range(count))
+            scaled = sorted((o * R, v * scale) for (o, v), count in key for _ in range(count))
             got = adapter._profile_key(state)
-            assert all(type(v) is int for v in got) and list(got) == scaled
+            assert all(type(v) is int for pair in got for v in pair) and list(got) == scaled
             assert (node.depth, key) not in keys
             keys.add((node.depth, key))
             checked += 1
@@ -425,7 +437,7 @@ def test_equivalence_key_ratio_bounds():
             for k, i in enumerate(combo):
                 t[i] += P[k][i]
                 fixed[k] = i
-            key = equivalence_key(fixed, base, eps, m)
+            key = equivalence_key(fixed, base, eps, (0,) * m)
             res = min_feasible_T(grid, tuple(t), jobs_left)
             if res.fractional_jobs:
                 _, ub = round_vertex(res, P, tuple(t), ROUNDING_LST)
@@ -503,7 +515,7 @@ def test_solve_identical_guarantee_and_rounded_values():
             assert schedule_makespan(inst, result.best_solution) == makespan
             assert makespan <= (1 + eps) ** 2 * opt
             # the nonzero rounded completion times of the inserted nodes
-            values = {v for _, key in adapter.seen for v in key} - {0}
+            values = {v for _, key in adapter.seen for _, v in key} - {0}
             assert len(values) <= f_bound(eps)
             assert result.max_depth <= adapter.big_count <= 2 * inst.m / eps
 
@@ -531,6 +543,52 @@ def test_solve_identical_large_eps_root_rounding():
 
 
 # --- guarantee checks ----------------------------------------------------
+
+
+@pytest.mark.guarantee
+def test_identical_machines_that_start_apart_are_not_equivalent():
+    # machine 0 starts one unit after machines 1 and 2. The root's children
+    # fix the longest job on machine 0, 1 or 2; keyed on rounded loads
+    # alone, the last two took the first one's key and were rejected, and
+    # the run ended ratio-met at 13/3 > (1+eps)^2 * 10/3
+    sizes = (rat(1), rat(2), rat(3), rat(2, 3))
+    inst = SchedulingInstance(IDENTICAL, tuple((s,) * 3 for s in sizes),
+                              (rat(4, 3), rat(1, 3), rat(1, 3)), sizes, (rat(1),) * 3)
+    eps = rat(1, 10)
+    opt = exact_opt(inst).optimum
+    assert opt == rat(10, 3)
+    out = solve_identical(inst, eps)
+    assert schedule_makespan(inst, out.assignment) == out.makespan
+    assert out.bound <= opt and out.makespan <= (1 + eps) ** 2 * opt
+
+
+def _overhead_instance(rnd: random.Random, kind: str):
+    """An identical or uniform instance of 3 to 6 jobs with sizes on thirds
+    up to 3, on 2 or 3 machines (uniform speeds 1 to 3) with overheads in
+    {0, 1/3, ..., 2}, and an eps of 1/10, 1/5 or 1/2."""
+    n, m = rnd.randint(3, 6), rnd.randint(2, 3)
+    sizes = tuple(rat(rnd.randint(1, 9), 3) for _ in range(n))
+    speeds = tuple(rat(1 if kind == IDENTICAL else rnd.randint(1, 3)) for _ in range(m))
+    overheads = tuple(rat(rnd.randint(0, 6), 3) for _ in range(m))
+    processing = tuple(tuple(p / s for s in speeds) for p in sizes)
+    eps = rnd.choice((rat(1, 10), rat(1, 5), rat(1, 2)))
+    return SchedulingInstance(kind, processing, overheads, sizes, speeds), eps
+
+
+@pytest.mark.guarantee
+def test_profile_schemes_keep_their_guarantee_on_overhead_instances():
+    # 600 seeded instances with unequal machine start times, half identical
+    # and half uniform: every answer within (1+eps)^2 of the optimum and
+    # every bound at most the optimum (3 identical ones failed when the
+    # equivalence key ignored the overheads)
+    rnd = random.Random("profiles/overheads")
+    for k in range(600):
+        kind = (IDENTICAL, UNIFORM)[k % 2]
+        inst, eps = _overhead_instance(rnd, kind)
+        out = (solve_identical if kind == IDENTICAL else solve_uniform)(inst, eps)
+        opt = exact_opt(inst).optimum
+        assert schedule_makespan(inst, out.assignment) == out.makespan, k
+        assert out.bound <= opt and out.makespan <= (1 + eps) ** 2 * opt, k
 
 
 _swap_mass = profiles._swap_mass

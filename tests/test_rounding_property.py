@@ -38,6 +38,7 @@ from bnbapprox.scheduling import (
     ROUNDING_AS,
     ROUNDING_BM,
     ROUNDING_LST,
+    Eligibility,
     SchedGrid,
     min_feasible_T,
     round_vertex,
@@ -132,7 +133,7 @@ def test_bm_matches_the_exhaustive_reference_on_recorded_nodes(monkeypatch):
 
 @st.composite
 def _node_states(draw):
-    """(case, grid, node overheads, unfixed jobs, restrict): a tiny instance
+    """(case, grid, node overheads, unfixed jobs, rule): a tiny instance
     of the value property's cases with a prefix of a job order fixed, each
     job on a drawn machine (the coarse-grid case's fillers then leave node
     steps g > 1)."""
@@ -144,20 +145,21 @@ def _node_states(draw):
     for j in order[:fixed]:
         i = draw(st.integers(min_value=0, max_value=inst.m - 1))
         t[i] += grid.P[j][i]
-    return case, grid, tuple(t), tuple(sorted(order[fixed:])), draw(st.booleans())
+    rule = draw(st.sampled_from(list(Eligibility)))
+    return case, grid, tuple(t), tuple(sorted(order[fixed:])), rule
 
 
 @PROPERTY
 @given(_node_states())
 def test_rounding_bounds_on_node_states(drawn):
-    _, grid, t, jobs, restrict = drawn
-    point = min_feasible_T(grid, t, jobs, restrict)
+    _, grid, t, jobs, rule = drawn
+    point = min_feasible_T(grid, t, jobs, rule)
     P = grid.P
     bm = _assert_bm_matches_reference(point, P, t)
     as_assignment, as_makespan = round_vertex(point, P, t, ROUNDING_AS)
     assert sorted(as_assignment) == list(jobs)
     assert bm <= as_makespan == _makespan(P, t, as_assignment)
-    if restrict:  # the 2T bound rests on the eligibility filter p_ji <= T
+    if rule is not Eligibility.ALL:  # the 2T bound rests on a filter with p_ji <= T
         lst, lst_makespan = round_vertex(point, P, t, ROUNDING_LST)
         assert sorted(lst) == list(jobs)
         assert lst_makespan == _makespan(P, t, lst) <= 2 * point.T

@@ -15,6 +15,7 @@ from bnbapprox.scheduling import (
     ROUNDING_AS,
     ROUNDING_BM,
     ROUNDING_LST,
+    Eligibility,
     SchedGrid,
     UnrelatedAdapter,
     min_feasible_T,
@@ -160,9 +161,10 @@ def test_bs_dominates_lr():
             j = jobs.pop(rng.randint(0, len(jobs) - 1))
             i = rng.randint(0, len(t) - 1)
             t[i] += grid.P[j][i]
-        bs = min_feasible_T(grid, tuple(t), jobs, restrict=True)
-        lr = min_feasible_T(grid, tuple(t), jobs, restrict=False)
-        assert bs.T >= lr.T
+        bs = min_feasible_T(grid, tuple(t), jobs, Eligibility.RESIDUAL)
+        paper = min_feasible_T(grid, tuple(t), jobs, Eligibility.PAPER)
+        lr = min_feasible_T(grid, tuple(t), jobs, Eligibility.ALL)
+        assert bs.T >= paper.T >= lr.T
 
 
 def test_unrelated_guarantee_small():
@@ -284,9 +286,9 @@ def test_a_ray_reaching_the_upper_bracket_raises(monkeypatch):
     # a ray that claims every guess up to k_hi infeasible empties the bracket
     monkeypatch.setattr(scheduling, "ray_reach", lambda ray, P, t, jobs, k, k_hi, r: k_hi)
     grid = _grid(((5, 9), (5, 9)))  # the lower bracket 5 is infeasible
-    for restrict in (True, False):
+    for rule in Eligibility:
         with pytest.raises(LpError, match="upper bracket infeasible"):
-            min_feasible_T(grid, grid.t, range(2), restrict)
+            min_feasible_T(grid, grid.t, range(2), rule)
     # a search whose lower bracket is feasible reads no ray
     assert min_feasible_T(G332, G332.t, range(3)).T == 4
 
@@ -300,7 +302,7 @@ def test_children_fix_the_node_pivot():
             info = adapter.bound(state)
             if info.leaf:
                 continue
-            point = min_feasible_T(adapter.grid, state.t, state.jobs, bounding == "BS")
+            point = min_feasible_T(adapter.grid, state.t, state.jobs, adapter.eligibility)
             assert state.pivot == mmp_pivot(point, adapter.P)
             node = Node(0, None, 0, info.lb, info.ub, 0, False, state)
             children = adapter.branch(node)

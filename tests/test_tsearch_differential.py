@@ -21,7 +21,11 @@ is a genuine vertex: two jobs split over the same two machines with
 p_a0 * p_b1 != p_a1 * p_b0 have independent columns. On uniform data that
 determinant is 0, so there the graph must be a forest and the point must
 also pass `uniform_vertex_check`. Node states whose data lie on a coarser grid than
-the instance's are among the inputs.
+the instance's are among the inputs. Both searches take the same
+`Eligibility` rule (the reference through `lp_oracle.admits`). The
+residual rule of the unrelated BS bound is also held, at every node of
+small runs on rational data with overheads, between the paper rule's
+guess and the optimum of the node's residual instance.
 """
 import math
 import random
@@ -33,18 +37,20 @@ from bnbapprox import profiles, scheduling
 from bnbapprox.engine import Selection
 from bnbapprox.instances import IDENTICAL, UNIFORM, UNRELATED, SchedulingInstance, generate
 from bnbapprox.lp import job_machine_matching
+from bnbapprox.oracle import exact_opt
 from bnbapprox.profiles import solve_identical, solve_uniform, uniform_vertex_check
 from bnbapprox.rational import Rat, floor_div, on_grid, rat
 from bnbapprox.scheduling import (
     ROUNDING_AS,
     ROUNDING_BM,
+    Eligibility,
     LpPoint,
     SchedGrid,
     min_feasible_T,
     solve_unrelated,
 )
 from guarantees import graph_is_forest, reference_fractional_jobs
-from lp_oracle import LinearProgram
+from lp_oracle import LinearProgram, admits
 from test_lp_differential import reference_solve_vertex
 
 
@@ -59,14 +65,14 @@ def grid_denominator(P, t, jobs) -> int:
     return d
 
 
-def _reference_build_load_lp(P, t, jobs, T, restrict=True):
+def _reference_build_load_lp(P, t, jobs, T, eligibility=Eligibility.PAPER):
     m = len(t)
     if any(T < ti for ti in t):
         return None
     open_machines = [i for i in range(m) if T - t[i] > 0]
     pairs = []
     for j in jobs:
-        row = [(j, i) for i in open_machines if (not restrict) or P[j][i] <= T]
+        row = [(j, i) for i in open_machines if admits(eligibility, P[j][i], t[i], T)]
         if not row:
             return None
         pairs.extend(row)
@@ -94,8 +100,8 @@ def _reference_build_load_lp(P, t, jobs, T, restrict=True):
     return LinearProgram(nv, tuple(equalities), tuple(inequalities)), tuple(pairs)
 
 
-def _reference_feasible_point(P, t, jobs, T, restrict=True):
-    built = _reference_build_load_lp(P, t, jobs, T, restrict)
+def _reference_feasible_point(P, t, jobs, T, eligibility=Eligibility.PAPER):
+    built = _reference_build_load_lp(P, t, jobs, T, eligibility)
     if built is None:
         return None
     lp, pairs = built
@@ -118,12 +124,12 @@ def _reference_list_schedule(P, t, jobs):
     return max(loads) if loads else rat(0)
 
 
-def reference_min_feasible_T(P, t, jobs, restrict=True, lo_hint=None):
+def reference_min_feasible_T(P, t, jobs, eligibility=Eligibility.PAPER, lo_hint=None):
     m = len(t)
     D = grid_denominator(P, t, jobs)
     lo = max(t) if t else rat(0)
     if jobs:
-        if restrict:
+        if eligibility is not Eligibility.ALL:  # no job has a column below this
             lo = max(lo, max(min(P[j]) for j in jobs))
         total = sum((min(P[j]) for j in jobs), start=rat(0)) + sum(t, start=rat(0))
         lo = max(lo, total / m)
@@ -133,12 +139,12 @@ def reference_min_feasible_T(P, t, jobs, restrict=True, lo_hint=None):
     k_lo = -floor_div(-lo * D, 1)
     k_hi = max(int(upper * D), k_lo)
     # the lower end first, then bisection of the rest of the bracket
-    cached = _reference_feasible_point(P, t, jobs, Rat(k_lo, D), restrict)
+    cached = _reference_feasible_point(P, t, jobs, Rat(k_lo, D), eligibility)
     if cached is None:
         k_lo += 1
         while k_lo < k_hi:
             mid = (k_lo + k_hi) // 2
-            point = _reference_feasible_point(P, t, jobs, Rat(mid, D), restrict)
+            point = _reference_feasible_point(P, t, jobs, Rat(mid, D), eligibility)
             if point is None:
                 k_lo = mid + 1
             else:
@@ -146,7 +152,7 @@ def reference_min_feasible_T(P, t, jobs, restrict=True, lo_hint=None):
                 cached = point
     t_min = Rat(k_lo, D)
     if cached is None or cached.T != t_min:
-        cached = _reference_feasible_point(P, t, jobs, t_min, restrict)
+        cached = _reference_feasible_point(P, t, jobs, t_min, eligibility)
         assert cached is not None
     return cached
 
@@ -169,13 +175,13 @@ def _count_solves(monkeypatch):
     return counts
 
 
-def _assert_vertex(got: LpPoint, want: LpPoint, R: int, P, t, jobs, restrict: bool) -> None:
+def _assert_vertex(got: LpPoint, want: LpPoint, R: int, P, t, jobs, eligibility) -> None:
     """got, P and t are on the grid R, want is in the instance's units:
     the same T, and got a vertex of the load LP at that T."""
     assert type(got.T) is int and got.T == want.T * R
     T, m, x = got.T, len(t), got.x
     assert all(type(v) is Rat and 0 < v <= 1 for v in x.values())
-    assert all(j in jobs and t[i] < T and (not restrict or P[j][i] <= T) for j, i in x)
+    assert all(j in jobs and admits(eligibility, P[j][i], t[i], T) for j, i in x)
     by_job = {j: [v for (jj, _), v in x.items() if jj == j] for j in jobs}
     assert all(sum(values) == 1 for values in by_job.values())
     loads = list(t)
@@ -280,18 +286,18 @@ def test_seeded_instances_match_reference(data, monkeypatch):
         for t, jobs in states(inst, rnd):
             coarse += grid_denominator(inst.processing, t, jobs) < R
             tR = on_grid(t, R)
-            for restrict in (True, False):
-                want = reference_min_feasible_T(inst.processing, t, jobs, restrict)
-                got = min_feasible_T(grid, tR, jobs, restrict)
-                _assert_vertex(got, want, R, grid.P, tR, jobs, restrict)
+            for rule in Eligibility:
+                want = reference_min_feasible_T(inst.processing, t, jobs, rule)
+                got = min_feasible_T(grid, tR, jobs, rule)
+                _assert_vertex(got, want, R, grid.P, tR, jobs, rule)
                 hint = want.T - rat(1, 2)
                 _assert_vertex(
-                    min_feasible_T(grid, tR, jobs, restrict, lo_hint=hint * R),
-                    reference_min_feasible_T(inst.processing, t, jobs, restrict, lo_hint=hint),
-                    R, grid.P, tR, jobs, restrict,
+                    min_feasible_T(grid, tR, jobs, rule, lo_hint=hint * R),
+                    reference_min_feasible_T(inst.processing, t, jobs, rule, lo_hint=hint),
+                    R, grid.P, tR, jobs, rule,
                 )
                 compared += 1
-    assert compared == 30 * (2 if data == "coarse" else 3) * 2
+    assert compared == 30 * (2 if data == "coarse" else 3) * len(Eligibility)
     if data == "coarse":
         assert coarse == 60  # every state: its grid 1/2, the instance's 1/6
     assert solves["walk-up"] < solves["bisection"]
@@ -304,9 +310,9 @@ def _record_bound_searches(monkeypatch):
     search = scheduling.min_feasible_T
     solves = _count_solves(monkeypatch)
 
-    def recording(grid, t, jobs, restrict=True, lo_hint=None):
-        res = search(grid, t, jobs, restrict=restrict, lo_hint=lo_hint)
-        calls.append((grid, tuple(t), tuple(jobs), restrict, lo_hint, res))
+    def recording(grid, t, jobs, eligibility=Eligibility.PAPER, lo_hint=None):
+        res = search(grid, t, jobs, eligibility, lo_hint=lo_hint)
+        calls.append((grid, tuple(t), tuple(jobs), eligibility, lo_hint, res))
         return res
 
     monkeypatch.setattr(scheduling, "min_feasible_T", recording)
@@ -318,13 +324,13 @@ def _check_recorded(calls, solves, uniform: bool = False) -> None:
     """Compare every recorded search with the reference under the same
     lower hint; the walk-up made fewer LP solves than the bisection."""
     walk_up = solves["walk-up"]
-    for grid, t, jobs, restrict, lo_hint, res in calls:
+    for grid, t, jobs, eligibility, lo_hint, res in calls:
         R = grid.R
         P = [[Rat(p, R) for p in row] for row in grid.P]
         want = reference_min_feasible_T(
-            P, [Rat(v, R) for v in t], jobs, restrict, _units(lo_hint, R)
+            P, [Rat(v, R) for v in t], jobs, eligibility, _units(lo_hint, R)
         )
-        _assert_vertex(res, want, R, grid.P, t, jobs, restrict)
+        _assert_vertex(res, want, R, grid.P, t, jobs, eligibility)
         if uniform:
             assert graph_is_forest(res.fractional_jobs)
             assert uniform_vertex_check(res)
@@ -337,7 +343,7 @@ SELECTIONS = (Selection.BEST_FIRST, Selection.DFS, Selection.BFS)
 def test_unrelated_adapter_node_states_match_reference(monkeypatch):
     calls, solves = _record_bound_searches(monkeypatch)
     rnd = random.Random("tsearch/unrelated-adapter")
-    for seed in range(6):
+    for seed in range(8):
         inst = generate(UNRELATED, 6 + seed % 2, 2 + seed % 2, 9500 + seed)
         if seed % 2:
             inst = _rationalize(inst, rnd)
@@ -348,6 +354,7 @@ def test_unrelated_adapter_node_states_match_reference(monkeypatch):
                                     node_limit=60)
     _check_recorded(calls, solves)
     assert len(calls) > 1000
+    assert {call[3] for call in calls} == {Eligibility.RESIDUAL, Eligibility.ALL}
 
 
 def test_profile_adapter_node_states_match_reference(monkeypatch):
@@ -359,3 +366,51 @@ def test_profile_adapter_node_states_match_reference(monkeypatch):
                 solver(inst, rat(1, 10), selection, node_limit=200)
     _check_recorded(calls, solves, uniform=True)
     assert len(calls) > 400
+
+
+def _off_grid_instance(rnd: random.Random) -> SchedulingInstance:
+    """A small unrelated instance off the integer grid: times and overheads
+    on halves (the overheads not all 0), and one long job whose time on one
+    machine is on thirds. A node that fixed that job on another machine
+    lies on halves, a coarser grid than the instance's sixths (node step
+    g = 3)."""
+    n, m = rnd.randint(4, 6), rnd.randint(2, 3)
+    processing = [tuple(Rat(rnd.randint(2, 18), 2) for _ in range(m)) for _ in range(n - 1)]
+    third = rnd.randrange(m)
+    processing.append(tuple(rnd.randint(6, 12) + Rat(int(i == third), 3) for i in range(m)))
+    overheads = [Rat(rnd.randint(0, 6), 2) for _ in range(m)]
+    overheads[rnd.randrange(m)] += Rat(1, 2)
+    return SchedulingInstance(UNRELATED, tuple(processing), tuple(overheads))
+
+
+@pytest.mark.guarantee
+def test_residual_bound_off_the_integer_grid(monkeypatch):
+    # every node the BS bound searches, under the residual rule t_i + p_ji
+    # <= T: the dense reference's smallest feasible guess under that rule,
+    # at least the paper rule's (same hint), at most the optimum of the
+    # node's residual instance (its unfixed jobs on machines starting at t)
+    calls, _ = _record_bound_searches(monkeypatch)
+    rnd = random.Random("tsearch/residual-off-grid")
+    for _ in range(60):
+        inst = _off_grid_instance(rnd)
+        for selection in SELECTIONS:
+            solve_unrelated(inst, rat(1, 100), selection, "BS", ROUNDING_AS, node_limit=40)
+    coarse = tighter = 0
+    for grid, t, jobs, eligibility, lo_hint, res in calls:
+        assert eligibility is Eligibility.RESIDUAL
+        R = grid.R
+        P = [[Rat(p, R) for p in row] for row in grid.P]
+        t_units = [Rat(v, R) for v in t]
+        coarse += grid_denominator(P, t_units, jobs) < R
+        want = reference_min_feasible_T(P, t_units, jobs, eligibility, _units(lo_hint, R))
+        _assert_vertex(res, want, R, grid.P, t, jobs, eligibility)
+        paper = min_feasible_T(grid, t, jobs, Eligibility.PAPER, lo_hint=lo_hint)
+        assert res.T >= paper.T
+        tighter += res.T > paper.T
+        if jobs:
+            residual = SchedulingInstance(UNRELATED, tuple([tuple(P[j]) for j in jobs]),
+                                          tuple(t_units))
+            assert Rat(res.T, R) <= exact_opt(residual).optimum
+        else:
+            assert Rat(res.T, R) == max(t_units)
+    assert len(calls) > 600 and coarse > 60 and tighter > 300, (len(calls), coarse, tighter)

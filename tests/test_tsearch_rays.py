@@ -22,6 +22,7 @@ from bnbapprox import scheduling
 from bnbapprox.instances import UNRELATED, SchedulingInstance
 from bnbapprox.lp import LpError
 from bnbapprox.scheduling import (
+    Eligibility,
     FarkasRay,
     SchedGrid,
     feasible_point,
@@ -80,66 +81,73 @@ def test_every_guess_a_ray_skips_is_infeasible(instance):
     grid = SchedGrid.build(SchedulingInstance(UNRELATED, *instance))
     PD, tD = grid.P, grid.t
     jobs = tuple(range(len(PD)))
-    for restrict in (True, False):
+    for rule in Eligibility:
         # start below the search's own lower bracket, where rays are longest
         k = max(tD)
-        if restrict:
+        if rule is not Eligibility.ALL:
             k = max(k, max(min(row) for row in PD))
         # the search's upper bracket: every job on its fastest machine
         k_hi = max(max(tD) + sum(min(row) for row in PD), k)
-        assert feasible_point(grid, tD, jobs, k_hi, restrict) is not None
+        assert feasible_point(grid, tD, jobs, k_hi, rule) is not None
         while True:
             rays = []
-            if feasible_point(grid, tD, jobs, k, restrict, rays) is not None:
+            if feasible_point(grid, tD, jobs, k, rule, rays) is not None:
                 break
             if not rays:  # build_load_lp ruled k out without a solve
                 k += 1
                 continue
-            k2 = ray_reach(rays[0], PD, tD, jobs, k, k_hi, restrict)
+            k2 = ray_reach(rays[0], PD, tD, jobs, k, k_hi, rule)
             assert k <= k2 <= k_hi
             for guess in range(k, k2 + 1):
-                assert feasible_point(grid, tD, jobs, guess, restrict) is None
-            built = load_program(grid, tD, jobs, k2, restrict)
+                assert feasible_point(grid, tD, jobs, guess, rule) is None
+            built = load_program(grid, tD, jobs, k2, rule)
             assert built is not None
             assert _certifies(rays[0], *built)
             k = k2 + 1
-        assert min_feasible_T(grid, tD, jobs, restrict).T == k
+        assert min_feasible_T(grid, tD, jobs, rule).T == k
 
 
 # --- forged rays ---------------------------------------------------------
 
-PD55 = ((5, 9), (5, 9))  # infeasible from 5 to 8 under restrict
+PD55 = ((5, 9), (5, 9))  # infeasible from 5 to 8 under the paper rule
 T00 = (0, 0)
 G55 = SchedGrid(1, PD55, T00)
 
 
 def test_the_lp_ray_reaches_the_next_column():
     rays = []
-    assert feasible_point(G55, T00, (0, 1), 5, True, rays) is None
+    assert feasible_point(G55, T00, (0, 1), 5, Eligibility.PAPER, rays) is None
     # machine 1 takes columns at 9, where the LP becomes feasible
-    assert ray_reach(rays[0], PD55, T00, (0, 1), 5, 20, True) == 8
+    assert ray_reach(rays[0], PD55, T00, (0, 1), 5, 20, Eligibility.PAPER) == 8
     # without eligibility the ray breaks where its infeasibility runs out
     rays = []
-    assert feasible_point(G55, (0, 6), (0, 1), 7, False, rays) is None
-    reach = ray_reach(rays[0], PD55, (0, 6), (0, 1), 7, 20, False)
-    assert feasible_point(G55, (0, 6), (0, 1), reach + 1, False) is not None
+    assert feasible_point(G55, (0, 6), (0, 1), 7, Eligibility.ALL, rays) is None
+    reach = ray_reach(rays[0], PD55, (0, 6), (0, 1), 7, 20, Eligibility.ALL)
+    assert feasible_point(G55, (0, 6), (0, 1), reach + 1, Eligibility.ALL) is not None
+    # when machine 1 starts at 1, the paper rule opens its columns at 9 and
+    # the residual rule at 1 + 9, and the same ray reaches one guess further
+    for rule, reach in ((Eligibility.PAPER, 8), (Eligibility.RESIDUAL, 9)):
+        rays = []
+        assert feasible_point(G55, (0, 1), (0, 1), 5, rule, rays) is None
+        assert ray_reach(rays[0], PD55, (0, 1), (0, 1), 5, 20, rule) == reach
+        assert min_feasible_T(G55, (0, 1), (0, 1), rule).T == reach + 1
 
 
 def _zero_infeasibility(monkeypatch):
     # a job row against a load row: 1 + (-1/5) * 5 = 0 at guess 5
     ray = FarkasRay({0: 1, 1: 0}, (Fraction(-1, 5), 0))
-    ray_reach(ray, PD55, T00, (0, 1), 5, 20, True)
+    ray_reach(ray, PD55, T00, (0, 1), 5, 20)
 
 
 def _positive_column(monkeypatch):
     # infeasibility 2 at guess 5, but column (0, 0) weighs 1 - 0 * 5 > 0
     ray = FarkasRay({0: 1, 1: 1}, (0, 0))
-    ray_reach(ray, PD55, T00, (0, 1), 5, 20, True)
+    ray_reach(ray, PD55, T00, (0, 1), 5, 20)
 
 
 def _positive_slack(monkeypatch):
     ray = FarkasRay({0: -5, 1: -5}, (1, 0))
-    ray_reach(ray, PD55, T00, (0, 1), 5, 20, True)
+    ray_reach(ray, PD55, T00, (0, 1), 5, 20)
 
 
 def _forged_lp_row(monkeypatch):
