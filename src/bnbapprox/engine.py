@@ -9,8 +9,6 @@ collection. Problem specifics live behind a small adapter contract:
     branch(node)   -> [payload, ...]  (the children; the last is the right turn)
     admit(node)    -> bool   (optional extra pruning, e.g. profile filters)
     on_insert(node)          (bookkeeping for admitted nodes)
-    solution(token) -> the solution BoundInfo.solution stands for (default:
-                       chain_solution of a (chain, rest) token)
 
 Bound conventions: for maximization `lb` is the value of the feasible
 solution that BoundInfo.solution stands for and `ub` the relaxation bound;
@@ -18,12 +16,11 @@ for minimization the roles swap. Both are exact numbers in units of
 1/`bound_scale`, an integer the adapter declares once per run (default 1):
 an adapter whose bounds all lie on one grid returns them as plain ints.
 
-BoundInfo.solution is the adapter's token for its solution: the run keeps
-the incumbent's token and hands it to `solution` once, on return, so a
-bound need not build a solution that the run may never keep. The adapters
-of this package keep a node's fixed decisions as a parent-linked `Chain`
-and return (chain, rest of the assignment) tokens, which the default
-`solution` reads.
+BoundInfo.solution is a (chain, rest) token in the instance's labels: the
+node's fixed decisions as a parent-linked `Chain` and the rest of the
+assignment. The run keeps the incumbent's token and reads it with
+chain_solution once, on return, so a bound need not build a solution that
+the run may never keep.
 
 A child's position is its turn: every child but the last that `branch`
 returns is a left turn, the last one the right turn, and a node's
@@ -216,7 +213,7 @@ class Node:
 class BoundInfo:
     lb: Bound
     ub: Bound
-    solution: Any
+    solution: tuple[Chain, Mapping[int, int]]
     leaf: bool = False
 
 
@@ -240,8 +237,7 @@ def chain_solution(chain: Chain, rest: Mapping[int, int]) -> dict[int, int]:
 class BaseAdapter:
     """Default adapter hooks; problem adapters override what they need.
 
-    `branch` returns the children's payloads, the right turn last; the
-    default `solution` reads a (chain, rest) token with chain_solution."""
+    `branch` returns the children's payloads, the right turn last."""
 
     sense: Sense = Sense.MAX
     tracks_turns: bool = False
@@ -262,9 +258,6 @@ class BaseAdapter:
 
     def on_insert(self, node: Node) -> None:
         pass
-
-    def solution(self, token: tuple[Chain, Mapping[int, int]]) -> Any:
-        return chain_solution(*token)
 
 
 @dataclass
@@ -455,7 +448,7 @@ def run(
 
     return RunResult(
         best_value=unscaled(sign * incumbent),
-        best_solution=adapter.solution(incumbent_token),
+        best_solution=chain_solution(*incumbent_token),
         global_bound=unscaled(sign * best_of(frontier_bound(), unresolved, incumbent)),
         nodes_explored=explored,
         nodes_processed=processed,

@@ -130,7 +130,7 @@ def solve_vertex(
     basis: list[int],
     num_vars: int,
     num_slacks: int,
-    farkas: list[int] | None = None,
+    farkas: list[int],
 ) -> Vertex | None:
     """Return a vertex of the polyhedron, or None when it is empty.
 
@@ -144,11 +144,11 @@ def solve_vertex(
     the negative ones leaves and the lowest-index column with a negative
     entry in it enters (see the module docstring).
 
-    When the polyhedron is empty and `farkas` is a list, it receives the
-    row that proves it, integer and scaled by a positive factor: its
-    entries on the structural columns, then on the slack columns (all
-    >= 0), then its rhs (< 0). The row is -(y^T A, y_ineq, y^T b) for a
-    Farkas ray y of the rows of the program the tableau was crashed from.
+    When the polyhedron is empty, `farkas` receives the row that proves
+    it, integer and scaled by a positive factor: its entries on the
+    structural columns, then on the slack columns (all >= 0), then its rhs
+    (< 0). The row is -(y^T A, y_ineq, y^T b) for a Farkas ray y of the
+    rows of the program the tableau was crashed from.
     """
     rhs = num_vars + num_slacks  # the rhs column; every column before it is a variable
     at = [1] * len(tableau)  # each row's denominator (see pivot)
@@ -167,9 +167,8 @@ def solve_vertex(
             if row[j] * sign < 0:
                 enter = j
                 break
-        if enter < 0:
-            if farkas is not None:  # the row brought to den, times den's sign
-                farkas.extend(v * abs(den) // at[leave] for v in row)
+        if enter < 0:  # farkas gets the row brought to den, times den's sign
+            farkas.extend(v * abs(den) // at[leave] for v in row)
             return None
         den = pivot(tableau, at, leave, enter, den)
         basis[leave] = enter

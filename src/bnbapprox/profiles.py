@@ -7,14 +7,15 @@ nodes of a tree level share the same fixed job set. Any partial schedule
 whose completion-time vector (its *profile*, the node's overhead vector)
 leaves the cube [0, 2(1+eps)^2]^m can be discarded outright.
 
-normalize sorts the jobs, runs the one root search on the instance's grid
-(R, see scheduling.SchedGrid), finds the optimum K/R and returns the sorted
-data on the smallest grid of the normalized data, R' = K/h with h = gcd(K,
-all data on R), and the root's vertex on it. The adapter's bounds are ints
-in units of 1/R'; its thresholds (cube limit, cell side, big-job cut,
-geometric ladder) go on R' once, and the root, bounded at the one guess R'
-(the normalized 1), takes normalize's vertex: it makes no LP solve. A
-run's value and bound stay in these units; its solution is in job labels.
+normalize sorts the job labels, runs the one root search on the instance's
+grid (see scheduling.SchedGrid) and returns that grid with the root optimum
+as its unit R: the same integers P and t, with the root's guess R standing
+for the normalized 1, and the search's own vertex. The adapter's bounds
+are ints in units of 1/R; its thresholds (cube limit, cell side, big-job
+cut, geometric ladder) go on R once, and the root, bounded at the one
+guess R, takes normalize's vertex: it makes no LP solve. A run's value and
+bound stay in these units; its jobs and its solution are in the instance's
+labels.
 
 Nodes and children are the unrelated scheme's (scheduling._SchedState,
 scheduling.fix_job); ProfileAdapter adds only the pivot (the first of the
@@ -51,8 +52,6 @@ pivot stays the longest unfixed job either way).
 """
 from __future__ import annotations
 
-import itertools
-import math
 from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -61,14 +60,12 @@ from .engine import (
     AdapterContractError,
     BaseAdapter,
     BoundInfo,
-    Chain,
     Criterion,
     Node,
     RunResult,
     Selection,
     Sense,
     Strategy,
-    chain_solution,
     run,
 )
 from .instances import IDENTICAL, UNIFORM, InstanceError, SchedulingInstance
@@ -108,29 +105,21 @@ PROFILE_TAGS = ("LJ", "BS", ROUNDING_LST)
 
 
 def normalize(inst: SchedulingInstance) -> tuple[SchedGrid, Rat, tuple[int, ...], LpPoint]:
-    """The instance in units of its root parametric optimum K/R, its jobs
-    sorted by decreasing processing time (ties by id).
+    """The instance in units of its root parametric optimum K/R.
 
-    Returns the sorted instance on the grid R' = K/h (see the module
-    docstring), at whose guess R' the root's load LP is feasible; the
-    scale K/R, by which reported makespans multiply back; the order
-    (position -> job); and the root's vertex on R'. The search runs on the
-    sorted grid R, and its LP at K is the LP at R' on R' with every load
-    row multiplied by h: the same pivots and x, the loads divided by h.
-    Only uniform/identical instances are accepted.
+    Returns the instance's grid with K as its unit (SchedGrid(K, P, t)),
+    so that the root's load LP is feasible at the guess R = K, the
+    normalized 1; the scale K/R, by which reported makespans multiply
+    back; the job labels sorted by decreasing processing time (ties by
+    id); and the root's vertex, found by the one root search on the
+    instance's grid. Only uniform/identical instances are accepted.
     """
     if inst.kind not in (UNIFORM, IDENTICAL):
         raise InstanceError("normalization applies to uniform or identical instances")
     grid = SchedGrid.build(inst)
     order = tuple(sorted(range(inst.n), key=lambda j: (-grid.P[j][0], j)))
-    P = [grid.P[j] for j in order]
-    point = min_feasible_T(SchedGrid(grid.R, tuple(P), grid.t), grid.t, range(inst.n))
-    K = point.T
-    h = math.gcd(K, *grid.t, *itertools.chain(*P))
-    P = tuple([tuple([p // h for p in row]) for row in P])
-    loads = tuple([Fraction(v, h) for v in point.loads])
-    root = LpPoint(K // h, point.x, loads, point.fractional_jobs, point.integral_assignment)
-    return SchedGrid(K // h, P, tuple([v // h for v in grid.t])), Fraction(K, grid.R), order, root
+    point = min_feasible_T(grid, grid.t, order)
+    return SchedGrid(point.T, grid.P, grid.t), Fraction(point.T, grid.R), order, point
 
 
 def cube_limit(eps: Rat) -> Rat:
@@ -186,18 +175,21 @@ def uniform_vertex_check(point: LpPoint) -> bool:
 
 
 def make_longest_fractional(
-    point: LpPoint, P: Sequence[Sequence[int]], longest_job: int
+    point: LpPoint, P: Sequence[Sequence[int]], jobs: Sequence[int]
 ) -> LpPoint:
-    """Swap fractional mass so the longest unfixed job becomes fractional.
+    """Swap fractional mass so the longest unfixed job, jobs[0], becomes
+    fractional.
 
-    P holds uniform machines' times (p_ji / p_Li is the same on every i) on
-    the point's grid. Completion times are preserved exactly. Returns the
-    same point object when the job is already fractional or when no
-    eligible swap partner exists (every candidate machine would receive the
-    long job's mass while p_L on it exceeds the guess). The transformed
-    point is checked against the vertex predicate.
+    `jobs` are the node's unfixed jobs, longest first, and P holds uniform
+    machines' times (p_ji / p_Li is the same on every i) on the point's
+    grid. Completion times are preserved exactly. Returns the same point
+    object when the job is already fractional or when no eligible swap
+    partner exists (every candidate machine would receive the long job's
+    mass while p_L on it exceeds the guess). The transformed point
+    classifies its jobs in `jobs` order and is checked against the vertex
+    predicate.
     """
-    L = longest_job
+    L = jobs[0]
     frac = point.fractional_jobs
     if L in frac:
         return point
@@ -228,7 +220,7 @@ def make_longest_fractional(
                 f"mass swap moved the completion time of machine {i} by {shift}"
             )
 
-    new_point = LpPoint(T, x, point.loads, *split_jobs(x, sorted({jj for jj, _ in x})))
+    new_point = LpPoint(T, x, point.loads, *split_jobs(x, jobs))
     if not uniform_vertex_check(new_point):
         raise LpError("fractional-mass swap broke the vertex predicate")
     return new_point
@@ -258,12 +250,13 @@ def _swap_mass(
 
 class ProfileAdapter(BaseAdapter):
     """Shared skeleton; mode "similarity" (uniform) or "equivalence" (identical).
-    Runs on normalize(inst): job order[k] is position k, values times scale
-    are in the instance's units, and `solution` maps positions back to job
-    labels. The payload of the latest root_payload call is bounded with
-    normalize's vertex; every other payload runs min_feasible_T from its
-    parent's bound. Keys (cells, or sorted (overhead, sum of rungs) pairs)
-    and the level width bound are ints."""
+    Runs on normalize(inst): the instance's grid and job labels in units of
+    the root optimum, so values times scale are in the instance's units.
+    A node's jobs keep normalize's order, longest first. The payload of the
+    latest root_payload call is bounded with normalize's vertex; every
+    other payload runs min_feasible_T from its parent's bound. Keys (cells,
+    or sorted (overhead, sum of rungs) pairs) and the level width bound are
+    ints."""
 
     sense = Sense.MIN
 
@@ -293,25 +286,25 @@ class ProfileAdapter(BaseAdapter):
         self.level_bound = floor_div(similarity_level_bound(self.n, eps, self.m), 1)
         self.big_count = self.n  # similarity branches on every job
         if mode == "equivalence":
-            # identical machines: column 0 holds every job's time, longest
-            # first; walk the ladder down to each job's rung (see the module
-            # docstring). Branching stops before the first small job.
-            rungs = geometric_rungs(eps, self.P[0][0], R)
+            # identical machines: column 0 holds every job's time; walk the
+            # jobs longest first and the ladder down to each job's rung (see
+            # the module docstring). Branching stops before the first small job.
+            rungs = geometric_rungs(eps, self.P[self.order[0]][0], R)
             common = rungs[-1][1] if rungs else 1
-            self.rounded: list[int] = []
+            self.rounded: dict[int, int] = {}
             k = len(rungs) - 1
-            for row in self.P:
-                while k >= 0 and rungs[k][0] * R > row[0] * rungs[k][1]:
+            for j in self.order:
+                while k >= 0 and rungs[k][0] * R > self.P[j][0] * rungs[k][1]:
                     k -= 1
                 if k < 0:
                     break
-                self.rounded.append(rungs[k][0] * (common // rungs[k][1]))
+                self.rounded[j] = rungs[k][0] * (common // rungs[k][1])
             self.big_count = len(self.rounded)
         self._root: _SchedState | None = None
 
     def root_payload(self) -> _SchedState:
         R = self.grid.R  # the root optimum
-        self._root = _SchedState(tuple(range(self.n)), self.grid.t, None, lo_hint=R)
+        self._root = _SchedState(self.order, self.grid.t, None, lo_hint=R)
         return self._root
 
     def bound(self, state: _SchedState) -> BoundInfo:
@@ -322,16 +315,10 @@ class ProfileAdapter(BaseAdapter):
         if not point.fractional_jobs:
             return _integral_leaf(self.grid, state, point)
         lb = point.T
-        longest = state.jobs[0]  # jobs stay sorted
-        if longest not in point.fractional_jobs:
-            point = make_longest_fractional(point, self.P, longest)
+        if state.jobs[0] not in point.fractional_jobs:  # the longest unfixed job
+            point = make_longest_fractional(point, self.P, state.jobs)
         assignment, ub = round_vertex(point, self.P, state.t, ROUNDING_LST)
         return BoundInfo(lb, ub, (state.fixed, assignment), leaf=False)
-
-    def solution(self, token: tuple[Chain, Mapping[int, int]]) -> dict[int, int]:
-        """The fixed jobs, root first, then the rounding, in job labels."""
-        order = self.order
-        return {order[k]: i for k, i in chain_solution(*token).items()}
 
     def branch(self, node: Node) -> list[_SchedState]:
         if node.depth >= self.big_count:

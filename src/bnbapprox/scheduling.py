@@ -127,10 +127,11 @@ class Eligibility(Enum):
 @dataclass(frozen=True)
 class SchedGrid:
     """An instance on integers: P (jobs x machines) and the overheads t
-    times R, the lcm of their denominators (1 on generated data). `order`
-    holds each job's machines fastest first (ties: lowest machine), derived
-    from P once per grid; each load LP filters it by the open and eligible
-    machines."""
+    in units of 1/R. R is the grid's unit: the lcm of the data's
+    denominators from `build` (1 on generated data), or the root optimum
+    in the profile schemes (profiles.normalize). `order` holds each job's
+    machines fastest first (ties: lowest machine), derived from P once per
+    grid; each load LP filters it by the open and eligible machines."""
 
     R: int
     P: tuple[tuple[int, ...], ...]
@@ -257,8 +258,8 @@ def feasible_point(
     t: Sequence[int],
     jobs: Sequence[int],
     T: int,
-    eligibility: Eligibility = Eligibility.PAPER,
-    rays: list[FarkasRay] | None = None,
+    eligibility: Eligibility,
+    rays: list[FarkasRay],
 ) -> LpPoint | None:
     """Vertex of the load LP at guess T (see build_load_lp), or None when
     infeasible.
@@ -268,9 +269,9 @@ def feasible_point(
     the crashed tableau and lp.solve_vertex runs the dual phase on it. A
     machine's completion time is T minus the slack of its load row, and
     t_i when it has none (so a node without unfixed jobs gets loads t).
-    When the LP is empty and `rays` is a list, the Farkas
-    ray read off the tableau row that proved it empty (see lp) is appended
-    to it; a program that build_load_lp already rules out appends nothing.
+    When the LP is empty, the Farkas ray read off the tableau row that
+    proved it empty (see lp) is appended to `rays`; a program that
+    build_load_lp already rules out appends nothing.
     A vertex with more fractional jobs than machines raises LpError.
     """
     built = build_load_lp(grid, t, jobs, T, eligibility)
@@ -278,21 +279,20 @@ def feasible_point(
         return None
     tableau, basis, pairs, machines = built
     nv = len(pairs)
-    farkas: list[int] | None = None if rays is None else []
+    farkas: list[int] = []
     vertex = solve_vertex(tableau, basis, nv, len(machines), farkas)
     if vertex is None:
-        if rays is not None:
-            # the Farkas row holds -y_i on the slack of machine i's load row
-            # and -(y_jobs[j] + y_i * p_ji) on a column (j, i), so one column
-            # per job gives y_jobs; ray_reach checks the ray whatever its source
-            y = [0] * len(t)
-            for r, i in enumerate(machines):
-                y[i] = -farkas[nv + r]
-            y_jobs: dict[int, int] = {}
-            for (j, i), d in zip(pairs, farkas):
-                if j not in y_jobs:
-                    y_jobs[j] = -d - y[i] * grid.P[j][i]
-            rays.append(FarkasRay(y_jobs, tuple(y)))
+        # the Farkas row holds -y_i on the slack of machine i's load row
+        # and -(y_jobs[j] + y_i * p_ji) on a column (j, i), so one column
+        # per job gives y_jobs; ray_reach checks the ray whatever its source
+        y = [0] * len(t)
+        for r, i in enumerate(machines):
+            y[i] = -farkas[nv + r]
+        y_jobs: dict[int, int] = {}
+        for (j, i), d in zip(pairs, farkas):
+            if j not in y_jobs:
+                y_jobs[j] = -d - y[i] * grid.P[j][i]
+        rays.append(FarkasRay(y_jobs, tuple(y)))
         return None
 
     x = {pair: v for pair, v in zip(pairs, vertex.values) if v}

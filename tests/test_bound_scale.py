@@ -261,7 +261,8 @@ def test_unit_profit_order_equals_fraction_key_sort(items):
 
 
 class _ScaledStub(BaseAdapter):
-    """Root bounds, then one child's, as ints in units of 1/4."""
+    """Root bounds, then one child's, as ints in units of 1/4; a node's
+    solution is {0: its payload}."""
 
     bound_scale = 4
 
@@ -274,13 +275,10 @@ class _ScaledStub(BaseAdapter):
 
     def bound(self, payload):
         lb, ub = self.bounds[payload]
-        return BoundInfo(lb, ub, payload, leaf=payload == "child")
+        return BoundInfo(lb, ub, (None, {0: payload}), leaf=payload == "child")
 
     def branch(self, node):
         return ["child"]
-
-    def solution(self, token):
-        return token
 
 
 @pytest.mark.guarantee
@@ -307,4 +305,4 @@ def test_run_result_is_in_instance_units():
     result = run(stub, Selection.BEST_FIRST, Criterion("ratio-alpha", rat(999, 1000)))
     assert result.best_value == rat(3, 2) and type(result.best_value) is Fraction
     assert result.global_bound == rat(3, 2) and type(result.global_bound) is Fraction
-    assert result.best_solution == "child"
+    assert result.best_solution == {0: "child"}

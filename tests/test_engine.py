@@ -52,7 +52,7 @@ def test_strategy_validation():
 
 class _TreeAdapter(BaseAdapter):
     """Fixed test tree over payload dicts: {"lb","ub","children",...}; the
-    last child is the right turn, and a solution is its token."""
+    last child is the right turn, and a node's solution is {0: its "sol"}."""
 
     sense = Sense.MAX
     tracks_turns = True
@@ -64,14 +64,11 @@ class _TreeAdapter(BaseAdapter):
         return self.tree
 
     def bound(self, payload):
-        return BoundInfo(rat(payload["lb"]), rat(payload["ub"]), payload.get("sol"),
-                         leaf=not payload.get("children"))
+        return BoundInfo(rat(payload["lb"]), rat(payload["ub"]),
+                         (None, {0: payload.get("sol")}), leaf=not payload.get("children"))
 
     def branch(self, node):
         return node.payload.get("children", [])
-
-    def solution(self, token):
-        return token
 
 
 def test_run_integral_root_counts_one_node():
@@ -79,7 +76,7 @@ def test_run_integral_root_counts_one_node():
     result = run(adapter, Selection.BEST_FIRST, Criterion("ratio-alpha", rat(1, 2)))
     assert result.termination == "ratio-met"
     assert result.nodes_explored == 1
-    assert result.best_value == 5 and result.best_solution == "root"
+    assert result.best_value == 5 and result.best_solution == {0: "root"}
 
 
 def test_run_node_limit():
@@ -109,7 +106,7 @@ def test_run_frontier_empty_returns_best():
     }
     adapter = _TreeAdapter(tree)
     result = run(adapter, Selection.BEST_FIRST, Criterion("ratio-alpha", rat(999, 1000)))
-    assert result.best_value == 6 and result.best_solution == "b"
+    assert result.best_value == 6 and result.best_solution == {0: "b"}
     assert result.termination in ("ratio-met", "frontier-empty")
     assert result.left_turn_max == 1  # child a is a left turn
     assert result.nodes_after_optimum == 0
@@ -150,10 +147,7 @@ class _RandomTreeAdapter(BaseAdapter):
         return (10, 50)
 
     def bound(self, payload):
-        return BoundInfo(*payload, payload, leaf=False)
-
-    def solution(self, token):
-        return token
+        return BoundInfo(*payload, (None, {0: payload}), leaf=False)
 
     def on_insert(self, node):
         self.open[node.id] = node

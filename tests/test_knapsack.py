@@ -102,7 +102,7 @@ def test_dantzig_zero_weight_items_preassigned():
     assert root.chain == (0, 0, None) and chain_solution(root.chain, {}) == {0: 0}
     info = adapter.bound(root)
     assert info.lb == info.ub == 16 * adapter.bound_scale
-    assert adapter.solution(info.solution) == {0: 0, 1: 0}
+    assert chain_solution(*info.solution) == {0: 0, 1: 0}
 
 
 @pytest.mark.guarantee

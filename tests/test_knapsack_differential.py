@@ -290,7 +290,7 @@ def test_every_subproblem_the_adapter_bounds(rule, monkeypatch):
                        start=rat(0))
             assert Fraction(cap, dw) == inst.capacities[k] - used
         # the token stands for the path's fixed items, then the rounding
-        assert list(adapter.solution(info.solution).items()) == (
+        assert list(chain_solution(*info.solution).items()) == (
             list(path_fixed.items()) + list(sol.int_assignment.items())
         )
         # bounds are exact ints in units of 1/bound_scale

@@ -88,7 +88,7 @@ def test_parametric_lp_332_all_basic_solutions():
             pairs[k][0] for k, v in enumerate(values) if 0 < v < 1
         }
         assert len(frac_jobs) <= 2
-    point = feasible_point(G332, G332.t, range(3), 4)
+    point = feasible_point(G332, G332.t, range(3), 4, Eligibility.PAPER, [])
     assert point is not None
     assert point.loads == (4, 4)  # T minus each load row's slack
     assert tuple(point.x[p] for p in pairs if p in point.x)  # solver agrees it is feasible
@@ -111,7 +111,7 @@ def test_build_load_lp_writes_the_crashed_tableau():
     ]
     assert basis == [0, 2, 4, 6, 7]
     # the dual phase moves job 0 to machine 1 and a third of job 1 after it
-    vertex = lp.solve_vertex(tableau, basis, 6, 2)
+    vertex = lp.solve_vertex(tableau, basis, 6, 2, [])
     assert vertex == lp.Vertex((0, 1, rat(2, 3), rat(1, 3), 1, 0), (0, 0))
 
 
@@ -119,8 +119,8 @@ def test_a_node_without_unfixed_jobs_has_loads_t():
     # no job rows and no load rows: the width comes from the counts, not
     # from a first row
     assert build_load_lp(G332, (1, 3), (), 3) == ([], [], [], [])
-    assert lp.solve_vertex([], [], 0, 0) == lp.Vertex((), ())
-    point = feasible_point(G332, (1, 3), (), 3)
+    assert lp.solve_vertex([], [], 0, 0, []) == lp.Vertex((), ())
+    point = feasible_point(G332, (1, 3), (), 3, Eligibility.PAPER, [])
     assert point is not None
     assert point.loads == (1, 3) and point.x == {} and point.fractional_jobs == {}
 
@@ -132,7 +132,7 @@ def test_a_machine_without_a_load_row_completes_at_its_overhead():
     grid = SchedGrid(1, ((2, 2, 4), (1, 1, 4)), (0, 3, 1))
     tableau, basis, pairs, machines = build_load_lp(grid, grid.t, range(2), 3)
     assert pairs == [(0, 0), (1, 0)] and machines == [0]
-    point = feasible_point(grid, grid.t, range(2), 3)
+    point = feasible_point(grid, grid.t, range(2), 3, Eligibility.PAPER, [])
     assert point is not None
     assert point.loads == (3, 3, 1) and point.integral_assignment == {0: 0, 1: 0}
     # without the filter machine 2 takes columns and a load row
@@ -180,7 +180,7 @@ def test_fractional_graph_shapes():
     # fully integral point: no fractional job
     assert split_jobs({(0, 1): rat(1), (1, 0): rat(1)}, range(2)) == ({}, {0: 1, 1: 0})
     # one split job over both machines (from the (3,3,2)/T=4 system)
-    point = feasible_point(G332, G332.t, range(3), 4)
+    point = feasible_point(G332, G332.t, range(3), 4, Eligibility.PAPER, [])
     assert point is not None
     fractional = point.fractional_jobs
     assert list(fractional.values()) == [(0, 1)]
@@ -195,7 +195,7 @@ def test_feasible_point_flags_too_many_fractional_jobs(monkeypatch):
     forged = lp.Vertex((rat(1, 2),) * 6, (0, 0))
     monkeypatch.setattr(scheduling, "solve_vertex", lambda *args: forged)
     with pytest.raises(LpError, match="3 fractional jobs for 2 machines"):
-        feasible_point(G332, G332.t, range(3), 4)
+        feasible_point(G332, G332.t, range(3), 4, Eligibility.PAPER, [])
 
 
 def test_graph_cycle_detection():

@@ -387,8 +387,7 @@ def _recorded_load_lps(kind: str) -> tuple[tuple[LinearProgram, tuple], ...]:
             for profile_kind in (UNIFORM, IDENTICAL):
                 inst = generate(profile_kind, 5, 2, 7300 + seed)
                 solve_uniform(inst, rat(1, 10))
-                grid, _, _, _ = normalize(inst)
-                jobs = tuple(range(len(grid.P)))
+                grid, _, jobs, _ = normalize(inst)  # the root's jobs, longest first
                 k_min = min_feasible_T(grid, grid.t, jobs).T
                 for k in range(k_min - 3, k_min + 2):
                     for rule in Eligibility:

@@ -83,17 +83,17 @@ IDENT332 = SchedulingInstance(
 )
 
 
-def _normalized_base(grid):
-    """An identical or uniform instance's normalized time of each sorted
-    job on machine 0 (its base time when that machine has speed 1)."""
-    return tuple(Fraction(row[0], grid.R) for row in grid.P)
+def _normalized_base(grid, order):
+    """An identical or uniform instance's normalized time on machine 0 (its
+    base time when that machine has speed 1) of each job in `order`."""
+    return tuple(Fraction(grid.P[j][0], grid.R) for j in order)
 
 
 def test_normalize_worked_example():
     grid, scale, order, root = normalize(IDENT332)
     assert scale == 4 and order == (0, 1, 2)
     assert grid.R == 4 and grid.P == ((3, 3), (3, 3), (2, 2)) and grid.t == (0, 0)
-    assert _normalized_base(grid) == (rat(3, 4), rat(3, 4), rat(1, 2))
+    assert _normalized_base(grid, order) == (rat(3, 4), rat(3, 4), rat(1, 2))
     res = min_feasible_T(grid, grid.t, range(3))
     assert res.T == root.T == grid.R  # normalized root bound 1
 
@@ -101,8 +101,8 @@ def test_normalize_worked_example():
 def test_normalize_identity_when_scaled():
     # the normalized data as an instance of its own: a second
     # normalization keeps it, at scale 1
-    grid, _, _, _ = normalize(IDENT332)
-    base = _normalized_base(grid)
+    grid, _, order, _ = normalize(IDENT332)
+    base = _normalized_base(grid, order)
     norm = SchedulingInstance(
         IDENTICAL, tuple((b, b) for b in base), (rat(0), rat(0)), base, (rat(1), rat(1))
     )
@@ -110,16 +110,17 @@ def test_normalize_identity_when_scaled():
     assert scale2 == 1 and again == grid and order == (0, 1, 2)
 
 
-def test_normalize_sorts_and_divides_by_the_common_factor():
-    # one machine: root optimum 15 (R = 2, K = 30); every datum on R is a
-    # multiple of 3, so the normalized grid is R' = 10, the data divided by 3
+def test_normalize_sorts_the_labels_and_takes_the_root_optimum_as_unit():
+    # one machine: root optimum 15 (30 on the instance's grid 1/2); the
+    # labels sort longest first, and the data stay the instance's integers
+    # (every one a multiple of 3) on the unit R = 30
     base = (rat(3, 2), rat(6), rat(15, 2))
     inst = SchedulingInstance(
         IDENTICAL, tuple((b,) for b in base), (rat(0),), base, (rat(1),)
     )
     grid, scale, order, _ = normalize(inst)
     assert scale == 15 and order == (2, 1, 0)
-    assert grid == SchedGrid(10, ((5,), (4,), (1,)), (0,))
+    assert grid == SchedGrid(30, ((3,), (12,), (15,)), (0,))
 
 
 def test_normalize_rejects_unrelated():
@@ -129,7 +130,7 @@ def test_normalize_rejects_unrelated():
 
 
 def test_similarity_cell_examples():
-    # cells of side eps/n = 1/8, in normalized units and on the grid R' = 40
+    # cells of side eps/n = 1/8, in normalized units and on the grid R = 40
     assert similarity_cell((rat(1), rat(11, 10)), rat(1, 8)) == (8, 8)
     assert similarity_cell((40, 44), rat(1, 8) * 40) == (8, 8)
     eps = rat(1, 2)
@@ -143,7 +144,7 @@ def test_similarity_cell_examples():
 
 
 def test_cube_limit_on_the_normalized_grid():
-    # R' = 4: the cube limit 2(1+eps)^2 = 9/2 is the grid value 18
+    # R = 4: the cube limit 2(1+eps)^2 = 9/2 is the grid value 18
     adapter = ProfileAdapter(IDENT332, rat(1, 2), "similarity")
     assert adapter.grid.R == 4 and adapter.limit == 18
     for t, inside in (((18, 0), True), ((19, 0), False), ((0, 19), False)):
@@ -199,7 +200,8 @@ def test_adapter_key_matches_reference_equivalence_key():
                                       inst.speeds)
         adapter = ProfileAdapter(inst, eps, "equivalence")
         R = adapter.grid.R
-        base = _normalized_base(adapter.grid)
+        base = _normalized_base(adapter.grid, adapter.order)
+        times = dict(zip(adapter.order, base))  # by job label
         overheads = tuple(Fraction(v, R) for v in adapter.grid.t)
         scale = key_scale(base, eps)
         keys = set()
@@ -208,7 +210,7 @@ def test_adapter_key_matches_reference_equivalence_key():
         def on_insert(node):
             nonlocal checked
             state = node.payload
-            key = equivalence_key(chain_solution(state.fixed, {}), base, eps, overheads)
+            key = equivalence_key(chain_solution(state.fixed, {}), times, eps, overheads)
             assert key != SMALL_JOB
             scaled = sorted((o * R, v * scale) for (o, v), count in key for _ in range(count))
             got = adapter._profile_key(state)
@@ -272,17 +274,20 @@ def test_adapter_ladder_matches_fraction_reference(inst, eps):
     # each big job's rung, as an int over the adapter's one denominator,
     # is the Fraction reference's rung of its normalized time
     adapter = ProfileAdapter(inst, eps, "equivalence")
-    base = _normalized_base(adapter.grid)
+    base = _normalized_base(adapter.grid, adapter.order)
     big = [x for x in base if x >= eps]
     assert adapter.big_count == len(big) and base[: len(big)] == tuple(big)
-    assert all(type(v) is int for v in adapter.rounded)
+    assert tuple(adapter.rounded) == adapter.order[: len(big)]  # keyed by label
+    assert all(type(v) is int for v in adapter.rounded.values())
     scale = key_scale(base, eps)
-    assert [Fraction(v, scale) for v in adapter.rounded] == [reference_ladder(x, eps)[-1] for x in big]
+    assert [Fraction(v, scale) for v in adapter.rounded.values()] == [
+        reference_ladder(x, eps)[-1] for x in big
+    ]
 
 
 def _pool():
     """Generated uniform and identical instances, each also with every time
-    multiplied by 6, so that normalize divides by a common factor h > 1."""
+    multiplied by 6, so that every datum on the grid has a factor 6."""
     for kind, n, m in ((UNIFORM, 6, 2), (UNIFORM, 8, 3), (IDENTICAL, 6, 2), (IDENTICAL, 9, 3)):
         for seed in range(12):
             inst = generate(kind, n, m, 5100 + seed)
@@ -295,10 +300,10 @@ def _pool():
 
 def test_normalize_hands_the_root_its_vertex():
     # the point normalize returns is the root LP's on the normalized grid,
-    # at the guess R', exactly: loads are ints and Fractions, never floats
+    # at the guess R, exactly: loads are ints and Fractions, never floats
     for inst in _pool():
-        grid, _, _, root = normalize(inst)
-        want = min_feasible_T(grid, grid.t, range(inst.n), lo_hint=grid.R)
+        grid, _, order, root = normalize(inst)
+        want = min_feasible_T(grid, grid.t, order, lo_hint=grid.R)
         assert root.T == want.T == grid.R
         assert root.x == want.x
         assert root.loads == want.loads
@@ -353,26 +358,28 @@ def test_uniform_vertex_check_accepts_solver_output():
 
 
 def test_make_longest_fractional_noop_when_already_fractional():
-    grid, _, _, _ = normalize(IDENT332)
-    res = min_feasible_T(grid, grid.t, range(3))
-    if 0 in res.fractional_jobs:
-        assert make_longest_fractional(res, grid.P, 0) is res
+    grid, _, order, _ = normalize(IDENT332)
+    res = min_feasible_T(grid, grid.t, order)
+    if order[0] in res.fractional_jobs:
+        assert make_longest_fractional(res, grid.P, order) is res
 
 
 def test_make_longest_fractional_randomized_search():
     transformed = 0
     for seed in range(200):
-        grid, _, _, _ = normalize(generate("scheduling-uniform", 5, 2, 800 + seed))
-        point = min_feasible_T(grid, grid.t, range(len(grid.P)))
-        if not point.fractional_jobs or 0 in point.fractional_jobs:
+        grid, _, order, _ = normalize(generate("scheduling-uniform", 5, 2, 800 + seed))
+        point = min_feasible_T(grid, grid.t, order)
+        if not point.fractional_jobs or order[0] in point.fractional_jobs:
             continue
-        new_point = make_longest_fractional(point, grid.P, 0)
+        new_point = make_longest_fractional(point, grid.P, order)
         if new_point is point:
             continue
         transformed += 1
-        assert 0 in new_point.fractional_jobs
-        # the swapped point's classification, checked from x alone
-        want = reference_fractional_jobs(new_point.x)
+        assert order[0] in new_point.fractional_jobs
+        # the swapped point's classification, checked from x alone, in the
+        # order of the node's jobs
+        derived = reference_fractional_jobs(new_point.x)
+        want = {j: derived[j] for j in order if j in derived}
         assert list(new_point.fractional_jobs.items()) == list(want.items())
         assert new_point.loads == point.loads  # completion times preserved
         assert uniform_vertex_check(new_point)
@@ -390,16 +397,16 @@ def test_profile_drift_bounds_on_sibling_pairs():
     checked = 0
     for seed in range(12):
         inst = generate("scheduling-uniform", 6, 2, seed)
-        grid, _, _, _ = normalize(inst)
+        grid, _, order, _ = normalize(inst)
         P, R = grid.P, grid.R
         n, m = inst.n, inst.m
-        jobs_left = tuple(range(d, n))
+        jobs_left = order[d:]
         delta = d * eps / n
         nodes = []
         for combo in itertools.product(range(m), repeat=d):
             t = [0] * m
-            for k, i in enumerate(combo):
-                t[i] += P[k][i]
+            for j, i in zip(order, combo):
+                t[i] += P[j][i]
             res = min_feasible_T(grid, tuple(t), jobs_left)
             # the node's residual problem in normalized units
             sub = SchedulingInstance(
@@ -424,20 +431,20 @@ def test_equivalence_key_ratio_bounds():
     checked = 0
     for seed in range(12):
         inst = generate("scheduling-identical", 6, 3, seed)
-        grid, _, _, _ = normalize(inst)
-        P, base = grid.P, _normalized_base(grid)
-        n, m = inst.n, inst.m
+        grid, _, order, _ = normalize(inst)
+        P, base = grid.P, _normalized_base(grid, order)
+        m = inst.m
         if any(base[k] < eps for k in range(d)):
             continue
-        jobs_left = tuple(range(d, n))
+        jobs_left = order[d:]
         buckets: dict = {}
         for combo in itertools.product(range(m), repeat=d):
             t = [0] * m
             fixed = {}
-            for k, i in enumerate(combo):
-                t[i] += P[k][i]
-                fixed[k] = i
-            key = equivalence_key(fixed, base, eps, (0,) * m)
+            for j, i in zip(order, combo):
+                t[i] += P[j][i]
+                fixed[j] = i
+            key = equivalence_key(fixed, dict(zip(order, base)), eps, (0,) * m)
             res = min_feasible_T(grid, tuple(t), jobs_left)
             if res.fractional_jobs:
                 _, ub = round_vertex(res, P, tuple(t), ROUNDING_LST)
@@ -591,6 +598,41 @@ def test_profile_schemes_keep_their_guarantee_on_overhead_instances():
         assert out.bound <= opt and out.makespan <= (1 + eps) ** 2 * opt, k
 
 
+def _relabeled(inst: SchedulingInstance, perm) -> SchedulingInstance:
+    """The instance whose job k is job perm[k] of `inst`."""
+    return SchedulingInstance(inst.kind, tuple([inst.processing[j] for j in perm]),
+                              inst.overheads, tuple([inst.base_times[j] for j in perm]),
+                              inst.speeds)
+
+
+def test_profile_schemes_do_not_depend_on_job_labels():
+    # renumbering the jobs leaves each run's value, bound, node counts,
+    # depth and termination as they were; with distinct base times the
+    # assignment is the renumbered one, and tied jobs (equal rows) may
+    # trade machines, so there only its makespan must match
+    rnd = random.Random("profiles/relabel")
+    cases = [(generate(kind, 8, 2 + seed % 2, 5300 + seed), rat(1, 5))
+             for kind in (UNIFORM, IDENTICAL) for seed in range(6)]
+    cases += [_overhead_instance(rnd, (IDENTICAL, UNIFORM)[k % 2]) for k in range(24)]
+    distinct = tied = 0
+    for inst, eps in cases:
+        perm = list(range(inst.n))
+        rnd.shuffle(perm)
+        other = _relabeled(inst, perm)
+        solvers = (solve_uniform, solve_identical) if inst.kind == IDENTICAL else (solve_uniform,)
+        for solver, selection in itertools.product(solvers, Selection):
+            want, got = solver(inst, eps, selection), solver(other, eps, selection)
+            assert got.result.to_json_dict() == want.result.to_json_dict()
+            assert (got.value, got.bound, got.scale) == (want.value, want.bound, want.scale)
+            assert schedule_makespan(other, got.assignment) == got.makespan
+            if len(set(inst.base_times)) == inst.n:
+                distinct += 1
+                assert got.assignment == {k: want.assignment[j] for k, j in enumerate(perm)}
+            else:
+                tied += 1
+    assert distinct >= 30 and tied >= 30, (distinct, tied)
+
+
 _swap_mass = profiles._swap_mass
 
 
@@ -605,11 +647,11 @@ def _swapped_with_drift(x, L, j, m1, m2, P):
 @pytest.mark.guarantee
 def test_broken_mass_swap_raises(monkeypatch):
     for seed in range(200):
-        grid, _, _, _ = normalize(generate("scheduling-uniform", 5, 2, 800 + seed))
-        point = min_feasible_T(grid, grid.t, range(len(grid.P)))
-        if not point.fractional_jobs or 0 in point.fractional_jobs:
+        grid, _, order, _ = normalize(generate("scheduling-uniform", 5, 2, 800 + seed))
+        point = min_feasible_T(grid, grid.t, order)
+        if not point.fractional_jobs or order[0] in point.fractional_jobs:
             continue
-        args = (point, grid.P, 0)
+        args = (point, grid.P, order)
         if make_longest_fractional(*args) is not point:  # the real swap passes
             break
     else:

@@ -46,7 +46,7 @@ def test_min_feasible_T_332():
     # T=3 infeasible, certified by the bracket/walk-up invariant
     from bnbapprox.scheduling import feasible_point
 
-    assert feasible_point(G332, G332.t, range(3), 3) is None
+    assert feasible_point(G332, G332.t, range(3), 3, Eligibility.PAPER, []) is None
 
 
 def test_min_feasible_T_single_job():
@@ -92,7 +92,7 @@ def test_search_steps_on_the_node_grid():
     assert grid.R == 3
     t = (0, grid.t[1] + grid.P[2][1])
     assert min_feasible_T(grid, t, (0, 1)).T == 6
-    assert scheduling.feasible_point(grid, t, (0, 1), 5) is not None
+    assert scheduling.feasible_point(grid, t, (0, 1), 5, Eligibility.PAPER, []) is not None
 
 
 def test_round_vertex_modes_on_332():

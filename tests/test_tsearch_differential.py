@@ -190,8 +190,10 @@ def _assert_vertex(got: LpPoint, want: LpPoint, R: int, P, t, jobs, eligibility)
     assert list(got.loads) == loads and max(loads) <= T
     fractional = [j for j in jobs if any(v < 1 for v in by_job[j])]
     assert list(got.fractional_jobs) == fractional and len(fractional) <= m
-    # the one classification, against the one derived from x alone
-    want_fractional = reference_fractional_jobs(x)
+    # the one classification, against the one derived from x alone, in
+    # the order of the node's jobs
+    derived = reference_fractional_jobs(x)
+    want_fractional = {j: derived[j] for j in jobs if j in derived}
     assert list(got.fractional_jobs.items()) == list(want_fractional.items())
     assert got.integral_assignment == {j: i for (j, i), v in x.items() if v == 1}
     assert job_machine_matching(want_fractional) is not None

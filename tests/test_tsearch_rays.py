@@ -88,7 +88,7 @@ def test_every_guess_a_ray_skips_is_infeasible(instance):
             k = max(k, max(min(row) for row in PD))
         # the search's upper bracket: every job on its fastest machine
         k_hi = max(max(tD) + sum(min(row) for row in PD), k)
-        assert feasible_point(grid, tD, jobs, k_hi, rule) is not None
+        assert feasible_point(grid, tD, jobs, k_hi, rule, []) is not None
         while True:
             rays = []
             if feasible_point(grid, tD, jobs, k, rule, rays) is not None:
@@ -99,7 +99,7 @@ def test_every_guess_a_ray_skips_is_infeasible(instance):
             k2 = ray_reach(rays[0], PD, tD, jobs, k, k_hi, rule)
             assert k <= k2 <= k_hi
             for guess in range(k, k2 + 1):
-                assert feasible_point(grid, tD, jobs, guess, rule) is None
+                assert feasible_point(grid, tD, jobs, guess, rule, []) is None
             built = load_program(grid, tD, jobs, k2, rule)
             assert built is not None
             assert _certifies(rays[0], *built)
@@ -123,7 +123,7 @@ def test_the_lp_ray_reaches_the_next_column():
     rays = []
     assert feasible_point(G55, (0, 6), (0, 1), 7, Eligibility.ALL, rays) is None
     reach = ray_reach(rays[0], PD55, (0, 6), (0, 1), 7, 20, Eligibility.ALL)
-    assert feasible_point(G55, (0, 6), (0, 1), reach + 1, Eligibility.ALL) is not None
+    assert feasible_point(G55, (0, 6), (0, 1), reach + 1, Eligibility.ALL, []) is not None
     # when machine 1 starts at 1, the paper rule opens its columns at 9 and
     # the residual rule at 1 + 9, and the same ray reaches one guess further
     for rule, reach in ((Eligibility.PAPER, 8), (Eligibility.RESIDUAL, 9)):
