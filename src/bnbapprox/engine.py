@@ -209,7 +209,7 @@ class Node:
     payload: Any
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoundInfo:
     lb: Bound
     ub: Bound

@@ -42,16 +42,18 @@ When the leaving row has no negative entry, the row itself is the Farkas
 row: its entries are all >= 0 and its rhs is < 0, so no x >= 0 meets it,
 and it is a combination y of the rows.
 
-Read-out: the vertex holds the structural values and the slack of every
-inequality row (0 where nonbasic), with a Rat built only for a nonzero
-basic value; scheduling.feasible_point reads each machine's completion
-time off the slack of its load row.
+Read-out: the vertex is the final basis, rhs column and row denominators,
+all integers, and the solve builds no Rat; Vertex.values and .slacks
+build the exact values on each read. scheduling.feasible_point
+classifies the jobs off the nonzero basic labels alone, and reads each
+machine's completion time off the slack of its load row only when asked.
 
 Fractional graph: scheduling.feasible_point classifies a vertex's jobs
-once (scheduling.split_jobs), into a mapping from each fractional job to
-its machines in ascending order. job_machine_matching and
-graph_components read that mapping as a bipartite graph with an edge from
-each fractional job to each of its machines.
+once (scheduling.split_jobs, on the pairs of its nonzero coordinates),
+into a mapping from each fractional job to its machines in ascending
+order. job_machine_matching and graph_components read that mapping as a
+bipartite graph with an edge from each fractional job to each of its
+machines.
 
 Thread-safety: a solve touches nothing but the tableau and basis it is
 handed, which it pivots in place.
@@ -76,17 +78,44 @@ class LpError(Exception):
     """Internal solver failure (malformed program, broken invariant)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Vertex:
-    """A basic feasible solution.
+    """A basic feasible solution, as the solve leaves it: row r's basic
+    variable basis[r] (structural below num_vars, else the slack of
+    inequality row basis[r] - num_vars) has the value rhs[r] / den[r],
+    and every nonbasic one is 0. Each read builds the exact values:
+    `values`, the structural variables (Rats), and `slacks`, each
+    inequality row's b minus its left-hand side (an int 0 where it is 0).
+    Vertices are equal when their values and slacks are."""
 
-    values: the structural variables (exact rationals).
-    slacks: the slack of each inequality row, in row order (b minus the
-    row's left-hand side); an int 0 where the slack is nonbasic.
-    """
+    basis: Sequence[int]
+    rhs: Sequence[int]
+    den: Sequence[int]
+    num_vars: int
+    num_slacks: int
 
-    values: tuple[Rat, ...]
-    slacks: tuple[Rat | int, ...]
+    @property
+    def values(self) -> tuple[Rat, ...]:
+        nv = self.num_vars
+        values = [rat(0)] * nv
+        for b, v, d in zip(self.basis, self.rhs, self.den):
+            if v and b < nv:
+                values[b] = Rat(v, d)
+        return tuple(values)
+
+    @property
+    def slacks(self) -> tuple[Rat | int, ...]:
+        nv = self.num_vars
+        slacks = [0] * self.num_slacks
+        for b, v, d in zip(self.basis, self.rhs, self.den):
+            if v and b >= nv:
+                slacks[b - nv] = Rat(v, d)
+        return tuple(slacks)
+
+    def __eq__(self, other):
+        if not isinstance(other, Vertex):
+            return NotImplemented
+        return self.values == other.values and self.slacks == other.slacks
 
 
 def pivot(tableau: list[list[int]], at: list[int], r: int, c: int, den: int) -> int:
@@ -139,7 +168,8 @@ def solve_vertex(
     slack columns (one per inequality row, in row order), then the rhs;
     `basis` holds each row's basic column, which is 1 on its row and 0 on
     every other. Both are pivoted in place, the tableau on per-row
-    denominators that the solve keeps to itself. The dual phase runs while a
+    denominators; the vertex returned holds `basis` itself, the final rhs
+    column and those denominators. The dual phase runs while a
     basic variable is negative: the row with the lowest basic label among
     the negative ones leaves and the lowest-index column with a negative
     entry in it enters (see the module docstring).
@@ -173,16 +203,7 @@ def solve_vertex(
         den = pivot(tableau, at, leave, enter, den)
         basis[leave] = enter
 
-    values = [rat(0)] * num_vars
-    slacks = [0] * num_slacks
-    for row, b, d in zip(tableau, basis, at):
-        v = row[rhs]
-        if v:
-            if b < num_vars:
-                values[b] = Rat(v, d)
-            else:
-                slacks[b - num_vars] = Rat(v, d)
-    return Vertex(tuple(values), tuple(slacks))
+    return Vertex(basis, [row[rhs] for row in tableau], at, num_vars, num_slacks)
 
 
 def job_machine_matching(fractional: Mapping[int, Sequence[int]]) -> dict[int, int] | None:

@@ -17,14 +17,15 @@ construction.
 Everything runs on one integer view of the instance (`SchedGrid`), built
 once per run: P and t times R, the lcm of their denominators, and each
 job's machines fastest first. Overheads, guesses, makespans, the
-adapter's bounds (bound_scale = R) and every load LP are integers on it;
-only the LP point's coordinates and the completion times read off its
-slacks are Fractions. A node's data can lie on a coarser grid than the
-instance's (fixed times 1/3 + 2/3 sum to 1), so min_feasible_T probes
-only multiples of the node step g = gcd(R, t, the unfixed jobs' rows),
-the node's own grid: the LP at k = g*k' is the LP at k' on that grid with
-every load row multiplied by g, which changes neither the pivots nor the
-vertex.
+adapter's bounds (bound_scale = R) and every load LP are integers on it,
+and so is the vertex a solve returns. The LP point's coordinates and the
+completion times read off its slacks are Fractions, built only when a
+caller reads them (see LpPoint), which the unrelated scheme never does.
+A node's data can lie on a coarser grid than the instance's (fixed times
+1/3 + 2/3 sum to 1), so min_feasible_T probes only multiples of the node
+step g = gcd(R, t, the unfixed jobs' rows), the node's own grid: the LP
+at k = g*k' is the LP at k' on that grid with every load row multiplied
+by g, which changes neither the pivots nor the vertex.
 Feasibility is monotone in T, and the search:
 
     brackets   k_lo from the overheads, the processing times and the
@@ -149,23 +150,42 @@ class SchedGrid:
         return cls(R, P, on_grid(inst.overheads, R))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LpPoint:
     """A basic feasible solution of the parametric load LP at guess T.
 
     fractional_jobs maps each fractional job to its machines (those of
     its nonzero coordinates, ascending), in the order of the node's jobs;
     integral_assignment maps every other job to its machine. Both come
-    from split_jobs, the one place that classifies a point's jobs."""
+    from split_jobs, the one place that classifies a point's jobs.
+
+    A point that feasible_point reads off a vertex starts without x and
+    loads, which most callers never read: the first read of either lands
+    in __getattr__ and builds both from the vertex, exact and typed as
+    below."""
 
     T: int  # on the grid of the data the point was built from
     x: Mapping[tuple[int, int], Rat]  # nonzero coordinates
     loads: tuple[int | Rat, ...]  # completion times t_i + assigned load
     fractional_jobs: Mapping[int, tuple[int, ...]]
     integral_assignment: Mapping[int, int]
+    # (vertex, pairs, machines, t) of a point that feasible_point read off
+    _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getattr__(self, name: str):
+        # reached only when a slot is unset: x and loads of feasible_point's point
+        if name not in ("x", "loads"):
+            raise AttributeError(name)
+        vertex, pairs, machines, t = self._source
+        self.x = {pair: v for pair, v in zip(pairs, vertex.values) if v}
+        loads: list[int | Rat] = list(t)
+        for i, slack in zip(machines, vertex.slacks):
+            loads[i] = self.T - slack
+        self.loads = tuple(loads)
+        return getattr(self, name)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FarkasRay:
     """Row weights proving a load LP empty: y_jobs[j] for job j's
     assignment row and y_machines[i] for machine i's load row (0 for a
@@ -215,6 +235,7 @@ def build_load_lp(
         cap = [top if T > ti else -1 for ti in t]
     pairs: list[tuple[int, int]] = []
     spans: list[tuple[int, int]] = []
+    used = [False] * len(t)  # the machines with columns
     for j in jobs:
         Pj = P[j]
         start = len(pairs)
@@ -224,21 +245,24 @@ def build_load_lp(
                 break  # every later machine is slower still
             if p <= cap[i]:
                 pairs.append((j, i))
+                used[i] = True
         if len(pairs) == start:
             return None
         spans.append((start, len(pairs)))
     nv = len(pairs)
 
-    machines = sorted({i for _, i in pairs})
+    machines = [i for i, u in enumerate(used) if u]
     width = nv + len(machines) + 1
-    load_rows: dict[int, list[int]] = {}
+    load_rows: list = [None] * len(t)  # by machine; a row for each machine with columns
     for r, i in enumerate(machines):
         row = load_rows[i] = [0] * width
         row[nv + r] = 1
         row[-1] = T - t[i]
     tableau: list[list[int]] = []
     for a, b in spans:
-        tableau.append([0] * a + [1] * (b - a) + [0] * (width - 1 - b) + [1])
+        row = [0] * width
+        row[a] = row[-1] = 1
+        tableau.append(row)
         j, fastest = pairs[a]
         Pj = P[j]
         p = Pj[fastest]
@@ -246,9 +270,10 @@ def build_load_lp(
         crashed[-1] -= p
         for k in range(a + 1, b):
             i = pairs[k][1]
+            row[k] = 1
             crashed[k] = -p
             load_rows[i][k] = Pj[i]
-    tableau += load_rows.values()
+    tableau += [load_rows[i] for i in machines]
     basis = [a for a, _ in spans] + list(range(nv, width - 1))
     return tableau, basis, pairs, machines
 
@@ -295,38 +320,40 @@ def feasible_point(
         rays.append(FarkasRay(y_jobs, tuple(y)))
         return None
 
-    x = {pair: v for pair, v in zip(pairs, vertex.values) if v}
-    loads: list[int | Rat] = list(t)
-    for i, slack in zip(machines, vertex.slacks):
-        loads[i] = T - slack
-    fractional, integral = split_jobs(x, jobs)
+    # the nonzero coordinates are the basic ones with a nonzero rhs
+    support = [pairs[b] for b, v in zip(vertex.basis, vertex.rhs) if v and b < nv]
+    fractional, integral = split_jobs(support, jobs)
     if len(fractional) > len(t):
         raise LpError(
             f"vertex has {len(fractional)} fractional jobs for {len(t)} machines; "
             "lp-vertex bug"
         )
-    return LpPoint(T, x, tuple(loads), fractional, integral)
+    point = LpPoint.__new__(LpPoint)  # x and loads wait for their first read
+    point.T, point.fractional_jobs, point.integral_assignment = T, fractional, integral
+    point._source = (vertex, pairs, machines, t)
+    return point
 
 
 def split_jobs(
-    x: Mapping[tuple[int, int], Rat], jobs: Iterable[int]
+    support: Iterable[tuple[int, int]], jobs: Iterable[int]
 ) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
-    """The fractional jobs of a point x with their machines, ascending, and
-    the machine of every other job, both in `jobs` order. x holds a
-    point's nonzero coordinates: a job is integral when its only one is
-    1, and otherwise (its coordinates sum to 1) every one of them lies
-    strictly between 0 and 1."""
-    by_job: dict[int, list[tuple[int, Rat]]] = {}
-    for (j, i), v in x.items():
-        by_job.setdefault(j, []).append((i, v))
+    """The fractional jobs of a point with their machines, ascending, and
+    the machine of every other job, both in `jobs` order. `support` holds
+    the pairs (j, i) of the point's nonzero coordinates (a mapping of
+    them, such as LpPoint.x, will do). A job's coordinates sum to 1, so
+    a job with one nonzero coordinate is integral, and otherwise every
+    one of them lies strictly between 0 and 1."""
+    by_job: dict[int, list[int]] = {}
+    for j, i in support:
+        by_job.setdefault(j, []).append(i)
     fractional: dict[int, tuple[int, ...]] = {}
     integral: dict[int, int] = {}
     for j in jobs:
-        entries = by_job.get(j, [])
-        if len(entries) == 1 and entries[0][1] == 1:
-            integral[j] = entries[0][0]
+        machines = by_job.get(j, [])
+        if len(machines) == 1:
+            integral[j] = machines[0]
         else:
-            fractional[j] = tuple(sorted([i for i, _ in entries]))
+            fractional[j] = tuple(sorted(machines))
     return fractional, integral
 
 
@@ -424,7 +451,9 @@ def min_feasible_T(
     T is never returned.
     """
     P = grid.P
-    g = math.gcd(grid.R, *t, *itertools.chain(*[P[j] for j in jobs]))
+    g = math.gcd(grid.R, *t)
+    if g > 1:  # the jobs' rows can only lower it further
+        g = math.gcd(g, *itertools.chain(*[P[j] for j in jobs]))
     shortest = [min(P[j]) for j in jobs]
     work = sum(shortest)
     k_lo = max(t, default=0)
@@ -521,7 +550,7 @@ def round_vertex(
         return assignment, max(_loads(P, t, assignment))
     if mode == ROUNDING_AS:
         for j in frac:
-            assignment[j] = min(range(m), key=lambda i: (P[j][i], i))
+            assignment[j] = min(range(m), key=P[j].__getitem__)  # the first fastest
         return assignment, max(_loads(P, t, assignment))
     if mode == ROUNDING_LST:
         matching = job_machine_matching(frac)

@@ -196,16 +196,7 @@ def dual_phase(
         den = reference_pivot(tableau, leave, enter, den)
         basis[leave] = enter
 
-    values = [rat(0)] * nv
-    slacks = [0] * n_ineq
-    for row, b in zip(tableau, basis):
-        v = row[rhs]
-        if v:
-            if b < nv:
-                values[b] = Rat(v, den)
-            else:
-                slacks[b - nv] = Rat(v, den)
-    return Vertex(tuple(values), tuple(slacks))
+    return Vertex(basis, [row[rhs] for row in tableau], [den] * len(tableau), nv, n_ineq)
 
 
 def admits(eligibility: Eligibility, p, ti, T) -> bool:

@@ -112,14 +112,16 @@ def test_build_load_lp_writes_the_crashed_tableau():
     assert basis == [0, 2, 4, 6, 7]
     # the dual phase moves job 0 to machine 1 and a third of job 1 after it
     vertex = lp.solve_vertex(tableau, basis, 6, 2, [])
-    assert vertex == lp.Vertex((0, 1, rat(2, 3), rat(1, 3), 1, 0), (0, 0))
+    assert vertex is not None
+    assert vertex.values == (0, 1, rat(2, 3), rat(1, 3), 1, 0) and vertex.slacks == (0, 0)
 
 
 def test_a_node_without_unfixed_jobs_has_loads_t():
     # no job rows and no load rows: the width comes from the counts, not
     # from a first row
     assert build_load_lp(G332, (1, 3), (), 3) == ([], [], [], [])
-    assert lp.solve_vertex([], [], 0, 0, []) == lp.Vertex((), ())
+    vertex = lp.solve_vertex([], [], 0, 0, [])
+    assert vertex is not None and vertex.values == () and vertex.slacks == ()
     point = feasible_point(G332, (1, 3), (), 3, Eligibility.PAPER, [])
     assert point is not None
     assert point.loads == (1, 3) and point.x == {} and point.fractional_jobs == {}
@@ -191,8 +193,10 @@ def test_fractional_graph_shapes():
 
 @pytest.mark.guarantee
 def test_feasible_point_flags_too_many_fractional_jobs(monkeypatch):
-    # a forged vertex that splits all three jobs of G332 over both machines
-    forged = lp.Vertex((rat(1, 2),) * 6, (0, 0))
+    # a forged vertex that splits all three jobs of G332 over both machines:
+    # every pair basic at 1/2, both slacks nonbasic
+    forged = lp.Vertex([0, 1, 2, 3, 4, 5, 6, 7], [1] * 6 + [0, 0], [2] * 8, 6, 2)
+    assert forged.values == (rat(1, 2),) * 6 and forged.slacks == (0, 0)
     monkeypatch.setattr(scheduling, "solve_vertex", lambda *args: forged)
     with pytest.raises(LpError, match="3 fractional jobs for 2 machines"):
         feasible_point(G332, G332.t, range(3), 4, Eligibility.PAPER, [])

@@ -198,15 +198,10 @@ def reference_solve_vertex(lp: LinearProgram) -> Vertex | None:
         den = reference_pivot(tableau, pos, enter, den)
         basis[i] = enter
 
-    values = [rat(0)] * nv
-    slacks = [0] * n_ineq
-    for pos, i in enumerate(live):
-        b = basis[i]
-        if b < nv:
-            values[b] = Rat(tableau[pos][rhs_col], den)
-        elif b < n_slack_cols:
-            slacks[b - nv] = Rat(tableau[pos][rhs_col], den)
-    return Vertex(tuple(values), tuple(slacks))
+    # every artificial left the basis or took its row with it
+    labels = [basis[i] for i in live]
+    assert all(b < n_slack_cols for b in labels)
+    return Vertex(labels, [row[rhs_col] for row in tableau], [den] * len(live), nv, n_ineq)
 
 
 def _scaled_rows(lp: LinearProgram):
@@ -475,6 +470,51 @@ def test_recorded_load_lp_crashes_match_reference():
     for kind in (UNRELATED, UNIFORM):
         for _, args in _recorded_load_lps(kind):
             _check_crash(args)
+
+
+def test_lazy_read_out_matches_the_dense_reference(monkeypatch):
+    # feasible_point classifies a vertex's jobs off its integer basic values
+    # and builds x and loads only when they are read. On every feasible
+    # recorded load LP the classification, made before x is read, must be
+    # split_jobs of the x that the first read builds, and x and loads must
+    # be the dense solver's, value and type; some vertices hold a row with
+    # a nonzero value over a negative denominator
+    vertices = []
+    solve = scheduling.solve_vertex
+
+    def keeping(*args):
+        vertex = solve(*args)
+        vertices.append(vertex)
+        return vertex
+
+    monkeypatch.setattr(scheduling, "solve_vertex", keeping)
+    rules = Counter()
+    negative = 0
+    lps = [args for kind in (UNRELATED, UNIFORM) for _, args in _recorded_load_lps(kind)]
+    for args in lps + list(_mid_size_load_lps()):
+        grid, t, jobs, T, rule = args
+        point = scheduling.feasible_point(grid, t, jobs, T, rule, [])
+        if point is None:
+            continue
+        rules[rule] += 1
+        vertex = vertices[-1]
+        negative += any(v and d < 0 for v, d in zip(vertex.rhs, vertex.den))
+        fractional, integral = dict(point.fractional_jobs), dict(point.integral_assignment)
+        program, pairs = load_program(*args)
+        want = solve_vertex(program)
+        want_x = {pair: v for pair, v in zip(pairs, want.values) if v}
+        want_loads = list(t)
+        for i, slack in zip(sorted({i for _, i in pairs}), want.slacks):
+            want_loads[i] = T - slack
+        assert point.x == want_x and all(type(v) is Rat for v in point.x.values())
+        assert point.loads == tuple(want_loads)
+        assert [type(v) for v in point.loads] == [type(v) for v in want_loads]
+        want_fractional, want_integral = scheduling.split_jobs(point.x, jobs)
+        assert list(fractional.items()) == list(want_fractional.items())
+        assert list(integral.items()) == list(want_integral.items())
+        assert all(point.x[j, i] == 1 for j, i in integral.items())
+    assert set(rules) == set(Eligibility) and min(rules.values()) > 20, rules
+    assert negative > 100, negative
 
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -209,6 +210,47 @@ def test_lr_bounding_and_bm_rounding_run():
                 result = run(adapter, sel, Criterion("ratio-eps", eps), node_limit=2000)
                 assert schedule_makespan(inst, result.best_solution) == result.best_value
                 assert result.best_value >= opt
+
+
+def test_unrelated_bound_builds_no_fraction(monkeypatch):
+    # on integer data the unrelated bound reads its vertices in ints: no
+    # Fraction is built inside UnrelatedAdapter.bound, under BS and LR, AS
+    # and BM and every selection. The count outside the bounds (the run's
+    # answer in the instance's units) shows the counter is live.
+    counts = {"bound": 0, "outside": 0}
+    inside = []
+    leaves = []  # whether each bound was a leaf's
+    bound = UnrelatedAdapter.bound
+
+    def counted_bound(self, state):
+        inside.append(state)
+        try:
+            info = bound(self, state)
+        finally:
+            inside.pop()
+        leaves.append(info.leaf)
+        return info
+
+    def counting(build):
+        def wrapper(*args, **kwargs):
+            counts["bound" if inside else "outside"] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(UnrelatedAdapter, "bound", counted_bound)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting(Fraction.__new__)))
+    if hasattr(Fraction, "_from_coprime_ints"):  # results skip __new__ there (Python 3.12+)
+        monkeypatch.setattr(
+            Fraction, "_from_coprime_ints", classmethod(counting(Fraction._from_coprime_ints))
+        )
+    for seed in range(4):
+        inst = generate(UNRELATED, 6 + seed % 2, 2 + seed % 2, 9700 + seed)
+        for bounding in ("BS", "LR"):
+            for rounding in (ROUNDING_AS, ROUNDING_BM):
+                for selection in (Selection.BEST_FIRST, Selection.DFS, Selection.BFS):
+                    solve_unrelated(inst, rat(1, 100), selection, bounding, rounding)
+    assert leaves.count(False) > 200 and leaves.count(True) > 20  # rounded and integral
+    assert counts["bound"] == 0 and counts["outside"] > 0, counts
 
 
 def test_vertex_structure_on_random_instances():

@@ -21,9 +21,10 @@ is a genuine vertex: two jobs split over the same two machines with
 p_a0 * p_b1 != p_a1 * p_b0 have independent columns. On uniform data that
 determinant is 0, so there the graph must be a forest and the point must
 also pass `uniform_vertex_check`. Node states whose data lie on a coarser grid than
-the instance's are among the inputs. Both searches take the same
-`Eligibility` rule (the reference through `lp_oracle.admits`). The
-residual rule of the unrelated BS bound is also held, at every node of
+the instance's are among the inputs, and so are the uniform scheme's
+vertices whose mass it swaps, which build x and loads on that first read.
+Both searches take the same `Eligibility` rule (the reference through
+`lp_oracle.admits`). The residual rule of the unrelated BS bound is also held, at every node of
 small runs on rational data with overheads, between the paper rule's
 guess and the optimum of the node's residual instance.
 """
@@ -368,6 +369,29 @@ def test_profile_adapter_node_states_match_reference(monkeypatch):
                 solver(inst, rat(1, 10), selection, node_limit=200)
     _check_recorded(calls, solves, uniform=True)
     assert len(calls) > 400
+
+
+def test_swapped_profile_vertices_match_reference(monkeypatch):
+    # the mass swap reads x and loads of a vertex mid-run, the first read
+    # that builds them; those points too must be the reference's vertices
+    calls, solves = _record_bound_searches(monkeypatch)
+    swapped = []
+    swap = profiles.make_longest_fractional
+
+    def recording(point, P, jobs):
+        new_point = swap(point, P, jobs)
+        if new_point is not point:
+            swapped.append(point)
+        return new_point
+
+    monkeypatch.setattr(profiles, "make_longest_fractional", recording)
+    for seed in (720004, 720009):
+        for selection in SELECTIONS:
+            solve_uniform(generate(UNIFORM, 8, 3, seed), rat(1, 10), selection, node_limit=200)
+    assert len(swapped) > 20, len(swapped)
+    recorded = {id(call[-1]) for call in calls}
+    assert all(id(point) in recorded for point in swapped)
+    _check_recorded(calls, solves, uniform=True)
 
 
 def _off_grid_instance(rnd: random.Random) -> SchedulingInstance:
